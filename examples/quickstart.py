@@ -40,7 +40,7 @@ This script walks through the library's core workflow both ways:
    — the CLI equivalents are ``run --trace out.jsonl --metrics`` and
    ``repro-aggregate obs report out.jsonl``;
 10. scale the asynchronous scenario to n = 10⁴ on the *bucketed
-    vectorised calendar* (``repro.events.vectorized``, DESIGN.md §14):
+    vectorised calendar* (``repro.api.kernel_run``, DESIGN.md §14):
     ``backend="auto"`` resolves ``engine="events"`` to the vectorised
     backend for Push-Sum-Revert over uniform gossip, draining the event
     calendar per time bucket through whole-subset kernel calls — the
@@ -302,7 +302,7 @@ def main() -> None:
     print(render_report(trace.records, every=10))
 
     # Path 10: the same asynchronous scenario, ten times the population,
-    # on the bucketed vectorised calendar (repro.events.vectorized,
+    # on the bucketed vectorised calendar (repro.api.kernel_run,
     # DESIGN.md §14).  "auto" resolves engine="events" to the vectorised
     # backend here, so the calendar drains per time bucket through
     # whole-subset kernel calls instead of one Python callback per event.

@@ -12,10 +12,14 @@ Everything the simulator can run is describable as plain data:
 * :mod:`repro.api.sweep` — :class:`Sweep` grids over any spec fields and
   :class:`SweepRunner`, which executes them serially or across processes
   into a tidy :class:`SweepResult`;
+* :mod:`repro.api.plan` — :func:`resolve_plan`, the one authority on
+  which (engine, backend) pair a spec runs on and why not the other;
 * :mod:`repro.api.backends` — the execution backends behind
-  :func:`run_scenario`: the per-host ``"agent"`` engine, the NumPy
-  ``"vectorized"`` kernels, and the ``"auto"`` dispatch rule that picks
-  between them per scenario.
+  :func:`run_scenario`: the per-host ``"agent"`` engines and the NumPy
+  ``"vectorized"`` kernel factory;
+* :mod:`repro.api.kernel_run` — :class:`~repro.api.kernel_run.KernelRun`,
+  the one driver every kernel run goes through: a bucketed event
+  calendar of which lockstep rounds are the degenerate configuration.
 
 The imperative path (constructing :class:`repro.Simulation` by hand) keeps
 working unchanged; this layer is additive and is what the CLI, the
@@ -27,7 +31,6 @@ from repro.api.backends import (
     AgentBackend,
     ExecutionBackend,
     VectorizedBackend,
-    resolve_backend,
 )
 from repro.api.plan import (
     ExecutionPlan,
@@ -69,7 +72,6 @@ __all__ = [
     "PROTOCOLS",
     "Registry",
     "VectorizedBackend",
-    "resolve_backend",
     "ScenarioSpec",
     "Sweep",
     "SweepResult",

@@ -3,10 +3,16 @@
 A :class:`~repro.api.spec.ScenarioSpec` describes *what* to simulate; this
 module decides *how*.  Two backends are registered:
 
-* ``"agent"`` — the reference per-host engine (:class:`repro.Simulation`).
-  Runs every protocol over every environment; the only backend for the
-  event-driven engine and for joins on static graph topologies.
-* ``"vectorized"`` — the NumPy kernels of :mod:`repro.simulator.vectorized`.
+* ``"agent"`` — the reference per-host engines (:class:`repro.Simulation`
+  for rounds, :class:`repro.events.EventSimulation` for the event
+  calendar).  Runs every protocol over every environment; the reference
+  the kernels are tested against, and the only backend for joins on
+  static graph topologies.
+* ``"vectorized"`` — the NumPy kernels of :mod:`repro.simulator.vectorized`,
+  driven for *both* engines by the one bucket loop of
+  :class:`repro.api.kernel_run.KernelRun` (lockstep rounds are its
+  degenerate configuration); this module only builds what that driver
+  runs — the (memoised) topology and the configured kernel.
   Orders of magnitude faster (see ``BENCH_core.json``); covers uniform
   gossip, the static graph topologies (``ring``, ``grid``,
   ``random-geometric``, ``erdos-renyi``, ``spatial-grid``) *and* contact
@@ -35,26 +41,18 @@ import inspect
 import json
 from collections import OrderedDict
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
-
+from repro.api.kernel_run import KernelRun
 from repro.api.plan import (
     AUTO,
-    _KERNEL_TABLE,
-    _LOSSY_KERNEL_PROTOCOLS,
-    _VECTOR_ENVIRONMENTS,
-    _VECTOR_FAILURE_MODELS,
     ExecutionPlan,
-    PlanRejectionError,
     resolve_plan,
     vectorized_rejections,
 )
-from repro.api.registry import ENVIRONMENTS, FAILURES, PROTOCOLS, Registry, _grid_dimensions
-from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
-from repro.metrics.recorder import SeriesRecorder
+from repro.api.registry import ENVIRONMENTS, Registry, _grid_dimensions
 from repro.obs.probe import NULL_PROBE
-from repro.simulator.result import RoundRecord, SimulationResult
+from repro.simulator.result import SimulationResult
 from repro.simulator.sparse import CSRTopology, GridRingTopology, TraceCSRTopology
 from repro.topology.graphs import erdos_renyi_edges, grid_edges, ring_lattice_edges
 from repro.simulator.vectorized import (
@@ -72,7 +70,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "VectorizedBackend",
-    "resolve_backend",
     "run_with_backend",
     "validate_backend",
 ]
@@ -99,25 +96,18 @@ def _environment_default(environment: str, param: str):
 _TOPOLOGY_CACHE: "OrderedDict[Tuple[str, str, int], Tuple[object, str]]" = OrderedDict()
 _TOPOLOGY_CACHE_SIZE = 8
 
-# Capability constants (`_KERNEL_TABLE`, `_VECTOR_ENVIRONMENTS`, ...) moved
-# to :mod:`repro.api.plan` with the structured ExecutionPlan layer; they are
-# re-imported above so existing references keep resolving.
-
 
 class ExecutionBackend:
     """How a :class:`~repro.api.spec.ScenarioSpec` gets executed.
 
-    Backends expose two operations: :meth:`supports`, which reports *why* a
-    scenario cannot run here (``None`` means it can), and :meth:`run`, which
-    executes a supported scenario into the same
-    :class:`~repro.simulator.SimulationResult` shape regardless of engine.
+    A backend exposes one operation, :meth:`run`, which executes a scenario
+    into the same :class:`~repro.simulator.SimulationResult` shape
+    regardless of engine.  *Whether* a backend can run a scenario is not
+    asked of the backend: :func:`repro.api.plan.resolve_plan` answers that,
+    with structured reasons, before any backend is reached.
     """
 
     name: str = "abstract"
-
-    def supports(self, spec: "ScenarioSpec") -> Optional[str]:
-        """``None`` when the backend can run ``spec``, else a human reason."""
-        raise NotImplementedError
 
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
         """Execute ``spec`` for ``spec.rounds`` rounds.
@@ -142,9 +132,6 @@ class AgentBackend(ExecutionBackend):
 
     name = "agent"
 
-    def supports(self, spec: "ScenarioSpec") -> Optional[str]:
-        return None
-
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
         if spec.engine == "events":
             with probe.span("build", backend=self.name, engine="events"):
@@ -164,19 +151,6 @@ class VectorizedBackend(ExecutionBackend):
     """The NumPy kernels, exposed through the declarative scenario surface."""
 
     name = "vectorized"
-
-    # ------------------------------------------------------------ capability
-    def supports(self, spec: "ScenarioSpec") -> Optional[str]:
-        """Deprecated string shim over :func:`repro.api.plan.vectorized_rejections`.
-
-        Kept so external callers of the old ``supports() -> Optional[str]``
-        protocol keep working; in-tree dispatch goes through
-        :func:`repro.api.plan.resolve_plan`, which exposes *all* rejections
-        as structured ``(axis, feature, reason)`` records instead of just
-        the first sentence returned here.
-        """
-        rejections = vectorized_rejections(spec)
-        return rejections[0].reason if rejections else None
 
     # ---------------------------------------------------------- construction
     @staticmethod
@@ -265,19 +239,16 @@ class VectorizedBackend(ExecutionBackend):
         Figure 6 counter CDFs read ``counter_values_for_bit`` — while still
         routing construction through the backend's dispatch rules.
         ``topology`` short-circuits :meth:`build_topology` when the caller
-        already built one (the run loop reuses it for group accounting).
+        already built one.  This is the one place the backend screens a
+        spec: an unsupported scenario raises
+        :class:`~repro.api.plan.PlanRejectionError` before anything is built.
         """
-        rejections = tuple(vectorized_rejections(spec))
-        if rejections:
-            raise PlanRejectionError(
-                f"backend 'vectorized' cannot run this scenario: {rejections[0].reason}",
-                rejections=rejections,
-                nearest=ExecutionPlan(engine=spec.engine, backend="agent", rejections=rejections),
-            )
+        ExecutionPlan(spec.engine, self.name, tuple(vectorized_rejections(spec))).require_runnable()
         if topology is None and spec.environment != "uniform":
             topology, _environment_name = self.build_topology(spec)
         params = spec._resolved_protocol_params()
-        loss = _network_loss(spec)
+        # The Bernoulli loss probability a lossy kernel should apply.
+        loss = float(spec.network_params["p"]) if spec.network == "bernoulli-loss" else 0.0
         if spec.protocol == "push-sum-revert":
             return VectorizedPushSumRevert(
                 spec.build_values(),
@@ -334,295 +305,13 @@ class VectorizedBackend(ExecutionBackend):
 
     # -------------------------------------------------------------- execution
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
-        rejections = tuple(vectorized_rejections(spec))
-        if rejections:
-            raise PlanRejectionError(
-                f"backend 'vectorized' cannot run this scenario: {rejections[0].reason}",
-                rejections=rejections,
-                nearest=ExecutionPlan(engine=spec.engine, backend="agent", rejections=rejections),
-            )
-        if spec.engine == "events":
-            # The bucketed event-calendar runner; lives in repro.events to
-            # keep the continuous-time machinery together.  It reuses this
-            # backend's kernel construction, event application and round
-            # recording, so it takes the backend instance rather than
-            # re-importing (which would cycle).
-            from repro.events.vectorized import run_vectorized_events
-
-            return run_vectorized_events(self, spec, probe=probe)
-        with probe.span("build", backend=self.name):
-            topology, environment_name = self.build_topology(spec)
-            kernel = self.build_kernel(spec, topology=topology)
-        values = getattr(kernel, "initial", getattr(kernel, "own", None))
-        if values is None and any(
-            entry["event"] in ("failure", "churn") and entry["model"] == "correlated"
-            for entry in spec.events
-        ):
-            # Counting kernels carry no values; rebuild the workload so a
-            # correlated failure can still order hosts the way the agent does.
-            values = spec.build_values()
-        values_array = np.asarray(values, dtype=float) if values is not None else None
-        events_by_round = _expand_events(spec)
-
-        result = SimulationResult(
-            protocol_name=spec.protocol,
-            aggregate=_aggregate_kind(spec),
-            seed=spec.seed,
-            metadata={
-                "mode": spec.mode,
-                "environment": environment_name,
-                "n_initial": spec.n_hosts,
-                "protocol_params": dict(spec.protocol_params),
-                "backend": self.name,
-                "kernel": type(kernel).__name__,
-            },
-        )
-        if spec.network != "perfect":
-            result.metadata["network"] = {"name": spec.network, **dict(spec.network_params)}
-        prev_delivered = prev_lost = prev_bytes = 0
-        series = SeriesRecorder(name=spec.name)
-        time_varying = isinstance(topology, TraceCSRTopology)
-        # Kernels (and the cached, shared topologies) carry the probe as an
-        # attribute so the hot phase spans need no per-call plumbing; restore
-        # the null probe afterwards because topologies outlive this run.
-        kernel.probe = probe
-        if topology is not None:
-            topology.probe = probe
-        try:
-            with probe.span("execute", backend=self.name):
-                for t in range(spec.rounds):
-                    with probe.span("round", round=t):
-                        if time_varying:
-                            topology.set_round(t)
-                        for entry in events_by_round.get(t, ()):
-                            values_array = self._apply_event(kernel, entry, values_array)
-                            if probe.enabled and entry["event"] in ("join", "failure"):
-                                probe.event(
-                                    "membership",
-                                    action="join" if entry["event"] == "join" else "fail",
-                                    round=t,
-                                )
-                        kernel.step()
-                        record = self._record_round(kernel, spec, t)
-                    # Every kernel exposes cumulative delivery counters; the
-                    # per-round deltas feed both the RoundRecord fields (agent
-                    # parity) and the SeriesRecorder extra series.
-                    delivered = int(kernel.messages_delivered)
-                    lost = int(kernel.messages_lost)
-                    bytes_sent = int(kernel.bytes_sent)
-                    record.messages_delivered = delivered - prev_delivered
-                    record.messages_lost = lost - prev_lost
-                    record.bytes_sent = bytes_sent - prev_bytes
-                    prev_delivered, prev_lost, prev_bytes = delivered, lost, bytes_sent
-                    series.record_error(
-                        t,
-                        record.max_abs_error,
-                        record.truth,
-                        mean_estimate=record.mean_estimate,
-                        population=record.n_alive,
-                        messages_delivered=record.messages_delivered,
-                        messages_lost=record.messages_lost,
-                        bytes_sent=record.bytes_sent,
-                    )
-                    result.append(record)
-                    if probe.enabled:
-                        probe.event(
-                            "round_end",
-                            round=t,
-                            n_alive=record.n_alive,
-                            max_abs_error=record.max_abs_error,
-                            messages_delivered=record.messages_delivered,
-                            messages_lost=record.messages_lost,
-                            bytes_sent=record.bytes_sent,
-                        )
-                        probe.gauge("n_alive", record.n_alive)
-        finally:
-            kernel.probe = NULL_PROBE
-            if topology is not None:
-                topology.probe = NULL_PROBE
-        result.metadata["delivery_series"] = {
-            key: list(values) for key, values in series.extra.items()
-        }
-        return result
-
-    def _apply_event(
-        self, kernel, entry: dict, values_array: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """Apply one per-round event; returns the (possibly grown) workload array."""
-        kind = entry["event"]
-        if kind == "value-change":
-            kernel.change_values({int(key): float(value) for key, value in entry["values"].items()})
-            return values_array
-        if kind == "join":
-            # New hosts draw the agent JoinEvent's default workload
-            # (uniform 0..100 per host); the kernel grows its state arrays
-            # and the correlated-failure ordering array grows with it.
-            fresh = kernel.rng.uniform(0.0, 100.0, size=int(entry["count"]))
-            kernel.join(fresh)
-            if values_array is not None:
-                values_array = np.concatenate([values_array, fresh])
-            return values_array
-        # failure — instantiate the registered model so parameter defaults
-        # and validation stay identical to the agent path.
-        params = {k: v for k, v in entry.items() if k not in ("event", "round", "model")}
-        model = FAILURES.create(entry["model"], **params)
-        if isinstance(model, UncorrelatedFailure):
-            kernel.fail_random_fraction(model.fraction)
-        elif isinstance(model, CorrelatedFailure):
-            if hasattr(kernel, "fail_extreme_fraction"):
-                kernel.fail_extreme_fraction(model.fraction, highest=model.highest)
-            else:
-                self._fail_correlated(kernel, values_array, model.fraction, model.highest)
-        elif isinstance(model, ExplicitFailure):
-            valid = [i for i in model.host_ids if 0 <= int(i) < kernel.n]
-            if valid:
-                kernel.fail(valid)
-        else:  # pragma: no cover - supports() rejects everything else
-            raise ValueError(f"failure model {entry['model']!r} is not vectorised")
-        return values_array
-
-    @staticmethod
-    def _fail_correlated(
-        kernel, values_array: Optional[np.ndarray], fraction: float, highest: bool
-    ) -> None:
-        """Correlated failure for kernels without per-host values.
-
-        The counting kernels carry no values, but the backend built the
-        workload, so it can reproduce the agent semantics (fail the hosts
-        with the most extreme *workload* values) directly.
-        """
-        alive_idx = np.nonzero(kernel.alive)[0]
-        count = int(round(fraction * alive_idx.size))
-        if count == 0:
-            return
-        if values_array is None:
-            values_array = np.zeros(kernel.n, dtype=float)
-        order = alive_idx[np.argsort(values_array[alive_idx])]
-        kernel.fail(order[-count:] if highest else order[:count])
-
-    @staticmethod
-    def _record_round(kernel, spec: "ScenarioSpec", t: int) -> RoundRecord:
-        estimates = kernel.estimates()
-        n_alive = int(kernel.alive.sum())
-        group_sizes: Optional[float] = None
-        if spec.group_relative:
-            truth, deltas, group_sizes = VectorizedBackend._group_relative_errors(
-                kernel, spec, estimates
-            )
-        else:
-            truth = kernel.truth()
-            deltas = estimates - truth if estimates.size else estimates
-        if deltas.size:
-            stddev_error = float(np.sqrt(np.mean(deltas**2)))
-            max_abs_error = float(np.max(np.abs(deltas)))
-            mean_abs_error = float(np.mean(np.abs(deltas)))
-        else:
-            stddev_error = max_abs_error = mean_abs_error = float("nan")
-        mean_estimate = float(np.mean(estimates)) if estimates.size else float("nan")
-        stored: Optional[Dict[int, float]] = None
-        if spec.store_estimates:
-            alive_idx = np.nonzero(kernel.alive)[0]
-            stored = {int(host): float(value) for host, value in zip(alive_idx, estimates)}
-        return RoundRecord(
-            round_index=t,
-            truth=truth,
-            n_alive=n_alive,
-            mean_estimate=mean_estimate,
-            stddev_error=stddev_error,
-            max_abs_error=max_abs_error,
-            mean_abs_error=mean_abs_error,
-            bytes_sent=0,
-            estimates=stored,
-            group_sizes=group_sizes,
-        )
-
-    @staticmethod
-    def _group_relative_errors(kernel, spec: "ScenarioSpec", estimates: np.ndarray):
-        """Per-host error against the host's *group* aggregate (Fig 11 rule).
-
-        Groups are the connected components of the live-induced topology
-        (:meth:`~repro.simulator.sparse._Topology.component_labels`, cached
-        per alive mask, so steady-state rounds pay only array gathers).
-        Mirrors the agent engine's accounting: each host is scored against
-        its own component's aggregate, the recorded truth is the host-mean
-        of those group truths, and ``group_sizes`` is the mean component
-        size.
-        """
-        alive_idx = np.nonzero(kernel.alive)[0]
-        if alive_idx.size == 0:
-            return float("nan"), np.array([], dtype=float), 0.0
-        labels, sizes = kernel.topology.component_labels(kernel.alive)
-        live_labels = labels[alive_idx]
-        kind = _aggregate_kind(spec)
-        if kind == "count":
-            group_truth = sizes.astype(float)
-        else:
-            values = np.asarray(kernel._host_values(), dtype=float)[alive_idx]
-            if kind == "average":
-                group_sums = np.bincount(live_labels, weights=values, minlength=sizes.size)
-                group_truth = group_sums / np.maximum(sizes, 1)
-            else:  # max / min (no kernel aggregates sums today)
-                fill = -np.inf if kind == "max" else np.inf
-                group_truth = np.full(sizes.size, fill, dtype=float)
-                extremum = np.maximum if kind == "max" else np.minimum
-                extremum.at(group_truth, live_labels, values)
-        truth_per_host = group_truth[live_labels]
-        deltas = estimates - truth_per_host
-        truth = float(truth_per_host.mean())
-        group_sizes = float(sizes.mean()) if sizes.size else 0.0
-        return truth, deltas, group_sizes
-
-
-def _expand_events(spec: "ScenarioSpec") -> Dict[int, List[dict]]:
-    """Per-round event dicts for the vectorised run loop.
-
-    One-shot events key on their ``"round"``; ``"churn"`` entries unroll
-    exactly the way the agent engine's :class:`~repro.failures.ChurnProcess`
-    does — one failure, then (with arrivals) one join, per round in
-    ``range(start, stop)`` — so both backends apply the same membership
-    schedule round by round.
-    """
-    events_by_round: Dict[int, List[dict]] = {}
-    for entry in spec.events:
-        if entry["event"] != "churn":
-            events_by_round.setdefault(int(entry["round"]), []).append(entry)
-            continue
-        params = {
-            k: v
-            for k, v in entry.items()
-            if k not in ("event", "start", "stop", "model", "arrivals_per_round")
-        }
-        arrivals = int(entry.get("arrivals_per_round", 0))
-        for t in range(int(entry["start"]), min(int(entry["stop"]), spec.rounds)):
-            per_round = events_by_round.setdefault(t, [])
-            per_round.append({"event": "failure", "round": t, "model": entry["model"], **params})
-            if arrivals > 0:
-                per_round.append({"event": "join", "round": t, "count": arrivals})
-    return events_by_round
-
-
-def _network_loss(spec: "ScenarioSpec") -> float:
-    """The Bernoulli loss probability a lossy kernel should apply."""
-    if spec.network == "bernoulli-loss":
-        return float(spec.network_params["p"])
-    return 0.0
-
-
-def _aggregate_kind(spec: "ScenarioSpec") -> str:
-    """The aggregate the scenario's protocol computes (extrema depend on params)."""
-    if spec.protocol in ("extrema-gossip", "extrema-reset"):
-        return "max" if spec.protocol_params.get("maximum", True) else "min"
-    return PROTOCOLS.get(spec.protocol).aggregate
+        """Both engines run on the one kernel driver (:class:`KernelRun`)."""
+        return KernelRun(self, spec, probe).run()
 
 
 BACKENDS = Registry("backend")
 BACKENDS.register("agent", AgentBackend())
 BACKENDS.register("vectorized", VectorizedBackend())
-
-
-def resolve_backend(spec: "ScenarioSpec") -> str:
-    """The concrete backend name ``spec`` will run on (``"auto"`` resolved)."""
-    return resolve_plan(spec).backend
 
 
 def validate_backend(spec: "ScenarioSpec") -> None:
@@ -640,15 +329,9 @@ def validate_backend(spec: "ScenarioSpec") -> None:
     if spec.backend not in BACKENDS:
         known = ", ".join(sorted([AUTO, *BACKENDS.keys()]))
         raise ValueError(f"unknown backend {spec.backend!r}; expected one of: {known}")
-    plan = resolve_plan(spec)
-    if not plan.runnable:
-        raise PlanRejectionError(
-            f"backend {spec.backend!r} cannot run this scenario: "
-            f"{plan.rejections[0].reason}; "
-            "use backend='agent' (or 'auto' to fall back automatically)",
-            rejections=plan.rejections,
-            nearest=plan.nearest_runnable(),
-        )
+    resolve_plan(spec).require_runnable(
+        "; use backend='agent' (or 'auto' to fall back automatically)"
+    )
 
 
 def run_with_backend(
@@ -682,8 +365,7 @@ def run_with_backend(
     with probe.span("resolve"):
         plan = resolve_plan(spec)
     result = BACKENDS.get(plan.backend).run(spec, probe=probe)
-    name = plan.backend
-    result.metadata.setdefault("backend", name)
+    result.metadata.setdefault("backend", plan.backend)
     if store is not None:
         with probe.span("store_put"):
             store.put(spec, result)

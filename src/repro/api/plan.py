@@ -19,10 +19,9 @@ introduced (engine ``rounds``/``events`` × backend ``agent``/
   hand-maintained table; rendered by ``repro-aggregate list
   --capabilities``).
 
-The old ``VectorizedBackend.supports()`` survives as a thin deprecated
-shim over :func:`vectorized_rejections` (it returns the first rejection's
-reason), so external callers keep working; everything in-tree dispatches
-through plans.
+Backends carry no capability method of their own: everything dispatches
+through plans, and the first rejection's ``reason`` is the sentence the
+old string protocol returned.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ _VECTOR_ENVIRONMENTS = (
 _LOSSY_KERNEL_PROTOCOLS = frozenset({"push-sum-revert", "push-sum-revert-full-transfer"})
 
 #: Network models the vectorised *event calendar* can realise (the
-#: bucketed runner of :mod:`repro.events.vectorized`): instant networks
+#: bucketed calendar of :mod:`repro.api.kernel_run`): instant networks
 #: run whole-bucket or subset kernel steps, ``latency`` defers matured
 #: parcels/exchanges into later buckets.
 _EVENTS_VECTOR_NETWORKS = ("perfect", "bernoulli-loss", "latency")
@@ -131,8 +130,7 @@ class Rejection:
     ``axis`` names the capability dimension (``"engine"``,
     ``"environment"``, ``"protocol"``, ``"mode"``, ``"network"``,
     ``"accounting"``, ``"events"``), ``feature`` the offending value on
-    that axis, and ``reason`` the human sentence the old ``supports()``
-    protocol used to return.
+    that axis, and ``reason`` the human sentence error messages quote.
     """
 
     axis: str
@@ -170,6 +168,20 @@ class ExecutionPlan:
         if self.runnable:
             return self
         return ExecutionPlan(engine=self.engine, backend="agent", rejections=self.rejections)
+
+    def require_runnable(self, hint: str = "") -> None:
+        """Raise :class:`PlanRejectionError` unless this plan can execute.
+
+        The error quotes the first rejection (plus ``hint``) and carries
+        every structured rejection and the nearest runnable plan.
+        """
+        if not self.runnable:
+            raise PlanRejectionError(
+                f"backend {self.backend!r} cannot run this scenario: "
+                f"{self.rejections[0].reason}{hint}",
+                rejections=self.rejections,
+                nearest=self.nearest_runnable(),
+            )
 
 
 class PlanRejectionError(ValueError):
@@ -291,11 +303,10 @@ def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
     """Every reason the vectorised backend cannot realise ``spec``.
 
     An empty list means the spec has a fast path (on either engine).  The
-    checks preserve the order — and the reason sentences — of the legacy
-    ``VectorizedBackend.supports()`` string protocol for the round
-    engine, so the first rejection's ``reason`` is exactly what the old
-    API returned; ``engine="events"`` gets its own capability set (the
-    bucketed calendar of :mod:`repro.events.vectorized`).
+    checks for the round engine run in a fixed order, so the first
+    rejection's ``reason`` is the headline every error message quotes;
+    ``engine="events"`` gets its own capability set (the bucketed
+    calendar of :mod:`repro.api.kernel_run`).
     """
     if spec.engine == "events":
         return _events_rejections(spec)

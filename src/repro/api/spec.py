@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.api.plan import resolve_plan
 from repro.api.registry import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
 from repro.core.cutoff import default_cutoff, linear_cutoff, no_decay_cutoff, scaled_cutoff
 from repro.failures import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
@@ -546,9 +547,7 @@ class ScenarioSpec:
 
     def resolved_backend(self) -> str:
         """The concrete backend this scenario runs on (``"auto"`` resolved)."""
-        from repro.api.backends import resolve_backend
-
-        return resolve_backend(self)
+        return resolve_plan(self).backend
 
     def key(self) -> str:
         """The spec's stable canonical hash (the result-store address).

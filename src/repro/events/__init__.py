@@ -9,13 +9,16 @@ is what unlocks latency×exchange scenarios (forbidden in the round
 engine) and rate-heterogeneous populations.
 
 Select it per scenario with ``ScenarioSpec(engine="events",
-engine_params={...})`` — see DESIGN.md §11.
+engine_params={...})`` — see DESIGN.md §11.  The classes exported here
+are the per-host (agent) realisation; :mod:`repro.events.vectorized`
+holds the array-form clock grid and delay sampler that the kernel driver
+(:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14) runs the same
+calendar on in per-bucket batches.
 """
 
 from repro.events.calendar import DELIVER, MEMBERSHIP, SAMPLE, TICK, EventCalendar
 from repro.events.clocks import RATE_DISTRIBUTIONS, HostClock, draw_rate, make_clock
 from repro.events.engine import MASS_CHECK_MODES, EventSimulation
-from repro.events.vectorized import run_vectorized_events
 
 __all__ = [
     "DELIVER",
@@ -29,5 +32,4 @@ __all__ = [
     "TICK",
     "draw_rate",
     "make_clock",
-    "run_vectorized_events",
 ]

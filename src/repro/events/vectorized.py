@@ -1,53 +1,25 @@
-"""The vectorised event calendar: bucketed batch execution of ``engine="events"``.
+"""The array-form calendar parts of the bucketed event engine.
 
-The agent event engine (:class:`repro.events.EventSimulation`) pops one
-calendar entry at a time — perfect fidelity, agent prices.  This module
-trades *interior-of-bucket* timing resolution for NumPy batch execution:
-
-1. Simulated time is cut into buckets of width ``q`` (the *batch
-   quantum*): by default the tick grid — ``min(sample_interval, shortest
-   clock period)``, never coarser than the sample interval and never more
-   than 64 buckets per sample — or ``engine_params["batch_quantum"]``.
-2. All TICK events landing in one bucket drain as *one* subset-masked
-   kernel call (:meth:`~repro.simulator.vectorized.VectorizedPushSumRevert.step_subset`),
-   with reversion applied per ticking host, exactly one tick's worth.
-3. All DELIVER events maturing in one bucket apply as one scatter-add
-   (:meth:`~...VectorizedPushSumRevert.apply_deliveries`) or one batch of
-   pairwise merges (:meth:`~...VectorizedPushSumRevert.merge_pairs`).
-4. The mass ledger balances per *bucket* (or per sample), not per event.
-
-Within a bucket ``((b-1)q, bq]`` every event executes at the bucket end
-``bq``, ordered exactly like the agent calendar's same-timestamp
-priorities: matured deliveries from earlier buckets, then membership,
-then boundary deliveries, then ticks, then the sample.  At the
-synchronized anchor (unit rates, unit sample interval, instant network)
-each bucket collapses to precisely the round engine's vectorised
-sequence — apply events, ``kernel.step()``, record — with identical RNG
-consumption, so the run is bit-identical to ``engine="rounds"`` /
-``backend="vectorized"`` (DESIGN.md §14).  Heterogeneous-rate runs agree
-with the agent event engine in distribution, not bit for bit.
+The kernel driver (:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14)
+runs ``engine="events"`` in per-bucket NumPy batches.  This module holds
+the continuous-time machinery it switches on for that engine and leaves
+out for lockstep rounds: :func:`bucket_grid` (the batch quantum),
+:class:`ClockGrid` (every host clock as three arrays — the vectorised
+:class:`~repro.events.clocks.HostClock`) and :func:`sample_delays` (the
+latency model's ``plan_seconds``, ``k`` draws per call).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Tuple
 
 import numpy as np
 
-from repro.metrics.recorder import SeriesRecorder
-from repro.network import MassLedger
-from repro.obs.probe import NULL_PROBE
-from repro.simulator.result import SimulationResult
-from repro.simulator.rng import RandomStreams
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.api.spec import ScenarioSpec
-
-__all__ = ["run_vectorized_events"]
+__all__ = ["TIME_EPS", "ClockGrid", "bucket_grid", "sample_delays"]
 
 #: Same-timestamp tolerance as the agent calendar (events/engine.py).
-_TIME_EPS = 1e-9
+TIME_EPS = 1e-9
 
 #: Hard cap on buckets per sample interval: finer clock grids coarsen to
 #: this rather than degenerating into per-event buckets.
@@ -77,29 +49,19 @@ def _draw_rates(config, rng: np.random.Generator, count: int) -> np.ndarray:
     return rates
 
 
-def _delay_sampler(network_model, rng: np.random.Generator):
-    """Vectorised ``plan_seconds`` for the latency model: k delays at once."""
-    distribution = network_model.distribution
-    max_delay = float(network_model.max_delay)
-    if distribution == "fixed":
-        delay = min(float(network_model.delay), max_delay)
-
-        def sample(k: int) -> np.ndarray:
-            return np.full(k, delay)
-    elif distribution == "uniform":
-        low, high = network_model.low, network_model.high
-
-        def sample(k: int) -> np.ndarray:
-            return np.minimum(rng.integers(low, high + 1, size=k).astype(float), max_delay)
+def sample_delays(network_model, rng: np.random.Generator, k: int) -> np.ndarray:
+    """Vectorised ``plan_seconds`` for the latency model: ``k`` delays at once."""
+    cap = float(network_model.max_delay)
+    if network_model.distribution == "fixed":
+        return np.full(k, min(float(network_model.delay), cap))
+    if network_model.distribution == "uniform":
+        drawn = rng.integers(network_model.low, network_model.high + 1, size=k).astype(float)
     else:  # lognormal
-
-        def sample(k: int) -> np.ndarray:
-            return np.minimum(rng.lognormal(network_model.mean, network_model.sigma, k), max_delay)
-
-    return sample
+        drawn = rng.lognormal(network_model.mean, network_model.sigma, k)
+    return np.minimum(drawn, cap)
 
 
-class _ClockGrid:
+class ClockGrid:
     """Array-of-clocks: ``next_time[i] = origins[i] + next_index[i] * periods[i]``.
 
     The vectorised form of :class:`repro.events.clocks.HostClock` — same
@@ -123,7 +85,7 @@ class _ClockGrid:
         periods = 1.0 / _draw_rates(self._config, self._rng, count)
         if self._synchronized:
             origins = np.zeros(count, dtype=float)
-            first = np.ceil(join_time / periods - _TIME_EPS).astype(np.int64)
+            first = np.ceil(join_time / periods - TIME_EPS).astype(np.int64)
             next_index = np.maximum(1, first)
         else:
             origins = join_time + periods * (1.0 - self._rng.random(count))
@@ -139,327 +101,20 @@ class _ClockGrid:
         self.next_index[host_idx] += 1
 
 
-def run_vectorized_events(backend, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
-    """Execute an ``engine="events"`` spec on the vectorised backend.
+def bucket_grid(
+    duration: float, sample_interval: float, base: float
+) -> Tuple[int, float, int, int]:
+    """``(ratio, quantum, n_samples, total_buckets)`` for a calendar run.
 
-    ``backend`` is the :class:`~repro.api.backends.VectorizedBackend`
-    instance (kernel construction, membership-event application and round
-    recording are reused from it verbatim — that is what keeps the
-    synchronized anchor bit-identical to the round engine's vectorised
-    path).  Capability screening already happened in ``backend.run``.
+    ``base`` is the requested bucket width (``batch_quantum``, or the
+    shortest clock period).  The quantum actually used is the sample
+    interval divided by a whole ``ratio`` — so every sample instant, and
+    with it every membership event, is a bucket boundary — capped at
+    :data:`_MAX_BUCKETS_PER_SAMPLE`.
     """
-    from repro.api.backends import _aggregate_kind, _expand_events
-
-    settings = spec.engine_settings()
-    duration = settings["duration"]
-    sample_interval = settings["sample_interval"]
-    mass_check = settings["mass_check"]
-
-    with probe.span("build", backend=backend.name, engine="events"):
-        kernel = backend.build_kernel(spec)
-        streams = RandomStreams(spec.seed)
-        clocks = _ClockGrid(
-            settings["rates"], settings["synchronized"], streams.get("clocks"), kernel.n
-        )
-        network_model = None if spec.network == "perfect" else spec.build_network()
-        has_latency = bool(getattr(network_model, "has_latency", False))
-        sample_delays = (
-            _delay_sampler(network_model, streams.get("network")) if has_latency else None
-        )
-
-    # ---------------------------------------------------------------- quantum
-    base = settings["batch_quantum"]
-    if base is None:
-        base = min(sample_interval, float(clocks.periods.min()))
-    ratio = max(1, int(math.ceil(sample_interval / float(base) - _TIME_EPS)))
+    ratio = max(1, int(math.ceil(sample_interval / float(base) - TIME_EPS)))
     ratio = min(ratio, _MAX_BUCKETS_PER_SAMPLE)
     quantum = sample_interval / ratio
-    n_samples = int(math.floor(duration / sample_interval + _TIME_EPS))
-    total_buckets = int(math.ceil(duration / quantum - _TIME_EPS))
-
-    # Membership events fire at (round + 1) * sample_interval, exactly like
-    # the agent calendar; that instant is always a bucket boundary.
-    membership: Dict[int, List[dict]] = {}
-    for round_idx, entries in _expand_events(spec).items():
-        fire_at = (round_idx + 1) * sample_interval
-        if fire_at > duration + _TIME_EPS:
-            continue
-        bucket = (round_idx + 1) * ratio
-        if bucket <= total_buckets:
-            membership.setdefault(bucket, []).extend(entries)
-
-    values = getattr(kernel, "initial", None)
-    if values is None and any(
-        entry["event"] in ("failure", "churn") and entry["model"] == "correlated"
-        for entry in spec.events
-    ):  # pragma: no cover - push-sum-revert always carries values
-        values = spec.build_values()
-    values_array = np.asarray(values, dtype=float) if values is not None else None
-
-    result = SimulationResult(
-        protocol_name=spec.protocol,
-        aggregate=_aggregate_kind(spec),
-        seed=spec.seed,
-        metadata={
-            "mode": spec.mode,
-            "environment": "UniformEnvironment",
-            "n_initial": spec.n_hosts,
-            "protocol_params": dict(spec.protocol_params),
-            "backend": backend.name,
-            "kernel": type(kernel).__name__,
-            "engine": {
-                "name": "events",
-                "duration": duration,
-                "sample_interval": sample_interval,
-                "rates": dict(settings["rates"]),
-                "synchronized": settings["synchronized"],
-                "mass_check": mass_check,
-                "batch_quantum": quantum,
-            },
-        },
-    )
-    if spec.network != "perfect":
-        result.metadata["network"] = {"name": spec.network, **dict(spec.network_params)}
-
-    # ------------------------------------------------------------ run state
-    #: bucket -> list of in-flight batches; "push" batches carry mass,
-    #: "exchange" batches are deferred atomic merges (mass stays at hosts).
-    pending: Dict[int, List[tuple]] = {}
-    in_flight_mass = 0.0
-    in_flight_count = 0
-    ledger: Optional[MassLedger] = None
-    booked_injected = booked_lost = 0.0
-    if mass_check != "off":
-        ledger = MassLedger()
-        ledger.open(float(kernel.weight[kernel.alive].sum()))
-        booked_injected = kernel.mass_injected
-        booked_lost = kernel.mass_lost
-
-    def sync_ledger() -> None:
-        """Book the kernel's own mass movements (reverts, lossy pushes)."""
-        nonlocal booked_injected, booked_lost
-        if kernel.mass_injected != booked_injected:
-            ledger.record_injected(kernel.mass_injected - booked_injected)
-            booked_injected = kernel.mass_injected
-        if kernel.mass_lost != booked_lost:
-            ledger.record_lost(kernel.mass_lost - booked_lost)
-            booked_lost = kernel.mass_lost
-
-    def observed_mass() -> float:
-        return float(kernel.weight[kernel.alive].sum()) + in_flight_mass
-
-    def sample_bin(time: float) -> int:
-        return max(0, math.ceil(time / sample_interval - _TIME_EPS) - 1)
-
-    def defer(kind: str, bucket_now: int, mature: np.ndarray, *arrays: np.ndarray) -> None:
-        """Queue a delivery batch by maturity bucket (never the current one)."""
-        buckets = np.maximum(
-            bucket_now + 1, np.ceil(mature / quantum - _TIME_EPS).astype(np.int64)
-        )
-        for dest in np.unique(buckets):
-            sel = buckets == dest
-            pending.setdefault(int(dest), []).append(
-                (kind, mature[sel], *(a[sel] for a in arrays))
-            )
-
-    def deliver_push(targets: np.ndarray, weight: np.ndarray, total: np.ndarray) -> None:
-        nonlocal in_flight_mass, in_flight_count
-        in_flight_mass -= float(weight.sum())
-        in_flight_count -= int(targets.size)
-        alive = kernel.alive[targets]
-        dead = int(targets.size - int(alive.sum()))
-        if dead:
-            # The target crashed while the half was in flight: its mass
-            # leaves the system, exactly like a lost message.
-            kernel.mass_lost += float(weight[~alive].sum())
-            kernel.messages_lost += dead
-        if alive.any():
-            kernel.apply_deliveries(targets[alive], weight[alive], total[alive])
-            kernel.messages_delivered += int(alive.sum())
-
-    def deliver_exchange(left: np.ndarray, right: np.ndarray) -> None:
-        nonlocal in_flight_count
-        in_flight_count -= 2 * int(left.size)
-        ok = kernel.alive[left] & kernel.alive[right]
-        kernel.messages_lost += 2 * int(left.size - int(ok.sum()))
-        if ok.any():
-            a, b = left[ok], right[ok]
-            kernel.merge_pairs(a, b)
-            kernel.messages_delivered += 2 * int(a.size)
-            # Duplicates are fine: the refresh is a plain fancy-index
-            # assignment, so deduplicating would only cost a sort.
-            kernel._refresh_last_estimates(np.concatenate([a, b]))
-
-    def drain(batches: List[tuple]) -> None:
-        for batch in batches:
-            if batch[0] == "push":
-                deliver_push(batch[2], batch[3], batch[4])
-            else:
-                deliver_exchange(batch[2], batch[3])
-
-    def split_boundary(batches: List[tuple], boundary: float):
-        """Partition batches into (before ``boundary``, at ``boundary``)."""
-        interior: List[tuple] = []
-        at_edge: List[tuple] = []
-        for batch in batches:
-            mask = batch[1] < boundary - _TIME_EPS
-            if mask.all():
-                interior.append(batch)
-            elif not mask.any():
-                at_edge.append(batch)
-            else:
-                interior.append(tuple([batch[0]] + [a[mask] for a in batch[1:]]))
-                at_edge.append(tuple([batch[0]] + [a[~mask] for a in batch[1:]]))
-        return interior, at_edge
-
-    def process_ticks(bucket: int, time: float, tick_idx: np.ndarray,
-                      tick_times: np.ndarray) -> None:
-        """One batched gossip step for the bucket's ticking hosts."""
-        nonlocal in_flight_mass, in_flight_count
-        n_alive = int(kernel.alive.sum())
-        if not has_latency:
-            if tick_idx.size == n_alive and not pending:
-                # Whole live population ticking over an instant network:
-                # exactly one lockstep round — the bit-identity fast path.
-                kernel.step()
-            else:
-                kernel.step_subset(tick_idx)
-            return
-        alive_idx = np.nonzero(kernel.alive)[0]
-        if alive_idx.size < 2:
-            if kernel.reversion > 0.0:
-                kernel.revert_subset(tick_idx)
-                kernel._refresh_last_estimates(tick_idx)
-            return
-        if kernel.mode == "pushpull":
-            # Partner uniformly among the other live hosts; the exchange
-            # completes after the request and reply legs both arrive, as
-            # one atomic merge (masses stay home until then).
-            pos = np.searchsorted(alive_idx, tick_idx)
-            offset = kernel.rng.integers(1, alive_idx.size, size=tick_idx.size)
-            partners = alive_idx[(pos + offset) % alive_idx.size]
-            kernel.bytes_sent += 32 * int(tick_idx.size)
-            legs = sample_delays(2 * tick_idx.size)
-            delay = legs[: tick_idx.size] + legs[tick_idx.size :]
-            now = delay <= _TIME_EPS
-            if now.any():
-                kernel.merge_pairs(tick_idx[now], partners[now])
-                kernel.messages_delivered += 2 * int(now.sum())
-            later = ~now
-            if later.any():
-                in_flight_count += 2 * int(later.sum())
-                defer("exchange", bucket, tick_times[later] + delay[later],
-                      tick_idx[later], partners[later])
-            if kernel.reversion > 0.0:
-                kernel.revert_subset(tick_idx)
-            kernel._refresh_last_estimates(np.concatenate([tick_idx, partners[now]]))
-        else:  # push
-            targets = alive_idx[kernel.rng.integers(0, alive_idx.size, size=tick_idx.size)]
-            kernel.bytes_sent += 16 * int(np.count_nonzero(targets != tick_idx))
-            out_weight, out_total = kernel.emit_push(tick_idx)
-            delay = sample_delays(tick_idx.size)
-            now = delay <= _TIME_EPS
-            if now.any():
-                kernel.apply_deliveries(targets[now], out_weight[now], out_total[now])
-                kernel.messages_delivered += int(now.sum())
-            later = ~now
-            if later.any():
-                in_flight_mass += float(out_weight[later].sum())
-                in_flight_count += int(later.sum())
-                defer("push", bucket, tick_times[later] + delay[later],
-                      targets[later], out_weight[later], out_total[later])
-            if kernel.reversion > 0.0:
-                kernel.revert_subset(tick_idx)
-            kernel._refresh_last_estimates(np.concatenate([tick_idx, targets[now]]))
-
-    # --------------------------------------------------------------- the loop
-    prev_delivered = prev_lost = prev_bytes = 0
-    series = SeriesRecorder(name=spec.name)
-    kernel.probe = probe
-    try:
-        with probe.span("execute", backend=backend.name, engine="events"):
-            for bucket in range(1, total_buckets + 1):
-                time = bucket * quantum
-                batches = pending.pop(bucket, None)
-                interior = at_edge = None
-                if batches:
-                    interior, at_edge = split_boundary(batches, time)
-                with probe.span("drain", bucket=bucket):
-                    if interior:
-                        drain(interior)
-                    for entry in membership.get(bucket, ()):
-                        before = float(kernel.weight[kernel.alive].sum())
-                        old_n = kernel.n
-                        values_array = backend._apply_event(kernel, entry, values_array)
-                        if kernel.n > old_n:
-                            clocks.grow(kernel.n - old_n, join_time=time)
-                        if ledger is not None:
-                            after = float(kernel.weight[kernel.alive].sum())
-                            ledger.record_injected(after - before)
-                        if probe.enabled and entry["event"] in ("join", "failure"):
-                            probe.event(
-                                "membership",
-                                action="join" if entry["event"] == "join" else "fail",
-                                round=sample_bin(time),
-                            )
-                    if at_edge:
-                        drain(at_edge)
-                cap = min(time, duration) + _TIME_EPS
-                with probe.span("ticks", bucket=bucket):
-                    while True:
-                        next_times = clocks.next_times()
-                        due = kernel.alive & (next_times <= cap)
-                        tick_idx = np.nonzero(due)[0]
-                        if tick_idx.size == 0:
-                            break
-                        process_ticks(bucket, time, tick_idx, next_times[tick_idx])
-                        clocks.advance(tick_idx)
-                if ledger is not None and mass_check == "event":
-                    sync_ledger()
-                    ledger.check(observed_mass(), round_index=sample_bin(time))
-                if bucket % ratio:
-                    continue
-                sample_index = bucket // ratio
-                if sample_index > n_samples:
-                    continue
-                if ledger is not None and mass_check == "sample":
-                    sync_ledger()
-                    ledger.check(observed_mass(), round_index=sample_index - 1)
-                record = backend._record_round(kernel, spec, sample_index - 1)
-                record.time = sample_index * sample_interval
-                delivered = int(kernel.messages_delivered)
-                lost = int(kernel.messages_lost)
-                bytes_sent = int(kernel.bytes_sent)
-                record.messages_delivered = delivered - prev_delivered
-                record.messages_lost = lost - prev_lost
-                record.bytes_sent = bytes_sent - prev_bytes
-                record.messages_in_flight = in_flight_count
-                prev_delivered, prev_lost, prev_bytes = delivered, lost, bytes_sent
-                series.record_error(
-                    sample_index - 1,
-                    record.max_abs_error,
-                    record.truth,
-                    mean_estimate=record.mean_estimate,
-                    population=record.n_alive,
-                    messages_delivered=record.messages_delivered,
-                    messages_lost=record.messages_lost,
-                    bytes_sent=record.bytes_sent,
-                )
-                result.append(record)
-                if probe.enabled:
-                    probe.event(
-                        "round_end",
-                        round=sample_index - 1,
-                        n_alive=record.n_alive,
-                        max_abs_error=record.max_abs_error,
-                        messages_delivered=record.messages_delivered,
-                        messages_lost=record.messages_lost,
-                        bytes_sent=record.bytes_sent,
-                    )
-                    probe.gauge("n_alive", record.n_alive)
-    finally:
-        kernel.probe = NULL_PROBE
-    result.metadata["delivery_series"] = {
-        key: list(values) for key, values in series.extra.items()
-    }
-    return result
+    n_samples = int(math.floor(duration / sample_interval + TIME_EPS))
+    total_buckets = int(math.ceil(duration / quantum - TIME_EPS))
+    return ratio, quantum, n_samples, total_buckets

@@ -5,8 +5,8 @@ The agent-based engine records its own per-round metrics
 statistics as standalone functions so the vectorised kernels, the analysis
 code and the tests can share one definition of "error", plus:
 
-* :class:`SeriesRecorder` — a light per-round recorder used by the
-  vectorised experiment drivers;
+* :class:`SeriesRecorder` — a light per-round recorder for hand-driven
+  kernel experiments;
 * convergence-time and plateau summaries over error series;
 * bandwidth/storage cost summaries used by the protocol-cost comparisons
   (Invert-Average versus multiple-insertion summation).

@@ -1,4 +1,4 @@
-"""A light per-round series recorder used by the vectorised drivers."""
+"""A light per-round series recorder for hand-driven kernel experiments."""
 
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ __all__ = ["SeriesRecorder"]
 class SeriesRecorder:
     """Accumulates aligned per-round series (error, truth, population, ...).
 
-    The vectorised kernels do not build :class:`~repro.simulator.result.SimulationResult`
-    objects (they have no per-host :class:`~repro.simulator.host.Host`
-    bookkeeping); they record into a :class:`SeriesRecorder` instead, which
-    offers the same series accessors the analysis and rendering code expects.
+    A hand-driven kernel loop has no :class:`~repro.simulator.result.SimulationResult`
+    (that is built by the kernel driver, :class:`repro.api.kernel_run.KernelRun`);
+    it can record into a :class:`SeriesRecorder` instead, which offers the
+    same series accessors the analysis and rendering code expects.
     """
 
     name: str = "series"

@@ -86,7 +86,7 @@ AGENT_ONLY_PROTOCOLS = ()
 #: time-varying CSR with group-relative error), and an event-engine row
 #: (latency x exchange on the continuous-time calendar of
 #: :mod:`repro.events` — timed on both the agent calendar and the
-#: bucketed vectorised calendar of :mod:`repro.events.vectorized`).
+#: bucketed vectorised calendar of :mod:`repro.api.kernel_run`).
 DEFAULT_PROTOCOLS = (
     "push-sum-revert",
     "count-sketch-reset",

@@ -204,6 +204,29 @@ class _VectorizedKernel:
         self.alive[chosen] = False
         return chosen
 
+    def fail_extreme_fraction(
+        self, fraction: float, *, highest: bool = True, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fail the most extreme-valued fraction of live hosts; returns their indices.
+
+        Hosts are ordered by ``values``, by default the kernel's own
+        per-host values.  The counting kernels carry none, so their caller
+        passes the workload it built to reproduce the agent semantics
+        (fail the hosts with the most extreme *workload* values).
+        """
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("fraction must be in [0, 1]")
+        alive_idx = np.nonzero(self.alive)[0]
+        count = int(round(fraction * alive_idx.size))
+        if count == 0:
+            return np.array([], dtype=np.int64)
+        if values is None:
+            values = self._host_values()
+        order = alive_idx[np.argsort(values[alive_idx])]
+        chosen = order[-count:] if highest else order[:count]
+        self.alive[chosen] = False
+        return chosen
+
     # -------------------------------------------------------------- estimates
     def error(self) -> float:
         """Standard deviation of the live hosts' estimates from the truth."""
@@ -226,19 +249,6 @@ class _ValueKernel(_VectorizedKernel):
 
     def _set_host_value(self, index: int, value: float) -> None:
         raise NotImplementedError
-
-    def fail_extreme_fraction(self, fraction: float, *, highest: bool = True) -> np.ndarray:
-        """Fail the most extreme-valued fraction of live hosts; returns their indices."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        alive_idx = np.nonzero(self.alive)[0]
-        count = int(round(fraction * alive_idx.size))
-        if count == 0:
-            return np.array([], dtype=np.int64)
-        order = alive_idx[np.argsort(self._host_values()[alive_idx])]
-        chosen = order[-count:] if highest else order[:count]
-        self.alive[chosen] = False
-        return chosen
 
     def change_values(self, new_values: Mapping[int, float]) -> None:
         """Change hosts' underlying values mid-run (the value-change workload)."""
@@ -396,8 +406,10 @@ class VectorizedPushSumRevert(_ValueKernel):
         are endpoint-disjoint, so their mean-merges commute), then repeats
         on the rest.  Pass counts stay tiny in practice — collisions are
         rare at gossip fan-out — and the lowest remaining pair is always
-        taken, so the loop terminates.
+        taken, so the loop terminates.  Like :meth:`apply_deliveries`, it
+        leaves the estimates of every host it touched refreshed.
         """
+        touched = np.concatenate([left, right])
         with self.probe.span("scatter"):
             while left.size:
                 # One interleaved write in descending pair order, so the
@@ -410,14 +422,18 @@ class VectorizedPushSumRevert(_ValueKernel):
                 claim[endpoints] = np.repeat(rev, 2)
                 idx = np.arange(left.size)
                 take = (claim[left] == idx) & (claim[right] == idx)
-                a, b = left[take], right[take]
-                mean_weight = (self.weight[a] + self.weight[b]) / 2.0
-                mean_total = (self.total[a] + self.total[b]) / 2.0
-                self.weight[a] = mean_weight
-                self.weight[b] = mean_weight
-                self.total[a] = mean_total
-                self.total[b] = mean_total
+                self._mean_merge(left[take], right[take])
                 left, right = left[~take], right[~take]
+        self._refresh_last_estimates(touched)  # duplicates are fine, as below
+
+    def _mean_merge(self, a: np.ndarray, b: np.ndarray) -> None:
+        """The atomic exchange of endpoint-disjoint pairs: both take the pair's mean."""
+        mean_weight = (self.weight[a] + self.weight[b]) / 2.0
+        mean_total = (self.total[a] + self.total[b]) / 2.0
+        self.weight[a] = mean_weight
+        self.weight[b] = mean_weight
+        self.total[a] = mean_total
+        self.total[b] = mean_total
 
     def emit_push(self, senders: np.ndarray):
         """Split ``senders``' mass in half; return the outgoing halves.
@@ -465,51 +481,68 @@ class VectorizedPushSumRevert(_ValueKernel):
             raise ValueError("adaptive reversion has no subset step")
         ticking = np.asarray(ticking, dtype=np.int64)
         alive_idx = np.nonzero(self.alive)[0]
-        touched = ticking
         if alive_idx.size >= 2 and ticking.size:
+            with self.probe.span("sampling"):
+                peers = self.draw_peers(ticking, alive_idx)
+            # (merge_pairs / apply_deliveries refresh the peers they touch.)
             if self.mode == "pushpull":
-                with self.probe.span("sampling"):
-                    # Partner uniformly among the *other* live hosts: offset
-                    # the ticker's own position in the sorted live index by
-                    # 1..n_alive-1 (no self-exchanges, like the agent peer
-                    # sampler).
-                    pos = np.searchsorted(alive_idx, ticking)
-                    offset = self.rng.integers(1, alive_idx.size, size=ticking.size)
-                    partners = alive_idx[(pos + offset) % alive_idx.size]
-                left, right = ticking, partners
-                if self.loss > 0.0:
-                    kept = self.rng.random(left.size) >= self.loss
-                    dropped = int(left.size - int(kept.sum()))
-                    left = left[kept]
-                    right = right[kept]
-                    self.messages_lost += 2 * dropped
-                    self.bytes_sent += 16 * dropped
-                self.messages_delivered += 2 * int(left.size)
-                self.bytes_sent += 32 * int(left.size)
+                left, right = self._settle_exchanges(ticking, peers)
                 self.merge_pairs(left, right)
-                touched = np.concatenate([ticking, partners])
             else:  # push
-                with self.probe.span("sampling"):
-                    targets = alive_idx[
-                        self.rng.integers(0, alive_idx.size, size=ticking.size)
-                    ]
-                self.bytes_sent += 16 * int(np.count_nonzero(targets != ticking))
+                self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
                 outgoing_weight, outgoing_total = self.emit_push(ticking)
-                if self.loss > 0.0:
-                    kept = self.rng.random(ticking.size) >= self.loss
-                    self.mass_lost += float(outgoing_weight[~kept].sum())
-                    self.messages_lost += int(ticking.size - int(kept.sum()))
-                    targets = targets[kept]
-                    outgoing_weight = outgoing_weight[kept]
-                    outgoing_total = outgoing_total[kept]
-                self.messages_delivered += int(targets.size)
-                with self.probe.span("scatter"):
-                    np.add.at(self.weight, targets, outgoing_weight)
-                    np.add.at(self.total, targets, outgoing_total)
-                touched = np.concatenate([ticking, targets])
+                self.apply_deliveries(*self._lose_pushes(peers, outgoing_weight, outgoing_total))
         if self.reversion > 0.0 and ticking.size:
             self.revert_subset(ticking)
-        self._refresh_last_estimates(touched)
+        self._refresh_last_estimates(ticking)
+
+    def draw_peers(self, ticking: np.ndarray, alive_idx: np.ndarray) -> np.ndarray:
+        """One gossip peer per ticking host, drawn from the live population.
+
+        The one place a subset tick picks its peers (:meth:`step_subset` and
+        the event calendar's latency path both call it).  Pushpull draws a
+        partner uniformly among the *other* live hosts: offset the ticker's
+        own position in the sorted live index by ``1..n_alive-1`` (no
+        self-exchanges, like the agent peer sampler).  Push draws a target
+        among all live hosts, self included.  Needs two or more live hosts.
+        """
+        if self.mode == "pushpull":
+            pos = np.searchsorted(alive_idx, ticking)
+            offset = self.rng.integers(1, alive_idx.size, size=ticking.size)
+            return alive_idx[(pos + offset) % alive_idx.size]
+        return alive_idx[self.rng.integers(0, alive_idx.size, size=ticking.size)]
+
+    def _settle_exchanges(self, left: np.ndarray, right: np.ndarray):
+        """Account for the attempted exchanges; return the pairs that go ahead.
+
+        A lossy link makes the atomic exchange not happen: the pair keeps
+        its masses untouched (no mass is ever at risk here), but the
+        initiator's half still crossed the radio (agent parity:
+        ``record_lost_exchange``); the reply never happened.
+        """
+        if self.loss > 0.0:
+            kept = self.rng.random(left.size) >= self.loss
+            dropped = int(left.size - int(kept.sum()))
+            left, right = left[kept], right[kept]
+            self.messages_lost += 2 * dropped
+            self.bytes_sent += 16 * dropped
+        self.messages_delivered += 2 * int(left.size)
+        self.bytes_sent += 32 * int(left.size)  # 16 bytes each way per exchange
+        return left, right
+
+    def _lose_pushes(self, targets: np.ndarray, weight: np.ndarray, total: np.ndarray):
+        """Account for the pushed halves; return the ones the network delivers.
+
+        Each half traverses the network and is lost independently; a lost
+        half's mass leaves the system for good (:attr:`mass_lost`).
+        """
+        if self.loss > 0.0:
+            kept = self.rng.random(targets.size) >= self.loss
+            self.mass_lost += float(weight[~kept].sum())
+            self.messages_lost += int(targets.size - int(kept.sum()))
+            targets, weight, total = targets[kept], weight[kept], total[kept]
+        self.messages_delivered += int(targets.size)
+        return targets, weight, total
 
     def _step_matching(self, alive_idx: np.ndarray) -> None:
         with self.probe.span("matching"):
@@ -520,26 +553,9 @@ class VectorizedPushSumRevert(_ValueKernel):
                 pair_count = order.size // 2
                 left = order[:pair_count]
                 right = order[pair_count : 2 * pair_count]
-        pair_count = left.size
-        if self.loss > 0.0:
-            # A lossy link makes the atomic exchange not happen: the pair
-            # keeps its masses untouched (no mass is ever at risk here).
-            kept = self.rng.random(pair_count) >= self.loss
-            left = left[kept]
-            right = right[kept]
-            self.messages_lost += 2 * int(pair_count - left.size)
-            # The initiator's half still crossed the radio (agent parity:
-            # record_lost_exchange); the reply never happened.
-            self.bytes_sent += 16 * int(pair_count - left.size)
-        self.messages_delivered += 2 * int(left.size)
-        self.bytes_sent += 32 * int(left.size)  # 16 bytes each way per exchange
+        left, right = self._settle_exchanges(left, right)
         with self.probe.span("scatter"):
-            mean_weight = (self.weight[left] + self.weight[right]) / 2.0
-            mean_total = (self.total[left] + self.total[right]) / 2.0
-            self.weight[left] = mean_weight
-            self.weight[right] = mean_weight
-            self.total[left] = mean_total
-            self.total[right] = mean_total
+            self._mean_merge(left, right)
 
     def _step_push(self, alive_idx: np.ndarray) -> None:
         # Hosts whose live neighbourhood is empty drop out of `senders` and
@@ -552,35 +568,20 @@ class VectorizedPushSumRevert(_ValueKernel):
         # (agent parity: the bandwidth meter records before the network
         # plans); self-messages never touch the radio.
         self.bytes_sent += 16 * int(np.count_nonzero(targets != senders))
-        outgoing_weight = self.weight[senders] / 2.0
-        outgoing_total = self.total[senders] / 2.0
-        new_weight = np.zeros(self.n, dtype=float)
-        new_total = np.zeros(self.n, dtype=float)
-        new_weight[alive_idx] = self.weight[alive_idx]
-        new_total[alive_idx] = self.total[alive_idx]
         # Half the mass stays home, half lands at the target (which may be the
         # sender itself — self-selection is allowed in uniform push gossip).
-        new_weight[senders] -= outgoing_weight
-        new_total[senders] -= outgoing_total
-        if self.loss > 0.0:
-            # The pushed halves traverse the network; each is lost
-            # independently and its mass leaves the system for good.
-            kept = self.rng.random(senders.size) >= self.loss
-            targets = targets[kept]
-            self.mass_lost += float(outgoing_weight[~kept].sum())
-            self.messages_lost += int(senders.size - targets.size)
-            outgoing_weight = outgoing_weight[kept]
-            outgoing_total = outgoing_total[kept]
-        self.messages_delivered += int(targets.size)
+        # Every half leaves before any lands, so the round stays simultaneous.
+        outgoing_weight, outgoing_total = self.emit_push(senders)
+        targets, outgoing_weight, outgoing_total = self._lose_pushes(
+            targets, outgoing_weight, outgoing_total
+        )
         with self.probe.span("scatter"):
-            np.add.at(new_weight, targets, outgoing_weight)
-            np.add.at(new_total, targets, outgoing_total)
-        received = np.zeros(self.n, dtype=np.int64)
-        np.add.at(received, targets, 1)
-        received[alive_idx] += 1  # the self-message
-        self.weight[alive_idx] = new_weight[alive_idx]
-        self.total[alive_idx] = new_total[alive_idx]
+            np.add.at(self.weight, targets, outgoing_weight)
+            np.add.at(self.total, targets, outgoing_total)
         if self.adaptive and self.reversion > 0.0:
+            received = np.zeros(self.n, dtype=np.int64)
+            np.add.at(received, targets, 1)
+            received[alive_idx] += 1  # the self-message
             lam = np.minimum(1.0, 0.5 * self.reversion * received[alive_idx])
             self.weight[alive_idx] = lam + (1.0 - lam) * self.weight[alive_idx]
             self.total[alive_idx] = (

@@ -31,6 +31,7 @@ import gzip
 import json
 import os
 import sqlite3
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
@@ -203,7 +204,9 @@ class ResultStore:
             # ``mtime=0`` keeps equal payloads byte-identical on disk; the temp
             # file + replace makes a concurrent reader see old-or-new, never half.
             blob = gzip.compress(payload.encode("utf-8"), mtime=0)
-            tmp_path = f"{blob_path}.tmp.{os.getpid()}"
+            # A temp name unique per *writer* (thread), not per process: two
+            # threads putting one key must not replace each other's file away.
+            tmp_path = f"{blob_path}.tmp.{os.getpid()}.{threading.get_ident()}"
             with open(tmp_path, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp_path, blob_path)

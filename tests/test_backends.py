@@ -10,8 +10,9 @@ with an actionable message.
 import numpy as np
 import pytest
 
-from repro.api import BACKENDS, ScenarioSpec, resolve_backend, run_scenario
+from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.backends import VectorizedBackend
+from repro.api.plan import vectorized_rejections
 from repro.api.sweep import Sweep, SweepRunner
 
 N_HOSTS = 64
@@ -493,7 +494,7 @@ class TestAutoDispatch:
     def test_uniform_scenarios_go_vectorized(self):
         spec = ScenarioSpec(protocol="push-sum-revert", n_hosts=64, rounds=5)
         assert spec.backend == "auto"
-        assert resolve_backend(spec) == "vectorized"
+        assert spec.resolved_backend() == "vectorized"
         assert spec.resolved_backend() == "vectorized"
         assert run_scenario(spec).metadata["backend"] == "vectorized"
 
@@ -502,7 +503,7 @@ class TestAutoDispatch:
                             "erdos-renyi"):
             spec = ScenarioSpec(protocol="push-sum-revert", environment=environment,
                                 n_hosts=64, rounds=5)
-            assert resolve_backend(spec) == "vectorized", environment
+            assert spec.resolved_backend() == "vectorized", environment
             result = run_scenario(spec)
             assert result.metadata["backend"] == "vectorized"
             assert result.metadata["environment"] != "UniformEnvironment"
@@ -512,34 +513,34 @@ class TestAutoDispatch:
             protocol="push-sum-revert", environment="trace",
             environment_params={"dataset": 1, "broadcast": True},
             n_hosts=9, rounds=5)
-        assert resolve_backend(broadcast_trace) == "agent"
+        assert broadcast_trace.resolved_backend() == "agent"
         full_transfer_ring = ScenarioSpec(
             protocol="push-sum-revert-full-transfer", environment="ring",
             mode="push", n_hosts=64, rounds=5)
-        assert resolve_backend(full_transfer_ring) == "agent"
+        assert full_transfer_ring.resolved_backend() == "agent"
         joins_on_ring = ScenarioSpec(
             protocol="push-sum-revert", environment="ring", n_hosts=64, rounds=5,
             events=({"event": "join", "round": 2, "count": 4},))
-        assert resolve_backend(joins_on_ring) == "agent"
+        assert joins_on_ring.resolved_backend() == "agent"
 
     def test_dynamic_membership_scenarios_go_vectorized(self):
         trace = ScenarioSpec(protocol="push-sum-revert", environment="trace",
                              n_hosts=9, rounds=5)
-        assert resolve_backend(trace) == "vectorized"
+        assert trace.resolved_backend() == "vectorized"
         joins = ScenarioSpec(protocol="push-sum-revert", n_hosts=64, rounds=5,
                              events=({"event": "join", "round": 2, "count": 4},))
-        assert resolve_backend(joins) == "vectorized"
+        assert joins.resolved_backend() == "vectorized"
         churn = ScenarioSpec(
             protocol="push-sum-revert", n_hosts=64, rounds=5,
             events=({"event": "churn", "start": 1, "stop": 3,
                      "model": "uncorrelated", "fraction": 0.01,
                      "arrivals_per_round": 1},))
-        assert resolve_backend(churn) == "vectorized"
+        assert churn.resolved_backend() == "vectorized"
 
     def test_explicit_agent_is_respected(self):
         spec = ScenarioSpec(protocol="push-sum-revert", n_hosts=64, rounds=5,
                             backend="agent")
-        assert resolve_backend(spec) == "agent"
+        assert spec.resolved_backend() == "agent"
         assert run_scenario(spec).metadata["backend"] == "agent"
 
     def test_backend_round_trips_through_json(self):
@@ -671,7 +672,7 @@ class TestEagerBackendValidation:
         spec = ScenarioSpec(protocol="push-sum-revert", environment="trace",
                             environment_params={"dataset": 1, "broadcast": True},
                             n_hosts=9, rounds=4)
-        reason = backend.supports(spec)
-        assert reason is not None and "broadcast" in reason
+        reason = vectorized_rejections(spec)[0].reason
+        assert "broadcast" in reason
         with pytest.raises(ValueError, match="broadcast"):
             backend.run(spec)

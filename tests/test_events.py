@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import ScenarioSpec, resolve_backend, run_scenario
+from repro.api import ScenarioSpec, run_scenario
 from repro.cli import main as cli_main
 from repro.core import PushSumRevert
 from repro.environments import UniformEnvironment
@@ -406,7 +406,7 @@ class TestScenarioSpec:
         assert rejection.axis == "protocol"
         assert rejection.feature == "count-sketch-reset"
         assert excinfo.value.nearest.backend == "agent"
-        assert resolve_backend(events_spec(backend="auto", **agent_only)) == "agent"
+        assert events_spec(backend="auto", **agent_only).resolved_backend() == "agent"
         # ...whereas push-sum-revert over uniform gossip now auto-resolves
         # to the vectorised calendar.
         plan = resolve_plan(events_spec(backend="auto"))

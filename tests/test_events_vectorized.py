@@ -1,4 +1,4 @@
-"""Tests for the bucketed vectorised event calendar (repro.events.vectorized).
+"""Tests for the bucketed vectorised event calendar (repro.api.kernel_run.KernelRun).
 
 Two guarantee tiers (DESIGN.md §14):
 
@@ -15,9 +15,11 @@ Two guarantee tiers (DESIGN.md §14):
 import dataclasses
 import statistics
 
+import numpy as np
 import pytest
 
-from repro.api import ScenarioSpec, run_scenario
+from repro.api import BACKENDS, ScenarioSpec, run_scenario
+from repro.api.kernel_run import KernelRun
 from repro.network import MassConservationError
 
 SEEDS = tuple(range(8))
@@ -34,6 +36,11 @@ def events_spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def driver(**overrides):
+    """The kernel driver for an events spec, built but not run."""
+    return KernelRun(BACKENDS.get("vectorized"), events_spec(**overrides))
 
 
 def record_dicts(result, drop=("time",)):
@@ -80,6 +87,22 @@ class TestSyncAnchorBitIdentity:
         self.assert_bit_identical(
             mode="exchange", network="bernoulli-loss", network_params={"p": 0.2},
         )
+
+    def test_mid_run_join(self):
+        self.assert_bit_identical(
+            mode="exchange", events=({"event": "join", "round": 4, "count": 16},),
+        )
+
+    def test_lockstep_is_the_same_grid_with_the_calendar_machinery_off(self):
+        # One bucket per sample on both; the lockstep configuration builds
+        # no clocks, no delay sampler, no ledger and never queues anything.
+        lockstep = driver(engine="rounds", engine_params={})
+        anchor = driver()
+        for run in (lockstep, anchor):
+            assert (run.ratio, run.total_buckets, run.n_samples) == (1, 12, 12)
+            assert run.latency is None and run.pending == {}
+        assert lockstep.clocks is None and lockstep.ledger is None
+        assert anchor.clocks.periods.size == 64 and anchor.ledger is not None
 
     def test_same_seed_is_bit_deterministic_off_the_anchor(self):
         kwargs = dict(
@@ -225,3 +248,81 @@ class TestBucketedCalendarMechanics:
                 engine_params=params,
             ))
             assert len(result.rounds) == 12
+
+
+# ---------------------------------------------------------------------------
+# The driver's bucket phases, one small case each
+# ---------------------------------------------------------------------------
+FIXED_DELAY = dict(network="latency", network_params={"distribution": "fixed", "delay": 1})
+
+
+class TestDriverPhases:
+    def test_a_batch_straddling_the_bucket_edge_is_partitioned_in_order(self):
+        run = driver(mode="push", **FIXED_DELAY)
+        assert run.quantum == 1.0
+        mature = np.array([0.5, 1.0, 0.7, 1.0])  # before, on, before, on the t=1 boundary
+        run.defer("push", 0, mature, np.array([10, 11, 12, 13]), np.ones(4), np.ones(4))
+        assert sorted(run.pending) == [(1, False), (1, True)]
+        (_kind, interior, _weight, _total), = run.pending[1, False]
+        (_kind, at_edge, _weight, _total), = run.pending[1, True]
+        assert interior.tolist() == [10, 12] and at_edge.tolist() == [11, 13]
+
+    def test_defer_never_schedules_into_the_current_bucket(self):
+        run = driver(mode="push", **FIXED_DELAY)
+        mature = np.array([2.9, 3.0, 3.2, 5.0])  # the first two are already due
+        run.defer("push", 3, mature, np.arange(4), np.ones(4), np.ones(4))
+        assert sorted(run.pending) == [(4, False), (5, True)]
+        (kind, targets, _weight, _total), = run.pending[4, False]
+        assert kind == "push" and targets.tolist() == [0, 1, 2]
+
+    def test_push_half_to_a_host_that_died_in_flight_is_lost_and_the_ledger_closes(self):
+        run = driver(
+            mode="push", engine_params={"mass_check": "event"}, **FIXED_DELAY,
+            events=({"event": "failure", "round": 0, "model": "explicit", "host_ids": [5]},),
+        )
+        kernel = run.kernel
+        weight, total = kernel.emit_push(np.array([0, 1]))
+        run.in_flight_mass += float(weight.sum())
+        run.in_flight_count += 2
+        run.defer("push", 0, np.array([1.0, 1.0]), np.array([5, 6]), weight, total)
+        run.drain(1, at_edge=False)  # nothing matured before the boundary
+        assert kernel.messages_delivered == 0 and run.in_flight_count == 2
+        run.membership(1)  # host 5 crashes at the boundary, before the edge deliveries
+        run.drain(1, at_edge=True)
+        assert (kernel.messages_lost, kernel.messages_delivered) == (1, 1)
+        assert kernel.mass_lost == pytest.approx(float(weight[0]))
+        assert run.in_flight_count == 0 and run.in_flight_mass == pytest.approx(0.0)
+        run.check_mass(0)  # books the loss; raises if the ledger does not balance
+
+    def test_exchange_with_a_dead_endpoint_counts_two_lost_and_merges_nothing(self):
+        run = driver(mode="exchange", **FIXED_DELAY)
+        kernel = run.kernel
+        kernel.total[3] = 1000.0  # a merge would visibly move this
+        run.in_flight_count += 2
+        kernel.fail([7])
+        state = kernel.weight.copy(), kernel.total.copy()
+        run.deliver_exchange(np.array([3]), np.array([7]))
+        assert (kernel.messages_lost, kernel.messages_delivered) == (2, 0)
+        assert run.in_flight_count == 0
+        assert np.array_equal(kernel.weight, state[0]) and np.array_equal(kernel.total, state[1])
+
+    def test_join_mid_calendar_grows_the_clock_grid_on_the_synchronized_grid(self):
+        run = driver(
+            n_hosts=32,
+            engine_params={"rates": {"distribution": "heterogeneous",
+                                     "fast": 2.0, "slow": 0.5}},
+            events=({"event": "join", "round": 2, "count": 8},),
+        )
+        assert (run.ratio, run.quantum) == (2, 0.5)
+        (bucket,) = run._membership  # round 2 closes at t = 3.0 = bucket 6
+        assert bucket == 6
+        run.membership(bucket)
+        clocks = run.clocks
+        assert run.kernel.n == clocks.periods.size == 40
+        joined = slice(32, 40)
+        assert set(clocks.periods[joined]) <= {0.5, 2.0}
+        # Synchronized joiners snap to the shared t=0 grid: first tick is
+        # the first multiple of their own period at or after the join.
+        assert not clocks.origins[joined].any()
+        first = clocks.next_times()[joined]
+        assert np.array_equal(first, np.where(clocks.periods[joined] == 2.0, 4.0, 3.0))

@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.api import NETWORKS, ScenarioSpec, resolve_backend, run_scenario
+from repro.api import NETWORKS, ScenarioSpec, run_scenario
 from repro.baselines import PushSum
 from repro.cli import main as cli_main
 from repro.core import PushSumRevert
@@ -307,14 +307,14 @@ class TestAgentVectorizedEquivalence:
 
     def test_auto_picks_the_lossy_kernel(self):
         spec = _spec("bernoulli-loss", {"p": 0.2}, backend="auto")
-        assert resolve_backend(spec) == "vectorized"
+        assert spec.resolved_backend() == "vectorized"
         assert run_scenario(spec).metadata["backend"] == "vectorized"
 
     def test_auto_falls_back_for_unvectorised_models(self):
         for name, params in (("latency", {"distribution": "fixed", "delay": 1}),
                              ("bandwidth-cap", {"bytes_per_round": 64})):
             spec = _spec(name, params, backend="auto")
-            assert resolve_backend(spec) == "agent"
+            assert spec.resolved_backend() == "agent"
 
 
 class TestSweepIntegration:

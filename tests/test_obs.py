@@ -245,6 +245,39 @@ class TestEngineInstrumentation:
         run_scenario(BIT_IDENTITY_SPECS["vectorized-topology-churn"])
         assert len(trace.records) == before
 
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
+    def test_probe_is_restored_when_the_run_raises_mid_loop(self, engine, monkeypatch):
+        # The kernel driver is the only owner of probe installation: one
+        # install before the bucket loop, one restore in its ``finally`` —
+        # on both engines, and on the error path too, because the memoised
+        # topology outlives the run that crashed.
+        from repro.api.backends import _TOPOLOGY_CACHE
+        from repro.simulator.vectorized import VectorizedPushSumRevert
+
+        trace = TraceRecorder()
+        seen = []
+        real_step = VectorizedPushSumRevert.step
+
+        def failing_step(kernel):
+            seen.append((kernel, kernel.probe))
+            if len(seen) == 3:
+                raise RuntimeError("boom")
+            real_step(kernel)
+
+        monkeypatch.setattr(VectorizedPushSumRevert, "step", failing_step)
+        if engine == "rounds":
+            spec = BIT_IDENTITY_SPECS["vectorized-topology-churn"]
+        else:  # the synchronized anchor ticks through kernel.step()
+            spec = BIT_IDENTITY_SPECS["vectorized-uniform"].replace(engine="events")
+        with pytest.raises(RuntimeError, match="boom"):
+            run_scenario(spec, probe=trace)
+        kernel, probe_mid_run = seen[-1]
+        assert probe_mid_run is trace
+        assert kernel.probe is NULL_PROBE
+        if engine == "rounds":
+            assert any(kernel.topology is cached for cached, _name in _TOPOLOGY_CACHE.values())
+            assert kernel.topology.probe is NULL_PROBE
+
     def test_vectorized_sketch_phases(self):
         trace = TraceRecorder()
         run_scenario(BIT_IDENTITY_SPECS["vectorized-sketch"], probe=trace)

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
-from repro.api.backends import BACKENDS, VectorizedBackend
 from repro.api.plan import (
     ExecutionPlan,
     PlanRejectionError,
@@ -242,21 +241,6 @@ class TestEventEngineRejections:
         ):
             spec = make_spec(engine="events", **overrides)
             assert vectorized_rejections(spec) == [], overrides
-
-
-# ---------------------------------------------------------------------------
-# The deprecated supports() shim
-# ---------------------------------------------------------------------------
-class TestSupportsShim:
-    def test_supports_none_for_clean_specs(self):
-        backend = BACKENDS.get("vectorized")
-        assert isinstance(backend, VectorizedBackend)
-        assert backend.supports(make_spec()) is None
-
-    def test_supports_returns_the_first_rejection_reason(self):
-        backend = BACKENDS.get("vectorized")
-        spec = make_spec(protocol="invert-average")
-        assert backend.supports(spec) == vectorized_rejections(spec)[0].reason
 
 
 # ---------------------------------------------------------------------------

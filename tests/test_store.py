@@ -251,6 +251,22 @@ class TestResultStore:
         with ThreadPoolExecutor(max_workers=8) as pool:
             outcomes = list(pool.map(write, range(24)))
         assert all(outcomes)
+
+        # One fingerprint from many threads of one process: every writer
+        # needs its own temp blob, or one os.replace() steals another's.
+        def hammer(_):
+            handle = ResultStore(root)
+            for _ in range(50):
+                handle.put(specs[0], results[0])
+            return handle.get(specs[0]) is not None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert all(pool.map(hammer, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
         reader = ResultStore(root)
         assert len(reader) == len(specs)
         for spec, result in zip(specs, results):
