@@ -13,7 +13,11 @@ from repro.baselines import PushSum
 from repro.core import CountSketchReset, PushSumRevert
 from repro.environments import UniformEnvironment
 from repro.simulator import Simulation
-from repro.simulator.vectorized import VectorizedCountSketchReset, VectorizedPushSumRevert
+from repro.simulator.vectorized import (
+    VectorizedCountSketchReset,
+    VectorizedPushSumRevert,
+    VectorizedSketchCount,
+)
 from repro.sketches import CounterMatrix, FMSketch
 from repro.workloads import uniform_values
 
@@ -52,10 +56,28 @@ def test_vectorized_push_sum_step(benchmark):
     benchmark(kernel.step)
 
 
+def _step_all_live_and_half_failed(kernel_class):
+    """One round on an all-live kernel plus one on a kernel with half its
+    hosts failed: after a failure event every round runs the live-subset path."""
+    full = kernel_class(20000, bins=32, bits=20, seed=1)
+    halved = kernel_class(20000, bins=32, bits=20, seed=1)
+    halved.fail_random_fraction(0.5)
+
+    def step_both():
+        full.step()
+        halved.step()
+
+    return step_both
+
+
 @pytest.mark.benchmark(group="micro-vectorized")
 def test_vectorized_count_sketch_step(benchmark):
-    kernel = VectorizedCountSketchReset(20000, bins=32, bits=20, seed=1)
-    benchmark(kernel.step)
+    benchmark(_step_all_live_and_half_failed(VectorizedCountSketchReset))
+
+
+@pytest.mark.benchmark(group="micro-vectorized")
+def test_vectorized_sketch_count_step(benchmark):
+    benchmark(_step_all_live_and_half_failed(VectorizedSketchCount))
 
 
 @pytest.mark.benchmark(group="micro-sketch")

@@ -31,6 +31,11 @@ Differences from the agent engine worth knowing about:
   agent-engine host whose ``select_peers`` comes back empty.
 * failures are applied by masking hosts out; their mass/counters simply
   stop participating, which is precisely the silent-departure semantics.
+
+The two sketch kernels hold one sketch per host row and share one merge
+(:func:`_merge_rows`, a fan-in-ranked scatter — no ``ufunc.at`` on the
+N-D state) and one read-out (:func:`_prefix_rank` over the live rows);
+DESIGN.md §7 "Sketch kernel layout" has the exactness argument.
 """
 
 from __future__ import annotations
@@ -54,21 +59,29 @@ __all__ = [
 _COUNTER_INFINITY = np.int16(30_000)
 
 
-def _geometric_identifier_mask(
+def _draw_identifiers(
     rng: np.random.Generator, n: int, bins: int, bits: int, identifiers_per_host: int
-) -> np.ndarray:
-    """The (host, bin, bit) ownership mask of the FM-style sketch kernels.
+):
+    """``(mask, hosts, positions)``: the FM-style sketch kernels' owned coordinates.
 
     Each identifier lands in a uniform bin with a geometric bit index
     (P[bit = k] = 2^-(k+1), clamped to L-1) — the array analogue of the
-    hash-based coordinates in :mod:`repro.sketches.hashing`.
+    hash-based coordinates in :mod:`repro.sketches.hashing`.  ``mask`` is
+    the (host, bin, bit) ownership image; identifier ``i`` belongs to
+    ``hosts[i]`` and sits at ``positions[i]`` of that host's flattened
+    ``bins * bits`` sketch, so owners can be revisited without rescanning
+    the mask.
     """
-    mask = np.zeros((n, bins, bits), dtype=bool)
-    for _ in range(identifiers_per_host):
+    hosts = np.tile(np.arange(n), identifiers_per_host)
+    positions = np.empty((identifiers_per_host, n), dtype=np.int64)
+    for drawn in positions:
         owned_bins = rng.integers(0, bins, size=n)
         owned_bits = np.minimum(rng.geometric(0.5, size=n) - 1, bits - 1)
-        mask[np.arange(n), owned_bins, owned_bits] = True
-    return mask
+        drawn[:] = owned_bins * bits + owned_bits
+    positions = positions.reshape(-1)
+    mask = np.zeros((n, bins * bits), dtype=bool)
+    mask[hosts, positions] = True
+    return mask.reshape(n, bins, bits), hosts, positions
 
 
 def _draw_push_targets(
@@ -89,15 +102,50 @@ def _draw_push_targets(
     return alive_idx[has_peer], drawn[has_peer]
 
 
-def _prefix_rank(image: np.ndarray, bits: int) -> np.ndarray:
+def _merge_rows(
+    rows: np.ndarray, senders: np.ndarray, targets: np.ndarray, reduce: np.ufunc, pull: bool
+) -> None:
+    """One push(+pull) round of whole-row merges on a 2-D state, in place.
+
+    Every ``targets[i]`` row absorbs the pre-round ``senders[i]`` row under
+    ``reduce`` (an idempotent, commutative ufunc: ``minimum`` / ``logical_or``)
+    and, with ``pull``, every sender then absorbs its target's pre-round row
+    — what ``reduce.at(rows, targets, rows[senders])`` plus a write-back from
+    a full copy computes, without ``ufunc.at``'s slow generic N-D path.
+    ``senders`` must be unique.  Pairs are ordered by their fan-in rank (the
+    k-th sender of its target), so within one rank every target row occurs
+    once and a plain gather → reduce → fancy assignment is exact; the loop
+    runs max-fan-in times (≈ 8 under uniform gossip).
+    """
+    pulled = rows[targets] if pull else None
+    order = np.argsort(targets, kind="stable")
+    grouped = targets[order]
+    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
+    order = order[np.argsort(rank, kind="stable")]
+    sent = rows[senders[order]]
+    receivers = targets[order]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        into = receivers[start:stop]
+        merged = rows[into]
+        reduce(merged, sent[start:stop], out=merged)
+        rows[into] = merged
+        start = stop
+    if pull:
+        merged = rows[senders]
+        reduce(merged, pulled, out=merged)
+        rows[senders] = merged
+
+
+def _prefix_rank(image: np.ndarray) -> np.ndarray:
     """Per (host, bin) length of the prefix of ones in a boolean bit image.
 
-    ``argmin`` over a boolean axis returns the first False; all-True rows
-    return 0 and must be mapped to the full width.
+    A trailing all-False sentinel column makes ``argmin`` (first False)
+    return the full width for all-True rows in the same pass.
     """
-    first_false = np.argmin(image, axis=2)
-    all_true = image.all(axis=2)
-    return np.where(all_true, bits, first_false)
+    padded = np.zeros(image.shape[:-1] + (image.shape[-1] + 1,), dtype=bool)
+    padded[..., :-1] = image
+    return padded.argmin(axis=-1)
 
 
 class _VectorizedKernel:
@@ -768,40 +816,38 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         self.alive = np.ones(self.n, dtype=bool)
         self.round_index = 0
 
-        self.counters = np.full((self.n, self.bins, self.bits), _COUNTER_INFINITY, dtype=np.int16)
-        self.own_mask = np.zeros((self.n, self.bins, self.bits), dtype=bool)
-        self._register_identifiers()
-
-        # With decay disabled the threshold must still exclude the "never
-        # heard of" sentinel, otherwise untouched positions would read as set.
-        no_decay_threshold = float(_COUNTER_INFINITY) - 1.0
-        thresholds = np.array(
-            [
-                no_decay_threshold if cutoff is None else min(float(cutoff(k)), no_decay_threshold)
-                for k in range(self.bits)
-            ],
-            dtype=float,
+        # Counters are integers, so ``c <= f(k)`` is ``c <= floor(f(k))`` and
+        # the read-out compares int16 against int16.  Below -1 nothing
+        # qualifies either way; the upper clip keeps the "never heard of"
+        # sentinel unset even with decay disabled (``cutoff=None``).
+        no_decay = int(_COUNTER_INFINITY) - 1
+        cutoffs = np.array(
+            [no_decay if cutoff is None else float(cutoff(k)) for k in range(self.bits)]
         )
-        self._thresholds = thresholds
+        if np.isnan(cutoffs).any():
+            raise ValueError("cutoff(k) must not be NaN")
+        self._thresholds = np.clip(np.floor(cutoffs), -1, no_decay).astype(np.int16)
 
-    def _register_identifiers(self) -> None:
-        self.own_mask |= _geometric_identifier_mask(
-            self.rng, self.n, self.bins, self.bits, self.identifiers_per_host
+        (
+            self.counters, self.own_mask, self._owned_hosts, self._owned_positions
+        ) = self._fresh_rows(self.n)
+
+    def _fresh_rows(self, count: int):
+        """Counters, ownership mask and owned (host, position) pairs of new hosts."""
+        own_mask, hosts, positions = _draw_identifiers(
+            self.rng, count, self.bins, self.bits, self.identifiers_per_host
         )
-        self.counters[self.own_mask] = 0
+        counters = np.full((count, self.bins * self.bits), _COUNTER_INFINITY, dtype=np.int16)
+        counters[hosts, positions] = 0
+        return counters.reshape(count, self.bins, self.bits), own_mask, hosts, positions
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:
-        count = values.size
-        new_own = _geometric_identifier_mask(
-            self.rng, count, self.bins, self.bits, self.identifiers_per_host
-        )
-        new_counters = np.full(
-            (count, self.bins, self.bits), _COUNTER_INFINITY, dtype=np.int16
-        )
-        new_counters[new_own] = 0
-        self.counters = np.concatenate([self.counters, new_counters])
-        self.own_mask = np.concatenate([self.own_mask, new_own])
+        counters, own_mask, hosts, positions = self._fresh_rows(values.size)
+        self.counters = np.concatenate([self.counters, counters])
+        self.own_mask = np.concatenate([self.own_mask, own_mask])
+        self._owned_hosts = np.concatenate([self._owned_hosts, hosts + start])
+        self._owned_positions = np.concatenate([self._owned_positions, positions])
 
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:
         """Sign-off departure: the leaver disowns its sketch positions.
@@ -816,6 +862,9 @@ class VectorizedCountSketchReset(_VectorizedKernel):
             return
         self.own_mask[indices] = False
         self.alive[indices] = False
+        kept = ~np.isin(self._owned_hosts, indices)
+        self._owned_hosts = self._owned_hosts[kept]
+        self._owned_positions = self._owned_positions[kept]
 
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
@@ -824,17 +873,20 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         if alive_idx.size == 0:
             self.round_index += 1
             return
+        rows = self.counters.reshape(self.n, -1)  # a view: one sketch per row
         # Phase 1: age every counter except the owned positions of live hosts.
         with self.probe.span("ageing"):
-            live_counters = self.counters[alive_idx]
-            live_counters = np.minimum(live_counters + 1, _COUNTER_INFINITY).astype(np.int16)
-            live_own = self.own_mask[alive_idx]
-            live_counters[live_own] = 0
-            self.counters[alive_idx] = live_counters
+            aged = rows[alive_idx]
+            np.add(aged, 1, out=aged)
+            np.minimum(aged, _COUNTER_INFINITY, out=aged)
+            rows[alive_idx] = aged
+            owner_alive = self.alive[self._owned_hosts]
+            rows[self._owned_hosts[owner_alive], self._owned_positions[owner_alive]] = 0
         # Phase 2: gossip.  Each live host sends its array to one random live
         # peer (a live graph neighbour under a topology); receivers take the
         # element-wise min.  With pull enabled the sender also merges the
-        # (pre-round) array of its target.
+        # (pre-round) array of its target.  Counters are >= 0 and every live
+        # owned position is 0 after ageing, so no min can unpin one.
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
                 senders, targets = _draw_push_targets(
@@ -846,29 +898,22 @@ class VectorizedCountSketchReset(_VectorizedKernel):
             self.messages_delivered += legs * non_self
             self.bytes_sent += legs * payload_bytes * non_self
             with self.probe.span("scatter"):
-                before = self.counters.copy() if self.pull else None
-                np.minimum.at(self.counters, targets, self.counters[senders])
-                if self.pull:
-                    # Fancy indexing returns copies, so write the merged result
-                    # back explicitly rather than relying on an `out=` view.
-                    self.counters[senders] = np.minimum(self.counters[senders], before[targets])
-                # Owned positions stay pinned at zero regardless of merges.
-                self.counters[self.own_mask & self.alive[:, None, None]] = 0
+                _merge_rows(rows, senders, targets, np.minimum, self.pull)
         self.round_index += 1
 
     # -------------------------------------------------------------- estimates
     def bit_image(self) -> np.ndarray:
-        """Derived bit matrix per live host: counter ≤ f(k)."""
-        return self.counters <= self._thresholds[None, None, :]
+        """Derived bit matrix, counter ≤ f(k), of every host row (dead included)."""
+        return self.counters <= self._thresholds
 
     def ranks(self) -> np.ndarray:
-        """Per (host, bin) prefix-of-ones length of the derived bit image."""
-        return _prefix_rank(self.bit_image(), self.bits)
+        """Per (host, bin) prefix-of-ones length of :meth:`bit_image` (all rows)."""
+        return _prefix_rank(self.bit_image())
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the live population size (or sum)."""
-        alive_idx = np.nonzero(self.alive)[0]
-        mean_rank = self.ranks()[alive_idx].mean(axis=1)
+        live_image = self.counters[self.alive] <= self._thresholds
+        mean_rank = _prefix_rank(live_image).mean(axis=1)
         raw = self.bins / PHI * np.exp2(mean_rank)
         return raw / self.identifiers_per_host
 
@@ -945,20 +990,17 @@ class VectorizedSketchCount(_VectorizedKernel):
         self.rng = np.random.default_rng(seed)
         self.alive = np.ones(self.n, dtype=bool)
         self.round_index = 0
-        self.matrix = _geometric_identifier_mask(
-            self.rng, self.n, self.bins, self.bits, self.identifiers_per_host
-        )
+        self.matrix = self._fresh_rows(self.n)
+
+    def _fresh_rows(self, count: int) -> np.ndarray:
+        """Sketches of ``count`` new hosts: just their own identifiers' bits."""
+        return _draw_identifiers(
+            self.rng, count, self.bins, self.bits, self.identifiers_per_host
+        )[0]
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:
-        self.matrix = np.concatenate(
-            [
-                self.matrix,
-                _geometric_identifier_mask(
-                    self.rng, values.size, self.bins, self.bits, self.identifiers_per_host
-                ),
-            ]
-        )
+        self.matrix = np.concatenate([self.matrix, self._fresh_rows(values.size)])
 
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
@@ -976,21 +1018,19 @@ class VectorizedSketchCount(_VectorizedKernel):
             self.messages_delivered += legs * non_self
             self.bytes_sent += legs * payload_bytes * non_self
             with self.probe.span("scatter"):
-                before = self.matrix.copy() if self.pull else None
-                np.logical_or.at(self.matrix, targets, self.matrix[senders])
-                if self.pull:
-                    self.matrix[senders] = np.logical_or(self.matrix[senders], before[targets])
+                _merge_rows(
+                    self.matrix.reshape(self.n, -1), senders, targets, np.logical_or, self.pull
+                )
         self.round_index += 1
 
     # -------------------------------------------------------------- estimates
     def ranks(self) -> np.ndarray:
         """Per (host, bin) prefix-of-ones length of the bit matrix."""
-        return _prefix_rank(self.matrix, self.bits)
+        return _prefix_rank(self.matrix)
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the (ever-seen) population size."""
-        alive_idx = np.nonzero(self.alive)[0]
-        mean_rank = self.ranks()[alive_idx].mean(axis=1)
+        mean_rank = _prefix_rank(self.matrix[self.alive]).mean(axis=1)
         return self.bins / PHI * np.exp2(mean_rank) / self.identifiers_per_host
 
     def truth(self) -> float:

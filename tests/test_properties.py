@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import cdf_at, empirical_cdf
@@ -11,6 +11,7 @@ from repro.core.push_sum_revert import PushSumRevert
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.simulator.vectorized import (
     _COUNTER_INFINITY,
+    _merge_rows,
     VectorizedCountSketchReset,
     VectorizedPushSumRevert,
     VectorizedSketchCount,
@@ -379,3 +380,76 @@ class TestVectorizedKernelBounds:
         kernel.step_many(rounds)
         assert (kernel.weight[kernel.alive] > 0.0).all()
         assert np.isfinite(kernel.estimates()).all()
+
+
+@st.composite
+def gossip_pairs(draw):
+    """``(n, senders, targets)``: unique senders (any subset of the rows, so
+    topology drop-outs are covered), each with an arbitrary target row."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = st.integers(min_value=0, max_value=n - 1)
+    senders = draw(st.lists(rows, unique=True, max_size=n))
+    targets = draw(st.lists(rows, min_size=len(senders), max_size=len(senders)))
+    return n, senders, targets
+
+
+class TestSketchKernelPrimitives:
+    """The shared row merge and threshold table against their plain references."""
+
+    @staticmethod
+    def _ufunc_at_merge(rows, senders, targets, reduce, pull):
+        before = rows.copy()
+        reduce.at(rows, targets, rows[senders])
+        if pull:
+            rows[senders] = reduce(rows[senders], before[targets])
+
+    @COMMON_SETTINGS
+    @given(
+        pairs=gossip_pairs(),
+        width=st.integers(min_value=1, max_value=6),
+        pull=st.booleans(),
+        boolean=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(pairs=(6, [0, 1, 2, 3, 4, 5], [2] * 6), width=3, pull=True, boolean=False, seed=0)
+    @example(pairs=(6, [0, 1, 2, 3, 4, 5], [2] * 6), width=3, pull=False, boolean=True, seed=0)
+    @example(pairs=(4, [0, 1, 2, 3], [0, 1, 2, 3]), width=2, pull=True, boolean=False, seed=1)
+    @example(pairs=(5, [3], [1]), width=2, pull=True, boolean=False, seed=2)
+    @example(pairs=(5, [], []), width=2, pull=True, boolean=True, seed=3)
+    @example(pairs=(7, [6, 1, 4], [1, 1, 0]), width=4, pull=True, boolean=False, seed=4)
+    def test_matches_ufunc_at_reference(self, pairs, width, pull, boolean, seed):
+        n, senders, targets = pairs
+        senders = np.array(senders, dtype=np.int64)
+        targets = np.array(targets, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        if boolean:
+            reduce, rows = np.logical_or, rng.random((n, width)) < 0.3
+        else:
+            reduce, rows = np.minimum, rng.integers(0, 9, size=(n, width)).astype(np.int16)
+            rows[rng.random((n, width)) < 0.3] = _COUNTER_INFINITY
+        expected = rows.copy()
+        self._ufunc_at_merge(expected, senders, targets, reduce, pull)
+        _merge_rows(rows, senders, targets, reduce, pull)
+        assert np.array_equal(rows, expected)
+
+    @COMMON_SETTINGS
+    @given(
+        intercept=st.floats(min_value=-3.0, max_value=40.0),
+        slope=st.floats(min_value=-2.0, max_value=3.0),
+    )
+    @example(intercept=None, slope=0.0)
+    @example(intercept=float("inf"), slope=0.0)
+    @example(intercept=float("-inf"), slope=0.0)
+    def test_integer_threshold_table_matches_float_compare(self, intercept, slope):
+        """``c <= f(k)`` for every counter value 0..infinity and every bit k."""
+        bits = 12
+        cutoff = None if intercept is None else (lambda k: intercept + slope * k)
+        values = np.arange(int(_COUNTER_INFINITY) + 1)
+        kernel = VectorizedCountSketchReset(values.size, bins=1, bits=bits, cutoff=cutoff)
+        kernel.counters[:, 0, :] = values[:, None]
+        # With decay off the threshold still excludes the "never heard of" sentinel.
+        ceiling = float(_COUNTER_INFINITY) - 1.0
+        thresholds = np.array(
+            [ceiling if cutoff is None else min(float(cutoff(k)), ceiling) for k in range(bits)]
+        )
+        assert np.array_equal(kernel.bit_image()[:, 0, :], values[:, None] <= thresholds)
