@@ -12,16 +12,12 @@ module decides *how*.  Two backends are registered:
   driven for *both* engines by the one bucket loop of
   :class:`repro.api.kernel_run.KernelRun` (lockstep rounds are its
   degenerate configuration); this module only builds what that driver
-  runs — the (memoised) topology and the configured kernel.
-  Orders of magnitude faster (see ``BENCH_core.json``); covers uniform
-  gossip, the static graph topologies (``ring``, ``grid``,
-  ``random-geometric``, ``erdos-renyi``, ``spatial-grid``) *and* contact
-  traces (``trace``, compiled into a per-round time-varying CSR) via the
-  sparse-adjacency samplers of :mod:`repro.simulator.sparse`, plus the
-  dynamic-membership scenarios (mid-run joins under uniform gossip and
-  ``churn`` event schedules) for every protocol with a kernel; the
-  backend of the paper's large population sweeps (Figs 6, 8, 9, 10), its
-  Section IV-A spatial scenarios and its Fig 11 trace replays.
+  runs — the (memoised) topology and the kernel its declaration
+  (:data:`repro.simulator.kernels.KERNELS`) configures.  Orders of
+  magnitude faster (see ``BENCH_core.json``); the backend of the paper's
+  large population sweeps (Figs 6, 8, 9, 10), its Section IV-A spatial
+  scenarios and its Fig 11 trace replays.  ``repro-aggregate list
+  --capabilities`` prints what it covers.
 
 ``backend="auto"`` (the spec default) picks the vectorised backend whenever
 the scenario's (protocol, environment, failure, workload) combination is
@@ -52,15 +48,10 @@ from repro.api.plan import (
 )
 from repro.api.registry import ENVIRONMENTS, Registry, _grid_dimensions
 from repro.obs.probe import NULL_PROBE
+from repro.simulator.kernels import KERNELS
 from repro.simulator.result import SimulationResult
 from repro.simulator.sparse import CSRTopology, GridRingTopology, TraceCSRTopology
 from repro.topology.graphs import erdos_renyi_edges, grid_edges, ring_lattice_edges
-from repro.simulator.vectorized import (
-    VectorizedCountSketchReset,
-    VectorizedExtrema,
-    VectorizedPushSumRevert,
-    VectorizedSketchCount,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.spec import ScenarioSpec
@@ -232,76 +223,33 @@ class VectorizedBackend(ExecutionBackend):
             _TOPOLOGY_CACHE.popitem(last=False)
         return built
 
-    def build_kernel(self, spec: "ScenarioSpec", topology=None):
+    def build_kernel(self, spec: "ScenarioSpec", topology=None, probe=NULL_PROBE):
         """The configured kernel for ``spec`` (validates support eagerly).
 
         Exposed publicly for experiments that need raw kernel state — the
         Figure 6 counter CDFs read ``counter_values_for_bit`` — while still
         routing construction through the backend's dispatch rules.
         ``topology`` short-circuits :meth:`build_topology` when the caller
-        already built one.  This is the one place the backend screens a
-        spec: an unsupported scenario raises
+        already built one; ``probe`` is the owning run's instrumentation
+        sink.  This is the one place the backend screens a spec: an
+        unsupported scenario raises
         :class:`~repro.api.plan.PlanRejectionError` before anything is built.
+        The protocol's :class:`~repro.simulator.kernels.KernelDeclaration`
+        does the rest, configuring the kernel from the resolved agent
+        protocol instance so both backends share every parameter default.
         """
         ExecutionPlan(spec.engine, self.name, tuple(vectorized_rejections(spec))).require_runnable()
         if topology is None and spec.environment != "uniform":
             topology, _environment_name = self.build_topology(spec)
-        params = spec._resolved_protocol_params()
-        # The Bernoulli loss probability a lossy kernel should apply.
-        loss = float(spec.network_params["p"]) if spec.network == "bernoulli-loss" else 0.0
-        if spec.protocol == "push-sum-revert":
-            return VectorizedPushSumRevert(
-                spec.build_values(),
-                float(params.get("reversion", 0.01)),
-                mode="pushpull" if spec.mode == "exchange" else "push",
-                adaptive=bool(params.get("adaptive", False)),
-                loss=loss,
-                topology=topology,
-                seed=spec.seed,
+        declaration = KERNELS[spec.protocol]
+        wiring = {"topology": topology, "seed": spec.seed, "probe": probe}
+        if declaration.lossy:
+            # The Bernoulli loss probability a lossy kernel should apply.
+            wiring["loss"] = (
+                float(spec.network_params["p"]) if spec.network == "bernoulli-loss" else 0.0
             )
-        if spec.protocol == "push-sum-revert-full-transfer":
-            return VectorizedPushSumRevert(
-                spec.build_values(),
-                float(params.get("reversion", 0.1)),
-                mode="full-transfer",
-                parcels=int(params.get("parcels", 4)),
-                history=int(params.get("history", 3)),
-                loss=loss,
-                seed=spec.seed,
-            )
-        if spec.protocol == "count-sketch-reset":
-            kwargs = dict(
-                bins=int(params.get("bins", 64)),
-                bits=int(params.get("bits", 24)),
-                identifiers_per_host=int(params.get("identifiers_per_host", 1)),
-                pull=spec.mode == "exchange",
-                topology=topology,
-                seed=spec.seed,
-            )
-            if "cutoff" in params:
-                kwargs["cutoff"] = params["cutoff"]
-            return VectorizedCountSketchReset(spec.n_hosts, **kwargs)
-        if spec.protocol == "sketch-count":
-            # Defaults mirror the agent SketchCount (64 x 32) so one spec
-            # means one sketch geometry on either backend.
-            return VectorizedSketchCount(
-                spec.n_hosts,
-                bins=int(params.get("bins", 64)),
-                bits=int(params.get("bits", 32)),
-                identifiers_per_host=int(params.get("identifiers_per_host", 1)),
-                pull=spec.mode == "exchange",
-                topology=topology,
-                seed=spec.seed,
-            )
-        # extrema-gossip / extrema-reset (reset defaults to the agent cutoff of 15)
-        cutoff = int(params.get("cutoff", 15)) if spec.protocol == "extrema-reset" else None
-        return VectorizedExtrema(
-            spec.build_values(),
-            maximum=bool(params.get("maximum", True)),
-            cutoff=cutoff,
-            topology=topology,
-            seed=spec.seed,
-        )
+        population = spec.build_values() if declaration.value_carrying else spec.n_hosts
+        return declaration.build(spec.build_protocol(), population, spec.mode, **wiring)
 
     # -------------------------------------------------------------- execution
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:

@@ -4,8 +4,9 @@
 NumPy kernel (:mod:`repro.simulator.vectorized`) for both engines.  It
 owns what a run needs beyond the kernel — the result skeleton, the
 membership schedule, sampling into
-:class:`~repro.simulator.result.RoundRecord`, the one install/restore of
-the kernel's and topology's probe — and advances in *buckets*:
+:class:`~repro.simulator.result.RoundRecord`, the run's probe (handed to
+the kernel at construction, never written onto the shared topology) —
+and advances in *buckets*:
 
 1. Simulated time is cut into buckets of width ``q`` (the *batch
    quantum*, :func:`repro.events.vectorized.bucket_grid`).  Within a bucket
@@ -39,12 +40,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.registry import PROTOCOLS
 from repro.events.vectorized import TIME_EPS, ClockGrid, bucket_grid, sample_delays
 from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
 from repro.failures.schedule import JoinEvent, ValueChangeEvent
 from repro.network import MassLedger
 from repro.obs.probe import NULL_PROBE
+from repro.simulator.kernels import KERNELS
 from repro.simulator.result import RoundRecord, SimulationResult
 from repro.simulator.rng import RandomStreams
 from repro.simulator.sparse import TraceCSRTopology
@@ -52,7 +53,43 @@ from repro.simulator.sparse import TraceCSRTopology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.spec import ScenarioSpec
 
-__all__ = ["KernelRun"]
+__all__ = ["KernelRun", "group_relative_errors"]
+
+
+def group_relative_errors(kernel, estimates: np.ndarray):
+    """``(truth, deltas, group_sizes)``: per-host error against the host's *group*.
+
+    The Fig 11 rule.  Groups are the connected components of the
+    live-induced topology
+    (:meth:`~repro.simulator.sparse._Topology.component_labels`, cached
+    per alive mask, so steady-state rounds pay only array gathers).
+    Mirrors the agent engine's accounting: each live host is scored
+    against its own component's ``kernel.aggregate``, the recorded truth
+    is the host-mean of those group truths, and ``group_sizes`` is the
+    mean component size.
+    """
+    alive_idx = np.nonzero(kernel.alive)[0]
+    if alive_idx.size == 0:
+        return float("nan"), np.array([], dtype=float), 0.0
+    labels, sizes = kernel.topology.component_labels(kernel.alive, kernel.probe)
+    live_labels = labels[alive_idx]
+    kind = kernel.aggregate
+    if kind == "count":
+        group_truth = sizes.astype(float)
+    else:
+        values = np.asarray(kernel._host_values(), dtype=float)[alive_idx]
+        if kind == "average":
+            group_sums = np.bincount(live_labels, weights=values, minlength=sizes.size)
+            group_truth = group_sums / np.maximum(sizes, 1)
+        else:  # max / min (no kernel aggregates sums today)
+            fill = -np.inf if kind == "max" else np.inf
+            group_truth = np.full(sizes.size, fill, dtype=float)
+            extremum = np.maximum if kind == "max" else np.minimum
+            extremum.at(group_truth, live_labels, values)
+    truth_per_host = group_truth[live_labels]
+    deltas = estimates - truth_per_host
+    group_sizes = float(sizes.mean()) if sizes.size else 0.0
+    return float(truth_per_host.mean()), deltas, group_sizes
 
 
 class KernelRun:
@@ -78,7 +115,7 @@ class KernelRun:
         self.clocks: Optional[ClockGrid] = None
         self.latency = None  # the network model, when its messages take time
         with probe.span("build", **self._span_attrs):
-            self.kernel = kernel = backend.build_kernel(spec)
+            self.kernel = kernel = backend.build_kernel(spec, probe=probe)
             self.topology = kernel.topology
             # A memo hit on the topology the kernel was just built over.
             _topology, environment_name = backend.build_topology(spec)
@@ -123,19 +160,15 @@ class KernelRun:
         #: workload the agent engine would sort on (value kernels use their
         #: own, which value-change events keep current).
         self.workload: Optional[np.ndarray] = None
-        if not hasattr(kernel, "_host_values") and any(
+        if not KERNELS[spec.protocol].value_carrying and any(
             entry["event"] in ("failure", "churn") and entry["model"] == "correlated"
             for entry in spec.events
         ):
             self.workload = np.asarray(spec.build_values(), dtype=float)
 
-        #: The aggregate the protocol computes (extrema depend on a parameter).
-        self.aggregate = PROTOCOLS.get(spec.protocol).aggregate
-        if spec.protocol in ("extrema-gossip", "extrema-reset"):
-            self.aggregate = "max" if spec.protocol_params.get("maximum", True) else "min"
         self.result = SimulationResult(
             protocol_name=spec.protocol,
-            aggregate=self.aggregate,
+            aggregate=kernel.aggregate,
             seed=spec.seed,
             metadata={
                 "mode": spec.mode,
@@ -172,24 +205,12 @@ class KernelRun:
     # ---------------------------------------------------------------- the loop
     def run(self) -> SimulationResult:
         """Execute every bucket; returns the populated result."""
-        probe, kernel, topology = self.probe, self.kernel, self.topology
-        # Kernels (and the cached, shared topologies) carry the probe as an
-        # attribute so the hot phase spans need no per-call plumbing; restore
-        # the null probe afterwards because topologies outlive this run.
-        kernel.probe = probe
-        if topology is not None:
-            topology.probe = probe
         # (A local, not an attribute: a bound method stored on ``self`` would
         # be a reference cycle keeping the kernel's arrays alive past the run.)
         run_bucket = self._round if self.clocks is None else self._calendar_bucket
-        try:
-            with probe.span("execute", **self._span_attrs):
-                for bucket in range(1, self.total_buckets + 1):
-                    run_bucket(bucket)
-        finally:
-            kernel.probe = NULL_PROBE
-            if topology is not None:
-                topology.probe = NULL_PROBE
+        with self.probe.span("execute", **self._span_attrs):
+            for bucket in range(1, self.total_buckets + 1):
+                run_bucket(bucket)
         self.result.metadata["delivery_series"] = {
             key: [float(getattr(record, key)) for record in self.result.rounds]
             for key in ("messages_delivered", "messages_lost", "bytes_sent")
@@ -301,7 +322,10 @@ class KernelRun:
         """Apply one scheduled event to the kernel (never to a ``Simulation``)."""
         kernel = self.kernel
         if isinstance(event, ValueChangeEvent):
-            kernel.change_values(event.new_values)
+            # Ids outside the population are skipped, like the agent event.
+            kernel.change_values(
+                {host: value for host, value in event.new_values.items() if 0 <= host < kernel.n}
+            )
         elif isinstance(event, JoinEvent):
             # New hosts draw the agent JoinEvent's default workload
             # (uniform 0..100 per host); the kernel grows its state arrays
@@ -408,7 +432,7 @@ class KernelRun:
         n_alive = int(kernel.alive.sum())
         group_sizes: Optional[float] = None
         if spec.group_relative:
-            truth, deltas, group_sizes = self._group_relative_errors(estimates)
+            truth, deltas, group_sizes = group_relative_errors(kernel, estimates)
         else:
             truth = kernel.truth()
             deltas = estimates - truth if estimates.size else estimates
@@ -464,39 +488,3 @@ class KernelRun:
                 bytes_sent=record.bytes_sent,
             )
             probe.gauge("n_alive", record.n_alive)
-
-    def _group_relative_errors(self, estimates: np.ndarray):
-        """Per-host error against the host's *group* aggregate (Fig 11 rule).
-
-        Groups are the connected components of the live-induced topology
-        (:meth:`~repro.simulator.sparse._Topology.component_labels`, cached
-        per alive mask, so steady-state rounds pay only array gathers).
-        Mirrors the agent engine's accounting: each host is scored against
-        its own component's aggregate, the recorded truth is the host-mean
-        of those group truths, and ``group_sizes`` is the mean component
-        size.
-        """
-        kernel = self.kernel
-        alive_idx = np.nonzero(kernel.alive)[0]
-        if alive_idx.size == 0:
-            return float("nan"), np.array([], dtype=float), 0.0
-        labels, sizes = kernel.topology.component_labels(kernel.alive)
-        live_labels = labels[alive_idx]
-        kind = self.aggregate
-        if kind == "count":
-            group_truth = sizes.astype(float)
-        else:
-            values = np.asarray(kernel._host_values(), dtype=float)[alive_idx]
-            if kind == "average":
-                group_sums = np.bincount(live_labels, weights=values, minlength=sizes.size)
-                group_truth = group_sums / np.maximum(sizes, 1)
-            else:  # max / min (no kernel aggregates sums today)
-                fill = -np.inf if kind == "max" else np.inf
-                group_truth = np.full(sizes.size, fill, dtype=float)
-                extremum = np.maximum if kind == "max" else np.minimum
-                extremum.at(group_truth, live_labels, values)
-        truth_per_host = group_truth[live_labels]
-        deltas = estimates - truth_per_host
-        truth = float(truth_per_host.mean())
-        group_sizes = float(sizes.mean()) if sizes.size else 0.0
-        return truth, deltas, group_sizes

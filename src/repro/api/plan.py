@@ -1,33 +1,34 @@
 """Execution plans: the structured engine×backend capability layer.
 
-Before this module, backend eligibility was an ad-hoc
-``supports() -> Optional[str]`` string check inside
-:mod:`repro.api.backends` — enough for a one-axis "vectorized or not"
-decision, but unable to express the two-axis choice the event engine
-introduced (engine ``rounds``/``events`` × backend ``agent``/
-``vectorized``).  This module is the replacement:
-
 * :func:`vectorized_rejections` — every reason the vectorised backend
   cannot realise a spec, as structured :class:`Rejection` records
-  ``(axis, feature, reason)`` instead of a single string;
+  ``(axis, feature, reason)``;
 * :func:`resolve_plan` — the :class:`ExecutionPlan` a spec will run on:
   the concrete (engine, backend) pair with the full rejection list
   attached, so ``auto`` dispatch, eager validation, the sweep runner and
   the CLI all consult one function;
 * :func:`capability_matrix` — the full engine×backend support matrix,
-  derived by probing :func:`resolve_plan` per registered protocol (no
-  hand-maintained table; rendered by ``repro-aggregate list
-  --capabilities``).
+  derived by probing :func:`resolve_plan` per registered protocol
+  (rendered by ``repro-aggregate list --capabilities``).
 
-Backends carry no capability method of their own: everything dispatches
-through plans, and the first rejection's ``reason`` is the sentence the
-old string protocol returned.
+What a kernel can run is stated once, in
+:data:`repro.simulator.kernels.KERNELS`; this module only turns those
+declarations into rejections.  Backends carry no capability method of
+their own: everything dispatches through plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from repro.simulator.kernels import (
+    CALENDAR_NETWORKS,
+    KERNEL_ENVIRONMENTS,
+    KERNEL_FAILURE_MODELS,
+    KERNELS,
+    KernelDeclaration,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.spec import ScenarioSpec
@@ -44,83 +45,6 @@ __all__ = [
 
 #: The pseudo-backend resolved per scenario at run time.
 AUTO = "auto"
-
-#: Failure models the vectorised event loop can apply.
-_VECTOR_FAILURE_MODELS = ("uncorrelated", "correlated", "explicit")
-
-#: Environments with a vectorised peer sampler: uniform gossip, the
-#: static graph topologies realised by :mod:`repro.simulator.sparse`, and
-#: contact traces compiled into a per-round time-varying CSR
-#: (neighbourhood environments built from raw adjacency maps stay
-#: agent-only).
-_VECTOR_ENVIRONMENTS = (
-    "uniform",
-    "ring",
-    "grid",
-    "random-geometric",
-    "erdos-renyi",
-    "spatial-grid",
-    "trace",
-)
-
-#: Protocols whose kernels take a Bernoulli ``loss`` probability, so the
-#: common lossy case still resolves to the fast path under ``"auto"``.
-_LOSSY_KERNEL_PROTOCOLS = frozenset({"push-sum-revert", "push-sum-revert-full-transfer"})
-
-#: Network models the vectorised *event calendar* can realise (the
-#: bucketed calendar of :mod:`repro.api.kernel_run`): instant networks
-#: run whole-bucket or subset kernel steps, ``latency`` defers matured
-#: parcels/exchanges into later buckets.
-_EVENTS_VECTOR_NETWORKS = ("perfect", "bernoulli-loss", "latency")
-
-#: The one protocol with a bucketed event-calendar realisation today:
-#: Push-Sum-Revert, whose subset steps and scatter-add deliveries map
-#: directly onto the mass arrays (DESIGN.md §14).
-_EVENTS_VECTOR_PROTOCOLS = ("push-sum-revert",)
-
-#: Per-protocol kernel capabilities: accepted constructor parameters, the
-#: engine modes the kernel can realise, whether the kernel carries
-#: per-host values (needed by correlated failures and value changes), and
-#: whether it accepts a :mod:`~repro.simulator.sparse` topology (only
-#: Full-Transfer's multi-parcel fan-out is uniform-only).
-_KERNEL_TABLE: Dict[str, Dict[str, object]] = {
-    "push-sum-revert": {
-        "params": frozenset({"reversion", "adaptive"}),
-        "modes": ("exchange", "push"),
-        "has_values": True,
-        "topology": True,
-    },
-    "push-sum-revert-full-transfer": {
-        "params": frozenset({"reversion", "parcels", "history"}),
-        "modes": ("push",),
-        "has_values": True,
-        "topology": False,
-    },
-    "count-sketch-reset": {
-        "params": frozenset({"bins", "bits", "cutoff", "identifiers_per_host"}),
-        "modes": ("exchange", "push"),
-        "has_values": False,
-        "topology": True,
-    },
-    "sketch-count": {
-        "params": frozenset({"bins", "bits", "identifiers_per_host"}),
-        "modes": ("exchange", "push"),
-        "has_values": False,
-        "topology": True,
-    },
-    "extrema-gossip": {
-        "params": frozenset({"maximum"}),
-        "modes": ("exchange",),
-        "has_values": True,
-        "topology": True,
-    },
-    "extrema-reset": {
-        "params": frozenset({"maximum", "cutoff"}),
-        "modes": ("exchange",),
-        "has_values": True,
-        "topology": True,
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -200,126 +124,71 @@ class PlanRejectionError(ValueError):
         self.nearest = nearest
 
 
-def _events_rejections(spec: "ScenarioSpec") -> List[Rejection]:
-    """Rejections for the vectorised *event calendar* (engine='events')."""
-    rejections: List[Rejection] = []
-    if spec.protocol not in _EVENTS_VECTOR_PROTOCOLS:
-        supported = ", ".join(repr(name) for name in _EVENTS_VECTOR_PROTOCOLS)
-        rejections.append(Rejection(
-            "protocol", spec.protocol,
-            f"the event calendar is only vectorised for {supported}; "
-            f"protocol {spec.protocol!r} under engine='events' requires the agent engine",
-        ))
-    if spec.environment != "uniform":
-        rejections.append(Rejection(
-            "environment", spec.environment,
-            "the vectorised event calendar runs uniform gossip only; "
-            f"environment {spec.environment!r} under engine='events' requires the agent engine",
-        ))
-    if spec.group_relative and spec.environment == "uniform":
-        rejections.append(Rejection(
-            "accounting", "group_relative",
-            "group-relative error accounting needs an environment that defines "
-            "groups (ring, grid, random-geometric, erdos-renyi or spatial-grid)",
-        ))
-    if spec.network not in _EVENTS_VECTOR_NETWORKS:
-        known = ", ".join(repr(name) for name in _EVENTS_VECTOR_NETWORKS)
-        rejections.append(Rejection(
-            "network", spec.network,
-            f"network model {spec.network!r} is not vectorised under engine='events' "
-            f"(the event calendar supports {known})",
-        ))
-    if spec.protocol in _EVENTS_VECTOR_PROTOCOLS:
-        entry = _KERNEL_TABLE[spec.protocol]
-        if bool(spec.protocol_params.get("adaptive", False)):
-            rejections.append(Rejection(
-                "protocol", "adaptive",
-                "indegree-adaptive reversion is not vectorised under engine='events' "
-                "(the bucketed calendar has no per-tick indegree); it requires the "
-                "agent engine",
-            ))
-        unknown = set(spec.protocol_params) - entry["params"]
-        if unknown:
-            rejections.append(Rejection(
-                "protocol", ",".join(sorted(unknown)),
-                f"protocol parameter(s) {sorted(unknown)} are not supported by the "
-                f"vectorised {spec.protocol!r} kernel",
-            ))
-        rejections.extend(_event_schedule_rejections(spec, entry))
-    return rejections
+def _kernels_with(flag: str) -> List[str]:
+    """The protocols whose kernel declaration sets ``flag``, sorted."""
+    return sorted(name for name, entry in KERNELS.items() if getattr(entry, flag))
 
 
-def _event_schedule_rejections(spec: "ScenarioSpec", entry) -> List[Rejection]:
+def _event_schedule_rejections(
+    spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
+) -> List[Rejection]:
     """Rejections from the spec's scheduled membership events (both engines)."""
     rejections: List[Rejection] = []
     for event in spec.events:
         kind = event["event"]
-        if kind == "failure":
-            if event["model"] not in _VECTOR_FAILURE_MODELS:
-                models = ", ".join(_VECTOR_FAILURE_MODELS)
-                rejections.append(Rejection(
-                    "events", event["model"],
-                    f"failure model {event['model']!r} is not vectorised "
-                    f"(supported models: {models})",
-                ))
-        elif kind == "value-change":
-            if entry is not None and not entry["has_values"]:
-                rejections.append(Rejection(
-                    "events", "value-change",
-                    f"value-change events need a value-carrying kernel; "
-                    f"{spec.protocol!r} aggregates counts",
-                ))
-        elif kind == "join":
-            if spec.environment != "uniform":
-                rejections.append(Rejection(
-                    "events", "join",
-                    "'join' events are only vectorised under uniform gossip "
-                    "(a static or trace topology has no slots for new hosts); "
-                    f"environment {spec.environment!r} requires the agent engine",
-                ))
-        elif kind == "churn":
-            if event["model"] not in _VECTOR_FAILURE_MODELS:
-                models = ", ".join(_VECTOR_FAILURE_MODELS)
-                rejections.append(Rejection(
-                    "events", event["model"],
-                    f"churn failure model {event['model']!r} is not vectorised "
-                    f"(supported models: {models})",
-                ))
-            if int(event.get("arrivals_per_round", 0)) > 0 and spec.environment != "uniform":
-                rejections.append(Rejection(
-                    "events", "churn",
-                    "churn with arrivals is only vectorised under uniform gossip "
-                    "(a static or trace topology has no slots for new hosts); "
-                    f"environment {spec.environment!r} requires the agent engine",
-                ))
-        else:
+        if kind not in ("failure", "value-change", "join", "churn"):
             rejections.append(Rejection(
                 "events", kind, f"{kind!r} events require the agent engine",
+            ))
+            continue
+        if kind in ("failure", "churn") and event["model"] not in KERNEL_FAILURE_MODELS:
+            label = "churn failure model" if kind == "churn" else "failure model"
+            rejections.append(Rejection(
+                "events", event["model"],
+                f"{label} {event['model']!r} is not vectorised "
+                f"(supported models: {', '.join(KERNEL_FAILURE_MODELS)})",
+            ))
+        if kind == "value-change" and entry is not None and not entry.value_carrying:
+            rejections.append(Rejection(
+                "events", "value-change",
+                f"value-change events need a value-carrying kernel; "
+                f"{spec.protocol!r} aggregates counts",
+            ))
+        arrivals = kind == "join" or (
+            kind == "churn" and int(event.get("arrivals_per_round", 0)) > 0
+        )
+        if arrivals and spec.environment != "uniform":
+            what = "'join' events are" if kind == "join" else "churn with arrivals is"
+            rejections.append(Rejection(
+                "events", kind,
+                f"{what} only vectorised under uniform gossip "
+                "(a static or trace topology has no slots for new hosts); "
+                f"environment {spec.environment!r} requires the agent engine",
             ))
     return rejections
 
 
-def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
-    """Every reason the vectorised backend cannot realise ``spec``.
-
-    An empty list means the spec has a fast path (on either engine).  The
-    checks for the round engine run in a fixed order, so the first
-    rejection's ``reason`` is the headline every error message quotes;
-    ``engine="events"`` gets its own capability set (the bucketed
-    calendar of :mod:`repro.api.kernel_run`).
-    """
+def _environment_rejections(
+    spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
+) -> List[Rejection]:
+    """Rejections from the gossip environment (the calendar is uniform-only)."""
     if spec.engine == "events":
-        return _events_rejections(spec)
+        if spec.environment == "uniform":
+            return []
+        return [Rejection(
+            "environment", spec.environment,
+            "the vectorised event calendar runs uniform gossip only; "
+            f"environment {spec.environment!r} under engine='events' requires the agent engine",
+        )]
     rejections: List[Rejection] = []
-    entry = _KERNEL_TABLE.get(spec.protocol)
-    if spec.environment not in _VECTOR_ENVIRONMENTS:
-        known = ", ".join(repr(name) for name in _VECTOR_ENVIRONMENTS)
+    if spec.environment not in KERNEL_ENVIRONMENTS:
+        known = ", ".join(repr(name) for name in KERNEL_ENVIRONMENTS)
         rejections.append(Rejection(
             "environment", spec.environment,
             f"environment {spec.environment!r} is not vectorised "
             f"(vectorised environments: {known})",
         ))
-    if spec.environment != "uniform" and entry is not None and not entry["topology"]:
+    if spec.environment != "uniform" and entry is not None and not entry.topology:
         rejections.append(Rejection(
             "environment", spec.environment,
             f"protocol {spec.protocol!r} is only vectorised under uniform gossip "
@@ -332,41 +201,93 @@ def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
             "broadcast trace gossip (every in-range neighbour hears each send) "
             "is not vectorised; it requires the agent engine",
         ))
+    return rejections
+
+
+def _network_rejections(
+    spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
+) -> List[Rejection]:
+    """Rejections from the network model (at most one)."""
+    if spec.engine == "events":
+        if spec.network in CALENDAR_NETWORKS:
+            return []
+        known = ", ".join(repr(name) for name in CALENDAR_NETWORKS)
+        return [Rejection(
+            "network", spec.network,
+            f"network model {spec.network!r} is not vectorised under engine='events' "
+            f"(the event calendar supports {known})",
+        )]
+    if spec.network == "perfect":
+        return []
+    if spec.network != "bernoulli-loss":
+        return [Rejection(
+            "network", spec.network,
+            f"network model {spec.network!r} is not vectorised "
+            "(kernels support 'perfect' and 'bernoulli-loss' only)",
+        )]
+    if entry is not None and entry.lossy:
+        return []
+    return [Rejection(
+        "network", spec.network,
+        f"Bernoulli message loss is only vectorised for {', '.join(_kernels_with('lossy'))}; "
+        f"protocol {spec.protocol!r} under a lossy network requires "
+        "the agent engine",
+    )]
+
+
+def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
+    """Every reason the vectorised backend cannot realise ``spec``.
+
+    An empty list means the spec has a fast path (on either engine).  The
+    checks run in a fixed order per engine, so the first rejection's
+    ``reason`` is the headline every error message quotes.  Under
+    ``engine="events"`` only a calendar-capable kernel counts: a protocol
+    without one is rejected up front and nothing kernel-specific (its
+    parameters, the membership schedule) is screened.
+    """
+    calendar = spec.engine == "events"
+    entry = KERNELS.get(spec.protocol)
+    rejections: List[Rejection] = []
+    if calendar and (entry is None or not entry.calendar):
+        entry = None
+        supported = ", ".join(repr(name) for name in _kernels_with("calendar"))
+        rejections.append(Rejection(
+            "protocol", spec.protocol,
+            f"the event calendar is only vectorised for {supported}; "
+            f"protocol {spec.protocol!r} under engine='events' requires the agent engine",
+        ))
+    rejections.extend(_environment_rejections(spec, entry))
     if spec.group_relative and spec.environment == "uniform":
         rejections.append(Rejection(
             "accounting", "group_relative",
             "group-relative error accounting needs an environment that defines "
             "groups (ring, grid, random-geometric, erdos-renyi or spatial-grid)",
         ))
-    if spec.network != "perfect":
-        if spec.network != "bernoulli-loss":
-            rejections.append(Rejection(
-                "network", spec.network,
-                f"network model {spec.network!r} is not vectorised "
-                "(kernels support 'perfect' and 'bernoulli-loss' only)",
-            ))
-        elif spec.protocol not in _LOSSY_KERNEL_PROTOCOLS:
-            lossy = ", ".join(sorted(_LOSSY_KERNEL_PROTOCOLS))
-            rejections.append(Rejection(
-                "network", spec.network,
-                f"Bernoulli message loss is only vectorised for {lossy}; "
-                f"protocol {spec.protocol!r} under a lossy network requires "
-                "the agent engine",
-            ))
+    rejections.extend(_network_rejections(spec, entry))
     if entry is None:
-        supported = ", ".join(sorted(_KERNEL_TABLE))
+        if calendar:
+            return rejections
+        supported = ", ".join(sorted(KERNELS))
         rejections.append(Rejection(
             "protocol", spec.protocol,
             f"protocol {spec.protocol!r} has no vectorised kernel (kernels: {supported})",
         ))
     else:
-        if spec.mode not in entry["modes"]:
-            modes = " or ".join(repr(mode) for mode in entry["modes"])
+        if calendar:
+            if bool(spec.protocol_params.get("adaptive", False)):
+                rejections.append(Rejection(
+                    "protocol", "adaptive",
+                    "indegree-adaptive reversion is not vectorised under engine='events' "
+                    "(the bucketed calendar has no per-tick indegree); it requires the "
+                    "agent engine",
+                ))
+        elif spec.mode not in entry.modes:
+            modes = " or ".join(repr(mode) for mode in entry.modes)
             rejections.append(Rejection(
                 "mode", spec.mode,
                 f"protocol {spec.protocol!r} is only vectorised in mode {modes}",
             ))
-        unknown = set(spec.protocol_params) - entry["params"]
+        unknown = set(spec.protocol_params) - entry.params
         if unknown:
             rejections.append(Rejection(
                 "protocol", ",".join(sorted(unknown)),
@@ -399,10 +320,11 @@ def capability_matrix() -> Dict[str, object]:
 
     For every registered protocol and both engines, a minimal probe spec
     is resolved through :func:`resolve_plan`; nothing here is
-    hand-maintained, so a new kernel (or a new engine realisation) shows
-    up in ``repro-aggregate list --capabilities`` automatically.  Cells
-    are ``"yes"``, ``"no"`` (with the first rejection recorded in
-    ``reasons``) or ``"n/a"`` (the probe spec itself does not validate).
+    hand-maintained, so a new kernel declaration (or a newly
+    calendar-capable one) shows up in ``repro-aggregate list
+    --capabilities`` automatically.  Cells are ``"yes"``, ``"no"`` (with
+    the first rejection recorded in ``reasons``) or ``"n/a"`` (the probe
+    spec itself does not validate).
     """
     from repro.api.registry import PROTOCOLS
     from repro.api.spec import ScenarioSpec
@@ -410,8 +332,8 @@ def capability_matrix() -> Dict[str, object]:
     engines = ("rounds", "events")
     rows: List[Dict[str, object]] = []
     for protocol in sorted(PROTOCOLS.keys()):
-        entry = _KERNEL_TABLE.get(protocol)
-        mode = entry["modes"][0] if entry else "exchange"
+        entry = KERNELS.get(protocol)
+        mode = next(iter(entry.modes)) if entry else "exchange"
         cells: Dict[str, Dict[str, str]] = {}
         reasons: Dict[str, str] = {}
         for engine in engines:
@@ -434,19 +356,19 @@ def capability_matrix() -> Dict[str, object]:
     kernels = [
         {
             "kernel": name,
-            "modes": "/".join(entry["modes"]),
-            "parameters": ",".join(sorted(entry["params"])),
-            "topology": "yes" if entry["topology"] else "uniform-only",
+            "modes": "/".join(entry.modes),
+            "parameters": ",".join(sorted(entry.params)),
+            "topology": "yes" if entry.topology else "uniform-only",
         }
-        for name, entry in sorted(_KERNEL_TABLE.items())
+        for name, entry in sorted(KERNELS.items())
     ]
     notes = [
-        f"vectorised environments: {', '.join(_VECTOR_ENVIRONMENTS)}",
-        f"vectorised failure models: {', '.join(_VECTOR_FAILURE_MODELS)}",
-        f"lossy-network kernels: {', '.join(sorted(_LOSSY_KERNEL_PROTOCOLS))}",
+        f"vectorised environments: {', '.join(KERNEL_ENVIRONMENTS)}",
+        f"vectorised failure models: {', '.join(KERNEL_FAILURE_MODELS)}",
+        f"lossy-network kernels: {', '.join(_kernels_with('lossy'))}",
         "event-calendar (engine='events') vectorisation: "
-        f"{', '.join(_EVENTS_VECTOR_PROTOCOLS)} over uniform gossip on "
-        f"{', '.join(_EVENTS_VECTOR_NETWORKS)} networks",
+        f"{', '.join(_kernels_with('calendar'))} over uniform gossip on "
+        f"{', '.join(CALENDAR_NETWORKS)} networks",
     ]
     return {"engines": engines, "backends": ("agent", "vectorized"),
             "rows": rows, "kernels": kernels, "notes": notes}

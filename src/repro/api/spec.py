@@ -36,6 +36,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -472,8 +473,23 @@ class ScenarioSpec:
         return ENVIRONMENTS.create(self.environment, self.n_hosts, **self.environment_params)
 
     def build_values(self) -> List[float]:
-        """The initial host values for this scenario."""
-        return WORKLOADS.create(self.workload, self.n_hosts, **self._workload_call_params())
+        """The initial host values for this scenario.
+
+        Raises ``ValueError`` for a non-finite value: one NaN or infinity
+        would silently turn every error of the run into ``nan`` on either
+        backend.
+        """
+        values = WORKLOADS.create(self.workload, self.n_hosts, **self._workload_call_params())
+        # One C-level pass: NaN and infinities survive a sum.  (A finite sum
+        # that merely overflows finds no culprit below and passes.)
+        if not math.isfinite(sum(values)):
+            for index, value in enumerate(values):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"workload {self.workload!r} produced a non-finite value "
+                        f"({value!r}) at index {index}; aggregates need finite host values"
+                    )
+        return values
 
     def build_network(self):
         """A fresh network model instance (budgets reset).

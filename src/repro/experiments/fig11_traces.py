@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.render import render_series_table
+from repro.api.kernel_run import group_relative_errors
 from repro.core.count_sketch_reset import CountSketchReset
 from repro.core.cutoff import default_cutoff, no_decay_cutoff, scaled_cutoff
 from repro.core.push_sum_revert import PushSumRevert
@@ -132,41 +133,23 @@ def _run_protocol(
     return result.errors(), group_sizes
 
 
-def _run_kernel(
-    kernel,
-    topology: TraceCSRTopology,
-    values: np.ndarray,
-    *,
-    rounds: int,
-    count_aggregate: bool,
-) -> Tuple[List[float], List[float]]:
+def _run_kernel(kernel, *, rounds: int) -> Tuple[List[float], List[float]]:
     """Vectorised replay: per-round (group-relative errors, group sizes).
 
-    Mirrors the agent engine's Fig 11 accounting (and the backend's
-    ``_group_relative_errors``): each live host is scored against its own
-    group's aggregate, groups being the components of the trace's
-    10-minute union window intersected with the alive set.
+    The round loop of :class:`~repro.api.kernel_run.KernelRun` without the
+    spec layer, scored by the same
+    :func:`~repro.api.kernel_run.group_relative_errors`: each live host
+    against its own group's aggregate, groups being the components of the
+    trace's 10-minute union window intersected with the alive set.
     """
     errors: List[float] = []
     group_sizes: List[float] = []
     for t in range(rounds):
-        topology.set_round(t)
+        kernel.topology.set_round(t)
         kernel.step()
-        alive_idx = np.nonzero(kernel.alive)[0]
-        if alive_idx.size == 0:
-            errors.append(float("nan"))
-            group_sizes.append(float("nan"))
-            continue
-        labels, sizes = topology.component_labels(kernel.alive)
-        live_labels = labels[alive_idx]
-        if count_aggregate:
-            group_truth = sizes.astype(float)
-        else:
-            sums = np.bincount(live_labels, weights=values[alive_idx], minlength=sizes.size)
-            group_truth = sums / np.maximum(sizes, 1)
-        deltas = kernel.estimates() - group_truth[live_labels]
+        _truth, deltas, mean_group_size = group_relative_errors(kernel, kernel.estimates())
         errors.append(float(np.sqrt(np.mean(deltas**2))))
-        group_sizes.append(float(sizes.mean()) if sizes.size else float("nan"))
+        group_sizes.append(mean_group_size)
     return errors, group_sizes
 
 
@@ -226,21 +209,18 @@ def run_fig11(
                 round_seconds=round_seconds,
                 group_window_seconds=group_window_seconds,
             )
-        values_array = np.asarray(list(values), dtype=float)
 
         group_size_series: Optional[List[float]] = None
         for reversion in average_lambdas:
             if topology is not None:
                 kernel = VectorizedPushSumRevert(
-                    values_array,
+                    values,
                     float(reversion),
                     mode="pushpull",
                     topology=topology,
                     seed=seed,
                 )
-                errors, group_sizes = _run_kernel(
-                    kernel, topology, values_array, rounds=total_rounds, count_aggregate=False
-                )
+                errors, group_sizes = _run_kernel(kernel, rounds=total_rounds)
             else:
                 errors, group_sizes = _run_protocol(
                     PushSumRevert(float(reversion)),
@@ -269,9 +249,7 @@ def run_fig11(
                     topology=topology,
                     seed=seed,
                 )
-                errors, group_sizes = _run_kernel(
-                    kernel, topology, values_array, rounds=total_rounds, count_aggregate=True
-                )
+                errors, group_sizes = _run_kernel(kernel, rounds=total_rounds)
             else:
                 protocol = CountSketchReset(
                     bins,

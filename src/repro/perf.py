@@ -31,7 +31,6 @@ from repro.api.spec import ScenarioSpec, run_scenario
 
 __all__ = [
     "BenchRecord",
-    "AGENT_ONLY_PROTOCOLS",
     "DEFAULT_PROTOCOLS",
     "run_core_benchmark",
     "render_benchmark",
@@ -67,14 +66,6 @@ AGENT_SIZE_CAPS = {
     "count-sketch-reset": 2_000,
     "push-sum-revert-events": 2_000,
 }
-
-#: Deprecated: rows that only the agent engine could run.  Backend
-#: eligibility is now derived per cell from
-#: :func:`repro.api.plan.resolve_plan` (see :func:`run_core_benchmark`),
-#: so new engine×backend combinations are benched automatically instead
-#: of being silently skipped by a hand-maintained set.  Kept (empty) for
-#: import compatibility.
-AGENT_ONLY_PROTOCOLS = ()
 
 #: Protocol cells timed by default: the two dynamic protocols on a perfect
 #: network, the lossy-network variant (Bernoulli loss exercises the

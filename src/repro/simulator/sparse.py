@@ -31,7 +31,9 @@ host is isolated), :meth:`sample_matching` (a conflict-free set of
 pairwise exchanges along sampled edges — the graph analogue of the
 uniform kernels' random perfect matching) and :meth:`components` (the
 connected components of the live-induced graph, for group-relative error
-accounting à la Fig 11).
+accounting à la Fig 11).  Each takes the caller's ``probe``
+(:mod:`repro.obs`) as an argument: a topology is memoised and shared
+between runs, so it never holds one.
 """
 
 from __future__ import annotations
@@ -87,18 +89,14 @@ class _Topology:
 
     n: int
 
-    #: Instrumentation sink (:mod:`repro.obs`).  Topologies are cached and
-    #: shared across runs, so the backend installs a run's probe before
-    #: stepping and restores this null default afterwards.
-    probe = NULL_PROBE
-
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        probe=NULL_PROBE,
     ) -> np.ndarray:
         """One uniform live peer per requester (``-1`` for isolated hosts)."""
         raise NotImplementedError
 
-    def _live_adjacency(self, alive: np.ndarray) -> Adjacency:
+    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
         """The live-induced adjacency map (for component computation)."""
         raise NotImplementedError
 
@@ -110,6 +108,7 @@ class _Topology:
         rng: np.random.Generator,
         *,
         passes: int = 3,
+        probe=NULL_PROBE,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Pairwise exchange partners along sampled edges.
 
@@ -131,7 +130,7 @@ class _Topology:
         for _ in range(max(1, passes)):
             if requesters.size < 2:
                 break
-            targets = self.sample_peers(requesters, alive, rng)
+            targets = self.sample_peers(requesters, alive, rng, probe)
             # A proposal only stands if its target is itself still
             # unmatched; everything else retries next pass.
             valid = (targets >= 0) & available[np.where(targets >= 0, targets, 0)]
@@ -152,7 +151,7 @@ class _Topology:
         return np.concatenate(matched_left), np.concatenate(matched_right)
 
     # ----------------------------------------------------------- components
-    def components(self, alive: np.ndarray) -> List[Set[int]]:
+    def components(self, alive: np.ndarray, probe=NULL_PROBE) -> List[Set[int]]:
         """Connected components of the live-induced graph (cached by mask).
 
         Group-relative error (the Fig 11 definition) needs the partition
@@ -164,13 +163,13 @@ class _Topology:
         cached = getattr(self, "_components_cache", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        with self.probe.span("component_labelling"):
+        with probe.span("component_labelling"):
             live = {int(host) for host in np.nonzero(alive)[0]}
-            parts = connected_components(self._live_adjacency(alive), alive=live)
+            parts = connected_components(self._live_adjacency(alive, probe), alive=live)
         self._components_cache = (key, parts)
         return parts
 
-    def component_labels(self, alive: np.ndarray):
+    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE):
         """``(labels, sizes)`` for the live components (cached by mask).
 
         ``labels[host]`` is the component index of every live host (``-1``
@@ -183,7 +182,7 @@ class _Topology:
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
         labels = np.full(self.n, -1, dtype=np.int64)
-        parts = self.components(alive)
+        parts = self.components(alive, probe)
         sizes = np.zeros(len(parts), dtype=np.int64)
         for index, part in enumerate(parts):
             members = np.fromiter(part, dtype=np.int64, count=len(part))
@@ -262,12 +261,12 @@ class CSRTopology(_Topology):
         return cls(indptr, indices)
 
     # ------------------------------------------------------------- sampling
-    def _refresh_live(self, alive: np.ndarray) -> None:
+    def _refresh_live(self, alive: np.ndarray, probe) -> None:
         """Rebuild the live-edge CSR iff the alive mask changed."""
         key = alive.tobytes()
         if key == self._live_key:
             return
-        with self.probe.span("csr_rebuild"):
+        with probe.span("csr_rebuild"):
             if bool(alive.all()):
                 live_indptr, live_indices = self.indptr, self.indices
                 live_degree = np.diff(self.indptr)
@@ -287,9 +286,10 @@ class CSRTopology(_Topology):
         self._live_degree = live_degree
 
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        probe=NULL_PROBE,
     ) -> np.ndarray:
-        self._refresh_live(alive)
+        self._refresh_live(alive, probe)
         if self._live_indices.size == 0:
             return np.full(requesters.size, -1, dtype=np.int64)
         degree = self._live_degree[requesters]
@@ -302,8 +302,8 @@ class CSRTopology(_Topology):
         )
         return np.where(degree > 0, self._live_indices[slots], -1)
 
-    def _live_adjacency(self, alive: np.ndarray) -> Adjacency:
-        self._refresh_live(alive)
+    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
+        self._refresh_live(alive, probe)
         live_nodes = np.nonzero(alive)[0]
         indptr, indices = self._live_indptr, self._live_indices
         return {
@@ -412,24 +412,22 @@ class TraceCSRTopology(_Topology):
         """Simulated time at which ``round_index`` happens."""
         return round_index * self.round_seconds
 
-    def _round_csr(self, round_index: int) -> CSRTopology:
+    def _round_csr(self, round_index: int, probe) -> CSRTopology:
         """The instantaneous contact graph of one round (LRU-cached)."""
         cached = self._csr_cache.get(round_index)
         if cached is not None:
             self._csr_cache.move_to_end(round_index)
-            cached.probe = self.probe
             return cached
-        with self.probe.span("csr_rebuild", round=round_index):
+        with probe.span("csr_rebuild", round=round_index):
             time = self.time_of_round(round_index)
             active = (self._start <= time) & (time < self._end)
             csr = CSRTopology.from_edges(self._u[active], self._v[active], self.n)
-        csr.probe = self.probe
         self._csr_cache[round_index] = csr
         while len(self._csr_cache) > self._cache_rounds:
             self._csr_cache.popitem(last=False)
         return csr
 
-    def _union_labels(self, round_index: int) -> np.ndarray:
+    def _union_labels(self, round_index: int, probe) -> np.ndarray:
         """Component labels of the full window-union graph (LRU-cached).
 
         Matches ``TraceEnvironment.groups``: the union covers every edge
@@ -442,7 +440,7 @@ class TraceCSRTopology(_Topology):
         if cached is not None:
             self._labels_by_round.move_to_end(round_index)
             return cached
-        with self.probe.span("component_labelling", round=round_index):
+        with probe.span("component_labelling", round=round_index):
             time = self.time_of_round(round_index)
             in_window = (self._start < time + 1e-9) & (
                 self._end > time - self.group_window_seconds
@@ -455,15 +453,16 @@ class TraceCSRTopology(_Topology):
 
     # ------------------------------------------------------------- sampling
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        probe=NULL_PROBE,
     ) -> np.ndarray:
-        return self._round_csr(self._round).sample_peers(requesters, alive, rng)
+        return self._round_csr(self._round, probe).sample_peers(requesters, alive, rng, probe)
 
-    def _live_adjacency(self, alive: np.ndarray) -> Adjacency:
-        return self._round_csr(self._round)._live_adjacency(alive)
+    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
+        return self._round_csr(self._round, probe)._live_adjacency(alive, probe)
 
     # ----------------------------------------------------------- components
-    def component_labels(self, alive: np.ndarray):
+    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE):
         """``(labels, sizes)`` of the window-union groups among live hosts.
 
         Groups are the full-union components intersected with the live
@@ -471,7 +470,7 @@ class TraceCSRTopology(_Topology):
         environment's group rule), relabelled ``0..k-1``; a live host with
         no window contacts is its own group of one.
         """
-        full = self._union_labels(self._round)
+        full = self._union_labels(self._round, probe)
         live = np.nonzero(alive)[0]
         labels = np.full(self.n, -1, dtype=np.int64)
         if live.size == 0:
@@ -481,8 +480,8 @@ class TraceCSRTopology(_Topology):
         sizes = np.bincount(remapped, minlength=unique.size).astype(np.int64)
         return labels, sizes
 
-    def components(self, alive: np.ndarray) -> List[Set[int]]:
-        labels, sizes = self.component_labels(alive)
+    def components(self, alive: np.ndarray, probe=NULL_PROBE) -> List[Set[int]]:
+        labels, sizes = self.component_labels(alive, probe)
         parts: List[Set[int]] = [set() for _ in range(sizes.size)]
         for host in np.nonzero(alive)[0]:
             parts[labels[host]].add(int(host))
@@ -559,7 +558,8 @@ class GridRingTopology(_Topology):
 
     # ------------------------------------------------------------- sampling
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        probe=NULL_PROBE,
     ) -> np.ndarray:
         targets = np.full(requesters.size, -1, dtype=np.int64)
         pending = np.arange(requesters.size)
@@ -603,7 +603,7 @@ class GridRingTopology(_Topology):
             pending = pending[~resolved]
         return targets
 
-    def _live_adjacency(self, alive: np.ndarray) -> Adjacency:
+    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
         # Groups follow the *grid-edge* connectivity, exactly like the agent
         # environment (long 1/d² links are transient routes, not edges).
         if self._grid_adjacency is None:

@@ -84,24 +84,6 @@ def _draw_identifiers(
     return mask.reshape(n, bins, bits), hosts, positions
 
 
-def _draw_push_targets(
-    topology, alive_idx: np.ndarray, alive: np.ndarray, rng: np.random.Generator
-):
-    """``(senders, targets)`` for one "everyone contacts one peer" round.
-
-    Uniform gossip draws a random live host per sender (self-contact
-    allowed, as in the agent engine); topology-restricted gossip draws a
-    random live graph neighbour, and hosts whose live neighbourhood is
-    empty drop out of the round (the agent engine's isolated-host rule).
-    """
-    if topology is None:
-        targets = alive_idx[rng.integers(0, alive_idx.size, size=alive_idx.size)]
-        return alive_idx, targets
-    drawn = topology.sample_peers(alive_idx, alive, rng)
-    has_peer = drawn >= 0
-    return alive_idx[has_peer], drawn[has_peer]
-
-
 def _merge_rows(
     rows: np.ndarray, senders: np.ndarray, targets: np.ndarray, reduce: np.ufunc, pull: bool
 ) -> None:
@@ -151,9 +133,9 @@ def _prefix_rank(image: np.ndarray) -> np.ndarray:
 class _VectorizedKernel:
     """Shared population machinery for the array kernels.
 
-    Subclass constructors set ``n`` (population size), ``rng`` (the kernel's
-    seeded generator), ``alive`` (boolean mask) and ``round_index``;
-    subclasses implement :meth:`step`, :meth:`estimates` and :meth:`truth`.
+    Subclass constructors call :meth:`_init_population`; subclasses name
+    their :attr:`aggregate` and implement :meth:`step`, :meth:`estimates`
+    and :meth:`truth`.
     """
 
     n: int
@@ -161,10 +143,9 @@ class _VectorizedKernel:
     alive: np.ndarray
     round_index: int
 
-    #: Instrumentation sink (:mod:`repro.obs`); the backend swaps a real
-    #: probe in for one run and restores the null default afterwards.
-    #: Probes never draw from ``rng``, so attaching one is bit-neutral.
-    probe = NULL_PROBE
+    #: The aggregate the kernel computes (``"average"``, ``"count"``,
+    #: ``"max"`` or ``"min"``) — the agent protocol's ``aggregate``.
+    aggregate: str
 
     #: Cumulative network accounting, maintained by every kernel so the
     #: vectorised path exposes the same delivery series the agent
@@ -174,6 +155,54 @@ class _VectorizedKernel:
     messages_delivered: int = 0
     messages_lost: int = 0
     bytes_sent: int = 0
+
+    def _init_population(self, n: int, topology, seed: int, probe) -> None:
+        """Set what every kernel shares: size, peers, probe, generator, liveness.
+
+        ``probe`` is the instrumentation sink (:mod:`repro.obs`) of the run
+        that owns this kernel; it also rides every ``topology`` call, since
+        the topology itself is shared between runs.  Probes never draw from
+        ``rng``, so attaching one is bit-neutral.
+        """
+        if n < 1:
+            raise ValueError("need at least one host")
+        if topology is not None and topology.n != n:
+            raise ValueError(f"topology covers {topology.n} hosts but the kernel has {n}")
+        self.n = int(n)
+        self.topology = topology
+        self.probe = probe
+        self.rng = np.random.default_rng(seed)
+        self.alive = np.ones(self.n, dtype=bool)
+        self.round_index = 0
+
+    def _draw_push_targets(self, alive_idx: np.ndarray):
+        """``(senders, targets)`` for one "everyone contacts one peer" round.
+
+        Uniform gossip draws a random live host per sender (self-contact
+        allowed, as in the agent engine); topology-restricted gossip draws a
+        random live graph neighbour, and hosts whose live neighbourhood is
+        empty drop out of the round (the agent engine's isolated-host rule).
+        """
+        if self.topology is None:
+            targets = alive_idx[self.rng.integers(0, alive_idx.size, size=alive_idx.size)]
+            return alive_idx, targets
+        drawn = self.topology.sample_peers(alive_idx, self.alive, self.rng, self.probe)
+        has_peer = drawn >= 0
+        return alive_idx[has_peer], drawn[has_peer]
+
+    def _draw_matching(self, alive_idx: np.ndarray):
+        """``(left, right)``: one round's pairwise exchanges.
+
+        A random perfect matching of the live hosts, or — when a topology
+        restricts gossip — a matching along sampled graph edges.
+        """
+        if self.topology is not None:
+            return self.topology.sample_matching(
+                alive_idx, self.alive, self.rng, probe=self.probe
+            )
+        order = self.rng.permutation(alive_idx)
+        pair_count = order.size // 2
+        return order[:pair_count], order[pair_count : 2 * pair_count]
 
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
@@ -206,7 +235,7 @@ class _VectorizedKernel:
         fresh = np.asarray(list(values), dtype=float)
         if fresh.size == 0:
             return np.array([], dtype=np.int64)
-        if getattr(self, "topology", None) is not None:
+        if self.topology is not None:
             raise ValueError(
                 "joins under a topology are not vectorised; "
                 "topology-restricted joins require the agent engine"
@@ -342,7 +371,11 @@ class VectorizedPushSumRevert(_ValueKernel):
         uniform behaviour bit for bit.
     seed:
         Randomness seed.
+    probe:
+        The owning run's :mod:`repro.obs` probe (phase spans).
     """
+
+    aggregate = "average"
 
     def __init__(
         self,
@@ -356,6 +389,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         loss: float = 0.0,
         topology=None,
         seed: int = 0,
+        probe=NULL_PROBE,
     ):
         if mode not in ("push", "pushpull", "full-transfer"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -371,14 +405,7 @@ class VectorizedPushSumRevert(_ValueKernel):
                 "gossip supports the push and pushpull modes"
             )
         self.initial = np.asarray(list(values), dtype=float)
-        self.n = self.initial.size
-        if self.n < 1:
-            raise ValueError("need at least one host")
-        if topology is not None and topology.n != self.n:
-            raise ValueError(
-                f"topology covers {topology.n} hosts but the kernel has {self.n}"
-            )
-        self.topology = topology
+        self._init_population(self.initial.size, topology, seed, probe)
         self.reversion = float(reversion)
         self.mode = mode
         self.parcels = int(parcels)
@@ -396,11 +423,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.messages_delivered = 0
         self.messages_lost = 0
         self.bytes_sent = 0
-        self.rng = np.random.default_rng(seed)
-        self.alive = np.ones(self.n, dtype=bool)
         self.weight = np.ones(self.n, dtype=float)
         self.total = self.initial.copy()
-        self.round_index = 0
         # Full-Transfer history ring: most recent mass-bearing rounds first.
         self._history_weight = np.zeros((self.n, self.history), dtype=float)
         self._history_total = np.zeros((self.n, self.history), dtype=float)
@@ -594,13 +618,7 @@ class VectorizedPushSumRevert(_ValueKernel):
 
     def _step_matching(self, alive_idx: np.ndarray) -> None:
         with self.probe.span("matching"):
-            if self.topology is not None:
-                left, right = self.topology.sample_matching(alive_idx, self.alive, self.rng)
-            else:
-                order = self.rng.permutation(alive_idx)
-                pair_count = order.size // 2
-                left = order[:pair_count]
-                right = order[pair_count : 2 * pair_count]
+            left, right = self._draw_matching(alive_idx)
         left, right = self._settle_exchanges(left, right)
         with self.probe.span("scatter"):
             self._mean_merge(left, right)
@@ -609,9 +627,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         # Hosts whose live neighbourhood is empty drop out of `senders` and
         # keep their whole mass (the agent engine's isolated-host rule).
         with self.probe.span("sampling"):
-            senders, targets = _draw_push_targets(
-                self.topology, alive_idx, self.alive, self.rng
-            )
+            senders, targets = self._draw_push_targets(alive_idx)
         # Radio bytes are spent when the half is pushed, lost or not
         # (agent parity: the bandwidth meter records before the network
         # plans); self-messages never touch the radio.
@@ -783,7 +799,11 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
     seed:
         Randomness seed.
+    probe:
+        The owning run's :mod:`repro.obs` probe (phase spans).
     """
+
+    aggregate = "count"
 
     def __init__(
         self,
@@ -796,25 +816,18 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         pull: bool = True,
         topology=None,
         seed: int = 0,
+        probe=NULL_PROBE,
     ):
-        if n < 1:
-            raise ValueError("need at least one host")
         if bins < 1 or bits < 1:
             raise ValueError("bins and bits must be >= 1")
         if identifiers_per_host < 1:
             raise ValueError("identifiers_per_host must be >= 1")
-        if topology is not None and topology.n != n:
-            raise ValueError(f"topology covers {topology.n} hosts but the kernel has {n}")
-        self.topology = topology
-        self.n = int(n)
+        self._init_population(n, topology, seed, probe)
         self.bins = int(bins)
         self.bits = int(bits)
         self.cutoff = cutoff
         self.identifiers_per_host = int(identifiers_per_host)
         self.pull = bool(pull)
-        self.rng = np.random.default_rng(seed)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.round_index = 0
 
         # Counters are integers, so ``c <= f(k)`` is ``c <= floor(f(k))`` and
         # the read-out compares int16 against int16.  Below -1 nothing
@@ -889,9 +902,7 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         # owned position is 0 after ageing, so no min can unpin one.
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
-                senders, targets = _draw_push_targets(
-                    self.topology, alive_idx, self.alive, self.rng
-                )
+                senders, targets = self._draw_push_targets(alive_idx)
             non_self = int(np.count_nonzero(targets != senders))
             payload_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
             legs = 2 if self.pull else 1  # the pull reply is a second array
@@ -960,7 +971,11 @@ class VectorizedSketchCount(_VectorizedKernel):
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
     seed:
         Randomness seed.
+    probe:
+        The owning run's :mod:`repro.obs` probe (phase spans).
     """
+
+    aggregate = "count"
 
     def __init__(
         self,
@@ -972,24 +987,17 @@ class VectorizedSketchCount(_VectorizedKernel):
         pull: bool = True,
         topology=None,
         seed: int = 0,
+        probe=NULL_PROBE,
     ):
-        if n < 1:
-            raise ValueError("need at least one host")
         if bins < 1 or bits < 1:
             raise ValueError("bins and bits must be >= 1")
         if identifiers_per_host < 1:
             raise ValueError("identifiers_per_host must be >= 1")
-        if topology is not None and topology.n != n:
-            raise ValueError(f"topology covers {topology.n} hosts but the kernel has {n}")
-        self.topology = topology
-        self.n = int(n)
+        self._init_population(n, topology, seed, probe)
         self.bins = int(bins)
         self.bits = int(bits)
         self.identifiers_per_host = int(identifiers_per_host)
         self.pull = bool(pull)
-        self.rng = np.random.default_rng(seed)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.round_index = 0
         self.matrix = self._fresh_rows(self.n)
 
     def _fresh_rows(self, count: int) -> np.ndarray:
@@ -1008,9 +1016,7 @@ class VectorizedSketchCount(_VectorizedKernel):
         alive_idx = np.nonzero(self.alive)[0]
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
-                senders, targets = _draw_push_targets(
-                    self.topology, alive_idx, self.alive, self.rng
-                )
+                senders, targets = self._draw_push_targets(alive_idx)
             non_self = int(np.count_nonzero(targets != senders))
             # Agent parity: a boolean sketch packs to one bit per position.
             payload_bytes = int(np.ceil(self.bins * self.bits / 8))
@@ -1065,6 +1071,8 @@ class VectorizedExtrema(_ValueKernel):
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
     seed:
         Randomness seed.
+    probe:
+        The owning run's :mod:`repro.obs` probe (phase spans).
     """
 
     def __init__(
@@ -1075,23 +1083,15 @@ class VectorizedExtrema(_ValueKernel):
         cutoff: Optional[int] = None,
         topology=None,
         seed: int = 0,
+        probe=NULL_PROBE,
     ):
-        self.own = np.asarray(list(values), dtype=float)
-        self.n = self.own.size
-        if self.n < 1:
-            raise ValueError("need at least one host")
         if cutoff is not None and cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if topology is not None and topology.n != self.n:
-            raise ValueError(
-                f"topology covers {topology.n} hosts but the kernel has {self.n}"
-            )
-        self.topology = topology
+        self.own = np.asarray(list(values), dtype=float)
+        self._init_population(self.own.size, topology, seed, probe)
         self.maximum = bool(maximum)
+        self.aggregate = "max" if self.maximum else "min"
         self.cutoff = None if cutoff is None else int(cutoff)
-        self.rng = np.random.default_rng(seed)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.round_index = 0
         self.best_value = self.own.copy()
         self.best_id = np.arange(self.n, dtype=np.int64)
         self.best_age = np.zeros(self.n, dtype=np.int64)
@@ -1118,19 +1118,9 @@ class VectorizedExtrema(_ValueKernel):
             self.best_value[expired] = self.own[expired]
             self.best_id[expired] = expired
             self.best_age[expired] = 0
-        # Pairwise exchange over a random perfect matching (or a matching
-        # along sampled graph edges when a topology restricts gossip).
         if alive_idx.size >= 2:
             with self.probe.span("matching"):
-                if self.topology is not None:
-                    left, right = self.topology.sample_matching(
-                        alive_idx, self.alive, self.rng
-                    )
-                else:
-                    order = self.rng.permutation(alive_idx)
-                    pair_count = order.size // 2
-                    left = order[:pair_count]
-                    right = order[pair_count : 2 * pair_count]
+                left, right = self._draw_matching(alive_idx)
             self.messages_delivered += 2 * int(left.size)
             self.bytes_sent += 32 * int(left.size)  # 16 bytes each way
             left_better = (

@@ -265,6 +265,17 @@ class TestRunScenario:
         second = run_scenario(self.spec(seed=4))
         assert first.errors() != second.errors()
 
+    @pytest.mark.parametrize("backend", ["agent", "vectorized"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_workload_values_fail_loudly(self, backend, bad):
+        # One bad value used to yield a full result whose every error is nan.
+        spec = ScenarioSpec(
+            protocol="push-sum-revert", workload="constant", workload_params={"value": bad},
+            n_hosts=20, rounds=3, backend=backend,
+        )
+        with pytest.raises(ValueError, match=r"workload 'constant' .*non-finite.* index 0"):
+            run_scenario(spec)
+
     def test_reproduces_fig11_runner_bit_for_bit(self):
         """A spec reproduces the Figure 11 runner's engine output exactly."""
         from repro.experiments.fig11_traces import _run_protocol
@@ -292,6 +303,42 @@ class TestRunScenario:
         result = run_scenario(ScenarioSpec.from_dict(spec.to_dict()))
         assert result.errors() == errors
         assert [record.group_sizes for record in result.rounds] == group_sizes
+
+    def test_reproduces_fig11_kernel_runner_bit_for_bit(self):
+        """The kernel-path twin: ``_run_kernel`` is ``run_scenario`` on the trace spec."""
+        from repro.experiments.fig11_traces import _run_kernel
+        from repro.mobility import haggle_dataset
+        from repro.simulator.sparse import TraceCSRTopology
+        from repro.simulator.vectorized import VectorizedCountSketchReset, VectorizedPushSumRevert
+        from repro.workloads import uniform_values
+
+        seed, dataset, rounds = 0, 1, 120
+        trace = haggle_dataset(dataset)
+        values = uniform_values(trace.n_devices, seed=seed + dataset)
+        topology = TraceCSRTopology(trace, round_seconds=30.0, group_window_seconds=600.0)
+        base = ScenarioSpec(
+            protocol="push-sum-revert",
+            environment="trace",
+            environment_params={"dataset": dataset},
+            workload_params={"seed": seed + dataset},
+            n_hosts=trace.n_devices,
+            rounds=rounds,
+            seed=seed,
+            group_relative=True,
+            backend="vectorized",
+        )
+        sketch = {"bins": 32, "bits": 16, "identifiers_per_host": 100}
+        cases = [
+            (VectorizedPushSumRevert(values, 0.01, mode="pushpull", topology=topology, seed=seed),
+             base.replace(protocol_params={"reversion": 0.01})),
+            (VectorizedCountSketchReset(trace.n_devices, topology=topology, seed=seed, **sketch),
+             base.replace(protocol="count-sketch-reset", protocol_params=sketch)),
+        ]
+        for kernel, spec in cases:
+            errors, group_sizes = _run_kernel(kernel, rounds=rounds)
+            result = run_scenario(ScenarioSpec.from_dict(spec.to_dict()))
+            assert result.errors() == errors
+            assert [record.group_sizes for record in result.rounds] == group_sizes
 
 
 class TestSweep:

@@ -350,6 +350,28 @@ class TestBackendEquivalence:
             assert agent.plateau_error(10) <= 0.02 * agent.final_truth()
             assert vector.plateau_error(10) <= 0.02 * vector.final_truth()
 
+    def test_value_change_skips_ids_outside_the_population_on_both_backends(self):
+        # The agent event skips ids it has no host for; the kernel driver
+        # must too (it used to raise mid-run).  Id 4 only exists after the
+        # join, id 9 never does.
+        spec = ScenarioSpec(
+            protocol="push-sum-revert", n_hosts=4, rounds=7, seed=2,
+            events=(
+                {"event": "value-change", "round": 1, "values": {"4": 50.0, "9": 3.0}},
+                {"event": "join", "round": 2, "count": 2},
+                {"event": "value-change", "round": 4,
+                 "values": {"0": 7.0, "4": 10.0, "5": 20.0, "9": 3.0}},
+            ),
+        )
+        agent = run_scenario(spec.replace(backend="agent"))
+        vector = run_scenario(spec.replace(backend="vectorized"))
+        assert vector.alive_counts() == agent.alive_counts() == [4, 4, 6, 6, 6, 6, 6]
+        # Joined hosts draw backend-specific values, so truths are comparable
+        # before the join and again once round 4 has overwritten both.
+        assert vector.truths()[:2] == agent.truths()[:2]
+        assert vector.truths()[:2] == [np.mean(spec.build_values())] * 2
+        assert vector.truths()[4:] == agent.truths()[4:]
+
     def test_vectorized_deterministic(self):
         kwargs = SUPPORTED_COMBOS[0][1]
         first = run_scenario(ScenarioSpec(seed=5, backend="vectorized", **kwargs))

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from repro.perf import (
-    AGENT_ONLY_PROTOCOLS,
     DEFAULT_MIN_SECONDS,
     DEFAULT_SIZES,
     SMOKE_SIZES,
@@ -58,9 +57,8 @@ class TestCompareBenchmarks:
             baseline = json.load(handle)
         cells = {(r["protocol"], r["backend"], r["n_hosts"]) for r in baseline["records"]}
         for protocol in baseline["config"]["protocols"]:
-            backend = "agent" if protocol in AGENT_ONLY_PROTOCOLS else "vectorized"
             for size in SMOKE_SIZES:
-                assert (protocol, backend, size) in cells
+                assert (protocol, "vectorized", size) in cells
 
     def test_identical_payloads_pass(self):
         report = compare_benchmarks(baseline_payload(), baseline_payload())

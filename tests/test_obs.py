@@ -239,44 +239,102 @@ class TestEngineInstrumentation:
         # Exchange gossip on a ring with a mid-run failure: pair matching,
         # mass scatter, and a CSR rebuild when the alive mask changes.
         assert {"build", "execute", "round", "matching", "scatter", "csr_rebuild"} <= names
-        # The topology probe is restored after the run: the cached topology
-        # must not keep reporting into this recorder.
+        # The cached topology never held the probe, so it cannot keep
+        # reporting into this recorder.
         before = len(trace.records)
         run_scenario(BIT_IDENTITY_SPECS["vectorized-topology-churn"])
         assert len(trace.records) == before
 
-    @pytest.mark.parametrize("engine", ["rounds", "events"])
-    def test_probe_is_restored_when_the_run_raises_mid_loop(self, engine, monkeypatch):
-        # The kernel driver is the only owner of probe installation: one
-        # install before the bucket loop, one restore in its ``finally`` —
-        # on both engines, and on the error path too, because the memoised
-        # topology outlives the run that crashed.
-        from repro.api.backends import _TOPOLOGY_CACHE
+    @pytest.mark.parametrize("environment", ["ring", "trace"])
+    def test_crashed_traced_run_leaves_no_probe_behind(self, environment, monkeypatch):
+        # The probe belongs to the run (its kernel), never to the memoised
+        # topology: a traced run that dies mid-loop has nothing to restore,
+        # and the topology it shared stays silent for the next run.
+        from repro.api.backends import VectorizedBackend
         from repro.simulator.vectorized import VectorizedPushSumRevert
 
+        if environment == "ring":
+            spec = BIT_IDENTITY_SPECS["vectorized-topology-churn"]
+        else:
+            spec = ScenarioSpec(
+                protocol="push-sum-revert", environment="trace",
+                environment_params={"dataset": 1}, n_hosts=9, rounds=12, seed=1,
+                group_relative=True,
+            )
         trace = TraceRecorder()
         seen = []
         real_step = VectorizedPushSumRevert.step
 
         def failing_step(kernel):
-            seen.append((kernel, kernel.probe))
-            if len(seen) == 3:
+            seen.append(kernel)
+            if kernel.probe is trace and len(seen) == 3:
                 raise RuntimeError("boom")
             real_step(kernel)
 
         monkeypatch.setattr(VectorizedPushSumRevert, "step", failing_step)
-        if engine == "rounds":
-            spec = BIT_IDENTITY_SPECS["vectorized-topology-churn"]
-        else:  # the synchronized anchor ticks through kernel.step()
-            spec = BIT_IDENTITY_SPECS["vectorized-uniform"].replace(engine="events")
         with pytest.raises(RuntimeError, match="boom"):
             run_scenario(spec, probe=trace)
-        kernel, probe_mid_run = seen[-1]
-        assert probe_mid_run is trace
-        assert kernel.probe is NULL_PROBE
-        if engine == "rounds":
-            assert any(kernel.topology is cached for cached, _name in _TOPOLOGY_CACHE.values())
-            assert kernel.topology.probe is NULL_PROBE
+        assert any(r["name"] == "csr_rebuild" for r in trace.records)
+        topology, _name = VectorizedBackend.build_topology(spec)
+        assert seen[-1].topology is topology  # the memoised, shared object
+        before = len(trace.records)
+        run_scenario(spec)
+        assert len(trace.records) == before
+        per_round_csrs = list(getattr(topology, "_csr_cache", {}).values())
+        assert bool(per_round_csrs) == (environment == "trace")
+        for holder in [topology, *per_round_csrs]:
+            assert not hasattr(holder, "probe")
+            assert all(value is not trace for value in vars(holder).values())
+
+    def test_threads_sharing_a_topology_keep_their_own_spans(self):
+        # Two traced runs over one memoised ring, in two threads.  The first
+        # parks when its round 0 opens, the second runs start to finish,
+        # then the first resumes: each recorder must hold exactly the spans
+        # of its own run — the count a solo run records.
+        import threading
+        from collections import Counter
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.api.backends import VectorizedBackend
+
+        class ParkedRecorder(TraceRecorder):
+            def __init__(self):
+                super().__init__()
+                self.parked, self.resume = threading.Event(), threading.Event()
+
+            def _span_started(self, span):
+                super()._span_started(span)
+                if span.name == "round" and not self.parked.is_set():
+                    self.parked.set()
+                    assert self.resume.wait(timeout=30)
+
+        def phase_spans(recorder):
+            return Counter(
+                (r["name"], r["parent"]) for r in recorder.records
+                if r["kind"] == "span" and r["name"] in ("csr_rebuild", "matching", "scatter")
+            )
+
+        first = BIT_IDENTITY_SPECS["vectorized-topology-churn"]
+        second = first.replace(seed=first.seed + 1)
+        assert VectorizedBackend.build_topology(first) is VectorizedBackend.build_topology(second)
+        solo = TraceRecorder()
+        run_scenario(first, probe=solo)
+        expected = phase_spans(solo)
+        # All-alive, then the post-failure mask; every round matches and scatters.
+        assert expected[("csr_rebuild", "matching")] == 2
+        assert expected[("matching", "round")] == expected[("scatter", "round")] == first.rounds
+
+        parked, free = ParkedRecorder(), TraceRecorder()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            held = pool.submit(run_scenario, first, probe=parked)
+            try:
+                assert parked.parked.wait(timeout=30)
+                pool.submit(run_scenario, second, probe=free).result(timeout=30)
+            finally:
+                parked.resume.set()
+            held.result(timeout=30)
+        assert phase_spans(parked) == expected
+        assert phase_spans(free) == expected
 
     def test_vectorized_sketch_phases(self):
         trace = TraceRecorder()

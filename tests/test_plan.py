@@ -1,10 +1,12 @@
 """Tests for the execution-plan capability layer (repro.api.plan)."""
 
+import inspect
 from types import SimpleNamespace
 
 import pytest
 
-from repro.api import ScenarioSpec, run_scenario
+from repro.api import PROTOCOLS, ScenarioSpec, run_scenario
+from repro.api.backends import VectorizedBackend
 from repro.api.plan import (
     ExecutionPlan,
     PlanRejectionError,
@@ -13,6 +15,7 @@ from repro.api.plan import (
     resolve_plan,
     vectorized_rejections,
 )
+from repro.simulator.kernels import KERNELS
 
 
 def make_spec(**overrides):
@@ -280,3 +283,34 @@ class TestCapabilityMatrix:
         assert kernels["push-sum-revert"]["modes"] == "exchange/push"
         assert kernels["push-sum-revert-full-transfer"]["topology"] == "uniform-only"
         assert len(matrix["notes"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# the kernel declarations everything above is derived from
+# ---------------------------------------------------------------------------
+class TestKernelDeclarations:
+    @pytest.mark.parametrize(
+        "protocol, mode",
+        [(name, mode) for name, entry in KERNELS.items() for mode in entry.modes],
+    )
+    def test_kernel_defaults_are_the_agent_protocols(self, protocol, mode):
+        # No protocol_params: whatever the kernel resolves must be what the
+        # agent protocol resolves, since the builder reads the agent instance.
+        entry = KERNELS[protocol]
+        spec = ScenarioSpec(protocol=protocol, mode=mode, n_hosts=12, rounds=2)
+        kernel = VectorizedBackend().build_kernel(spec)
+        agent = spec.build_protocol()
+        assert type(kernel) is entry.kernel
+        assert entry.params <= set(inspect.signature(PROTOCOLS.get(protocol)).parameters)
+        for name in sorted(entry.params):
+            assert getattr(kernel, name) == getattr(agent, name), name
+        assert kernel.aggregate == agent.aggregate
+
+    def test_matrix_cells_follow_the_declared_flags(self):
+        cells = {row["protocol"]: row["cells"] for row in capability_matrix()["rows"]}
+        for name in KERNELS:
+            assert cells[name]["rounds"]["vectorized"] == "yes", name
+        on_the_calendar = {
+            name for name, cell in cells.items() if cell["events"]["vectorized"] == "yes"
+        }
+        assert on_the_calendar == {name for name, entry in KERNELS.items() if entry.calendar}
