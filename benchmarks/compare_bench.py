@@ -8,7 +8,8 @@ the committed baseline::
     python benchmarks/compare_bench.py BENCH_core.json BENCH_new.json
 
 Records are matched on (protocol, backend, n_hosts, rounds) and compared
-by mean time; a matched record slower than ``--threshold`` (default 2x)
+by best-of-repeats time (a mean carries the cold first repeat); a matched
+record slower than ``--threshold`` (default 2x)
 fails the gate, sub-``--min-seconds`` cells are reported but treated as
 timer noise, and cells present on only one side (the smoke run times a
 subset of the committed sizes) never gate.  Exit codes: 0 ok, 1 at least

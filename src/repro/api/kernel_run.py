@@ -1,25 +1,24 @@
 """One driver for every kernel run: a bucketed calendar, rounds its degenerate case.
 
 :class:`KernelRun` executes a :class:`~repro.api.spec.ScenarioSpec` on a
-NumPy kernel (:mod:`repro.simulator.vectorized`) for both engines.  It
-owns what a run needs beyond the kernel — the result skeleton, the
-membership schedule, sampling into
-:class:`~repro.simulator.result.RoundRecord`, the run's probe (handed to
-the kernel at construction, never written onto the shared topology) —
-and advances in *buckets*:
-
-1. Simulated time is cut into buckets of width ``q`` (the *batch
-   quantum*, :func:`repro.events.vectorized.bucket_grid`).  Within a bucket
-   ``((b-1)q, bq]`` every event executes at the bucket end ``bq``, ordered
-   like the agent calendar's same-timestamp priorities: deliveries matured
-   before the boundary (:meth:`~KernelRun.drain`), then
-   :meth:`~KernelRun.membership`, then the deliveries maturing on the
-   boundary, then :meth:`~KernelRun.ticks`, then :meth:`~KernelRun.sample`.
-2. All TICK events landing in one bucket drain as *one* subset-masked
-   kernel call (``step_subset``, reversion applied per ticking host), all
-   DELIVER events maturing in one bucket as one scatter-add
-   (``apply_deliveries``) or one batch of pairwise merges (``merge_pairs``).
-3. The mass ledger balances per *bucket* (or per sample), not per event.
+NumPy kernel (:mod:`repro.simulator.vectorized`) for both engines.  It only
+*schedules* — the kernel acts, :mod:`repro.metrics.accuracy` scores — and
+owns what scheduling needs: the result skeleton, the membership schedule,
+the bucket grid, the queue of deferred deliveries, the ledger cadence and
+the run's probe (handed to the kernel, never written onto the shared
+topology).  Simulated time is cut into buckets of width ``q`` (the *batch
+quantum*, :func:`repro.events.vectorized.bucket_grid`); within a bucket
+``((b-1)q, bq]`` every event executes at the bucket end, ordered like the
+agent calendar's same-timestamp priorities: deliveries matured before the
+boundary (:meth:`~KernelRun.drain`), :meth:`~KernelRun.membership`, the
+deliveries maturing on the boundary, :meth:`~KernelRun.ticks`, then
+:meth:`~KernelRun.sample`.  All TICK events of a bucket are *one* call,
+``kernel.step_subset(ticking, delays)``; what it could not land at once
+comes back as opaque batches, queued by maturity bucket and handed untouched
+to ``kernel.deliver`` (the calendar protocol, DESIGN.md §14) — what a message
+is, what it weighs and what a dead endpoint costs is the kernel's business.
+The mass ledger balances per bucket (or per sample), never per event,
+against the kernel's read-only ``mass_view()``.
 
 ``engine="rounds"`` is the same loop configured as the degenerate
 calendar: one bucket per sample, every host ticking in every bucket over
@@ -36,60 +35,25 @@ the agent event engine in distribution, not bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.events.vectorized import TIME_EPS, ClockGrid, bucket_grid, sample_delays
 from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
 from repro.failures.schedule import JoinEvent, ValueChangeEvent
+from repro.metrics.accuracy import error_statistics
 from repro.network import MassLedger
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.kernels import KERNELS
 from repro.simulator.result import RoundRecord, SimulationResult
 from repro.simulator.rng import RandomStreams
-from repro.simulator.sparse import TraceCSRTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.spec import ScenarioSpec
 
-__all__ = ["KernelRun", "group_relative_errors"]
-
-
-def group_relative_errors(kernel, estimates: np.ndarray):
-    """``(truth, deltas, group_sizes)``: per-host error against the host's *group*.
-
-    The Fig 11 rule.  Groups are the connected components of the
-    live-induced topology
-    (:meth:`~repro.simulator.sparse._Topology.component_labels`, cached
-    per alive mask, so steady-state rounds pay only array gathers).
-    Mirrors the agent engine's accounting: each live host is scored
-    against its own component's ``kernel.aggregate``, the recorded truth
-    is the host-mean of those group truths, and ``group_sizes`` is the
-    mean component size.
-    """
-    alive_idx = np.nonzero(kernel.alive)[0]
-    if alive_idx.size == 0:
-        return float("nan"), np.array([], dtype=float), 0.0
-    labels, sizes = kernel.topology.component_labels(kernel.alive, kernel.probe)
-    live_labels = labels[alive_idx]
-    kind = kernel.aggregate
-    if kind == "count":
-        group_truth = sizes.astype(float)
-    else:
-        values = np.asarray(kernel._host_values(), dtype=float)[alive_idx]
-        if kind == "average":
-            group_sums = np.bincount(live_labels, weights=values, minlength=sizes.size)
-            group_truth = group_sums / np.maximum(sizes, 1)
-        else:  # max / min (no kernel aggregates sums today)
-            fill = -np.inf if kind == "max" else np.inf
-            group_truth = np.full(sizes.size, fill, dtype=float)
-            extremum = np.maximum if kind == "max" else np.minimum
-            extremum.at(group_truth, live_labels, values)
-    truth_per_host = group_truth[live_labels]
-    deltas = estimates - truth_per_host
-    group_sizes = float(sizes.mean()) if sizes.size else 0.0
-    return float(truth_per_host.mean()), deltas, group_sizes
+__all__ = ["KernelRun"]
 
 
 class KernelRun:
@@ -113,10 +77,10 @@ class KernelRun:
             self._span_attrs["engine"] = "events"
             settings = spec.engine_settings()
         self.clocks: Optional[ClockGrid] = None
-        self.latency = None  # the network model, when its messages take time
+        #: ``delays(k)`` draws ``k`` network delays, when the network's messages take time.
+        self.delays: Optional[Callable[[int], np.ndarray]] = None
         with probe.span("build", **self._span_attrs):
             self.kernel = kernel = backend.build_kernel(spec, probe=probe)
-            self.topology = kernel.topology
             # A memo hit on the topology the kernel was just built over.
             _topology, environment_name = backend.build_topology(spec)
             if calendar:
@@ -126,9 +90,7 @@ class KernelRun:
                 )
                 network = None if spec.network == "perfect" else spec.build_network()
                 if getattr(network, "has_latency", False):
-                    self.latency = network
-                    self._network_rng = streams.get("network")
-        self._time_varying = isinstance(self.topology, TraceCSRTopology)
+                    self.delays = partial(sample_delays, network, streams.get("network"))
 
         # ------------------------------------------------------- bucket grid
         self.mass_check = "off"
@@ -186,21 +148,16 @@ class KernelRun:
             }
         if spec.network != "perfect":
             self.result.metadata["network"] = {"name": spec.network, **dict(spec.network_params)}
-        self._counters = (0, 0, 0)  # delivered, lost, bytes at the last sample
+        self._counters = [0, 0, 0]  # delivered, lost, bytes at the last sample
 
         # ------------------------------------------------------- in flight
-        #: (bucket, at_edge) -> in-flight batches ``(kind, *arrays)``; "push"
-        #: batches carry mass, "exchange" batches are deferred atomic merges
-        #: (mass stays at the hosts).  Only a latency network defers.
+        #: (bucket, at_edge) -> the kernel's ``(kind, *arrays)`` batches maturing there.
         self.pending: Dict[Tuple[int, bool], List[tuple]] = {}
-        self.in_flight_mass = 0.0
-        self.in_flight_count = 0
         self.ledger: Optional[MassLedger] = None
         if self.mass_check != "off":
             self.ledger = MassLedger()
-            self.ledger.open(self._live_mass())
-            self._booked_injected = kernel.mass_injected
-            self._booked_lost = kernel.mass_lost
+            at_hosts, _in_flight, *self._booked = kernel.mass_view()
+            self.ledger.open(at_hosts)
 
     # ---------------------------------------------------------------- the loop
     def run(self) -> SimulationResult:
@@ -211,22 +168,16 @@ class KernelRun:
         with self.probe.span("execute", **self._span_attrs):
             for bucket in range(1, self.total_buckets + 1):
                 run_bucket(bucket)
-        self.result.metadata["delivery_series"] = {
-            key: [float(getattr(record, key)) for record in self.result.rounds]
-            for key in ("messages_delivered", "messages_lost", "bytes_sent")
-        }
         return self.result
 
     def _round(self, bucket: int) -> None:
         """The lockstep bucket: membership, one whole-population step, a sample."""
         t = bucket - 1
         with self.probe.span("round", round=t):
-            if self._time_varying:
-                self.topology.set_round(t)
             self.membership(bucket)
             self.kernel.step()
             record = self.sample(t)
-        self._publish(record)
+        self.result.append(record, self.probe)
 
     def _calendar_bucket(self, bucket: int) -> None:
         """The general bucket: drain, membership, ticks, ledger, maybe a sample."""
@@ -243,7 +194,8 @@ class KernelRun:
             return
         if self.mass_check == "sample":
             self.check_mass(sample_index - 1)
-        self._publish(self.sample(sample_index - 1, time=sample_index * self.sample_interval))
+        record = self.sample(sample_index - 1, time=sample_index * self.sample_interval)
+        self.result.append(record, self.probe)
 
     # -------------------------------------------------------------- deliveries
     def defer(self, kind: str, bucket_now: int, mature: np.ndarray, *arrays: np.ndarray) -> None:
@@ -268,55 +220,24 @@ class KernelRun:
 
     def drain(self, bucket: int, at_edge: bool) -> None:
         """Deliver one side of the bucket's matured batches, in queue order."""
-        for kind, *arrays in self.pending.pop((bucket, at_edge), ()):
-            if kind == "push":
-                self.deliver_push(*arrays)
-            else:
-                self.deliver_exchange(*arrays)
-
-    def deliver_push(self, targets: np.ndarray, weight: np.ndarray, total: np.ndarray) -> None:
-        kernel = self.kernel
-        self.in_flight_mass -= float(weight.sum())
-        self.in_flight_count -= int(targets.size)
-        alive = kernel.alive[targets]
-        dead = int(targets.size - int(alive.sum()))
-        if dead:
-            # The target crashed while the half was in flight: its mass
-            # leaves the system, exactly like a lost message.
-            kernel.mass_lost += float(weight[~alive].sum())
-            kernel.messages_lost += dead
-        if alive.any():
-            kernel.apply_deliveries(targets[alive], weight[alive], total[alive])
-            kernel.messages_delivered += int(alive.sum())
-
-    def deliver_exchange(self, left: np.ndarray, right: np.ndarray) -> None:
-        kernel = self.kernel
-        self.in_flight_count -= 2 * int(left.size)
-        ok = kernel.alive[left] & kernel.alive[right]
-        kernel.messages_lost += 2 * int(left.size - int(ok.sum()))
-        if ok.any():
-            a, b = left[ok], right[ok]
-            kernel.merge_pairs(a, b)
-            kernel.messages_delivered += 2 * int(a.size)
+        for batch in self.pending.pop((bucket, at_edge), ()):
+            self.kernel.deliver(*batch)
 
     # -------------------------------------------------------------- membership
     def membership(self, bucket: int) -> None:
         """Apply the membership events scheduled at this bucket's boundary."""
         kernel, ledger, probe = self.kernel, self.ledger, self.probe
         for event in self._membership.get(bucket, ()):
-            before = self._live_mass() if ledger is not None else 0.0
+            before = kernel.mass_view()[0] if ledger is not None else 0.0
             old_n = kernel.n
             self.apply_event(event)
             if self.clocks is not None and kernel.n > old_n:
                 self.clocks.grow(kernel.n - old_n, join_time=bucket * self.quantum)
             if ledger is not None:
-                ledger.record_injected(self._live_mass() - before)
+                ledger.record_injected(kernel.mass_view()[0] - before)
             if probe.enabled and not isinstance(event, ValueChangeEvent):
-                probe.event(
-                    "membership",
-                    action="join" if isinstance(event, JoinEvent) else "fail",
-                    round=bucket // self.ratio - 1,
-                )
+                action = "join" if isinstance(event, JoinEvent) else "fail"
+                probe.event("membership", action=action, round=bucket // self.ratio - 1)
 
     def apply_event(self, event) -> None:
         """Apply one scheduled event to the kernel (never to a ``Simulation``)."""
@@ -361,130 +282,57 @@ class KernelRun:
             tick_idx = np.nonzero(kernel.alive & (next_times <= cap))[0]
             if tick_idx.size == 0:
                 return
-            if self.latency is not None:
-                self._tick_with_latency(bucket, tick_idx, next_times[tick_idx])
-            elif tick_idx.size == int(kernel.alive.sum()):
+            if self.delays is None and tick_idx.size == int(kernel.alive.sum()):
                 # Whole live population ticking over an instant network:
                 # exactly one lockstep round — the bit-identity fast path.
                 kernel.step()
             else:
-                kernel.step_subset(tick_idx)
+                # What could not land at once matures ``delay`` after its sender's tick.
+                for kind, senders, delay, *arrays in kernel.step_subset(tick_idx, self.delays):
+                    self.defer(kind, bucket, next_times[senders] + delay, *arrays)
             clocks.advance(tick_idx)
 
-    def _tick_with_latency(
-        self, bucket: int, tick_idx: np.ndarray, tick_times: np.ndarray
-    ) -> None:
-        """One batched tick whose messages take time: deliver now or defer."""
-        kernel = self.kernel
-        alive_idx = np.nonzero(kernel.alive)[0]
-        if alive_idx.size >= 2:
-            peers = kernel.draw_peers(tick_idx, alive_idx)
-            if kernel.mode == "pushpull":
-                # The exchange completes after the request and reply legs both
-                # arrive, as one atomic merge (masses stay home until then).
-                kernel.bytes_sent += 32 * int(tick_idx.size)
-                legs = sample_delays(self.latency, self._network_rng, 2 * tick_idx.size)
-                delay = legs[: tick_idx.size] + legs[tick_idx.size :]
-                now = delay <= TIME_EPS
-                later = ~now
-                if now.any():
-                    kernel.merge_pairs(tick_idx[now], peers[now])
-                    kernel.messages_delivered += 2 * int(now.sum())
-                if later.any():
-                    self.in_flight_count += 2 * int(later.sum())
-                    self.defer("exchange", bucket, tick_times[later] + delay[later],
-                               tick_idx[later], peers[later])
-            else:  # push
-                kernel.bytes_sent += 16 * int(np.count_nonzero(peers != tick_idx))
-                out_weight, out_total = kernel.emit_push(tick_idx)
-                delay = sample_delays(self.latency, self._network_rng, tick_idx.size)
-                now = delay <= TIME_EPS
-                later = ~now
-                if now.any():
-                    kernel.apply_deliveries(peers[now], out_weight[now], out_total[now])
-                    kernel.messages_delivered += int(now.sum())
-                if later.any():
-                    self.in_flight_mass += float(out_weight[later].sum())
-                    self.in_flight_count += int(later.sum())
-                    self.defer("push", bucket, tick_times[later] + delay[later],
-                               peers[later], out_weight[later], out_total[later])
-        if kernel.reversion > 0.0:
-            kernel.revert_subset(tick_idx)
-        kernel._refresh_last_estimates(tick_idx)
-
     # ------------------------------------------------------------------ ledger
-    def _live_mass(self) -> float:
-        return float(self.kernel.weight[self.kernel.alive].sum())
-
     def check_mass(self, round_index: int) -> None:
         """Book the kernel's own mass movements (reverts, lossy pushes), then balance."""
-        kernel, ledger = self.kernel, self.ledger
-        ledger.record_injected(kernel.mass_injected - self._booked_injected)
-        ledger.record_lost(kernel.mass_lost - self._booked_lost)
-        self._booked_injected, self._booked_lost = kernel.mass_injected, kernel.mass_lost
-        ledger.check(self._live_mass() + self.in_flight_mass, round_index=round_index)
+        at_hosts, in_flight, *moved = self.kernel.mass_view()
+        injected, lost = (now - before for now, before in zip(moved, self._booked))
+        self._booked = moved
+        self.ledger.record_injected(injected)
+        self.ledger.record_lost(lost)
+        self.ledger.check(at_hosts + in_flight, round_index=round_index)
 
     # ---------------------------------------------------------------- sampling
     def sample(self, t: int, time: Optional[float] = None) -> RoundRecord:
         """Sample ``t``: the live estimates' error statistics and the delivery deltas."""
         kernel, spec = self.kernel, self.spec
         estimates = kernel.estimates()
-        n_alive = int(kernel.alive.sum())
         group_sizes: Optional[float] = None
         if spec.group_relative:
-            truth, deltas, group_sizes = group_relative_errors(kernel, estimates)
+            # The Fig 11 rule; the recorded scalar is the host-mean of the group truths.
+            truths, group_sizes = kernel.group_truths(t)
+            truth = float(truths.mean()) if truths.size else float("nan")
         else:
-            truth = kernel.truth()
-            deltas = estimates - truth if estimates.size else estimates
-        if deltas.size:
-            stddev_error = float(np.sqrt(np.mean(deltas**2)))
-            max_abs_error = float(np.max(np.abs(deltas)))
-            mean_abs_error = float(np.mean(np.abs(deltas)))
-        else:
-            stddev_error = max_abs_error = mean_abs_error = float("nan")
-        mean_estimate = float(np.mean(estimates)) if estimates.size else float("nan")
+            truths = truth = kernel.truth()
         stored: Optional[Dict[int, float]] = None
         if spec.store_estimates:
-            alive_idx = np.nonzero(kernel.alive)[0]
-            stored = {int(host): float(value) for host, value in zip(alive_idx, estimates)}
+            hosts = np.nonzero(kernel.alive)[0]
+            stored = {int(host): float(value) for host, value in zip(hosts, estimates)}
         # Every kernel exposes cumulative delivery counters; the deltas since
         # the last sample are the RoundRecord fields (agent parity).
-        counters = (
-            int(kernel.messages_delivered), int(kernel.messages_lost), int(kernel.bytes_sent)
-        )
-        delivered, lost, bytes_sent = (
-            now - before for now, before in zip(counters, self._counters)
-        )
+        *counters, in_flight = kernel.delivery_counters()
+        delivered, lost, bytes_sent = (now - was for now, was in zip(counters, self._counters))
         self._counters = counters
         return RoundRecord(
             round_index=t,
             truth=truth,
-            n_alive=n_alive,
-            mean_estimate=mean_estimate,
-            stddev_error=stddev_error,
-            max_abs_error=max_abs_error,
-            mean_abs_error=mean_abs_error,
+            n_alive=int(kernel.alive.sum()),
+            **error_statistics(estimates, truths)._asdict(),
             bytes_sent=bytes_sent,
             estimates=stored,
             group_sizes=group_sizes,
             messages_delivered=delivered,
             messages_lost=lost,
-            messages_in_flight=self.in_flight_count,
+            messages_in_flight=in_flight,
             time=time,
         )
-
-    def _publish(self, record: RoundRecord) -> None:
-        """Append ``record`` to the result and report it to the probe."""
-        self.result.append(record)
-        probe = self.probe
-        if probe.enabled:
-            probe.event(
-                "round_end",
-                round=record.round_index,
-                n_alive=record.n_alive,
-                max_abs_error=record.max_abs_error,
-                messages_delivered=record.messages_delivered,
-                messages_lost=record.messages_lost,
-                bytes_sent=record.bytes_sent,
-            )
-            probe.gauge("n_alive", record.n_alive)

@@ -316,31 +316,18 @@ class EventSimulation(Simulation):
             )
         if self.network is not None:
             self.delivery.snapshot_in_flight(round_index, self._in_flight.in_flight)
-        record = self._record_round(alive, round_index)
-        record.time = time
-        self.result.append(record)
+        record = self._record_round(alive, round_index, time)
         self.round_index = sample_index
         if self.network is not None:
             self.network.begin_round(sample_index)
-        if self.probe.enabled:
-            if self._track_mass:
-                self.probe.event(
-                    "mass_check",
-                    round=round_index,
-                    at_hosts=self._state_mass,
-                    in_flight=self._in_flight.in_flight_mass + self._inbox_mass,
-                )
+        if self.probe.enabled and self._track_mass:
             self.probe.event(
-                "round_end",
+                "mass_check",
                 round=round_index,
-                time=time,
-                n_alive=record.n_alive,
-                max_abs_error=record.max_abs_error,
-                messages_delivered=record.messages_delivered,
-                messages_lost=record.messages_lost,
-                bytes_sent=record.bytes_sent,
+                at_hosts=self._state_mass,
+                in_flight=self._in_flight.in_flight_mass + self._inbox_mass,
             )
-            self.probe.gauge("n_alive", record.n_alive)
+        self.result.append(record, self.probe)
 
     def _on_membership(self, event, time: float) -> None:
         before = self._state_mass

@@ -29,11 +29,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.render import render_series_table
-from repro.api.kernel_run import group_relative_errors
 from repro.core.count_sketch_reset import CountSketchReset
 from repro.core.cutoff import default_cutoff, no_decay_cutoff, scaled_cutoff
 from repro.core.push_sum_revert import PushSumRevert
 from repro.environments.trace import TraceEnvironment
+from repro.metrics.accuracy import error_statistics
 from repro.mobility.synthetic_haggle import haggle_dataset
 from repro.mobility.traces import ContactTrace
 from repro.simulator.engine import Simulation
@@ -137,18 +137,16 @@ def _run_kernel(kernel, *, rounds: int) -> Tuple[List[float], List[float]]:
     """Vectorised replay: per-round (group-relative errors, group sizes).
 
     The round loop of :class:`~repro.api.kernel_run.KernelRun` without the
-    spec layer, scored by the same
-    :func:`~repro.api.kernel_run.group_relative_errors`: each live host
-    against its own group's aggregate, groups being the components of the
+    spec layer, scored the same way: each live host against its own group's
+    aggregate (``kernel.group_truths``), groups being the components of the
     trace's 10-minute union window intersected with the alive set.
     """
     errors: List[float] = []
     group_sizes: List[float] = []
     for t in range(rounds):
-        kernel.topology.set_round(t)
         kernel.step()
-        _truth, deltas, mean_group_size = group_relative_errors(kernel, kernel.estimates())
-        errors.append(float(np.sqrt(np.mean(deltas**2))))
+        truths, mean_group_size = kernel.group_truths(t)
+        errors.append(error_statistics(kernel.estimates(), truths).stddev_error)
         group_sizes.append(mean_group_size)
     return errors, group_sizes
 

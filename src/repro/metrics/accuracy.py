@@ -1,25 +1,87 @@
-"""Accuracy metrics.
+"""Accuracy metrics: the one definition of "error" every driver scores with.
 
 All the evaluation figures in the paper plot one statistic: "the standard
 deviation from the correct value" — the root-mean-square deviation of the
-hosts' estimates from the true aggregate.  These helpers compute that
-statistic (and a few companions) over plain sequences or NumPy arrays so
-the agent-based engine, the vectorised kernels and the analysis code agree
-on the definition.
+hosts' estimates from the true aggregate.  :func:`error_statistics` computes
+it (with its companions) for ``Simulation._record_round`` (both agent
+engines), ``KernelRun.sample``, ``kernel.error()`` and the Fig 11 kernel
+replay; :func:`group_truths` is the array form of the Fig 11 rule (each host
+against its own group's aggregate).  The scorer owns the statistics of
+``estimates − truths`` only: the scalar *recorded* as a record's ``truth``
+stays with the caller (the agent engine averages group truths in
+group-insertion order, the kernels in host order).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
+    "ErrorStatistics",
+    "error_statistics",
+    "group_truths",
     "stddev_from_truth",
     "relative_error",
     "mean_absolute_error",
-    "group_relative_errors",
 ]
+
+
+class ErrorStatistics(NamedTuple):
+    """What :func:`error_statistics` returns — named like the RoundRecord fields."""
+
+    stddev_error: float
+    max_abs_error: float
+    mean_abs_error: float
+    mean_estimate: float
+
+
+def error_statistics(
+    estimates: Sequence[float], truths: Union[float, np.ndarray]
+) -> ErrorStatistics:
+    """``(stddev, max_abs, mean_abs, mean_estimate)`` of ``estimates`` against ``truths``.
+
+    ``truths`` is one scalar (every host scored against the same correct
+    value) or one value per estimate (group-relative scoring).  ``stddev``
+    is the paper's statistic, ``sqrt(mean((estimates - truths)**2))``.  An
+    empty estimate set (every host failed) scores NaN throughout.
+    """
+    estimates = np.asarray(estimates, dtype=float)
+    if estimates.size == 0:
+        return ErrorStatistics(*[float("nan")] * 4)
+    deltas = estimates - truths
+    magnitudes = np.abs(deltas)
+    return ErrorStatistics(
+        float(np.sqrt(np.mean(deltas**2))),
+        float(np.max(magnitudes)),
+        float(np.mean(magnitudes)),
+        float(np.mean(estimates)),
+    )
+
+
+def group_truths(
+    kind: str, labels: np.ndarray, sizes: np.ndarray, values: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-host correct value under the Fig 11 rule: each host against its *group*.
+
+    ``labels[i]`` is the group index of live host ``i``, ``sizes[g]`` the
+    live member count of group ``g`` and ``values[i]`` host ``i``'s own value
+    (unused for ``kind="count"``).  Returns, aligned with ``labels``, the
+    ``kind`` (``"count"``, ``"average"``, ``"max"``, ``"min"``) of each
+    host's own group.
+    """
+    if kind == "count":
+        per_group = sizes.astype(float)
+    elif kind == "average":
+        sums = np.bincount(labels, weights=values, minlength=sizes.size)
+        per_group = sums / np.maximum(sizes, 1)
+    else:  # max / min (no kernel aggregates sums today)
+        fill = -np.inf if kind == "max" else np.inf
+        per_group = np.full(sizes.size, fill, dtype=float)
+        extremum = np.maximum if kind == "max" else np.minimum
+        extremum.at(per_group, labels, values)
+    return per_group[labels]
 
 
 def stddev_from_truth(estimates: Sequence[float], truth: float) -> float:
@@ -27,10 +89,7 @@ def stddev_from_truth(estimates: Sequence[float], truth: float) -> float:
 
     Returns NaN for an empty estimate set (e.g. after every host failed).
     """
-    arr = np.asarray(list(estimates), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.sqrt(np.mean((arr - truth) ** 2)))
+    return error_statistics(list(estimates), truth).stddev_error
 
 
 def relative_error(error: float, truth: float) -> float:
@@ -42,44 +101,4 @@ def relative_error(error: float, truth: float) -> float:
 
 def mean_absolute_error(estimates: Sequence[float], truth: float) -> float:
     """Mean absolute deviation of ``estimates`` from ``truth``."""
-    arr = np.asarray(list(estimates), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.mean(np.abs(arr - truth)))
-
-
-def group_relative_errors(
-    estimates: Mapping[int, float],
-    groups: Iterable[Set[int]],
-    truth_of_group: Mapping[int, float],
-) -> Tuple[List[float], Dict[int, float]]:
-    """Per-host deviations from each host's *group* truth.
-
-    Parameters
-    ----------
-    estimates:
-        host id → estimate.
-    groups:
-        The partition of hosts into groups (ids absent from ``estimates`` are
-        ignored).
-    truth_of_group:
-        group index (position in ``groups``) → correct aggregate for that
-        group.
-
-    Returns
-    -------
-    (deltas, truth_by_host):
-        ``deltas`` is the list of per-host (estimate − group truth) values;
-        ``truth_by_host`` maps each covered host to its group's truth.
-    """
-    deltas: List[float] = []
-    truth_by_host: Dict[int, float] = {}
-    for index, group in enumerate(groups):
-        if index not in truth_of_group:
-            continue
-        truth = truth_of_group[index]
-        for host_id in group:
-            if host_id in estimates:
-                truth_by_host[host_id] = truth
-                deltas.append(estimates[host_id] - truth)
-    return deltas, truth_by_host
+    return error_statistics(list(estimates), truth).mean_abs_error

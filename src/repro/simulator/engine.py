@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.network.delivery import DeliveryQueue, InFlightMessage, MassLedger
+from repro.metrics.accuracy import error_statistics
 from repro.metrics.bandwidth import DeliveryMeter
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.host import Host
@@ -318,19 +319,8 @@ class Simulation:
                 self.delivery.snapshot_in_flight(t, self._in_flight.in_flight)
             with probe.span("record"):
                 record = self._record_round(alive, t)
-            self.result.append(record)
             self.round_index += 1
-        if probe.enabled:
-            probe.event(
-                "round_end",
-                round=t,
-                n_alive=record.n_alive,
-                max_abs_error=record.max_abs_error,
-                messages_delivered=record.messages_delivered,
-                messages_lost=record.messages_lost,
-                bytes_sent=record.bytes_sent,
-            )
-            probe.gauge("n_alive", record.n_alive)
+        self.result.append(record, probe)
         return record
 
     # ------------------------------------------------------ mass conservation
@@ -473,17 +463,21 @@ class Simulation:
             received_counts[peer_id] += 1
 
     # --------------------------------------------------------------- metrics
-    def _record_round(self, alive: List[int], t: int) -> RoundRecord:
+    def _record_round(self, alive: List[int], t: int, time: Optional[float] = None) -> RoundRecord:
+        """Round ``t``'s record, scored by :func:`~repro.metrics.accuracy.error_statistics`.
+
+        Group-relative runs score each host against its own group's truth
+        (``environment.groups`` partitions the live hosts, so each has one).
+        """
         estimates = {
             host_id: float(self.protocol.estimate(self.hosts[host_id].state))
             for host_id in alive
         }
         mean_group_size: Optional[float] = None
         if self.group_relative:
-            groups = self.environment.groups(set(alive), t)
             truth_by_host: Dict[int, float] = {}
             sizes: List[int] = []
-            for group in groups:
+            for group in self.environment.groups(set(alive), t):
                 members = [host_id for host_id in group if host_id in estimates]
                 if not members:
                     continue
@@ -492,39 +486,24 @@ class Simulation:
                 for member in members:
                     truth_by_host[member] = group_truth
             mean_group_size = float(np.mean(sizes)) if sizes else 0.0
-            deltas = [
-                estimates[host_id] - truth_by_host[host_id]
-                for host_id in estimates
-                if host_id in truth_by_host
-            ]
+            # The recorded scalar is the mean in group-insertion order; the
+            # scorer sees the per-host truths in estimate order.
             truth = float(np.mean(list(truth_by_host.values()))) if truth_by_host else float("nan")
+            truths = np.array([truth_by_host[host_id] for host_id in estimates], dtype=float)
         else:
-            truth = self._truth_for(alive)
-            deltas = [estimate - truth for estimate in estimates.values()]
-
-        if deltas:
-            deltas_arr = np.asarray(deltas, dtype=float)
-            stddev_error = float(np.sqrt(np.mean(deltas_arr**2)))
-            max_abs_error = float(np.max(np.abs(deltas_arr)))
-            mean_abs_error = float(np.mean(np.abs(deltas_arr)))
-        else:
-            stddev_error = max_abs_error = mean_abs_error = float("nan")
-        mean_estimate = float(np.mean(list(estimates.values()))) if estimates else float("nan")
-
+            truths = truth = self._truth_for(alive)
         return RoundRecord(
             round_index=t,
             truth=truth,
             n_alive=len(alive),
-            mean_estimate=mean_estimate,
-            stddev_error=stddev_error,
-            max_abs_error=max_abs_error,
-            mean_abs_error=mean_abs_error,
+            **error_statistics(list(estimates.values()), truths)._asdict(),
             bytes_sent=self.bandwidth.bytes_in_round(t),
             estimates=dict(estimates) if self.store_estimates else None,
             group_sizes=mean_group_size,
             messages_delivered=self.delivery.delivered_in_round(t),
             messages_lost=self.delivery.lost_in_round(t),
             messages_in_flight=self.delivery.in_flight_after_round(t),
+            time=time,
         )
 
     # ---------------------------------------------------------------- events

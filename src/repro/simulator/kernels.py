@@ -7,7 +7,9 @@ states a kernel's modes, parameters or flags: the capability layer
 (:meth:`repro.api.backends.VectorizedBackend.build_kernel`) and the driver
 (:class:`repro.api.kernel_run.KernelRun`) all read it, so adding a kernel is
 one entry here, and widening the event calendar to another kernel is
-implementing ``step_subset`` on it and setting ``calendar=True``.
+implementing the calendar protocol on it (``step_subset(ticking, delays)``,
+``deliver(kind, *arrays)``, ``mass_view()`` — DESIGN.md §14) and setting
+``calendar=True``.
 
 :meth:`KernelDeclaration.build` takes the protocol parameters from the
 *resolved agent protocol instance* (``spec.build_protocol()``, every default
@@ -84,8 +86,9 @@ class KernelDeclaration:
         Takes a Bernoulli ``loss`` probability, so the common lossy case
         still resolves to the fast path.
     calendar:
-        Implements ``step_subset`` and the delivery primitives the bucketed
-        event calendar drains through (DESIGN.md §14).
+        Implements the calendar protocol — all the bucketed event calendar
+        calls (DESIGN.md §14): ``step_subset(ticking, delays)``,
+        ``deliver(kind, *arrays)`` and ``mass_view()``.
     """
 
     kernel: type

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
+
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["RoundRecord", "SimulationResult"]
 
@@ -87,9 +88,27 @@ class SimulationResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------- recording
-    def append(self, record: RoundRecord) -> None:
-        """Append one round's record (used by the engine)."""
+    def append(self, record: RoundRecord, probe=NULL_PROBE) -> None:
+        """Append one round's record and report it to ``probe``.
+
+        The one ``round_end`` / ``n_alive`` emitter for all three drivers, so
+        a trace reads the same whoever ran the scenario (``time`` is present
+        exactly when the record has one).
+        """
         self.rounds.append(record)
+        if probe.enabled:
+            timed = {} if record.time is None else {"time": record.time}
+            probe.event(
+                "round_end",
+                round=record.round_index,
+                **timed,
+                n_alive=record.n_alive,
+                max_abs_error=record.max_abs_error,
+                messages_delivered=record.messages_delivered,
+                messages_lost=record.messages_lost,
+                bytes_sent=record.bytes_sent,
+            )
+            probe.gauge("n_alive", record.n_alive)
 
     # ---------------------------------------------------------------- series
     def round_indices(self) -> List[int]:
@@ -312,19 +331,3 @@ class SimulationResult:
             rounds=rounds,
             metadata=dict(payload.get("metadata") or {}),
         )
-
-    # ------------------------------------------------------------- utilities
-    @staticmethod
-    def stddev_from_truth(estimates: Sequence[float], truth: float) -> float:
-        """Root-mean-square deviation of ``estimates`` from ``truth``.
-
-        This is the error statistic every evaluation figure in the paper
-        plots ("the standard deviation from the correct value").
-        """
-        if not estimates:
-            return float("nan")
-        total = 0.0
-        for estimate in estimates:
-            delta = estimate - truth
-            total += delta * delta
-        return math.sqrt(total / len(estimates))

@@ -29,11 +29,12 @@ Both expose the same three operations the kernels and the backend need:
 :meth:`sample_peers` (one live peer per requesting host, ``-1`` when the
 host is isolated), :meth:`sample_matching` (a conflict-free set of
 pairwise exchanges along sampled edges — the graph analogue of the
-uniform kernels' random perfect matching) and :meth:`components` (the
-connected components of the live-induced graph, for group-relative error
-accounting à la Fig 11).  Each takes the caller's ``probe``
-(:mod:`repro.obs`) as an argument: a topology is memoised and shared
-between runs, so it never holds one.
+uniform kernels' random perfect matching) and :meth:`component_labels`
+(the connected components of the live-induced graph, for group-relative
+error accounting à la Fig 11).  Each takes the caller's ``probe``
+(:mod:`repro.obs`) and ``round_index`` as trailing arguments: a topology
+is memoised and shared between runs, so it holds neither — only
+:class:`TraceCSRTopology`, whose graph varies by round, reads the round.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.obs.probe import NULL_PROBE
-from repro.topology.connectivity import connected_components
+from repro.topology.graphs import grid_edges
 
 __all__ = [
     "CSRTopology",
@@ -83,21 +84,21 @@ class _Topology:
     """Shared sampling machinery; subclasses implement the raw peer draw.
 
     Subclasses set ``n`` and implement :meth:`sample_peers` and
-    :meth:`_live_adjacency`; everything else (matching construction,
-    component caching) lives here.
+    :meth:`_edges`; everything else (matching construction,
+    component labelling and its cache) lives here.
     """
 
     n: int
 
     def sample_peers(
         self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE,
+        probe=NULL_PROBE, round_index: int = 0,
     ) -> np.ndarray:
         """One uniform live peer per requester (``-1`` for isolated hosts)."""
         raise NotImplementedError
 
-    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
-        """The live-induced adjacency map (for component computation)."""
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, v)``: every undirected edge once (what components follow)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- matching
@@ -109,6 +110,7 @@ class _Topology:
         *,
         passes: int = 3,
         probe=NULL_PROBE,
+        round_index: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Pairwise exchange partners along sampled edges.
 
@@ -130,7 +132,7 @@ class _Topology:
         for _ in range(max(1, passes)):
             if requesters.size < 2:
                 break
-            targets = self.sample_peers(requesters, alive, rng, probe)
+            targets = self.sample_peers(requesters, alive, rng, probe, round_index)
             # A proposal only stands if its target is itself still
             # unmatched; everything else retries next pass.
             valid = (targets >= 0) & available[np.where(targets >= 0, targets, 0)]
@@ -151,43 +153,24 @@ class _Topology:
         return np.concatenate(matched_left), np.concatenate(matched_right)
 
     # ----------------------------------------------------------- components
-    def components(self, alive: np.ndarray, probe=NULL_PROBE) -> List[Set[int]]:
-        """Connected components of the live-induced graph (cached by mask).
-
-        Group-relative error (the Fig 11 definition) needs the partition
-        every round, but the partition only changes when hosts fail — so
-        the answer is cached against the alive mask and recomputed on
-        membership changes only.
-        """
-        key = alive.tobytes()
-        cached = getattr(self, "_components_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        with probe.span("component_labelling"):
-            live = {int(host) for host in np.nonzero(alive)[0]}
-            parts = connected_components(self._live_adjacency(alive, probe), alive=live)
-        self._components_cache = (key, parts)
-        return parts
-
-    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE):
+    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
         """``(labels, sizes)`` for the live components (cached by mask).
 
         ``labels[host]`` is the component index of every live host (``-1``
         for dead hosts) and ``sizes[c]`` the member count of component
-        ``c`` — the array form of :meth:`components` that lets per-round
-        group-relative error accounting stay fully vectorised.
+        ``c``.  Group-relative error (the Fig 11 definition) needs the
+        partition every round, but the partition only changes when hosts
+        fail — so the answer is cached against the alive mask and
+        recomputed on membership changes only.
         """
         key = alive.tobytes()
         cached = getattr(self, "_labels_cache", None)
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
-        labels = np.full(self.n, -1, dtype=np.int64)
-        parts = self.components(alive, probe)
-        sizes = np.zeros(len(parts), dtype=np.int64)
-        for index, part in enumerate(parts):
-            members = np.fromiter(part, dtype=np.int64, count=len(part))
-            labels[members] = index
-            sizes[index] = members.size
+        with probe.span("component_labelling"):
+            u, v = self._edges()
+            live = alive[u] & alive[v]
+            labels, sizes = _live_labels(_min_label_components(u[live], v[live], self.n), alive)
         self._labels_cache = (key, labels, sizes)
         return labels, sizes
 
@@ -287,7 +270,7 @@ class CSRTopology(_Topology):
 
     def sample_peers(
         self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE,
+        probe=NULL_PROBE, round_index: int = 0,
     ) -> np.ndarray:
         self._refresh_live(alive, probe)
         if self._live_indices.size == 0:
@@ -302,14 +285,9 @@ class CSRTopology(_Topology):
         )
         return np.where(degree > 0, self._live_indices[slots], -1)
 
-    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
-        self._refresh_live(alive, probe)
-        live_nodes = np.nonzero(alive)[0]
-        indptr, indices = self._live_indptr, self._live_indices
-        return {
-            int(node): {int(peer) for peer in indices[indptr[node] : indptr[node + 1]]}
-            for node in live_nodes
-        }
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        once = self._edge_owner < self.indices  # each edge holds two CSR slots
+        return self._edge_owner[once], self.indices[once]
 
 
 def _min_label_components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -338,6 +316,22 @@ def _min_label_components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             return labels
 
 
+def _live_labels(full: np.ndarray, alive: np.ndarray):
+    """``(labels, sizes)``: per-node labels ``full`` restricted to the live hosts.
+
+    Components are renumbered ``0..k-1`` over their live members (dead hosts
+    get ``-1``, memberless labels drop out); ``sizes[c]`` counts component ``c``.
+    """
+    live = np.nonzero(alive)[0]
+    labels = np.full(alive.size, -1, dtype=np.int64)
+    if live.size == 0:
+        return labels, np.zeros(0, dtype=np.int64)
+    unique, remapped = np.unique(full[live], return_inverse=True)
+    labels[live] = remapped
+    sizes = np.bincount(remapped, minlength=unique.size).astype(np.int64)
+    return labels, sizes
+
+
 class TraceCSRTopology(_Topology):
     """A contact trace replayed as a per-round time-varying CSR graph.
 
@@ -349,11 +343,12 @@ class TraceCSRTopology(_Topology):
     ``group_window_seconds``.
 
     The trace's merged contact intervals are held as flat NumPy arrays
-    ``(u, v, start, end)``; the backend calls :meth:`set_round` before each
-    kernel step, and the per-round live graph is materialised on demand as
-    an ordinary :class:`CSRTopology` (one vectorised interval mask + one
-    ``from_edges`` build, LRU-cached per round, so multi-seed sweeps that
-    share the topology compile each round once).  ``sample_peers`` /
+    ``(u, v, start, end)``; every call names the round it samples (the
+    shared topology holds no "current round"), and the per-round live graph
+    is materialised on demand as an ordinary :class:`CSRTopology` (one
+    vectorised interval mask + one ``from_edges`` build, LRU-cached per
+    round, so multi-seed sweeps that share the topology compile each round
+    once).  ``sample_peers`` /
     ``sample_matching`` then reuse ``CSRTopology``'s live-edge rebuild
     unchanged, and group labels come from a vectorised min-label component
     pass over the window-union edges.
@@ -397,17 +392,10 @@ class TraceCSRTopology(_Topology):
             (r.start for r in records), dtype=float, count=len(records)
         )
         self._end = np.fromiter((r.end for r in records), dtype=float, count=len(records))
-        self._round = 0
         self._csr_cache: "OrderedDict[int, CSRTopology]" = OrderedDict()
         self._labels_by_round: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     # ---------------------------------------------------------------- rounds
-    def set_round(self, round_index: int) -> None:
-        """Select the round whose contact graph subsequent calls sample."""
-        if round_index < 0:
-            raise ValueError("round_index must be non-negative")
-        self._round = int(round_index)
-
     def time_of_round(self, round_index: int) -> float:
         """Simulated time at which ``round_index`` happens."""
         return round_index * self.round_seconds
@@ -454,38 +442,20 @@ class TraceCSRTopology(_Topology):
     # ------------------------------------------------------------- sampling
     def sample_peers(
         self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE,
+        probe=NULL_PROBE, round_index: int = 0,
     ) -> np.ndarray:
-        return self._round_csr(self._round, probe).sample_peers(requesters, alive, rng, probe)
-
-    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
-        return self._round_csr(self._round, probe)._live_adjacency(alive, probe)
+        return self._round_csr(round_index, probe).sample_peers(requesters, alive, rng, probe)
 
     # ----------------------------------------------------------- components
-    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE):
-        """``(labels, sizes)`` of the window-union groups among live hosts.
+    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
+        """``(labels, sizes)`` of round ``round_index``'s window-union groups.
 
         Groups are the full-union components intersected with the live
         set (empty intersections dropped, exactly like the agent
         environment's group rule), relabelled ``0..k-1``; a live host with
         no window contacts is its own group of one.
         """
-        full = self._union_labels(self._round, probe)
-        live = np.nonzero(alive)[0]
-        labels = np.full(self.n, -1, dtype=np.int64)
-        if live.size == 0:
-            return labels, np.zeros(0, dtype=np.int64)
-        unique, remapped = np.unique(full[live], return_inverse=True)
-        labels[live] = remapped
-        sizes = np.bincount(remapped, minlength=unique.size).astype(np.int64)
-        return labels, sizes
-
-    def components(self, alive: np.ndarray, probe=NULL_PROBE) -> List[Set[int]]:
-        labels, sizes = self.component_labels(alive, probe)
-        parts: List[Set[int]] = [set() for _ in range(sizes.size)]
-        for host in np.nonzero(alive)[0]:
-            parts[labels[host]].add(int(host))
-        return parts
+        return _live_labels(self._union_labels(round_index, probe), alive)
 
 
 class GridRingTopology(_Topology):
@@ -554,12 +524,11 @@ class GridRingTopology(_Topology):
         distances = np.arange(1, self.max_distance + 1, dtype=float)
         weights = 1.0 / distances**2
         self._distance_probabilities = weights / weights.sum()
-        self._grid_adjacency: Optional[Adjacency] = None
 
     # ------------------------------------------------------------- sampling
     def sample_peers(
         self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE,
+        probe=NULL_PROBE, round_index: int = 0,
     ) -> np.ndarray:
         targets = np.full(requesters.size, -1, dtype=np.int64)
         pending = np.arange(requesters.size)
@@ -603,15 +572,7 @@ class GridRingTopology(_Topology):
             pending = pending[~resolved]
         return targets
 
-    def _live_adjacency(self, alive: np.ndarray, probe=NULL_PROBE) -> Adjacency:
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
         # Groups follow the *grid-edge* connectivity, exactly like the agent
         # environment (long 1/d² links are transient routes, not edges).
-        if self._grid_adjacency is None:
-            from repro.topology.graphs import grid_graph
-
-            self._grid_adjacency = grid_graph(self.width, self.height)
-        live = np.nonzero(alive)[0]
-        return {
-            int(node): {peer for peer in self._grid_adjacency[int(node)] if alive[peer]}
-            for node in live
-        }
+        return grid_edges(self.width, self.height)

@@ -40,11 +40,13 @@ DESIGN.md §7 "Sketch kernel layout" has the exactness argument.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cutoff import default_cutoff
+from repro.events.vectorized import TIME_EPS
+from repro.metrics.accuracy import error_statistics, group_truths
 from repro.obs.probe import NULL_PROBE
 from repro.sketches.fm_sketch import PHI
 
@@ -155,6 +157,8 @@ class _VectorizedKernel:
     messages_delivered: int = 0
     messages_lost: int = 0
     bytes_sent: int = 0
+    #: Messages sent but not yet landed (a deferred exchange counts as two).
+    messages_in_flight: int = 0
 
     def _init_population(self, n: int, topology, seed: int, probe) -> None:
         """Set what every kernel shares: size, peers, probe, generator, liveness.
@@ -186,7 +190,9 @@ class _VectorizedKernel:
         if self.topology is None:
             targets = alive_idx[self.rng.integers(0, alive_idx.size, size=alive_idx.size)]
             return alive_idx, targets
-        drawn = self.topology.sample_peers(alive_idx, self.alive, self.rng, self.probe)
+        drawn = self.topology.sample_peers(
+            alive_idx, self.alive, self.rng, self.probe, self.round_index
+        )
         has_peer = drawn >= 0
         return alive_idx[has_peer], drawn[has_peer]
 
@@ -198,7 +204,7 @@ class _VectorizedKernel:
         """
         if self.topology is not None:
             return self.topology.sample_matching(
-                alive_idx, self.alive, self.rng, probe=self.probe
+                alive_idx, self.alive, self.rng, probe=self.probe, round_index=self.round_index
             )
         order = self.rng.permutation(alive_idx)
         pair_count = order.size // 2
@@ -307,10 +313,27 @@ class _VectorizedKernel:
     # -------------------------------------------------------------- estimates
     def error(self) -> float:
         """Standard deviation of the live hosts' estimates from the truth."""
-        estimates = self.estimates()
-        if estimates.size == 0:
-            return float("nan")
-        return float(np.sqrt(np.mean((estimates - self.truth()) ** 2)))
+        return error_statistics(self.estimates(), self.truth()).stddev_error
+
+    def group_truths(self, round_index: int) -> Tuple[np.ndarray, float]:
+        """``(truths, mean_group_size)``: each live host's *group* truth (Fig 11).
+
+        Groups are the components of the live-induced topology at
+        ``round_index`` (cached per alive mask, so steady-state rounds pay
+        only gathers); ``truths`` is aligned with :meth:`estimates`, like
+        the agent engine's accounting.
+        """
+        alive_idx = np.nonzero(self.alive)[0]
+        if alive_idx.size == 0:
+            return np.array([], dtype=float), 0.0
+        labels, sizes = self.topology.component_labels(self.alive, self.probe, round_index)
+        counting = self.aggregate == "count"  # counting kernels carry no values
+        values = None if counting else np.asarray(self._host_values(), dtype=float)[alive_idx]
+        return group_truths(self.aggregate, labels[alive_idx], sizes, values), float(sizes.mean())
+
+    def delivery_counters(self) -> Tuple[int, int, int, int]:
+        """``(delivered, lost, bytes_sent)`` so far, and the ``in_flight`` backlog now."""
+        return self.messages_delivered, self.messages_lost, self.bytes_sent, self.messages_in_flight
 
 
 class _ValueKernel(_VectorizedKernel):
@@ -418,11 +441,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         #: revert blends each host's weight towards 1, injecting mass the
         #: event calendar's per-bucket ledger must account for).
         self.mass_injected = 0.0
-        #: Cumulative network delivery outcomes (non-self messages; one
-        #: pairwise exchange counts as two, matching the agent engine).
-        self.messages_delivered = 0
-        self.messages_lost = 0
-        self.bytes_sent = 0
+        #: Conserved mass (weight) of the push halves currently in flight.
+        self.in_flight_mass = 0.0
         self.weight = np.ones(self.n, dtype=float)
         self.total = self.initial.copy()
         # Full-Transfer history ring: most recent mass-bearing rounds first.
@@ -536,7 +556,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         # assignment, so deduplicating first would only cost a sort.
         self._refresh_last_estimates(targets)
 
-    def step_subset(self, ticking: np.ndarray) -> None:
+    # ---------------------------------------------------- the calendar protocol
+    def step_subset(self, ticking: np.ndarray, delays=None) -> List[tuple]:
         """One gossip tick for just ``ticking`` (unique live hosts).
 
         The event calendar's bucketed drain: every host whose clock fires
@@ -546,6 +567,15 @@ class VectorizedPushSumRevert(_ValueKernel):
         Reversion applies per tick to the ticking hosts only.  Unlike
         :meth:`step` this never bumps :attr:`round_index` — sample indices
         are the calendar's business, not the kernel's.
+
+        ``delays`` is the calendar's network-delay sampler (``delays(k)``
+        draws ``k`` delays in simulated seconds); ``None`` means every delay
+        is zero.  Messages with no delay land within the tick; the rest are
+        returned as opaque ``(kind, senders, delay, *arrays)`` batches —
+        message ``i`` left ``senders[i]`` at its tick and matures ``delay[i]``
+        later, when the calendar hands ``(kind, *arrays)`` to :meth:`deliver`.
+        Until then it is in flight (:attr:`messages_in_flight`, and push
+        halves' mass in :attr:`in_flight_mass`).
         """
         if self.mode == "full-transfer":
             raise ValueError("full-transfer mode has no subset step")
@@ -553,36 +583,95 @@ class VectorizedPushSumRevert(_ValueKernel):
             raise ValueError("adaptive reversion has no subset step")
         ticking = np.asarray(ticking, dtype=np.int64)
         alive_idx = np.nonzero(self.alive)[0]
+        deferred: List[tuple] = []
         if alive_idx.size >= 2 and ticking.size:
-            with self.probe.span("sampling"):
-                peers = self.draw_peers(ticking, alive_idx)
             # (merge_pairs / apply_deliveries refresh the peers they touch.)
-            if self.mode == "pushpull":
-                left, right = self._settle_exchanges(ticking, peers)
-                self.merge_pairs(left, right)
-            else:  # push
-                self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
-                outgoing_weight, outgoing_total = self.emit_push(ticking)
-                self.apply_deliveries(*self._lose_pushes(peers, outgoing_weight, outgoing_total))
+            tick = self._tick_exchange if self.mode == "pushpull" else self._tick_push
+            deferred = tick(ticking, alive_idx, delays)
         if self.reversion > 0.0 and ticking.size:
             self.revert_subset(ticking)
         self._refresh_last_estimates(ticking)
+        return deferred
 
-    def draw_peers(self, ticking: np.ndarray, alive_idx: np.ndarray) -> np.ndarray:
-        """One gossip peer per ticking host, drawn from the live population.
+    def _tick_exchange(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
+        """The ticking hosts' exchanges: merged within the tick, or deferred whole.
 
-        The one place a subset tick picks its peers (:meth:`step_subset` and
-        the event calendar's latency path both call it).  Pushpull draws a
-        partner uniformly among the *other* live hosts: offset the ticker's
-        own position in the sorted live index by ``1..n_alive-1`` (no
-        self-exchanges, like the agent peer sampler).  Push draws a target
-        among all live hosts, self included.  Needs two or more live hosts.
+        Each partner is uniform among the *other* live hosts: the ticker's
+        position in the sorted live index, offset by ``1..n_alive-1`` (no
+        self-exchanges, like the agent peer sampler).  A delayed exchange
+        completes once both legs have arrived, as one atomic merge.
         """
-        if self.mode == "pushpull":
+        k = ticking.size
+        with self.probe.span("sampling"):
             pos = np.searchsorted(alive_idx, ticking)
-            offset = self.rng.integers(1, alive_idx.size, size=ticking.size)
-            return alive_idx[(pos + offset) % alive_idx.size]
-        return alive_idx[self.rng.integers(0, alive_idx.size, size=ticking.size)]
+            offset = self.rng.integers(1, alive_idx.size, size=k)
+            peers = alive_idx[(pos + offset) % alive_idx.size]
+        legs = np.zeros(2 * k) if delays is None else delays(2 * k)
+        delay = legs[:k] + legs[k:]
+        later = delay > TIME_EPS
+        now = ~later
+        if now.any():
+            self.merge_pairs(*self._settle_exchanges(ticking[now], peers[now]))
+        if not later.any():
+            return []
+        self.bytes_sent += 32 * int(later.sum())
+        self.messages_in_flight += 2 * int(later.sum())
+        left = ticking[later]  # the initiators are the senders
+        return [("exchange", left, delay[later], left, peers[later])]
+
+    def _tick_push(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
+        """The ticking hosts' halves, pushed to any live host: landed now or put in flight."""
+        with self.probe.span("sampling"):
+            peers = alive_idx[self.rng.integers(0, alive_idx.size, size=ticking.size)]
+        self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
+        weight, total = self.emit_push(ticking)
+        delay = np.zeros(ticking.size) if delays is None else delays(ticking.size)
+        later = delay > TIME_EPS
+        now = ~later
+        if now.any():
+            self.apply_deliveries(*self._lose_pushes(peers[now], weight[now], total[now]))
+        if not later.any():
+            return []
+        self.in_flight_mass += float(weight[later].sum())
+        self.messages_in_flight += int(later.sum())
+        return [("push", ticking[later], delay[later], peers[later], weight[later], total[later])]
+
+    def deliver(self, kind: str, *arrays: np.ndarray) -> None:
+        """Land one matured batch that :meth:`step_subset` deferred.
+
+        A message whose endpoint died in the meantime is lost: a push half
+        takes its mass out of the system (:attr:`mass_lost`), an exchange
+        simply does not happen (two messages lost, nothing merged).
+        """
+        if kind == "push":
+            targets, weight, total = arrays
+            self.in_flight_mass -= float(weight.sum())
+            self.messages_in_flight -= int(targets.size)
+            alive = self.alive[targets]
+            dead = int(targets.size - int(alive.sum()))
+            if dead:
+                self.mass_lost += float(weight[~alive].sum())
+                self.messages_lost += dead
+            if alive.any():
+                self.apply_deliveries(targets[alive], weight[alive], total[alive])
+                self.messages_delivered += int(alive.sum())
+        else:
+            left, right = arrays
+            self.messages_in_flight -= 2 * int(left.size)
+            ok = self.alive[left] & self.alive[right]
+            self.messages_lost += 2 * int(left.size - int(ok.sum()))
+            if ok.any():
+                self.merge_pairs(left[ok], right[ok])
+                self.messages_delivered += 2 * int(ok.sum())
+
+    def mass_view(self) -> Tuple[float, float, float, float]:
+        """``(at_hosts, in_flight, injected, lost)``: the ledger's read-only view.
+
+        Conserved mass (weight) at the live hosts and in flight now, and the
+        totals reversion has created and lost messages have destroyed.
+        """
+        at_hosts = float(self.weight[self.alive].sum())
+        return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
 
     def _settle_exchanges(self, left: np.ndarray, right: np.ndarray):
         """Account for the attempted exchanges; return the pairs that go ahead.
@@ -774,7 +863,18 @@ class VectorizedPushSumRevert(_ValueKernel):
         return float(self.initial[alive_idx].mean())
 
 
-class VectorizedCountSketchReset(_VectorizedKernel):
+class _CountingKernel(_VectorizedKernel):
+    """Kernels estimating the live population size (no per-host values)."""
+
+    aggregate = "count"
+
+    def truth(self) -> float:
+        """The correct count (number of live hosts; NaN once nobody is alive)."""
+        n_alive = int(self.alive.sum())
+        return float(n_alive) if n_alive else float("nan")
+
+
+class VectorizedCountSketchReset(_CountingKernel):
     """Array implementation of Count-Sketch-Reset under uniform gossip.
 
     Parameters
@@ -802,8 +902,6 @@ class VectorizedCountSketchReset(_VectorizedKernel):
     probe:
         The owning run's :mod:`repro.obs` probe (phase spans).
     """
-
-    aggregate = "count"
 
     def __init__(
         self,
@@ -928,10 +1026,6 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         raw = self.bins / PHI * np.exp2(mean_rank)
         return raw / self.identifiers_per_host
 
-    def truth(self) -> float:
-        """The correct count (number of live hosts)."""
-        return float(self.alive.sum())
-
     # ------------------------------------------------------- Fig 6 diagnostics
     def counter_values_for_bit(self, bit_index: int, *, finite_only: bool = True) -> np.ndarray:
         """All live hosts' counter values for bit ``bit_index`` (all bins).
@@ -947,7 +1041,7 @@ class VectorizedCountSketchReset(_VectorizedKernel):
         return values
 
 
-class VectorizedSketchCount(_VectorizedKernel):
+class VectorizedSketchCount(_CountingKernel):
     """Array implementation of static FM Sketch-Count under uniform gossip.
 
     This is the Considine et al. baseline (:class:`repro.baselines.SketchCount`)
@@ -974,8 +1068,6 @@ class VectorizedSketchCount(_VectorizedKernel):
     probe:
         The owning run's :mod:`repro.obs` probe (phase spans).
     """
-
-    aggregate = "count"
 
     def __init__(
         self,
@@ -1038,10 +1130,6 @@ class VectorizedSketchCount(_VectorizedKernel):
         """Per-live-host estimates of the (ever-seen) population size."""
         mean_rank = _prefix_rank(self.matrix[self.alive]).mean(axis=1)
         return self.bins / PHI * np.exp2(mean_rank) / self.identifiers_per_host
-
-    def truth(self) -> float:
-        """The correct count (number of live hosts)."""
-        return float(self.alive.sum())
 
 
 class VectorizedExtrema(_ValueKernel):

@@ -7,6 +7,8 @@ Unsupported combinations must be rejected eagerly — at spec construction —
 with an actionable message.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.backends import VectorizedBackend
 from repro.api.plan import vectorized_rejections
 from repro.api.sweep import Sweep, SweepRunner
+from repro.simulator.kernels import KERNELS
 
 N_HOSTS = 64
 SEEDS = tuple(range(8))
@@ -698,3 +701,67 @@ class TestEagerBackendValidation:
         assert "broadcast" in reason
         with pytest.raises(ValueError, match="broadcast"):
             backend.run(spec)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate populations: every kernel cell, both backends
+# ---------------------------------------------------------------------------
+EVERYONE_FAILS = ({"event": "failure", "round": 1, "model": "uncorrelated", "fraction": 1.0},)
+DEGENERATE_SETS = {
+    "one-host": dict(n_hosts=1),
+    "two-hosts": dict(n_hosts=2),
+    "everyone-failed": dict(n_hosts=4, events=EVERYONE_FAILS),
+}
+#: The kernel's sketch dimensions, small (the agent engine's are per host).
+_SKETCH = {"bins": 8, "bits": 10}
+DEGENERATE_CELLS = [
+    pytest.param(protocol, mode, engine_kwargs, id=f"{protocol}/{mode}/{label}")
+    for protocol, declaration in KERNELS.items()
+    for mode in declaration.modes
+    for label, engine_kwargs in [
+        ("rounds", {}),
+        *(
+            [
+                ("events-instant", dict(engine="events")),
+                ("events-latency", dict(
+                    engine="events", network="latency",
+                    network_params={"distribution": "fixed", "delay": 1},
+                )),
+            ]
+            if declaration.calendar
+            else []
+        ),
+    ]
+]
+
+
+class TestDegeneratePopulations:
+    """n=1, n=2 and an emptied population complete and agree across backends.
+
+    ``truth`` and ``n_alive`` are deterministic by construction, so the two
+    backends must agree on them exactly (NaN-aware) in every record; once
+    nobody is alive the estimate statistics are NaN on both as well.
+    """
+
+    @pytest.mark.parametrize("population", sorted(DEGENERATE_SETS))
+    @pytest.mark.parametrize("protocol, mode, engine_kwargs", DEGENERATE_CELLS)
+    def test_backends_complete_and_agree(self, protocol, mode, engine_kwargs, population):
+        params = _SKETCH if "sketch" in protocol else {}
+        kwargs = dict(
+            protocol=protocol, protocol_params=params, mode=mode, rounds=4, seed=3,
+            **engine_kwargs, **DEGENERATE_SETS[population],
+        )
+        agent = run_scenario(ScenarioSpec(backend="agent", **kwargs))
+        vector = run_scenario(ScenarioSpec(backend="vectorized", **kwargs))
+        assert vector.metadata["backend"] == "vectorized"
+        assert len(agent.rounds) == len(vector.rounds) == 4
+        for ours, theirs in zip(vector.rounds, agent.rounds):
+            assert ours.n_alive == theirs.n_alive
+            if ours.n_alive:
+                assert ours.truth == theirs.truth, (ours, theirs)
+                continue
+            for record in (ours, theirs):
+                for field in ("truth", "mean_estimate", "stddev_error"):
+                    assert math.isnan(getattr(record, field)), (field, record)
+        if population == "everyone-failed":
+            assert vector.alive_counts() == [4, 0, 0, 0]

@@ -33,6 +33,12 @@ def record(protocol="push-sum-revert", backend="agent", n_hosts=1024, mean=0.1):
     }
 
 
+def scale(entry, factor):
+    """Make every repeat of ``entry`` ``factor`` times slower (or faster)."""
+    entry["best_seconds"] *= factor
+    entry["mean_seconds"] *= factor
+
+
 def payload(records):
     return {"benchmark": "core-backends", "schema_version": 1, "records": records}
 
@@ -68,7 +74,7 @@ class TestCompareBenchmarks:
 
     def test_synthetic_regression_fails(self):
         candidate = baseline_payload()
-        candidate["records"][0]["mean_seconds"] *= 10.0  # inject a 10x slowdown
+        scale(candidate["records"][0], 10.0)  # inject a 10x slowdown
         report = compare_benchmarks(baseline_payload(), candidate)
         assert len(report["regressions"]) == 1
         row = report["regressions"][0]
@@ -78,8 +84,8 @@ class TestCompareBenchmarks:
 
     def test_speedups_and_threshold_boundary_pass(self):
         candidate = baseline_payload()
-        candidate["records"][0]["mean_seconds"] *= 0.2  # 5x faster
-        candidate["records"][2]["mean_seconds"] *= 1.99  # just under the 2x gate
+        scale(candidate["records"][0], 0.2)  # 5x faster
+        scale(candidate["records"][2], 1.99)  # just under the 2x gate
         report = compare_benchmarks(baseline_payload(), candidate)
         assert report["regressions"] == []
         statuses = {row["status"] for row in report["rows"]}
@@ -88,11 +94,30 @@ class TestCompareBenchmarks:
     def test_sub_noise_floor_records_never_gate(self):
         base = payload([record(backend="vectorized", n_hosts=256, mean=0.0004)])
         candidate = copy.deepcopy(base)
-        candidate["records"][0]["mean_seconds"] *= 50.0
+        scale(candidate["records"][0], 50.0)
         report = compare_benchmarks(base, candidate)
         assert report["regressions"] == []
         assert report["rows"][0]["status"] == "noise"
         assert DEFAULT_MIN_SECONDS > 0.0004
+
+    def test_the_gate_reads_the_best_repeat_not_the_mean(self):
+        # One cold repeat triples the mean but leaves the best untouched:
+        # warm-up, not a regression.  A slower *best* is one.
+        cold = baseline_payload()
+        cold["records"][0]["mean_seconds"] *= 3.0
+        assert compare_benchmarks(baseline_payload(), cold)["regressions"] == []
+        slower = baseline_payload()
+        slower["records"][0]["best_seconds"] *= 3.0
+        report = compare_benchmarks(baseline_payload(), slower)
+        (row,) = report["regressions"]
+        assert row["ratio"] == pytest.approx(3.0)
+        assert row["baseline_seconds"] == pytest.approx(0.18)
+        # Payloads written before ``best_seconds`` existed gate on the mean.
+        old_base, old_slow = baseline_payload(), baseline_payload()
+        for entry in old_base["records"] + old_slow["records"]:
+            del entry["best_seconds"]
+        old_slow["records"][0]["mean_seconds"] *= 3.0
+        assert len(compare_benchmarks(old_base, old_slow)["regressions"]) == 1
 
     def test_one_sided_records_are_listed_not_gated(self):
         base = baseline_payload()
@@ -134,10 +159,10 @@ class TestCompareScript:
         with open(COMMITTED_BASELINE) as handle:
             candidate = json.load(handle)
         slowed = max(
-            (r for r in candidate["records"] if r["mean_seconds"] >= DEFAULT_MIN_SECONDS),
-            key=lambda r: r["mean_seconds"],
+            (r for r in candidate["records"] if r["best_seconds"] >= DEFAULT_MIN_SECONDS),
+            key=lambda r: r["best_seconds"],
         )
-        slowed["mean_seconds"] *= 10.0
+        scale(slowed, 10.0)
         completed = self.run_script(
             COMMITTED_BASELINE, self.write(tmp_path, "cand.json", candidate)
         )

@@ -10,6 +10,11 @@ Two guarantee tiers (DESIGN.md §14):
   the agent event engine and the bucketed calendar are distinct
   realisations of the same stochastic process, so they must agree *in
   distribution* across seeds, not per-record.
+
+The driver's phases and the kernel's calendar protocol
+(``step_subset(ticking, delays)`` / ``deliver`` / ``mass_view``) are
+exercised one small case each, and a toy kernel that is not Push-Sum runs
+through the same driver.
 """
 
 import dataclasses
@@ -21,6 +26,8 @@ import pytest
 from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.kernel_run import KernelRun
 from repro.network import MassConservationError
+from repro.obs.probe import NULL_PROBE
+from repro.simulator.vectorized import _VectorizedKernel
 
 SEEDS = tuple(range(8))
 
@@ -100,7 +107,7 @@ class TestSyncAnchorBitIdentity:
         anchor = driver()
         for run in (lockstep, anchor):
             assert (run.ratio, run.total_buckets, run.n_samples) == (1, 12, 12)
-            assert run.latency is None and run.pending == {}
+            assert run.delays is None and run.pending == {}
         assert lockstep.clocks is None and lockstep.ledger is None
         assert anchor.clocks.periods.size == 64 and anchor.ledger is not None
 
@@ -275,6 +282,21 @@ class TestDriverPhases:
         (kind, targets, _weight, _total), = run.pending[4, False]
         assert kind == "push" and targets.tolist() == [0, 1, 2]
 
+    def test_a_latency_tick_lands_the_instant_messages_and_returns_the_rest(self):
+        # step_subset with a delay sampler: zero-delay halves land within the
+        # tick, the rest come back as one batch the driver can only queue.
+        kernel = driver(mode="push", **FIXED_DELAY).kernel
+        ticking = np.arange(6)
+        batches = kernel.step_subset(ticking, lambda k: np.tile([0.0, 2.0], k // 2))
+        ((kind, senders, delay, targets, weight, _total),) = batches
+        assert kind == "push" and senders.tolist() == [1, 3, 5] and delay.tolist() == [2.0] * 3
+        assert targets.size == 3
+        delivered, lost, _bytes, in_flight = kernel.delivery_counters()
+        assert (delivered, lost, in_flight) == (3, 0, 3)
+        at_hosts, flying, _injected, _lost = kernel.mass_view()
+        assert flying == pytest.approx(float(weight.sum()))
+        assert at_hosts + flying == pytest.approx(64.0 + kernel.mass_injected)
+
     def test_push_half_to_a_host_that_died_in_flight_is_lost_and_the_ledger_closes(self):
         run = driver(
             mode="push", engine_params={"mass_check": "event"}, **FIXED_DELAY,
@@ -282,28 +304,28 @@ class TestDriverPhases:
         )
         kernel = run.kernel
         weight, total = kernel.emit_push(np.array([0, 1]))
-        run.in_flight_mass += float(weight.sum())
-        run.in_flight_count += 2
+        kernel.in_flight_mass += float(weight.sum())
+        kernel.messages_in_flight += 2
         run.defer("push", 0, np.array([1.0, 1.0]), np.array([5, 6]), weight, total)
         run.drain(1, at_edge=False)  # nothing matured before the boundary
-        assert kernel.messages_delivered == 0 and run.in_flight_count == 2
+        assert kernel.messages_delivered == 0 and kernel.messages_in_flight == 2
         run.membership(1)  # host 5 crashes at the boundary, before the edge deliveries
         run.drain(1, at_edge=True)
+        assert run.pending == {}
         assert (kernel.messages_lost, kernel.messages_delivered) == (1, 1)
         assert kernel.mass_lost == pytest.approx(float(weight[0]))
-        assert run.in_flight_count == 0 and run.in_flight_mass == pytest.approx(0.0)
+        assert kernel.messages_in_flight == 0 and kernel.in_flight_mass == pytest.approx(0.0)
         run.check_mass(0)  # books the loss; raises if the ledger does not balance
 
     def test_exchange_with_a_dead_endpoint_counts_two_lost_and_merges_nothing(self):
-        run = driver(mode="exchange", **FIXED_DELAY)
-        kernel = run.kernel
+        kernel = driver(mode="exchange", **FIXED_DELAY).kernel
         kernel.total[3] = 1000.0  # a merge would visibly move this
-        run.in_flight_count += 2
+        kernel.messages_in_flight += 2
         kernel.fail([7])
         state = kernel.weight.copy(), kernel.total.copy()
-        run.deliver_exchange(np.array([3]), np.array([7]))
+        kernel.deliver("exchange", np.array([3]), np.array([7]))
         assert (kernel.messages_lost, kernel.messages_delivered) == (2, 0)
-        assert run.in_flight_count == 0
+        assert kernel.messages_in_flight == 0
         assert np.array_equal(kernel.weight, state[0]) and np.array_equal(kernel.total, state[1])
 
     def test_join_mid_calendar_grows_the_clock_grid_on_the_synchronized_grid(self):
@@ -326,3 +348,74 @@ class TestDriverPhases:
         assert not clocks.origins[joined].any()
         first = clocks.next_times()[joined]
         assert np.array_equal(first, np.where(clocks.periods[joined] == 2.0, 4.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# The calendar protocol is the whole contract: a kernel that is not Push-Sum
+# ---------------------------------------------------------------------------
+class TokenPassing(_VectorizedKernel):
+    """Every tick a host holding tokens hands one to a random live host.
+
+    No ``weight``/``total``: the conserved mass is the integer token count.
+    It implements the calendar protocol (``step_subset(ticking, delays)``,
+    ``deliver``, ``mass_view``) and nothing else the driver could lean on.
+    """
+
+    aggregate = "average"
+
+    def __init__(self, values, *, topology=None, seed=0, probe=NULL_PROBE):
+        self._init_population(len(values), topology, seed, probe)
+        self.tokens = np.full(self.n, 3, dtype=np.int64)
+        self.flying = 0
+
+    def step_subset(self, ticking, delays=None):
+        senders = ticking[self.tokens[ticking] > 0]
+        targets = self.rng.choice(np.nonzero(self.alive)[0], size=senders.size)
+        self.tokens[senders] -= 1
+        self.flying += senders.size
+        self.messages_in_flight += senders.size
+        return [("token", senders, delays(senders.size), targets)]
+
+    def deliver(self, kind, targets):
+        assert kind == "token"
+        self.flying -= targets.size
+        self.messages_in_flight -= targets.size
+        landed = targets[self.alive[targets]]
+        np.add.at(self.tokens, landed, 1)
+        self.messages_delivered += landed.size
+        self.messages_lost += targets.size - landed.size
+
+    def mass_view(self):
+        return float(self.tokens[self.alive].sum()), float(self.flying), 0.0, float(
+            self.messages_lost
+        )
+
+    def estimates(self):
+        return self.tokens[self.alive].astype(float)
+
+    def truth(self):
+        return float(self.tokens[self.alive].mean())
+
+
+def test_a_kernel_that_is_not_push_sum_runs_on_the_calendar(monkeypatch):
+    # "Implement the protocol and flip the flag": the driver reaches for
+    # nothing but the calendar protocol, so a token-passing kernel runs over
+    # a latency network with the mass ledger balanced every bucket.
+    from repro.simulator.kernels import KERNELS, KernelDeclaration
+
+    monkeypatch.setitem(KERNELS, "push-sum-revert", KernelDeclaration(
+        kernel=TokenPassing, modes={"push": {}}, params=frozenset(),
+        value_carrying=True, calendar=True,
+    ))
+    run = driver(
+        mode="push", protocol_params={}, engine_params={"mass_check": "event"}, **FIXED_DELAY,
+        events=({"event": "failure", "round": 5, "model": "uncorrelated", "fraction": 0.25},),
+    )
+    assert isinstance(run.kernel, TokenPassing)
+    result = run.run()
+    assert len(result.rounds) == 12 and result.alive_counts()[-1] == 48
+    assert all(record.messages_in_flight == 64 for record in result.rounds[:3])
+    kernel = run.kernel
+    # Tokens only move: at hosts (dead ones keep theirs) + in flight + lost.
+    assert kernel.tokens.sum() + kernel.flying + kernel.messages_lost == 3 * 64
+    assert kernel.messages_lost > 0 and run.ledger.lost == kernel.messages_lost

@@ -7,9 +7,9 @@ import pytest
 
 from repro.metrics import (
     CostSummary,
-    SeriesRecorder,
     convergence_round,
-    group_relative_errors,
+    error_statistics,
+    group_truths,
     mean_absolute_error,
     plateau_error,
     protocol_cost_summary,
@@ -35,18 +35,29 @@ class TestAccuracy:
         assert mean_absolute_error([2.0, 6.0], 4.0) == pytest.approx(2.0)
         assert math.isnan(mean_absolute_error([], 4.0))
 
+    def test_error_statistics_scalar_and_per_host_truths(self):
+        stats = error_statistics([9.0, 12.0], 10.0)
+        assert stats == (pytest.approx(math.sqrt(2.5)), 2.0, 1.5, 10.5)
+        assert stats.stddev_error == stats[0] and stats.mean_estimate == 10.5
+        assert error_statistics([9.0, 12.0], np.array([9.0, 10.0])).max_abs_error == 2.0
+        assert all(math.isnan(value) for value in error_statistics([], 4.0))
+
     def test_group_relative_errors(self):
-        estimates = {0: 10.0, 1: 12.0, 2: 100.0}
-        groups = [{0, 1}, {2}]
-        truths = {0: 11.0, 1: 100.0}
-        deltas, truth_by_host = group_relative_errors(estimates, groups, truths)
-        assert sorted(deltas) == [-1.0, 0.0, 1.0]
-        assert truth_by_host[2] == 100.0
+        # Hosts 0 and 1 form one group, host 2 its own: each is scored
+        # against its own group's aggregate.
+        labels, sizes = np.array([0, 0, 1]), np.array([2, 1])
+        values = np.array([10.0, 12.0, 100.0])
+        truths = group_truths("average", labels, sizes, values)
+        assert truths.tolist() == [11.0, 11.0, 100.0]
+        assert (values - truths).tolist() == [-1.0, 1.0, 0.0]
+        assert group_truths("count", labels, sizes).tolist() == [2.0, 2.0, 1.0]
+        assert group_truths("max", labels, sizes, values).tolist() == [12.0, 12.0, 100.0]
+        assert group_truths("min", labels, sizes, values).tolist() == [10.0, 10.0, 100.0]
 
     def test_group_relative_errors_skips_missing_groups(self):
-        deltas, truth_by_host = group_relative_errors({0: 1.0}, [{0}], {})
-        assert deltas == []
-        assert truth_by_host == {}
+        # A group with no live member (size 0) contributes no host truth.
+        labels, sizes = np.array([1]), np.array([0, 1])
+        assert group_truths("average", labels, sizes, np.array([7.0])).tolist() == [7.0]
 
 
 class TestConvergence:
@@ -109,34 +120,3 @@ class TestCostSummary:
         multiple = protocol_cost_summary(name="mi", bins=64, bits=40, counter_bytes=0)
         invert = protocol_cost_summary(name="ia", mass_values=2)
         assert invert.bytes_per_round < multiple.bytes_per_round
-
-
-class TestSeriesRecorder:
-    def test_record_from_estimates(self):
-        recorder = SeriesRecorder(name="test")
-        recorder.record(0, [9.0, 11.0], truth=10.0)
-        recorder.record(1, [10.0, 10.0], truth=10.0, population=2, extra_metric=3.0)
-        assert len(recorder) == 2
-        assert recorder.errors[0] == pytest.approx(1.0)
-        assert recorder.errors[1] == 0.0
-        assert recorder.populations == [2, 2]
-        assert recorder.extra["extra_metric"] == [3.0]
-        assert recorder.final_error() == 0.0
-
-    def test_record_error_direct(self):
-        recorder = SeriesRecorder()
-        recorder.record_error(0, 5.0, truth=100.0, population=10)
-        assert recorder.errors == [5.0]
-        assert recorder.truths == [100.0]
-
-    def test_final_error_requires_data(self):
-        with pytest.raises(ValueError):
-            SeriesRecorder().final_error()
-
-    def test_as_dict_contains_all_series(self):
-        recorder = SeriesRecorder(name="x")
-        recorder.record(0, [1.0], truth=1.0, group_size=4.0)
-        payload = recorder.as_dict()
-        assert payload["name"] == "x"
-        assert payload["errors"] == [0.0]
-        assert payload["group_size"] == [4.0]

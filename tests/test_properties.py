@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.analysis.cdf import cdf_at, empirical_cdf
 from repro.baselines.push_sum import PushSum
 from repro.core.push_sum_revert import PushSumRevert
+from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.simulator.vectorized import (
     _COUNTER_INFINITY,
@@ -453,3 +454,77 @@ class TestSketchKernelPrimitives:
             [ceiling if cutoff is None else min(float(cutoff(k)), ceiling) for k in range(bits)]
         )
         assert np.array_equal(kernel.bit_image()[:, 0, :], values[:, None] <= thresholds)
+
+
+# ---------------------------------------------------------------------------
+# The one scorer against the three inline formulas it replaced
+# ---------------------------------------------------------------------------
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def scored_population(draw):
+    """``(estimates, truths)``: 0..30 finite estimates, a scalar or per-host truth."""
+    estimates = draw(st.lists(finite, min_size=0, max_size=30))
+    if draw(st.booleans()):
+        return estimates, draw(finite)
+    return estimates, draw(st.lists(finite, min_size=len(estimates), max_size=len(estimates)))
+
+
+def _agent_engine_formula(estimates, truths):
+    """``Simulation._record_round`` before the scorer: Python-float deltas."""
+    per_host = truths if isinstance(truths, list) else [truths] * len(estimates)
+    deltas = [estimate - truth for estimate, truth in zip(estimates, per_host)]
+    if deltas:
+        deltas_arr = np.asarray(deltas, dtype=float)
+        stddev_error = float(np.sqrt(np.mean(deltas_arr**2)))
+        max_abs_error = float(np.max(np.abs(deltas_arr)))
+        mean_abs_error = float(np.mean(np.abs(deltas_arr)))
+    else:
+        stddev_error = max_abs_error = mean_abs_error = float("nan")
+    mean_estimate = float(np.mean(list(estimates))) if estimates else float("nan")
+    return stddev_error, max_abs_error, mean_abs_error, mean_estimate
+
+
+def _kernel_driver_formula(estimates, truths):
+    """``KernelRun.sample`` before the scorer: array deltas."""
+    estimates = np.asarray(estimates, dtype=float)
+    truths = np.asarray(truths, dtype=float) if isinstance(truths, list) else truths
+    deltas = estimates - truths if estimates.size else estimates
+    if deltas.size:
+        stddev_error = float(np.sqrt(np.mean(deltas**2)))
+        max_abs_error = float(np.max(np.abs(deltas)))
+        mean_abs_error = float(np.mean(np.abs(deltas)))
+    else:
+        stddev_error = max_abs_error = mean_abs_error = float("nan")
+    mean_estimate = float(np.mean(estimates)) if estimates.size else float("nan")
+    return stddev_error, max_abs_error, mean_abs_error, mean_estimate
+
+
+def _kernel_error_formula(estimates, truth):
+    """``_VectorizedKernel.error`` before the scorer (scalar truth only)."""
+    estimates = np.asarray(estimates, dtype=float)
+    if estimates.size == 0:
+        return float("nan")
+    return float(np.sqrt(np.mean((estimates - truth) ** 2)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestScorerMatchesTheInlineFormulas:
+    @COMMON_SETTINGS
+    @given(population=scored_population())
+    @example(population=([], 4.0))
+    @example(population=([7.5], 7.5))
+    @example(population=([1e308, -1e308], [0.0, 1.0]))
+    def test_bit_for_bit(self, population):
+        estimates, truths = population
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_host = np.asarray(truths, dtype=float) if isinstance(truths, list) else truths
+            scored = error_statistics(estimates, per_host)
+            assert _bits(scored) == _bits(_agent_engine_formula(estimates, truths))
+            assert _bits(scored) == _bits(_kernel_driver_formula(estimates, truths))
+            if not isinstance(truths, list):
+                assert _bits(scored.stddev_error) == _bits(_kernel_error_formula(estimates, truths))

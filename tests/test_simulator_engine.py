@@ -1,7 +1,5 @@
 """Tests for the agent-based simulation engine and its result records."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -307,10 +305,6 @@ class TestSimulationResult:
         result = SimulationResult(protocol_name="x", aggregate="average", seed=0)
         with pytest.raises(ValueError):
             result.final_record()
-
-    def test_stddev_from_truth(self):
-        assert SimulationResult.stddev_from_truth([3.0, 5.0], 4.0) == pytest.approx(1.0)
-        assert math.isnan(SimulationResult.stddev_from_truth([], 4.0))
 
     def test_as_dict_round_trip_fields(self):
         result = self._result_with_errors([1.0, 2.0])

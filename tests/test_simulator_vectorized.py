@@ -15,6 +15,13 @@ from repro.sketches.fm_sketch import PHI
 from repro.workloads.values import uniform_values
 
 
+def label_sets(labels, sizes):
+    """A ``component_labels`` answer as sorted member lists (sizes cross-checked)."""
+    parts = [np.nonzero(labels == index)[0].tolist() for index in range(sizes.size)]
+    assert [len(part) for part in parts] == sizes.tolist()
+    return sorted(parts)
+
+
 class TestVectorizedPushSumRevertConstruction:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -340,11 +347,21 @@ class TestSparseTopologyLayer:
 
         topo = CSRTopology.from_adjacency(ring_lattice(12, k=1), 12)
         alive = np.ones(12, dtype=bool)
-        assert len(topo.components(alive)) == 1
-        assert topo.components(alive) is topo.components(alive)  # cached
+        labels, sizes = topo.component_labels(alive)
+        assert sizes.tolist() == [12] and not labels.any()
+        assert topo.component_labels(alive)[0] is labels  # cached
         alive[[0, 6]] = False  # cut the ring twice -> two arcs
-        parts = sorted(sorted(part) for part in topo.components(alive))
-        assert parts == [[1, 2, 3, 4, 5], [7, 8, 9, 10, 11]]
+        assert label_sets(*topo.component_labels(alive)) == [[1, 2, 3, 4, 5], [7, 8, 9, 10, 11]]
+
+    def test_grid_ring_components_follow_grid_edges_not_long_links(self):
+        from repro.simulator.sparse import GridRingTopology
+
+        topo = GridRingTopology(3, 3)
+        alive = np.ones(9, dtype=bool)
+        alive[[3, 4, 5]] = False  # the middle row dies: top and bottom rows split
+        labels, sizes = topo.component_labels(alive)
+        assert label_sets(labels, sizes) == [[0, 1, 2], [6, 7, 8]]
+        assert (labels[[3, 4, 5]] == -1).all()
 
     def test_push_conserves_mass_on_topology(self):
         from repro.simulator.vectorized import VectorizedPushSumRevert
@@ -618,6 +635,17 @@ class TestTraceCSRTopology:
 
         return TraceCSRTopology(haggle_dataset(1), **kwargs)
 
+    @staticmethod
+    def _round_adjacency(topology, t):
+        """Round ``t``'s contact graph as ``{host: set(peers)}``."""
+        from repro.obs.probe import NULL_PROBE
+
+        csr = topology._round_csr(t, NULL_PROBE)
+        return {
+            host: set(csr.indices[csr.indptr[host] : csr.indptr[host + 1]].tolist())
+            for host in range(csr.n)
+        }
+
     def test_round_adjacency_matches_agent_environment(self):
         from repro.environments.trace import TraceEnvironment
         from repro.mobility import haggle_dataset
@@ -627,10 +655,8 @@ class TestTraceCSRTopology:
         topology = self._topology()
         alive = np.ones(trace.n_devices, dtype=bool)
         for t in range(0, 600, 7):
-            topology.set_round(t)
             expected = environment._adjacency(t)
-            adjacency = topology._live_adjacency(alive)
-            got = {host: set(peers) for host, peers in adjacency.items() if peers}
+            got = {host: peers for host, peers in self._round_adjacency(topology, t).items() if peers}
             expected_sets = {h: set(p) for h, p in expected.items() if p}
             assert got == expected_sets, f"round {t}"
 
@@ -644,9 +670,8 @@ class TestTraceCSRTopology:
         alive = np.ones(trace.n_devices, dtype=bool)
         alive_set = set(range(trace.n_devices))
         for t in range(0, 900, 13):
-            topology.set_round(t)
             expected = sorted(sorted(group) for group in environment.groups(alive_set, t))
-            got = sorted(sorted(group) for group in topology.components(alive))
+            got = label_sets(*topology.component_labels(alive, round_index=t))
             assert got == expected, f"round {t}"
 
     def test_components_respect_dead_bridges(self):
@@ -664,10 +689,8 @@ class TestTraceCSRTopology:
             name="bridge",
         )
         topology = TraceCSRTopology(trace, round_seconds=30.0)
-        topology.set_round(10)
         alive = np.array([True, False, True])
-        parts = sorted(sorted(p) for p in topology.components(alive))
-        assert parts == [[0, 2]]
+        assert label_sets(*topology.component_labels(alive, round_index=10)) == [[0, 2]]
 
     def test_rebuild_is_bit_deterministic(self):
         first = self._topology()
@@ -675,11 +698,9 @@ class TestTraceCSRTopology:
         alive = np.ones(first.n, dtype=bool)
         alive[[1, 4]] = False
         for t in (0, 120, 240, 600, 601):
-            first.set_round(t)
-            second.set_round(t)
-            assert first._live_adjacency(alive) == second._live_adjacency(alive)
-            l1, s1 = first.component_labels(alive)
-            l2, s2 = second.component_labels(alive)
+            assert self._round_adjacency(first, t) == self._round_adjacency(second, t)
+            l1, s1 = first.component_labels(alive, round_index=t)
+            l2, s2 = second.component_labels(alive, round_index=t)
             assert np.array_equal(l1, l2) and np.array_equal(s1, s2)
 
     def test_validates_parameters(self):
@@ -689,6 +710,5 @@ class TestTraceCSRTopology:
         trace = haggle_dataset(1)
         with pytest.raises(ValueError):
             TraceCSRTopology(trace, round_seconds=0.0)
-        topology = TraceCSRTopology(trace)
         with pytest.raises(ValueError):
-            topology.set_round(-1)
+            TraceCSRTopology(trace, group_window_seconds=-1.0)
