@@ -282,7 +282,7 @@ class KernelRun:
             tick_idx = np.nonzero(kernel.alive & (next_times <= cap))[0]
             if tick_idx.size == 0:
                 return
-            if self.delays is None and tick_idx.size == int(kernel.alive.sum()):
+            if self.delays is None and tick_idx.size == kernel.live_index().size:
                 # Whole live population ticking over an instant network:
                 # exactly one lockstep round — the bit-identity fast path.
                 kernel.step()
@@ -316,7 +316,7 @@ class KernelRun:
             truths = truth = kernel.truth()
         stored: Optional[Dict[int, float]] = None
         if spec.store_estimates:
-            hosts = np.nonzero(kernel.alive)[0]
+            hosts = kernel.live_index()
             stored = {int(host): float(value) for host, value in zip(hosts, estimates)}
         # Every kernel exposes cumulative delivery counters; the deltas since
         # the last sample are the RoundRecord fields (agent parity).
@@ -326,7 +326,7 @@ class KernelRun:
         return RoundRecord(
             round_index=t,
             truth=truth,
-            n_alive=int(kernel.alive.sum()),
+            n_alive=kernel.live_index().size,
             **error_statistics(estimates, truths)._asdict(),
             bytes_sent=bytes_sent,
             estimates=stored,

@@ -177,7 +177,25 @@ class _VectorizedKernel:
         self.probe = probe
         self.rng = np.random.default_rng(seed)
         self.alive = np.ones(self.n, dtype=bool)
+        self._live_index: Optional[np.ndarray] = None
         self.round_index = 0
+
+    def live_index(self) -> np.ndarray:
+        """Sorted ids of the live hosts (the nonzero of :attr:`alive`), read-only.
+
+        Computed once per membership epoch: it belongs to this kernel (never
+        to the shared topology) and every method that writes :attr:`alive`
+        drops it — removals through :meth:`_mark_dead`, growth in :meth:`join`.
+        """
+        if self._live_index is None:
+            self._live_index = np.nonzero(self.alive)[0]
+            self._live_index.flags.writeable = False
+        return self._live_index
+
+    def _mark_dead(self, indices: np.ndarray) -> None:
+        """The one way hosts leave: clear their liveness, end the membership epoch."""
+        self.alive[indices] = False
+        self._live_index = None
 
     def _draw_push_targets(self, alive_idx: np.ndarray):
         """``(senders, targets)`` for one "everyone contacts one peer" round.
@@ -249,6 +267,7 @@ class _VectorizedKernel:
         start = self.n
         self.n = start + fresh.size
         self.alive = np.concatenate([self.alive, np.ones(fresh.size, dtype=bool)])
+        self._live_index = None
         self._grow(fresh, start)
         return np.arange(start, self.n, dtype=np.int64)
 
@@ -270,21 +289,20 @@ class _VectorizedKernel:
     # --------------------------------------------------------------- failures
     def fail(self, host_indices: Sequence[int]) -> None:
         """Silently remove the given hosts from the computation."""
-        indices = np.asarray(list(host_indices), dtype=np.int64)
-        self.alive[indices] = False
+        self._mark_dead(np.asarray(list(host_indices), dtype=np.int64))
 
     def fail_random_fraction(self, fraction: float) -> np.ndarray:
         """Fail a uniformly random fraction of the live hosts; returns their indices."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         count = int(round(fraction * alive_idx.size))
         chosen = (
             self.rng.choice(alive_idx, size=count, replace=False)
             if count
             else np.array([], dtype=np.int64)
         )
-        self.alive[chosen] = False
+        self._mark_dead(chosen)
         return chosen
 
     def fail_extreme_fraction(
@@ -299,7 +317,7 @@ class _VectorizedKernel:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         count = int(round(fraction * alive_idx.size))
         if count == 0:
             return np.array([], dtype=np.int64)
@@ -307,7 +325,7 @@ class _VectorizedKernel:
             values = self._host_values()
         order = alive_idx[np.argsort(values[alive_idx])]
         chosen = order[-count:] if highest else order[:count]
-        self.alive[chosen] = False
+        self._mark_dead(chosen)
         return chosen
 
     # -------------------------------------------------------------- estimates
@@ -323,7 +341,7 @@ class _VectorizedKernel:
         only gathers); ``truths`` is aligned with :meth:`estimates`, like
         the agent engine's accounting.
         """
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         if alive_idx.size == 0:
             return np.array([], dtype=float), 0.0
         labels, sizes = self.topology.component_labels(self.alive, self.probe, round_index)
@@ -450,11 +468,14 @@ class VectorizedPushSumRevert(_ValueKernel):
         self._history_total = np.zeros((self.n, self.history), dtype=float)
         self._history_filled = np.zeros(self.n, dtype=np.int64)
         self._last_estimate = self.initial.copy()
+        #: :meth:`truth`, and the live index it was computed over (``None``: stale).
+        self._truth = float("nan")
+        self._truth_of: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         if alive_idx.size >= 2:
             if self.mode == "pushpull":
                 self._step_matching(alive_idx)
@@ -462,30 +483,46 @@ class VectorizedPushSumRevert(_ValueKernel):
                 self._step_push(alive_idx)
             else:
                 self._step_full_transfer(alive_idx)
-        adaptive_push = self.adaptive and self.mode == "push"
-        if self.mode != "full-transfer" and self.reversion > 0.0 and not adaptive_push:
-            # (Adaptive push mode applies its per-indegree revert inside
-            # _step_push, so the fixed revert is skipped for it.)
-            self.revert_subset(alive_idx)
-        self._refresh_last_estimates(alive_idx)
+        # Full-Transfer reverts inside its own step, and so does adaptive push
+        # mode (per indegree, in _step_push): the fixed revert skips both.
+        fixed = self.mode == "pushpull" or (self.mode == "push" and not self.adaptive)
+        self._settle(alive_idx, revert=fixed and self.reversion > 0.0)
         self.round_index += 1
 
-    def revert_subset(self, host_idx: np.ndarray) -> None:
-        """Apply the fixed revert to ``host_idx`` (one tick's worth each).
+    def _settle(self, host_idx: np.ndarray, revert: bool = False) -> None:
+        """Refresh ``host_idx``'s stored estimates, after their fixed revert if ``revert``.
 
-        Exactly the arithmetic the whole-population round step applies, so
-        calling it with the full alive index keeps :meth:`step` bit-identical;
-        the event calendar calls it with just the bucket's ticking hosts.
-        The injected weight is tallied in :attr:`mass_injected` so the
-        per-bucket mass ledger can balance its books.
+        Every public mutator ends here for each host whose mass it moved, so
+        :attr:`_last_estimate` is always current for every live host (the
+        invariant :meth:`estimates` reads).  Weight and total are gathered
+        once; the revert (one tick's worth each: the whole live index from
+        :meth:`step`, the bucket's ticking hosts from :meth:`step_subset`) and
+        the ratio work on those copies.  The injected weight is tallied in
+        :attr:`mass_injected` so the per-bucket mass ledger can balance its
+        books.  Duplicates in ``host_idx`` are fine without ``revert``: the
+        write-back is a plain fancy-index assignment of equal values.
         """
-        lam = self.reversion
-        new_weight = lam + (1.0 - lam) * self.weight[host_idx]
-        self.mass_injected += float(new_weight.sum() - self.weight[host_idx].sum())
-        self.weight[host_idx] = new_weight
-        self.total[host_idx] = (
-            lam * self.initial[host_idx] + (1.0 - lam) * self.total[host_idx]
-        )
+        weight, total = self.weight[host_idx], self.total[host_idx]
+        if revert:
+            # In place on the copies (every temporary is a population-sized
+            # allocation).  IEEE ``+`` and ``*`` commute exactly, so these are
+            # still ``lam + (1 - lam) * weight`` and
+            # ``lam * initial + (1 - lam) * total``, bit for bit.
+            lam = self.reversion
+            old_mass = weight.sum()
+            weight *= 1.0 - lam
+            weight += lam
+            self.mass_injected += float(weight.sum() - old_mass)
+            anchor = self.initial[host_idx]
+            anchor *= lam
+            total *= 1.0 - lam
+            total += anchor
+            self.weight[host_idx] = weight
+            self.total[host_idx] = total
+        has_weight = weight > 1e-12
+        if not has_weight.all():  # a massless host keeps its last estimate
+            host_idx, weight, total = host_idx[has_weight], weight[has_weight], total[has_weight]
+        self._last_estimate[host_idx] = np.divide(total, weight, out=total)
 
     def merge_pairs(self, left: np.ndarray, right: np.ndarray) -> None:
         """Atomic pairwise exchanges, serialised where endpoints collide.
@@ -498,8 +535,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         are endpoint-disjoint, so their mean-merges commute), then repeats
         on the rest.  Pass counts stay tiny in practice — collisions are
         rare at gossip fan-out — and the lowest remaining pair is always
-        taken, so the loop terminates.  Like :meth:`apply_deliveries`, it
-        leaves the estimates of every host it touched refreshed.
+        taken, so the loop terminates.
         """
         touched = np.concatenate([left, right])
         with self.probe.span("scatter"):
@@ -516,7 +552,7 @@ class VectorizedPushSumRevert(_ValueKernel):
                 take = (claim[left] == idx) & (claim[right] == idx)
                 self._mean_merge(left[take], right[take])
                 left, right = left[~take], right[~take]
-        self._refresh_last_estimates(touched)  # duplicates are fine, as below
+        self._settle(touched)
 
     def _mean_merge(self, a: np.ndarray, b: np.ndarray) -> None:
         """The atomic exchange of endpoint-disjoint pairs: both take the pair's mean."""
@@ -552,9 +588,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         with self.probe.span("scatter"):
             np.add.at(self.weight, targets, weight)
             np.add.at(self.total, targets, total)
-        # Duplicate targets are fine: the refresh is a plain fancy-index
-        # assignment, so deduplicating first would only cost a sort.
-        self._refresh_last_estimates(targets)
+        self._settle(targets)
 
     # ---------------------------------------------------- the calendar protocol
     def step_subset(self, ticking: np.ndarray, delays=None) -> List[tuple]:
@@ -582,15 +616,13 @@ class VectorizedPushSumRevert(_ValueKernel):
         if self.adaptive:
             raise ValueError("adaptive reversion has no subset step")
         ticking = np.asarray(ticking, dtype=np.int64)
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         deferred: List[tuple] = []
         if alive_idx.size >= 2 and ticking.size:
-            # (merge_pairs / apply_deliveries refresh the peers they touch.)
+            # (merge_pairs / apply_deliveries settle the peers they touch.)
             tick = self._tick_exchange if self.mode == "pushpull" else self._tick_push
             deferred = tick(ticking, alive_idx, delays)
-        if self.reversion > 0.0 and ticking.size:
-            self.revert_subset(ticking)
-        self._refresh_last_estimates(ticking)
+        self._settle(ticking, revert=self.reversion > 0.0)
         return deferred
 
     def _tick_exchange(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
@@ -808,14 +840,15 @@ class VectorizedPushSumRevert(_ValueKernel):
         indices = np.asarray(list(host_indices), dtype=np.int64)
         if indices.size == 0:
             return
-        self.alive[indices] = False
-        survivors = np.nonzero(self.alive)[0]
+        self._mark_dead(indices)
+        survivors = self.live_index()
         if survivors.size == 0:
             self.mass_lost += float(self.weight[indices].sum())
         else:
             heirs = survivors[self.rng.integers(0, survivors.size, size=indices.size)]
             np.add.at(self.weight, heirs, self.weight[indices])
             np.add.at(self.total, heirs, self.total[indices])
+            self._settle(heirs)
         self.weight[indices] = 0.0
         self.total[indices] = 0.0
 
@@ -833,34 +866,27 @@ class VectorizedPushSumRevert(_ValueKernel):
         # towards the new value while the in-flight totals stay untouched —
         # exactly the agent protocol's ``rebase`` hook.
         self.initial[index] = value
+        self._truth_of = None
 
     # -------------------------------------------------------------- estimates
-    def _refresh_last_estimates(self, alive_idx: np.ndarray) -> None:
-        has_weight = self.weight[alive_idx] > 1e-12
-        idx = alive_idx[has_weight]
-        self._last_estimate[idx] = self.total[idx] / self.weight[idx]
-
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the network average."""
-        alive_idx = np.nonzero(self.alive)[0]
-        if self.mode == "full-transfer":
-            weight_sum = self._history_weight[alive_idx].sum(axis=1)
-            total_sum = self._history_total[alive_idx].sum(axis=1)
-            estimates = np.where(
-                weight_sum > 1e-12, total_sum / np.maximum(weight_sum, 1e-300), self._last_estimate[alive_idx]
-            )
-            return estimates
-        weight = self.weight[alive_idx]
+        alive_idx = self.live_index()
+        if self.mode != "full-transfer":
+            return self._last_estimate[alive_idx]  # kept current by _settle
+        weight_sum = self._history_weight[alive_idx].sum(axis=1)
+        total_sum = self._history_total[alive_idx].sum(axis=1)
         return np.where(
-            weight > 1e-12, self.total[alive_idx] / np.maximum(weight, 1e-300), self._last_estimate[alive_idx]
+            weight_sum > 1e-12, total_sum / np.maximum(weight_sum, 1e-300), self._last_estimate[alive_idx]
         )
 
     def truth(self) -> float:
-        """The correct average over the currently live hosts."""
-        alive_idx = np.nonzero(self.alive)[0]
-        if alive_idx.size == 0:
-            return float("nan")
-        return float(self.initial[alive_idx].mean())
+        """The correct average over the currently live hosts (NaN with nobody alive)."""
+        alive_idx = self.live_index()
+        if self._truth_of is not alive_idx:  # new membership epoch, or a value changed
+            self._truth = float(self.initial[alive_idx].mean()) if alive_idx.size else float("nan")
+            self._truth_of = alive_idx
+        return self._truth
 
 
 class _CountingKernel(_VectorizedKernel):
@@ -972,7 +998,7 @@ class VectorizedCountSketchReset(_CountingKernel):
         if indices.size == 0:
             return
         self.own_mask[indices] = False
-        self.alive[indices] = False
+        self._mark_dead(indices)
         kept = ~np.isin(self._owned_hosts, indices)
         self._owned_hosts = self._owned_hosts[kept]
         self._owned_positions = self._owned_positions[kept]
@@ -980,7 +1006,7 @@ class VectorizedCountSketchReset(_CountingKernel):
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         if alive_idx.size == 0:
             self.round_index += 1
             return
@@ -1034,7 +1060,7 @@ class VectorizedCountSketchReset(_CountingKernel):
         """
         if not 0 <= bit_index < self.bits:
             raise ValueError(f"bit_index must be in [0, {self.bits})")
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         values = self.counters[alive_idx, :, bit_index].reshape(-1).astype(np.int64)
         if finite_only:
             values = values[values < int(_COUNTER_INFINITY)]
@@ -1105,7 +1131,7 @@ class VectorizedSketchCount(_CountingKernel):
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
                 senders, targets = self._draw_push_targets(alive_idx)
@@ -1187,7 +1213,7 @@ class VectorizedExtrema(_ValueKernel):
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
-        alive_idx = np.nonzero(self.alive)[0]
+        alive_idx = self.live_index()
         if alive_idx.size == 0:
             self.round_index += 1
             return

@@ -24,7 +24,7 @@ def uniform_values(
     if high < low:
         raise ValueError("high must be >= low")
     rng = np.random.default_rng(seed)
-    return [float(value) for value in rng.uniform(low, high, size=n)]
+    return rng.uniform(low, high, size=n).tolist()
 
 
 def constant_values(n: int, value: float = 1.0) -> List[float]:
@@ -43,7 +43,7 @@ def normal_values(
     if std < 0:
         raise ValueError("std must be non-negative")
     rng = np.random.default_rng(seed)
-    return [float(value) for value in rng.normal(mean, std, size=n)]
+    return rng.normal(mean, std, size=n).tolist()
 
 
 def zipf_values(
@@ -55,7 +55,7 @@ def zipf_values(
     if exponent <= 1.0:
         raise ValueError("zipf exponent must be > 1")
     rng = np.random.default_rng(seed)
-    return [float(value) * scale for value in rng.zipf(exponent, size=n)]
+    return (rng.zipf(exponent, size=n).astype(float) * scale).tolist()
 
 
 def clustered_values(
@@ -79,4 +79,4 @@ def clustered_values(
     rng = np.random.default_rng(seed)
     assignments = rng.integers(0, len(cluster_means), size=n)
     means = np.asarray(cluster_means, dtype=float)[assignments]
-    return [float(value) for value in rng.normal(means, std)]
+    return rng.normal(means, std).tolist()

@@ -170,6 +170,46 @@ class TestValueDistributions:
             clustered_values(10, cluster_means=())
 
 
+#: Each registered workload as the per-element ``float(...)`` loop it was
+#: written as before the generators switched to ``ndarray.tolist()``.
+LOOP_WORKLOADS = {
+    "uniform": lambda rng, n: [float(v) for v in rng.uniform(0.0, 100.0, size=n)],
+    "constant": lambda rng, n: [1.0] * n,
+    "normal": lambda rng, n: [float(v) for v in rng.normal(50.0, 15.0, size=n)],
+    "zipf": lambda rng, n: [float(v) * 1.0 for v in rng.zipf(1.5, size=n)],
+    "clustered": lambda rng, n: [
+        float(v)
+        for v in rng.normal(np.asarray((10.0, 50.0, 90.0))[rng.integers(0, 3, size=n)], 5.0)
+    ],
+}
+
+
+class TestWorkloadsAreTheSamePythonFloats:
+    def test_every_registered_workload_has_a_reference(self):
+        from repro.api import WORKLOADS
+
+        assert set(LOOP_WORKLOADS) == set(WORKLOADS.keys())
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("name", sorted(LOOP_WORKLOADS))
+    def test_tolist_equals_the_float_loop(self, name, seed):
+        from repro.api import WORKLOADS
+
+        values = WORKLOADS.create(name, 257, seed=seed)
+        assert values == LOOP_WORKLOADS[name](np.random.default_rng(seed), 257)
+        assert all(type(value) is float for value in values)
+
+    def test_zipf_scale_and_clamp_keep_their_arithmetic(self):
+        from repro.api import WORKLOADS
+
+        draws = np.random.default_rng(5).zipf(1.1, size=300)
+        assert (draws > 2**53).any()  # where int64 -> float has to round
+        assert zipf_values(300, 1.1, 0.37, seed=5) == [float(v) * 0.37 for v in draws]
+        clamped = WORKLOADS.create("zipf", 300, seed=5, exponent=1.1, clamp=40.0)
+        assert clamped == [min(40.0, float(v) * 1.0) for v in draws]
+        assert all(type(value) is float for value in clamped)
+
+
 class TestScenarios:
     def test_uncorrelated_scenario_structure(self):
         scenario = uncorrelated_failure_scenario(100, failure_round=5, rounds=20)

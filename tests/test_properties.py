@@ -10,6 +10,7 @@ from repro.baselines.push_sum import PushSum
 from repro.core.push_sum_revert import PushSumRevert
 from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
+from repro.simulator.kernels import KERNELS
 from repro.simulator.vectorized import (
     _COUNTER_INFINITY,
     _merge_rows,
@@ -528,3 +529,118 @@ class TestScorerMatchesTheInlineFormulas:
             assert _bits(scored) == _bits(_kernel_driver_formula(estimates, truths))
             if not isinstance(truths, list):
                 assert _bits(scored.stddev_error) == _bits(_kernel_error_formula(estimates, truths))
+
+
+# ---------------------------------------------------------------------------
+# Kernel caches: the membership-epoch live index and Push-Sum-Revert's
+# stored estimates must survive any interleaving of the public mutators.
+# ---------------------------------------------------------------------------
+#: One mutator call: its name, a fraction in [0, 1] and a seed for its host picks.
+kernel_calls = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "step", "step_subset", "deliver", "fail", "fail_random_fraction",
+            "fail_highest_fraction", "depart_gracefully", "join", "change_values",
+        ]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _apply(kernel, in_flight, name, fraction, seed):
+    """Call the mutator ``name`` on ``kernel``; ``False`` if it has no such call.
+
+    ``in_flight`` queues what :meth:`step_subset` deferred, for ``deliver``.
+    """
+    rng = np.random.default_rng(seed)
+    live = np.nonzero(kernel.alive)[0]
+    picked = live[rng.random(live.size) < fraction]
+    if name == "step":
+        kernel.step()
+    elif name == "step_subset":
+        if not hasattr(kernel, "step_subset") or getattr(kernel, "mode", "") == "full-transfer":
+            return False
+        in_flight.extend(kernel.step_subset(picked, lambda k: rng.choice([0.0, 0.75], size=k)))
+    elif name == "deliver":
+        if not in_flight:
+            return False
+        kind, _senders, _delay, *arrays = in_flight.pop(0)
+        kernel.deliver(kind, *arrays)
+    elif name == "fail":
+        kernel.fail(rng.integers(0, kernel.n, size=2).tolist())  # dead or alive
+    elif name == "fail_random_fraction":
+        kernel.fail_random_fraction(fraction)
+    elif name == "fail_highest_fraction":
+        if not hasattr(kernel, "fail_highest_fraction"):
+            return False
+        kernel.fail_highest_fraction(fraction)
+    elif name == "depart_gracefully":
+        kernel.depart_gracefully(picked[:3].tolist())
+    elif name == "join":
+        if kernel.topology is not None:
+            return False
+        kernel.join(rng.uniform(0.0, 100.0, size=1 + seed % 3))
+    elif name == "change_values":
+        if not hasattr(kernel, "change_values"):
+            return False
+        kernel.change_values({int(host): 100.0 * fraction for host in picked[:2]})
+    return True
+
+
+class TestKernelCachesSurviveAnyCallSequence:
+    @staticmethod
+    def _kernel(protocol, seed, **spec_overrides):
+        from repro.api import BACKENDS, ScenarioSpec
+
+        spec = ScenarioSpec(
+            protocol=protocol, n_hosts=12, seed=seed, backend="vectorized",
+            **{"mode": next(iter(KERNELS[protocol].modes)), **spec_overrides},
+        )
+        return BACKENDS.get("vectorized").build_kernel(spec)
+
+    @pytest.mark.parametrize("protocol", sorted(KERNELS))
+    @COMMON_SETTINGS
+    @given(calls=kernel_calls, seed=st.integers(min_value=0, max_value=100))
+    def test_live_index_is_the_nonzero_of_alive(self, protocol, calls, seed):
+        kernel, in_flight = self._kernel(protocol, seed), []
+        for call in calls:
+            _apply(kernel, in_flight, *call)
+            live = kernel.live_index()
+            assert live.dtype == np.int64 and not live.flags.writeable
+            assert np.array_equal(live, np.nonzero(kernel.alive)[0])
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mode="exchange"),
+        dict(mode="push"),
+        dict(mode="push", network="bernoulli-loss", network_params={"p": 0.3}),
+        dict(mode="exchange", network="bernoulli-loss", network_params={"p": 0.3}),
+        dict(mode="exchange", environment="ring", environment_params={"k": 2}),
+        dict(mode="push", environment="ring", environment_params={"k": 2}),
+    ], ids=lambda overrides: "-".join(str(v) for v in overrides.values() if isinstance(v, str)))
+    @COMMON_SETTINGS
+    @given(
+        calls=kernel_calls,
+        reversion=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(min_value=0, max_value=100),
+    )
+    def test_push_sum_revert_serves_fresh_estimates_and_truth(
+        self, overrides, calls, reversion, seed
+    ):
+        kernel = self._kernel(
+            "push-sum-revert", seed, protocol_params={"reversion": reversion}, **overrides
+        )
+        in_flight = []
+        for call in calls:
+            if not _apply(kernel, in_flight, *call):
+                continue
+            live = np.nonzero(kernel.alive)[0]
+            weight, total = kernel.weight[live], kernel.total[live]
+            from_scratch = np.where(
+                weight > 1e-12, total / np.maximum(weight, 1e-300), kernel._last_estimate[live]
+            )
+            assert _bits(kernel.estimates()) == _bits(from_scratch), call
+            truth = float(kernel.initial[live].mean()) if live.size else float("nan")
+            assert _bits(kernel.truth()) == _bits(truth), call

@@ -1,6 +1,7 @@
 """Tests for the vectorised uniform-gossip kernels."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -463,6 +464,17 @@ class TestKernelMembership:
         kernel.step_many(60)
         assert np.mean(kernel.estimates()) == pytest.approx(3.5, abs=0.2)
 
+    def test_graceful_departure_refreshes_the_heirs_stored_estimates(self):
+        # estimates() is served from ``_last_estimate``, so an heir's entry
+        # must move with the mass it inherits (it stayed stale before).
+        kernel = VectorizedPushSumRevert([0.0, 10.0, 20.0, 30.0], 0.0, seed=1)
+        kernel.depart_gracefully([0])
+        live = np.nonzero(kernel.alive)[0]
+        fresh = kernel.total[live] / kernel.weight[live]
+        assert (kernel.weight[live] > 1.0).any()  # somebody inherited
+        assert np.array_equal(kernel._last_estimate[live], fresh)
+        assert np.array_equal(kernel.estimates(), fresh)
+
     def test_graceful_departure_of_everyone_drops_mass(self):
         kernel = VectorizedPushSumRevert([1.0, 2.0], 0.0, seed=0)
         kernel.depart_gracefully([0, 1])
@@ -624,6 +636,56 @@ class TestSketchKernelPinnedState:
 
         with pytest.raises(ValueError, match="NaN"):
             VectorizedCountSketchReset(4, bins=2, bits=6, cutoff=cutoff)
+
+
+class TestBenchShapesPinnedPayloads:
+    """The four kernel workloads of ``bench/workloads.py::scenario_kwargs`` at n = 2 000.
+
+    Same shapes (halfway uncorrelated failure included), plus stored per-host
+    estimates, so the digest covers every float a kernel refactor could move.
+    Captured at e6750a6, the commit before Push-Sum-Revert began serving
+    ``estimates()`` from its refresh; a PR that means to move them re-pins
+    them and says why.
+    """
+
+    PUSH_SUM = dict(protocol="push-sum-revert", protocol_params={"reversion": 0.1})
+    SHAPES = {
+        "uniform_push": dict(PUSH_SUM, mode="push", environment="uniform", rounds=30),
+        "ring_exchange": dict(PUSH_SUM, mode="exchange", environment="ring", rounds=16),
+        "events_latency": dict(
+            PUSH_SUM, mode="exchange", engine="events", network="latency",
+            network_params={"distribution": "uniform", "low": 0, "high": 2}, rounds=8,
+        ),
+        "sketch_reset": dict(
+            protocol="count-sketch-reset",
+            protocol_params={"bins": 16, "bits": 18, "cutoff": "default"},
+            workload="constant", rounds=2,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, payload_digest",
+        [
+            ("uniform_push", "cc571f2193c4d6963f04f3ae8474d5bb"),
+            ("ring_exchange", "1b14d94f30e6ffdb7f03b60958451086"),
+            ("events_latency", "8ddf7d14d924e25f77eb8f2cec77b104"),
+            ("sketch_reset", "e735010da5792d95fa21df7102046a74"),
+        ],
+    )
+    def test_payload_is_bit_identical(self, name, payload_digest):
+        from repro.api import ScenarioSpec, run_scenario
+
+        shape = self.SHAPES[name]
+        failure = {
+            "event": "failure", "round": shape["rounds"] // 2,
+            "model": "uncorrelated", "fraction": 0.5,
+        }
+        spec = ScenarioSpec(
+            **shape, n_hosts=2000, seed=0, name=name, backend="vectorized",
+            store_estimates=True, events=(failure,),
+        )
+        payload = json.dumps(run_scenario(spec).to_payload(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:32] == payload_digest
 
 
 class TestTraceCSRTopology:
