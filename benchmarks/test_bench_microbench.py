@@ -13,12 +13,14 @@ from repro.baselines import PushSum
 from repro.core import CountSketchReset, PushSumRevert
 from repro.environments import UniformEnvironment
 from repro.simulator import Simulation
+from repro.simulator.sparse import CSRTopology
 from repro.simulator.vectorized import (
     VectorizedCountSketchReset,
     VectorizedPushSumRevert,
     VectorizedSketchCount,
 )
 from repro.sketches import CounterMatrix, FMSketch
+from repro.topology.graphs import ring_lattice_edges
 from repro.workloads import uniform_values
 
 
@@ -78,6 +80,18 @@ def test_vectorized_count_sketch_step(benchmark):
 @pytest.mark.benchmark(group="micro-vectorized")
 def test_vectorized_sketch_count_step(benchmark):
     benchmark(_step_all_live_and_half_failed(VectorizedSketchCount))
+
+
+@pytest.mark.benchmark(group="micro-vectorized")
+def test_vectorized_sparse_matching(benchmark):
+    """One three-pass edge matching on a ring, through a kernel's own live view."""
+    n = 10_000
+    topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
+    kernel = VectorizedPushSumRevert(uniform_values(n, seed=1), 0.01, topology=topology, seed=1)
+    kernel.fail_random_fraction(0.25)
+    left, right = benchmark(lambda: kernel.live_view().sample_matching(kernel.rng))
+    assert left.size == right.size > n // 4
+    assert kernel.alive[left].all() and kernel.alive[right].all()
 
 
 @pytest.mark.benchmark(group="micro-sketch")

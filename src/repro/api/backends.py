@@ -81,9 +81,9 @@ def _environment_default(environment: str, param: str):
 #: Memoised static topologies keyed by (environment, params JSON, n_hosts).
 #: Every topology environment is deterministic given its parameters (the
 #: random generators take an explicit ``graph_seed``), so reuse is sound;
-#: a multi-seed sweep over one graph then builds it exactly once.  The
-#: samplers' internal caches are keyed by alive mask, so sharing one
-#: topology across kernels is safe.
+#: a multi-seed sweep over one graph then builds it exactly once.  Runs
+#: only read a topology (liveness lives in each kernel's ``LiveView``), so
+#: sharing one across kernels is safe.
 _TOPOLOGY_CACHE: "OrderedDict[Tuple[str, str, int], Tuple[object, str]]" = OrderedDict()
 _TOPOLOGY_CACHE_SIZE = 8
 

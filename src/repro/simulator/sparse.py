@@ -1,40 +1,42 @@
 """Sparse-adjacency peer sampling for the vectorised kernels.
 
-The kernels in :mod:`repro.simulator.vectorized` were born uniform: every
-live host could gossip with every other live host, so peer selection was a
-single ``rng.integers``/``rng.permutation`` call over the live index set.
-This module is what lets the same kernels run *graph-restricted* gossip at
-kernel speed: a topology object answers "one random live peer for each of
-these hosts" as an array program, and the kernels treat the answer exactly
-like the uniform draw they used before.
+Uniform gossip selects peers with one ``rng.integers``/``rng.permutation``
+call over the live index.  This module lets the kernels in
+:mod:`repro.simulator.vectorized` run *graph-restricted* gossip at the same
+speed: "one random live peer for each of these hosts" is answered as an array
+program, and the kernels treat the answer exactly like the uniform draw.
 
-Two topologies are provided:
+Every topology is two things.  The *graph* is immutable once built, memoised
+by the backend and shared between runs:
 
 * :class:`CSRTopology` — an arbitrary static graph held as CSR
-  ``indptr``/``indices`` arrays (ring lattices, grids, random-geometric
-  and Erdős–Rényi graphs, anything a
-  :class:`~repro.environments.NeighborhoodEnvironment` can describe).
-  Failures are handled by caching a live-edge CSR that is rebuilt only
-  when the alive mask actually changes, so steady-state rounds pay one
-  gather per sample and nothing else.
+  ``indptr``/``indices`` arrays (rings, grids, random-geometric and Erdős–Rényi
+  graphs: anything a :class:`~repro.environments.NeighborhoodEnvironment` holds).
+* :class:`TraceCSRTopology` — a contact trace replayed as one such graph per
+  round (a function of trace and round, so their LRU stays on the topology).
 * :class:`GridRingTopology` — the spatial-gossip rule of the paper's
-  Section IV-A (Kempe–Kleinberg–Demers): hosts live on a 2-D grid, a
-  gossip partner is found by sampling a distance ``d`` with probability
-  proportional to ``1/d²`` and then a uniform live host on the L1 ring at
-  exactly that distance.  The ring is never materialised: the 4·d lattice
-  offsets of an L1 circle are enumerated arithmetically, so sampling is
-  O(attempts) per host regardless of ``d``.
+  Section IV-A (Kempe–Kleinberg–Demers) on a 2-D grid: a distance ``d`` drawn
+  with probability ∝ ``1/d²``, then a uniform live host on the L1 ring at
+  exactly that distance, enumerated arithmetically (never materialised), so
+  sampling is O(attempts) per host regardless of ``d``.
 
-Both expose the same three operations the kernels and the backend need:
-:meth:`sample_peers` (one live peer per requesting host, ``-1`` when the
-host is isolated), :meth:`sample_matching` (a conflict-free set of
-pairwise exchanges along sampled edges — the graph analogue of the
-uniform kernels' random perfect matching) and :meth:`component_labels`
-(the connected components of the live-induced graph, for group-relative
-error accounting à la Fig 11).  Each takes the caller's ``probe``
-(:mod:`repro.obs`) and ``round_index`` as trailing arguments: a topology
-is memoised and shared between runs, so it holds neither — only
-:class:`TraceCSRTopology`, whose graph varies by round, reads the round.
+A :class:`LiveView` — ``topology.view(alive, probe)`` — is the graph under
+*one alive mask*, owned by whoever owns the mask: a kernel builds one per
+membership epoch and drops it when a host leaves, so no mask is ever hashed
+or compared and the shared graph is only read.  The view holds what stays
+constant with the mask (the live index; for a CSR graph the live-edge CSR and
+its ``degree``/``indptr`` gathers over the whole live index; the component
+labels once asked for) and answers what the kernels need:
+:meth:`~LiveView.sample_peers` (one live peer per requesting host, ``-1``
+when the host is isolated), :meth:`~LiveView.sample_matching` (a
+conflict-free set of pairwise exchanges along sampled edges — the graph
+analogue of the uniform kernels' random perfect matching) and
+:meth:`~LiveView.component_labels` (the connected components of the
+live-induced graph, for group-relative error accounting à la Fig 11).  It
+carries its owner's ``probe`` (:mod:`repro.obs`); only a trace view reads the
+``round_index`` each call names.  Hand-driven callers keep the stateless
+``topology.sample_peers(requesters, alive, rng, …)`` forms, which delegate to
+a one-slot memo of the last mask's view.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.topology.graphs import grid_edges
 __all__ = [
     "CSRTopology",
     "GridRingTopology",
+    "LiveView",
     "TraceCSRTopology",
     "greedy_edge_matching",
 ]
@@ -80,37 +83,28 @@ def greedy_edge_matching(
     return (best[left] == priority) & (best[right] == priority)
 
 
-class _Topology:
-    """Shared sampling machinery; subclasses implement the raw peer draw.
+class LiveView:
+    """A topology under one alive mask (see the module docstring).
 
-    Subclasses set ``n`` and implement :meth:`sample_peers` and
-    :meth:`_edges`; everything else (matching construction,
-    component labelling and its cache) lives here.
+    ``alive`` must not change under a view — its owner drops the view
+    instead — and ``live_index``, if given, is its ``np.flatnonzero``.  The
+    base class samples through ``topology._draw_peers(requesters, alive,
+    rng)``; the CSR and trace views add what they precompute per mask.
     """
 
-    n: int
+    def __init__(self, topology, alive: np.ndarray, probe=NULL_PROBE, live_index=None):
+        self.topology, self.alive, self.probe = topology, alive, probe
+        self.live_index = np.flatnonzero(alive) if live_index is None else live_index
+        self._labels = None
 
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE, round_index: int = 0,
+        self, requesters: np.ndarray, rng: np.random.Generator, round_index: int = 0
     ) -> np.ndarray:
-        """One uniform live peer per requester (``-1`` for isolated hosts)."""
-        raise NotImplementedError
+        """One uniform live peer per requester: a live host, or ``-1`` if it has none."""
+        return self.topology._draw_peers(requesters, self.alive, rng)
 
-    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(u, v)``: every undirected edge once (what components follow)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------- matching
     def sample_matching(
-        self,
-        alive_idx: np.ndarray,
-        alive: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        passes: int = 3,
-        probe=NULL_PROBE,
-        round_index: int = 0,
+        self, rng: np.random.Generator, *, passes: int = 3, round_index: int = 0
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Pairwise exchange partners along sampled edges.
 
@@ -125,54 +119,178 @@ class _Topology:
 
         Returns ``(left, right)`` index arrays of the accepted exchanges.
         """
-        matched_left: List[np.ndarray] = []
-        matched_right: List[np.ndarray] = []
-        available = alive.copy()
-        requesters = alive_idx
-        for _ in range(max(1, passes)):
+        pairs: List[Tuple[np.ndarray, np.ndarray]] = []
+        available = None  # copied from the mask once somebody is matched
+        requesters = self.live_index
+        for passes_left in reversed(range(max(1, passes))):
             if requesters.size < 2:
                 break
-            targets = self.sample_peers(requesters, alive, rng, probe, round_index)
-            # A proposal only stands if its target is itself still
-            # unmatched; everything else retries next pass.
-            valid = (targets >= 0) & available[np.where(targets >= 0, targets, 0)]
-            left = requesters[valid]
-            right = targets[valid]
-            accept = greedy_edge_matching(left, right, self.n, rng)
-            if accept.any():
-                matched_left.append(left[accept])
-                matched_right.append(right[accept])
-                available[left[accept]] = False
-                available[right[accept]] = False
-                requesters = requesters[available[requesters]]
+            targets = self.sample_peers(requesters, rng, round_index)
+            # A proposal only stands if its target (live, by sample_peers'
+            # contract) is itself still unmatched; -1 gathers are masked out.
+            valid = targets >= 0
+            if available is not None:
+                valid &= available[targets]
+            if valid.all():
+                left, right = requesters, targets
             else:
+                standing = np.flatnonzero(valid)
+                left, right = requesters[standing], targets[standing]
+            accepted = np.flatnonzero(greedy_edge_matching(left, right, self.topology.n, rng))
+            if accepted.size == 0:
                 break
-        if not matched_left:
+            left, right = left[accepted], right[accepted]
+            pairs.append((left, right))
+            if not passes_left:
+                break
+            if available is None:
+                available = self.alive.copy()
+            available[left] = False
+            available[right] = False
+            requesters = requesters[np.flatnonzero(available[requesters])]
+        if not pairs:
             empty = np.array([], dtype=np.int64)
             return empty, empty
-        return np.concatenate(matched_left), np.concatenate(matched_right)
+        lefts, rights = zip(*pairs)
+        return np.concatenate(lefts), np.concatenate(rights)
 
-    # ----------------------------------------------------------- components
-    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
-        """``(labels, sizes)`` for the live components (cached by mask).
+    def component_labels(self, round_index: int = 0):
+        """``(labels, sizes)`` for the live components (built once per view).
 
         ``labels[host]`` is the component index of every live host (``-1``
         for dead hosts) and ``sizes[c]`` the member count of component
         ``c``.  Group-relative error (the Fig 11 definition) needs the
         partition every round, but the partition only changes when hosts
-        fail — so the answer is cached against the alive mask and
-        recomputed on membership changes only.
+        fail — that is, with the view.
         """
-        key = alive.tobytes()
-        cached = getattr(self, "_labels_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        with probe.span("component_labelling"):
-            u, v = self._edges()
-            live = alive[u] & alive[v]
-            labels, sizes = _live_labels(_min_label_components(u[live], v[live], self.n), alive)
-        self._labels_cache = (key, labels, sizes)
-        return labels, sizes
+        if self._labels is None:
+            with self.probe.span("component_labelling"):
+                u, v = self.topology._edges()
+                live = self.alive[u] & self.alive[v]
+                full = _min_label_components(u[live], v[live], self.topology.n)
+                self._labels = _live_labels(full, self.live_index)
+        return self._labels
+
+
+class _CSRView(LiveView):
+    """A :class:`CSRTopology` under one mask: the CSR of edges into live hosts
+    (``indptr``/``indices``/``degree``) and its gathers over the whole live index,
+    which the first pass of every matching and every push-mode draw asks for."""
+
+    def __init__(self, topology, alive: np.ndarray, probe=NULL_PROBE, live_index=None):
+        super().__init__(topology, alive, probe, live_index)
+        with probe.span("csr_rebuild"):
+            if self.live_index.size == alive.size:  # everyone is alive: the graph itself
+                self.indptr, self.indices = topology.indptr, topology.indices
+                self.degree = np.diff(topology.indptr)
+                self._index_degree, self._index_start = self.degree, self.indptr[:-1]
+            else:
+                edge_alive = alive[topology.indices]
+                self.degree = np.bincount(
+                    topology._edge_owner[edge_alive], minlength=topology.n
+                ).astype(np.int64)
+                self.indptr = np.zeros(topology.n + 1, dtype=np.int64)
+                np.cumsum(self.degree, out=self.indptr[1:])
+                # Boolean masking preserves CSR grouping: indices stay sorted
+                # by owner, so the filtered array is already segment-aligned.
+                self.indices = topology.indices[edge_alive]
+                self._index_degree = self.degree[self.live_index]
+                self._index_start = self.indptr[self.live_index]
+
+    def sample_peers(
+        self, requesters: np.ndarray, rng: np.random.Generator, round_index: int = 0
+    ) -> np.ndarray:
+        if self.indices.size == 0:
+            return np.full(requesters.size, -1, dtype=np.int64)
+        if requesters is self.live_index:
+            degree, start = self._index_degree, self._index_start
+        else:
+            degree, start = self.degree[requesters], self.indptr[requesters]
+        scaled = rng.random(requesters.size)
+        scaled *= degree
+        slots = scaled.astype(np.int64)
+        # Clamp the (probability-zero) draw == degree edge case, and keep
+        # zero-degree gathers in bounds (``clip``) before masking them to -1.
+        np.minimum(slots, degree - 1, out=slots)
+        np.maximum(slots, 0, out=slots)
+        slots += start
+        peers = self.indices.take(slots, mode="clip")
+        if not degree.all():
+            peers[degree == 0] = -1
+        return peers
+
+
+class _TraceView(LiveView):
+    """A :class:`TraceCSRTopology` under one mask: the current round's live CSR."""
+
+    _current = (None, None)  # (round, that round's graph under the mask)
+
+    def sample_peers(
+        self, requesters: np.ndarray, rng: np.random.Generator, round_index: int = 0
+    ) -> np.ndarray:
+        if round_index != self._current[0]:
+            graph = self.topology._round_csr(round_index, self.probe)
+            self._current = (round_index, graph.view(self.alive, self.probe, self.live_index))
+        return self._current[1].sample_peers(requesters, rng)
+
+    def component_labels(self, round_index: int = 0):
+        """``(labels, sizes)`` of round ``round_index``'s window-union groups.
+
+        Groups are the full-union components intersected with the live
+        set (empty intersections dropped, exactly like the agent
+        environment's group rule), relabelled ``0..k-1``; a live host with
+        no window contacts is its own group of one.
+        """
+        full = self.topology._union_labels(round_index, self.probe)
+        return _live_labels(full, self.live_index)
+
+
+class _Topology:
+    """What every graph shares: the view factory and the stateless entry points.
+
+    Subclasses set ``n`` and implement :meth:`_edges` plus ``_draw_peers``, or
+    name their own :class:`LiveView` subclass as ``_view_class``.
+    """
+
+    n: int
+    _view_class = LiveView
+    #: The view the last stateless call used (never touched by a kernel run).
+    _last_view: Optional[LiveView] = None
+
+    def view(self, alive: np.ndarray, probe=NULL_PROBE, live_index=None) -> LiveView:
+        """This graph under ``alive``, reporting to ``probe``."""
+        return self._view_class(self, alive, probe, live_index)
+
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, v)``: every undirected edge once (what components follow)."""
+        raise NotImplementedError
+
+    def _view_of(self, alive: np.ndarray, probe) -> LiveView:
+        """The stateless calls' one-slot memo: the last view while mask and probe
+        repeat, else a new one over a copy of the mask (installed in one assignment)."""
+        view = self._last_view
+        if view is None or view.probe is not probe or not np.array_equal(view.alive, alive):
+            view = self._last_view = self.view(alive.copy(), probe)
+        return view
+
+    def sample_peers(
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        probe=NULL_PROBE, round_index: int = 0,
+    ) -> np.ndarray:
+        """Stateless :meth:`LiveView.sample_peers`."""
+        return self._view_of(alive, probe).sample_peers(requesters, rng, round_index)
+
+    def sample_matching(
+        self, alive_idx: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
+        *, passes: int = 3, probe=NULL_PROBE, round_index: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stateless :meth:`LiveView.sample_matching` (``alive_idx`` is ``alive``'s nonzero)."""
+        view = self._view_of(alive, probe)
+        return view.sample_matching(rng, passes=passes, round_index=round_index)
+
+    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
+        """Stateless :meth:`LiveView.component_labels`."""
+        return self._view_of(alive, probe).component_labels(round_index)
 
 
 class CSRTopology(_Topology):
@@ -185,6 +303,8 @@ class CSRTopology(_Topology):
         ``indices[indptr[i]:indptr[i + 1]]``.  Build from an adjacency map
         with :meth:`from_adjacency`.
     """
+
+    _view_class = _CSRView
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -200,10 +320,6 @@ class CSRTopology(_Topology):
         self._edge_owner = np.repeat(
             np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
         )
-        self._live_key: Optional[bytes] = None
-        self._live_indptr = self.indptr
-        self._live_indices = self.indices
-        self._live_degree = np.diff(self.indptr)
 
     @classmethod
     def from_edges(cls, u: np.ndarray, v: np.ndarray, n: int) -> "CSRTopology":
@@ -243,48 +359,6 @@ class CSRTopology(_Topology):
             indices[start : start + len(neighbors)] = sorted(neighbors)
         return cls(indptr, indices)
 
-    # ------------------------------------------------------------- sampling
-    def _refresh_live(self, alive: np.ndarray, probe) -> None:
-        """Rebuild the live-edge CSR iff the alive mask changed."""
-        key = alive.tobytes()
-        if key == self._live_key:
-            return
-        with probe.span("csr_rebuild"):
-            if bool(alive.all()):
-                live_indptr, live_indices = self.indptr, self.indices
-                live_degree = np.diff(self.indptr)
-            else:
-                edge_alive = alive[self.indices]
-                live_degree = np.bincount(
-                    self._edge_owner[edge_alive], minlength=self.n
-                ).astype(np.int64)
-                live_indptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(live_degree, out=live_indptr[1:])
-                # Boolean masking preserves CSR grouping: indices stay sorted
-                # by owner, so the filtered array is already segment-aligned.
-                live_indices = self.indices[edge_alive]
-        self._live_key = key
-        self._live_indptr = live_indptr
-        self._live_indices = live_indices
-        self._live_degree = live_degree
-
-    def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE, round_index: int = 0,
-    ) -> np.ndarray:
-        self._refresh_live(alive, probe)
-        if self._live_indices.size == 0:
-            return np.full(requesters.size, -1, dtype=np.int64)
-        degree = self._live_degree[requesters]
-        draw = (rng.random(requesters.size) * degree).astype(np.int64)
-        # Clamp the (probability-zero) draw == degree edge case, and keep
-        # zero-degree gathers in bounds before masking them to -1.
-        offset = np.minimum(draw, np.maximum(degree - 1, 0))
-        slots = np.minimum(
-            self._live_indptr[requesters] + offset, self._live_indices.size - 1
-        )
-        return np.where(degree > 0, self._live_indices[slots], -1)
-
     def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
         once = self._edge_owner < self.indices  # each edge holds two CSR slots
         return self._edge_owner[once], self.indices[once]
@@ -316,14 +390,13 @@ def _min_label_components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             return labels
 
 
-def _live_labels(full: np.ndarray, alive: np.ndarray):
-    """``(labels, sizes)``: per-node labels ``full`` restricted to the live hosts.
+def _live_labels(full: np.ndarray, live: np.ndarray):
+    """``(labels, sizes)``: per-node labels ``full`` restricted to the hosts ``live``.
 
     Components are renumbered ``0..k-1`` over their live members (dead hosts
     get ``-1``, memberless labels drop out); ``sizes[c]`` counts component ``c``.
     """
-    live = np.nonzero(alive)[0]
-    labels = np.full(alive.size, -1, dtype=np.int64)
+    labels = np.full(full.size, -1, dtype=np.int64)
     if live.size == 0:
         return labels, np.zeros(0, dtype=np.int64)
     unique, remapped = np.unique(full[live], return_inverse=True)
@@ -348,10 +421,9 @@ class TraceCSRTopology(_Topology):
     is materialised on demand as an ordinary :class:`CSRTopology` (one
     vectorised interval mask + one ``from_edges`` build, LRU-cached per
     round, so multi-seed sweeps that share the topology compile each round
-    once).  ``sample_peers`` /
-    ``sample_matching`` then reuse ``CSRTopology``'s live-edge rebuild
-    unchanged, and group labels come from a vectorised min-label component
-    pass over the window-union edges.
+    once).  A view samples through that graph's own live view — rebuilt when
+    the round moves on — and group labels come from a vectorised min-label
+    component pass over the window-union edges.
 
     Parameters
     ----------
@@ -365,6 +437,8 @@ class TraceCSRTopology(_Topology):
     cache_rounds:
         Number of per-round compiled graphs kept in each LRU cache.
     """
+
+    _view_class = _TraceView
 
     def __init__(
         self,
@@ -422,7 +496,7 @@ class TraceCSRTopology(_Topology):
         overlapping ``[time - window, time + 1e-9)`` regardless of which
         hosts are currently alive (a dead host can still bridge a group),
         and the intersection with the live set happens per call in
-        :meth:`component_labels`.
+        :meth:`_TraceView.component_labels`.
         """
         cached = self._labels_by_round.get(round_index)
         if cached is not None:
@@ -438,24 +512,6 @@ class TraceCSRTopology(_Topology):
         while len(self._labels_by_round) > self._cache_rounds:
             self._labels_by_round.popitem(last=False)
         return labels
-
-    # ------------------------------------------------------------- sampling
-    def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE, round_index: int = 0,
-    ) -> np.ndarray:
-        return self._round_csr(round_index, probe).sample_peers(requesters, alive, rng, probe)
-
-    # ----------------------------------------------------------- components
-    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
-        """``(labels, sizes)`` of round ``round_index``'s window-union groups.
-
-        Groups are the full-union components intersected with the live
-        set (empty intersections dropped, exactly like the agent
-        environment's group rule), relabelled ``0..k-1``; a live host with
-        no window contacts is its own group of one.
-        """
-        return _live_labels(self._union_labels(round_index, probe), alive)
 
 
 class GridRingTopology(_Topology):
@@ -526,9 +582,8 @@ class GridRingTopology(_Topology):
         self._distance_probabilities = weights / weights.sum()
 
     # ------------------------------------------------------------- sampling
-    def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE, round_index: int = 0,
+    def _draw_peers(
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         targets = np.full(requesters.size, -1, dtype=np.int64)
         pending = np.arange(requesters.size)

@@ -26,7 +26,7 @@ Differences from the agent engine worth knowing about:
   than "every host contacts one random peer" with incidental collisions.
   Both schemes mix mass at the same rate and the matching form vectorises
   exactly.  Under a topology the matching runs along sampled graph edges
-  (:meth:`~repro.simulator.sparse._Topology.sample_matching`), so hosts
+  (:meth:`~repro.simulator.sparse.LiveView.sample_matching`), so hosts
   whose neighbourhood is exhausted simply sit the round out — like an
   agent-engine host whose ``select_peers`` comes back empty.
 * failures are applied by masking hosts out; their mass/counters simply
@@ -164,7 +164,7 @@ class _VectorizedKernel:
         """Set what every kernel shares: size, peers, probe, generator, liveness.
 
         ``probe`` is the instrumentation sink (:mod:`repro.obs`) of the run
-        that owns this kernel; it also rides every ``topology`` call, since
+        that owns this kernel; the :meth:`live_view` carries it too, since
         the topology itself is shared between runs.  Probes never draw from
         ``rng``, so attaching one is bit-neutral.
         """
@@ -178,6 +178,7 @@ class _VectorizedKernel:
         self.rng = np.random.default_rng(seed)
         self.alive = np.ones(self.n, dtype=bool)
         self._live_index: Optional[np.ndarray] = None
+        self._live_view = None
         self.round_index = 0
 
     def live_index(self) -> np.ndarray:
@@ -192,10 +193,17 @@ class _VectorizedKernel:
             self._live_index.flags.writeable = False
         return self._live_index
 
+    def live_view(self):
+        """The topology under this epoch's mask (a :class:`~repro.simulator.sparse.LiveView`):
+        built on first use, dropped with :meth:`live_index`; the shared topology is only read."""
+        if self._live_view is None:
+            self._live_view = self.topology.view(self.alive, self.probe, self.live_index())
+        return self._live_view
+
     def _mark_dead(self, indices: np.ndarray) -> None:
         """The one way hosts leave: clear their liveness, end the membership epoch."""
         self.alive[indices] = False
-        self._live_index = None
+        self._live_index = self._live_view = None
 
     def _draw_push_targets(self, alive_idx: np.ndarray):
         """``(senders, targets)`` for one "everyone contacts one peer" round.
@@ -208,9 +216,7 @@ class _VectorizedKernel:
         if self.topology is None:
             targets = alive_idx[self.rng.integers(0, alive_idx.size, size=alive_idx.size)]
             return alive_idx, targets
-        drawn = self.topology.sample_peers(
-            alive_idx, self.alive, self.rng, self.probe, self.round_index
-        )
+        drawn = self.live_view().sample_peers(alive_idx, self.rng, self.round_index)
         has_peer = drawn >= 0
         return alive_idx[has_peer], drawn[has_peer]
 
@@ -221,9 +227,7 @@ class _VectorizedKernel:
         restricts gossip — a matching along sampled graph edges.
         """
         if self.topology is not None:
-            return self.topology.sample_matching(
-                alive_idx, self.alive, self.rng, probe=self.probe, round_index=self.round_index
-            )
+            return self.live_view().sample_matching(self.rng, round_index=self.round_index)
         order = self.rng.permutation(alive_idx)
         pair_count = order.size // 2
         return order[:pair_count], order[pair_count : 2 * pair_count]
@@ -267,7 +271,7 @@ class _VectorizedKernel:
         start = self.n
         self.n = start + fresh.size
         self.alive = np.concatenate([self.alive, np.ones(fresh.size, dtype=bool)])
-        self._live_index = None
+        self._live_index = self._live_view = None
         self._grow(fresh, start)
         return np.arange(start, self.n, dtype=np.int64)
 
@@ -337,14 +341,14 @@ class _VectorizedKernel:
         """``(truths, mean_group_size)``: each live host's *group* truth (Fig 11).
 
         Groups are the components of the live-induced topology at
-        ``round_index`` (cached per alive mask, so steady-state rounds pay
-        only gathers); ``truths`` is aligned with :meth:`estimates`, like
-        the agent engine's accounting.
+        ``round_index`` (labelled once per :meth:`live_view` on a static
+        graph, so steady-state rounds pay only gathers); ``truths`` is
+        aligned with :meth:`estimates`, like the agent engine's accounting.
         """
         alive_idx = self.live_index()
         if alive_idx.size == 0:
             return np.array([], dtype=float), 0.0
-        labels, sizes = self.topology.component_labels(self.alive, self.probe, round_index)
+        labels, sizes = self.live_view().component_labels(round_index)
         counting = self.aggregate == "count"  # counting kernels carry no values
         values = None if counting else np.asarray(self._host_values(), dtype=float)[alive_idx]
         return group_truths(self.aggregate, labels[alive_idx], sizes, values), float(sizes.mean())

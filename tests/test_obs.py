@@ -336,14 +336,36 @@ class TestEngineInstrumentation:
         assert phase_spans(parked) == expected
         assert phase_spans(free) == expected
 
-    def test_threads_sharing_a_trace_topology_replay_their_own_rounds(self):
-        # Two runs over one memoised trace topology, in two threads.  The
-        # first parks inside round 125 (its matching span has just opened),
-        # the second runs through to round 159, then the first resumes:
-        # each result must equal its solo run.  The round a call samples
-        # travels with the call — a "current round" kept on the shared
-        # topology would make the parked run finish round 125 on round
-        # 159's contact graph (a different edge).
+    RING = ScenarioSpec(
+        protocol="push-sum-revert", protocol_params={"reversion": 0.1}, n_hosts=300, rounds=12,
+        seed=3, environment="ring", environment_params={"k": 2}, backend="vectorized",
+    )
+    HALVED_AT_4 = ({"event": "failure", "round": 4, "model": "uncorrelated", "fraction": 0.5},)
+    TRACE = ScenarioSpec(
+        protocol="push-sum-revert", protocol_params={"reversion": 0.01}, n_hosts=9,
+        rounds=160, seed=2, environment="trace", environment_params={"dataset": 1},
+        group_relative=True, backend="vectorized",
+    )
+
+    @pytest.mark.parametrize("first, second, parked_round", [
+        # The round a call samples travels with the call — a "current round"
+        # kept on the shared topology would make the run parked in round 125
+        # finish it on round 159's contact graph (a different edge).
+        pytest.param(TRACE, TRACE.replace(seed=3), 125, id="trace"),
+        # Liveness belongs to the run (its kernel's LiveView): one run parked
+        # with half its hosts failed, the other all-alive over the same ring.
+        pytest.param(
+            RING.replace(events=HALVED_AT_4, group_relative=True), RING.replace(seed=4), 8,
+            id="ring-half-failed",
+        ),
+    ])
+    def test_threads_sharing_a_topology_each_equal_their_solo_run(
+        self, first, second, parked_round
+    ):
+        # Two runs over one memoised topology, in two threads.  The first
+        # parks inside ``parked_round`` (its matching span has just opened),
+        # the second runs start to finish, then the first resumes: each
+        # payload must equal its solo run's.
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
@@ -363,17 +385,11 @@ class TestEngineInstrumentation:
                         self.parked.set()
                         assert self.resume.wait(timeout=30)
 
-        first = ScenarioSpec(
-            protocol="push-sum-revert", protocol_params={"reversion": 0.01}, n_hosts=9,
-            rounds=160, seed=2, environment="trace", environment_params={"dataset": 1},
-            group_relative=True, backend="vectorized",
-        )
-        second = first.replace(seed=first.seed + 1)
         assert VectorizedBackend.build_topology(first) is VectorizedBackend.build_topology(second)
-        solo_first = run_scenario(first).to_payload()["rounds"]
-        solo_second = run_scenario(second).to_payload()["rounds"]
+        solo_first = run_scenario(first).to_payload()
+        solo_second = run_scenario(second).to_payload()
 
-        parked = ParkedInRound(125)
+        parked = ParkedInRound(parked_round)
         with ThreadPoolExecutor(max_workers=2) as pool:
             held = pool.submit(run_scenario, first, probe=parked)
             try:
@@ -382,8 +398,57 @@ class TestEngineInstrumentation:
             finally:
                 parked.resume.set()
             interleaved = held.result(timeout=30)
-        assert free.to_payload()["rounds"] == solo_second
-        assert interleaved.to_payload()["rounds"] == solo_first
+        assert free.to_payload() == solo_second
+        assert interleaved.to_payload() == solo_first
+
+    @pytest.mark.parametrize("group_relative", [False, True], ids=["global", "groups"])
+    @pytest.mark.parametrize("events", [(), HALVED_AT_4], ids=["steady", "failure"])
+    def test_consecutive_runs_record_the_same_span_sequence(self, events, group_relative):
+        # csr_rebuild / component_labelling fire once per membership epoch
+        # that samples, in every run: the live CSR and the labels belong to
+        # the run's view, so a warm shared topology cannot swallow them.
+        spec = self.RING.replace(events=events, group_relative=group_relative)
+
+        def span_names():
+            trace = TraceRecorder()
+            run_scenario(spec, probe=trace)
+            return [r["name"] for r in trace.records if r["kind"] == "span"]
+
+        first = span_names()
+        assert first == span_names()
+        epochs = 1 + len(events)
+        assert first.count("csr_rebuild") == epochs
+        assert first.count("component_labelling") == (epochs if group_relative else 0)
+
+    @pytest.mark.parametrize("environment, params", [
+        ("ring", {"k": 2}), ("grid", {}), ("spatial-grid", {}), ("trace", {"dataset": 1}),
+    ], ids=["ring", "grid", "spatial-grid", "trace"])
+    def test_a_run_only_reads_its_topology(self, environment, params):
+        # Topologies are values.  Only a trace topology's LRUs of per-round
+        # graphs and union labels (functions of trace and round, not of any
+        # run's liveness) may fill; the per-round graphs are values too.
+        import numpy as np
+
+        from repro.api.backends import VectorizedBackend
+
+        def frozen(holder, skip=()):
+            return {
+                name: value.tobytes() if isinstance(value, np.ndarray) else value
+                for name, value in vars(holder).items() if name not in skip
+            }
+
+        n_hosts = 9 if environment == "trace" else 144
+        spec = self.RING.replace(
+            environment=environment, environment_params=params, n_hosts=n_hosts,
+            events=self.HALVED_AT_4, group_relative=True,
+        )
+        topology, _name = VectorizedBackend.build_topology(spec)
+        lrus = ("_csr_cache", "_labels_by_round") if environment == "trace" else ()
+        before = frozen(topology, skip=lrus)
+        run_scenario(spec)
+        assert frozen(topology, skip=lrus) == before
+        for graph in getattr(topology, "_csr_cache", {}).values():
+            assert set(vars(graph)) == {"indptr", "indices", "n", "_edge_owner"}
 
     def test_vectorized_sketch_phases(self):
         trace = TraceRecorder()

@@ -10,7 +10,14 @@ from repro.baselines.push_sum import PushSum
 from repro.core.push_sum_revert import PushSumRevert
 from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
+from repro.obs.probe import NULL_PROBE
 from repro.simulator.kernels import KERNELS
+from repro.simulator.sparse import (
+    CSRTopology,
+    GridRingTopology,
+    TraceCSRTopology,
+    greedy_edge_matching,
+)
 from repro.simulator.vectorized import (
     _COUNTER_INFINITY,
     _merge_rows,
@@ -21,6 +28,7 @@ from repro.simulator.vectorized import (
 from repro.sketches.counter_matrix import CounterMatrix, INFINITY
 from repro.sketches.fm_sketch import FMSketch, rank_of_bits
 from repro.sketches.hashing import bin_index, rho
+from repro.topology.graphs import ring_lattice_edges
 
 # A modest profile keeps the suite fast while still exploring a useful space.
 COMMON_SETTINGS = settings(
@@ -644,3 +652,189 @@ class TestKernelCachesSurviveAnyCallSequence:
             assert _bits(kernel.estimates()) == _bits(from_scratch), call
             truth = float(kernel.initial[live].mean()) if live.size else float("nan")
             assert _bits(kernel.truth()) == _bits(truth), call
+
+    @COMMON_SETTINGS
+    @given(calls=kernel_calls, seed=st.integers(min_value=0, max_value=100))
+    def test_live_view_is_the_topology_under_alive(self, calls, seed):
+        kernel = self._kernel(
+            "push-sum-revert", seed, mode="exchange",
+            environment="ring", environment_params={"k": 2},
+        )
+        in_flight = []
+        for call in calls:
+            _apply(kernel, in_flight, *call)
+            view, fresh = kernel.live_view(), kernel.topology.view(kernel.alive.copy())
+            assert view.alive is kernel.alive and view.live_index is kernel.live_index()
+            for name in ("indptr", "indices", "degree", "_index_degree", "_index_start"):
+                assert np.array_equal(getattr(view, name), getattr(fresh, name)), (call, name)
+
+
+# ---------------------------------------------------------------------------
+# Live views against the samplers they replaced
+# ---------------------------------------------------------------------------
+def _csr_sample_peers_before_views(topology, requesters, alive, rng):
+    """``CSRTopology.sample_peers`` as of c90acb3: live CSR from the mask, then
+    gather / scale / clamp / gather / ``where`` through fresh temporaries."""
+    n = topology.n
+    if alive.all():
+        live_indptr, live_indices = topology.indptr, topology.indices
+        live_degree = np.diff(topology.indptr)
+    else:
+        edge_alive = alive[topology.indices]
+        edge_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(topology.indptr))
+        live_degree = np.bincount(edge_owner[edge_alive], minlength=n).astype(np.int64)
+        live_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(live_degree, out=live_indptr[1:])
+        live_indices = topology.indices[edge_alive]
+    if live_indices.size == 0:
+        return np.full(requesters.size, -1, dtype=np.int64)
+    degree = live_degree[requesters]
+    draw = (rng.random(requesters.size) * degree).astype(np.int64)
+    offset = np.minimum(draw, np.maximum(degree - 1, 0))
+    slots = np.minimum(live_indptr[requesters] + offset, live_indices.size - 1)
+    return np.where(degree > 0, live_indices[slots], -1)
+
+
+def _sample_matching_before_views(sample_peers, n, alive, rng, passes):
+    """``_Topology.sample_matching`` as of c90acb3, over ``sample_peers(requesters, rng)``:
+    boolean-mask compaction, availability checked (and updated) on every pass."""
+    matched_left, matched_right = [], []
+    available = alive.copy()
+    requesters = np.nonzero(alive)[0]
+    for _ in range(max(1, passes)):
+        if requesters.size < 2:
+            break
+        targets = sample_peers(requesters, rng)
+        valid = (targets >= 0) & available[np.where(targets >= 0, targets, 0)]
+        left, right = requesters[valid], targets[valid]
+        accept = greedy_edge_matching(left, right, n, rng)
+        if not accept.any():
+            break
+        matched_left.append(left[accept])
+        matched_right.append(right[accept])
+        available[left[accept]] = False
+        available[right[accept]] = False
+        requesters = requesters[available[requesters]]
+    if not matched_left:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty
+    return np.concatenate(matched_left), np.concatenate(matched_right)
+
+
+@st.composite
+def masked_graphs(draw):
+    """``(n, edges, mask)``: a simple undirected graph and who is alive on it."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = draw(st.lists(pairs, unique=True, max_size=3 * n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, edges, mask
+
+
+STAR = [(0, leaf) for leaf in range(1, 7)]
+PATH = [(host, host + 1) for host in range(7)]
+masked_graph_examples = [
+    (5, [], [True] * 5),  # no edges
+    (6, [(0, 1), (1, 2), (3, 4)], [False, True, False, False, False, False]),  # one live host
+    (6, [(0, 3), (1, 3), (2, 4)], [True, True, True, False, False, True]),  # all live isolated
+    (7, STAR, [True] * 7),  # everyone proposes the hub
+    (7, STAR, [False] + [True] * 6),  # ... which is dead
+    (2, [(0, 1)], [True, True]),  # two hosts
+    (2, [(0, 1)], [True, False]),
+    (8, PATH, [True, True, False, True, False, True, True, True]),  # 3 has live degree 0
+    (8, PATH + [(0, 7), (2, 5)], [True] * 8),
+]
+
+
+def _with_examples(test):
+    for index, graph in enumerate(masked_graph_examples):
+        test = example(graph=graph, passes=(1, 2, 3, 5)[index % 4], seed=index)(test)
+    return test
+
+
+class TestLiveViewMatchesThePreRewriteSamplers:
+    """Same answers *and* same generator state: every RNG call kept, in order."""
+
+    @staticmethod
+    def _build(graph):
+        n, edges, mask = graph
+        u, v = (np.array(side, dtype=np.int64) for side in zip(*edges)) if edges else ([], [])
+        return CSRTopology.from_edges(u, v, n), np.array(mask, dtype=bool)
+
+    @COMMON_SETTINGS
+    @given(
+        graph=masked_graphs(),
+        passes=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @_with_examples
+    def test_csr_view(self, graph, passes, seed):
+        topology, alive = self._build(graph)
+        view = topology.view(alive)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # The whole live index (the per-view gathers), then an arbitrary subset.
+        for requesters in (view.live_index, view.live_index[::2].copy()):
+            got = view.sample_peers(requesters, got_rng)
+            want = _csr_sample_peers_before_views(topology, requesters, alive, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        left, right = view.sample_matching(got_rng, passes=passes)
+        want_left, want_right = _sample_matching_before_views(
+            lambda requesters, rng: _csr_sample_peers_before_views(
+                topology, requesters, alive, rng
+            ),
+            topology.n, alive, want_rng, passes,
+        )
+        assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # ... and it is a matching of live hosts along edges of the graph.
+        touched = np.concatenate([left, right])
+        assert np.unique(touched).size == touched.size and alive[touched].all()
+        assert set(zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist())) <= set(
+            graph[1]
+        )
+
+    @staticmethod
+    def _topology(kind):
+        if kind == "csr":
+            return CSRTopology.from_edges(*ring_lattice_edges(30, k=2), 30), 0
+        if kind == "grid-ring":
+            return GridRingTopology(6, 5), 0
+        from repro.mobility import haggle_dataset
+
+        return TraceCSRTopology(haggle_dataset(1)), 1555  # its densest round: 28 contacts
+
+    @pytest.mark.parametrize("kind", ["csr", "grid-ring", "trace"])
+    @COMMON_SETTINGS
+    @given(
+        dead=st.sets(st.integers(min_value=0, max_value=29)),
+        passes=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_every_view_keeps_the_contract_the_matcher_relies_on(self, kind, dead, passes, seed):
+        topology, round_index = self._topology(kind)
+        alive = np.ones(topology.n, dtype=bool)
+        alive[[host for host in dead if host < topology.n]] = False
+        view = topology.view(alive)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # sample_peers: a live host or -1 — what lets pass 0 skip the availability gather.
+        peers = view.sample_peers(view.live_index, got_rng, round_index)
+        assert peers.shape == view.live_index.shape
+        assert alive[peers[peers >= 0]].all() and (peers >= -1).all()
+        assert not np.any(peers == view.live_index)
+        topology.sample_peers(view.live_index, alive, want_rng, round_index=round_index)
+        # The one matcher against the old loop over the stateless sampler.
+        left, right = view.sample_matching(got_rng, passes=passes, round_index=round_index)
+        want_left, want_right = _sample_matching_before_views(
+            lambda requesters, rng: topology.sample_peers(
+                requesters, alive, rng, round_index=round_index
+            ),
+            topology.n, alive, want_rng, passes,
+        )
+        assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        touched = np.concatenate([left, right])
+        assert np.unique(touched).size == touched.size and alive[touched].all()
+        if kind != "grid-ring":  # (any two cells of the grid are a 1/d² link apart)
+            graph = topology if kind == "csr" else topology._round_csr(round_index, NULL_PROBE)
+            for a, b in zip(left.tolist(), right.tolist()):
+                assert b in graph.indices[graph.indptr[a] : graph.indptr[a + 1]]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -684,6 +685,60 @@ class TestBenchShapesPinnedPayloads:
             **shape, n_hosts=2000, seed=0, name=name, backend="vectorized",
             store_estimates=True, events=(failure,),
         )
+        payload = json.dumps(run_scenario(spec).to_payload(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:32] == payload_digest
+
+
+def _failure(round_index, model, fraction, **extra):
+    event = {"event": "failure", "round": round_index, "model": model, "fraction": fraction}
+    return ({**event, **extra},)
+
+
+class TestTopologyPinnedPayloads:
+    """Four topology-restricted runs, one per sampler path, with stored estimates.
+
+    Captured at c90acb3, the commit before liveness moved off the shared
+    topology into each kernel's ``LiveView`` (and the matcher began
+    compacting by index): same RNG calls in the same order, so every bit holds.
+    """
+
+    PUSH_SUM = dict(
+        protocol="push-sum-revert", protocol_params={"reversion": 0.1},
+        store_estimates=True, backend="vectorized",
+    )
+    SHAPES = {
+        "ring-exchange-failure-groups": dict(
+            PUSH_SUM, mode="exchange", environment="ring", environment_params={"k": 2},
+            n_hosts=600, rounds=16, seed=3, group_relative=True,
+            events=_failure(8, "uncorrelated", 0.5),
+        ),
+        "grid-push-correlated-failure": dict(
+            PUSH_SUM, mode="push", environment="grid", n_hosts=576, rounds=16, seed=4,
+            events=_failure(6, "correlated", 0.3, highest=True),
+        ),
+        "spatial-grid-exchange": dict(
+            PUSH_SUM, mode="exchange", environment="spatial-grid", n_hosts=400, rounds=12,
+            seed=5, events=_failure(5, "uncorrelated", 0.25),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, payload_digest",
+        [
+            ("ring-exchange-failure-groups", "69caa614ed75ab09a292a3d17892c51b"),
+            ("grid-push-correlated-failure", "08a8d3f5a09fa0f164339ed5b667aac3"),
+            ("trace-churn", "45139582ca6785d03491e87fd1b7233a"),
+            ("spatial-grid-exchange", "32913ee4a34cc6dc7a7b861bd7f5a2e7"),
+        ],
+    )
+    def test_payload_is_bit_identical(self, name, payload_digest):
+        from repro.api import ScenarioSpec, run_scenario
+
+        if name == "trace-churn":  # the committed example spec, as the CLI smoke step runs it
+            root = pathlib.Path(__file__).resolve().parents[1]
+            spec = ScenarioSpec.from_json((root / "examples/specs/trace_churn.json").read_text())
+        else:
+            spec = ScenarioSpec(**self.SHAPES[name])
         payload = json.dumps(run_scenario(spec).to_payload(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest()[:32] == payload_digest
 
