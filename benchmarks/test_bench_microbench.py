@@ -9,6 +9,8 @@ experiments.
 
 import pytest
 
+from repro.api import BACKENDS, ScenarioSpec
+from repro.api.kernel_run import KernelRun
 from repro.baselines import PushSum
 from repro.core import CountSketchReset, PushSumRevert
 from repro.environments import UniformEnvironment
@@ -92,6 +94,35 @@ def test_vectorized_sparse_matching(benchmark):
     left, right = benchmark(lambda: kernel.live_view().sample_matching(kernel.rng))
     assert left.size == right.size > n // 4
     assert kernel.alive[left].all() and kernel.alive[right].all()
+
+
+@pytest.mark.benchmark(group="micro-vectorized")
+def test_vectorized_calendar_exchange_bucket(benchmark):
+    """One calendar bucket over a latency network: every live host ticks, the
+    driver queues what the tick deferred, and the queue drains to empty."""
+    n = 10_000
+    run = KernelRun(BACKENDS.get("vectorized"), ScenarioSpec(
+        protocol="push-sum-revert", protocol_params={"reversion": 0.1}, mode="exchange",
+        engine="events", network="latency",
+        network_params={"distribution": "uniform", "low": 0, "high": 2},
+        n_hosts=n, rounds=4, seed=1, backend="vectorized",
+    ))
+    kernel = run.kernel
+    kernel.fail_random_fraction(0.25)  # so a host's live rank is not its id
+
+    def bucket():
+        for kind, _senders, delay, *arrays in kernel.step_subset(kernel.live_index(), run.delays):
+            run.defer(kind, 0, delay, *arrays)  # everyone ticked at t = 0
+        slots = sorted(run.pending)
+        for slot in slots:
+            run.drain(*slot)
+        return slots
+
+    slots = benchmark(bucket)
+    # Two legs of 0..2 each: maturities 1..4, all on a bucket edge.
+    assert slots == [(1, True), (2, True), (3, True), (4, True)]
+    assert not run.pending and kernel.messages_in_flight == 0
+    assert kernel.messages_delivered > n
 
 
 @pytest.mark.benchmark(group="micro-sketch")

@@ -204,19 +204,27 @@ class KernelRun:
         Within its bucket a message lands either strictly before the
         boundary or (within ``TIME_EPS``) on it; the two drain on opposite
         sides of the membership phase, so the batch is partitioned here,
-        order kept, under the key ``(bucket, at_edge)``.
+        order kept, under the key ``(bucket, at_edge)``: one stable sort on
+        that key (stability *is* the queue order inside a group), then one
+        gather per group and array — each queued group owns its arrays, so
+        it is freed when it drains, not when the batch's last group does.
         """
-        buckets = np.maximum(
-            bucket_now + 1, np.ceil(mature / self.quantum - TIME_EPS).astype(np.int64)
-        )
+        if mature.size == 0:
+            return
+        first = bucket_now + 1
+        buckets = np.maximum(first, np.ceil(mature / self.quantum - TIME_EPS).astype(np.int64))
         at_edge = mature >= buckets * self.quantum - TIME_EPS
-        for dest in np.unique(buckets):
-            for edge in (False, True):
-                sel = (buckets == dest) & (at_edge == edge)
-                if sel.any():
-                    self.pending.setdefault((int(dest), edge), []).append(
-                        (kind, *(a[sel] for a in arrays))
-                    )
+        key = 2 * (buckets - first) + at_edge
+        # The narrowest dtype that holds every key: 8/16-bit keys take
+        # NumPy's radix sort, a far-off maturity widens instead of wrapping.
+        key = key.astype(np.min_scalar_type(key.max()))
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        for group in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+            offset, edge = divmod(int(key[group[0]]), 2)
+            self.pending.setdefault((first + offset, bool(edge)), []).append(
+                (kind, *(a[group] for a in arrays))
+            )
 
     def drain(self, bucket: int, at_edge: bool) -> None:
         """Deliver one side of the bucket's matured batches, in queue order."""

@@ -177,8 +177,7 @@ class _VectorizedKernel:
         self.probe = probe
         self.rng = np.random.default_rng(seed)
         self.alive = np.ones(self.n, dtype=bool)
-        self._live_index: Optional[np.ndarray] = None
-        self._live_view = None
+        self._end_epoch()
         self.round_index = 0
 
     def live_index(self) -> np.ndarray:
@@ -186,7 +185,8 @@ class _VectorizedKernel:
 
         Computed once per membership epoch: it belongs to this kernel (never
         to the shared topology) and every method that writes :attr:`alive`
-        drops it — removals through :meth:`_mark_dead`, growth in :meth:`join`.
+        ends the epoch (:meth:`_end_epoch`) — removals through
+        :meth:`_mark_dead`, growth in :meth:`join`.
         """
         if self._live_index is None:
             self._live_index = np.nonzero(self.alive)[0]
@@ -200,10 +200,23 @@ class _VectorizedKernel:
             self._live_view = self.topology.view(self.alive, self.probe, self.live_index())
         return self._live_view
 
+    def live_rank(self) -> np.ndarray:
+        """:meth:`live_index` inverted: ``rank[h]`` is live host ``h``'s position in it, -1 for
+        a dead host (filled, never left uninitialised: a caller handing in a dead host stays
+        deterministic).  Read-only, built on first use, dropped with :meth:`live_index`."""
+        if self._live_rank is None:
+            self._live_rank = np.where(self.alive, np.cumsum(self.alive) - 1, -1)
+            self._live_rank.flags.writeable = False
+        return self._live_rank
+
+    def _end_epoch(self) -> None:
+        """Drop everything derived from :attr:`alive`; the next reader rebuilds it."""
+        self._live_index = self._live_view = self._live_rank = None
+
     def _mark_dead(self, indices: np.ndarray) -> None:
         """The one way hosts leave: clear their liveness, end the membership epoch."""
         self.alive[indices] = False
-        self._live_index = self._live_view = None
+        self._end_epoch()
 
     def _draw_push_targets(self, alive_idx: np.ndarray):
         """``(senders, targets)`` for one "everyone contacts one peer" round.
@@ -271,7 +284,7 @@ class _VectorizedKernel:
         start = self.n
         self.n = start + fresh.size
         self.alive = np.concatenate([self.alive, np.ones(fresh.size, dtype=bool)])
-        self._live_index = self._live_view = None
+        self._end_epoch()
         self._grow(fresh, start)
         return np.arange(start, self.n, dtype=np.int64)
 
@@ -382,7 +395,7 @@ class _ValueKernel(_VectorizedKernel):
 
 
 class VectorizedPushSumRevert(_ValueKernel):
-    """Array implementation of Push-Sum(-Revert) under uniform gossip.
+    """Array implementation of Push-Sum(-Revert), uniform or topology-restricted gossip.
 
     Parameters
     ----------
@@ -537,25 +550,36 @@ class VectorizedPushSumRevert(_ValueKernel):
         resolved in pair order: each pass takes every pair that is the
         lowest-indexed remaining claimant of *both* its endpoints (those
         are endpoint-disjoint, so their mean-merges commute), then repeats
-        on the rest.  Pass counts stay tiny in practice — collisions are
-        rare at gossip fan-out — and the lowest remaining pair is always
-        taken, so the loop terminates.
+        on the rest.  Every lower-indexed pair sharing an endpoint with a
+        taken pair went in an earlier pass, so the result is, bit for bit,
+        the pairs applied one by one in pair order.  Pass counts stay tiny
+        in practice — collisions are rare at gossip fan-out — and the lowest
+        remaining pair is always taken, so the loop terminates.
         """
         touched = np.concatenate([left, right])
         with self.probe.span("scatter"):
+            # Never reset, not even at allocation: a pass reads only
+            # ``claim[left]`` / ``claim[right]`` of the pairs it has just
+            # written, so what earlier passes (or calls) left behind is unread.
+            claim = np.empty(self.n, dtype=np.int64)
             while left.size:
                 # One interleaved write in descending pair order, so the
                 # last (winning) write for any endpoint is its *lowest*
                 # claiming pair index across both sides — pair 0 always
                 # claims both its endpoints, guaranteeing progress.
-                claim = np.full(self.n, -1, dtype=np.int64)
-                rev = np.arange(left.size - 1, -1, -1)
-                endpoints = np.column_stack([left[rev], right[rev]]).ravel()
-                claim[endpoints] = np.repeat(rev, 2)
                 idx = np.arange(left.size)
+                endpoints = np.empty(2 * left.size, dtype=np.int64)
+                endpoints[0::2] = left[::-1]
+                endpoints[1::2] = right[::-1]
+                claim[endpoints] = np.repeat(idx[::-1], 2)
                 take = (claim[left] == idx) & (claim[right] == idx)
-                self._mean_merge(left[take], right[take])
-                left, right = left[~take], right[~take]
+                taken = np.flatnonzero(take)
+                if taken.size == left.size:  # the usual last pass: nothing to compact
+                    self._mean_merge(left, right)
+                    break
+                self._mean_merge(left[taken], right[taken])
+                rest = np.flatnonzero(~take)
+                left, right = left[rest], right[rest]
         self._settle(touched)
 
     def _mean_merge(self, a: np.ndarray, b: np.ndarray) -> None:
@@ -639,19 +663,17 @@ class VectorizedPushSumRevert(_ValueKernel):
         """
         k = ticking.size
         with self.probe.span("sampling"):
-            pos = np.searchsorted(alive_idx, ticking)
             offset = self.rng.integers(1, alive_idx.size, size=k)
-            peers = alive_idx[(pos + offset) % alive_idx.size]
+            peers = alive_idx[(self.live_rank()[ticking] + offset) % alive_idx.size]
         legs = np.zeros(2 * k) if delays is None else delays(2 * k)
         delay = legs[:k] + legs[k:]
-        later = delay > TIME_EPS
-        now = ~later
-        if now.any():
+        now, later = self._split_tick(delay)
+        if now.size:
             self.merge_pairs(*self._settle_exchanges(ticking[now], peers[now]))
-        if not later.any():
+        if not later.size:
             return []
-        self.bytes_sent += 32 * int(later.sum())
-        self.messages_in_flight += 2 * int(later.sum())
+        self.bytes_sent += 32 * later.size
+        self.messages_in_flight += 2 * later.size
         left = ticking[later]  # the initiators are the senders
         return [("exchange", left, delay[later], left, peers[later])]
 
@@ -662,15 +684,21 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
         weight, total = self.emit_push(ticking)
         delay = np.zeros(ticking.size) if delays is None else delays(ticking.size)
-        later = delay > TIME_EPS
-        now = ~later
-        if now.any():
+        now, later = self._split_tick(delay)
+        if now.size:
             self.apply_deliveries(*self._lose_pushes(peers[now], weight[now], total[now]))
-        if not later.any():
+        if not later.size:
             return []
-        self.in_flight_mass += float(weight[later].sum())
-        self.messages_in_flight += int(later.sum())
-        return [("push", ticking[later], delay[later], peers[later], weight[later], total[later])]
+        weight = weight[later]
+        self.in_flight_mass += float(weight.sum())
+        self.messages_in_flight += later.size
+        return [("push", ticking[later], delay[later], peers[later], weight, total[later])]
+
+    @staticmethod
+    def _split_tick(delay: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(now, later)``: positions of a tick's messages that land within it / stay in flight."""
+        later = delay > TIME_EPS
+        return np.flatnonzero(~later), np.flatnonzero(later)
 
     def deliver(self, kind: str, *arrays: np.ndarray) -> None:
         """Land one matured batch that :meth:`step_subset` deferred.
@@ -682,23 +710,26 @@ class VectorizedPushSumRevert(_ValueKernel):
         if kind == "push":
             targets, weight, total = arrays
             self.in_flight_mass -= float(weight.sum())
-            self.messages_in_flight -= int(targets.size)
+            self.messages_in_flight -= targets.size
             alive = self.alive[targets]
-            dead = int(targets.size - int(alive.sum()))
-            if dead:
+            landed = np.flatnonzero(alive)
+            if landed.size < targets.size:
                 self.mass_lost += float(weight[~alive].sum())
-                self.messages_lost += dead
-            if alive.any():
-                self.apply_deliveries(targets[alive], weight[alive], total[alive])
-                self.messages_delivered += int(alive.sum())
+                self.messages_lost += targets.size - landed.size
+                targets, weight, total = targets[landed], weight[landed], total[landed]
+            if landed.size:
+                self.apply_deliveries(targets, weight, total)
+                self.messages_delivered += landed.size
         else:
             left, right = arrays
-            self.messages_in_flight -= 2 * int(left.size)
-            ok = self.alive[left] & self.alive[right]
-            self.messages_lost += 2 * int(left.size - int(ok.sum()))
-            if ok.any():
-                self.merge_pairs(left[ok], right[ok])
-                self.messages_delivered += 2 * int(ok.sum())
+            self.messages_in_flight -= 2 * left.size
+            landed = np.flatnonzero(self.alive[left] & self.alive[right])
+            if landed.size < left.size:
+                self.messages_lost += 2 * (left.size - landed.size)
+                left, right = left[landed], right[landed]
+            if landed.size:
+                self.merge_pairs(left, right)
+                self.messages_delivered += 2 * landed.size
 
     def mass_view(self) -> Tuple[float, float, float, float]:
         """``(at_hosts, in_flight, injected, lost)``: the ledger's read-only view.
@@ -706,7 +737,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         Conserved mass (weight) at the live hosts and in flight now, and the
         totals reversion has created and lost messages have destroyed.
         """
-        at_hosts = float(self.weight[self.alive].sum())
+        at_hosts = float(self.weight[self.live_index()].sum())
         return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
 
     def _settle_exchanges(self, left: np.ndarray, right: np.ndarray):

@@ -18,6 +18,8 @@ through the same driver.
 """
 
 import dataclasses
+import hashlib
+import json
 import statistics
 
 import numpy as np
@@ -258,6 +260,84 @@ class TestBucketedCalendarMechanics:
 
 
 # ---------------------------------------------------------------------------
+# Six calendar runs, pinned bit for bit
+# ---------------------------------------------------------------------------
+def _failure(round_index, fraction=0.5):
+    return {"event": "failure", "round": round_index, "model": "uncorrelated",
+            "fraction": fraction}
+
+
+class TestCalendarPinnedPayloads:
+    """Every float and counter of six off-anchor calendar runs (stored estimates included).
+
+    Captured at 0b0fbf2, the commit before ``defer`` became one stable sort,
+    ``_tick_exchange`` began reading ``live_rank()`` and ``merge_pairs`` /
+    ``_tick_*`` / ``deliver`` began compacting by index: same RNG calls in the
+    same order and sizes, same queue order, so every bit holds.
+    """
+
+    PUSH_SUM = dict(
+        protocol="push-sum-revert", protocol_params={"reversion": 0.1}, engine="events",
+        backend="vectorized", store_estimates=True, n_hosts=600, rounds=10, seed=11,
+    )
+    UNIFORM = dict(network="latency",
+                   network_params={"distribution": "uniform", "low": 0, "high": 2})
+    LOGNORMAL = dict(network="latency",
+                     network_params={"distribution": "lognormal", "mean": 0.0, "sigma": 0.75})
+    HETEROGENEOUS = {"rates": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
+                     "synchronized": False}
+    SHAPES = {
+        "exchange-uniform-latency-failure": dict(
+            PUSH_SUM, mode="exchange", **UNIFORM, events=(_failure(5),),
+        ),
+        "push-uniform-latency-failure": dict(
+            PUSH_SUM, mode="push", **UNIFORM, events=(_failure(5),),
+        ),
+        "exchange-lognormal-latency-heterogeneous-clocks": dict(
+            PUSH_SUM, mode="exchange", **LOGNORMAL,
+            engine_params=dict(HETEROGENEOUS, mass_check="event"),
+        ),
+        # The join grows the population: the live rank must die with the epoch.
+        "push-lognormal-latency-lognormal-clocks-failure-join": dict(
+            PUSH_SUM, mode="push", **LOGNORMAL,
+            engine_params={"rates": {"distribution": "lognormal", "sigma": 0.5},
+                           "synchronized": False},
+            events=(_failure(3, 0.3), {"event": "join", "round": 6, "count": 150}),
+        ),
+        # Four tick passes per bucket, each deferring into the same slots.
+        "exchange-rate-4-clocks-unit-quantum": dict(
+            PUSH_SUM, mode="exchange", **UNIFORM,
+            engine_params={"rates": {"distribution": "uniform", "rate": 4.0},
+                           "batch_quantum": 1.0},
+            events=(_failure(5),),
+        ),
+        # No delay sampler: every exchange of a partial tick merges at once.
+        "exchange-bernoulli-loss-off-anchor": dict(
+            PUSH_SUM, mode="exchange", network="bernoulli-loss", network_params={"p": 0.2},
+            engine_params=HETEROGENEOUS, events=(_failure(5),),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, payload_digest",
+        [
+            ("exchange-uniform-latency-failure", "0d7cc421279ba1cea7e74c08a63e4f31"),
+            ("push-uniform-latency-failure", "001397c2800dec7b14bf07e4b4d44f1c"),
+            ("exchange-lognormal-latency-heterogeneous-clocks",
+             "b6d8fcce5d89444edc0e9ef74b61eb93"),
+            ("push-lognormal-latency-lognormal-clocks-failure-join",
+             "fd648d27380d40df01003487ef2a57f4"),
+            ("exchange-rate-4-clocks-unit-quantum", "3c49397288f163e84c8c4b30db71bce1"),
+            ("exchange-bernoulli-loss-off-anchor", "ab354c7ded5381f223bfe3f8e1d73a63"),
+        ],
+    )
+    def test_payload_is_bit_identical(self, name, payload_digest):
+        result = run_scenario(ScenarioSpec(**self.SHAPES[name]))
+        payload = json.dumps(result.to_payload(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:32] == payload_digest
+
+
+# ---------------------------------------------------------------------------
 # The driver's bucket phases, one small case each
 # ---------------------------------------------------------------------------
 FIXED_DELAY = dict(network="latency", network_params={"distribution": "fixed", "delay": 1})
@@ -281,6 +361,40 @@ class TestDriverPhases:
         assert sorted(run.pending) == [(4, False), (5, True)]
         (kind, targets, _weight, _total), = run.pending[4, False]
         assert kind == "push" and targets.tolist() == [0, 1, 2]
+
+    def test_defer_of_an_empty_batch_is_a_no_op(self):
+        run = driver(mode="push", **FIXED_DELAY)
+        empty = np.array([], dtype=float)
+        run.defer("push", 2, empty, np.array([], dtype=np.int64), empty, empty)
+        assert run.pending == {}
+
+    def test_a_far_off_maturity_widens_the_sort_key_instead_of_wrapping(self):
+        # 8- and 16-bit sort keys would wrap bucket 130 / 40 000 back onto an
+        # early slot; each message must still land in its own bucket, in order.
+        run = driver(mode="push", **FIXED_DELAY)
+        mature = np.array([40_000.0, 1.0, 129.5, 1.0, 40_000.0, 130.0])
+        run.defer("token", 0, mature, np.arange(6))
+        assert {slot: [targets.tolist() for _kind, targets in batches]
+                for slot, batches in run.pending.items()} == {
+            (1, True): [[1, 3]], (130, False): [[2]], (130, True): [[5]],
+            (40_000, True): [[0, 4]],
+        }
+
+    def test_a_dead_ticker_breaks_the_contract_but_stays_deterministic(self):
+        # step_subset wants unique *live* hosts.  A dead one reads rank -1 (the
+        # live rank is filled, never left uninitialised): same partners, same
+        # masses, every time.
+        def tick_with_a_dead_host():
+            kernel = driver(mode="exchange").kernel
+            kernel.fail([2, 5])
+            assert kernel.live_rank()[[2, 5]].tolist() == [-1, -1]
+            kernel.step_subset(np.array([1, 2, 3]))
+            return kernel
+
+        first, second = tick_with_a_dead_host(), tick_with_a_dead_host()
+        assert np.array_equal(first.weight, second.weight)
+        assert np.array_equal(first.total, second.total)
+        assert first.messages_delivered == second.messages_delivered == 6
 
     def test_a_latency_tick_lands_the_instant_messages_and_returns_the_rest(self):
         # step_subset with a delay sampler: zero-delay halves land within the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.analysis.cdf import cdf_at, empirical_cdf
 from repro.baselines.push_sum import PushSum
 from repro.core.push_sum_revert import PushSumRevert
+from repro.events.vectorized import TIME_EPS
 from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.obs.probe import NULL_PROBE
@@ -619,6 +620,9 @@ class TestKernelCachesSurviveAnyCallSequence:
             live = kernel.live_index()
             assert live.dtype == np.int64 and not live.flags.writeable
             assert np.array_equal(live, np.nonzero(kernel.alive)[0])
+            rank = kernel.live_rank()  # its inverse, dropped in the same breath
+            assert np.array_equal(rank[live], np.arange(live.size))
+            assert rank.shape == kernel.alive.shape and (rank[~kernel.alive] == -1).all()
 
     @pytest.mark.parametrize("overrides", [
         dict(mode="exchange"),
@@ -838,3 +842,156 @@ class TestLiveViewMatchesThePreRewriteSamplers:
             graph = topology if kind == "csr" else topology._round_csr(round_index, NULL_PROBE)
             for a, b in zip(left.tolist(), right.tolist()):
                 assert b in graph.indices[graph.indptr[a] : graph.indptr[a + 1]]
+
+
+# ---------------------------------------------------------------------------
+# The event calendar's queue against the loop it replaced
+# ---------------------------------------------------------------------------
+def _defer_before_the_sort(run, kind, bucket_now, mature, *arrays):
+    """``KernelRun.defer`` as of 0b0fbf2: ``np.unique`` over the destination
+    buckets, then a fresh mask and one boolean gather per (bucket, edge) and array."""
+    buckets = np.maximum(
+        bucket_now + 1, np.ceil(mature / run.quantum - TIME_EPS).astype(np.int64)
+    )
+    at_edge = mature >= buckets * run.quantum - TIME_EPS
+    for dest in np.unique(buckets):
+        for edge in (False, True):
+            sel = (buckets == dest) & (at_edge == edge)
+            if sel.any():
+                run.pending.setdefault((int(dest), edge), []).append(
+                    (kind, *(a[sel] for a in arrays))
+                )
+
+
+#: One message's maturity, ``(whole, inside, hair)``: ``whole`` buckets past
+#: ``bucket_now`` (zero or negative = already due; the far ones need a 16- or
+#: 32-bit sort key), ``inside`` of a bucket short of that boundary, and a
+#: ``hair`` of seconds either side of it and of the ``TIME_EPS`` tolerance.
+HAIRS = [0.0, 0.4 * TIME_EPS, -0.4 * TIME_EPS, 2 * TIME_EPS, -2 * TIME_EPS]
+maturities = st.lists(
+    st.tuples(
+        st.integers(min_value=-2, max_value=5) | st.sampled_from([127, 128, 32_767, 32_768]),
+        st.just(0.0) | st.floats(min_value=0.0, max_value=0.999),
+        st.sampled_from(HAIRS),
+    ),
+    max_size=30,
+)
+#: ``(kind, payload arrays per message, maturities)``: an exchange carries
+#: two arrays, a push three, a third-party kernel's batch may carry one.
+deferred_batches = st.lists(
+    st.tuples(st.sampled_from(["exchange", "push", "token"]), st.integers(1, 3), maturities),
+    min_size=1,
+    max_size=3,
+)
+ON_THE_EDGE = [(whole, 0.0, hair) for whole in (1, 2) for hair in HAIRS]
+
+
+class TestDeferMatchesThePreRewriteLoop:
+    """Same slots, same batch order inside a slot, arrays equal element for element."""
+
+    @COMMON_SETTINGS
+    @given(
+        batches=deferred_batches,
+        quantum=st.sampled_from([1.0, 0.5, 0.25, 0.2, 1.0 / 3.0]),
+        bucket_now=st.integers(min_value=0, max_value=70_000),
+    )
+    @example(batches=[("push", 3, [(2, 0.5, 0.0)] * 6)], quantum=1.0, bucket_now=3)  # one group
+    @example(batches=[("exchange", 2, ON_THE_EDGE)], quantum=0.2, bucket_now=7)
+    @example(batches=[("exchange", 2, ON_THE_EDGE)], quantum=1.0 / 3.0, bucket_now=0)
+    @example(  # already due: forced into bucket_now + 1, in order with what matures there
+        batches=[("push", 3, [(-2, 0.0, 0.0), (1, 0.5, 0.0), (0, 0.0, 0.0), (-1, 0.3, 0.0),
+                              (1, 0.0, 0.0), (3, 0.0, 0.0)])],
+        quantum=0.5, bucket_now=9,
+    )
+    @example(  # a third-party kernel's one-array batch (TokenPassing)
+        batches=[("token", 1, [(4, 0.0, 0.0), (1, 0.1, 0.0), (4, 0.1, 0.0), (1, 0.0, 0.0)])],
+        quantum=1.0, bucket_now=0,
+    )
+    @example(  # two calls into the same slots (a second tick pass of one bucket), one empty
+        batches=[("exchange", 2, [(1, 0.0, 0.0), (2, 0.5, 0.0), (1, 0.0, 0.0)]),
+                 ("exchange", 2, []),
+                 ("exchange", 2, [(2, 0.2, 0.0), (1, 0.0, 0.0), (1, 0.9, 0.0)])],
+        quantum=0.25, bucket_now=2,
+    )
+    def test_same_pending(self, batches, quantum, bucket_now):
+        from types import SimpleNamespace
+
+        from repro.api.kernel_run import KernelRun
+
+        # ``defer`` reads the quantum and writes the queue, nothing else of a run.
+        got = SimpleNamespace(quantum=quantum, pending={})
+        want = SimpleNamespace(quantum=quantum, pending={})
+        for call, (kind, width, offsets) in enumerate(batches):
+            mature = np.array(
+                [(bucket_now + whole - inside) * quantum + hair for whole, inside, hair in offsets],
+                dtype=float,
+            )
+            ids = 1000 * call + np.arange(mature.size)
+            arrays = [ids, ids / 8.0, ids * 3.0][:width]
+            KernelRun.defer(got, kind, bucket_now, mature, *arrays)
+            _defer_before_the_sort(want, kind, bucket_now, mature, *arrays)
+        # (repr: the slots are plain ``(int, bool)``, not NumPy scalars that merely compare equal)
+        assert list(map(repr, sorted(got.pending))) == list(map(repr, sorted(want.pending)))
+        assert all(bucket > bucket_now for bucket, _edge in got.pending)
+        for slot, want_batches in want.pending.items():
+            got_batches = got.pending[slot]
+            assert len(got_batches) == len(want_batches), slot
+            for (got_kind, *got_arrays), (want_kind, *want_arrays) in zip(
+                got_batches, want_batches
+            ):
+                assert got_kind == want_kind and len(got_arrays) == len(want_arrays)
+                for got_array, want_array in zip(got_arrays, want_arrays):
+                    assert got_array.dtype == want_array.dtype
+                    assert np.array_equal(got_array, want_array), slot
+                    assert got_array.base is None  # it owns its data: freed when drained
+
+
+# ---------------------------------------------------------------------------
+# merge_pairs: first-claim passes ≡ the pairs applied one by one
+# ---------------------------------------------------------------------------
+MERGE_HOSTS = 9
+pair_lists = st.lists(
+    st.tuples(st.integers(0, MERGE_HOSTS - 1), st.integers(0, MERGE_HOSTS - 1)), max_size=24
+)
+STAR_PAIRS = [(0, leaf) if leaf % 2 else (leaf, 0) for leaf in range(1, MERGE_HOSTS)]
+CHAIN_PAIRS = [(host, host + 1) for host in range(MERGE_HOSTS - 1)]
+
+
+class TestMergePairsIsSequentialApplication:
+    @staticmethod
+    def _one_by_one(weight, total, pairs):
+        """The definition: each exchange, in pair order, leaves both ends at the pair's mean."""
+        for a, b in pairs:
+            weight[a] = weight[b] = (weight[a] + weight[b]) / 2.0
+            total[a] = total[b] = (total[a] + total[b]) / 2.0
+
+    @COMMON_SETTINGS
+    @given(first=pair_lists, second=pair_lists, seed=st.integers(min_value=0, max_value=1000))
+    @example(first=STAR_PAIRS, second=[], seed=0)  # every pair shares host 0: one per pass
+    @example(first=CHAIN_PAIRS, second=CHAIN_PAIRS[::-1], seed=1)
+    @example(first=[(2, 5), (2, 5), (5, 2)], second=[(5, 2)], seed=2)  # the same pair again
+    @example(first=[(3, 3), (3, 4), (4, 4)], second=[(4, 3)], seed=3)  # self-pairs
+    @example(first=[(0, 1), (2, 3), (4, 5), (6, 7)], second=[(1, 2), (3, 4)], seed=4)  # disjoint
+    @example(first=[], second=[], seed=5)
+    # A long first call, then a short one over its hosts: every claim entry
+    # the second call could read was left by the first (or by the allocator).
+    @example(first=STAR_PAIRS + CHAIN_PAIRS, second=[(8, 0), (1, 0), (8, 7)], seed=6)
+    def test_bit_for_bit(self, first, second, seed):
+        rng = np.random.default_rng(seed)
+        kernel = VectorizedPushSumRevert(rng.uniform(0.0, 100.0, MERGE_HOSTS), 0.0, seed=seed)
+        kernel.weight[:] = rng.uniform(0.25, 4.0, MERGE_HOSTS)
+        kernel.total[:] = rng.uniform(-50.0, 50.0, MERGE_HOSTS)
+        weight, total = kernel.weight.copy(), kernel.total.copy()
+        estimate = kernel._last_estimate.copy()
+        for pairs in (first, second):
+            left, right = (
+                np.array(side, dtype=np.int64) for side in (zip(*pairs) if pairs else ([], []))
+            )
+            kernel.merge_pairs(left, right)
+            self._one_by_one(weight, total, pairs)
+            touched = np.unique(np.concatenate([left, right]))
+            estimate[touched] = total[touched] / weight[touched]
+            assert _bits(kernel.weight) == _bits(weight), pairs
+            assert _bits(kernel.total) == _bits(total), pairs
+            # Every touched host's stored estimate is current; nobody else's moved.
+            assert _bits(kernel._last_estimate) == _bits(estimate), pairs

@@ -432,6 +432,35 @@ class TestKernelMembership:
         assert kernel.join([]).size == 0
         assert kernel.n == 2
 
+    @pytest.mark.parametrize("kernel_class", [VectorizedPushSumRevert, VectorizedCountSketchReset])
+    def test_live_rank_dies_with_the_membership_epoch(self, kernel_class):
+        if kernel_class is VectorizedPushSumRevert:
+            kernel = kernel_class(uniform_values(40, seed=0), 0.1, seed=0)
+        else:
+            kernel = kernel_class(40, bins=8, bits=12, seed=0)
+        def check_epoch():
+            rank, live = kernel.live_rank(), kernel.live_index()
+            assert rank.shape == (kernel.n,) and not rank.flags.writeable
+            assert np.array_equal(rank[live], np.arange(live.size))
+            assert (rank[~kernel.alive] == -1).all()
+            # Within an epoch every reader gets the same object.
+            kernel.step()
+            assert kernel.live_rank() is rank and kernel.live_index() is live
+
+        check_epoch()
+        for end_epoch in (
+            lambda: kernel.fail([3, 4, 3]),
+            lambda: kernel.fail_random_fraction(0.25),
+            lambda: kernel.fail_extreme_fraction(0.2, values=np.arange(kernel.n, dtype=float)),
+            lambda: kernel.join([1.0] * 5),  # growth: the rank must cover the new rows
+            lambda: kernel.depart_gracefully(kernel.live_index()[:2].tolist()),
+        ):
+            stale = kernel.live_rank()
+            end_epoch()
+            assert kernel.live_rank() is not stale
+            check_epoch()
+        assert kernel.n == 45 and 0 < kernel.live_index().size < 40
+
     def test_join_under_topology_rejected(self):
         from repro.simulator.sparse import CSRTopology
         from repro.topology.graphs import ring_lattice
