@@ -7,7 +7,24 @@ from typing import List, Sequence, Set
 
 import numpy as np
 
-__all__ = ["GossipEnvironment"]
+__all__ = ["GossipEnvironment", "LiveRoster"]
+
+
+class LiveRoster(frozenset):
+    """The live host ids of one round: a frozen set that also lists itself.
+
+    ``members`` is ``tuple(self)``, materialised once, so an environment can
+    draw a uniform live host by index without copying the set per call.
+    Build it from the *sorted* id list: a set iterates in the order its
+    history of insertions left it in, and the peer drawn is ``members[k]``.
+    """
+
+    __slots__ = ("members",)
+
+    def __new__(cls, sorted_ids):
+        self = super().__new__(cls, sorted_ids)
+        self.members = tuple(self)
+        return self
 
 
 class GossipEnvironment(abc.ABC):

@@ -6,7 +6,7 @@ from typing import List, Set
 
 import numpy as np
 
-from repro.environments.base import GossipEnvironment
+from repro.environments.base import GossipEnvironment, LiveRoster
 
 __all__ = ["UniformEnvironment"]
 
@@ -16,8 +16,9 @@ class UniformEnvironment(GossipEnvironment):
 
     This is the idealised model used for the large-scale experiments in the
     paper (Figs 6, 8, 9, 10): peer selection is uniform over the live
-    population.  Peer selection is O(count) per call; the engine passes the
-    live set, so failed hosts are never selected.
+    population.  The engine passes one :class:`LiveRoster` per round, so
+    failed hosts are never selected and a call costs O(count) draws; a plain
+    set from any other caller is sorted into a roster first (O(n log n)).
 
     Parameters
     ----------
@@ -39,33 +40,30 @@ class UniformEnvironment(GossipEnvironment):
         count: int,
         rng: np.random.Generator,
     ) -> List[int]:
-        population = len(alive)
+        if not isinstance(alive, LiveRoster):
+            alive = LiveRoster(sorted(alive))
+        members = alive.members
+        population = len(members)
         if population <= 1 or count <= 0:
             return []
-        # Rejection-sample identifiers: the alive set is usually dense, and
-        # converting it to a list every call would dominate the round cost
-        # for large populations.  Fall back to explicit sampling when the
-        # rejection approach would thrash (tiny alive sets).
-        alive_list = None
+        # Rejection-sample identifiers while dead or unregistered ids make the
+        # id space wider than the population; a dense space, or a missed draw,
+        # indexes the roster's member list instead.  Fall back to explicit
+        # sampling when that too would thrash (tiny alive sets).
         peers: List[int] = []
         seen = {host_id}
         attempts = 0
         max_attempts = 16 * max(1, count)
-        while len(peers) < min(count, population - 1):
+        wanted = min(count, population - 1)
+        while len(peers) < wanted:
             attempts += 1
             if attempts > max_attempts:
-                if alive_list is None:
-                    alive_list = [h for h in alive if h not in seen]
-                remaining = min(count - len(peers), len(alive_list))
-                peers.extend(self._sample_distinct(alive_list, remaining, rng))
+                unseen = [h for h in members if h not in seen]
+                peers.extend(self._sample_distinct(unseen, wanted - len(peers), rng))
                 break
             candidate = int(rng.integers(0, self.n)) if self.n > population else None
             if candidate is None or candidate not in alive or candidate in seen:
-                # Either the id space is dense (sample directly from alive)
-                # or the rejection draw missed; try a direct draw from alive.
-                if alive_list is None:
-                    alive_list = list(alive)
-                candidate = alive_list[int(rng.integers(0, len(alive_list)))]
+                candidate = members[int(rng.integers(0, population))]
                 if candidate in seen:
                     continue
             peers.append(candidate)

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.events.calendar import DELIVER
 from repro.network.delivery import InFlightMessage
-from repro.simulator.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import EventSimulation
@@ -63,8 +62,9 @@ class PushAdapter(ProtocolAdapter):
     def on_tick(self, host_id: int, state: Any, time: float, bin_index: int) -> None:
         engine = self.engine
         protocol = engine.protocol
+        alive = engine._alive_set
         peers = engine.environment.select_peers(
-            host_id, engine._alive_set, bin_index, protocol.fanout, engine._peer_rng
+            host_id, alive, bin_index, protocol.fanout, engine._peer_rng
         )
         if engine._track_mass:
             before = protocol.state_mass(state) or 0.0
@@ -74,18 +74,16 @@ class PushAdapter(ProtocolAdapter):
             engine._state_mass += (protocol.state_mass(state) or 0.0) - before
         else:
             payloads = protocol.make_payloads(state, peers, engine._protocol_rng)
-        for destination, payload in payloads:
-            target = host_id if destination is None else destination
-            message = Message(host_id, target, payload, bin_index)
-            size = protocol.payload_size(payload)
-            engine.bandwidth.record(message, size)
+        for target, payload in payloads:
             mass = protocol.payload_mass(payload)
-            if message.is_self_message:
+            if target is None or target == host_id:
                 # Self-messages never touch the radio: straight into the
                 # sender's own pending inbox, integrated this very tick.
                 engine._deliver_payload(host_id, payload, mass, bin_index, count=False)
                 continue
-            if target not in engine._alive_set:
+            size = protocol.payload_size(payload)
+            engine.bandwidth.record_sent(bin_index, host_id, size)
+            if target not in alive:
                 engine._record_lost_message(bin_index, mass)
                 continue
             delay = engine._plan_delay(host_id, target, bin_index, size)
@@ -137,8 +135,9 @@ class PushAdapter(ProtocolAdapter):
         # the duplicates harmlessly pop an empty list.
         engine = self.engine
         bin_index = engine._sample_bin(time)
+        alive = engine._alive_set
         for item in engine._in_flight.due(time):
-            if item.destination in engine._alive_set:
+            if item.destination in alive:
                 engine._deliver_payload(
                     item.destination, item.payload, item.mass, bin_index, count=True
                 )
@@ -154,24 +153,22 @@ class ExchangeAdapter(ProtocolAdapter):
     def on_tick(self, host_id: int, state: Any, time: float, bin_index: int) -> None:
         engine = self.engine
         protocol = engine.protocol
-        peers = engine.environment.select_peers(
-            host_id, engine._alive_set, bin_index, 1, engine._peer_rng
-        )
+        alive = engine._alive_set
+        peers = engine.environment.select_peers(host_id, alive, bin_index, 1, engine._peer_rng)
         if not peers:
             return
         peer_id = peers[0]
-        if peer_id == host_id or peer_id not in engine._alive_set:
+        if peer_id == host_id or peer_id not in alive:
             return
         size = protocol.exchange_size(state, engine.hosts[peer_id].state)
         delay = engine._plan_delay(host_id, peer_id, bin_index, size)
+        # The initiator's transmitted half costs radio bytes either way,
+        # mirroring the round engine's lost-exchange accounting.
+        engine.bandwidth.record_sent(bin_index, host_id, size)
         if delay is None:
-            # A lossy link makes the exchange not happen at all; the
-            # initiator's transmitted half still cost radio bytes,
-            # mirroring the round engine's lost-exchange accounting.
+            # A lossy link makes the exchange not happen at all.
             engine.delivery.record_lost(bin_index, 2)
-            engine.bandwidth.record_lost_exchange(bin_index, host_id, size)
             return
-        engine.bandwidth.record(Message(host_id, peer_id, None, bin_index), size)
         # Zero-delay legs schedule at the current instant with DELIVER
         # priority, which pops before the instant's remaining ticks —
         # deterministic, and the whole exchange completes "now".
@@ -192,7 +189,7 @@ class ExchangeAdapter(ProtocolAdapter):
             engine.delivery.record_delivered(bin_index)
             # The responder transmits its reply immediately; the reply bytes
             # go on the radio whether or not the network then loses the leg.
-            engine.bandwidth.record(Message(responder, initiator, None, bin_index), size)
+            engine.bandwidth.record_sent(bin_index, responder, size)
             delay = engine._plan_delay(responder, initiator, bin_index, size)
             if delay is None:
                 engine.delivery.record_lost(bin_index)

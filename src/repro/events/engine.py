@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.environments.base import LiveRoster
 from repro.events.adapters import ExchangeAdapter, PushAdapter
 from repro.events.calendar import DELIVER, MEMBERSHIP, SAMPLE, TICK, EventCalendar
 from repro.events.clocks import HostClock, draw_rate, make_clock
@@ -145,7 +146,7 @@ class EventSimulation(Simulation):
         self._pending_ticks: set = set()
         self._inboxes: Dict[int, List] = {}
         self._received: Dict[int, int] = {}
-        self._alive_set = set(self.alive_ids())
+        self._roster: Optional[LiveRoster] = None
         self._now = 0.0
         self._started = False
         self._adapter = PushAdapter(self) if mode == "push" else ExchangeAdapter(self)
@@ -190,14 +191,21 @@ class EventSimulation(Simulation):
     def add_host(self, value: float, round_index: Optional[int] = None) -> Host:
         """Create a live host and, mid-run, start its gossip clock."""
         host = super().add_host(value, round_index)
+        self._roster = None
         if self._event_init_done:
-            self._alive_set.add(host.host_id)
             self._attach_clock(host.host_id, join_time=self._now)
         return host
 
     def fail_host(self, host_id: int, round_index: Optional[int] = None) -> None:
         super().fail_host(host_id, round_index)
-        self._alive_set.discard(host_id)
+        self._roster = None
+
+    @property
+    def _alive_set(self) -> LiveRoster:
+        """The live roster: dropped by every membership change, rebuilt on the next read."""
+        if self._roster is None:
+            self._roster = LiveRoster(self.alive_ids())
+        return self._roster
 
     def _attach_clock(self, host_id: int, *, join_time: float) -> None:
         rate = draw_rate(self._rates_config, self._clock_rng)
@@ -333,9 +341,9 @@ class EventSimulation(Simulation):
         before = self._state_mass
         event.apply(self, event.round)
         # Models may mutate hosts directly (graceful departures revive or
-        # transfer state), so recompute the live set rather than trusting
-        # the fail_host/add_host overrides alone.
-        self._alive_set = set(self.alive_ids())
+        # transfer state), so drop the roster rather than trusting the
+        # fail_host/add_host overrides alone.
+        self._roster = None
         # Restart the gossip clocks of revived hosts: a host that died
         # mid-chain had its tick fire without rescheduling, so revival
         # would otherwise leave it receiving payloads forever without ever

@@ -33,12 +33,13 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.environments.base import LiveRoster
 from repro.network.delivery import DeliveryQueue, InFlightMessage, MassLedger
 from repro.metrics.accuracy import error_statistics
 from repro.metrics.bandwidth import DeliveryMeter
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.host import Host
-from repro.simulator.message import BandwidthMeter, Message
+from repro.simulator.message import BandwidthMeter
 from repro.simulator.protocol import AggregationProtocol, ExchangeProtocol
 from repro.simulator.result import RoundRecord, SimulationResult
 from repro.simulator.rng import RandomStreams
@@ -177,11 +178,18 @@ class Simulation:
         # Mass conservation is tracked whenever the network can reorder or
         # drop deliveries and the protocol exposes a conserved quantity.
         self._track_mass = False
+        #: Mass at hosts as of the last recount; each round opens on it.
+        self._mass_checkpoint = 0.0
         if network is not None and self.hosts:
             probe = next(iter(self.hosts.values()))
             if self.protocol.state_mass(probe.state) is not None:
                 self._track_mass = True
-                self.mass_ledger.open(self._total_state_mass())
+                self._mass_checkpoint = self._total_state_mass()
+                self.mass_ledger.open(self._mass_checkpoint)
+        # Only an overridden begin_round can mint mass (epoch restarts do).
+        self._begin_round_mints = (
+            getattr(protocol.begin_round, "__func__", None) is not AggregationProtocol.begin_round
+        )
         metadata = {
             "mode": mode,
             "environment": type(environment).__name__,
@@ -260,17 +268,20 @@ class Simulation:
         t = self.round_index
         probe = self.probe
         with probe.span("round", round=t):
-            mass_checkpoint = self._total_state_mass() if self._track_mass else 0.0
+            # Nothing runs between rounds, so the last round's closing recount
+            # still stands; the two recounts below run only when something
+            # could have minted mass since (DESIGN.md §8).
+            mass_checkpoint = self._mass_checkpoint
             with probe.span("events"):
-                self._apply_events(t)
-            if self._track_mass:
+                fired = self._apply_events(t)
+            if self._track_mass and fired:
                 # Events may mint mass (joins) or drop it (graceful departures
                 # with no survivor); both are deliberate, not leaks.
                 mass_checkpoint = self._record_mass_injection(mass_checkpoint)
             if self.network is not None:
                 self.network.begin_round(t)
             alive = self.alive_ids()
-            alive_set = set(alive)
+            alive_set = LiveRoster(alive)
             received_counts: Dict[int, int] = {host_id: 0 for host_id in alive}
 
             with probe.span("begin_round"):
@@ -278,7 +289,7 @@ class Simulation:
                     self.protocol.begin_round(
                         self.hosts[host_id].state, t, self._protocol_rng
                     )
-            if self._track_mass:
+            if self._track_mass and self._begin_round_mints:
                 # Epoch restarts re-mint mass inside begin_round by design.
                 mass_checkpoint = self._record_mass_injection(mass_checkpoint)
 
@@ -292,6 +303,8 @@ class Simulation:
                 # The round body may only move mass (host→flight→host) or lose
                 # it through the network — both already on the ledger — so the
                 # books must balance before the protocol's own finalize step.
+                # Always a fresh recount: a running total fed by the ledger's
+                # own entries would balance by construction.
                 mass_checkpoint = self._total_state_mass()
                 self.mass_ledger.check(
                     mass_checkpoint + self._in_flight.in_flight_mass, round_index=t
@@ -313,7 +326,7 @@ class Simulation:
                     )
             if self._track_mass:
                 # Reversion injects mass towards each initial value by design.
-                self._record_mass_injection(mass_checkpoint)
+                self._mass_checkpoint = self._record_mass_injection(mass_checkpoint)
 
             if self.network is not None:
                 self.delivery.snapshot_in_flight(t, self._in_flight.in_flight)
@@ -327,9 +340,11 @@ class Simulation:
     def _total_state_mass(self) -> float:
         """Conserved mass at every host — including the mass stranded at
         silently departed hosts, which stays in their frozen state."""
-        return sum(
-            self.protocol.state_mass(host.state) or 0.0 for host in self.hosts.values()
-        )
+        state_mass = self.protocol.state_mass
+        total = 0.0
+        for host in self.hosts.values():
+            total += state_mass(host.state) or 0.0
+        return total
 
     def _record_mass_injection(self, previous_total: float) -> float:
         """Attribute any state-mass change since ``previous_total`` to the
@@ -349,12 +364,13 @@ class Simulation:
     def _push_round(
         self,
         alive: List[int],
-        alive_set: set,
+        alive_set: LiveRoster,
         received_counts: Dict[int, int],
         t: int,
     ) -> None:
+        hosts, protocol, network = self.hosts, self.protocol, self.network
         inboxes: Dict[int, List] = {host_id: [] for host_id in alive}
-        if self.network is not None:
+        if network is not None:
             # Deliver the in-flight messages that mature this round before
             # this round's sends, so their payloads integrate alongside them.
             for item in self._in_flight.due(t):
@@ -366,19 +382,22 @@ class Simulation:
                     # Matured at a host that has since departed: lost, just
                     # like a same-round send to a failed host.
                     self._record_lost_message(t, item.mass)
+        select_peers = self.environment.select_peers
+        make_payloads, payload_size = protocol.make_payloads, protocol.payload_size
+        record_sent = self.bandwidth.record_sent
+        fanout, peer_rng, protocol_rng = protocol.fanout, self._peer_rng, self._protocol_rng
         for host_id in alive:
-            peers = self.environment.select_peers(
-                host_id, alive_set, t, self.protocol.fanout, self._peer_rng
-            )
-            payloads = self.protocol.make_payloads(
-                self.hosts[host_id].state, peers, self._protocol_rng
-            )
-            for destination, payload in payloads:
-                target = host_id if destination is None else destination
-                message = Message(host_id, target, payload, t)
-                size = self.protocol.payload_size(payload)
-                self.bandwidth.record(message, size)
-                if self.network is None:
+            peers = select_peers(host_id, alive_set, t, fanout, peer_rng)
+            for target, payload in make_payloads(hosts[host_id].state, peers, protocol_rng):
+                if target is None or target == host_id:
+                    # Self-messages never touch the radio: free on the meter,
+                    # and the network model cannot lose or delay them.
+                    inboxes[host_id].append(payload)
+                    received_counts[host_id] += 1
+                    continue
+                size = payload_size(payload)
+                record_sent(t, host_id, size)
+                if network is None:
                     if target in alive_set:
                         inboxes[target].append(payload)
                         received_counts[target] += 1
@@ -386,17 +405,11 @@ class Simulation:
                     # this is exactly the mass-leaves-the-system behaviour of
                     # a silent departure mid-computation.
                     continue
-                if message.is_self_message:
-                    # Self-messages never touch the radio; the network model
-                    # cannot lose or delay them.
-                    inboxes[host_id].append(payload)
-                    received_counts[host_id] += 1
-                    continue
-                mass = self.protocol.payload_mass(payload)
+                mass = protocol.payload_mass(payload)
                 if target not in alive_set:
                     self._record_lost_message(t, mass)
                     continue
-                delay = self.network.plan(host_id, target, t, size, self._network_rng)
+                delay = network.plan(host_id, target, t, size, self._network_rng)
                 if delay is None:
                     self._record_lost_message(t, mass)
                 elif delay == 0:
@@ -414,15 +427,14 @@ class Simulation:
                             mass=mass,
                         )
                     )
+        integrate = protocol.integrate
         for host_id in alive:
-            self.protocol.integrate(
-                self.hosts[host_id].state, inboxes[host_id], self._protocol_rng
-            )
+            integrate(hosts[host_id].state, inboxes[host_id], protocol_rng)
 
     def _exchange_round(
         self,
         alive: List[int],
-        alive_set: set,
+        alive_set: LiveRoster,
         received_counts: Dict[int, int],
         t: int,
     ) -> None:
@@ -449,7 +461,7 @@ class Simulation:
                     # transmitted half still cost radio bytes, mirroring
                     # how lost push payloads stay on the bandwidth meter.
                     self.delivery.record_lost(t, 2)
-                    self.bandwidth.record_lost_exchange(t, host_id, size)
+                    self.bandwidth.record_sent(t, host_id, size)
                     continue
                 if delay:
                     raise RuntimeError(  # pragma: no cover - rejected eagerly
@@ -507,7 +519,11 @@ class Simulation:
         )
 
     # ---------------------------------------------------------------- events
-    def _apply_events(self, t: int) -> None:
+    def _apply_events(self, t: int) -> bool:
+        """Apply round ``t``'s scheduled events; whether any fired."""
+        fired = False
         for event in self.events:
             if event.round == t:
                 event.apply(self, t)
+                fired = True
+        return fired

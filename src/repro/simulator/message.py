@@ -105,14 +105,22 @@ class BandwidthMeter:
     messages_per_round: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
     bytes_per_host: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
 
+    def record_sent(self, round_index: int, source: int, size: int) -> None:
+        """Record one payload of ``size`` bytes that ``source`` put on the radio.
+
+        Sent is spent: a payload the network then loses — and the initiator's
+        half of a push/pull attempt whose link dropped it, whose reply never
+        happened — costs the same bytes and power as a delivered one.
+        """
+        self.bytes_per_round[round_index] += size
+        self.messages_per_round[round_index] += 1
+        self.bytes_per_host[source] += size
+
     def record(self, message: Message, size: Optional[int] = None) -> None:
         """Record one message.  ``size`` overrides the payload estimate."""
-        if message.is_self_message:
-            return
-        nbytes = message.size_bytes() if size is None else int(size)
-        self.bytes_per_round[message.round_index] += nbytes
-        self.messages_per_round[message.round_index] += 1
-        self.bytes_per_host[message.source] += nbytes
+        if not message.is_self_message:
+            nbytes = message.size_bytes() if size is None else int(size)
+            self.record_sent(message.round_index, message.source, nbytes)
 
     def record_exchange(self, round_index: int, host_a: int, host_b: int, size: int) -> None:
         """Record a pairwise push/pull exchange of ``size`` bytes each way."""
@@ -120,17 +128,6 @@ class BandwidthMeter:
         self.messages_per_round[round_index] += 2
         self.bytes_per_host[host_a] += size
         self.bytes_per_host[host_b] += size
-
-    def record_lost_exchange(self, round_index: int, initiator: int, size: int) -> None:
-        """Record a push/pull attempt whose link dropped it.
-
-        The initiator transmitted its half (those radio bytes — and the
-        power they cost — are spent either way, exactly like a lost push
-        payload); the reply never happened and costs nothing.
-        """
-        self.bytes_per_round[round_index] += size
-        self.messages_per_round[round_index] += 1
-        self.bytes_per_host[initiator] += size
 
     @property
     def total_bytes(self) -> int:

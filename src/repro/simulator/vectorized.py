@@ -746,7 +746,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         A lossy link makes the atomic exchange not happen: the pair keeps
         its masses untouched (no mass is ever at risk here), but the
         initiator's half still crossed the radio (agent parity:
-        ``record_lost_exchange``); the reply never happened.
+        ``record_sent``); the reply never happened.
         """
         if self.loss > 0.0:
             kept = self.rng.random(left.size) >= self.loss

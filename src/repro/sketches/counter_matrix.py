@@ -142,14 +142,8 @@ class CounterMatrix:
     def ranks(self, cutoff: Callable[[int], float]) -> List[int]:
         """Per-bin R values of the derived bit image."""
         image = self.bit_image(cutoff)
-        ranks: List[int] = []
-        for bin_idx in range(self.bins):
-            row = image[bin_idx]
-            if row.all():
-                ranks.append(self.bits)
-            else:
-                ranks.append(int(np.argmin(row)))
-        return ranks
+        # The first unset bit of each bin; a bin with every bit set ranks ``bits``.
+        return np.where(image.all(axis=1), self.bits, image.argmin(axis=1)).tolist()
 
     def estimate(
         self,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.environments import (
     NeighborhoodEnvironment,
@@ -9,6 +11,7 @@ from repro.environments import (
     TraceEnvironment,
     UniformEnvironment,
 )
+from repro.environments.base import LiveRoster
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.topology import grid_graph
 
@@ -18,7 +21,63 @@ def rng():
     return np.random.default_rng(0)
 
 
+@st.composite
+def _uniform_cases(draw):
+    """``(n, id-space size, alive ids, host, count, seed)`` for ``select_peers``."""
+    n = draw(st.integers(1, 40))
+    id_space = n + draw(st.integers(0, 30))  # ids registered past n
+    alive = draw(st.sets(st.integers(0, id_space - 1), min_size=1))
+    host = draw(st.sampled_from(sorted(alive)))
+    return n, id_space, alive, host, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+class _AlwaysDrawsIndexZero:
+    """A generator whose index draws all land on ``members[0]``: forces the thrash fallback."""
+
+    def __init__(self, seed):
+        self.choice = np.random.default_rng(seed).choice
+
+    def integers(self, low, high):
+        return 0
+
+
 class TestUniformEnvironment:
+    @settings(max_examples=200, deadline=None)
+    @given(_uniform_cases())
+    @example((10, 10, set(range(10)), 0, 1, 0))  # dense ids
+    @example((10, 10, {0, 2, 4, 6, 8}, 2, 3, 1))  # a sparse half
+    @example((4, 12, {0, 9, 11}, 9, 2, 2))  # ids registered past n
+    @example((5, 5, {3}, 3, 1, 3))  # population 1
+    @example((5, 5, {1, 3}, 3, 4, 4))  # population 2, count > population - 1
+    def test_roster_contract(self, case):
+        n, id_space, alive, host, count, seed = case
+        env = UniformEnvironment(n)
+        for host_id in range(n, id_space):
+            env.register_host(host_id)
+        roster_rng, set_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        peers = env.select_peers(host, LiveRoster(sorted(alive)), 0, count, roster_rng)
+        assert len(peers) == len(set(peers)) == min(count, len(alive) - 1)
+        assert host not in peers and set(peers) <= alive
+        # A plain set is the same call: same peers, same draws.
+        assert env.select_peers(host, set(sorted(alive)), 0, count, set_rng) == peers
+        assert roster_rng.bit_generator.state == set_rng.bit_generator.state
+
+    def test_roster_is_a_value(self):
+        env = UniformEnvironment(6)
+        roster = LiveRoster(range(6))
+        members = tuple(roster.members)
+        rng = np.random.default_rng(1)
+        for call in range(1000):
+            host = call % 6
+            # Every tenth call exhausts its attempts on the host itself and
+            # takes the thrash fallback, which filters the shared members.
+            peers = env.select_peers(
+                host, roster, call, 3, rng if call % 10 else _AlwaysDrawsIndexZero(call)
+            )
+            assert len(set(peers)) == 3 and host not in peers and set(peers) <= roster
+        assert tuple(roster.members) == members == tuple(roster)
+        assert not hasattr(roster, "add") and not hasattr(roster, "discard")
+
     def test_selects_live_peer_not_self(self, rng):
         env = UniformEnvironment(10)
         alive = set(range(10))

@@ -509,7 +509,7 @@ class TestExchangeAccounting:
             network=LatencyNetwork(distribution="fixed", delay=1),
             mass_check="off",
         )
-        sim._alive_set.discard(1)
+        sim.fail_host(1)
         before = sim.delivery.total_lost
         sim._adapter.handle(("xreq", 0, 1, 16), 1.0)
         assert sim.delivery.total_lost - before == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sketches import (
     CounterMatrix,
@@ -254,3 +256,28 @@ class TestCounterMatrix:
     def test_size_bytes(self):
         assert CounterMatrix(4, 8).size_bytes() == 64
         assert CounterMatrix(4, 8).size_bytes(counter_bytes=1) == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bins=st.integers(1, 6),
+        bits=st.integers(1, 9),
+        intercept=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_ranks_are_the_first_unset_bit_per_bin(self, bins, bits, intercept, data):
+        matrix = CounterMatrix(bins, bits)
+        ages = st.sampled_from([0, 1, 3, 5, 7, 9, 12, INFINITY])
+        matrix.counters[:] = data.draw(
+            st.lists(st.lists(ages, min_size=bits, max_size=bits), min_size=bins, max_size=bins)
+        )
+        matrix.counters[0] = 0  # an all-fresh bin ranks ``bits``
+        if bins > 1:
+            matrix.counters[1] = INFINITY  # an all-expired bin ranks 0
+
+        def cutoff(k):
+            return intercept + k / 2
+
+        ranks = matrix.ranks(cutoff)
+        assert ranks == [rank_of_bits(row) for row in matrix.bit_image(cutoff)]
+        assert all(type(rank) is int for rank in ranks)
+        assert ranks[0] == bits and (bins == 1 or ranks[1] == 0)
