@@ -179,8 +179,7 @@ def main() -> None:
     # (spec.key()), so re-running an identical sweep serves every cell
     # from the cache, bit-identically — the CLI equivalent is
     # `repro-aggregate sweep --config … --cache-dir .repro-cache`.
-    with tempfile.TemporaryDirectory() as cache_dir:
-        store = ResultStore(cache_dir)
+    with tempfile.TemporaryDirectory() as cache_dir, ResultStore(cache_dir) as store:
         start = time.perf_counter()
         cold = SweepRunner(store=store).run(sweep)
         cold_seconds = time.perf_counter() - start

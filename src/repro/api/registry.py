@@ -79,6 +79,9 @@ class Registry:
     def __init__(self, kind: str):
         self.kind = kind
         self._entries: Dict[str, Callable] = {}
+        #: ``inspect.signature`` per key (``None``: not introspectable).  A
+        #: key can never be re-registered, so the memo cannot go stale.
+        self._signatures: Dict[str, Optional[inspect.Signature]] = {}
 
     # ------------------------------------------------------------ registration
     def register(self, key: str, factory: Optional[Callable] = None, *, aliases: tuple = ()):
@@ -121,10 +124,15 @@ class Registry:
         typo like ``reversions=0.1`` at construction time instead of at the
         first ``build()`` inside a process pool.
         """
-        factory = self.get(key)
         try:
-            signature = inspect.signature(factory)
-        except (TypeError, ValueError):  # builtins without introspectable signatures
+            signature = self._signatures[key]
+        except KeyError:
+            try:
+                signature = inspect.signature(self.get(key))
+            except (TypeError, ValueError):  # builtins without introspectable signatures
+                signature = None
+            self._signatures[key] = signature
+        if signature is None:
             return
         try:
             signature.bind(*args, **kwargs)

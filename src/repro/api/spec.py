@@ -307,9 +307,9 @@ class ScenarioSpec:
 
     def __hash__(self):
         # The generated frozen-dataclass hash chokes on the dict fields;
-        # hash the canonical (key-sorted) JSON form instead so equal specs
-        # hash equal regardless of parameter insertion order.
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
+        # hash the canonical key instead — equal specs have equal keys,
+        # regardless of parameter insertion order.
+        return hash(self.key())
 
     def _validate_engine_params(self) -> None:
         """Eagerly validate :attr:`engine_params` against :attr:`engine`."""
@@ -582,13 +582,18 @@ class ScenarioSpec:
 
         Canonical JSON (sorted keys, fixed separators) makes the key
         independent of dict insertion order and of the process that
-        computes it; ``tests/test_store.py`` pins both properties.
+        computes it; ``tests/test_store.py`` pins both properties.  The
+        digest is computed once per instance and kept in ``__dict__`` — not
+        a field, so equality, ``replace`` and ``to_dict`` never see it.
         """
-        payload = self.to_dict()
-        payload.pop("name", None)
-        payload["backend"] = self.resolved_backend()
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_key")
+        if digest is None:
+            payload = self.to_dict()
+            payload.pop("name", None)
+            payload["backend"] = self.resolved_backend()
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            digest = self.__dict__["_key"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest
 
     def run(self, *, store=None, refresh: bool = False, probe=None) -> SimulationResult:
         """Run the scenario for :attr:`rounds` rounds on its backend.
@@ -608,8 +613,12 @@ class ScenarioSpec:
     # ------------------------------------------------------------ serialisation
     def to_dict(self) -> Dict[str, Any]:
         """A plain-dict representation that :meth:`from_dict` restores exactly."""
-        payload = dataclasses.asdict(self)
-        payload["events"] = [copy.deepcopy(entry) for entry in self.events]
+        payload = {}
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            # Parameter dicts and the event tuple are the only containers;
+            # every other field is an immutable scalar.
+            payload[name] = _jsonify(value) if isinstance(value, (dict, tuple)) else value
         return payload
 
     @classmethod
@@ -649,6 +658,9 @@ class ScenarioSpec:
         if self.name:
             return self.name
         return f"{self.protocol}/{self.environment}/n={self.n_hosts}/seed={self.seed}"
+
+
+_FIELD_NAMES = tuple(spec_field.name for spec_field in dataclasses.fields(ScenarioSpec))
 
 
 def run_scenario(

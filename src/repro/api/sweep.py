@@ -30,11 +30,12 @@ and every scenario carries its own seed — so parallel and serial execution
 produce identical :class:`SweepResult` tables that diff cleanly in CI.
 
 With a :class:`repro.store.ResultStore` the runner is *incremental*: the
-grid is partitioned into cached hits and pending cells, only the pending
-cells execute, and every completed cell is written back immediately by the
-parent process (a single writer, even when a pool computes the results).
-That write-as-completed discipline is what makes sweeps resumable — a
-sweep killed after N cells re-runs as N hits plus the remainder.
+grid is partitioned into cached hits and pending cells (one ``get_many``),
+only the pending cells execute, and every completed cell — on the pool path
+every finished batch — is committed immediately by the parent process (a
+single writer, even when a pool computes the results).  That
+write-as-completed discipline is what makes sweeps resumable — a sweep
+killed after N cells re-runs as N hits plus the remainder.
 """
 
 from __future__ import annotations
@@ -290,10 +291,11 @@ class SweepRunner:
         short runs to amortise the pickling round-trips.
     store:
         An optional :class:`repro.store.ResultStore`.  The grid is then
-        partitioned into cached hits and pending cells; only pending cells
-        execute, and each completed cell is written back immediately by
-        this (parent) process — the pool workers never open the store —
-        so an interrupted sweep resumes from the cells it finished.
+        partitioned into cached hits and pending cells with one batched
+        lookup; only pending cells execute, and each completed cell (serial)
+        or finished batch of ``chunksize`` cells (parallel) is committed
+        immediately by this (parent) process — the pool workers never open
+        the store — so an interrupted sweep resumes from what it finished.
     refresh:
         Re-execute every cell even on a hit (results are still written
         back); use to overwrite suspect store entries.
@@ -301,7 +303,8 @@ class SweepRunner:
         Print one line per completed cell to stderr — cell index,
         ``cached``/``executed``, and wall time — so long sweeps show a
         live heartbeat.  Parallel cells report their batch's mean wall
-        time (individual timings stay in the workers).
+        time (individual timings stay in the workers) and cached cells
+        the mean time of the one batched store lookup that served them.
     probe:
         An optional :class:`repro.obs.Probe`.  On the serial path it is
         threaded into every :func:`run_scenario` call (full phase spans);
@@ -358,13 +361,13 @@ class SweepRunner:
         cached = [False] * len(specs)
         total = len(specs)
         if self.store is not None and not self.refresh:
-            for index, spec in enumerate(specs):
-                started = time.perf_counter()
-                hit = self.store.get(spec)
+            started = time.perf_counter()
+            results = self.store.get_many(specs)
+            lookup_seconds = (time.perf_counter() - started) / max(total, 1)
+            for index, hit in enumerate(results):
                 if hit is not None:
-                    results[index] = hit
                     cached[index] = True
-                    self._cell_done(index, total, spec, "cached", time.perf_counter() - started)
+                    self._cell_done(index, total, specs[index], "cached", lookup_seconds)
         pending = [index for index, result in enumerate(results) if result is None]
 
         # -------------------------------------------------------- execution
@@ -387,17 +390,21 @@ class SweepRunner:
                     for batch in batches
                 }
                 # Harvest as batches complete (not in submission order) so
-                # every finished cell reaches the store before the next
-                # wait — the property that makes a killed sweep resumable.
+                # every finished batch is committed to the store before the
+                # next wait — the property that makes a killed sweep resumable.
                 outstanding = set(future_to_batch)
                 while outstanding:
                     done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                     for future in done:
                         batch = future_to_batch[future]
                         batch_seconds = (time.perf_counter() - submitted) / max(len(batch), 1)
-                        for index, result in zip(batch, future.result()):
-                            if self.store is not None:
-                                self.store.put(specs[index], result)
+                        batch_results = future.result()
+                        if self.store is not None:
+                            self.store.put_many(
+                                (specs[index], result)
+                                for index, result in zip(batch, batch_results)
+                            )
+                        for index, result in zip(batch, batch_results):
                             results[index] = result
                             self._cell_done(index, total, specs[index], "executed", batch_seconds)
         else:

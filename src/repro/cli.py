@@ -54,9 +54,10 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import ContextManager, Dict, List, Optional
 
 from repro.analysis.render import render_series_table, render_table
 from repro.api import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
@@ -92,10 +93,11 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
-    """The ResultStore the flags ask for, or None when caching is off."""
+def _store_from_args(args: argparse.Namespace) -> ContextManager[Optional[ResultStore]]:
+    """A context manager yielding the ResultStore the flags ask for (closed
+    on exit), or None when caching is off."""
     if args.no_cache or not (args.cache or args.cache_dir):
-        return None
+        return contextlib.nullcontext()
     return ResultStore(args.cache_dir or DEFAULT_CACHE_DIR)
 
 
@@ -378,10 +380,10 @@ def _command_run(args: argparse.Namespace) -> int:
     probe, trace_recorder, metrics_registry = _probe_from_args(args)
     try:
         spec = _spec_from_args(args)
-        store = _store_from_args(args)
-        if store is not None:
-            store.probe = probe
-        result = run_scenario(spec, store=store, probe=probe)
+        with _store_from_args(args) as store:
+            if store is not None:
+                store.probe = probe
+            result = run_scenario(spec, store=store, probe=probe)
     except (ValueError, KeyError, TypeError) as error:
         _print_scenario_error(error)
         return 2
@@ -446,18 +448,18 @@ def _command_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as handle:
             sweep = Sweep.from_dict(json.load(handle))
-        store = _store_from_args(args)
-        if store is not None:
-            store.probe = probe
-        runner = SweepRunner(
-            parallel=not args.serial,
-            max_workers=args.workers,
-            chunksize=args.chunksize,
-            store=store,
-            progress=args.progress,
-            probe=probe,
-        )
-        result = runner.run(sweep)
+        with _store_from_args(args) as store:
+            if store is not None:
+                store.probe = probe
+            runner = SweepRunner(
+                parallel=not args.serial,
+                max_workers=args.workers,
+                chunksize=args.chunksize,
+                store=store,
+                progress=args.progress,
+                probe=probe,
+            )
+            result = runner.run(sweep)
     except (ValueError, KeyError, TypeError) as error:
         _print_scenario_error(error)
         return 2
@@ -494,32 +496,33 @@ def _command_obs(args: argparse.Namespace) -> int:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
-    store = ResultStore(args.cache_dir)
-    if args.action == "stats":
-        stats = store.stats()
-        rows = [
-            ["root", stats["root"]],
-            ["schema version", stats["schema_version"]],
-            ["entries", stats["entries"]],
-            ["stale entries", stats["stale_entries"]],
-            ["total bytes", stats["total_bytes"]],
-            ["lifetime hits", stats["lifetime_hits"]],
-        ]
-        for protocol, count in stats["by_protocol"].items():
-            rows.append([f"entries [{protocol}]", count])
-        print(render_table(["result store", "value"], rows))
+    with ResultStore(args.cache_dir) as store:
+        if args.action == "stats":
+            stats = store.stats()
+            rows = [
+                ["root", stats["root"]],
+                ["schema version", stats["schema_version"]],
+                ["entries", stats["entries"]],
+                ["stale entries", stats["stale_entries"]],
+                ["orphan files", stats["orphan_files"]],
+                ["total bytes", stats["total_bytes"]],
+                ["lifetime hits", stats["lifetime_hits"]],
+            ]
+            for protocol, count in stats["by_protocol"].items():
+                rows.append([f"entries [{protocol}]", count])
+            print(render_table(["result store", "value"], rows))
+            return 0
+        if args.action == "prune":
+            try:
+                removed = store.prune(older_than_days=args.older_than)
+            except ValueError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
+            print(f"pruned {removed} entries from {store.root}")
+            return 0
+        removed = store.clear()
+        print(f"cleared {removed} entries from {store.root}")
         return 0
-    if args.action == "prune":
-        try:
-            removed = store.prune(older_than_days=args.older_than)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"pruned {removed} entries from {store.root}")
-        return 0
-    removed = store.clear()
-    print(f"cleared {removed} entries from {store.root}")
-    return 0
 
 
 def _command_list(args: argparse.Namespace) -> int:
@@ -573,14 +576,15 @@ def _command_list_capabilities() -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
-    report = run_all_experiments(
-        args.profile,
-        seed=args.seed,
-        only=args.only,
-        include_ablations=not args.no_ablations,
-        backend=args.backend,
-        store=_store_from_args(args),
-    )
+    with _store_from_args(args) as store:
+        report = run_all_experiments(
+            args.profile,
+            seed=args.seed,
+            only=args.only,
+            include_ablations=not args.no_ablations,
+            backend=args.backend,
+            store=store,
+        )
     text = report.text()
     print(text)
     if args.output:

@@ -48,15 +48,18 @@ def error_statistics(
     empty estimate set (every host failed) scores NaN throughout.
     """
     estimates = np.asarray(estimates, dtype=float)
-    if estimates.size == 0:
+    n = estimates.size
+    if n == 0:
         return ErrorStatistics(*[float("nan")] * 4)
     deltas = estimates - truths
     magnitudes = np.abs(deltas)
+    # The reductions behind np.mean / np.max, minus their Python wrappers:
+    # the same pairwise sums and the same division, so the same bits.
     return ErrorStatistics(
-        float(np.sqrt(np.mean(deltas**2))),
-        float(np.max(magnitudes)),
-        float(np.mean(magnitudes)),
-        float(np.mean(estimates)),
+        float(np.sqrt(np.add.reduce(deltas * deltas) / n)),
+        float(np.maximum.reduce(magnitudes)),
+        float(np.add.reduce(magnitudes) / n),
+        float(np.add.reduce(estimates) / n),
     )
 
 

@@ -1,8 +1,12 @@
 """Tests for the declarative scenario API (registries, specs, sweeps)."""
 
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ENVIRONMENTS,
@@ -230,6 +234,107 @@ class TestScenarioSpec:
         )
         with pytest.raises(ValueError, match="devices"):
             bad.build_environment()
+
+
+def _to_dict_oracle(spec):
+    """``to_dict()`` as ``dataclasses.asdict`` spells it — the form the
+    hand-rolled field walk replaced, kept here as its reference."""
+    payload = dataclasses.asdict(spec)
+    payload["events"] = [copy.deepcopy(entry) for entry in spec.events]
+    return payload
+
+
+_small_floats = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
+_EVENTS = st.one_of(
+    st.builds(
+        lambda round_index, fraction: {
+            "event": "failure", "round": round_index, "model": "uncorrelated",
+            "fraction": fraction,
+        },
+        st.integers(0, 5), _small_floats,
+    ),
+    st.builds(
+        lambda round_index, count: {"event": "join", "round": round_index, "count": count},
+        st.integers(0, 5), st.integers(1, 4),
+    ),
+    st.builds(
+        lambda round_index, values: {"event": "value-change", "round": round_index,
+                                     "values": values},
+        st.integers(0, 5),
+        st.dictionaries(st.integers(0, 19), st.floats(-5.0, 5.0), min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda start, p, arrivals: {
+            "event": "churn", "start": start, "stop": start + 2, "model": "bernoulli",
+            "p": p, "arrivals_per_round": arrivals,
+        },
+        st.integers(0, 3), _small_floats, st.integers(0, 2),
+    ),
+)
+_NETWORKS = st.one_of(
+    st.just(("perfect", {})),
+    st.builds(lambda p: ("bernoulli-loss", {"p": p}), _small_floats),
+    st.builds(
+        lambda p, cap: ("stacked", {"layers": (
+            {"model": "bernoulli-loss", "p": p},
+            {"model": "bandwidth-cap", "bytes_per_round": cap},
+        )}),
+        _small_floats, st.integers(64, 4096),
+    ),
+)
+_ENGINES = st.one_of(
+    st.just(("rounds", {})),
+    st.builds(
+        lambda interval, fast, fraction: ("events", {
+            "sample_interval": interval,
+            "rates": {"distribution": "heterogeneous", "fast": fast, "slow": 0.5,
+                      "fast_fraction": fraction},
+        }),
+        st.sampled_from([0.5, 1.0, 2]), st.floats(1.0, 4.0), _small_floats,
+    ),
+)
+
+
+class TestSpecIdentity:
+    """``to_dict`` / ``key`` / ``__hash__`` after the once-per-instance rewrite."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        means=st.lists(st.floats(1.0, 99.0), min_size=1, max_size=4),
+        events=st.lists(_EVENTS, max_size=4),
+        network=_NETWORKS,
+        engine=_ENGINES,
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_to_dict_matches_the_asdict_oracle(self, means, events, network, engine, reverse, seed):
+        spec = ScenarioSpec(
+            protocol="push-sum-revert", protocol_params={"reversion": 0.1, "adaptive": False},
+            workload="clustered", workload_params={"cluster_means": tuple(means), "std": 2.0},
+            network=network[0], network_params=network[1],
+            engine=engine[0], engine_params=engine[1],
+            events=tuple(events), mode="push", n_hosts=20, rounds=6, seed=seed, name="drawn",
+        )
+        payload = spec.to_dict()
+        oracle = _to_dict_oracle(spec)
+        assert payload == oracle and list(payload) == list(oracle)
+        assert json.dumps(payload) == json.dumps(oracle)  # nested key order too
+        # A private copy: editing it must not reach the (frozen) spec.
+        payload["workload_params"]["cluster_means"].append(0.0)
+        payload["events"].append({"event": "join"})
+        assert spec.to_dict() == oracle
+
+        # An equal spec built another way (reversed parameter insertion order).
+        twin_payload = copy.deepcopy(oracle)
+        if reverse:
+            twin_payload["protocol_params"] = dict(reversed(oracle["protocol_params"].items()))
+        twin = ScenarioSpec.from_dict(twin_payload)
+        assert twin == spec and hash(twin) == hash(spec) and twin.key() == spec.key()
+        # The cached digest is not a field: nothing serialised or replaced sees it.
+        assert spec.to_dict() == oracle == _to_dict_oracle(spec)
+        relabelled = spec.replace(name="relabelled")
+        assert relabelled != spec and relabelled.key() == spec.key()
+        assert spec.replace(seed=seed + 1).key() != spec.key()
 
 
 class TestRunScenario:

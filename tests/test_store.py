@@ -1,9 +1,12 @@
 """Tests for the content-addressed result store and incremental sweeps."""
 
+import glob
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -34,7 +37,36 @@ def payload_json(result):
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(str(tmp_path / "cache"))
+    with ResultStore(str(tmp_path / "cache")) as handle:
+        yield handle
+
+
+@pytest.fixture
+def statements(monkeypatch):
+    """Every ``sqlite3.connect`` the store module makes, as one list of the
+    SQL statements that connection ran (implicit BEGIN / COMMIT included)."""
+    connections = []
+    real_connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        connection = real_connect(*args, **kwargs)
+        connections.append([])
+        connection.set_trace_callback(connections[-1].append)
+        return connection
+
+    monkeypatch.setattr(store_module.sqlite3, "connect", traced_connect)
+    return connections
+
+
+def index_is_unlocked(store):
+    """A second connection that refuses to wait can still commit a write."""
+    other = sqlite3.connect(os.path.join(store.root, "index.db"), timeout=0)
+    try:
+        with other:
+            other.execute("UPDATE results SET hits = hits")
+    finally:
+        other.close()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +119,23 @@ class TestSpecKey:
                 capture_output=True, text=True, check=True, env=env,
             ).stdout.strip()
             assert output == expected
+
+    def test_example_spec_addresses_cannot_move_silently(self):
+        # tests/data/spec_keys.json was written at e596503, before to_dict()
+        # and key() were rewritten: the first cell of every example config.
+        here = os.path.dirname(__file__)
+        with open(os.path.join(here, "data", "spec_keys.json")) as handle:
+            pinned = json.load(handle)
+        paths = sorted(glob.glob(os.path.join(here, os.pardir, "examples", "specs", "*.json")))
+        assert sorted(pinned) == [os.path.basename(path) for path in paths]
+        for path in paths:
+            with open(path) as handle:
+                payload = json.load(handle)
+            if "axes" in payload:
+                spec = Sweep.from_dict(payload).specs()[0]
+            else:
+                spec = ScenarioSpec.from_dict(payload)
+            assert spec.key() == pinned[os.path.basename(path)], path
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +283,81 @@ class TestResultStore:
     def test_put_rejects_non_results(self, store):
         with pytest.raises(TypeError):
             store.put(small_spec(), {"not": "a result"})
+        # ... before anything of the batch is written.
+        good = small_spec()
+        with pytest.raises(TypeError):
+            store.put_many([(good, run_scenario(good)), (small_spec(seed=1), None)])
+        assert len(store) == 0 and not os.path.exists(store._blob_path(good.key()))
+
+    def test_prune_sweeps_orphan_files_but_not_a_live_writers(self, store):
+        healthy, lost = small_spec(), small_spec(seed=12)
+        store.put(healthy, run_scenario(healthy))
+        # A writer killed between os.replace and its INSERT leaves a blob
+        # without a row; one killed mid-write leaves its temp file.
+        store.put(lost, run_scenario(lost))
+        with sqlite3.connect(os.path.join(store.root, "index.db")) as connection:
+            connection.execute("DELETE FROM results WHERE key = ?", (lost.key(),))
+        connection.close()
+        orphan_blob = store._blob_path(lost.key())
+        dead_tmp = store._blob_path(healthy.key()) + ".tmp.4242.1"
+        live_tmp = store._blob_path(healthy.key()) + ".tmp.4242.2"
+        for path in (dead_tmp, live_tmp):
+            with open(path, "wb") as handle:
+                handle.write(b"half a blob")
+        long_ago = time.time() - 2 * store_module._BUSY_TIMEOUT
+        for path in (orphan_blob, dead_tmp):
+            os.utime(path, (long_ago, long_ago))
+
+        assert store.get(lost) is None  # a blob without a row is a miss
+        assert store.stats()["orphan_files"] == 2
+        assert store.prune() == 2
+        assert not os.path.exists(orphan_blob) and not os.path.exists(dead_tmp)
+        assert os.path.exists(live_tmp)  # younger than the busy timeout: maybe in use
+        assert store.stats()["orphan_files"] == 0 and store.prune() == 0
+        assert store.get(healthy) is not None and len(store) == 1
+
+    def test_no_lock_outlives_a_call(self, store, monkeypatch):
+        specs = [small_spec(seed=seed) for seed in range(4)]
+        results = [run_scenario(spec) for spec in specs]
+        calls = [
+            lambda: store.get(specs[0]),  # miss
+            lambda: store.put(specs[0], results[0]),
+            lambda: store.get(specs[0]),  # hit
+            lambda: store.put_many(zip(specs[1:], results[1:])),
+            lambda: store.get_many(specs),
+            lambda: store.contains(specs[1]),
+            lambda: len(store),
+            lambda: store.stats(),
+            lambda: store.prune(),
+        ]
+        for call in calls:
+            call()
+            assert index_is_unlocked(store)
+        monkeypatch.setattr(store_module, "code_fingerprint", lambda protocol: "edited")
+        assert store.get(specs[0]) is None and index_is_unlocked(store)  # stale
+        assert store.get_many(specs[1:3]) == [None, None] and index_is_unlocked(store)
+        assert store.clear() == 1 and index_is_unlocked(store)
+
+    def test_a_handle_is_one_connection_owned_by_its_thread(self, tmp_path, statements):
+        store = ResultStore(str(tmp_path / "cache"))
+        spec = small_spec()
+        store.put(spec, run_scenario(spec))
+        for call in (store.get, store.contains):
+            assert call(spec)
+        assert store.stats()["entries"] == len(store) == 1 and store.prune() == 0
+        assert len(statements) == 1  # sqlite3.connect ran once, in __init__
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(sqlite3.ProgrammingError, match="thread"):
+                pool.submit(store.get, spec).result(timeout=30)
+        assert store.get(spec) is not None  # refused, not corrupted
+
+        store.close()
+        store.close()  # harmless
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            store.get(spec)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            store.put(spec, run_scenario(spec))
 
     def test_concurrent_writers_are_safe(self, tmp_path):
         # Several handles on one directory (as separate sweeps would open)
@@ -332,6 +456,19 @@ class TestIncrementalSweeps:
         assert [spec.key() for spec in calls] == [spec.key() for spec in specs[4:]]
         assert result.cached == [True] * 4 + [False] * 2
 
+    def _resume(self, store, monkeypatch):
+        """Re-run ``grid()`` serially against ``store``: (cells executed, result)."""
+        real = sweep_module.run_scenario
+        executed = []
+        monkeypatch.setattr(
+            sweep_module, "run_scenario",
+            lambda spec, **kwargs: executed.append(spec) or real(spec, **kwargs),
+        )
+        try:
+            return executed, SweepRunner(parallel=False, store=store).run(grid())
+        finally:
+            monkeypatch.setattr(sweep_module, "run_scenario", real)
+
     def test_interrupted_sweep_resumes_from_the_store(self, store, monkeypatch):
         real = sweep_module.run_scenario
         executed = []
@@ -350,15 +487,80 @@ class TestIncrementalSweeps:
         monkeypatch.setattr(sweep_module, "run_scenario", real)
         reference = SweepRunner(parallel=False).run(grid())
 
-        executed_after = []
-        monkeypatch.setattr(
-            sweep_module, "run_scenario",
-            lambda spec, **kwargs: executed_after.append(spec) or real(spec, **kwargs),
-        )
-        resumed = SweepRunner(parallel=False, store=store).run(grid())
+        executed_after, resumed = self._resume(store, monkeypatch)
         assert len(executed_after) == 3  # only the remainder ran
         assert resumed.cached == [True] * 3 + [False] * 3
         assert resumed.rows == reference.rows
+
+    @pytest.mark.parametrize(
+        "runner, killed_at, committed",
+        [
+            # Serial: killed inside the third cell's put, blob replaced, row not inserted.
+            (dict(parallel=False), 3, 2),
+            # Pool, two cells per batch: killed inside the second batch's
+            # put_many, both of its blobs replaced, neither row inserted.
+            (dict(parallel=True, max_workers=2, chunksize=2), 4, 2),
+        ],
+    )
+    def test_a_sweep_killed_inside_a_store_write_resumes(
+        self, store, monkeypatch, runner, killed_at, committed
+    ):
+        reference = SweepRunner(parallel=False).run(grid())
+        real_replace = os.replace
+        replaced = []
+
+        def dies_after_the_replace(source, destination):
+            real_replace(source, destination)
+            replaced.append(destination)
+            if len(replaced) == killed_at:
+                raise KeyboardInterrupt("killed between the blob replace and the INSERT")
+
+        monkeypatch.setattr(store_module.os, "replace", dies_after_the_replace)
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(store=store, **runner).run(grid())
+        monkeypatch.setattr(store_module.os, "replace", real_replace)
+
+        # The index holds exactly the committed cells, and agrees with what
+        # can be read; the killed write's blobs are on disk without rows.
+        specs = grid().specs()
+        assert len(store) == committed
+        assert sum(store.contains(spec) for spec in specs) == committed
+        assert all(os.path.exists(path) for path in replaced) and len(replaced) == killed_at
+        assert index_is_unlocked(store)  # the rolled-back write holds no lock
+
+        executed_after, resumed = self._resume(store, monkeypatch)
+        assert len(executed_after) == len(specs) - committed  # only the remainder ran
+        assert sum(resumed.cached) == committed
+        assert resumed.rows == reference.rows
+        assert len(store) == len(specs) and store.prune() == 0
+
+    def test_a_pass_pays_one_lookup_and_one_transaction_per_commit(self, tmp_path, statements):
+        sweep = Sweep.over(small_spec(), environment=["uniform", "ring", "grid"], seed=range(8))
+        store = ResultStore(str(tmp_path / "cache"))
+
+        def ran(word):
+            return sum(1 for statement in statements[0] if statement.startswith(word))
+
+        cold = SweepRunner(parallel=False, store=store).run(sweep)
+        assert cold.executed() == 24
+        # One keyed SELECT for the whole grid, one committed INSERT per cell.
+        assert (ran("SELECT"), ran("INSERT"), ran("COMMIT")) == (1, 24, 24)
+
+        del statements[0][:]
+        warm = SweepRunner(parallel=False, store=store).run(sweep)
+        assert warm.cache_hits() == 24 and warm.rows == cold.rows
+        # One SELECT, then every hit counter in one write transaction.
+        assert (ran("SELECT"), ran("UPDATE"), ran("BEGIN"), ran("COMMIT")) == (1, 24, 1, 1)
+
+        del statements[0][:]
+        batched = SweepRunner(
+            parallel=True, max_workers=2, chunksize=4, store=store, refresh=True
+        ).run(sweep)
+        assert batched.rows == cold.rows
+        # The pool path commits once per finished batch of `chunksize` cells.
+        assert (ran("INSERT"), ran("COMMIT")) == (24, 6)
+        assert len(statements) == 1  # all of it on the handle's one connection
+        store.close()
 
     def test_refresh_reruns_every_cell(self, store):
         SweepRunner(parallel=False, store=store).run(grid())
