@@ -4,7 +4,7 @@ Every figure benchmark runs the corresponding experiment once (via
 ``benchmark.pedantic`` — the experiments are seconds-long simulations, not
 micro-benchmarks), checks the qualitative shape the paper reports, renders
 the same rows/series the paper's figure plots, and writes that rendering to
-``benchmarks/output/``.  EXPERIMENTS.md records the committed numbers.
+``benchmarks/output/``, where the committed numbers live.
 """
 
 import pathlib

@@ -4,7 +4,7 @@ The experiment harness produces plain numeric series; this package turns
 them into the artefacts the paper presents — per-bit counter CDFs (Fig 6),
 error-versus-round series (Figs 8–10), hour-by-hour trace series (Fig 11),
 the fitted linear cutoff f(k) — and renders them as plain-text tables for
-the benchmark output and EXPERIMENTS.md.
+the benchmark output (committed under ``benchmarks/output/``).
 """
 
 from repro.analysis.cdf import cdf_at, empirical_cdf, quantile

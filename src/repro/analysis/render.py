@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper's figures
 plot; these helpers keep that output aligned and readable in a terminal
-and in EXPERIMENTS.md code blocks.
+and in the committed goldens under ``benchmarks/output/``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ called out in DESIGN.md.
 
 Default problem sizes are scaled down from the paper's 100 000-host runs
 so that the full suite finishes in minutes on a laptop; every size is a
-parameter, and EXPERIMENTS.md records the scaled configuration used for
-the committed results.
+parameter, and the figure benchmarks under ``benchmarks/`` set the scaled
+configuration behind the committed goldens in ``benchmarks/output/``.
 """
 
 from repro.experiments.ablations import (

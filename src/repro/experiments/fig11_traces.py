@@ -168,8 +168,8 @@ def run_fig11(
     """Replay the trace-driven experiment for the requested datasets.
 
     ``max_hours`` truncates each trace (``None`` replays it in full — the
-    configuration used for the committed EXPERIMENTS.md numbers is recorded
-    there).  ``backend="vectorized"`` replays the same traces on the NumPy
+    configuration behind the committed ``benchmarks/output/fig11.txt`` is
+    set in ``benchmarks/test_bench_fig11.py``).  ``backend="vectorized"`` replays the same traces on the NumPy
     kernels over a :class:`~repro.simulator.sparse.TraceCSRTopology` —
     statistically equivalent but not bit-identical to the agent default
     (DESIGN.md §7, §12), and the route for large synthetic device counts.

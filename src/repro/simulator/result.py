@@ -231,7 +231,7 @@ class SimulationResult:
         return sum(record.bytes_sent for record in self.rounds)
 
     def as_dict(self) -> dict:
-        """A JSON-friendly representation (used by the CLI and EXPERIMENTS.md)."""
+        """A JSON-friendly representation (the CLI's ``--json`` output)."""
         return {
             "protocol": self.protocol_name,
             "aggregate": self.aggregate,

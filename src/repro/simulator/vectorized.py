@@ -96,16 +96,21 @@ def _merge_rows(
     and, with ``pull``, every sender then absorbs its target's pre-round row
     — what ``reduce.at(rows, targets, rows[senders])`` plus a write-back from
     a full copy computes, without ``ufunc.at``'s slow generic N-D path.
-    ``senders`` must be unique.  Pairs are ordered by their fan-in rank (the
+    Precondition: ``senders`` is unique and *ascending*, so that when every
+    row sends, ``senders`` is ``arange(len(rows))`` and the pull is one
+    in-place reduce.  Pairs are ordered by their fan-in rank (the
     k-th sender of its target), so within one rank every target row occurs
     once and a plain gather → reduce → fancy assignment is exact; the loop
-    runs max-fan-in times (≈ 8 under uniform gossip).
+    runs max-fan-in times (≈ 8 under uniform gossip).  Both sort keys are
+    cast to the smallest dtype that holds a row index: NumPy radix-sorts
+    keys of 16 bits or fewer.
     """
     pulled = rows[targets] if pull else None
-    order = np.argsort(targets, kind="stable")
+    key = np.min_scalar_type(len(rows))
+    order = np.argsort(targets.astype(key), kind="stable")
     grouped = targets[order]
     rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
-    order = order[np.argsort(rank, kind="stable")]
+    order = order[np.argsort(rank.astype(key), kind="stable")]
     sent = rows[senders[order]]
     receivers = targets[order]
     start = 0
@@ -115,7 +120,9 @@ def _merge_rows(
         reduce(merged, sent[start:stop], out=merged)
         rows[into] = merged
         start = stop
-    if pull:
+    if pull and senders.size == len(rows):
+        reduce(rows, pulled, out=rows)
+    elif pull:
         merged = rows[senders]
         reduce(merged, pulled, out=merged)
         rows[senders] = merged
@@ -1046,14 +1053,18 @@ class VectorizedCountSketchReset(_CountingKernel):
             self.round_index += 1
             return
         rows = self.counters.reshape(self.n, -1)  # a view: one sketch per row
-        # Phase 1: age every counter except the owned positions of live hosts.
+        rank = self.live_rank()
+        # The round works on one contiguous block of live rows (block row i is
+        # host alive_idx[i]): ``rows`` itself while everyone is alive, else one
+        # gather here and one scatter at the end.  Dead rows are never touched.
+        # Phase 1: age every live counter, then re-pin the live owners' positions.
         with self.probe.span("ageing"):
-            aged = rows[alive_idx]
-            np.add(aged, 1, out=aged)
-            np.minimum(aged, _COUNTER_INFINITY, out=aged)
-            rows[alive_idx] = aged
-            owner_alive = self.alive[self._owned_hosts]
-            rows[self._owned_hosts[owner_alive], self._owned_positions[owner_alive]] = 0
+            live = rows if alive_idx.size == self.n else rows[alive_idx]
+            np.add(live, 1, out=live)
+            np.minimum(live, _COUNTER_INFINITY, out=live)
+            owners = rank[self._owned_hosts]
+            owner_alive = owners >= 0
+            live[owners[owner_alive], self._owned_positions[owner_alive]] = 0
         # Phase 2: gossip.  Each live host sends its array to one random live
         # peer (a live graph neighbour under a topology); receivers take the
         # element-wise min.  With pull enabled the sender also merges the
@@ -1068,7 +1079,10 @@ class VectorizedCountSketchReset(_CountingKernel):
             self.messages_delivered += legs * non_self
             self.bytes_sent += legs * payload_bytes * non_self
             with self.probe.span("scatter"):
-                _merge_rows(rows, senders, targets, np.minimum, self.pull)
+                # ``rank`` is monotone, so the block's senders stay ascending.
+                _merge_rows(live, rank[senders], rank[targets], np.minimum, self.pull)
+        if live is not rows:
+            rows[alive_idx] = live
         self.round_index += 1
 
     # -------------------------------------------------------------- estimates
@@ -1082,7 +1096,7 @@ class VectorizedCountSketchReset(_CountingKernel):
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the live population size (or sum)."""
-        live_image = self.counters[self.alive] <= self._thresholds
+        live_image = self.counters[self.live_index()] <= self._thresholds
         mean_rank = _prefix_rank(live_image).mean(axis=1)
         raw = self.bins / PHI * np.exp2(mean_rank)
         return raw / self.identifiers_per_host
@@ -1189,7 +1203,7 @@ class VectorizedSketchCount(_CountingKernel):
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the (ever-seen) population size."""
-        mean_rank = _prefix_rank(self.matrix[self.alive]).mean(axis=1)
+        mean_rank = _prefix_rank(self.matrix[self.live_index()]).mean(axis=1)
         return self.bins / PHI * np.exp2(mean_rank) / self.identifiers_per_host
 
 

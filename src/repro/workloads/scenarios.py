@@ -72,7 +72,7 @@ class Scenario:
         return self.environment_factory()
 
     def describe(self) -> dict:
-        """A JSON-friendly description for EXPERIMENTS.md records."""
+        """A JSON-friendly description of the scenario (name, size, schedule)."""
         return {
             "name": self.name,
             "n_hosts": self.n_hosts,

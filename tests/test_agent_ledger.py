@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
+from repro.api.backends import BACKENDS
+from repro.api.kernel_run import KernelRun
 from repro.core.departure import GracefulDepartureEvent
 from repro.events.calendar import MEMBERSHIP
 from repro.failures.models import UncorrelatedFailure
@@ -123,7 +125,11 @@ def run_cell(cell):
     else:
         # Graceful departure is not a spec event kind: hand it to the engine.
         event = GracefulDepartureEvent(round=6, model=UncorrelatedFailure(graceful))
-        if spec.engine == "events":
+        if spec.backend == "vectorized":
+            run = _GracefulKernelRun(BACKENDS.get("vectorized"), spec)
+            run._membership.setdefault((event.round + 1) * run.ratio, []).append(event)
+            result = run.run()
+        elif spec.engine == "events":
             sim = spec.build_event_simulation()
             sim.calendar.schedule(
                 (event.round + 1) * sim.sample_interval, MEMBERSHIP, ("membership", event)
@@ -137,40 +143,55 @@ def run_cell(cell):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _committed():
-    return json.loads(LEDGER.read_text()) if LEDGER.exists() else {"digests": {}}
+class _GracefulKernelRun(KernelRun):
+    """A kernel run that also applies :class:`GracefulDepartureEvent` (kernel ``rng`` picks)."""
+
+    def apply_event(self, event) -> None:
+        if not isinstance(event, GracefulDepartureEvent):
+            return super().apply_event(event)
+        kernel = self.kernel
+        kernel.depart_gracefully(event.model.select(kernel.live_index().tolist(), {}, kernel.rng))
+
+
+def committed(ledger=LEDGER):
+    """The ledger file's contents (no digests when it does not exist yet)."""
+    return json.loads(ledger.read_text()) if ledger.exists() else {"digests": {}}
 
 
 pytestmark = pytest.mark.skipif(
-    _committed().get("compensated_sum", COMPENSATED_SUM) != COMPENSATED_SUM,
+    committed().get("compensated_sum", COMPENSATED_SUM) != COMPENSATED_SUM,
     reason="the ledger was written on the other side of Python 3.12's compensated sum()",
 )
 
 
 def test_the_ledger_names_exactly_the_cells():
-    assert sorted(_committed()["digests"]) == sorted(CELLS)
+    assert sorted(committed()["digests"]) == sorted(CELLS)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_agent_payload_is_bit_identical(name):
-    assert run_cell(CELLS[name]) == _committed()["digests"][name]
+    assert run_cell(CELLS[name]) == committed()["digests"][name]
 
 
-def regenerate():
-    """Rewrite the ledger and print which cells moved."""
-    old = _committed()["digests"]
-    new = {name: run_cell(cell) for name, cell in sorted(CELLS.items())}
+def regenerate(ledger=LEDGER, cells=CELLS, **flags):
+    """Rewrite ``ledger`` (digests plus ``flags``) and print which cells moved."""
+    old = committed(ledger)["digests"]
+    new = {name: run_cell(cell) for name, cell in sorted(cells.items())}
     for name in sorted(set(old) | set(new)):
         if old.get(name) != new.get(name):
             state = "added" if name not in old else "removed" if name not in new else "moved"
             print(f"{state}: {name}")
-    LEDGER.parent.mkdir(exist_ok=True)
-    ledger = {"compensated_sum": COMPENSATED_SUM, "digests": new}
-    LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
-    print(f"{len(new)} cells written to {LEDGER}")
+    ledger.parent.mkdir(exist_ok=True)
+    ledger.write_text(json.dumps({**flags, "digests": new}, indent=1, sort_keys=True) + "\n")
+    print(f"{len(new)} cells written to {ledger}")
+
+
+def main(script, **regenerate_args):
+    """The ``--regenerate`` command line of a ledger test file."""
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: python tests/{script} --regenerate")
+    regenerate(**regenerate_args)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: python tests/test_agent_ledger.py --regenerate")
-    regenerate()
+    main("test_agent_ledger.py", compensated_sum=COMPENSATED_SUM)

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -395,11 +397,12 @@ class TestVectorizedKernelBounds:
 
 @st.composite
 def gossip_pairs(draw):
-    """``(n, senders, targets)``: unique senders (any subset of the rows, so
-    topology drop-outs are covered), each with an arbitrary target row."""
+    """``(n, senders, targets)``: unique ascending senders (any subset of the rows,
+    so topology drop-outs are covered; ``_merge_rows``' precondition), each with
+    an arbitrary target row."""
     n = draw(st.integers(min_value=1, max_value=12))
     rows = st.integers(min_value=0, max_value=n - 1)
-    senders = draw(st.lists(rows, unique=True, max_size=n))
+    senders = sorted(draw(st.lists(rows, unique=True, max_size=n)))
     targets = draw(st.lists(rows, min_size=len(senders), max_size=len(senders)))
     return n, senders, targets
 
@@ -427,7 +430,10 @@ class TestSketchKernelPrimitives:
     @example(pairs=(4, [0, 1, 2, 3], [0, 1, 2, 3]), width=2, pull=True, boolean=False, seed=1)
     @example(pairs=(5, [3], [1]), width=2, pull=True, boolean=False, seed=2)
     @example(pairs=(5, [], []), width=2, pull=True, boolean=True, seed=3)
-    @example(pairs=(7, [6, 1, 4], [1, 1, 0]), width=4, pull=True, boolean=False, seed=4)
+    @example(pairs=(7, [1, 4, 6], [1, 0, 1]), width=4, pull=True, boolean=False, seed=4)
+    # Every row sends: the in-place pull, without and with self-targets.
+    @example(pairs=(5, [0, 1, 2, 3, 4], [1, 2, 3, 4, 0]), width=3, pull=True, boolean=False, seed=5)
+    @example(pairs=(5, [0, 1, 2, 3, 4], [3, 1, 0, 3, 4]), width=3, pull=True, boolean=True, seed=6)
     def test_matches_ufunc_at_reference(self, pairs, width, pull, boolean, seed):
         n, senders, targets = pairs
         senders = np.array(senders, dtype=np.int64)
@@ -442,6 +448,52 @@ class TestSketchKernelPrimitives:
         self._ufunc_at_merge(expected, senders, targets, reduce, pull)
         _merge_rows(rows, senders, targets, reduce, pull)
         assert np.array_equal(rows, expected)
+
+    @COMMON_SETTINGS
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        bits=st.integers(min_value=1, max_value=8),
+        identifiers=st.integers(min_value=1, max_value=3),
+        pull=st.booleans(),
+        ring=st.booleans(),
+        leaves=st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.6), st.booleans()),
+                        max_size=5),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(n=6, bits=3, identifiers=1, pull=True, ring=False, leaves=[], seed=0)  # all alive
+    @example(n=6, bits=3, identifiers=2, pull=True, ring=True, leaves=[(0.5, True)], seed=1)
+    def test_count_sketch_reset_round_matches_plain_reference(
+        self, n, bits, identifiers, pull, ring, leaves, seed
+    ):
+        """Each round equals "age every live row, re-pin live owners, ``minimum.at``
+        merge" on a copy, and a dead row stays byte-identical from the round it died in.
+        ``leaves`` lists one (fraction, graceful) departure per round; two more rounds
+        follow."""
+        topology = None
+        if ring and n > 4:
+            topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
+        kernel = VectorizedCountSketchReset(
+            n, bins=2, bits=bits, identifiers_per_host=identifiers, pull=pull,
+            topology=topology, seed=seed,
+        )
+        frozen = {}  # dead host → its row at death
+        for fraction, graceful in leaves + [(0.0, False)] * 2:
+            leaving = kernel.live_index()[: int(fraction * kernel.live_index().size)]
+            (kernel.depart_gracefully if graceful else kernel.fail)(leaving)
+            frozen.update((int(host), kernel.counters[host].copy()) for host in leaving)
+            reference = copy.deepcopy(kernel)  # same generator state: same peers
+            alive_idx = reference.live_index()
+            rows = reference.counters.reshape(n, -1)
+            rows[alive_idx] = np.minimum(rows[alive_idx] + 1, _COUNTER_INFINITY)
+            owner_alive = reference.alive[reference._owned_hosts]
+            rows[reference._owned_hosts[owner_alive], reference._owned_positions[owner_alive]] = 0
+            if alive_idx.size >= 2:
+                senders, targets = reference._draw_push_targets(alive_idx)
+                self._ufunc_at_merge(rows, senders, targets, np.minimum, pull)
+            kernel.step()
+            assert np.array_equal(kernel.counters, reference.counters)
+            for host, row in frozen.items():
+                assert kernel.counters[host].tobytes() == row.tobytes()
 
     @COMMON_SETTINGS
     @given(
