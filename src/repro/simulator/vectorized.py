@@ -226,31 +226,43 @@ class _VectorizedKernel:
         self._end_epoch()
 
     def _draw_push_targets(self, alive_idx: np.ndarray):
-        """``(senders, targets)`` for one "everyone contacts one peer" round.
+        """``(senders, targets)`` as *live ranks* (positions in ``alive_idx``; ``senders``
+        ascend) for one "everyone contacts one peer" round.
 
         Uniform gossip draws a random live host per sender (self-contact
         allowed, as in the agent engine); topology-restricted gossip draws a
         random live graph neighbour, and hosts whose live neighbourhood is
         empty drop out of the round (the agent engine's isolated-host rule).
         """
+        k = alive_idx.size
         if self.topology is None:
-            targets = alive_idx[self.rng.integers(0, alive_idx.size, size=alive_idx.size)]
-            return alive_idx, targets
+            return np.arange(k), self.rng.integers(0, k, size=k)
         drawn = self.live_view().sample_peers(alive_idx, self.rng, self.round_index)
         has_peer = drawn >= 0
-        return alive_idx[has_peer], drawn[has_peer]
+        return np.flatnonzero(has_peer), self._ranks(drawn[has_peer])
 
     def _draw_matching(self, alive_idx: np.ndarray):
-        """``(left, right)``: one round's pairwise exchanges.
+        """``(left, right)``: one round's pairwise exchanges, as live ranks.
 
-        A random perfect matching of the live hosts, or — when a topology
-        restricts gossip — a matching along sampled graph edges.
+        A random perfect matching of the live hosts — ``rng.permutation(k)``
+        shuffles the ``k`` ranks exactly as ``rng.permutation(alive_idx)`` would
+        the ids — or, when a topology restricts gossip, a matching along sampled
+        graph edges.
         """
         if self.topology is not None:
-            return self.live_view().sample_matching(self.rng, round_index=self.round_index)
-        order = self.rng.permutation(alive_idx)
+            left, right = self.live_view().sample_matching(self.rng, round_index=self.round_index)
+            return self._ranks(left), self._ranks(right)
+        order = self.rng.permutation(alive_idx.size)
         pair_count = order.size // 2
         return order[:pair_count], order[pair_count : 2 * pair_count]
+
+    def _ranks(self, hosts: np.ndarray) -> np.ndarray:
+        """Live ``hosts``' positions in :meth:`live_index` (the ids themselves while all live)."""
+        return hosts if self.live_index().size == self.n else self.live_rank()[hosts]
+
+    def _hosts(self, alive_idx: np.ndarray, *ranks: np.ndarray):
+        """:meth:`_ranks` inverted, one ``alive_idx`` gather per array (none while all live)."""
+        return ranks if alive_idx.size == self.n else tuple(alive_idx[r] for r in ranks)
 
     def step(self) -> None:
         """Execute one gossip round over the live hosts."""
@@ -498,19 +510,52 @@ class VectorizedPushSumRevert(_ValueKernel):
 
     # ------------------------------------------------------------------ steps
     def step(self) -> None:
-        """Execute one gossip round over the live hosts."""
+        """Execute one gossip round over the live hosts, on one compact live block.
+
+        Block row ``i`` is host ``live_index()[i]``: the block is ``weight`` /
+        ``total`` / ``_last_estimate`` themselves while everyone is alive, else
+        one gather of each and one write-back at the end.  The peer draws come
+        as live ranks, so everything in between runs in place on the block and
+        dead rows are never read or written.
+        """
         alive_idx = self.live_index()
-        if alive_idx.size >= 2:
+        k = alive_idx.size
+        if k == 0:
+            self.round_index += 1
+            return
+        if k >= 2 and self.mode == "pushpull":
+            # Matched before the block is gathered: a sparse matcher's
+            # temporaries never sit beside it (peak RSS after a failure).
+            with self.probe.span("matching"):
+                left, right = self._draw_matching(alive_idx)
+            left, right = self._settle_exchanges(left, right)
+        everyone = k == self.n
+        if everyone:
+            weight, total = self.weight, self.total
+        else:
+            weight, total = self.weight[alive_idx], self.total[alive_idx]
+        if k >= 2:
             if self.mode == "pushpull":
-                self._step_matching(alive_idx)
+                with self.probe.span("scatter"):
+                    self._mean_merge(weight, total, left, right)
             elif self.mode == "push":
-                self._step_push(alive_idx)
+                self._block_push(alive_idx, weight, total)
             else:
-                self._step_full_transfer(alive_idx)
-        # Full-Transfer reverts inside its own step, and so does adaptive push
-        # mode (per indegree, in _step_push): the fixed revert skips both.
+                self._block_full_transfer(alive_idx, weight, total)
+        # Full-Transfer reverts inside its own round, and so does adaptive push
+        # (per indegree): the fixed revert skips both.
         fixed = self.mode == "pushpull" or (self.mode == "push" and not self.adaptive)
-        self._settle(alive_idx, revert=fixed and self.reversion > 0.0)
+        if fixed and self.reversion > 0.0:
+            old_mass = weight.sum()
+            self._revert_block(alive_idx, weight, total, self.reversion)
+            self.mass_injected += float(weight.sum() - old_mass)
+        # A massless host keeps its last estimate.
+        estimate = self._last_estimate if everyone else self._last_estimate[alive_idx]
+        np.divide(total, weight, out=estimate, where=weight > 1e-12)
+        if not everyone:
+            self.weight[alive_idx] = weight
+            self.total[alive_idx] = total
+            self._last_estimate[alive_idx] = estimate
         self.round_index += 1
 
     def _settle(self, host_idx: np.ndarray, revert: bool = False) -> None:
@@ -582,21 +627,20 @@ class VectorizedPushSumRevert(_ValueKernel):
                 take = (claim[left] == idx) & (claim[right] == idx)
                 taken = np.flatnonzero(take)
                 if taken.size == left.size:  # the usual last pass: nothing to compact
-                    self._mean_merge(left, right)
+                    self._mean_merge(self.weight, self.total, left, right)
                     break
-                self._mean_merge(left[taken], right[taken])
+                self._mean_merge(self.weight, self.total, left[taken], right[taken])
                 rest = np.flatnonzero(~take)
                 left, right = left[rest], right[rest]
         self._settle(touched)
 
-    def _mean_merge(self, a: np.ndarray, b: np.ndarray) -> None:
-        """The atomic exchange of endpoint-disjoint pairs: both take the pair's mean."""
-        mean_weight = (self.weight[a] + self.weight[b]) / 2.0
-        mean_total = (self.total[a] + self.total[b]) / 2.0
-        self.weight[a] = mean_weight
-        self.weight[b] = mean_weight
-        self.total[a] = mean_total
-        self.total[b] = mean_total
+    @staticmethod
+    def _mean_merge(weight: np.ndarray, total: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """The atomic exchange of endpoint-disjoint pairs of rows: both take the pair's mean."""
+        for mass in (weight, total):
+            mean = (mass[a] + mass[b]) / 2.0
+            mass[a] = mean
+            mass[b] = mean
 
     def emit_push(self, senders: np.ndarray):
         """Split ``senders``' mass in half; return the outgoing halves.
@@ -605,11 +649,14 @@ class VectorizedPushSumRevert(_ValueKernel):
         the caller delivers them — instantly via :meth:`apply_deliveries`
         or after a network delay.  ``senders`` must be unique live hosts.
         """
-        outgoing_weight = self.weight[senders] / 2.0
-        outgoing_total = self.total[senders] / 2.0
-        self.weight[senders] = outgoing_weight
-        self.total[senders] = outgoing_total
-        return outgoing_weight, outgoing_total
+        return self._halve(self.weight, self.total, senders)
+
+    @staticmethod
+    def _halve(weight: np.ndarray, total: np.ndarray, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """Halve ``rows`` of both mass arrays in place; return the halves (new arrays)."""
+        half_weight, half_total = weight[rows] / 2.0, total[rows] / 2.0
+        weight[rows], total[rows] = half_weight, half_total
+        return half_weight, half_total
 
     def apply_deliveries(
         self, targets: np.ndarray, weight: np.ndarray, total: np.ndarray
@@ -779,14 +826,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.messages_delivered += int(targets.size)
         return targets, weight, total
 
-    def _step_matching(self, alive_idx: np.ndarray) -> None:
-        with self.probe.span("matching"):
-            left, right = self._draw_matching(alive_idx)
-        left, right = self._settle_exchanges(left, right)
-        with self.probe.span("scatter"):
-            self._mean_merge(left, right)
-
-    def _step_push(self, alive_idx: np.ndarray) -> None:
+    def _block_push(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray) -> None:
+        """Push mode on the live block: every sender keeps half its mass and pushes half."""
         # Hosts whose live neighbourhood is empty drop out of `senders` and
         # keep their whole mass (the agent engine's isolated-host rule).
         with self.probe.span("sampling"):
@@ -798,60 +839,62 @@ class VectorizedPushSumRevert(_ValueKernel):
         # Half the mass stays home, half lands at the target (which may be the
         # sender itself — self-selection is allowed in uniform push gossip).
         # Every half leaves before any lands, so the round stays simultaneous.
-        outgoing_weight, outgoing_total = self.emit_push(senders)
-        targets, outgoing_weight, outgoing_total = self._lose_pushes(
-            targets, outgoing_weight, outgoing_total
-        )
+        sent = slice(None) if senders.size == weight.size else senders  # every row sends
+        halves = self._halve(weight, total, sent)
+        targets, half_weight, half_total = self._lose_pushes(targets, *halves)
         with self.probe.span("scatter"):
-            np.add.at(self.weight, targets, outgoing_weight)
-            np.add.at(self.total, targets, outgoing_total)
+            np.add.at(weight, targets, half_weight)
+            np.add.at(total, targets, half_total)
         if self.adaptive and self.reversion > 0.0:
-            received = np.zeros(self.n, dtype=np.int64)
-            np.add.at(received, targets, 1)
-            received[alive_idx] += 1  # the self-message
-            lam = np.minimum(1.0, 0.5 * self.reversion * received[alive_idx])
-            self.weight[alive_idx] = lam + (1.0 - lam) * self.weight[alive_idx]
-            self.total[alive_idx] = (
-                lam * self.initial[alive_idx] + (1.0 - lam) * self.total[alive_idx]
-            )
+            # λ/2 per message received, the self-message included.
+            received = np.bincount(targets, minlength=weight.size) + 1
+            lam = np.minimum(1.0, 0.5 * self.reversion * received)
+            self._revert_block(alive_idx, weight, total, lam)
 
-    def _step_full_transfer(self, alive_idx: np.ndarray) -> None:
-        lam = self.reversion
-        outgoing_weight = (1.0 - lam) * self.weight[alive_idx] + lam
-        outgoing_total = (1.0 - lam) * self.total[alive_idx] + lam * self.initial[alive_idx]
-        parcel_weight = outgoing_weight / self.parcels
-        parcel_total = outgoing_total / self.parcels
-        new_weight = np.zeros(self.n, dtype=float)
-        new_total = np.zeros(self.n, dtype=float)
+    def _block_full_transfer(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray):
+        """Full-Transfer on the live block: revert, then send all of it as ``parcels`` parcels."""
+        k = alive_idx.size
+        self._revert_block(alive_idx, weight, total, self.reversion)
+        parcel_weight, parcel_total = weight / self.parcels, total / self.parcels
+        weight.fill(0.0)  # the block now collects what lands
+        total.fill(0.0)
+        ranks = np.arange(k)
         for _ in range(self.parcels):
-            targets = alive_idx[self.rng.integers(0, alive_idx.size, size=alive_idx.size)]
+            targets = self.rng.integers(0, k, size=k)
             # Every non-self parcel costs radio bytes whether or not the
-            # network then loses it (agent parity).
-            self.bytes_sent += 16 * int(np.count_nonzero(targets != alive_idx))
-            if self.loss > 0.0:
-                # Every parcel is a message; lost parcels drain mass.
-                kept = self.rng.random(alive_idx.size) >= self.loss
-                np.add.at(new_weight, targets[kept], parcel_weight[kept])
-                np.add.at(new_total, targets[kept], parcel_total[kept])
-                self.mass_lost += float(parcel_weight[~kept].sum())
-                self.messages_lost += int(alive_idx.size - int(kept.sum()))
-                self.messages_delivered += int(kept.sum())
-            else:
-                np.add.at(new_weight, targets, parcel_weight)
-                np.add.at(new_total, targets, parcel_total)
-                self.messages_delivered += int(alive_idx.size)
-        self.weight[alive_idx] = new_weight[alive_idx]
-        self.total[alive_idx] = new_total[alive_idx]
+            # network then loses it (agent parity); lost parcels drain mass.
+            self.bytes_sent += 16 * int(np.count_nonzero(targets != ranks))
+            targets, landed_weight, landed_total = self._lose_pushes(
+                targets, parcel_weight, parcel_total
+            )
+            np.add.at(weight, targets, landed_weight)
+            np.add.at(total, targets, landed_total)
         # Record this round in the history of hosts that received any mass.
-        received_mass = np.zeros(self.n, dtype=bool)
-        received_mass[alive_idx] = new_weight[alive_idx] > 1e-12
-        idx = np.nonzero(received_mass)[0]
-        if idx.size:
+        received = np.flatnonzero(weight > 1e-12)
+        if received.size:
+            idx = received if k == self.n else alive_idx[received]
             self._history_weight[idx, 1:] = self._history_weight[idx, :-1]
             self._history_total[idx, 1:] = self._history_total[idx, :-1]
-            self._history_weight[idx, 0] = new_weight[idx]
-            self._history_total[idx, 0] = new_total[idx]
+            self._history_weight[idx, 0] = weight[received]
+            self._history_total[idx, 0] = total[received]
             self._history_filled[idx] = np.minimum(self._history_filled[idx] + 1, self.history)
+
+    def _revert_block(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray, lam):
+        """Move the live block ``lam`` of the way back to ``(1, initial)``, in place.
+
+        ``lam`` is one λ or one per row.  IEEE ``+`` and ``*`` commute exactly, so
+        this is still ``lam + (1 - lam) * weight`` and ``lam * initial + (1 - lam) *
+        total``, bit for bit.
+        """
+        weight *= 1.0 - lam
+        weight += lam
+        total *= 1.0 - lam
+        if alive_idx.size == self.n:
+            total += lam * self.initial
+        else:  # scaled in place: one block-sized temporary, not two
+            anchor = self.initial[alive_idx]
+            anchor *= lam
+            total += anchor
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:
@@ -1072,15 +1115,14 @@ class VectorizedCountSketchReset(_CountingKernel):
         # owned position is 0 after ageing, so no min can unpin one.
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
-                senders, targets = self._draw_push_targets(alive_idx)
+                senders, targets = self._draw_push_targets(alive_idx)  # block rows
             non_self = int(np.count_nonzero(targets != senders))
             payload_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
             legs = 2 if self.pull else 1  # the pull reply is a second array
             self.messages_delivered += legs * non_self
             self.bytes_sent += legs * payload_bytes * non_self
             with self.probe.span("scatter"):
-                # ``rank`` is monotone, so the block's senders stay ascending.
-                _merge_rows(live, rank[senders], rank[targets], np.minimum, self.pull)
+                _merge_rows(live, senders, targets, np.minimum, self.pull)
         if live is not rows:
             rows[alive_idx] = live
         self.round_index += 1
@@ -1183,7 +1225,7 @@ class VectorizedSketchCount(_CountingKernel):
         alive_idx = self.live_index()
         if alive_idx.size >= 2:
             with self.probe.span("sampling"):
-                senders, targets = self._draw_push_targets(alive_idx)
+                senders, targets = self._hosts(alive_idx, *self._draw_push_targets(alive_idx))
             non_self = int(np.count_nonzero(targets != senders))
             # Agent parity: a boolean sketch packs to one bit per position.
             payload_bytes = int(np.ceil(self.bins * self.bits / 8))
@@ -1283,7 +1325,7 @@ class VectorizedExtrema(_ValueKernel):
             self.best_age[expired] = 0
         if alive_idx.size >= 2:
             with self.probe.span("matching"):
-                left, right = self._draw_matching(alive_idx)
+                left, right = self._hosts(alive_idx, *self._draw_matching(alive_idx))
             self.messages_delivered += 2 * int(left.size)
             self.bytes_sent += 32 * int(left.size)  # 16 bytes each way
             left_better = (

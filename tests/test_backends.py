@@ -17,6 +17,7 @@ from repro.api.backends import VectorizedBackend
 from repro.api.plan import vectorized_rejections
 from repro.api.sweep import Sweep, SweepRunner
 from repro.simulator.kernels import KERNELS
+from repro.simulator.vectorized import VectorizedPushSumRevert
 
 N_HOSTS = 64
 SEEDS = tuple(range(8))
@@ -765,3 +766,52 @@ class TestDegeneratePopulations:
                     assert math.isnan(getattr(record, field)), (field, record)
         if population == "everyone-failed":
             assert vector.alive_counts() == [4, 0, 0, 0]
+
+    @pytest.mark.parametrize("protocol, mode, engine_kwargs", DEGENERATE_CELLS)
+    def test_zero_rounds_is_a_structured_error(self, protocol, mode, engine_kwargs):
+        with pytest.raises(ValueError, match="rounds must be a positive integer, got 0"):
+            ScenarioSpec(protocol=protocol, mode=mode, rounds=0, backend="vectorized",
+                         **engine_kwargs)
+
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
+    @pytest.mark.parametrize("mode", ["push", "exchange"])
+    def test_a_host_that_joins_and_departs_in_one_round_leaves_no_trace(self, mode, engine):
+        """Uniform Push-Sum-Revert: host 6 joins and silently fails at the same boundary."""
+        kwargs = dict(
+            protocol="push-sum-revert", protocol_params={"reversion": 0.1}, mode=mode,
+            engine=engine, n_hosts=6, rounds=4, seed=3,
+            events=({"event": "join", "round": 1, "count": 1},
+                    {"event": "failure", "round": 1, "model": "explicit", "host_ids": [6]}),
+        )
+        agent = run_scenario(ScenarioSpec(backend="agent", **kwargs))
+        vector = run_scenario(ScenarioSpec(backend="vectorized", **kwargs))
+        for result in (agent, vector):
+            assert result.alive_counts() == [6, 6, 6, 6]
+            assert {record.truth for record in result.rounds} == {agent.rounds[0].truth}
+            assert all(math.isfinite(record.stddev_error) for record in result.rounds)
+
+    @pytest.mark.parametrize("mode", ["push", "pushpull", "full-transfer"])
+    def test_an_empty_live_block_writes_nothing_back(self, mode):
+        """Everyone dead mid-run: ``step()`` leaves every row byte-identical and the
+        scored statistics are NaN."""
+        kernel = VectorizedPushSumRevert(np.arange(8.0), 0.1, mode=mode, loss=0.2, seed=4)
+        kernel.step_many(3)
+        kernel.fail_random_fraction(1.0)
+        before = [getattr(kernel, name).tobytes() for name in ("weight", "total", "_last_estimate")]
+        books = (kernel.mass_injected, kernel.mass_lost, kernel.rng.bit_generator.state)
+        kernel.step_many(2)
+        assert kernel.round_index == 5
+        assert [getattr(kernel, name).tobytes()
+                for name in ("weight", "total", "_last_estimate")] == before
+        assert (kernel.mass_injected, kernel.mass_lost, kernel.rng.bit_generator.state) == books
+        assert kernel.estimates().size == 0 and math.isnan(kernel.truth())
+        protocol = "push-sum-revert" + ("-full-transfer" if mode == "full-transfer" else "")
+        result = run_scenario(ScenarioSpec(
+            protocol=protocol, mode="exchange" if mode == "pushpull" else "push",
+            n_hosts=8, rounds=5, seed=4, backend="vectorized",
+            events=({"event": "failure", "round": 2, "model": "uncorrelated", "fraction": 1.0},),
+        ))
+        assert result.alive_counts() == [8, 8, 0, 0, 0]
+        for record in result.rounds[2:]:
+            assert all(math.isnan(getattr(record, field))
+                       for field in ("truth", "mean_estimate", "stddev_error"))

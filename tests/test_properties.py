@@ -488,8 +488,8 @@ class TestSketchKernelPrimitives:
             owner_alive = reference.alive[reference._owned_hosts]
             rows[reference._owned_hosts[owner_alive], reference._owned_positions[owner_alive]] = 0
             if alive_idx.size >= 2:
-                senders, targets = reference._draw_push_targets(alive_idx)
-                self._ufunc_at_merge(rows, senders, targets, np.minimum, pull)
+                senders, targets = reference._draw_push_targets(alive_idx)  # live ranks
+                self._ufunc_at_merge(rows, alive_idx[senders], alive_idx[targets], np.minimum, pull)
             kernel.step()
             assert np.array_equal(kernel.counters, reference.counters)
             for host, row in frozen.items():
@@ -516,6 +516,197 @@ class TestSketchKernelPrimitives:
             [ceiling if cutoff is None else min(float(cutoff(k)), ceiling) for k in range(bits)]
         )
         assert np.array_equal(kernel.bit_image()[:, 0, :], values[:, None] <= thresholds)
+
+
+# ---------------------------------------------------------------------------
+# Push-Sum-Revert's live-block round against the host-space round it replaced
+# ---------------------------------------------------------------------------
+def _host_push_targets(kernel, alive_idx):
+    """``_draw_push_targets`` in host ids: who pushes, and to which live host."""
+    if kernel.topology is None:
+        return alive_idx, alive_idx[kernel.rng.integers(0, alive_idx.size, size=alive_idx.size)]
+    drawn = kernel.live_view().sample_peers(alive_idx, kernel.rng, kernel.round_index)
+    has_peer = drawn >= 0
+    return alive_idx[has_peer], drawn[has_peer]
+
+
+def _host_matching(kernel, alive_idx):
+    """``_draw_matching`` in host ids."""
+    if kernel.topology is not None:
+        return kernel.live_view().sample_matching(kernel.rng, round_index=kernel.round_index)
+    order = kernel.rng.permutation(alive_idx)
+    pair_count = order.size // 2
+    return order[:pair_count], order[pair_count : 2 * pair_count]
+
+
+def _host_step_matching(kernel, alive_idx):
+    left, right = kernel._settle_exchanges(*_host_matching(kernel, alive_idx))
+    for array in (kernel.weight, kernel.total):
+        mean = (array[left] + array[right]) / 2.0
+        array[left] = mean
+        array[right] = mean
+
+
+def _host_step_push(kernel, alive_idx):
+    senders, targets = _host_push_targets(kernel, alive_idx)
+    kernel.bytes_sent += 16 * int(np.count_nonzero(targets != senders))
+    outgoing_weight, outgoing_total = kernel.emit_push(senders)
+    targets, outgoing_weight, outgoing_total = kernel._lose_pushes(
+        targets, outgoing_weight, outgoing_total
+    )
+    np.add.at(kernel.weight, targets, outgoing_weight)
+    np.add.at(kernel.total, targets, outgoing_total)
+    if kernel.adaptive and kernel.reversion > 0.0:
+        received = np.zeros(kernel.n, dtype=np.int64)
+        np.add.at(received, targets, 1)
+        received[alive_idx] += 1  # the self-message
+        lam = np.minimum(1.0, 0.5 * kernel.reversion * received[alive_idx])
+        kernel.weight[alive_idx] = lam + (1.0 - lam) * kernel.weight[alive_idx]
+        kernel.total[alive_idx] = (
+            lam * kernel.initial[alive_idx] + (1.0 - lam) * kernel.total[alive_idx]
+        )
+
+
+def _host_step_full_transfer(kernel, alive_idx):
+    lam = kernel.reversion
+    outgoing_weight = (1.0 - lam) * kernel.weight[alive_idx] + lam
+    outgoing_total = (1.0 - lam) * kernel.total[alive_idx] + lam * kernel.initial[alive_idx]
+    parcel_weight = outgoing_weight / kernel.parcels
+    parcel_total = outgoing_total / kernel.parcels
+    new_weight = np.zeros(kernel.n, dtype=float)
+    new_total = np.zeros(kernel.n, dtype=float)
+    for _ in range(kernel.parcels):
+        targets = alive_idx[kernel.rng.integers(0, alive_idx.size, size=alive_idx.size)]
+        kernel.bytes_sent += 16 * int(np.count_nonzero(targets != alive_idx))
+        if kernel.loss > 0.0:
+            kept = kernel.rng.random(alive_idx.size) >= kernel.loss
+            np.add.at(new_weight, targets[kept], parcel_weight[kept])
+            np.add.at(new_total, targets[kept], parcel_total[kept])
+            kernel.mass_lost += float(parcel_weight[~kept].sum())
+            kernel.messages_lost += int(alive_idx.size - int(kept.sum()))
+            kernel.messages_delivered += int(kept.sum())
+        else:
+            np.add.at(new_weight, targets, parcel_weight)
+            np.add.at(new_total, targets, parcel_total)
+            kernel.messages_delivered += int(alive_idx.size)
+    kernel.weight[alive_idx] = new_weight[alive_idx]
+    kernel.total[alive_idx] = new_total[alive_idx]
+    received_mass = np.zeros(kernel.n, dtype=bool)
+    received_mass[alive_idx] = new_weight[alive_idx] > 1e-12
+    idx = np.nonzero(received_mass)[0]
+    if idx.size:
+        kernel._history_weight[idx, 1:] = kernel._history_weight[idx, :-1]
+        kernel._history_total[idx, 1:] = kernel._history_total[idx, :-1]
+        kernel._history_weight[idx, 0] = new_weight[idx]
+        kernel._history_total[idx, 0] = new_total[idx]
+        kernel._history_filled[idx] = np.minimum(kernel._history_filled[idx] + 1, kernel.history)
+
+
+def _host_space_step(kernel):
+    """``VectorizedPushSumRevert.step`` as of fbc5cdb: the host-space ``_step_*`` bodies
+    (every gather and scatter through live host ids), then ``_settle`` over the live index."""
+    alive_idx = kernel.live_index()
+    if alive_idx.size >= 2:
+        body = {"pushpull": _host_step_matching, "push": _host_step_push,
+                "full-transfer": _host_step_full_transfer}[kernel.mode]
+        body(kernel, alive_idx)
+    fixed = kernel.mode == "pushpull" or (kernel.mode == "push" and not kernel.adaptive)
+    kernel._settle(alive_idx, revert=fixed and kernel.reversion > 0.0)
+    kernel.round_index += 1
+
+
+#: What a Push-Sum-Revert kernel is bit-compared on after every round.
+PSR_STATE = ("weight", "total", "_last_estimate", "_history_weight", "_history_total",
+             "_history_filled", "mass_injected", "mass_lost", "messages_delivered",
+             "messages_lost", "bytes_sent", "round_index")
+#: One membership change before a round: (kind, fraction of the live hosts).
+membership_changes = st.lists(
+    st.tuples(st.sampled_from(["none", "fail", "graceful", "join"]),
+              st.floats(min_value=0.0, max_value=1.0)),
+    max_size=6,
+)
+
+
+class TestPushSumRevertLiveBlock:
+    """One ``step()`` on the live block equals the host-space round bit for bit."""
+
+    @COMMON_SETTINGS
+    @given(
+        n=st.integers(min_value=1, max_value=24),
+        mode=st.sampled_from(["push", "pushpull", "full-transfer"]),
+        loss=st.sampled_from([0.0, 0.3]),
+        reversion=st.sampled_from([0.0, 0.1, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        adaptive=st.booleans(),
+        ring=st.booleans(),
+        changes=membership_changes,
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(n=8, mode="push", loss=0.0, reversion=0.1, adaptive=False, ring=False,
+             changes=[], seed=0)  # everyone alive throughout: the arrays are the block
+    @example(n=12, mode="push", loss=0.3, reversion=0.1, adaptive=True, ring=True,
+             changes=[("fail", 0.5)], seed=1)
+    @example(n=12, mode="pushpull", loss=0.3, reversion=0.1, adaptive=False, ring=True,
+             changes=[("graceful", 0.4), ("none", 0.0)], seed=2)
+    @example(n=10, mode="pushpull", loss=0.0, reversion=0.1, adaptive=False, ring=False,
+             changes=[("fail", 0.5), ("join", 0.5)], seed=3)
+    # Full-Transfer leaves a host no parcel lands on massless: it keeps its estimate.
+    @example(n=9, mode="full-transfer", loss=0.3, reversion=0.0, adaptive=False, ring=False,
+             changes=[("fail", 0.4)], seed=4)
+    @example(n=6, mode="push", loss=0.0, reversion=0.1, adaptive=False, ring=False,
+             changes=[("fail", 1.0), ("join", 0.5)], seed=5)  # an empty block, then a join
+    def test_step_matches_the_host_space_round(
+        self, n, mode, loss, reversion, adaptive, ring, changes, seed
+    ):
+        """``changes`` lists one membership change per round (joins only without a
+        topology); two quiet rounds follow.  A dead host's rows stay byte-identical
+        from the round it died in."""
+        values = np.random.default_rng(seed).uniform(0.0, 100.0, n)
+        topology = None
+        if ring and n > 4 and mode != "full-transfer":
+            topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
+        kernel = VectorizedPushSumRevert(
+            values, reversion, mode=mode, adaptive=adaptive, loss=loss,
+            topology=topology, seed=seed,
+        )
+        frozen = {}  # dead host → its (weight, total, estimate) at death
+        picks = np.random.default_rng(seed + 1)  # who leaves: any subset of the live hosts
+        for kind, fraction in changes + [("none", 0.0)] * 2:
+            live = kernel.live_index()
+            leaving = live[picks.random(live.size) < fraction]
+            if kind == "fail":
+                kernel.fail(leaving)
+            elif kind == "graceful":
+                kernel.depart_gracefully(leaving)
+            elif kind == "join" and topology is None:
+                kernel.join(np.linspace(0.0, 50.0, 1 + int(4 * fraction)))
+            frozen.update(
+                (int(host), [getattr(kernel, name)[host].tobytes()
+                             for name in ("weight", "total", "_last_estimate")])
+                for host in leaving if kind in ("fail", "graceful")
+            )
+            reference = copy.deepcopy(kernel)  # same generator state: same draws
+            _host_space_step(reference)
+            kernel.step()
+            for name in PSR_STATE:
+                assert _bits(getattr(kernel, name)) == _bits(getattr(reference, name)), name
+            assert kernel.rng.bit_generator.state == reference.rng.bit_generator.state
+            for host, rows in frozen.items():
+                assert [getattr(kernel, name)[host].tobytes()
+                        for name in ("weight", "total", "_last_estimate")] == rows, host
+
+    @COMMON_SETTINGS
+    @given(
+        alive=st.lists(st.booleans(), min_size=1, max_size=60),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_permuting_live_ranks_is_permuting_the_live_index(self, alive, seed):
+        """The uniform matching's bit-identity: ``rng.permutation(k)`` shuffles ``k``
+        positions exactly as ``rng.permutation(alive_idx)`` shuffles the ``k`` ids."""
+        alive_idx = np.flatnonzero(alive)
+        ranks_rng, hosts_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ranks = ranks_rng.permutation(alive_idx.size)
+        assert np.array_equal(alive_idx[ranks], hosts_rng.permutation(alive_idx))
+        assert ranks_rng.bit_generator.state == hosts_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
