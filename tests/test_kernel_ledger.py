@@ -13,8 +13,15 @@ through a silent, a graceful and a correlated departure and a join, with and
 without reversion; adaptive push, Full-Transfer, both extrema kernels, and the
 event calendar at its instant anchor.  A topology has no slots for new hosts, so
 the graphs churn without arrivals and have no join cell.
+
+The event calendar off its anchor is a product too large to run whole: every
+mode × network × membership change, each completed greedily from the clock,
+rate, ledger, reversion and quantum levels so that any two levels of any two
+factors meet in at least one cell.
 """
 
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -102,9 +109,99 @@ def _other_value_kernel_cells():
     return cells
 
 
+#: The calendar's factors: the first three run as a full product, the rest fill it in.
+CALENDAR_PRODUCT = {
+    "mode": ("push", "exchange"),
+    "network": ("latency-fixed", "latency-uniform", "latency-lognormal", "bernoulli-loss"),
+    "membership": ("failure", "join", "churn", "graceful-departure"),
+}
+CALENDAR_FILL = {
+    "clocks": ("synchronized", "unsynchronized"),
+    "rates": ("uniform", "heterogeneous", "lognormal"),
+    "mass_check": ("sample", "event", "off"),
+    "lambda": (0.1, 0.0),
+    # None: just fine enough for the fastest clock; 1.0: a fast clock ticks twice a bucket.
+    "quantum": (None, 1.0),
+}
+CALENDAR_NETWORKS = {
+    "latency-fixed": {"network": "latency",
+                      "network_params": {"distribution": "fixed", "delay": 1}},
+    "latency-uniform": {"network": "latency",
+                        "network_params": {"distribution": "uniform", "low": 0, "high": 2}},
+    "latency-lognormal": {"network": "latency",
+                          "network_params": {"distribution": "lognormal", "mean": 0.0,
+                                             "sigma": 0.75}},
+    "bernoulli-loss": NETWORKS["bernoulli-loss"],
+}
+CALENDAR_MEMBERSHIP = {
+    "failure": {"events": (FAILURE,)},
+    "join": JOIN,
+    "churn": {"events": (dict(CHURN, arrivals_per_round=4),)},
+    "graceful-departure": {"graceful": 0.4, "events": ()},
+}
+RATES = {
+    "uniform": {"distribution": "uniform", "rate": 1.0},
+    "heterogeneous": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
+    "lognormal": {"distribution": "lognormal", "sigma": 0.5},
+}
+
+
+def pairwise_rows(full, fill):
+    """The full product of ``full``'s levels, each row completed from ``fill`` greedily.
+
+    Each fill factor takes the level meeting the most not-yet-covered levels of
+    the row's other factors (on a tie the least used so far, then the first), so
+    the rows cover every pair of levels of any two factors as long as the product
+    is the larger side — :func:`test_the_calendar_cells_cover_every_pair` checks
+    that it does.
+    """
+    uncovered = {
+        frozenset({(f, a), (g, b)})
+        for f, g in combinations([*full, *fill], 2)
+        for a in {**full, **fill}[f] for b in {**full, **fill}[g]
+    }
+    used = Counter()
+    rows = []
+    for levels in product(*full.values()):
+        row = dict(zip(full, levels))
+        for factor, choices in fill.items():
+            row[factor] = max(choices, key=lambda level: (
+                sum(frozenset({(factor, level), (other, row[other])}) in uncovered
+                    for other in row),
+                -used[factor, level],
+            ))
+            used[factor, row[factor]] += 1
+        uncovered -= {frozenset(pair) for pair in combinations(row.items(), 2)}
+        rows.append(row)
+    return rows
+
+
+def _calendar_rows():
+    """Cell name → its levels, one per factor."""
+    return {
+        "events/" + "/".join(f"{factor}={level}" for factor, level in row.items()): row
+        for row in pairwise_rows(CALENDAR_PRODUCT, CALENDAR_FILL)
+    }
+
+
+def _calendar_cell(row):
+    engine_params = {"synchronized": row["clocks"] == "synchronized",
+                     "rates": RATES[row["rates"]], "mass_check": row["mass_check"]}
+    if row["quantum"] is not None:
+        engine_params["batch_quantum"] = row["quantum"]
+    return dict(PSR, engine="events", mode=row["mode"], engine_params=engine_params,
+                protocol_params={"reversion": row["lambda"]},
+                **CALENDAR_NETWORKS[row["network"]], **CALENDAR_MEMBERSHIP[row["membership"]])
+
+
+CALENDAR_ROWS = _calendar_rows()
+
+
 def _cells():
     """Name → ``ScenarioSpec`` keywords (``graceful`` is popped by ``run_cell``)."""
-    return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells()}
+    calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
+    return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
+            **calendar}
 
 
 CELLS = _cells()
@@ -112,6 +209,19 @@ CELLS = _cells()
 
 def test_the_ledger_names_exactly_the_cells():
     assert sorted(committed(LEDGER)["digests"]) == sorted(CELLS)
+
+
+def test_the_calendar_cells_cover_every_pair():
+    factors = {**CALENDAR_PRODUCT, **CALENDAR_FILL}
+    met = {frozenset(pair) for row in CALENDAR_ROWS.values()
+           for pair in combinations(row.items(), 2)}
+    missing = [
+        ((f, a), (g, b))
+        for f, g in combinations(factors, 2) for a in factors[f] for b in factors[g]
+        if frozenset({(f, a), (g, b)}) not in met
+    ]
+    assert not missing
+    assert len(CALENDAR_ROWS) == 32
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
