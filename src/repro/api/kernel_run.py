@@ -126,7 +126,7 @@ class KernelRun:
             entry["event"] in ("failure", "churn") and entry["model"] == "correlated"
             for entry in spec.events
         ):
-            self.workload = np.asarray(spec.build_values(), dtype=float)
+            self.workload = spec.build_values()
 
         self.result = SimulationResult(
             protocol_name=spec.protocol,
@@ -281,15 +281,17 @@ class KernelRun:
         """Fire every clock due by the bucket end, one batched step per pass.
 
         A host whose period is shorter than the quantum ticks again on the
-        next pass, so the loop runs until no live clock is due.
+        next pass, so the loop runs until no live clock is due.  The clocks
+        are scanned once per bucket; a later pass re-checks only the hosts
+        that just ticked (no other clock moved, and nobody joins or leaves
+        within the phase).  ``next_times`` stays current for every host due
+        in the pass at hand, which is all the deliveries read.
         """
         kernel, clocks = self.kernel, self.clocks
         cap = min(bucket * self.quantum, self.duration) + TIME_EPS
-        while True:
-            next_times = clocks.next_times()
-            tick_idx = np.nonzero(kernel.alive & (next_times <= cap))[0]
-            if tick_idx.size == 0:
-                return
+        next_times = clocks.next_times()
+        tick_idx = np.flatnonzero(kernel.alive & (next_times <= cap))
+        while tick_idx.size:
             if self.delays is None and tick_idx.size == kernel.live_index().size:
                 # Whole live population ticking over an instant network:
                 # exactly one lockstep round — the bit-identity fast path.
@@ -298,7 +300,10 @@ class KernelRun:
                 # What could not land at once matures ``delay`` after its sender's tick.
                 for kind, senders, delay, *arrays in kernel.step_subset(tick_idx, self.delays):
                     self.defer(kind, bucket, next_times[senders] + delay, *arrays)
-            clocks.advance(tick_idx)
+            ticked = clocks.advance(tick_idx)
+            due = ticked <= cap
+            tick_idx = tick_idx[due]
+            next_times[tick_idx] = ticked[due]
 
     # ------------------------------------------------------------------ ledger
     def check_mass(self, round_index: int) -> None:

@@ -15,7 +15,8 @@ resolve those names:
 * :data:`FAILURES` — failure/churn models (``"uncorrelated"``,
   ``"correlated"``, ``"explicit"``, ``"bernoulli"``).
 * :data:`WORKLOADS` — value generators; factories take the population
-  size plus a ``seed`` keyword and return one value per host.
+  size plus a ``seed`` keyword and return one value per host (the built-in
+  ones as a float64 array).
 * :data:`NETWORKS` — network models deciding message fate
   (``"perfect"``, ``"bernoulli-loss"``, ``"latency"``,
   ``"bandwidth-cap"``, ``"stacked"``; see :mod:`repro.network`).
@@ -39,6 +40,8 @@ from __future__ import annotations
 import difflib
 import inspect
 from typing import Callable, Dict, Iterator, List, Optional
+
+import numpy as np
 
 __all__ = [
     "Registry",
@@ -212,11 +215,11 @@ def _register_builtins() -> None:
     )
     from repro.topology import erdos_renyi_graph, grid_graph, random_geometric_graph, ring_lattice
     from repro.workloads import (
-        clustered_values,
-        constant_values,
-        normal_values,
-        uniform_values,
-        zipf_values,
+        clustered_array,
+        constant_array,
+        normal_array,
+        uniform_array,
+        zipf_array,
     )
 
     # ------------------------------------------------------------- protocols
@@ -330,29 +333,27 @@ def _register_builtins() -> None:
     @register_workload("uniform")
     def _uniform_workload(n_hosts: int, *, seed: Optional[int] = None,
                           low: float = 0.0, high: float = 100.0):
-        return uniform_values(n_hosts, low, high, seed=seed)
+        return uniform_array(n_hosts, low, high, seed=seed)
 
     @register_workload("constant")
     def _constant_workload(n_hosts: int, *, seed: Optional[int] = None, value: float = 1.0):
-        return constant_values(n_hosts, value)
+        return constant_array(n_hosts, value)
 
     @register_workload("normal")
     def _normal_workload(n_hosts: int, *, seed: Optional[int] = None,
                          mean: float = 50.0, std: float = 15.0):
-        return normal_values(n_hosts, mean, std, seed=seed)
+        return normal_array(n_hosts, mean, std, seed=seed)
 
     @register_workload("zipf")
     def _zipf_workload(n_hosts: int, *, seed: Optional[int] = None, exponent: float = 1.5,
                        scale: float = 1.0, clamp: Optional[float] = None):
-        values = zipf_values(n_hosts, exponent, scale, seed=seed)
-        if clamp is not None:
-            values = [min(float(clamp), value) for value in values]
-        return values
+        values = zipf_array(n_hosts, exponent, scale, seed=seed)
+        return values if clamp is None else np.minimum(values, float(clamp))
 
     @register_workload("clustered")
     def _clustered_workload(n_hosts: int, *, seed: Optional[int] = None,
                             cluster_means: tuple = (10.0, 50.0, 90.0), std: float = 5.0):
-        return clustered_values(n_hosts, tuple(cluster_means), std, seed=seed)
+        return clustered_array(n_hosts, tuple(cluster_means), std, seed=seed)
 
 
 def _grid_dimensions(n_hosts: int, width: Optional[int], height: Optional[int]):

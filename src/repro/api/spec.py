@@ -36,9 +36,10 @@ import copy
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.api.plan import resolve_plan
 from repro.api.registry import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
@@ -472,23 +473,25 @@ class ScenarioSpec:
         """A fresh environment instance (caches and registrations reset)."""
         return ENVIRONMENTS.create(self.environment, self.n_hosts, **self.environment_params)
 
-    def build_values(self) -> List[float]:
-        """The initial host values for this scenario.
+    def build_values(self) -> np.ndarray:
+        """The initial host values for this scenario, as one float64 array.
 
+        A kernel run copies it once; the agent engines take ``.tolist()``.
         Raises ``ValueError`` for a non-finite value: one NaN or infinity
         would silently turn every error of the run into ``nan`` on either
         backend.
         """
-        values = WORKLOADS.create(self.workload, self.n_hosts, **self._workload_call_params())
-        # One C-level pass: NaN and infinities survive a sum.  (A finite sum
-        # that merely overflows finds no culprit below and passes.)
-        if not math.isfinite(sum(values)):
-            for index, value in enumerate(values):
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"workload {self.workload!r} produced a non-finite value "
-                        f"({value!r}) at index {index}; aggregates need finite host values"
-                    )
+        values = np.asarray(
+            WORKLOADS.create(self.workload, self.n_hosts, **self._workload_call_params()),
+            dtype=float,
+        )
+        finite = np.isfinite(values)
+        if not finite.all():
+            index = int(np.flatnonzero(~finite)[0])
+            raise ValueError(
+                f"workload {self.workload!r} produced a non-finite value "
+                f"({float(values[index])!r}) at index {index}; aggregates need finite host values"
+            )
         return values
 
     def build_network(self):
@@ -523,7 +526,7 @@ class ScenarioSpec:
         return EventSimulation(
             self.build_protocol(),
             self.build_environment(),
-            self.build_values(),
+            self.build_values().tolist(),
             seed=self.seed,
             mode=self.mode,
             events=self.build_events(),
@@ -551,7 +554,7 @@ class ScenarioSpec:
         return Simulation(
             self.build_protocol(),
             self.build_environment(),
-            self.build_values(),
+            self.build_values().tolist(),
             seed=self.seed,
             mode=self.mode,
             events=self.build_events(),

@@ -56,6 +56,8 @@ def sample_delays(network_model, rng: np.random.Generator, k: int) -> np.ndarray
         return np.full(k, min(float(network_model.delay), cap))
     if network_model.distribution == "uniform":
         drawn = rng.integers(network_model.low, network_model.high + 1, size=k).astype(float)
+        if network_model.high <= cap:  # no draw can exceed the cap
+            return drawn
     else:  # lognormal
         drawn = rng.lognormal(network_model.mean, network_model.sigma, k)
     return np.minimum(drawn, cap)
@@ -97,8 +99,14 @@ class ClockGrid:
     def next_times(self) -> np.ndarray:
         return self.origins + self.next_index * self.periods
 
-    def advance(self, host_idx: np.ndarray) -> None:
-        self.next_index[host_idx] += 1
+    def advance(self, host_idx: np.ndarray) -> np.ndarray:
+        """Move ``host_idx``'s clocks on one tick; return their next tick times."""
+        if host_idx.size == self.next_index.size:  # every clock: in place, no gathers
+            self.next_index += 1
+            return self.next_times()
+        next_index = self.next_index[host_idx] + 1
+        self.next_index[host_idx] = next_index
+        return self.origins[host_idx] + next_index * self.periods[host_idx]
 
 
 def bucket_grid(

@@ -481,7 +481,7 @@ class VectorizedPushSumRevert(_ValueKernel):
                 "full-transfer mode is uniform-only; topology-restricted "
                 "gossip supports the push and pushpull modes"
             )
-        self.initial = np.asarray(list(values), dtype=float)
+        self.initial = np.array(values, dtype=float)
         self._init_population(self.initial.size, topology, seed, probe)
         self.reversion = float(reversion)
         self.mode = mode
@@ -529,11 +529,7 @@ class VectorizedPushSumRevert(_ValueKernel):
             with self.probe.span("matching"):
                 left, right = self._draw_matching(alive_idx)
             left, right = self._settle_exchanges(left, right)
-        everyone = k == self.n
-        if everyone:
-            weight, total = self.weight, self.total
-        else:
-            weight, total = self.weight[alive_idx], self.total[alive_idx]
+        weight, total = self._live_block(alive_idx)
         if k >= 2:
             if self.mode == "pushpull":
                 with self.probe.span("scatter"):
@@ -545,10 +541,27 @@ class VectorizedPushSumRevert(_ValueKernel):
         # Full-Transfer reverts inside its own round, and so does adaptive push
         # (per indegree): the fixed revert skips both.
         fixed = self.mode == "pushpull" or (self.mode == "push" and not self.adaptive)
-        if fixed and self.reversion > 0.0:
+        self._settle_block(alive_idx, weight, total, revert=fixed and self.reversion > 0.0)
+        self.round_index += 1
+
+    def _live_block(self, alive_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(weight, total)`` of the live block: the arrays themselves while everyone is
+        alive, else gathered copies that :meth:`_settle_block` writes back."""
+        if alive_idx.size == self.n:
+            return self.weight, self.total
+        return self.weight[alive_idx], self.total[alive_idx]
+
+    def _settle_block(
+        self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray, revert: bool
+    ) -> None:
+        """The live block's tail: the fixed revert if ``revert``, the estimate refresh, and
+        the write-back of a gathered block — :meth:`_settle` over the whole live index,
+        bit for bit, with no gather at all while everyone is alive."""
+        if revert:
             old_mass = weight.sum()
             self._revert_block(alive_idx, weight, total, self.reversion)
             self.mass_injected += float(weight.sum() - old_mass)
+        everyone = alive_idx.size == self.n
         # A massless host keeps its last estimate.
         estimate = self._last_estimate if everyone else self._last_estimate[alive_idx]
         np.divide(total, weight, out=estimate, where=weight > 1e-12)
@@ -556,20 +569,19 @@ class VectorizedPushSumRevert(_ValueKernel):
             self.weight[alive_idx] = weight
             self.total[alive_idx] = total
             self._last_estimate[alive_idx] = estimate
-        self.round_index += 1
 
     def _settle(self, host_idx: np.ndarray, revert: bool = False) -> None:
         """Refresh ``host_idx``'s stored estimates, after their fixed revert if ``revert``.
 
-        Every public mutator ends here for each host whose mass it moved, so
-        :attr:`_last_estimate` is always current for every live host (the
-        invariant :meth:`estimates` reads).  Weight and total are gathered
-        once; the revert (one tick's worth each: the whole live index from
-        :meth:`step`, the bucket's ticking hosts from :meth:`step_subset`) and
-        the ratio work on those copies.  The injected weight is tallied in
-        :attr:`mass_injected` so the per-bucket mass ledger can balance its
-        books.  Duplicates in ``host_idx`` are fine without ``revert``: the
-        write-back is a plain fancy-index assignment of equal values.
+        Every public mutator ends here (or in :meth:`_settle_block`) for each host
+        whose mass it moved, so :attr:`_last_estimate` is always current for every
+        live host (the invariant :meth:`estimates` reads).  Weight and total are
+        gathered once; the revert (one tick's worth for the ticking hosts of a
+        bucket where not every live host ticks) and the ratio work on those
+        copies.  The injected weight is tallied in :attr:`mass_injected` so the
+        per-bucket mass ledger can balance its books.  Duplicates in
+        ``host_idx`` are fine without ``revert``: the write-back is a plain
+        fancy-index assignment of equal values.
         """
         weight, total = self.weight[host_idx], self.total[host_idx]
         if revert:
@@ -607,40 +619,71 @@ class VectorizedPushSumRevert(_ValueKernel):
         the pairs applied one by one in pair order.  Pass counts stay tiny
         in practice — collisions are rare at gossip fan-out — and the lowest
         remaining pair is always taken, so the loop terminates.
+
+        Each pass refreshes the estimates of the pairs it merges.  That equals
+        one :meth:`_settle` of every endpoint after the last pass: a host's
+        last pass leaves its final mass, so its last refresh is the final one.
+        The two could differ only if a host's weight crossed the 1e-12
+        massless threshold between two of its passes (one refresh skipped, the
+        other not).  None does: the calendar merges pairs only in pushpull
+        mode, where every weight is a mean of weights that start at 1 and
+        revert towards 1 (a graceful heir only gains), so none falls below 1.
         """
-        touched = np.concatenate([left, right])
         with self.probe.span("scatter"):
-            # Never reset, not even at allocation: a pass reads only
-            # ``claim[left]`` / ``claim[right]`` of the pairs it has just
-            # written, so what earlier passes (or calls) left behind is unread.
-            claim = np.empty(self.n, dtype=np.int64)
+            # One int32 claim table per call, never reset, not even at allocation:
+            # a pass reads only ``claim[left]`` / ``claim[right]`` of the pairs it
+            # has just written, so what earlier passes left behind is unread.
+            # ``claims`` is the first pass's write (pair indices descending, each
+            # twice); a pass over ``m`` remaining pairs writes its last ``2m``.
+            claim = np.empty(self.n, dtype=np.int32)
+            index = np.arange(left.size, dtype=np.int32)
+            claims = np.repeat(index[::-1], 2)
             while left.size:
                 # One interleaved write in descending pair order, so the
                 # last (winning) write for any endpoint is its *lowest*
                 # claiming pair index across both sides — pair 0 always
                 # claims both its endpoints, guaranteeing progress.
-                idx = np.arange(left.size)
-                endpoints = np.empty(2 * left.size, dtype=np.int64)
+                m = left.size
+                endpoints = np.empty(2 * m, dtype=np.int64)
                 endpoints[0::2] = left[::-1]
                 endpoints[1::2] = right[::-1]
-                claim[endpoints] = np.repeat(idx[::-1], 2)
+                claim[endpoints] = claims[claims.size - 2 * m :]
+                idx = index[:m]
                 take = (claim[left] == idx) & (claim[right] == idx)
                 taken = np.flatnonzero(take)
-                if taken.size == left.size:  # the usual last pass: nothing to compact
-                    self._mean_merge(self.weight, self.total, left, right)
+                if taken.size == m:  # the usual last pass: nothing to compact
+                    self._merge_and_refresh(left, right)
                     break
-                self._mean_merge(self.weight, self.total, left[taken], right[taken])
+                self._merge_and_refresh(left[taken], right[taken])
                 rest = np.flatnonzero(~take)
                 left, right = left[rest], right[rest]
-        self._settle(touched)
+
+    def _merge_and_refresh(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Endpoint-disjoint exchanges in host space, each end's estimate refreshed."""
+        weight, total = self._mean_merge(self.weight, self.total, a, b)
+        has_weight = weight > 1e-12
+        if not has_weight.all():  # a massless host keeps its last estimate
+            a, b, weight, total = a[has_weight], b[has_weight], weight[has_weight], total[has_weight]
+        estimate = np.divide(total, weight, out=total)
+        self._last_estimate[a] = estimate
+        self._last_estimate[b] = estimate
 
     @staticmethod
-    def _mean_merge(weight: np.ndarray, total: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        """The atomic exchange of endpoint-disjoint pairs of rows: both take the pair's mean."""
+    def _mean_merge(
+        weight: np.ndarray, total: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> List[np.ndarray]:
+        """The atomic exchange of endpoint-disjoint pairs of rows: both take the pair's mean.
+
+        Returns the ``[weight, total]`` means (fresh arrays, one entry per pair)."""
+        means = []
         for mass in (weight, total):
-            mean = (mass[a] + mass[b]) / 2.0
+            mean = mass[a]
+            mean += mass[b]
+            mean /= 2.0
             mass[a] = mean
             mass[b] = mean
+            means.append(mean)
+        return means
 
     def emit_push(self, senders: np.ndarray):
         """Split ``senders``' mass in half; return the outgoing halves.
@@ -692,6 +735,9 @@ class VectorizedPushSumRevert(_ValueKernel):
         later, when the calendar hands ``(kind, *arrays)`` to :meth:`deliver`.
         Until then it is in flight (:attr:`messages_in_flight`, and push
         halves' mass in :attr:`in_flight_mass`).
+
+        When every live host ticks (each bucket of a synchronized calendar),
+        the revert and refresh run on the live block, as in :meth:`step`.
         """
         if self.mode == "full-transfer":
             raise ValueError("full-transfer mode has no subset step")
@@ -704,23 +750,31 @@ class VectorizedPushSumRevert(_ValueKernel):
             # (merge_pairs / apply_deliveries settle the peers they touch.)
             tick = self._tick_exchange if self.mode == "pushpull" else self._tick_push
             deferred = tick(ticking, alive_idx, delays)
-        self._settle(ticking, revert=self.reversion > 0.0)
+        if ticking.size == alive_idx.size:  # unique live hosts: the live index itself
+            weight, total = self._live_block(alive_idx)
+            self._settle_block(alive_idx, weight, total, revert=self.reversion > 0.0)
+        else:
+            self._settle(ticking, revert=self.reversion > 0.0)
         return deferred
 
     def _tick_exchange(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
         """The ticking hosts' exchanges: merged within the tick, or deferred whole.
 
         Each partner is uniform among the *other* live hosts: the ticker's
-        position in the sorted live index, offset by ``1..n_alive-1`` (no
-        self-exchanges, like the agent peer sampler).  A delayed exchange
-        completes once both legs have arrived, as one atomic merge.
+        live rank, offset by ``1..n_alive-1`` (no self-exchanges, like the
+        agent peer sampler).  A delayed exchange completes once both legs
+        have arrived, as one atomic merge.
         """
         k = ticking.size
         with self.probe.span("sampling"):
-            offset = self.rng.integers(1, alive_idx.size, size=k)
-            peers = alive_idx[(self.live_rank()[ticking] + offset) % alive_idx.size]
+            peers = self.rng.integers(1, alive_idx.size, size=k)
+            # (Every live host ticking: the tickers' ranks are 0..k-1.)
+            peers += np.arange(k) if k == alive_idx.size else self.live_rank()[ticking]
+            peers %= alive_idx.size
+            (peers,) = self._hosts(alive_idx, peers)
         legs = np.zeros(2 * k) if delays is None else delays(2 * k)
-        delay = legs[:k] + legs[k:]
+        delay = legs[:k]
+        delay += legs[k:]
         now, later = self._split_tick(delay)
         if now.size:
             self.merge_pairs(*self._settle_exchanges(ticking[now], peers[now]))
@@ -734,7 +788,8 @@ class VectorizedPushSumRevert(_ValueKernel):
     def _tick_push(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
         """The ticking hosts' halves, pushed to any live host: landed now or put in flight."""
         with self.probe.span("sampling"):
-            peers = alive_idx[self.rng.integers(0, alive_idx.size, size=ticking.size)]
+            drawn = self.rng.integers(0, alive_idx.size, size=ticking.size)
+            (peers,) = self._hosts(alive_idx, drawn)
         self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
         weight, total = self.emit_push(ticking)
         delay = np.zeros(ticking.size) if delays is None else delays(ticking.size)
@@ -1292,7 +1347,7 @@ class VectorizedExtrema(_ValueKernel):
     ):
         if cutoff is not None and cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        self.own = np.asarray(list(values), dtype=float)
+        self.own = np.array(values, dtype=float)
         self._init_population(self.own.size, topology, seed, probe)
         self.maximum = bool(maximum)
         self.aggregate = "max" if self.maximum else "min"

@@ -20,22 +20,32 @@ from repro.workloads.scenarios import (
     uncorrelated_failure_scenario,
 )
 from repro.workloads.values import (
+    clustered_array,
     clustered_values,
+    constant_array,
     constant_values,
+    normal_array,
     normal_values,
+    uniform_array,
     uniform_values,
+    zipf_array,
     zipf_values,
 )
 
 __all__ = [
     "Scenario",
+    "clustered_array",
     "clustered_values",
+    "constant_array",
     "constant_values",
     "correlated_failure_scenario",
     "counting_failure_scenario",
+    "normal_array",
     "normal_values",
     "trace_scenario",
     "uncorrelated_failure_scenario",
+    "uniform_array",
     "uniform_values",
+    "zipf_array",
     "zipf_values",
 ]

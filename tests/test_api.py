@@ -163,13 +163,13 @@ class TestScenarioSpec:
         assert len(simulation.events) == 1
 
     def test_workload_seed_defaults_to_scenario_seed(self):
-        a = self.spec(seed=5).build_values()
-        b = self.spec(seed=5).build_values()
-        c = self.spec(seed=6).build_values()
+        a = self.spec(seed=5).build_values().tolist()
+        b = self.spec(seed=5).build_values().tolist()
+        c = self.spec(seed=6).build_values().tolist()
         assert a == b
         assert a != c
         # An explicit workload seed wins over the scenario seed.
-        pinned = self.spec(seed=6, workload_params={"seed": 5}).build_values()
+        pinned = self.spec(seed=6, workload_params={"seed": 5}).build_values().tolist()
         assert pinned == a
 
     def test_spec_is_frozen(self):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.kernel_run import KernelRun
+from repro.events.vectorized import TIME_EPS
 from repro.network import MassConservationError
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.vectorized import _VectorizedKernel
@@ -226,6 +227,34 @@ class TestBucketedCalendarMechanics:
             backend="vectorized", engine_params={"batch_quantum": 0.5},
         ))
         assert record_dicts(reference) == record_dicts(halved)
+
+    @pytest.mark.parametrize("mode, per_tick, lag", [("push", 1, 1), ("exchange", 2, 2)])
+    @pytest.mark.parametrize("synchronized", [True, False])
+    def test_a_quantum_coarser_than_every_clock_period(self, mode, per_tick, lag, synchronized):
+        # Periods 0.25 and 0.5 under a unit quantum: every host ticks two or four
+        # times in one bucket, one pass each, and each later pass re-checks only
+        # the hosts that just ticked.  Every tick sends one push half (1 message)
+        # or opens one exchange (2 messages, both legs delayed: a lag of 2).
+        run = driver(
+            mode=mode, n_hosts=48, **FIXED_DELAY,
+            engine_params={"rates": {"distribution": "heterogeneous", "fast": 4.0, "slow": 2.0},
+                           "synchronized": synchronized, "batch_quantum": 1.0,
+                           "mass_check": "event"},
+        )
+        clocks = run.clocks
+        assert run.quantum == 1.0 > clocks.periods.max()
+        first = clocks.periods if synchronized else clocks.origins  # each clock's first tick
+        ticks = np.floor((run.duration - first) / clocks.periods + TIME_EPS) + 1
+        result = run.run()  # the mass ledger balances after every bucket, or this raises
+        kernel = run.kernel
+        delivered = [record.messages_delivered for record in result.rounds]
+        assert kernel.messages_lost == 0
+        assert sum(delivered) + kernel.messages_in_flight == per_tick * ticks.sum()
+        if synchronized:  # the same ticks every bucket, landing ``lag`` samples later
+            per_bucket = per_tick * int(np.sum(1.0 / clocks.periods))
+            assert delivered == [0] * lag + [per_bucket] * (12 - lag)
+        at_hosts, in_flight, injected, lost = kernel.mass_view()
+        assert at_hosts + in_flight == pytest.approx(48.0 + injected - lost)
 
     def test_mass_violation_is_caught_per_bucket(self, monkeypatch):
         # A kernel that silently halves every delivered parcel must trip

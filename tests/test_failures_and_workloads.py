@@ -195,9 +195,10 @@ class TestWorkloadsAreTheSamePythonFloats:
     def test_tolist_equals_the_float_loop(self, name, seed):
         from repro.api import WORKLOADS
 
-        values = WORKLOADS.create(name, 257, seed=seed)
-        assert values == LOOP_WORKLOADS[name](np.random.default_rng(seed), 257)
-        assert all(type(value) is float for value in values)
+        values = WORKLOADS.create(name, 257, seed=seed)  # one float64 array
+        assert values.dtype == np.float64
+        # What the agent engines take (``ScenarioSpec.build_values().tolist()``).
+        assert values.tolist() == LOOP_WORKLOADS[name](np.random.default_rng(seed), 257)
 
     def test_zipf_scale_and_clamp_keep_their_arithmetic(self):
         from repro.api import WORKLOADS
@@ -206,8 +207,8 @@ class TestWorkloadsAreTheSamePythonFloats:
         assert (draws > 2**53).any()  # where int64 -> float has to round
         assert zipf_values(300, 1.1, 0.37, seed=5) == [float(v) * 0.37 for v in draws]
         clamped = WORKLOADS.create("zipf", 300, seed=5, exponent=1.1, clamp=40.0)
-        assert clamped == [min(40.0, float(v) * 1.0) for v in draws]
-        assert all(type(value) is float for value in clamped)
+        assert clamped.dtype == np.float64
+        assert clamped.tolist() == [min(40.0, float(v) * 1.0) for v in draws]
 
 
 class TestScenarios:

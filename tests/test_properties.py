@@ -710,6 +710,115 @@ class TestPushSumRevertLiveBlock:
 
 
 # ---------------------------------------------------------------------------
+# The calendar's whole-live tick against the host-space tick it replaced
+# ---------------------------------------------------------------------------
+def _exchange_one_by_one(weight, total, pairs):
+    """The definition of a run of exchanges: each, in pair order, leaves both ends at the
+    pair's mean."""
+    for a, b in pairs:
+        weight[a] = weight[b] = (weight[a] + weight[b]) / 2.0
+        total[a] = total[b] = (total[a] + total[b]) / 2.0
+
+
+def _host_space_tick(kernel, ticking, delays):
+    """``step_subset`` as of 6507698: partners drawn as host ids, instant exchanges applied
+    one by one and ``_settle``-d at the end, then ``_settle`` over the ticking hosts."""
+    alive_idx = kernel.live_index()
+    k = ticking.size
+    if alive_idx.size < 2 or k == 0:
+        kernel._settle(ticking, revert=kernel.reversion > 0.0)
+        return []
+    if kernel.mode == "pushpull":
+        offset = kernel.rng.integers(1, alive_idx.size, size=k)
+        peers = alive_idx[(kernel.live_rank()[ticking] + offset) % alive_idx.size]
+        legs = np.zeros(2 * k) if delays is None else delays(2 * k)
+        delay = legs[:k] + legs[k:]
+    else:
+        peers = alive_idx[kernel.rng.integers(0, alive_idx.size, size=k)]
+        kernel.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
+        weight, total = kernel.emit_push(ticking)
+        delay = np.zeros(k) if delays is None else delays(k)
+    now, later = np.flatnonzero(delay <= TIME_EPS), np.flatnonzero(delay > TIME_EPS)
+    if kernel.mode == "pushpull":
+        if now.size:
+            left, right = kernel._settle_exchanges(ticking[now], peers[now])
+            _exchange_one_by_one(kernel.weight, kernel.total, zip(left, right))
+            kernel._settle(np.concatenate([left, right]))
+        kernel.bytes_sent += 32 * later.size
+        kernel.messages_in_flight += 2 * later.size
+        deferred = [("exchange", ticking[later], delay[later], ticking[later], peers[later])]
+    else:
+        if now.size:
+            kernel.apply_deliveries(*kernel._lose_pushes(peers[now], weight[now], total[now]))
+        kernel.in_flight_mass += float(weight[later].sum())
+        kernel.messages_in_flight += later.size
+        deferred = [("push", ticking[later], delay[later], peers[later], weight[later],
+                     total[later])]
+    kernel._settle(ticking, revert=kernel.reversion > 0.0)
+    return deferred if later.size else []
+
+
+def _delay_sampler(seed):
+    """A calendar delay sampler: whole seconds 0..2, a third of them instant."""
+    rng = np.random.default_rng(seed)
+    return lambda k: rng.integers(0, 3, size=k).astype(float)
+
+
+#: What a calendar tick is bit-compared on, besides :data:`PSR_STATE`.
+CALENDAR_STATE = PSR_STATE + ("in_flight_mass", "messages_in_flight")
+
+
+class TestCalendarTickOnTheLiveBlock:
+    """A bucket where every live host ticks equals the host-space tick bit for bit."""
+
+    @COMMON_SETTINGS
+    @given(
+        alive=st.lists(st.booleans(), min_size=1, max_size=30),
+        mode=st.sampled_from(["push", "pushpull"]),
+        reversion=st.sampled_from([0.0, 0.1]),
+        loss=st.sampled_from([0.0, 0.3]),
+        delayed=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(alive=[True] * 9, mode="pushpull", reversion=0.1, loss=0.0, delayed=True,
+             seed=0)  # everyone alive: the arrays are the block
+    @example(alive=[True, False] * 6, mode="pushpull", reversion=0.1, loss=0.3, delayed=True,
+             seed=1)
+    @example(alive=[False, True, True] * 4, mode="push", reversion=0.1, loss=0.0,
+             delayed=False, seed=2)
+    @example(alive=[True, False, True, True] * 3, mode="push", reversion=0.0, loss=0.3,
+             delayed=True, seed=3)
+    @example(alive=[False, True, False], mode="pushpull", reversion=0.1, loss=0.0,
+             delayed=False, seed=4)  # one live host: no partner, the block tail alone
+    def test_whole_live_tick_matches_the_host_space_tick(
+        self, alive, mode, reversion, loss, delayed, seed
+    ):
+        """Three buckets of every live host ticking; a dead host's rows never move."""
+        values = np.random.default_rng(seed).uniform(0.0, 100.0, len(alive))
+        kernel = VectorizedPushSumRevert(values, reversion, mode=mode, loss=loss, seed=seed)
+        kernel.step()  # mix the masses first: no row still equals its initial value
+        kernel.fail(np.flatnonzero(~np.array(alive)))
+        dead = np.flatnonzero(~kernel.alive)
+        frozen = [getattr(kernel, name)[dead].tobytes()
+                  for name in ("weight", "total", "_last_estimate")]
+        for bucket in range(3):
+            ticking = kernel.live_index().copy()
+            reference = copy.deepcopy(kernel)  # same generator state: same draws
+            sampler = (lambda: _delay_sampler(seed + bucket)) if delayed else (lambda: None)
+            got = kernel.step_subset(ticking, sampler())
+            want = _host_space_tick(reference, ticking, sampler())
+            for name in CALENDAR_STATE:
+                assert _bits(getattr(kernel, name)) == _bits(getattr(reference, name)), name
+            assert kernel.rng.bit_generator.state == reference.rng.bit_generator.state
+            assert len(got) == len(want)
+            for (got_kind, *got_arrays), (want_kind, *want_arrays) in zip(got, want):
+                assert got_kind == want_kind
+                assert list(map(_bits, got_arrays)) == list(map(_bits, want_arrays))
+            assert [getattr(kernel, name)[dead].tobytes()
+                    for name in ("weight", "total", "_last_estimate")] == frozen
+
+
+# ---------------------------------------------------------------------------
 # The one scorer against the three inline formulas it replaced
 # ---------------------------------------------------------------------------
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -1201,12 +1310,9 @@ CHAIN_PAIRS = [(host, host + 1) for host in range(MERGE_HOSTS - 1)]
 
 
 class TestMergePairsIsSequentialApplication:
-    @staticmethod
-    def _one_by_one(weight, total, pairs):
-        """The definition: each exchange, in pair order, leaves both ends at the pair's mean."""
-        for a, b in pairs:
-            weight[a] = weight[b] = (weight[a] + weight[b]) / 2.0
-            total[a] = total[b] = (total[a] + total[b]) / 2.0
+    """``merge_pairs`` ≡ the pairs applied one by one, then one ``_settle`` of every endpoint
+    (per-pass refreshes included: a host repeats across passes in the star and chain
+    examples, and in any draw where endpoints collide)."""
 
     @COMMON_SETTINGS
     @given(first=pair_lists, second=pair_lists, seed=st.integers(min_value=0, max_value=1000))
@@ -1224,17 +1330,15 @@ class TestMergePairsIsSequentialApplication:
         kernel = VectorizedPushSumRevert(rng.uniform(0.0, 100.0, MERGE_HOSTS), 0.0, seed=seed)
         kernel.weight[:] = rng.uniform(0.25, 4.0, MERGE_HOSTS)
         kernel.total[:] = rng.uniform(-50.0, 50.0, MERGE_HOSTS)
-        weight, total = kernel.weight.copy(), kernel.total.copy()
-        estimate = kernel._last_estimate.copy()
+        reference = copy.deepcopy(kernel)
         for pairs in (first, second):
             left, right = (
                 np.array(side, dtype=np.int64) for side in (zip(*pairs) if pairs else ([], []))
             )
             kernel.merge_pairs(left, right)
-            self._one_by_one(weight, total, pairs)
-            touched = np.unique(np.concatenate([left, right]))
-            estimate[touched] = total[touched] / weight[touched]
-            assert _bits(kernel.weight) == _bits(weight), pairs
-            assert _bits(kernel.total) == _bits(total), pairs
+            _exchange_one_by_one(reference.weight, reference.total, pairs)
+            reference._settle(np.concatenate([left, right]))
+            assert _bits(kernel.weight) == _bits(reference.weight), pairs
+            assert _bits(kernel.total) == _bits(reference.total), pairs
             # Every touched host's stored estimate is current; nobody else's moved.
-            assert _bits(kernel._last_estimate) == _bits(estimate), pairs
+            assert _bits(kernel._last_estimate) == _bits(reference._last_estimate), pairs
