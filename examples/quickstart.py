@@ -48,8 +48,6 @@ This script walks through the library's core workflow both ways:
 
 The spec also round-trips through JSON, which is exactly what
 ``repro-aggregate run --config`` and ``repro-aggregate sweep`` consume.
-Time the two backends against each other with ``repro-aggregate bench``
-(the committed trajectory lives in ``BENCH_core.json``).
 
 Run it with::
 

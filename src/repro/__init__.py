@@ -28,8 +28,7 @@ In-Network Aggregation* (Kennedy, Koch, Demers; ICDE 2009).  It provides:
   (``ring``, ``grid``, ``random-geometric``, ``erdos-renyi``,
   ``spatial-grid``), which sample peers through the sparse CSR adjacency
   layer of ``repro.simulator.sparse`` (orders of magnitude faster at the
-  paper's populations — ``repro-aggregate bench`` measures it and writes
-  ``BENCH_core.json``);
+  paper's populations);
 * lossy and latent network models (``repro.network``) — the paper assumes
   instant, reliable delivery; ``ScenarioSpec(network=..., network_params=...)``
   lifts that: ``bernoulli-loss``, ``latency`` (fixed/uniform/lognormal
@@ -87,10 +86,6 @@ realisation, still fully supported):
 >>> agent_result = run_scenario(spec.replace(backend="agent"))
 >>> abs(sim.run(rounds=30).mean_estimate() - agent_result.mean_estimate()) < 1e-9
 True
-
-Benchmark the two backends against each other with
-``repro-aggregate bench`` (or ``python benchmarks/bench_core.py``); the
-committed trajectory lives in ``BENCH_core.json``.
 """
 
 from repro.api import (

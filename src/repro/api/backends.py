@@ -14,7 +14,7 @@ module decides *how*.  Two backends are registered:
   degenerate configuration); this module only builds what that driver
   runs — the (memoised) topology and the kernel its declaration
   (:data:`repro.simulator.kernels.KERNELS`) configures.  Orders of
-  magnitude faster (see ``BENCH_core.json``); the backend of the paper's
+  magnitude faster; the backend of the paper's
   large population sweeps (Figs 6, 8, 9, 10), its Section IV-A spatial
   scenarios and its Fig 11 trace replays.  ``repro-aggregate list
   --capabilities`` prints what it covers.

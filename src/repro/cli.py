@@ -31,11 +31,6 @@ Subcommands
     Run the paper's evaluation figures (all of them or a subset) under the
     ``quick`` or ``full`` profile and print the rendered tables.
 
-``bench``
-    Time identical scenarios on the agent and vectorised execution
-    backends across population sizes and write ``BENCH_core.json`` (the
-    repo's perf trajectory); ``--smoke`` is the seconds-long CI variant.
-
 ``demo``
     Run a small Push-Sum-Revert demonstration on a uniform network with a
     correlated failure and print the error trajectory.
@@ -71,7 +66,6 @@ from repro.mobility.stats import (
 )
 from repro.mobility.synthetic_haggle import generate_haggle_like_trace, haggle_dataset
 from repro.obs import MetricsRegistry, TraceRecorder, compose, read_trace, render_report
-from repro.perf import add_bench_arguments, run_bench_command
 from repro.store import DEFAULT_CACHE_DIR, ResultStore
 
 __all__ = ["main", "build_parser"]
@@ -275,11 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="also write the report to this file"
     )
     _add_cache_arguments(experiments)
-
-    bench = subparsers.add_parser(
-        "bench", help="time the agent vs vectorised backends and write BENCH_core.json"
-    )
-    add_bench_arguments(bench)
 
     demo = subparsers.add_parser(
         "demo", help="small Push-Sum-Revert demo with a correlated failure"
@@ -662,8 +651,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_cache(args)
     if args.command == "experiments":
         return _command_experiments(args)
-    if args.command == "bench":
-        return run_bench_command(args)
     if args.command == "demo":
         return _command_demo(args)
     if args.command == "trace":

@@ -77,20 +77,24 @@ class FullTransferPushSumRevert(PushSumRevert):
         self.fanout = int(parcels)
 
     # ------------------------------------------------------------- push hooks
+    def begin_round(self, state: MassState, round_index: int, rng: np.random.Generator) -> None:
+        # Figure 4 reverts the mass on its way out.  Reverting here, before
+        # the send, lets the engines book the change as minted mass.
+        lam = self.reversion
+        state.weight = (1.0 - lam) * state.weight + lam * 1.0
+        state.total = (1.0 - lam) * state.total + lam * state.initial_value
+
     def make_payloads(
         self,
         state: MassState,
         peers: Sequence[int],
         rng: np.random.Generator,
     ) -> List[Tuple[Optional[int], Any]]:
-        lam = self.reversion
-        outgoing_weight = (1.0 - lam) * state.weight + lam * 1.0
-        outgoing_total = (1.0 - lam) * state.total + lam * state.initial_value
         if not peers:
             # Nobody in range: the host keeps its (reverted) mass itself.
-            return [(None, (outgoing_weight, outgoing_total))]
+            return [(None, (state.weight, state.total))]
         share = float(len(peers))
-        parcel = (outgoing_weight / share, outgoing_total / share)
+        parcel = (state.weight / share, state.total / share)
         return [(peer, parcel) for peer in peers]
 
     def integrate(
@@ -107,8 +111,8 @@ class FullTransferPushSumRevert(PushSumRevert):
     def finalize_round(
         self, state: MassState, received_count: int, rng: np.random.Generator
     ) -> None:
-        # Reversion was already applied on the outgoing parcels (Figure 4
-        # folds it into the message), so no additional revert here.  Record
+        # Reversion was already applied in begin_round, before the mass went
+        # out (Figure 4 folds it into the message), so none here.  Record
         # the round's imported mass for the windowed estimator, skipping
         # rounds in which no mass arrived (as the paper prescribes).
         if state.weight > self.weight_epsilon:

@@ -104,11 +104,15 @@ def _cells():
             BASE, protocol="sketch-count", mode="push", events=(FAILURE,), **LOSS),
         "extrema-reset/push/latency": dict(
             BASE, protocol="extrema-reset", mode="push", events=(FAILURE,), **LATENCY),
-        # Perfect network only: Full-Transfer reverts inside ``make_payloads``, which
-        # the round engine's mass ledger reports as a leak under a lossy network.
-        "push-sum-revert-full-transfer/push/perfect": dict(
-            BASE, protocol="push-sum-revert-full-transfer", mode="push", events=(FAILURE,)),
     })
+    full_transfer = dict(BASE, protocol="push-sum-revert-full-transfer", mode="push",
+                         events=(FAILURE,))
+    for network, network_kwargs in NETWORKS.items():
+        cells[f"push-sum-revert-full-transfer/push/{network}"] = dict(
+            full_transfer, **network_kwargs)
+    for network in ("perfect", "latency"):
+        cells[f"events/full-transfer/push/{network}"] = dict(
+            full_transfer, engine="events", **NETWORKS[network])
     return cells
 
 

@@ -351,44 +351,6 @@ class TestBackendFlag:
         assert args.backend == "agent"
 
 
-class TestBenchCommand:
-    def test_bench_smoke_writes_payload(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_core.json"
-        exit_code = main(
-            ["bench", "--sizes", "48", "96", "--rounds", "3", "--repeats", "1",
-             "--output", str(output)]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "speedup" in captured.out
-        payload = json.loads(output.read_text())
-        assert payload["benchmark"] == "core-backends"
-        backends = {record["backend"] for record in payload["records"]}
-        assert backends == {"agent", "vectorized"}
-        assert payload["speedups"]["push-sum-revert"]["48"] > 0
-        # Every record carries throughput fields for the perf trajectory.
-        for record in payload["records"]:
-            assert record["ms_per_round"] > 0
-            assert record["host_rounds_per_second"] > 0
-
-    def test_bench_rejects_bad_sizes(self, capsys):
-        exit_code = main(["bench", "--sizes", "1", "--repeats", "1"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "error:" in captured.err
-
-    def test_bench_unwritable_output_reports_cleanly(self, capsys):
-        exit_code = main(["bench", "--sizes", "32", "--rounds", "2", "--repeats", "1",
-                          "--output", "/nonexistent-dir/BENCH.json"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "error: cannot write" in captured.err
-        # The timings themselves were still printed before the failure.
-        assert "speedup" in captured.out
-
-
 class TestObsCommands:
     RUN_FLAGS = ["run", "--protocol", "push-sum-revert", "--hosts", "60",
                  "--rounds", "6", "--seed", "3"]

@@ -184,6 +184,7 @@ class TestFullTransfer:
         protocol = FullTransferPushSumRevert(0.5, parcels=2)
         state = protocol.create_state(0, 10.0, rng)
         state.weight, state.total = 2.0, 40.0
+        protocol.begin_round(state, 0, rng)
         payloads = protocol.make_payloads(state, [1, 2], rng)
         total_weight = sum(weight for _, (weight, _) in payloads)
         total_value = sum(value for _, (_, value) in payloads)

@@ -18,8 +18,6 @@ through the same driver.
 """
 
 import dataclasses
-import hashlib
-import json
 import statistics
 
 import numpy as np
@@ -286,84 +284,6 @@ class TestBucketedCalendarMechanics:
                 engine_params=params,
             ))
             assert len(result.rounds) == 12
-
-
-# ---------------------------------------------------------------------------
-# Six calendar runs, pinned bit for bit
-# ---------------------------------------------------------------------------
-def _failure(round_index, fraction=0.5):
-    return {"event": "failure", "round": round_index, "model": "uncorrelated",
-            "fraction": fraction}
-
-
-class TestCalendarPinnedPayloads:
-    """Every float and counter of six off-anchor calendar runs (stored estimates included).
-
-    Captured at 0b0fbf2, the commit before ``defer`` became one stable sort,
-    ``_tick_exchange`` began reading ``live_rank()`` and ``merge_pairs`` /
-    ``_tick_*`` / ``deliver`` began compacting by index: same RNG calls in the
-    same order and sizes, same queue order, so every bit holds.
-    """
-
-    PUSH_SUM = dict(
-        protocol="push-sum-revert", protocol_params={"reversion": 0.1}, engine="events",
-        backend="vectorized", store_estimates=True, n_hosts=600, rounds=10, seed=11,
-    )
-    UNIFORM = dict(network="latency",
-                   network_params={"distribution": "uniform", "low": 0, "high": 2})
-    LOGNORMAL = dict(network="latency",
-                     network_params={"distribution": "lognormal", "mean": 0.0, "sigma": 0.75})
-    HETEROGENEOUS = {"rates": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
-                     "synchronized": False}
-    SHAPES = {
-        "exchange-uniform-latency-failure": dict(
-            PUSH_SUM, mode="exchange", **UNIFORM, events=(_failure(5),),
-        ),
-        "push-uniform-latency-failure": dict(
-            PUSH_SUM, mode="push", **UNIFORM, events=(_failure(5),),
-        ),
-        "exchange-lognormal-latency-heterogeneous-clocks": dict(
-            PUSH_SUM, mode="exchange", **LOGNORMAL,
-            engine_params=dict(HETEROGENEOUS, mass_check="event"),
-        ),
-        # The join grows the population: the live rank must die with the epoch.
-        "push-lognormal-latency-lognormal-clocks-failure-join": dict(
-            PUSH_SUM, mode="push", **LOGNORMAL,
-            engine_params={"rates": {"distribution": "lognormal", "sigma": 0.5},
-                           "synchronized": False},
-            events=(_failure(3, 0.3), {"event": "join", "round": 6, "count": 150}),
-        ),
-        # Four tick passes per bucket, each deferring into the same slots.
-        "exchange-rate-4-clocks-unit-quantum": dict(
-            PUSH_SUM, mode="exchange", **UNIFORM,
-            engine_params={"rates": {"distribution": "uniform", "rate": 4.0},
-                           "batch_quantum": 1.0},
-            events=(_failure(5),),
-        ),
-        # No delay sampler: every exchange of a partial tick merges at once.
-        "exchange-bernoulli-loss-off-anchor": dict(
-            PUSH_SUM, mode="exchange", network="bernoulli-loss", network_params={"p": 0.2},
-            engine_params=HETEROGENEOUS, events=(_failure(5),),
-        ),
-    }
-
-    @pytest.mark.parametrize(
-        "name, payload_digest",
-        [
-            ("exchange-uniform-latency-failure", "0d7cc421279ba1cea7e74c08a63e4f31"),
-            ("push-uniform-latency-failure", "001397c2800dec7b14bf07e4b4d44f1c"),
-            ("exchange-lognormal-latency-heterogeneous-clocks",
-             "b6d8fcce5d89444edc0e9ef74b61eb93"),
-            ("push-lognormal-latency-lognormal-clocks-failure-join",
-             "fd648d27380d40df01003487ef2a57f4"),
-            ("exchange-rate-4-clocks-unit-quantum", "3c49397288f163e84c8c4b30db71bce1"),
-            ("exchange-bernoulli-loss-off-anchor", "ab354c7ded5381f223bfe3f8e1d73a63"),
-        ],
-    )
-    def test_payload_is_bit_identical(self, name, payload_digest):
-        result = run_scenario(ScenarioSpec(**self.SHAPES[name]))
-        payload = json.dumps(result.to_payload(), sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest()[:32] == payload_digest
 
 
 # ---------------------------------------------------------------------------

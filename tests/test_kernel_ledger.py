@@ -17,7 +17,9 @@ the graphs churn without arrivals and have no join cell.
 The event calendar off its anchor is a product too large to run whole: every
 mode × network × membership change, each completed greedily from the clock,
 rate, ledger, reversion and quantum levels so that any two levels of any two
-factors meet in at least one cell.
+factors meet in at least one cell.  Six larger calendar runs (600 hosts, ten
+rounds) sit beside them, among them a join under lognormal clocks, four tick
+passes per bucket, and loss with no delay sampler.
 """
 
 from collections import Counter
@@ -197,11 +199,41 @@ def _calendar_cell(row):
 CALENDAR_ROWS = _calendar_rows()
 
 
+def _larger_calendar_cells():
+    """Six 600-host calendar runs off the anchor, stored estimates included."""
+    base = dict(PSR, engine="events", protocol_params={"reversion": 0.1},
+                n_hosts=600, rounds=10, seed=11, events=(dict(FAILURE, round=5),))
+    uniform = CALENDAR_NETWORKS["latency-uniform"]
+    lognormal = CALENDAR_NETWORKS["latency-lognormal"]
+    heterogeneous = {"rates": RATES["heterogeneous"], "synchronized": False}
+    shapes = {
+        "exchange-uniform-latency-failure": dict(mode="exchange", **uniform),
+        "push-uniform-latency-failure": dict(mode="push", **uniform),
+        "exchange-lognormal-latency-heterogeneous-clocks": dict(
+            mode="exchange", **lognormal, events=(),
+            engine_params=dict(heterogeneous, mass_check="event")),
+        # The join grows the population: the live rank must die with the epoch.
+        "push-lognormal-latency-lognormal-clocks-failure-join": dict(
+            mode="push", **lognormal,
+            engine_params={"rates": RATES["lognormal"], "synchronized": False},
+            events=(dict(FAILURE, round=3, fraction=0.3),
+                    {"event": "join", "round": 6, "count": 150})),
+        # Four tick passes per bucket, each deferring into the same slots.
+        "exchange-rate-4-clocks-unit-quantum": dict(
+            mode="exchange", **uniform,
+            engine_params={"rates": dict(RATES["uniform"], rate=4.0), "batch_quantum": 1.0}),
+        # No delay sampler: every exchange of a partial tick merges at once.
+        "exchange-bernoulli-loss-off-anchor": dict(
+            mode="exchange", **NETWORKS["bernoulli-loss"], engine_params=heterogeneous),
+    }
+    return {f"events/600-hosts/{name}": dict(base, **shape) for name, shape in shapes.items()}
+
+
 def _cells():
     """Name → ``ScenarioSpec`` keywords (``graceful`` is popped by ``run_cell``)."""
     calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
-            **calendar}
+            **calendar, **_larger_calendar_cells()}
 
 
 CELLS = _cells()
