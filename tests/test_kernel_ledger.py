@@ -10,9 +10,11 @@ It covers the two sketch kernels, each under uniform gossip, a ring and a grid,
 through a silent failure, a graceful departure, a join and churn; Push-Sum-Revert
 in both modes over a perfect and a lossy network, uniform and on three graphs,
 through a silent, a graceful and a correlated departure and a join, with and
-without reversion; adaptive push, Full-Transfer, both extrema kernels, and the
-event calendar at its instant anchor.  A topology has no slots for new hosts, so
-the graphs churn without arrivals and have no join cell.
+without reversion; adaptive push, Full-Transfer, both extrema kernels, the event
+calendar at its instant anchor, and group-relative error on a contact trace
+(Figure 11's two kernels), a random geometric graph and the spatial grid.  A
+topology has no slots for new hosts, so the graphs churn without arrivals and
+have no join cell.
 
 The event calendar off its anchor is a product too large to run whole: every
 mode × network × membership change, each completed greedily from the clock,
@@ -108,6 +110,26 @@ def _other_value_kernel_cells():
             cells[f"{protocol}/{environment}/failure"] = dict(
                 BASE, protocol=protocol, mode="exchange", events=(FAILURE,),
                 **ENVIRONMENTS[environment])
+    return cells
+
+
+def _group_relative_cells():
+    """Figure 11's two trace replays, and Push-Sum-Revert on the two spatial graphs."""
+    trace = dict(BASE, environment="trace", environment_params={"dataset": 1},
+                 workload_params={"seed": 1}, n_hosts=9, rounds=120, seed=0,
+                 group_relative=True, mode="exchange")
+    cells = {
+        "trace/push-sum-revert/exchange/lambda=0.01": dict(
+            trace, protocol="push-sum-revert", protocol_params={"reversion": 0.01}),
+        "trace/count-sketch-reset/exchange/32x16/100-identifiers": dict(
+            trace, protocol="count-sketch-reset",
+            protocol_params={"bins": 32, "bits": 16, "identifiers_per_host": 100}),
+    }
+    for environment, n_hosts in (("random-geometric", 300), ("spatial-grid", 289)):
+        name = f"push-sum-revert/exchange/perfect/{environment}/failure/lambda=0.1"
+        cells[f"{name}/group-relative"] = dict(
+            PSR, mode="exchange", protocol_params={"reversion": 0.1},
+            environment=environment, n_hosts=n_hosts, group_relative=True)
     return cells
 
 
@@ -233,7 +255,7 @@ def _cells():
     """Name → ``ScenarioSpec`` keywords (``graceful`` is popped by ``run_cell``)."""
     calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
-            **calendar, **_larger_calendar_cells()}
+            **_group_relative_cells(), **calendar, **_larger_calendar_cells()}
 
 
 CELLS = _cells()
