@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.departure import GracefulDepartureEvent
 from repro.events.vectorized import TIME_EPS, ClockGrid, bucket_grid, sample_delays
 from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
 from repro.failures.schedule import JoinEvent, ValueChangeEvent
@@ -117,14 +118,13 @@ class KernelRun:
             if event.round < self.n_samples:
                 self._membership.setdefault((event.round + 1) * self.ratio, []).append(event)
 
-        #: What a correlated failure orders the hosts of a *counting* kernel
-        #: by: those kernels carry no values, so the driver rebuilds the
-        #: workload the agent engine would sort on (value kernels use their
-        #: own, which value-change events keep current).
+        #: What a correlated departure orders the hosts of a *counting*
+        #: kernel by: those kernels carry no values, so the driver rebuilds
+        #: the workload the agent engine would sort on (value kernels use
+        #: their own, which value-change events keep current).
         self.workload: Optional[np.ndarray] = None
         if not KERNELS[spec.protocol].value_carrying and any(
-            entry["event"] in ("failure", "churn") and entry["model"] == "correlated"
-            for entry in spec.events
+            entry.get("model") == "correlated" for entry in spec.events
         ):
             self.workload = spec.build_values()
 
@@ -263,6 +263,17 @@ class KernelRun:
             kernel.join(fresh)
             if self.workload is not None:
                 self.workload = np.concatenate([self.workload, fresh])
+        elif isinstance(event, GracefulDepartureEvent):
+            # The agent event's choice of leavers (drawn from the kernel's
+            # stream); the kernel performs the sign-off.
+            model = event.model
+            if isinstance(model, CorrelatedFailure):
+                leaving = kernel.extreme_hosts(
+                    model.fraction, highest=model.highest, values=self.workload
+                )
+            else:
+                leaving = model.select(kernel.live_index().tolist(), {}, kernel.rng)
+            kernel.depart_gracefully(leaving)
         elif isinstance(event.model, UncorrelatedFailure):
             kernel.fail_random_fraction(event.model.fraction)
         elif isinstance(event.model, CorrelatedFailure):

@@ -136,13 +136,15 @@ def _event_schedule_rejections(
     rejections: List[Rejection] = []
     for event in spec.events:
         kind = event["event"]
-        if kind not in ("failure", "value-change", "join", "churn"):
+        if kind not in ("failure", "graceful-departure", "value-change", "join", "churn"):
             rejections.append(Rejection(
                 "events", kind, f"{kind!r} events require the agent engine",
             ))
             continue
-        if kind in ("failure", "churn") and event["model"] not in KERNEL_FAILURE_MODELS:
-            label = "churn failure model" if kind == "churn" else "failure model"
+        if kind in ("failure", "graceful-departure", "churn") \
+                and event["model"] not in KERNEL_FAILURE_MODELS:
+            label = {"churn": "churn failure model",
+                     "graceful-departure": "graceful-departure model"}.get(kind, "failure model")
             rejections.append(Rejection(
                 "events", event["model"],
                 f"{label} {event['model']!r} is not vectorised "

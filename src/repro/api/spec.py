@@ -44,6 +44,7 @@ import numpy as np
 from repro.api.plan import resolve_plan
 from repro.api.registry import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
 from repro.core.cutoff import default_cutoff, linear_cutoff, no_decay_cutoff, scaled_cutoff
+from repro.core.departure import GracefulDepartureEvent
 from repro.failures import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
 from repro.simulator import Simulation, SimulationResult
 
@@ -58,7 +59,10 @@ NAMED_CUTOFFS: Dict[str, Any] = {
     "slow": scaled_cutoff(2.0),
 }
 
-_EVENT_KINDS = ("failure", "join", "value-change", "churn")
+_EVENT_KINDS = ("failure", "graceful-departure", "join", "value-change", "churn")
+
+#: The one-shot departures: the model picks who leaves, the kind says how.
+_DEPARTURES = {"failure": FailureEvent, "graceful-departure": GracefulDepartureEvent}
 
 #: Protocols whose ``cutoff`` parameter is an integer age in rounds, not a
 #: freshness *function* — :data:`NAMED_CUTOFFS` names do not apply to them.
@@ -103,17 +107,18 @@ def _validate_event(entry: Mapping) -> Dict[str, Any]:
     else:
         if not isinstance(entry.get("round"), int) or entry["round"] < 0:
             raise ValueError(f"{kind} events need a non-negative integer 'round'")
-    if kind in ("failure", "churn"):
+    if kind in _DEPARTURES or kind == "churn":
         model = entry.get("model")
         if not isinstance(model, str):
             raise ValueError(f"{kind} events need a 'model' registry name, got {model!r}")
         reserved = (
             ("event", "round", "model")
-            if kind == "failure"
+            if kind in _DEPARTURES
             else ("event", "start", "stop", "model", "arrivals_per_round")
         )
         params = {key: value for key, value in entry.items() if key not in reserved}
         FAILURES.validate_params(model, **params)
+        FAILURES.create(model, **params)  # the model's own checks (fraction in [0, 1], ...)
     elif kind == "join":
         if not isinstance(entry.get("count"), int) or entry["count"] < 1:
             raise ValueError("join events need a positive integer 'count'")
@@ -128,9 +133,10 @@ def _validate_event(entry: Mapping) -> Dict[str, Any]:
 def _build_event(entry: Mapping) -> List[object]:
     """Instantiate the scheduled event(s) described by one event dict."""
     kind = entry["event"]
-    if kind == "failure":
+    if kind in _DEPARTURES:
         params = {k: v for k, v in entry.items() if k not in ("event", "round", "model")}
-        return [FailureEvent(round=entry["round"], model=FAILURES.create(entry["model"], **params))]
+        model = FAILURES.create(entry["model"], **params)
+        return [_DEPARTURES[kind](round=entry["round"], model=model)]
     if kind == "join":
         return [JoinEvent(round=entry["round"], count=entry["count"])]
     if kind == "value-change":
@@ -200,8 +206,11 @@ class ScenarioSpec:
     events:
         Scheduled membership events as plain dicts, e.g.
         ``{"event": "failure", "round": 20, "model": "uncorrelated",
-        "fraction": 0.5}``; ``"join"``, ``"value-change"`` and ``"churn"``
-        follow :mod:`repro.failures`.
+        "fraction": 0.5}``; ``"graceful-departure"`` takes the same keys
+        but lets the leavers sign off first (:mod:`repro.core.departure`:
+        mass handed to a survivor, sketch positions disowned), and
+        ``"join"``, ``"value-change"`` and ``"churn"`` follow
+        :mod:`repro.failures`.
     rounds / mode / seed / group_relative / store_estimates:
         Engine options, passed straight to :class:`repro.Simulation`.
     backend:

@@ -583,30 +583,28 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_demo(args: argparse.Namespace) -> int:
-    from repro.simulator.vectorized import VectorizedPushSumRevert
-    from repro.workloads.values import uniform_values
-
-    values = uniform_values(args.hosts, seed=args.seed)
-    kernel = VectorizedPushSumRevert(values, args.reversion, mode="pushpull", seed=args.seed)
-    rounds: List[int] = []
-    errors: List[float] = []
-    truths: List[float] = []
-    for round_index in range(args.rounds):
-        if round_index == args.failure_round:
-            kernel.fail_highest_fraction(0.5)
-        kernel.step()
-        rounds.append(round_index + 1)
-        errors.append(kernel.error())
-        truths.append(kernel.truth())
+    try:
+        spec = ScenarioSpec(
+            protocol="push-sum-revert",
+            protocol_params={"reversion": args.reversion},
+            n_hosts=args.hosts,
+            rounds=args.rounds,
+            seed=args.seed,
+            events=({"event": "failure", "round": args.failure_round, "model": "correlated",
+                     "fraction": 0.5, "highest": True},),
+            backend="vectorized",
+        )
+    except ValueError as error:
+        _print_scenario_error(error)
+        return 2
+    result = run_scenario(spec)
+    rounds = [record.round_index + 1 for record in result.rounds]
+    series = {"stddev error": result.errors(), "true average": result.truths()}
     print(
         f"Push-Sum-Revert demo: {args.hosts} hosts, lambda={args.reversion}, "
         f"highest-valued half removed at round {args.failure_round}"
     )
-    print(
-        render_series_table(
-            "round", rounds, {"stddev error": errors, "true average": truths}, every=2
-        )
-    )
+    print(render_series_table("round", rounds, series, every=2))
     return 0
 
 

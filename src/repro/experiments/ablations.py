@@ -5,22 +5,23 @@ makes in passing (push/pull halves convergence, adaptive λ halves
 reconvergence, Invert-Average is orders of magnitude cheaper than multiple
 insertion) so that each claim has a reproducible measurement attached.
 Every ablation returns an :class:`AblationResult` with labelled scalar
-outcomes plus the raw series where relevant.
+outcomes plus the raw series where relevant; each simulated variant is one
+:class:`~repro.api.ScenarioSpec` on the vectorised backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.analysis.render import render_table
-from repro.core.cutoff import linear_cutoff
+from repro.api.spec import ScenarioSpec, run_scenario
+from repro.experiments.fig8_uncorrelated import push_sum_spec
+from repro.experiments.fig9_counting_failure import counting_spec
 from repro.metrics.bandwidth import protocol_cost_summary
 from repro.metrics.convergence import convergence_round, plateau_error, reconvergence_round
-from repro.simulator.vectorized import VectorizedCountSketchReset, VectorizedPushSumRevert
-from repro.workloads.values import uniform_values
 
 __all__ = [
     "AblationResult",
@@ -52,19 +53,10 @@ class AblationResult:
         return title + "\n" + render_table(["variant", "outcome"], rows)
 
 
-def _error_series(
-    kernel: VectorizedPushSumRevert, rounds: int, failure_round: Optional[int], correlated: bool
-) -> List[float]:
-    errors: List[float] = []
-    for round_index in range(rounds):
-        if failure_round is not None and round_index == failure_round:
-            if correlated:
-                kernel.fail_highest_fraction(0.5)
-            else:
-                kernel.fail_random_fraction(0.5)
-        kernel.step()
-        errors.append(kernel.error())
-    return errors
+def _half_failure(failure_round: int, model: str) -> dict:
+    """Half the hosts fail at ``failure_round``: the highest-valued or random ones."""
+    event = {"event": "failure", "round": failure_round, "model": model, "fraction": 0.5}
+    return dict(event, highest=True) if model == "correlated" else event
 
 
 def run_push_vs_pushpull_ablation(
@@ -76,14 +68,12 @@ def run_push_vs_pushpull_ablation(
     initial convergence time; the outcome is the first round at which the
     error drops below ``threshold``.
     """
-    values = uniform_values(n_hosts, seed=seed)
     result = AblationResult(
         name="push vs push/pull",
         notes=f"{n_hosts} hosts, rounds to error <= {threshold}",
     )
     for mode in ("push", "pushpull"):
-        kernel = VectorizedPushSumRevert(values, 0.0, mode=mode, seed=seed)
-        errors = _error_series(kernel, rounds, None, False)
+        errors = run_scenario(push_sum_spec(n_hosts, rounds, 0.0, mode=mode, seed=seed)).errors()
         result.series[mode] = errors
         converged = convergence_round(errors, threshold)
         result.outcomes[mode] = float(converged) if converged is not None else float("nan")
@@ -104,16 +94,22 @@ def run_adaptive_lambda_ablation(
     Outcome per variant: rounds after the correlated failure needed to bring
     the error back under ``threshold`` (NaN = never within the horizon).
     """
-    values = uniform_values(n_hosts, seed=seed)
     result = AblationResult(
         name="fixed vs adaptive reversion",
         notes=f"lambda={reversion}, correlated failure at round {failure_round}",
     )
     for label, adaptive in (("fixed", False), ("adaptive", True)):
-        kernel = VectorizedPushSumRevert(
-            values, reversion, mode="push", adaptive=adaptive, seed=seed
+        spec = ScenarioSpec(
+            protocol="push-sum-revert",
+            protocol_params={"reversion": reversion, "adaptive": adaptive},
+            mode="push",
+            n_hosts=n_hosts,
+            rounds=rounds,
+            seed=seed,
+            events=(_half_failure(failure_round, "correlated"),),
+            backend="vectorized",
         )
-        errors = _error_series(kernel, rounds, failure_round, True)
+        errors = run_scenario(spec).errors()
         result.series[label] = errors
         recovered = reconvergence_round(errors, threshold, disturbance_round=failure_round)
         result.outcomes[label] = float(recovered) if recovered is not None else float("nan")
@@ -131,22 +127,18 @@ def run_full_transfer_parameter_ablation(
     seed: int = 0,
 ) -> AblationResult:
     """Plateau error of Full-Transfer as a function of N (parcels) and T (history)."""
-    values = uniform_values(n_hosts, seed=seed)
     result = AblationResult(
         name="full-transfer parcels/history sweep",
         notes=f"lambda={reversion}, plateau error after correlated failure",
     )
+    failure = _half_failure(failure_round, "correlated")
     for parcels in parcel_counts:
         for history in history_lengths:
-            kernel = VectorizedPushSumRevert(
-                values,
-                reversion,
-                mode="full-transfer",
-                parcels=parcels,
-                history=history,
-                seed=seed,
+            spec = push_sum_spec(
+                n_hosts, rounds, reversion, mode="full-transfer", parcels=parcels,
+                history=history, events=(failure,), seed=seed,
             )
-            errors = _error_series(kernel, rounds, failure_round, True)
+            errors = run_scenario(spec).errors()
             label = f"N={parcels}, T={history}"
             result.series[label] = errors
             result.outcomes[label] = plateau_error(errors, tail=5)
@@ -175,18 +167,14 @@ def run_cutoff_slope_ablation(
         name="freshness cutoff sweep",
         notes=f"{n_hosts} hosts, 50% random failure at round {failure_round}",
     )
+    failure = _half_failure(failure_round, "uncorrelated")
     for intercept in intercepts:
         for slope in slopes:
-            cutoff = linear_cutoff(intercept, slope)
-            kernel = VectorizedCountSketchReset(
-                n_hosts, bins=bins, bits=bits, cutoff=cutoff, seed=seed
+            spec = counting_spec(
+                n_hosts, rounds, bins=bins, bits=bits, cutoff=[intercept, slope],
+                events=(failure,), seed=seed,
             )
-            errors: List[float] = []
-            for round_index in range(rounds):
-                if round_index == failure_round:
-                    kernel.fail_random_fraction(0.5)
-                kernel.step()
-                errors.append(kernel.error())
+            errors = run_scenario(spec).errors()
             label = f"f(k)={intercept:g}+{slope:g}k"
             result.series[label] = errors
             result.outcomes[label] = plateau_error(errors, tail=5)

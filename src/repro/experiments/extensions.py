@@ -27,12 +27,6 @@ import numpy as np
 
 from repro.analysis.render import render_table
 from repro.api.spec import ScenarioSpec, run_scenario
-from repro.baselines import ExtremaGossip, ExtremaReset, PushSum
-from repro.core import CountSketchReset, GracefulDepartureEvent, PushSumRevert
-from repro.environments import UniformEnvironment
-from repro.failures import CorrelatedFailure, ExplicitFailure, FailureEvent
-from repro.simulator import Simulation
-from repro.workloads import uniform_values
 
 __all__ = [
     "DepartureComparisonResult",
@@ -74,35 +68,33 @@ def run_departure_comparison(
     fraction: float = 0.5,
     seed: int = 0,
 ) -> DepartureComparisonResult:
-    """Compare silent failure against graceful sign-off for three protocols."""
-    values = uniform_values(n_hosts, seed=seed)
-    model = CorrelatedFailure(fraction, highest=True)
+    """Compare silent failure against graceful sign-off for three protocols.
+
+    The same highest-valued ``fraction`` leaves at ``departure_round``, once
+    as a ``"failure"`` event and once as a ``"graceful-departure"`` event
+    (every counting host holds 1, so there the lowest ids leave).
+    """
+    departure = {"round": departure_round, "model": "correlated", "fraction": fraction,
+                 "highest": True}
+    common = dict(n_hosts=n_hosts, rounds=rounds, seed=seed, backend="agent")
     protocols = {
-        "push-sum (static)": lambda: PushSum(),
-        "push-sum-revert (lambda=0.1)": lambda: PushSumRevert(0.1),
-        "count-sketch-reset": lambda: CountSketchReset(bins=16, bits=18),
+        "push-sum (static)": ScenarioSpec(protocol="push-sum", **common),
+        "push-sum-revert (lambda=0.1)": ScenarioSpec(
+            protocol="push-sum-revert", protocol_params={"reversion": 0.1}, **common),
+        "count-sketch-reset": ScenarioSpec(
+            protocol="count-sketch-reset", protocol_params={"bins": 16, "bits": 18},
+            workload="constant", **common),
     }
     result = DepartureComparisonResult(
         n_hosts=n_hosts, rounds=rounds, departure_round=departure_round
     )
-    for label, factory in protocols.items():
-        outcomes: Dict[str, float] = {}
-        for mode, event in (
-            ("silent", FailureEvent(round=departure_round, model=model)),
-            ("graceful", GracefulDepartureEvent(round=departure_round, model=model)),
-        ):
-            protocol = factory()
-            host_values = values if protocol.aggregate == "average" else [1.0] * n_hosts
-            simulation = Simulation(
-                protocol,
-                UniformEnvironment(n_hosts),
-                host_values,
-                seed=seed,
-                mode="exchange",
-                events=[event],
-            )
-            outcomes[mode] = simulation.run(rounds).plateau_error(tail=5)
-        result.final_errors[label] = outcomes
+    for label, spec in protocols.items():
+        result.final_errors[label] = {
+            mode: run_scenario(
+                spec.replace(events=({"event": kind, **departure},))
+            ).plateau_error(tail=5)
+            for mode, kind in (("silent", "failure"), ("graceful", "graceful-departure"))
+        }
     return result
 
 
@@ -146,29 +138,21 @@ def run_extrema_comparison(
     seed: int = 0,
 ) -> ExtremaComparisonResult:
     """Fail the host holding the maximum and compare the two extrema protocols."""
-    values = uniform_values(n_hosts, seed=seed)
-    top_host = int(np.argmax(values))
-    result = ExtremaComparisonResult(
-        n_hosts=n_hosts, rounds=rounds, departure_round=departure_round
+    spec = ScenarioSpec(
+        protocol="extrema-gossip", n_hosts=n_hosts, rounds=rounds, seed=seed, backend="agent"
     )
-    for label, protocol in (
-        ("static", ExtremaGossip()),
-        ("reset", ExtremaReset(cutoff=cutoff)),
-    ):
-        simulation = Simulation(
-            protocol,
-            UniformEnvironment(n_hosts),
-            values,
-            seed=seed,
-            mode="exchange",
-            events=[FailureEvent(round=departure_round, model=ExplicitFailure([top_host]))],
-        )
-        errors = simulation.run(rounds).errors()
-        if label == "static":
-            result.static_errors = errors
-        else:
-            result.reset_errors = errors
-    return result
+    top_host = int(np.argmax(spec.build_values()))
+    spec = spec.replace(events=({"event": "failure", "round": departure_round,
+                                 "model": "explicit", "host_ids": [top_host]},))
+    return ExtremaComparisonResult(
+        n_hosts=n_hosts,
+        rounds=rounds,
+        departure_round=departure_round,
+        static_errors=run_scenario(spec).errors(),
+        reset_errors=run_scenario(
+            spec.replace(protocol="extrema-reset", protocol_params={"cutoff": cutoff})
+        ).errors(),
+    )
 
 
 @dataclass

@@ -24,36 +24,26 @@ device counts and the same experimental procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.render import render_series_table
-from repro.core.count_sketch_reset import CountSketchReset
-from repro.core.cutoff import default_cutoff, no_decay_cutoff, scaled_cutoff
-from repro.core.push_sum_revert import PushSumRevert
-from repro.environments.trace import TraceEnvironment
-from repro.metrics.accuracy import error_statistics
+from repro.api.spec import ScenarioSpec, run_scenario
 from repro.mobility.synthetic_haggle import haggle_dataset
-from repro.mobility.traces import ContactTrace
-from repro.simulator.engine import Simulation
-from repro.simulator.sparse import TraceCSRTopology
-from repro.simulator.vectorized import VectorizedCountSketchReset, VectorizedPushSumRevert
-from repro.workloads.values import uniform_values
 
 __all__ = ["Fig11DatasetResult", "Fig11Result", "run_fig11", "render_fig11"]
 
 #: Reversion constants used for the averaging panels.
 DEFAULT_AVERAGE_LAMBDAS: Tuple[float, ...] = (0.0, 0.001, 0.01)
 
-
-def _default_size_variants() -> Dict[str, Callable[[int], float]]:
-    """The three cutoff settings of the "dynamic sum" panels."""
-    return {
-        "reversion off": no_decay_cutoff,
-        "reversion on": default_cutoff,
-        "reversion slow": scaled_cutoff(2.0),
-    }
+#: The three cutoff settings of the "dynamic sum" panels, as spec cutoffs
+#: (:data:`~repro.api.spec.NAMED_CUTOFFS` names or ``[intercept, slope]`` pairs).
+DEFAULT_SIZE_VARIANTS: Dict[str, object] = {
+    "reversion off": "off",
+    "reversion on": "default",
+    "reversion slow": "slow",
+}
 
 
 @dataclass
@@ -103,59 +93,11 @@ def _hourly(series: Sequence[float], rounds_per_hour: int) -> List[float]:
     return hourly
 
 
-def _run_protocol(
-    protocol,
-    trace: ContactTrace,
-    values: Sequence[float],
-    *,
-    rounds: int,
-    round_seconds: float,
-    group_window_seconds: float,
-    seed: int,
-) -> Tuple[List[float], List[float]]:
-    """Run one protocol over the trace; returns per-round (errors, group sizes)."""
-    environment = TraceEnvironment(
-        trace, round_seconds=round_seconds, group_window_seconds=group_window_seconds
-    )
-    simulation = Simulation(
-        protocol,
-        environment,
-        values,
-        seed=seed,
-        mode="exchange",
-        group_relative=True,
-    )
-    result = simulation.run(rounds)
-    group_sizes = [
-        record.group_sizes if record.group_sizes is not None else float("nan")
-        for record in result.rounds
-    ]
-    return result.errors(), group_sizes
-
-
-def _run_kernel(kernel, *, rounds: int) -> Tuple[List[float], List[float]]:
-    """Vectorised replay: per-round (group-relative errors, group sizes).
-
-    The round loop of :class:`~repro.api.kernel_run.KernelRun` without the
-    spec layer, scored the same way: each live host against its own group's
-    aggregate (``kernel.group_truths``), groups being the components of the
-    trace's 10-minute union window intersected with the alive set.
-    """
-    errors: List[float] = []
-    group_sizes: List[float] = []
-    for t in range(rounds):
-        kernel.step()
-        truths, mean_group_size = kernel.group_truths(t)
-        errors.append(error_statistics(kernel.estimates(), truths).stddev_error)
-        group_sizes.append(mean_group_size)
-    return errors, group_sizes
-
-
 def run_fig11(
     datasets: Sequence[int] = (1, 2),
     *,
     average_lambdas: Sequence[float] = DEFAULT_AVERAGE_LAMBDAS,
-    size_variants: Optional[Dict[str, Callable[[int], float]]] = None,
+    size_variants: Optional[Dict[str, object]] = None,
     max_hours: Optional[float] = 24.0,
     round_seconds: float = 30.0,
     group_window_seconds: float = 600.0,
@@ -167,16 +109,23 @@ def run_fig11(
 ) -> Fig11Result:
     """Replay the trace-driven experiment for the requested datasets.
 
-    ``max_hours`` truncates each trace (``None`` replays it in full — the
-    configuration behind the committed ``benchmarks/output/fig11.txt`` is
-    set in ``benchmarks/test_bench_fig11.py``).  ``backend="vectorized"`` replays the same traces on the NumPy
-    kernels over a :class:`~repro.simulator.sparse.TraceCSRTopology` —
-    statistically equivalent but not bit-identical to the agent default
-    (DESIGN.md §7, §12), and the route for large synthetic device counts.
+    Every variant is one group-relative ``trace`` scenario run through
+    :func:`~repro.api.spec.run_scenario`: Push-Sum-Revert in exchange mode
+    per λ in ``average_lambdas``, Count-Sketch-Reset per cutoff in
+    ``size_variants`` (label → spec cutoff, default
+    :data:`DEFAULT_SIZE_VARIANTS`), all over the same values (seed
+    ``seed + dataset``).  ``max_hours`` truncates each trace (``None``
+    replays it in full — the configuration behind the committed
+    ``benchmarks/output/fig11.txt`` is set in
+    ``benchmarks/test_bench_fig11.py``).  ``backend="vectorized"`` replays
+    the same traces on the NumPy kernels, every variant of a dataset over
+    one memoised compiled trace (DESIGN.md §12) — statistically equivalent
+    but not bit-identical to the agent default (DESIGN.md §7), and the
+    route for large synthetic device counts.
     """
     if backend not in ("agent", "vectorized"):
         raise ValueError(f"unknown fig11 backend {backend!r}; expected 'agent' or 'vectorized'")
-    variants = size_variants if size_variants is not None else _default_size_variants()
+    variants = size_variants if size_variants is not None else DEFAULT_SIZE_VARIANTS
     result = Fig11Result(
         round_seconds=round_seconds,
         group_window_seconds=group_window_seconds,
@@ -186,12 +135,27 @@ def run_fig11(
         seed=seed,
     )
     rounds_per_hour = max(1, int(round(3600.0 / round_seconds)))
+    sketch = {"bins": bins, "bits": bits, "identifiers_per_host": identifiers_per_host}
     for dataset in datasets:
         trace = haggle_dataset(dataset)
         total_rounds = int(trace.duration // round_seconds) + 1
         if max_hours is not None:
             total_rounds = min(total_rounds, int(max_hours * rounds_per_hour))
-        values = uniform_values(trace.n_devices, seed=seed + dataset)
+        base = ScenarioSpec(
+            protocol="push-sum-revert",
+            environment="trace",
+            environment_params={
+                "dataset": dataset,
+                "round_seconds": round_seconds,
+                "group_window_seconds": group_window_seconds,
+            },
+            workload_params={"seed": seed + dataset},
+            n_hosts=trace.n_devices,
+            rounds=total_rounds,
+            seed=seed,
+            group_relative=True,
+            backend=backend,
+        )
         dataset_result = Fig11DatasetResult(
             dataset=dataset,
             n_devices=trace.n_devices,
@@ -199,75 +163,25 @@ def run_fig11(
             rounds=total_rounds,
             round_seconds=round_seconds,
         )
-
-        topology: Optional[TraceCSRTopology] = None
-        if backend == "vectorized":
-            topology = TraceCSRTopology(
-                trace,
-                round_seconds=round_seconds,
-                group_window_seconds=group_window_seconds,
-            )
-
+        variant_runs = [
+            (dataset_result.average_errors, f"lambda={reversion:g}",
+             base.replace(protocol_params={"reversion": float(reversion)}))
+            for reversion in average_lambdas
+        ] + [
+            (dataset_result.size_errors, label,
+             base.replace(protocol="count-sketch-reset",
+                          protocol_params={**sketch, "cutoff": cutoff}))
+            for label, cutoff in variants.items()
+        ]
         group_size_series: Optional[List[float]] = None
-        for reversion in average_lambdas:
-            if topology is not None:
-                kernel = VectorizedPushSumRevert(
-                    values,
-                    float(reversion),
-                    mode="pushpull",
-                    topology=topology,
-                    seed=seed,
-                )
-                errors, group_sizes = _run_kernel(kernel, rounds=total_rounds)
-            else:
-                errors, group_sizes = _run_protocol(
-                    PushSumRevert(float(reversion)),
-                    trace,
-                    values,
-                    rounds=total_rounds,
-                    round_seconds=round_seconds,
-                    group_window_seconds=group_window_seconds,
-                    seed=seed,
-                )
-            dataset_result.average_errors[f"lambda={reversion:g}"] = _hourly(
-                errors, rounds_per_hour
-            )
+        for errors, label, spec in variant_runs:
+            run = run_scenario(spec)
+            errors[label] = _hourly(run.errors(), rounds_per_hour)
             if group_size_series is None:
-                group_size_series = group_sizes
-
-        for label, cutoff in variants.items():
-            if topology is not None:
-                kernel = VectorizedCountSketchReset(
-                    trace.n_devices,
-                    bins=bins,
-                    bits=bits,
-                    cutoff=cutoff,
-                    identifiers_per_host=identifiers_per_host,
-                    pull=True,
-                    topology=topology,
-                    seed=seed,
-                )
-                errors, group_sizes = _run_kernel(kernel, rounds=total_rounds)
-            else:
-                protocol = CountSketchReset(
-                    bins,
-                    bits,
-                    cutoff=cutoff,
-                    identifiers_per_host=identifiers_per_host,
-                )
-                errors, group_sizes = _run_protocol(
-                    protocol,
-                    trace,
-                    values,
-                    rounds=total_rounds,
-                    round_seconds=round_seconds,
-                    group_window_seconds=group_window_seconds,
-                    seed=seed,
-                )
-            dataset_result.size_errors[label] = _hourly(errors, rounds_per_hour)
-            if group_size_series is None:
-                group_size_series = group_sizes
-
+                group_size_series = [
+                    float("nan") if record.group_sizes is None else record.group_sizes
+                    for record in run.rounds
+                ]
         dataset_result.group_size = _hourly(group_size_series or [], rounds_per_hour)
         dataset_result.hours = [float(hour) for hour in range(len(dataset_result.group_size))]
         result.datasets[int(dataset)] = dataset_result

@@ -31,7 +31,7 @@ def counting_spec(
     *,
     bins: int,
     bits: int,
-    cutoff: str = "default",
+    cutoff="default",
     events=(),
     seed: int = 0,
     backend: str = "vectorized",
@@ -41,7 +41,8 @@ def counting_spec(
 
     ``cutoff`` is a :data:`~repro.api.spec.NAMED_CUTOFFS` name —
     ``"default"`` for the paper's f(k) = 7 + k/4 propagation limiting,
-    ``"off"`` for the naive never-decaying variant.
+    ``"off"`` for the naive never-decaying variant — or an
+    ``[intercept, slope]`` pair for f(k) = intercept + slope·k.
     """
     return ScenarioSpec(
         protocol="count-sketch-reset",

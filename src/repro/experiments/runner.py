@@ -270,8 +270,8 @@ def run_all_experiments(
         Optional :class:`repro.store.ResultStore`; the scenario-backed
         figures (fig8/9/10) then serve unchanged curves from the cache, so
         regenerating the report after touching one protocol re-simulates
-        only the affected figures.  Fig 6 (raw kernel state) and Fig 11
-        (trace replay outside the spec layer) always execute.
+        only the affected figures.  Fig 6 (raw kernel state), Fig 11 and
+        the ablations (scenarios run without a store) always execute.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")

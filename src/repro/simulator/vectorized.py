@@ -341,15 +341,17 @@ class _VectorizedKernel:
         self._mark_dead(chosen)
         return chosen
 
-    def fail_extreme_fraction(
+    def extreme_hosts(
         self, fraction: float, *, highest: bool = True, values: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Fail the most extreme-valued fraction of live hosts; returns their indices.
+        """The most extreme-valued fraction of live hosts, most extreme first.
 
         Hosts are ordered by ``values``, by default the kernel's own
         per-host values.  The counting kernels carry none, so their caller
         passes the workload it built to reproduce the agent semantics
-        (fail the hosts with the most extreme *workload* values).
+        (the hosts with the most extreme *workload* values).  Equal values
+        keep id order, so the set and its order are exactly what
+        :class:`~repro.failures.models.CorrelatedFailure` picks.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
@@ -359,9 +361,17 @@ class _VectorizedKernel:
             return np.array([], dtype=np.int64)
         if values is None:
             values = self._host_values()
-        order = alive_idx[np.argsort(values[alive_idx])]
-        chosen = order[-count:] if highest else order[:count]
-        self._mark_dead(chosen)
+        live_values = values[alive_idx]
+        order = np.argsort(-live_values if highest else live_values, kind="stable")
+        return alive_idx[order[:count]]
+
+    def fail_extreme_fraction(
+        self, fraction: float, *, highest: bool = True, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fail :meth:`extreme_hosts`; returns their indices."""
+        chosen = self.extreme_hosts(fraction, highest=highest, values=values)
+        if chosen.size:
+            self._mark_dead(chosen)
         return chosen
 
     # -------------------------------------------------------------- estimates

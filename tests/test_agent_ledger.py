@@ -21,17 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.api import ScenarioSpec, run_scenario
-from repro.api.backends import BACKENDS
-from repro.api.kernel_run import KernelRun
-from repro.core.departure import GracefulDepartureEvent
-from repro.events.calendar import MEMBERSHIP
-from repro.failures.models import UncorrelatedFailure
 
 LEDGER = Path(__file__).parent / "data" / "agent_digests.json"
 COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 BASE = dict(backend="agent", store_estimates=True, n_hosts=200, rounds=12, seed=5)
 FAILURE = {"event": "failure", "round": 6, "model": "uncorrelated", "fraction": 0.5}
+GRACEFUL = {"event": "graceful-departure", "round": 6, "model": "uncorrelated", "fraction": 0.4}
 LOSS = dict(network="bernoulli-loss", network_params={"p": 0.2})
 LATENCY = dict(network="latency",
                network_params={"distribution": "uniform", "low": 0, "high": 2})
@@ -49,7 +45,7 @@ PSR = dict(BASE, protocol="push-sum-revert", protocol_params={"reversion": 0.1})
 
 
 def _cells():
-    """Name → ``ScenarioSpec`` keywords (``graceful`` is popped by :func:`run_cell`)."""
+    """Name → ``ScenarioSpec`` keywords."""
     cells = {}
     for protocol, params in PROTOCOLS.items():
         for mode in ("push", "exchange"):
@@ -74,7 +70,7 @@ def _cells():
             events=({"event": "churn", "start": 3, "stop": 9, "model": "bernoulli",
                      "p": 0.05, "arrivals_per_round": 4},)),
         "events/push/latency/graceful-departure": dict(
-            events_engine, mode="push", graceful=0.4),
+            events_engine, mode="push", events=(GRACEFUL,)),
         "rounds/push/loss/failure-then-join": dict(
             PSR, mode="push", **LOSS,
             events=(FAILURE, {"event": "join", "round": 8, "count": 60})),
@@ -82,7 +78,8 @@ def _cells():
             PSR, mode="push", **LATENCY,
             events=({"event": "churn", "start": 3, "stop": 9, "model": "bernoulli",
                      "p": 0.05, "arrivals_per_round": 4},)),
-        "rounds/push/loss/graceful-departure": dict(PSR, mode="push", graceful=0.4, **LOSS),
+        "rounds/push/loss/graceful-departure": dict(
+            PSR, mode="push", events=(GRACEFUL,), **LOSS),
         "rounds/exchange/loss/value-change": dict(
             PSR, mode="exchange", **LOSS,
             events=(FAILURE, {"event": "value-change", "round": 4,
@@ -121,40 +118,8 @@ CELLS = _cells()
 
 def run_cell(cell):
     """The payload sha256 of one cell."""
-    cell = dict(cell)
-    graceful = cell.pop("graceful", None)
-    spec = ScenarioSpec(**cell)
-    if graceful is None:
-        result = run_scenario(spec)
-    else:
-        # Graceful departure is not a spec event kind: hand it to the engine.
-        event = GracefulDepartureEvent(round=6, model=UncorrelatedFailure(graceful))
-        if spec.backend == "vectorized":
-            run = _GracefulKernelRun(BACKENDS.get("vectorized"), spec)
-            run._membership.setdefault((event.round + 1) * run.ratio, []).append(event)
-            result = run.run()
-        elif spec.engine == "events":
-            sim = spec.build_event_simulation()
-            sim.calendar.schedule(
-                (event.round + 1) * sim.sample_interval, MEMBERSHIP, ("membership", event)
-            )
-            result = sim.run()
-        else:
-            sim = spec.build()
-            sim.events.append(event)
-            result = sim.run(spec.rounds)
-    payload = json.dumps(result.to_payload(), sort_keys=True)
+    payload = json.dumps(run_scenario(ScenarioSpec(**cell)).to_payload(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-class _GracefulKernelRun(KernelRun):
-    """A kernel run that also applies :class:`GracefulDepartureEvent` (kernel ``rng`` picks)."""
-
-    def apply_event(self, event) -> None:
-        if not isinstance(event, GracefulDepartureEvent):
-            return super().apply_event(event)
-        kernel = self.kernel
-        kernel.depart_gracefully(event.model.select(kernel.live_index().tolist(), {}, kernel.rng))
 
 
 def committed(ledger=LEDGER):

@@ -236,6 +236,62 @@ class TestScenarioSpec:
             bad.build_environment()
 
 
+GRACEFUL = {"event": "graceful-departure", "round": 4, "model": "uncorrelated", "fraction": 0.4}
+
+
+class TestGracefulDepartureEvent:
+    """The ``"graceful-departure"`` event: a failure's keys, a sign-off before leaving."""
+
+    def spec(self, **overrides):
+        kwargs = dict(protocol="push-sum-revert", protocol_params={"reversion": 0.1},
+                      n_hosts=60, rounds=8, seed=3, events=(GRACEFUL,))
+        kwargs.update(overrides)
+        return ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("entry, needle", [
+        ({key: value for key, value in GRACEFUL.items() if key != "round"}, "round"),
+        (dict(GRACEFUL, round=-1), "round"),
+        ({key: value for key, value in GRACEFUL.items() if key != "model"}, "model"),
+        (dict(GRACEFUL, model="meteor"), "meteor"),
+        (dict(GRACEFUL, fraction=1.5), "fraction"),
+        (dict(GRACEFUL, fractions=0.4), "fractions"),
+    ], ids=["no-round", "negative-round", "no-model", "unknown-model", "bad-fraction",
+            "unknown-parameter"])
+    def test_malformed_events_fail_at_construction(self, entry, needle):
+        with pytest.raises((ValueError, KeyError), match=needle):
+            self.spec(events=(entry,))
+
+    def test_json_and_key_round_trip(self):
+        spec = self.spec()
+        restored = ScenarioSpec.from_json(spec.to_json())
+        assert restored == spec
+        assert restored.key() == spec.key()
+        silent = self.spec(events=(dict(GRACEFUL, event="failure"),))
+        assert silent.key() != spec.key()
+
+    def test_builds_the_agent_event(self):
+        (event,) = self.spec().build_events()
+        assert event.describe() == {"event": "graceful-departure", "round": 4,
+                                    "model": "UncorrelatedFailure", "fraction": 0.4}
+
+    @pytest.mark.parametrize("engine, backend", [
+        ("rounds", "agent"), ("rounds", "vectorized"), ("events", "agent"), ("events", "vectorized"),
+    ])
+    def test_runs_on_every_engine_and_backend(self, engine, backend):
+        overrides = {}
+        if engine == "events":  # mass in flight, balanced after every event
+            overrides = dict(mode="push", engine_params={"mass_check": "event"},
+                             network="latency",
+                             network_params={"distribution": "uniform", "low": 0, "high": 2})
+        spec = self.spec(engine=engine, backend=backend, **overrides)
+        result = run_scenario(spec)
+        assert result.alive_counts() == [60] * 4 + [36] * 4
+        assert result.metadata["backend"] == backend
+        silent = run_scenario(spec.replace(events=(dict(GRACEFUL, event="failure"),)))
+        assert silent.alive_counts() == result.alive_counts()
+        assert silent.errors() != result.errors()  # the leavers signed off
+
+
 def _to_dict_oracle(spec):
     """``to_dict()`` as ``dataclasses.asdict`` spells it — the form the
     hand-rolled field walk replaced, kept here as its reference."""
@@ -380,70 +436,6 @@ class TestRunScenario:
         )
         with pytest.raises(ValueError, match=r"workload 'constant' .*non-finite.* index 0"):
             run_scenario(spec)
-
-    def test_reproduces_fig11_runner_bit_for_bit(self):
-        """A spec reproduces the Figure 11 runner's engine output exactly."""
-        from repro.experiments.fig11_traces import _run_protocol
-        from repro.mobility import haggle_dataset
-        from repro.workloads import uniform_values
-
-        seed, dataset, rounds = 0, 1, 120
-        trace = haggle_dataset(dataset)
-        values = uniform_values(trace.n_devices, seed=seed + dataset)
-        errors, group_sizes = _run_protocol(
-            PushSumRevert(0.01), trace, values,
-            rounds=rounds, round_seconds=30.0, group_window_seconds=600.0, seed=seed,
-        )
-        spec = ScenarioSpec(
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.01},
-            environment="trace",
-            environment_params={"dataset": dataset},
-            workload_params={"seed": seed + dataset},
-            n_hosts=trace.n_devices,
-            rounds=rounds,
-            seed=seed,
-            group_relative=True,
-        )
-        result = run_scenario(ScenarioSpec.from_dict(spec.to_dict()))
-        assert result.errors() == errors
-        assert [record.group_sizes for record in result.rounds] == group_sizes
-
-    def test_reproduces_fig11_kernel_runner_bit_for_bit(self):
-        """The kernel-path twin: ``_run_kernel`` is ``run_scenario`` on the trace spec."""
-        from repro.experiments.fig11_traces import _run_kernel
-        from repro.mobility import haggle_dataset
-        from repro.simulator.sparse import TraceCSRTopology
-        from repro.simulator.vectorized import VectorizedCountSketchReset, VectorizedPushSumRevert
-        from repro.workloads import uniform_values
-
-        seed, dataset, rounds = 0, 1, 120
-        trace = haggle_dataset(dataset)
-        values = uniform_values(trace.n_devices, seed=seed + dataset)
-        topology = TraceCSRTopology(trace, round_seconds=30.0, group_window_seconds=600.0)
-        base = ScenarioSpec(
-            protocol="push-sum-revert",
-            environment="trace",
-            environment_params={"dataset": dataset},
-            workload_params={"seed": seed + dataset},
-            n_hosts=trace.n_devices,
-            rounds=rounds,
-            seed=seed,
-            group_relative=True,
-            backend="vectorized",
-        )
-        sketch = {"bins": 32, "bits": 16, "identifiers_per_host": 100}
-        cases = [
-            (VectorizedPushSumRevert(values, 0.01, mode="pushpull", topology=topology, seed=seed),
-             base.replace(protocol_params={"reversion": 0.01})),
-            (VectorizedCountSketchReset(trace.n_devices, topology=topology, seed=seed, **sketch),
-             base.replace(protocol="count-sketch-reset", protocol_params=sketch)),
-        ]
-        for kernel, spec in cases:
-            errors, group_sizes = _run_kernel(kernel, rounds=rounds)
-            result = run_scenario(ScenarioSpec.from_dict(spec.to_dict()))
-            assert result.errors() == errors
-            assert [record.group_sizes for record in result.rounds] == group_sizes
 
 
 class TestSweep:

@@ -376,6 +376,24 @@ class TestBackendEquivalence:
         assert vector.truths()[:2] == [np.mean(spec.build_values())] * 2
         assert vector.truths()[4:] == agent.truths()[4:]
 
+    @pytest.mark.parametrize("kind", ["failure", "graceful-departure"])
+    @pytest.mark.parametrize("highest", [True, False])
+    @pytest.mark.parametrize("protocol", ["push-sum-revert", "count-sketch-reset"])
+    def test_correlated_departures_break_ties_by_id_on_both_backends(
+        self, protocol, highest, kind
+    ):
+        # Ten equal values: the agent's stable sort takes the lowest ids first
+        # either way round, and the kernels must pick the same hosts.
+        spec = ScenarioSpec(
+            protocol=protocol, workload="constant", n_hosts=10, rounds=2, seed=1,
+            store_estimates=True,
+            events=({"event": kind, "round": 1, "model": "correlated", "fraction": 0.5,
+                     "highest": highest},),
+        )
+        for backend in ("agent", "vectorized"):
+            survivors = run_scenario(spec.replace(backend=backend)).rounds[-1].estimates
+            assert sorted(survivors) == [5, 6, 7, 8, 9], backend
+
     def test_vectorized_deterministic(self):
         kwargs = SUPPORTED_COMBOS[0][1]
         first = run_scenario(ScenarioSpec(seed=5, backend="vectorized", **kwargs))

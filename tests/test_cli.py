@@ -37,6 +37,14 @@ class TestCommands:
         assert "Push-Sum-Revert demo" in captured.out
         assert "stddev error" in captured.out
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--rounds", "0"], "rounds"), (["--hosts", "0"], "n_hosts"),
+        (["--failure-round", "-1"], "round"),
+    ])
+    def test_demo_rejects_an_impossible_scenario_cleanly(self, capsys, flags, needle):
+        assert main(["demo", *flags]) == 2
+        assert needle in capsys.readouterr().err
+
     def test_trace_summary_runs(self, capsys):
         exit_code = main(["trace", "--devices", "6", "--hours", "6", "--seed", "1"])
         captured = capsys.readouterr()

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from test_agent_ledger import committed, main, run_cell
+from test_agent_ledger import GRACEFUL, committed, main, run_cell
 
 LEDGER = Path(__file__).parent / "data" / "kernel_digests.json"
 
@@ -55,7 +55,7 @@ def _sketch_cells():
             uniform = environment == "uniform"
             scenarios = {
                 "failure": {"events": (FAILURE,)},
-                "graceful-departure": {"graceful": 0.4},
+                "graceful-departure": {"events": (GRACEFUL,)},
                 "churn": {"events": (dict(CHURN, arrivals_per_round=4 if uniform else 0),)},
             }
             if uniform:
@@ -73,7 +73,7 @@ def _push_sum_revert_cells():
             for environment, env_kwargs in GRAPHS.items():
                 scenarios = {
                     "failure": {},
-                    "graceful-departure": {"graceful": 0.4, "events": ()},
+                    "graceful-departure": {"events": (GRACEFUL,)},
                     "correlated-failure": {"events": (CORRELATED,)},
                 }
                 if environment == "uniform":
@@ -161,7 +161,7 @@ CALENDAR_MEMBERSHIP = {
     "failure": {"events": (FAILURE,)},
     "join": JOIN,
     "churn": {"events": (dict(CHURN, arrivals_per_round=4),)},
-    "graceful-departure": {"graceful": 0.4, "events": ()},
+    "graceful-departure": {"events": (GRACEFUL,)},
 }
 RATES = {
     "uniform": {"distribution": "uniform", "rate": 1.0},
@@ -252,7 +252,7 @@ def _larger_calendar_cells():
 
 
 def _cells():
-    """Name → ``ScenarioSpec`` keywords (``graceful`` is popped by ``run_cell``)."""
+    """Name → ``ScenarioSpec`` keywords."""
     calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
             **_group_relative_cells(), **calendar, **_larger_calendar_cells()}

@@ -121,6 +121,11 @@ ROUNDS_REJECTIONS = [
         "events", "failure model 'bernoulli'", id="bernoulli-failure",
     ),
     pytest.param(
+        dict(events=({"event": "graceful-departure", "round": 2, "model": "bernoulli",
+                       "p": 0.1},)),
+        "events", "graceful-departure model 'bernoulli'", id="bernoulli-graceful-departure",
+    ),
+    pytest.param(
         dict(protocol="count-sketch-reset", protocol_params={"bins": 8, "bits": 12},
              workload="constant",
              events=({"event": "value-change", "round": 2, "values": {"0": 2.0}},)),
