@@ -10,8 +10,10 @@ It covers the two sketch kernels, each under uniform gossip, a ring and a grid,
 through a silent failure, a graceful departure, a join and churn; Push-Sum-Revert
 in both modes over a perfect and a lossy network, uniform and on three graphs,
 through a silent, a graceful and a correlated departure and a join, with and
-without reversion; adaptive push, Full-Transfer, both extrema kernels, the event
-calendar at its instant anchor, and group-relative error on a contact trace
+without reversion; adaptive push, Full-Transfer, both extrema kernels (on three
+graphs, through every membership kind and a value change), value changes and
+correlated sketch failures, the event calendar at its instant anchor, and
+group-relative error on a contact trace
 (Figure 11's two kernels), a random geometric graph and the spatial grid.  A
 topology has no slots for new hosts, so the graphs churn without arrivals and
 have no join cell.
@@ -110,6 +112,37 @@ def _other_value_kernel_cells():
             cells[f"{protocol}/{environment}/failure"] = dict(
                 BASE, protocol=protocol, mode="exchange", events=(FAILURE,),
                 **ENVIRONMENTS[environment])
+    return cells
+
+
+VALUE_CHANGE = {"event": "value-change", "round": 4, "values": {"3": 500.0, "150": -20.0}}
+
+
+def _membership_cells():
+    """Extrema through every membership kind, value changes, correlated sketch failures."""
+    scenarios = {
+        "grid/failure": dict(ENVIRONMENTS["grid"], events=(FAILURE,)),
+        "uniform/join": JOIN,
+        "uniform/graceful-departure": {"events": (GRACEFUL,)},
+        "uniform/correlated-failure": {"events": (CORRELATED,)},
+        "uniform/value-change": {"events": (FAILURE, VALUE_CHANGE)},
+    }
+    cells = {
+        f"{protocol}/{scenario}": dict(BASE, protocol=protocol, mode="exchange", **kwargs)
+        for protocol in ("extrema-gossip", "extrema-reset")
+        for scenario, kwargs in scenarios.items()
+    }
+    for protocol in ("count-sketch-reset", "sketch-count"):
+        cells[f"{protocol}/uniform/correlated-failure"] = dict(
+            BASE, protocol=protocol, events=(CORRELATED,))
+    cells["sketch-count/push/ring/failure"] = dict(
+        BASE, protocol="sketch-count", mode="push", environment="ring", events=(FAILURE,))
+    for mode in ("push", "exchange"):
+        cells[f"push-sum-revert/{mode}/perfect/uniform/value-change/lambda=0.1"] = dict(
+            PSR, mode=mode, protocol_params={"reversion": 0.1}, events=(FAILURE, VALUE_CHANGE))
+    cells["events/push-sum-revert/exchange/latency-uniform/value-change"] = dict(
+        PSR, engine="events", mode="exchange", protocol_params={"reversion": 0.1},
+        events=(FAILURE, VALUE_CHANGE), **CALENDAR_NETWORKS["latency-uniform"])
     return cells
 
 
@@ -255,7 +288,8 @@ def _cells():
     """Name → ``ScenarioSpec`` keywords."""
     calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
-            **_group_relative_cells(), **calendar, **_larger_calendar_cells()}
+            **_membership_cells(), **_group_relative_cells(), **calendar,
+            **_larger_calendar_cells()}
 
 
 CELLS = _cells()
