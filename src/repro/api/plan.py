@@ -173,15 +173,7 @@ def _event_schedule_rejections(
 def _environment_rejections(
     spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
 ) -> List[Rejection]:
-    """Rejections from the gossip environment (the calendar is uniform-only)."""
-    if spec.engine == "events":
-        if spec.environment == "uniform":
-            return []
-        return [Rejection(
-            "environment", spec.environment,
-            "the vectorised event calendar runs uniform gossip only; "
-            f"environment {spec.environment!r} under engine='events' requires the agent engine",
-        )]
+    """Rejections from the gossip environment."""
     rejections: List[Rejection] = []
     if spec.environment not in KERNEL_ENVIRONMENTS:
         known = ", ".join(repr(name) for name in KERNEL_ENVIRONMENTS)
@@ -197,7 +189,14 @@ def _environment_rejections(
             f"(its kernel takes no topology); environment {spec.environment!r} "
             "requires the agent engine",
         ))
-    if spec.environment == "trace" and bool(spec.environment_params.get("broadcast", False)):
+    if spec.environment == "trace" and spec.engine == "events":
+        rejections.append(Rejection(
+            "environment", "trace",
+            "trace replay is not vectorised under engine='events': its per-round CSR is "
+            "keyed by a round index that the event calendar does not advance; it "
+            "requires the agent engine",
+        ))
+    elif spec.environment == "trace" and bool(spec.environment_params.get("broadcast", False)):
         rejections.append(Rejection(
             "environment", "broadcast",
             "broadcast trace gossip (every in-range neighbour hears each send) "
@@ -210,24 +209,20 @@ def _network_rejections(
     spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
 ) -> List[Rejection]:
     """Rejections from the network model (at most one)."""
-    if spec.engine == "events":
-        if spec.network in CALENDAR_NETWORKS:
-            return []
+    if spec.engine == "events" and spec.network not in CALENDAR_NETWORKS:
         known = ", ".join(repr(name) for name in CALENDAR_NETWORKS)
         return [Rejection(
             "network", spec.network,
             f"network model {spec.network!r} is not vectorised under engine='events' "
             f"(the event calendar supports {known})",
         )]
-    if spec.network == "perfect":
-        return []
-    if spec.network != "bernoulli-loss":
+    if spec.engine != "events" and spec.network not in ("perfect", "bernoulli-loss"):
         return [Rejection(
             "network", spec.network,
             f"network model {spec.network!r} is not vectorised "
             "(kernels support 'perfect' and 'bernoulli-loss' only)",
         )]
-    if entry is not None and entry.lossy:
+    if spec.network != "bernoulli-loss" or entry is None or entry.lossy:
         return []
     return [Rejection(
         "network", spec.network,
@@ -275,15 +270,14 @@ def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
             f"protocol {spec.protocol!r} has no vectorised kernel (kernels: {supported})",
         ))
     else:
-        if calendar:
-            if bool(spec.protocol_params.get("adaptive", False)):
-                rejections.append(Rejection(
-                    "protocol", "adaptive",
-                    "indegree-adaptive reversion is not vectorised under engine='events' "
-                    "(the bucketed calendar has no per-tick indegree); it requires the "
-                    "agent engine",
-                ))
-        elif spec.mode not in entry.modes:
+        if calendar and bool(spec.protocol_params.get("adaptive", False)):
+            rejections.append(Rejection(
+                "protocol", "adaptive",
+                "indegree-adaptive reversion is not vectorised under engine='events' "
+                "(the bucketed calendar has no per-tick indegree); it requires the "
+                "agent engine",
+            ))
+        if spec.mode not in entry.modes:
             modes = " or ".join(repr(mode) for mode in entry.modes)
             rejections.append(Rejection(
                 "mode", spec.mode,
@@ -369,8 +363,8 @@ def capability_matrix() -> Dict[str, object]:
         f"vectorised failure models: {', '.join(KERNEL_FAILURE_MODELS)}",
         f"lossy-network kernels: {', '.join(_kernels_with('lossy'))}",
         "event-calendar (engine='events') vectorisation: "
-        f"{', '.join(_kernels_with('calendar'))} over uniform gossip on "
-        f"{', '.join(CALENDAR_NETWORKS)} networks",
+        f"{', '.join(_kernels_with('calendar'))} on "
+        f"{', '.join(CALENDAR_NETWORKS)} networks (no trace replay)",
     ]
     return {"engines": engines, "backends": ("agent", "vectorized"),
             "rows": rows, "kernels": kernels, "notes": notes}

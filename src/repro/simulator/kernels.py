@@ -6,10 +6,11 @@ states a kernel's modes, parameters or flags: the capability layer
 (:mod:`repro.api.plan`), the kernel factory
 (:meth:`repro.api.backends.VectorizedBackend.build_kernel`) and the driver
 (:class:`repro.api.kernel_run.KernelRun`) all read it, so adding a kernel is
-one entry here, and widening the event calendar to another kernel is
-implementing the calendar protocol on it (``step_subset(ticking, delays)``,
-``deliver(kind, *arrays)``, ``mass_view()`` — DESIGN.md §14) and setting
-``calendar=True``.
+one entry here.  A kernel states its gossip once — its begin/end hooks, its
+merge rule and what a push carries — and the shared base derives both the
+lockstep round and the event calendar's protocol from it
+(:class:`repro.simulator.vectorized._VectorizedKernel`, DESIGN.md §7 and §14),
+so the event calendar (``calendar``, on by default) costs no kernel code.
 
 :meth:`KernelDeclaration.build` takes the protocol parameters from the
 *resolved agent protocol instance* (``spec.build_protocol()``, every default
@@ -86,9 +87,9 @@ class KernelDeclaration:
         Takes a Bernoulli ``loss`` probability, so the common lossy case
         still resolves to the fast path.
     calendar:
-        Implements the calendar protocol — all the bucketed event calendar
-        calls (DESIGN.md §14): ``step_subset(ticking, delays)``,
-        ``deliver(kind, *arrays)`` and ``mass_view()``.
+        Runs on the bucketed event calendar (DESIGN.md §14) through the
+        ``step_subset`` / ``deliver`` / ``mass_view`` its kernel derives from
+        its one merge rule; only Full-Transfer's whole-round fan-out opts out.
     """
 
     kernel: type
@@ -97,7 +98,7 @@ class KernelDeclaration:
     value_carrying: bool
     topology: bool = True
     lossy: bool = False
-    calendar: bool = False
+    calendar: bool = True
 
     def build(self, agent, population, mode: str, **wiring):
         """The configured kernel for the resolved agent protocol ``agent``.
@@ -110,17 +111,28 @@ class KernelDeclaration:
         return self.kernel(population, **params, **self.modes[mode], **wiring)
 
 
+_PUSH_SUM_MODES = {"exchange": {"mode": "pushpull"}, "push": {"mode": "push"}}
 _SKETCH_MODES = {"exchange": {"pull": True}, "push": {"pull": False}}
+# Static Push-Sum (and its push/pull-named twin) is Push-Sum-Revert at the
+# kernel's default λ = 0.
+_STATIC_PUSH_SUM = KernelDeclaration(
+    kernel=VectorizedPushSumRevert,
+    modes=_PUSH_SUM_MODES,
+    params=frozenset(),
+    value_carrying=True,
+    lossy=True,
+)
 
 KERNELS: Dict[str, KernelDeclaration] = {
     "push-sum-revert": KernelDeclaration(
         kernel=VectorizedPushSumRevert,
-        modes={"exchange": {"mode": "pushpull"}, "push": {"mode": "push"}},
+        modes=_PUSH_SUM_MODES,
         params=frozenset({"reversion", "adaptive"}),
         value_carrying=True,
         lossy=True,
-        calendar=True,
     ),
+    "push-sum": _STATIC_PUSH_SUM,
+    "push-pull": _STATIC_PUSH_SUM,
     "push-sum-revert-full-transfer": KernelDeclaration(
         kernel=VectorizedPushSumRevert,
         modes={"push": {"mode": "full-transfer"}},
@@ -128,6 +140,7 @@ KERNELS: Dict[str, KernelDeclaration] = {
         value_carrying=True,
         topology=False,
         lossy=True,
+        calendar=False,
     ),
     "count-sketch-reset": KernelDeclaration(
         kernel=VectorizedCountSketchReset,

@@ -32,6 +32,9 @@ Differences from the agent engine worth knowing about:
 * failures are applied by masking hosts out; their mass/counters simply
   stop participating, which is precisely the silent-departure semantics.
 
+Each kernel states its gossip once, and :class:`_VectorizedKernel` derives the
+lockstep round and the event calendar's protocol from it (DESIGN.md §7).
+
 The two sketch kernels hold one sketch per host row and share one merge
 (:func:`_merge_rows`, a fan-in-ranked scatter — no ``ufunc.at`` on the
 N-D state) and one read-out (:func:`_prefix_rank` over the live rows);
@@ -86,32 +89,28 @@ def _draw_identifiers(
     return mask.reshape(n, bins, bits), hosts, positions
 
 
-def _merge_rows(
-    rows: np.ndarray, senders: np.ndarray, targets: np.ndarray, reduce: np.ufunc, pull: bool
+def _scatter_rows(
+    rows: np.ndarray, targets: np.ndarray, reduce: np.ufunc, source: np.ndarray,
+    index: Optional[np.ndarray] = None,
 ) -> None:
-    """One push(+pull) round of whole-row merges on a 2-D state, in place.
+    """Every ``targets[i]`` row absorbs ``source`` row ``i`` (row ``index[i]``) under
+    ``reduce``, in place; a target may repeat.
 
-    Every ``targets[i]`` row absorbs the pre-round ``senders[i]`` row under
-    ``reduce`` (an idempotent, commutative ufunc: ``minimum`` / ``logical_or``)
-    and, with ``pull``, every sender then absorbs its target's pre-round row
-    — what ``reduce.at(rows, targets, rows[senders])`` plus a write-back from
-    a full copy computes, without ``ufunc.at``'s slow generic N-D path.
-    Precondition: ``senders`` is unique and *ascending*, so that when every
-    row sends, ``senders`` is ``arange(len(rows))`` and the pull is one
-    in-place reduce.  Pairs are ordered by their fan-in rank (the
-    k-th sender of its target), so within one rank every target row occurs
-    once and a plain gather → reduce → fancy assignment is exact; the loop
-    runs max-fan-in times (≈ 8 under uniform gossip).  Both sort keys are
-    cast to the smallest dtype that holds a row index: NumPy radix-sorts
-    keys of 16 bits or fewer.
+    What ``reduce.at(rows, targets, source)`` computes, without ``ufunc.at``'s
+    slow generic N-D path.  ``source`` rows are gathered before the first write,
+    so ``source`` may be ``rows`` itself.  Pairs are ordered by their fan-in rank
+    (the k-th sender of its target), so within one rank every target row occurs
+    once and a plain gather → reduce → fancy assignment is exact; the loop runs
+    max-fan-in times (≈ 8 under uniform gossip).  Both sort keys are cast to the
+    smallest dtype that holds a row index: NumPy radix-sorts keys of 16 bits or
+    fewer.
     """
-    pulled = rows[targets] if pull else None
     key = np.min_scalar_type(len(rows))
     order = np.argsort(targets.astype(key), kind="stable")
     grouped = targets[order]
     rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
     order = order[np.argsort(rank.astype(key), kind="stable")]
-    sent = rows[senders[order]]
+    sent = source[order if index is None else index[order]]
     receivers = targets[order]
     start = 0
     for stop in np.cumsum(np.bincount(rank)).tolist():
@@ -120,6 +119,22 @@ def _merge_rows(
         reduce(merged, sent[start:stop], out=merged)
         rows[into] = merged
         start = stop
+
+
+def _merge_rows(
+    rows: np.ndarray, senders: np.ndarray, targets: np.ndarray, reduce: np.ufunc, pull: bool
+) -> None:
+    """One push(+pull) round of whole-row merges on a 2-D state, in place.
+
+    Every ``targets[i]`` row absorbs the pre-round ``senders[i]`` row under
+    ``reduce`` (an idempotent, commutative ufunc: ``minimum`` / ``logical_or``;
+    :func:`_scatter_rows`) and, with ``pull``, every sender then absorbs its
+    target's pre-round row.  Precondition: ``senders`` is unique and
+    *ascending*, so that when every row sends, ``senders`` is
+    ``arange(len(rows))`` and the pull is one in-place reduce.
+    """
+    pulled = rows[targets] if pull else None
+    _scatter_rows(rows, targets, reduce, rows, senders)
     if pull and senders.size == len(rows):
         reduce(rows, pulled, out=rows)
     elif pull:
@@ -140,11 +155,28 @@ def _prefix_rank(image: np.ndarray) -> np.ndarray:
 
 
 class _VectorizedKernel:
-    """Shared population machinery for the array kernels.
+    """Shared population machinery, and the one gossip step every kernel derives.
 
-    Subclass constructors call :meth:`_init_population`; subclasses name
-    their :attr:`aggregate` and implement :meth:`step`, :meth:`estimates`
-    and :meth:`truth`.
+    Subclass constructors call :meth:`_init_population`; subclasses name their
+    :attr:`aggregate`, implement ``estimates()`` (per live host), ``truth()`` and
+    ``_grow(values, start)`` (state rows for joining hosts), and state their gossip
+    once, in the agent hook vocabulary the event engine replays (``begin_round``,
+    the tick, ``finalize_round``):
+
+    * ``_state()`` — the per-host arrays the gossip moves (row ``h`` is host ``h``);
+    * ``_begin(block, hosts)`` / ``_end(block, hosts)`` — optional hooks over the
+      acting hosts, ``block`` holding their rows of every state array; neither
+      draws randomness;
+    * ``_exchange(state, a, b)`` — the rule for endpoint-disjoint row pairs
+      ``(a[i], b[i])``, returning the rows both ends now share, if any;
+    * ``_payload(state, senders)`` / ``_land(state, targets, payload)`` — what a
+      push takes out of each sender's row, and how it lands (targets repeat);
+    * :meth:`_move` — only where a round's move is more than those exchanges
+      or pushes (the sketches' push+pull merge, Full-Transfer).
+
+    :meth:`step` (a lockstep round on the compact live block) and the calendar
+    protocol — :meth:`step_subset`, :meth:`deliver`, :meth:`merge_pairs`,
+    :meth:`mass_view` (DESIGN.md §14) — are derived from those, here, once.
     """
 
     n: int
@@ -166,6 +198,23 @@ class _VectorizedKernel:
     bytes_sent: int = 0
     #: Messages sent but not yet landed (a deferred exchange counts as two).
     messages_in_flight: int = 0
+    #: Conserved mass (Push-Sum's weight) created by reversion, destroyed by lost
+    #: messages, and carried by the pushes in flight; the idempotent kernels carry none.
+    mass_injected: float = 0.0
+    mass_lost: float = 0.0
+    in_flight_mass: float = 0.0
+
+    #: Bytes of one message — one leg of an exchange; self-messages cost none.
+    _message_bytes: int = 16
+    #: Bernoulli message-loss probability (set by the lossy kernels).
+    loss: float = 0.0
+    #: A round draws a matching of disjoint exchanges (else one push target per host).
+    _matched: bool = False
+    #: A calendar tick opens an exchange with one other live host (else it pushes).
+    _exchanges: bool = False
+    #: The optional ``begin_round`` / ``finalize_round`` hooks, ``(block, hosts)``.
+    _begin = None
+    _end = None
 
     def _init_population(self, n: int, topology, seed: int, probe) -> None:
         """Set what every kernel shares: size, peers, probe, generator, liveness.
@@ -260,21 +309,277 @@ class _VectorizedKernel:
         """Live ``hosts``' positions in :meth:`live_index` (the ids themselves while all live)."""
         return hosts if self.live_index().size == self.n else self.live_rank()[hosts]
 
-    def _hosts(self, alive_idx: np.ndarray, *ranks: np.ndarray):
-        """:meth:`_ranks` inverted, one ``alive_idx`` gather per array (none while all live)."""
-        return ranks if alive_idx.size == self.n else tuple(alive_idx[r] for r in ranks)
+    # ------------------------------------------------------ what a kernel states
+    def _carried_mass(self, payload) -> Optional[np.ndarray]:
+        """Per pushed message, the conserved mass it carries (``None``: massless)."""
+        return None
+
+    def _refresh(self, *hosts: np.ndarray, rows=None) -> None:
+        """Bring derived per-host state up to date after the calendar moved ``hosts``
+        outside a tick's end hook (``hosts`` may be several arrays that share ``rows``)."""
+
+    # ---------------------------------------------------------- the derived step
+    def _gather(self, hosts: np.ndarray) -> List[np.ndarray]:
+        """``hosts``' rows of every state array: the arrays themselves for everyone."""
+        state = self._state()
+        return state if hosts.size == self.n else [array[hosts] for array in state]
+
+    def _scatter(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
+        """Write a gathered block back (nothing to do when it is the arrays themselves)."""
+        if hosts.size != self.n:
+            for array, rows in zip(self._state(), block):
+                array[hosts] = rows
+
+    def _on_rows(self, hook, hosts: np.ndarray) -> None:
+        """Run a begin/end hook on ``hosts``' rows."""
+        if hook is not None:
+            block = self._gather(hosts)
+            hook(block, hosts)
+            self._scatter(block, hosts)
 
     def step(self) -> None:
-        """Execute one gossip round over the live hosts."""
-        raise NotImplementedError
+        """One lockstep round: every live host gossips once, on one compact live block.
 
-    def estimates(self) -> np.ndarray:
-        """Per-live-host estimates of the kernel's aggregate."""
-        raise NotImplementedError
+        Block row ``i`` is host ``live_index()[i]``: the state arrays themselves while
+        everyone is alive, else one gather of each and one write-back at the end.  The
+        peer draw comes first, as live ranks — so a sparse matcher's temporaries never
+        sit beside the block — then begin, the move and end run in place on the block;
+        dead rows are never read or written.
+        """
+        alive_idx = self.live_index()
+        if alive_idx.size:
+            pairs = self._draw_round(alive_idx) if alive_idx.size >= 2 else None
+            block = self._gather(alive_idx)
+            if self._begin is not None:
+                self._begin(block, alive_idx)
+            if pairs is not None:
+                with self.probe.span("scatter"):
+                    self._move(block, alive_idx, *pairs)
+            if self._end is not None:
+                self._end(block, alive_idx)
+            self._scatter(block, alive_idx)
+        self.round_index += 1
 
-    def truth(self) -> float:
-        """The correct aggregate over the currently live hosts."""
-        raise NotImplementedError
+    def _draw_round(self, alive_idx: np.ndarray):
+        """A round's ``(senders, targets)`` as live ranks: a matching, or push targets."""
+        if self._matched:
+            with self.probe.span("matching"):
+                return self._draw_matching(alive_idx)
+        with self.probe.span("sampling"):
+            return self._draw_push_targets(alive_idx)
+
+    def _move(self, block, hosts: np.ndarray, senders: np.ndarray, targets: np.ndarray):
+        """A round's move on the live block: the drawn exchanges, or the drawn pushes
+        (returns the targets they landed at)."""
+        if self._matched:
+            self._exchange(block, *self._account_exchanges(senders, targets))
+            return None
+        targets, payload = self._lose(targets, self._emit(block, senders, targets))
+        self._land(block, targets, payload)
+        return targets
+
+    def _emit(self, state, senders: np.ndarray, targets: np.ndarray):
+        """The pushes' payloads, taken out of the senders.  Their radio bytes are spent
+        now, lost or not (agent parity); self-messages never touch the radio."""
+        self.bytes_sent += self._message_bytes * int(np.count_nonzero(targets != senders))
+        return self._payload(state, senders)
+
+    def _lose(self, targets: np.ndarray, payload):
+        """Account for pushed messages; return those the network delivers (each is lost
+        independently, its mass for good; ``loss=0`` draws nothing)."""
+        if self.loss > 0.0:
+            kept = self.rng.random(targets.size) >= self.loss
+            mass = self._carried_mass(payload)
+            if mass is not None:
+                self.mass_lost += float(mass[~kept].sum())
+            self.messages_lost += int(targets.size - int(kept.sum()))
+            targets, payload = targets[kept], [rows[kept] for rows in payload]
+        self.messages_delivered += int(targets.size)
+        return targets, payload
+
+    def _account_exchanges(self, left: np.ndarray, right: np.ndarray):
+        """Account for attempted exchanges; return the pairs that go ahead.  A lossy link
+        cancels the atomic exchange (nothing is at risk), but the initiator's message
+        still crossed the radio (agent parity: ``record_sent``)."""
+        if self.loss > 0.0:
+            kept = self.rng.random(left.size) >= self.loss
+            dropped = int(left.size - int(kept.sum()))
+            left, right = left[kept], right[kept]
+            self.messages_lost += 2 * dropped
+            self.bytes_sent += self._message_bytes * dropped
+        self.messages_delivered += 2 * int(left.size)
+        self.bytes_sent += 2 * self._message_bytes * int(left.size)  # one message each way
+        return left, right
+
+    # ---------------------------------------------------- the calendar protocol
+    def step_subset(self, ticking, delays=None) -> List[tuple]:
+        """One gossip tick for just ``ticking`` (unique live hosts), in the calendar's bucket.
+
+        The tickers' begin hook, one message each to a partner drawn from the
+        *whole* live population (as in the agent event engine), their end hook
+        — on the live block when everyone ticks.  ``round_index`` stays put.
+        ``delays(k)`` draws ``k`` network delays (``None``: all zero).  What has
+        no delay lands within the tick through the rules a round uses; the rest
+        is returned as opaque ``(kind, senders, delay, *arrays)`` batches —
+        message ``i`` left ``senders[i]`` and matures ``delay[i]`` later, when
+        the calendar hands ``(kind, *arrays)`` to :meth:`deliver` — and is in
+        flight until then.
+        """
+        ticking = np.asarray(ticking, dtype=np.int64)
+        alive_idx = self.live_index()
+        if ticking.size == alive_idx.size:  # unique live hosts: the live index itself
+            ticking = alive_idx
+        self._on_rows(self._begin, ticking)
+        deferred: List[tuple] = []
+        if alive_idx.size >= 2 and ticking.size:
+            deferred = self._tick(ticking, alive_idx, delays)
+        self._on_rows(self._end, ticking)
+        return deferred
+
+    def _draw_partners(self, ticking: np.ndarray, alive_idx: np.ndarray):
+        """``(senders, peers)`` as host ids: one partner per ticker.  Uniform gossip
+        exchanges with any *other* live host (the ticker's live rank offset by
+        ``1..n_alive-1``) and pushes to any live host; under a topology the partner is
+        a live graph neighbour, and a ticker without one sends nothing."""
+        if self.topology is not None:
+            drawn = self.live_view().sample_peers(ticking, self.rng, self.round_index)
+            has_peer = drawn >= 0
+            return ticking[has_peer], drawn[has_peer]
+        k = alive_idx.size
+        if self._exchanges:
+            peers = self.rng.integers(1, k, size=ticking.size)
+            # (Every live host ticking: the tickers' ranks are 0..k-1.)
+            peers += np.arange(k) if ticking.size == k else self.live_rank()[ticking]
+            peers %= k
+        else:
+            peers = self.rng.integers(0, k, size=ticking.size)
+        return ticking, peers if k == self.n else alive_idx[peers]
+
+    def _tick(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
+        """The tickers' messages: landed within the tick, or returned as one batch.
+
+        A delayed exchange completes once both legs have arrived, as one atomic
+        merge; a delayed push carries its payload, which left the sender at once.
+        """
+        with self.probe.span("sampling"):
+            senders, peers = self._draw_partners(ticking, alive_idx)
+        m, legs = senders.size, 2 if self._exchanges else 1
+        if legs == 1:
+            state = self._state()
+            payload = self._emit(state, senders, peers)
+        drawn = np.zeros(legs * m) if delays is None else delays(legs * m)
+        delay = drawn[:m]
+        if legs == 2:
+            delay += drawn[m:]
+        later = delay > TIME_EPS
+        now, later = np.flatnonzero(~later), np.flatnonzero(later)
+        if now.size and legs == 2:
+            self.merge_pairs(*self._account_exchanges(senders[now], peers[now]))
+        elif now.size:
+            self._deliver_pushes(state, *self._lose(peers[now], [rows[now] for rows in payload]))
+        if not later.size:
+            return []
+        self.messages_in_flight += legs * later.size
+        senders = senders[later]
+        if legs == 2:
+            self.bytes_sent += 2 * self._message_bytes * later.size
+            return [("exchange", senders, delay[later], senders, peers[later])]
+        payload = [rows[later] for rows in payload]
+        mass = self._carried_mass(payload)
+        if mass is not None:
+            self.in_flight_mass += float(mass.sum())
+        return [("push", senders, delay[later], peers[later], *payload)]
+
+    def _deliver_pushes(self, state, targets: np.ndarray, payload) -> None:
+        """Land pushes in host space, then refresh what they moved."""
+        with self.probe.span("scatter"):
+            self._land(state, targets, payload)
+        self._refresh(targets)
+
+    def deliver(self, kind: str, *arrays: np.ndarray) -> None:
+        """Land one matured batch that :meth:`step_subset` deferred.
+
+        A message whose endpoint died in the meantime is lost: a push takes
+        its mass out of the system (:attr:`mass_lost`), an exchange simply
+        does not happen (two messages lost, nothing merged).
+        """
+        legs = 2 if kind == "exchange" else 1
+        targets, *rest = arrays  # an exchange's (left, right); a push's (targets, *payload)
+        alive = self.alive[targets]
+        if legs == 2:
+            alive &= self.alive[rest[0]]
+        mass = None if legs == 2 else self._carried_mass(rest)
+        if mass is not None:
+            self.in_flight_mass -= float(mass.sum())
+        self.messages_in_flight -= legs * targets.size
+        landed = np.flatnonzero(alive)
+        if landed.size < targets.size:
+            if mass is not None:
+                self.mass_lost += float(mass[~alive].sum())
+            self.messages_lost += legs * (targets.size - landed.size)
+            targets, rest = targets[landed], [rows[landed] for rows in rest]
+        if not landed.size:
+            return
+        if legs == 2:
+            self.merge_pairs(targets, rest[0])
+        else:
+            self._deliver_pushes(self._state(), targets, rest)
+        self.messages_delivered += legs * landed.size
+
+    def merge_pairs(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Atomic pairwise exchanges in host space, serialised where endpoints collide.
+
+        ``(left[i], right[i])`` are exchange pairs whose endpoints may
+        repeat (the event calendar draws partners independently, unlike the
+        round's perfect matching).  Conflicting exchanges are resolved in
+        pair order: each pass takes every pair that is the lowest-indexed
+        remaining claimant of *both* its endpoints (those are
+        endpoint-disjoint, so the kernel's ``_exchange`` applies, and the
+        pass refreshes them), then repeats on the rest.  Every lower-indexed
+        pair sharing an endpoint with a taken pair went in an earlier pass,
+        so the result is, bit for bit, the pairs applied one by one in pair
+        order.  Pass counts stay tiny in practice — collisions are rare at
+        gossip fan-out — and the lowest remaining pair is always taken, so
+        the loop terminates.
+        """
+        state = self._state()
+        with self.probe.span("scatter"):
+            # One int32 claim table per call, never reset, not even at allocation:
+            # a pass reads only ``claim[left]`` / ``claim[right]`` of the pairs it
+            # has just written, so what earlier passes left behind is unread.
+            # ``claims`` is the first pass's write (pair indices descending, each
+            # twice); a pass over ``m`` remaining pairs writes its last ``2m``.
+            claim = np.empty(self.n, dtype=np.int32)
+            index = np.arange(left.size, dtype=np.int32)
+            claims = np.repeat(index[::-1], 2)
+            while left.size:
+                # One interleaved write in descending pair order, so the
+                # last (winning) write for any endpoint is its *lowest*
+                # claiming pair index across both sides — pair 0 always
+                # claims both its endpoints, guaranteeing progress.
+                m = left.size
+                endpoints = np.empty(2 * m, dtype=np.int64)
+                endpoints[0::2] = left[::-1]
+                endpoints[1::2] = right[::-1]
+                claim[endpoints] = claims[claims.size - 2 * m :]
+                idx = index[:m]
+                take = (claim[left] == idx) & (claim[right] == idx)
+                taken = np.flatnonzero(take)
+                if taken.size == m:  # the usual last pass: nothing to compact
+                    self._refresh(left, right, rows=self._exchange(state, left, right))
+                    break
+                a, b = left[taken], right[taken]
+                self._refresh(a, b, rows=self._exchange(state, a, b))
+                rest = np.flatnonzero(~take)
+                left, right = left[rest], right[rest]
+
+    def mass_view(self) -> Tuple[float, float, float, float]:
+        """``(at_hosts, in_flight, injected, lost)``: the ledger's read-only view.
+
+        An idempotent, massless merge conserves nothing, so by default all four
+        are zero and the ledger trivially balances.
+        """
+        return 0.0, 0.0, 0.0, 0.0
 
     def step_many(self, rounds: int) -> None:
         """Execute several rounds."""
@@ -306,10 +611,6 @@ class _VectorizedKernel:
         self._end_epoch()
         self._grow(fresh, start)
         return np.arange(start, self.n, dtype=np.int64)
-
-    def _grow(self, values: np.ndarray, start: int) -> None:
-        """Append per-host state rows for hosts ``start .. start+len(values)``."""
-        raise NotImplementedError
 
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:
         """Remove hosts that sign off cleanly, transferring state if possible.
@@ -499,14 +800,12 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.history = int(history)
         self.adaptive = bool(adaptive)
         self.loss = float(loss)
-        #: Conserved mass (weight) destroyed by lost messages so far.
-        self.mass_lost = 0.0
-        #: Conserved mass (weight) created by reversion so far (the fixed
-        #: revert blends each host's weight towards 1, injecting mass the
-        #: event calendar's per-bucket ledger must account for).
-        self.mass_injected = 0.0
-        #: Conserved mass (weight) of the push halves currently in flight.
-        self.in_flight_mass = 0.0
+        self._matched = self._exchanges = mode == "pushpull"
+        # Full-Transfer reverts inside its own round, and so does adaptive push
+        # (per indegree): the fixed revert of the end hook skips both.
+        self._fixed_revert = self.reversion > 0.0 and (
+            mode == "pushpull" or (mode == "push" and not self.adaptive)
+        )
         self.weight = np.ones(self.n, dtype=float)
         self.total = self.initial.copy()
         # Full-Transfer history ring: most recent mass-bearing rounds first.
@@ -518,175 +817,51 @@ class VectorizedPushSumRevert(_ValueKernel):
         self._truth = float("nan")
         self._truth_of: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------ steps
-    def step(self) -> None:
-        """Execute one gossip round over the live hosts, on one compact live block.
+    # ------------------------------------------------------------------ gossip
+    def _state(self) -> List[np.ndarray]:
+        return [self.weight, self.total]
 
-        Block row ``i`` is host ``live_index()[i]``: the block is ``weight`` /
-        ``total`` / ``_last_estimate`` themselves while everyone is alive, else
-        one gather of each and one write-back at the end.  The peer draws come
-        as live ranks, so everything in between runs in place on the block and
-        dead rows are never read or written.
-        """
-        alive_idx = self.live_index()
-        k = alive_idx.size
-        if k == 0:
-            self.round_index += 1
-            return
-        if k >= 2 and self.mode == "pushpull":
-            # Matched before the block is gathered: a sparse matcher's
-            # temporaries never sit beside it (peak RSS after a failure).
-            with self.probe.span("matching"):
-                left, right = self._draw_matching(alive_idx)
-            left, right = self._settle_exchanges(left, right)
-        weight, total = self._live_block(alive_idx)
-        if k >= 2:
-            if self.mode == "pushpull":
-                with self.probe.span("scatter"):
-                    self._mean_merge(weight, total, left, right)
-            elif self.mode == "push":
-                self._block_push(alive_idx, weight, total)
-            else:
-                self._block_full_transfer(alive_idx, weight, total)
-        # Full-Transfer reverts inside its own round, and so does adaptive push
-        # (per indegree): the fixed revert skips both.
-        fixed = self.mode == "pushpull" or (self.mode == "push" and not self.adaptive)
-        self._settle_block(alive_idx, weight, total, revert=fixed and self.reversion > 0.0)
-        self.round_index += 1
-
-    def _live_block(self, alive_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(weight, total)`` of the live block: the arrays themselves while everyone is
-        alive, else gathered copies that :meth:`_settle_block` writes back."""
-        if alive_idx.size == self.n:
-            return self.weight, self.total
-        return self.weight[alive_idx], self.total[alive_idx]
-
-    def _settle_block(
-        self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray, revert: bool
-    ) -> None:
-        """The live block's tail: the fixed revert if ``revert``, the estimate refresh, and
-        the write-back of a gathered block — :meth:`_settle` over the whole live index,
-        bit for bit, with no gather at all while everyone is alive."""
-        if revert:
+    def _end(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
+        """Push-Sum's ``finalize_round``: the fixed revert where it applies (its weight
+        booked in :attr:`mass_injected`), then the estimate refresh — a massless host
+        keeps its last estimate."""
+        weight, total = block
+        if self._fixed_revert:
             old_mass = weight.sum()
-            self._revert_block(alive_idx, weight, total, self.reversion)
+            self._revert_block(hosts, weight, total, self.reversion)
             self.mass_injected += float(weight.sum() - old_mass)
-        everyone = alive_idx.size == self.n
-        # A massless host keeps its last estimate.
-        estimate = self._last_estimate if everyone else self._last_estimate[alive_idx]
+        everyone = hosts.size == self.n
+        estimate = self._last_estimate if everyone else self._last_estimate[hosts]
         np.divide(total, weight, out=estimate, where=weight > 1e-12)
         if not everyone:
-            self.weight[alive_idx] = weight
-            self.total[alive_idx] = total
-            self._last_estimate[alive_idx] = estimate
+            self._last_estimate[hosts] = estimate
 
-    def _settle(self, host_idx: np.ndarray, revert: bool = False) -> None:
-        """Refresh ``host_idx``'s stored estimates, after their fixed revert if ``revert``.
+    def _refresh(self, *hosts: np.ndarray, rows=None) -> None:
+        """Refresh ``hosts``' stored estimates from their mass (``rows``, if the caller
+        holds it); a massless host keeps its last estimate.
 
-        Every public mutator ends here (or in :meth:`_settle_block`) for each host
-        whose mass it moved, so :attr:`_last_estimate` is always current for every
-        live host (the invariant :meth:`estimates` reads).  Weight and total are
-        gathered once; the revert (one tick's worth for the ticking hosts of a
-        bucket where not every live host ticks) and the ratio work on those
-        copies.  The injected weight is tallied in :attr:`mass_injected` so the
-        per-bucket mass ledger can balance its books.  Duplicates in
-        ``host_idx`` are fine without ``revert``: the write-back is a plain
-        fancy-index assignment of equal values.
+        Every path that moves mass ends here or in :meth:`_end`, so
+        :attr:`_last_estimate` is always current for every live host (the
+        invariant :meth:`estimates` reads).  Several ``hosts`` arrays share one
+        mass: the two ends of exchanged pairs.  Repeated hosts are fine.  A
+        ``merge_pairs`` pass refreshing its pairs equals one refresh of every
+        endpoint after the last pass, since no pushpull weight — a mean of
+        weights that start at 1 and revert towards 1 — crosses the 1e-12
+        threshold between passes.
         """
-        weight, total = self.weight[host_idx], self.total[host_idx]
-        if revert:
-            # In place on the copies (every temporary is a population-sized
-            # allocation).  IEEE ``+`` and ``*`` commute exactly, so these are
-            # still ``lam + (1 - lam) * weight`` and
-            # ``lam * initial + (1 - lam) * total``, bit for bit.
-            lam = self.reversion
-            old_mass = weight.sum()
-            weight *= 1.0 - lam
-            weight += lam
-            self.mass_injected += float(weight.sum() - old_mass)
-            anchor = self.initial[host_idx]
-            anchor *= lam
-            total *= 1.0 - lam
-            total += anchor
-            self.weight[host_idx] = weight
-            self.total[host_idx] = total
+        weight, total = (self.weight[hosts[0]], self.total[hosts[0]]) if rows is None else rows
         has_weight = weight > 1e-12
-        if not has_weight.all():  # a massless host keeps its last estimate
-            host_idx, weight, total = host_idx[has_weight], weight[has_weight], total[has_weight]
-        self._last_estimate[host_idx] = np.divide(total, weight, out=total)
-
-    def merge_pairs(self, left: np.ndarray, right: np.ndarray) -> None:
-        """Atomic pairwise exchanges, serialised where endpoints collide.
-
-        ``(left[i], right[i])`` are exchange pairs whose endpoints may
-        repeat (the event calendar draws partners independently, unlike the
-        round engine's perfect matching).  Conflicting exchanges are
-        resolved in pair order: each pass takes every pair that is the
-        lowest-indexed remaining claimant of *both* its endpoints (those
-        are endpoint-disjoint, so their mean-merges commute), then repeats
-        on the rest.  Every lower-indexed pair sharing an endpoint with a
-        taken pair went in an earlier pass, so the result is, bit for bit,
-        the pairs applied one by one in pair order.  Pass counts stay tiny
-        in practice — collisions are rare at gossip fan-out — and the lowest
-        remaining pair is always taken, so the loop terminates.
-
-        Each pass refreshes the estimates of the pairs it merges.  That equals
-        one :meth:`_settle` of every endpoint after the last pass: a host's
-        last pass leaves its final mass, so its last refresh is the final one.
-        The two could differ only if a host's weight crossed the 1e-12
-        massless threshold between two of its passes (one refresh skipped, the
-        other not).  None does: the calendar merges pairs only in pushpull
-        mode, where every weight is a mean of weights that start at 1 and
-        revert towards 1 (a graceful heir only gains), so none falls below 1.
-        """
-        with self.probe.span("scatter"):
-            # One int32 claim table per call, never reset, not even at allocation:
-            # a pass reads only ``claim[left]`` / ``claim[right]`` of the pairs it
-            # has just written, so what earlier passes left behind is unread.
-            # ``claims`` is the first pass's write (pair indices descending, each
-            # twice); a pass over ``m`` remaining pairs writes its last ``2m``.
-            claim = np.empty(self.n, dtype=np.int32)
-            index = np.arange(left.size, dtype=np.int32)
-            claims = np.repeat(index[::-1], 2)
-            while left.size:
-                # One interleaved write in descending pair order, so the
-                # last (winning) write for any endpoint is its *lowest*
-                # claiming pair index across both sides — pair 0 always
-                # claims both its endpoints, guaranteeing progress.
-                m = left.size
-                endpoints = np.empty(2 * m, dtype=np.int64)
-                endpoints[0::2] = left[::-1]
-                endpoints[1::2] = right[::-1]
-                claim[endpoints] = claims[claims.size - 2 * m :]
-                idx = index[:m]
-                take = (claim[left] == idx) & (claim[right] == idx)
-                taken = np.flatnonzero(take)
-                if taken.size == m:  # the usual last pass: nothing to compact
-                    self._merge_and_refresh(left, right)
-                    break
-                self._merge_and_refresh(left[taken], right[taken])
-                rest = np.flatnonzero(~take)
-                left, right = left[rest], right[rest]
-
-    def _merge_and_refresh(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Endpoint-disjoint exchanges in host space, each end's estimate refreshed."""
-        weight, total = self._mean_merge(self.weight, self.total, a, b)
-        has_weight = weight > 1e-12
-        if not has_weight.all():  # a massless host keeps its last estimate
-            a, b, weight, total = a[has_weight], b[has_weight], weight[has_weight], total[has_weight]
+        if not has_weight.all():
+            hosts = [index[has_weight] for index in hosts]
+            weight, total = weight[has_weight], total[has_weight]
         estimate = np.divide(total, weight, out=total)
-        self._last_estimate[a] = estimate
-        self._last_estimate[b] = estimate
+        for index in hosts:
+            self._last_estimate[index] = estimate
 
-    @staticmethod
-    def _mean_merge(
-        weight: np.ndarray, total: np.ndarray, a: np.ndarray, b: np.ndarray
-    ) -> List[np.ndarray]:
-        """The atomic exchange of endpoint-disjoint pairs of rows: both take the pair's mean.
-
-        Returns the ``[weight, total]`` means (fresh arrays, one entry per pair)."""
+    def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> List[np.ndarray]:
+        """Push/pull: both ends of each pair take the pair's mean; returns the means."""
         means = []
-        for mass in (weight, total):
+        for mass in state:
             mean = mass[a]
             mean += mass[b]
             mean /= 2.0
@@ -695,257 +870,73 @@ class VectorizedPushSumRevert(_ValueKernel):
             means.append(mean)
         return means
 
-    def emit_push(self, senders: np.ndarray):
-        """Split ``senders``' mass in half; return the outgoing halves.
+    def _payload(self, state: List[np.ndarray], senders: np.ndarray):
+        """Each sender keeps half its mass and pushes the other half (whole rows while
+        every row sends)."""
+        weight, total = state
+        rows = slice(None) if senders.size == weight.size else senders
+        halves = weight[rows] / 2.0, total[rows] / 2.0
+        weight[rows], total[rows] = halves
+        return halves
 
-        The halves leave the senders immediately (they are now in flight);
-        the caller delivers them — instantly via :meth:`apply_deliveries`
-        or after a network delay.  ``senders`` must be unique live hosts.
-        """
-        return self._halve(self.weight, self.total, senders)
+    def _land(self, state: List[np.ndarray], targets: np.ndarray, payload) -> None:
+        # One ``np.add.at`` per mass array replaces one agent DELIVER per message;
+        # repeated targets accumulate (addition commutes).
+        for mass, parcel in zip(state, payload):
+            np.add.at(mass, targets, parcel)
 
-    @staticmethod
-    def _halve(weight: np.ndarray, total: np.ndarray, rows) -> Tuple[np.ndarray, np.ndarray]:
-        """Halve ``rows`` of both mass arrays in place; return the halves (new arrays)."""
-        half_weight, half_total = weight[rows] / 2.0, total[rows] / 2.0
-        weight[rows], total[rows] = half_weight, half_total
-        return half_weight, half_total
+    def _carried_mass(self, payload) -> np.ndarray:
+        return payload[0]
 
-    def apply_deliveries(
-        self, targets: np.ndarray, weight: np.ndarray, total: np.ndarray
-    ) -> None:
-        """Scatter-add in-flight push halves into live ``targets``.
-
-        One ``np.add.at`` per mass array replaces one agent-engine DELIVER
-        event per message; duplicate targets accumulate, matching
-        sequential delivery order-independently (addition commutes).
-        """
-        with self.probe.span("scatter"):
-            np.add.at(self.weight, targets, weight)
-            np.add.at(self.total, targets, total)
-        self._settle(targets)
-
-    # ---------------------------------------------------- the calendar protocol
-    def step_subset(self, ticking: np.ndarray, delays=None) -> List[tuple]:
-        """One gossip tick for just ``ticking`` (unique live hosts).
-
-        The event calendar's bucketed drain: every host whose clock fires
-        in the current bucket gossips once, against partners drawn from the
-        *full* live population (non-ticking hosts can be pulled into an
-        exchange or receive a push, exactly as in the agent event engine).
-        Reversion applies per tick to the ticking hosts only.  Unlike
-        :meth:`step` this never bumps :attr:`round_index` — sample indices
-        are the calendar's business, not the kernel's.
-
-        ``delays`` is the calendar's network-delay sampler (``delays(k)``
-        draws ``k`` delays in simulated seconds); ``None`` means every delay
-        is zero.  Messages with no delay land within the tick; the rest are
-        returned as opaque ``(kind, senders, delay, *arrays)`` batches —
-        message ``i`` left ``senders[i]`` at its tick and matures ``delay[i]``
-        later, when the calendar hands ``(kind, *arrays)`` to :meth:`deliver`.
-        Until then it is in flight (:attr:`messages_in_flight`, and push
-        halves' mass in :attr:`in_flight_mass`).
-
-        When every live host ticks (each bucket of a synchronized calendar),
-        the revert and refresh run on the live block, as in :meth:`step`.
-        """
+    def _move(self, block, hosts: np.ndarray, senders: np.ndarray, targets: np.ndarray):
+        """The round's move: the base exchanges or pushes — every push lands before
+        the revert, so the round stays simultaneous — then adaptive push's
+        per-indegree revert; or Full-Transfer."""
         if self.mode == "full-transfer":
-            raise ValueError("full-transfer mode has no subset step")
-        if self.adaptive:
-            raise ValueError("adaptive reversion has no subset step")
-        ticking = np.asarray(ticking, dtype=np.int64)
-        alive_idx = self.live_index()
-        deferred: List[tuple] = []
-        if alive_idx.size >= 2 and ticking.size:
-            # (merge_pairs / apply_deliveries settle the peers they touch.)
-            tick = self._tick_exchange if self.mode == "pushpull" else self._tick_push
-            deferred = tick(ticking, alive_idx, delays)
-        if ticking.size == alive_idx.size:  # unique live hosts: the live index itself
-            weight, total = self._live_block(alive_idx)
-            self._settle_block(alive_idx, weight, total, revert=self.reversion > 0.0)
-        else:
-            self._settle(ticking, revert=self.reversion > 0.0)
-        return deferred
-
-    def _tick_exchange(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
-        """The ticking hosts' exchanges: merged within the tick, or deferred whole.
-
-        Each partner is uniform among the *other* live hosts: the ticker's
-        live rank, offset by ``1..n_alive-1`` (no self-exchanges, like the
-        agent peer sampler).  A delayed exchange completes once both legs
-        have arrived, as one atomic merge.
-        """
-        k = ticking.size
-        with self.probe.span("sampling"):
-            peers = self.rng.integers(1, alive_idx.size, size=k)
-            # (Every live host ticking: the tickers' ranks are 0..k-1.)
-            peers += np.arange(k) if k == alive_idx.size else self.live_rank()[ticking]
-            peers %= alive_idx.size
-            (peers,) = self._hosts(alive_idx, peers)
-        legs = np.zeros(2 * k) if delays is None else delays(2 * k)
-        delay = legs[:k]
-        delay += legs[k:]
-        now, later = self._split_tick(delay)
-        if now.size:
-            self.merge_pairs(*self._settle_exchanges(ticking[now], peers[now]))
-        if not later.size:
-            return []
-        self.bytes_sent += 32 * later.size
-        self.messages_in_flight += 2 * later.size
-        left = ticking[later]  # the initiators are the senders
-        return [("exchange", left, delay[later], left, peers[later])]
-
-    def _tick_push(self, ticking: np.ndarray, alive_idx: np.ndarray, delays) -> List[tuple]:
-        """The ticking hosts' halves, pushed to any live host: landed now or put in flight."""
-        with self.probe.span("sampling"):
-            drawn = self.rng.integers(0, alive_idx.size, size=ticking.size)
-            (peers,) = self._hosts(alive_idx, drawn)
-        self.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
-        weight, total = self.emit_push(ticking)
-        delay = np.zeros(ticking.size) if delays is None else delays(ticking.size)
-        now, later = self._split_tick(delay)
-        if now.size:
-            self.apply_deliveries(*self._lose_pushes(peers[now], weight[now], total[now]))
-        if not later.size:
-            return []
-        weight = weight[later]
-        self.in_flight_mass += float(weight.sum())
-        self.messages_in_flight += later.size
-        return [("push", ticking[later], delay[later], peers[later], weight, total[later])]
-
-    @staticmethod
-    def _split_tick(delay: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(now, later)``: positions of a tick's messages that land within it / stay in flight."""
-        later = delay > TIME_EPS
-        return np.flatnonzero(~later), np.flatnonzero(later)
-
-    def deliver(self, kind: str, *arrays: np.ndarray) -> None:
-        """Land one matured batch that :meth:`step_subset` deferred.
-
-        A message whose endpoint died in the meantime is lost: a push half
-        takes its mass out of the system (:attr:`mass_lost`), an exchange
-        simply does not happen (two messages lost, nothing merged).
-        """
-        if kind == "push":
-            targets, weight, total = arrays
-            self.in_flight_mass -= float(weight.sum())
-            self.messages_in_flight -= targets.size
-            alive = self.alive[targets]
-            landed = np.flatnonzero(alive)
-            if landed.size < targets.size:
-                self.mass_lost += float(weight[~alive].sum())
-                self.messages_lost += targets.size - landed.size
-                targets, weight, total = targets[landed], weight[landed], total[landed]
-            if landed.size:
-                self.apply_deliveries(targets, weight, total)
-                self.messages_delivered += landed.size
-        else:
-            left, right = arrays
-            self.messages_in_flight -= 2 * left.size
-            landed = np.flatnonzero(self.alive[left] & self.alive[right])
-            if landed.size < left.size:
-                self.messages_lost += 2 * (left.size - landed.size)
-                left, right = left[landed], right[landed]
-            if landed.size:
-                self.merge_pairs(left, right)
-                self.messages_delivered += 2 * landed.size
-
-    def mass_view(self) -> Tuple[float, float, float, float]:
-        """``(at_hosts, in_flight, injected, lost)``: the ledger's read-only view.
-
-        Conserved mass (weight) at the live hosts and in flight now, and the
-        totals reversion has created and lost messages have destroyed.
-        """
-        at_hosts = float(self.weight[self.live_index()].sum())
-        return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
-
-    def _settle_exchanges(self, left: np.ndarray, right: np.ndarray):
-        """Account for the attempted exchanges; return the pairs that go ahead.
-
-        A lossy link makes the atomic exchange not happen: the pair keeps
-        its masses untouched (no mass is ever at risk here), but the
-        initiator's half still crossed the radio (agent parity:
-        ``record_sent``); the reply never happened.
-        """
-        if self.loss > 0.0:
-            kept = self.rng.random(left.size) >= self.loss
-            dropped = int(left.size - int(kept.sum()))
-            left, right = left[kept], right[kept]
-            self.messages_lost += 2 * dropped
-            self.bytes_sent += 16 * dropped
-        self.messages_delivered += 2 * int(left.size)
-        self.bytes_sent += 32 * int(left.size)  # 16 bytes each way per exchange
-        return left, right
-
-    def _lose_pushes(self, targets: np.ndarray, weight: np.ndarray, total: np.ndarray):
-        """Account for the pushed halves; return the ones the network delivers.
-
-        Each half traverses the network and is lost independently; a lost
-        half's mass leaves the system for good (:attr:`mass_lost`).
-        """
-        if self.loss > 0.0:
-            kept = self.rng.random(targets.size) >= self.loss
-            self.mass_lost += float(weight[~kept].sum())
-            self.messages_lost += int(targets.size - int(kept.sum()))
-            targets, weight, total = targets[kept], weight[kept], total[kept]
-        self.messages_delivered += int(targets.size)
-        return targets, weight, total
-
-    def _block_push(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray) -> None:
-        """Push mode on the live block: every sender keeps half its mass and pushes half."""
-        # Hosts whose live neighbourhood is empty drop out of `senders` and
-        # keep their whole mass (the agent engine's isolated-host rule).
-        with self.probe.span("sampling"):
-            senders, targets = self._draw_push_targets(alive_idx)
-        # Radio bytes are spent when the half is pushed, lost or not
-        # (agent parity: the bandwidth meter records before the network
-        # plans); self-messages never touch the radio.
-        self.bytes_sent += 16 * int(np.count_nonzero(targets != senders))
-        # Half the mass stays home, half lands at the target (which may be the
-        # sender itself — self-selection is allowed in uniform push gossip).
-        # Every half leaves before any lands, so the round stays simultaneous.
-        sent = slice(None) if senders.size == weight.size else senders  # every row sends
-        halves = self._halve(weight, total, sent)
-        targets, half_weight, half_total = self._lose_pushes(targets, *halves)
-        with self.probe.span("scatter"):
-            np.add.at(weight, targets, half_weight)
-            np.add.at(total, targets, half_total)
-        if self.adaptive and self.reversion > 0.0:
+            return self._full_transfer(block, hosts, targets)
+        landed = super()._move(block, hosts, senders, targets)
+        if self.mode == "push" and self.adaptive and self.reversion > 0.0:
             # λ/2 per message received, the self-message included.
-            received = np.bincount(targets, minlength=weight.size) + 1
+            received = np.bincount(landed, minlength=hosts.size) + 1
             lam = np.minimum(1.0, 0.5 * self.reversion * received)
-            self._revert_block(alive_idx, weight, total, lam)
+            self._revert_block(hosts, *block, lam)
+        return landed
 
-    def _block_full_transfer(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray):
-        """Full-Transfer on the live block: revert, then send all of it as ``parcels`` parcels."""
-        k = alive_idx.size
-        self._revert_block(alive_idx, weight, total, self.reversion)
-        parcel_weight, parcel_total = weight / self.parcels, total / self.parcels
+    def _full_transfer(self, block, hosts: np.ndarray, targets: np.ndarray) -> None:
+        """Revert, then send everything as ``parcels`` parcels; ``targets`` (the round's
+        uniform push draw) are the first parcels'."""
+        weight, total = block
+        k = hosts.size
+        self._revert_block(hosts, weight, total, self.reversion)
+        parcels = weight / self.parcels, total / self.parcels
         weight.fill(0.0)  # the block now collects what lands
         total.fill(0.0)
         ranks = np.arange(k)
-        for _ in range(self.parcels):
-            targets = self.rng.integers(0, k, size=k)
+        for parcel in range(self.parcels):
+            if parcel:
+                targets = self.rng.integers(0, k, size=k)
             # Every non-self parcel costs radio bytes whether or not the
             # network then loses it (agent parity); lost parcels drain mass.
-            self.bytes_sent += 16 * int(np.count_nonzero(targets != ranks))
-            targets, landed_weight, landed_total = self._lose_pushes(
-                targets, parcel_weight, parcel_total
-            )
-            np.add.at(weight, targets, landed_weight)
-            np.add.at(total, targets, landed_total)
+            self.bytes_sent += self._message_bytes * int(np.count_nonzero(targets != ranks))
+            self._land(block, *self._lose(targets, parcels))
         # Record this round in the history of hosts that received any mass.
         received = np.flatnonzero(weight > 1e-12)
         if received.size:
-            idx = received if k == self.n else alive_idx[received]
+            idx = received if k == self.n else hosts[received]
             self._history_weight[idx, 1:] = self._history_weight[idx, :-1]
             self._history_total[idx, 1:] = self._history_total[idx, :-1]
             self._history_weight[idx, 0] = weight[received]
             self._history_total[idx, 0] = total[received]
             self._history_filled[idx] = np.minimum(self._history_filled[idx] + 1, self.history)
 
+    def mass_view(self) -> Tuple[float, float, float, float]:
+        """The ledger's view: the weight at the live hosts and in flight now, and the
+        totals reversion has created and lost messages have destroyed."""
+        at_hosts = float(self.weight[self.live_index()].sum())
+        return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
+
     def _revert_block(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray, lam):
-        """Move the live block ``lam`` of the way back to ``(1, initial)``, in place.
+        """Move the rows of ``alive_idx`` ``lam`` of the way back to ``(1, initial)``, in place.
 
         ``lam`` is one λ or one per row.  IEEE ``+`` and ``*`` commute exactly, so
         this is still ``lam + (1 - lam) * weight`` and ``lam * initial + (1 - lam) *
@@ -985,9 +976,10 @@ class VectorizedPushSumRevert(_ValueKernel):
         weight/total move to a live peer, so the conserved mass stays in the
         system and the average re-converges instead of drifting.  With no
         survivors left the mass leaves the system (tracked in
-        :attr:`mass_lost`).
+        :attr:`mass_lost`).  A host named twice signs off once (the agent's
+        second sign-off hands over an empty state).
         """
-        indices = np.asarray(list(host_indices), dtype=np.int64)
+        indices = np.asarray(list(dict.fromkeys(map(int, host_indices))), dtype=np.int64)
         if indices.size == 0:
             return
         self._mark_dead(indices)
@@ -998,7 +990,7 @@ class VectorizedPushSumRevert(_ValueKernel):
             heirs = survivors[self.rng.integers(0, survivors.size, size=indices.size)]
             np.add.at(self.weight, heirs, self.weight[indices])
             np.add.at(self.total, heirs, self.total[indices])
-            self._settle(heirs)
+            self._refresh(heirs)
         self.weight[indices] = 0.0
         self.total[indices] = 0.0
 
@@ -1023,7 +1015,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         """Per-live-host estimates of the network average."""
         alive_idx = self.live_index()
         if self.mode != "full-transfer":
-            return self._last_estimate[alive_idx]  # kept current by _settle
+            return self._last_estimate[alive_idx]  # kept current by _end / _refresh
         weight_sum = self._history_weight[alive_idx].sum(axis=1)
         total_sum = self._history_total[alive_idx].sum(axis=1)
         return np.where(
@@ -1040,14 +1032,53 @@ class VectorizedPushSumRevert(_ValueKernel):
 
 
 class _CountingKernel(_VectorizedKernel):
-    """Kernels estimating the live population size (no per-host values)."""
+    """The two sketch kernels: one sketch per host row (no per-host values), merged
+    under an idempotent ufunc.  A round pushes every live sketch to one drawn target
+    and, with ``pull``, sends the target's back (:func:`_merge_rows`); on the calendar
+    ``pull`` makes a tick one atomic exchange, and a deferred push carries a copy of
+    the sender's row.  Massless: the default, all-zero ``mass_view()`` is exact."""
 
     aggregate = "count"
+    pull: bool
+    #: The element-wise merge: ``np.minimum`` (counters) or ``np.logical_or`` (bits).
+    _reduce: np.ufunc
+
+    def _init_sketches(self, n, bins, bits, identifiers_per_host, pull, topology, seed, probe):
+        """:meth:`_init_population` plus the sketch dimensions both kernels share."""
+        if bins < 1 or bits < 1:
+            raise ValueError("bins and bits must be >= 1")
+        if identifiers_per_host < 1:
+            raise ValueError("identifiers_per_host must be >= 1")
+        self._init_population(n, topology, seed, probe)
+        self.bins, self.bits = int(bins), int(bits)
+        self.identifiers_per_host = int(identifiers_per_host)
+        self.pull = self._exchanges = bool(pull)
 
     def truth(self) -> float:
         """The correct count (number of live hosts; NaN once nobody is alive)."""
         n_alive = int(self.alive.sum())
         return float(n_alive) if n_alive else float("nan")
+
+    def _move(self, block, hosts: np.ndarray, senders: np.ndarray, targets: np.ndarray):
+        # A self-contact is no message; the pull reply is a second one.
+        non_self = int(np.count_nonzero(targets != senders))
+        legs = 2 if self.pull else 1
+        self.messages_delivered += legs * non_self
+        self.bytes_sent += legs * self._message_bytes * non_self
+        _merge_rows(block[0], senders, targets, self._reduce, self.pull)
+
+    def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> None:
+        (rows,) = state
+        merged = rows[a]
+        self._reduce(merged, rows[b], out=merged)
+        rows[a] = merged
+        rows[b] = merged
+
+    def _payload(self, state: List[np.ndarray], senders: np.ndarray):
+        return (state[0][senders],)
+
+    def _land(self, state: List[np.ndarray], targets: np.ndarray, payload) -> None:
+        _scatter_rows(state[0], targets, self._reduce, payload[0])
 
 
 class VectorizedCountSketchReset(_CountingKernel):
@@ -1092,16 +1123,9 @@ class VectorizedCountSketchReset(_CountingKernel):
         seed: int = 0,
         probe=NULL_PROBE,
     ):
-        if bins < 1 or bits < 1:
-            raise ValueError("bins and bits must be >= 1")
-        if identifiers_per_host < 1:
-            raise ValueError("identifiers_per_host must be >= 1")
-        self._init_population(n, topology, seed, probe)
-        self.bins = int(bins)
-        self.bits = int(bits)
+        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe)
         self.cutoff = cutoff
-        self.identifiers_per_host = int(identifiers_per_host)
-        self.pull = bool(pull)
+        self._message_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
 
         # Counters are integers, so ``c <= f(k)`` is ``c <= floor(f(k))`` and
         # the read-out compares int16 against int16.  Below -1 nothing
@@ -1153,44 +1177,29 @@ class VectorizedCountSketchReset(_CountingKernel):
         self._owned_hosts = self._owned_hosts[kept]
         self._owned_positions = self._owned_positions[kept]
 
-    # ------------------------------------------------------------------ steps
-    def step(self) -> None:
-        """Execute one gossip round over the live hosts."""
-        alive_idx = self.live_index()
-        if alive_idx.size == 0:
-            self.round_index += 1
-            return
-        rows = self.counters.reshape(self.n, -1)  # a view: one sketch per row
-        rank = self.live_rank()
-        # The round works on one contiguous block of live rows (block row i is
-        # host alive_idx[i]): ``rows`` itself while everyone is alive, else one
-        # gather here and one scatter at the end.  Dead rows are never touched.
-        # Phase 1: age every live counter, then re-pin the live owners' positions.
+    # ------------------------------------------------------------------ gossip
+    _reduce = np.minimum
+
+    def _state(self) -> List[np.ndarray]:
+        return [self.counters.reshape(self.n, -1)]  # a view: one sketch per row
+
+    def _begin(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
+        """Count-Sketch-Reset's ``begin_round``: age every acting counter, then re-pin
+        the acting owners' positions (through the ``(host, position)`` index arrays
+        recorded when the identifiers were drawn).  Counters are >= 0 and every
+        live owned position is 0 after ageing, so no later min can unpin one."""
+        (rows,) = block
         with self.probe.span("ageing"):
-            live = rows if alive_idx.size == self.n else rows[alive_idx]
-            np.add(live, 1, out=live)
-            np.minimum(live, _COUNTER_INFINITY, out=live)
-            owners = rank[self._owned_hosts]
-            owner_alive = owners >= 0
-            live[owners[owner_alive], self._owned_positions[owner_alive]] = 0
-        # Phase 2: gossip.  Each live host sends its array to one random live
-        # peer (a live graph neighbour under a topology); receivers take the
-        # element-wise min.  With pull enabled the sender also merges the
-        # (pre-round) array of its target.  Counters are >= 0 and every live
-        # owned position is 0 after ageing, so no min can unpin one.
-        if alive_idx.size >= 2:
-            with self.probe.span("sampling"):
-                senders, targets = self._draw_push_targets(alive_idx)  # block rows
-            non_self = int(np.count_nonzero(targets != senders))
-            payload_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
-            legs = 2 if self.pull else 1  # the pull reply is a second array
-            self.messages_delivered += legs * non_self
-            self.bytes_sent += legs * payload_bytes * non_self
-            with self.probe.span("scatter"):
-                _merge_rows(live, senders, targets, np.minimum, self.pull)
-        if live is not rows:
-            rows[alive_idx] = live
-        self.round_index += 1
+            np.add(rows, 1, out=rows)
+            np.minimum(rows, _COUNTER_INFINITY, out=rows)
+            if hosts is self.live_index():
+                row = self.live_rank()
+            else:  # the rows of a partial tick
+                row = np.full(self.n, -1, dtype=np.int64)
+                row[hosts] = np.arange(hosts.size)
+            owners = row[self._owned_hosts]
+            acting = owners >= 0
+            rows[owners[acting], self._owned_positions[acting]] = 0
 
     # -------------------------------------------------------------- estimates
     def bit_image(self) -> np.ndarray:
@@ -1263,15 +1272,9 @@ class VectorizedSketchCount(_CountingKernel):
         seed: int = 0,
         probe=NULL_PROBE,
     ):
-        if bins < 1 or bits < 1:
-            raise ValueError("bins and bits must be >= 1")
-        if identifiers_per_host < 1:
-            raise ValueError("identifiers_per_host must be >= 1")
-        self._init_population(n, topology, seed, probe)
-        self.bins = int(bins)
-        self.bits = int(bits)
-        self.identifiers_per_host = int(identifiers_per_host)
-        self.pull = bool(pull)
+        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe)
+        # Agent parity: a boolean sketch packs to one bit per position.
+        self._message_bytes = int(np.ceil(self.bins * self.bits / 8))
         self.matrix = self._fresh_rows(self.n)
 
     def _fresh_rows(self, count: int) -> np.ndarray:
@@ -1284,24 +1287,11 @@ class VectorizedSketchCount(_CountingKernel):
     def _grow(self, values: np.ndarray, start: int) -> None:
         self.matrix = np.concatenate([self.matrix, self._fresh_rows(values.size)])
 
-    # ------------------------------------------------------------------ steps
-    def step(self) -> None:
-        """Execute one gossip round over the live hosts."""
-        alive_idx = self.live_index()
-        if alive_idx.size >= 2:
-            with self.probe.span("sampling"):
-                senders, targets = self._hosts(alive_idx, *self._draw_push_targets(alive_idx))
-            non_self = int(np.count_nonzero(targets != senders))
-            # Agent parity: a boolean sketch packs to one bit per position.
-            payload_bytes = int(np.ceil(self.bins * self.bits / 8))
-            legs = 2 if self.pull else 1
-            self.messages_delivered += legs * non_self
-            self.bytes_sent += legs * payload_bytes * non_self
-            with self.probe.span("scatter"):
-                _merge_rows(
-                    self.matrix.reshape(self.n, -1), senders, targets, np.logical_or, self.pull
-                )
-        self.round_index += 1
+    # ------------------------------------------------------------------ gossip
+    _reduce = np.logical_or
+
+    def _state(self) -> List[np.ndarray]:
+        return [self.matrix.reshape(self.n, -1)]  # a view: one sketch per row
 
     # -------------------------------------------------------------- estimates
     def ranks(self) -> np.ndarray:
@@ -1366,46 +1356,39 @@ class VectorizedExtrema(_ValueKernel):
         self.best_id = np.arange(self.n, dtype=np.int64)
         self.best_age = np.zeros(self.n, dtype=np.int64)
 
-    # ------------------------------------------------------------------ steps
-    def step(self) -> None:
-        """Execute one gossip round over the live hosts."""
-        alive_idx = self.live_index()
-        if alive_idx.size == 0:
-            self.round_index += 1
-            return
-        # Begin-round ageing (mirrors ExtremaReset.begin_round): own values
-        # are always fresh; everything learned from others ages, and with a
-        # cutoff a stale best falls back to the host's own value.
-        is_own = self.best_id[alive_idx] == alive_idx
-        self.best_age[alive_idx] = np.where(is_own, 0, self.best_age[alive_idx] + 1)
+    # ------------------------------------------------------------------ gossip
+    _matched = _exchanges = True
+
+    def _state(self) -> List[np.ndarray]:
+        return [self.best_value, self.best_id, self.best_age]
+
+    def _begin(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
+        """``ExtremaReset.begin_round``: own values are always fresh; everything learned
+        from others ages, and with a cutoff a stale best falls back to the host's own."""
+        value, ident, age = block
+        is_own = ident == hosts
+        age += 1
+        age[is_own] = 0
         if self.cutoff is not None:
             # Re-sync own-held bests to the current own value (a host may
             # have re-absorbed its own stale advertisement after a value
             # change; refreshing that would keep the outdated value alive).
-            own_holders = alive_idx[is_own]
-            self.best_value[own_holders] = self.own[own_holders]
-            expired = alive_idx[self.best_age[alive_idx] > self.cutoff]
-            self.best_value[expired] = self.own[expired]
-            self.best_id[expired] = expired
-            self.best_age[expired] = 0
-        if alive_idx.size >= 2:
-            with self.probe.span("matching"):
-                left, right = self._hosts(alive_idx, *self._draw_matching(alive_idx))
-            self.messages_delivered += 2 * int(left.size)
-            self.bytes_sent += 32 * int(left.size)  # 16 bytes each way
-            left_better = (
-                self.best_value[left] > self.best_value[right]
-                if self.maximum
-                else self.best_value[left] < self.best_value[right]
-            )
-            # Equal values: the fresher (lower-age) copy wins, like _absorb.
-            tie = self.best_value[left] == self.best_value[right]
-            left_better |= tie & (self.best_age[left] < self.best_age[right])
-            winner = np.where(left_better, left, right)
-            for array in (self.best_value, self.best_id, self.best_age):
-                array[left] = array[winner]
-                array[right] = array[winner]
-        self.round_index += 1
+            value[is_own] = self.own[hosts[is_own]]
+            expired = age > self.cutoff
+            value[expired] = self.own[hosts[expired]]
+            ident[expired] = hosts[expired]
+            age[expired] = 0
+
+    def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> None:
+        """Both ends of each pair take the pair's better copy."""
+        value, _ident, age = state
+        a_better = value[a] > value[b] if self.maximum else value[a] < value[b]
+        # Equal values: the fresher (lower-age) copy wins, like _absorb.
+        a_better |= (value[a] == value[b]) & (age[a] < age[b])
+        winner = np.where(a_better, a, b)
+        for array in state:
+            array[a] = array[winner]
+            array[b] = array[winner]
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    BACKENDS,
     ENVIRONMENTS,
     FAILURES,
     PROTOCOLS,
@@ -20,6 +21,7 @@ from repro.api import (
     UnknownKeyError,
     run_scenario,
 )
+from repro.api.kernel_run import KernelRun
 from repro.core import PushSumRevert
 from repro.environments import TraceEnvironment, UniformEnvironment
 from repro.simulator import Simulation, SimulationResult
@@ -290,6 +292,26 @@ class TestGracefulDepartureEvent:
         silent = run_scenario(spec.replace(events=(dict(GRACEFUL, event="failure"),)))
         assert silent.alive_counts() == result.alive_counts()
         assert silent.errors() != result.errors()  # the leavers signed off
+
+    @pytest.mark.parametrize("host_ids", [[3, 3], [3, 3, 3]])
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
+    def test_a_repeated_leaver_hands_its_mass_over_once(self, engine, host_ids):
+        # Static Push-Sum conserves its weight exactly: a host named twice signs off once.
+        spec = self.spec(
+            protocol_params={"reversion": 0.0}, n_hosts=8, rounds=6, engine=engine,
+            events=({"event": "graceful-departure", "round": 2, "model": "explicit",
+                     "host_ids": host_ids},),
+        )
+        build = spec.build_event_simulation if engine == "events" else spec.build
+        simulation = build()
+        agent = simulation.run() if engine == "events" else simulation.run(spec.rounds)
+        run = KernelRun(BACKENDS.get("vectorized"), spec)
+        kernel = run.kernel
+        assert run.run().alive_counts() == agent.alive_counts()
+        assert agent.alive_counts()[-1] == 7
+        weights = [simulation.hosts[host].state.weight for host in simulation.alive_ids()]
+        assert sum(weights) == pytest.approx(8.0)
+        assert kernel.mass_view()[0] == pytest.approx(8.0)
 
 
 def _to_dict_oracle(spec):

@@ -44,6 +44,16 @@ SUPPORTED_COMBOS = [
         0.10,
     ),
     (
+        "push-sum/push",
+        dict(protocol="push-sum", mode="push", n_hosts=N_HOSTS, rounds=30),
+        0.10,
+    ),
+    (
+        "push-pull/exchange",
+        dict(protocol="push-pull", n_hosts=N_HOSTS, rounds=30),
+        0.10,
+    ),
+    (
         "full-transfer/push",
         dict(protocol="push-sum-revert-full-transfer",
              protocol_params={"reversion": 0.1, "parcels": 4, "history": 3},

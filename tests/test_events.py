@@ -390,25 +390,20 @@ class TestScenarioSpec:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def test_vectorized_backend_rejects_unvectorised_events_and_auto_falls_back(self):
-        # The bucketed calendar vectorises push-sum-revert only; any other
-        # protocol under engine="events" still needs the agent engine, with
-        # a structured (axis, feature, reason) rejection explaining why.
+        # A protocol without a calendar kernel (a composite) under
+        # engine="events" still needs the agent engine, with a structured
+        # (axis, feature, reason) rejection explaining why.
         from repro.api.plan import PlanRejectionError, resolve_plan
 
-        agent_only = dict(
-            protocol="count-sketch-reset",
-            protocol_params={"bins": 8, "bits": 12},
-            workload="constant",
-        )
+        agent_only = dict(protocol="invert-average")
         with pytest.raises(PlanRejectionError, match="event calendar") as excinfo:
             events_spec(backend="vectorized", **agent_only)
         rejection = excinfo.value.rejections[0]
         assert rejection.axis == "protocol"
-        assert rejection.feature == "count-sketch-reset"
+        assert rejection.feature == "invert-average"
         assert excinfo.value.nearest.backend == "agent"
         assert events_spec(backend="auto", **agent_only).resolved_backend() == "agent"
-        # ...whereas push-sum-revert over uniform gossip now auto-resolves
-        # to the vectorised calendar.
+        # ...whereas push-sum-revert auto-resolves to the vectorised calendar.
         plan = resolve_plan(events_spec(backend="auto"))
         assert (plan.engine, plan.backend) == ("events", "vectorized")
         assert not plan.rejections

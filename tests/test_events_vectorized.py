@@ -6,10 +6,10 @@ Two guarantee tiers (DESIGN.md §14):
   instant network — the bucketed calendar degenerates to whole-population
   kernel steps with identical RNG consumption, so it must match the round
   engine's vectorised backend *bit for bit*;
-* away from the anchor (heterogeneous rates, latency, loss, membership)
-  the agent event engine and the bucketed calendar are distinct
+* away from the anchor (heterogeneous rates, latency, loss, membership, a
+  ring) the agent event engine and the bucketed calendar are distinct
   realisations of the same stochastic process, so they must agree *in
-  distribution* across seeds, not per-record.
+  distribution* across seeds, not per-record — for every calendar kernel.
 
 The driver's phases and the kernel's calendar protocol
 (``step_subset(ticking, delays)`` / ``deliver`` / ``mass_view``) are
@@ -129,13 +129,11 @@ class TestSyncAnchorBitIdentity:
 # ---------------------------------------------------------------------------
 # Away from the anchor: agreement with the agent event engine in distribution
 # ---------------------------------------------------------------------------
+HETEROGENEOUS_CLOCKS = {"rates": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
+                        "synchronized": False}
 SCENARIOS = {
     "uniform-rates": {},
-    "heterogeneous-rates": {
-        "engine_params": {"rates": {"distribution": "heterogeneous",
-                                    "fast": 2.0, "slow": 0.25},
-                          "synchronized": False},
-    },
+    "heterogeneous-rates": {"engine_params": HETEROGENEOUS_CLOCKS},
     "lognormal-rates": {
         "engine_params": {"rates": {"distribution": "lognormal", "sigma": 0.5},
                           "synchronized": False},
@@ -152,13 +150,34 @@ SCENARIOS = {
         "events": ({"event": "failure", "round": 6,
                     "model": "uncorrelated", "fraction": 0.25},),
     },
+    "ring": {
+        "environment": "ring", "environment_params": {"k": 4},
+        "engine_params": HETEROGENEOUS_CLOCKS,
+    },
 }
+#: Every calendar kernel, with what it needs beyond :func:`events_spec`'s defaults.
+CALENDAR_PROTOCOLS = {
+    "push-sum-revert": {},
+    "count-sketch-reset": dict(protocol="count-sketch-reset",
+                               protocol_params={"bins": 8, "bits": 12}, workload="constant"),
+    "sketch-count": dict(protocol="sketch-count", protocol_params={"bins": 8, "bits": 12},
+                         workload="constant"),
+    "extrema-gossip": dict(protocol="extrema-gossip", protocol_params={}),
+    "extrema-reset": dict(protocol="extrema-reset", protocol_params={"cutoff": 12}),
+}
+#: Push-Sum-Revert runs every scenario; the massless kernels (no Bernoulli loss)
+#: one per calendar path: deferral, membership, partial ticks on a graph.
+AGREEMENT_CELLS = [
+    (protocol, name) for protocol in CALENDAR_PROTOCOLS for name in sorted(SCENARIOS)
+    if protocol == "push-sum-revert" or name in ("latency-exchange", "departures", "ring")
+]
 
 
 class TestDistributionAgreement:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_agent_and_vectorized_agree_across_seeds(self, name):
-        overrides = SCENARIOS[name]
+    @pytest.mark.parametrize("protocol, name", AGREEMENT_CELLS,
+                             ids=[f"{protocol}/{name}" for protocol, name in AGREEMENT_CELLS])
+    def test_agent_and_vectorized_agree_across_seeds(self, protocol, name):
+        overrides = dict(CALENDAR_PROTOCOLS[protocol], **SCENARIOS[name])
         agent_first, agent_final = [], []
         vector_first, vector_final = [], []
         for seed in SEEDS:
@@ -179,17 +198,18 @@ class TestDistributionAgreement:
             vector_final.append(vector.final_error())
         agent_mean = statistics.mean(agent_final)
         vector_mean = statistics.mean(vector_final)
-        assert agent_mean > 0 and vector_mean > 0
-        # Both realisations must converge substantially...
-        assert agent_mean < 0.5 * statistics.mean(agent_first)
-        assert vector_mean < 0.5 * statistics.mean(vector_first)
-        # ...and land within an order of magnitude of each other.  The
-        # band is wide by design: the kernel serializes conflicting
-        # exchanges (first-claim) where the agent calendar runs them all,
-        # a per-round rate difference that compounds exponentially over
-        # the 12 sampled intervals.
-        ratio = vector_mean / agent_mean
-        assert 0.1 < ratio < 10.0, (name, agent_final, vector_final)
+        # Both realisations must converge substantially (extrema may reach
+        # the exact answer)...
+        assert agent_mean <= 0.5 * statistics.mean(agent_first)
+        assert vector_mean <= 0.5 * statistics.mean(vector_first)
+        # ...and, where neither is exact, land within an order of magnitude of
+        # each other.  The band is wide by design: the kernel serializes
+        # conflicting exchanges (first-claim) where the agent calendar runs
+        # them all, a per-round rate difference that compounds exponentially
+        # over the 12 sampled intervals.
+        if agent_mean > 0 and vector_mean > 0:
+            ratio = vector_mean / agent_mean
+            assert 0.1 < ratio < 10.0, (protocol, name, agent_final, vector_final)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +280,13 @@ class TestBucketedCalendarMechanics:
         # sample with a drifted truth.
         from repro.simulator.vectorized import VectorizedPushSumRevert
 
-        original = VectorizedPushSumRevert.apply_deliveries
+        original = VectorizedPushSumRevert._land
 
-        def leaky(self, targets, weight, total):
-            return original(self, targets, weight * 0.5, total)
+        def leaky(self, state, targets, payload):
+            weight, total = payload
+            return original(self, state, targets, (weight * 0.5, total))
 
-        monkeypatch.setattr(VectorizedPushSumRevert, "apply_deliveries", leaky)
+        monkeypatch.setattr(VectorizedPushSumRevert, "_land", leaky)
         spec = events_spec(
             backend="vectorized", mode="push",
             network="latency",
@@ -366,7 +387,7 @@ class TestDriverPhases:
             events=({"event": "failure", "round": 0, "model": "explicit", "host_ids": [5]},),
         )
         kernel = run.kernel
-        weight, total = kernel.emit_push(np.array([0, 1]))
+        weight, total = kernel._payload(kernel._state(), np.array([0, 1]))  # halves leave
         kernel.in_flight_mass += float(weight.sum())
         kernel.messages_in_flight += 2
         run.defer("push", 0, np.array([1.0, 1.0]), np.array([5, 6]), weight, total)

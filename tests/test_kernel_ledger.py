@@ -189,6 +189,7 @@ CALENDAR_NETWORKS = {
                           "network_params": {"distribution": "lognormal", "mean": 0.0,
                                              "sigma": 0.75}},
     "bernoulli-loss": NETWORKS["bernoulli-loss"],
+    "perfect": {},
 }
 CALENDAR_MEMBERSHIP = {
     "failure": {"events": (FAILURE,)},
@@ -200,6 +201,18 @@ RATES = {
     "uniform": {"distribution": "uniform", "rate": 1.0},
     "heterogeneous": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
     "lognormal": {"distribution": "lognormal", "sigma": 0.5},
+}
+HETEROGENEOUS = {"rates": RATES["heterogeneous"], "synchronized": False}
+#: The other calendar kernels: every (protocol, mode) by network as a full product, each
+#: row filled in from the same levels as Push-Sum-Revert's (massless: no λ, no loss).
+KERNEL_CALENDAR_PRODUCT = {
+    "kernel": ("count-sketch-reset/push", "count-sketch-reset/exchange", "sketch-count/push",
+               "sketch-count/exchange", "extrema-gossip/exchange", "extrema-reset/exchange"),
+    "network": ("perfect", "latency-fixed", "latency-uniform", "latency-lognormal"),
+}
+KERNEL_CALENDAR_FILL = {
+    "membership": CALENDAR_PRODUCT["membership"],
+    **{factor: CALENDAR_FILL[factor] for factor in ("clocks", "rates", "mass_check", "quantum")},
 }
 
 
@@ -233,11 +246,11 @@ def pairwise_rows(full, fill):
     return rows
 
 
-def _calendar_rows():
+def _calendar_rows(full, fill):
     """Cell name → its levels, one per factor."""
     return {
         "events/" + "/".join(f"{factor}={level}" for factor, level in row.items()): row
-        for row in pairwise_rows(CALENDAR_PRODUCT, CALENDAR_FILL)
+        for row in pairwise_rows(full, fill)
     }
 
 
@@ -246,12 +259,38 @@ def _calendar_cell(row):
                      "rates": RATES[row["rates"]], "mass_check": row["mass_check"]}
     if row["quantum"] is not None:
         engine_params["batch_quantum"] = row["quantum"]
-    return dict(PSR, engine="events", mode=row["mode"], engine_params=engine_params,
-                protocol_params={"reversion": row["lambda"]},
+    if "kernel" in row:
+        protocol, mode = row["kernel"].split("/")
+        base = dict(BASE, protocol=protocol, mode=mode)
+    else:
+        base = dict(PSR, mode=row["mode"], protocol_params={"reversion": row["lambda"]})
+    return dict(base, engine="events", engine_params=engine_params,
                 **CALENDAR_NETWORKS[row["network"]], **CALENDAR_MEMBERSHIP[row["membership"]])
 
 
-CALENDAR_ROWS = _calendar_rows()
+CALENDAR_ROWS = _calendar_rows(CALENDAR_PRODUCT, CALENDAR_FILL)
+KERNEL_CALENDAR_ROWS = _calendar_rows(KERNEL_CALENDAR_PRODUCT, KERNEL_CALENDAR_FILL)
+
+
+def _newly_runnable_cells():
+    """Static Push-Sum under both names, and Push-Sum-Revert and Count-Sketch-Reset
+    on the calendar over a ring."""
+    latency = CALENDAR_NETWORKS["latency-uniform"]
+    cells = {}
+    for protocol, events_mode in (("push-sum", "push"), ("push-pull", "exchange")):
+        static = dict(BASE, protocol=protocol, events=(FAILURE,))
+        for mode in ("push", "exchange"):
+            for network, net_kwargs in NETWORKS.items():
+                cells[f"{protocol}/{mode}/{network}"] = dict(static, mode=mode, **net_kwargs)
+        cells[f"events/{protocol}/{events_mode}/latency-uniform"] = dict(
+            static, engine="events", mode=events_mode, engine_params=HETEROGENEOUS, **latency)
+    ring = dict(engine="events", environment="ring", engine_params=HETEROGENEOUS, **latency)
+    for protocol, base in (("push-sum-revert", dict(PSR, protocol_params={"reversion": 0.1})),
+                           ("count-sketch-reset", dict(BASE, protocol="count-sketch-reset",
+                                                       events=(FAILURE,)))):
+        for mode in ("push", "exchange"):
+            cells[f"events/ring/{protocol}/{mode}"] = dict(base, mode=mode, **ring)
+    return cells
 
 
 def _larger_calendar_cells():
@@ -286,10 +325,11 @@ def _larger_calendar_cells():
 
 def _cells():
     """Name → ``ScenarioSpec`` keywords."""
-    calendar = {name: _calendar_cell(row) for name, row in CALENDAR_ROWS.items()}
+    calendar = {name: _calendar_cell(row)
+                for name, row in {**CALENDAR_ROWS, **KERNEL_CALENDAR_ROWS}.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
             **_membership_cells(), **_group_relative_cells(), **calendar,
-            **_larger_calendar_cells()}
+            **_larger_calendar_cells(), **_newly_runnable_cells()}
 
 
 CELLS = _cells()
@@ -299,17 +339,20 @@ def test_the_ledger_names_exactly_the_cells():
     assert sorted(committed(LEDGER)["digests"]) == sorted(CELLS)
 
 
-def test_the_calendar_cells_cover_every_pair():
-    factors = {**CALENDAR_PRODUCT, **CALENDAR_FILL}
-    met = {frozenset(pair) for row in CALENDAR_ROWS.values()
-           for pair in combinations(row.items(), 2)}
+@pytest.mark.parametrize("full, fill, rows, count", [
+    (CALENDAR_PRODUCT, CALENDAR_FILL, CALENDAR_ROWS, 32),
+    (KERNEL_CALENDAR_PRODUCT, KERNEL_CALENDAR_FILL, KERNEL_CALENDAR_ROWS, 24),
+], ids=["push-sum-revert", "other-kernels"])
+def test_the_calendar_cells_cover_every_pair(full, fill, rows, count):
+    factors = {**full, **fill}
+    met = {frozenset(pair) for row in rows.values() for pair in combinations(row.items(), 2)}
     missing = [
         ((f, a), (g, b))
         for f, g in combinations(factors, 2) for a in factors[f] for b in factors[g]
         if frozenset({(f, a), (g, b)}) not in met
     ]
     assert not missing
-    assert len(CALENDAR_ROWS) == 32
+    assert len(rows) == count
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

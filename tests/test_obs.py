@@ -182,7 +182,7 @@ BIT_IDENTITY_SPECS = {
     ),
     "event-engine": ScenarioSpec(
         protocol="push-sum", n_hosts=60, rounds=10, seed=4, mode="push",
-        engine="events",
+        engine="events", backend="agent",
     ),
 }
 

@@ -44,7 +44,7 @@ class TestResolvePlan:
     def test_events_engine_is_carried_through(self):
         plan = resolve_plan(make_spec(engine="events"))
         assert (plan.engine, plan.backend) == ("events", "vectorized")
-        agent_plan = resolve_plan(make_spec(engine="events", protocol="push-sum"))
+        agent_plan = resolve_plan(make_spec(engine="events", protocol="invert-average"))
         assert (agent_plan.engine, agent_plan.backend) == ("events", "agent")
 
     def test_explicit_backends_are_kept_as_requested(self):
@@ -58,7 +58,7 @@ class TestResolvePlan:
             {"protocol": "invert-average"},
             {"group_relative": True},
             {"network": "latency", "mode": "push"},
-            {"engine": "events", "protocol": "extrema-gossip", "mode": "exchange"},
+            {"engine": "events", "protocol": "epoch-push-sum"},
         ):
             plan = resolve_plan(make_spec(**overrides))
             assert plan.backend == "agent" and plan.runnable
@@ -201,12 +201,22 @@ class TestRoundEngineRejections:
 # ---------------------------------------------------------------------------
 EVENTS_REJECTIONS = [
     pytest.param(
-        dict(protocol="sketch-count", workload="constant"),
-        "protocol", "event calendar is only vectorised", id="protocol-not-psr",
+        dict(protocol="push-sum-revert-full-transfer", mode="push"),
+        "protocol", "event calendar is only vectorised", id="full-transfer",
     ),
     pytest.param(
-        dict(environment="ring"),
-        "environment", "uniform gossip only", id="topology-under-events",
+        dict(environment="trace", environment_params={"dataset": 1}, n_hosts=9),
+        "environment", "round index that the event calendar does not advance",
+        id="trace-under-events",
+    ),
+    pytest.param(
+        dict(protocol="extrema-gossip", mode="push"),
+        "mode", "only vectorised in mode", id="unsupported-mode",
+    ),
+    pytest.param(
+        dict(protocol="sketch-count", workload="constant",
+             network="bernoulli-loss", network_params={"p": 0.1}),
+        "network", "only vectorised for", id="loss-on-counting-kernel",
     ),
     pytest.param(
         dict(group_relative=True),
@@ -246,6 +256,11 @@ class TestEventEngineRejections:
             {"events": ({"event": "join", "round": 2, "count": 4},)},
             {"engine_params": {"rates": {"distribution": "lognormal"},
                                "synchronized": False}},
+            {"environment": "ring", "mode": "push"},
+            {"protocol": "push-sum", "network": "bernoulli-loss", "network_params": {"p": 0.2}},
+            {"protocol": "sketch-count", "workload": "constant", "network": "latency",
+             "network_params": {"distribution": "fixed", "delay": 1}, "mode": "push"},
+            {"protocol": "extrema-reset", "environment": "grid", "n_hosts": 36},
         ):
             spec = make_spec(engine="events", **overrides)
             assert vectorized_rejections(spec) == [], overrides
@@ -271,16 +286,20 @@ class TestCapabilityMatrix:
         assert row["reasons"] == {}
 
     def test_agent_only_rows_carry_a_reason(self):
-        matrix = capability_matrix()
-        row = next(r for r in matrix["rows"] if r["protocol"] == "invert-average")
-        assert row["cells"]["rounds"]["vectorized"] == "no"
-        assert row["cells"]["rounds"]["agent"] == "yes"
+        rows = {row["protocol"]: row for row in capability_matrix()["rows"]}
+        why_not = {(name, engine) for name, row in rows.items() for engine in row["reasons"]}
+        assert why_not == {
+            ("epoch-push-sum", "rounds"), ("epoch-push-sum", "events"),
+            ("invert-average", "rounds"), ("invert-average", "events"),
+            ("push-sum-revert-full-transfer", "events"),
+        }
+        row = rows["invert-average"]
+        assert row["cells"]["rounds"] == {"agent": "yes", "vectorized": "no"}
         assert "no vectorised kernel" in row["reasons"]["rounds"]
-        # Vectorised under rounds, but not yet on the bucketed calendar.
-        sketch = next(r for r in matrix["rows"] if r["protocol"] == "sketch-count")
-        assert sketch["cells"]["rounds"]["vectorized"] == "yes"
-        assert sketch["cells"]["events"]["vectorized"] == "no"
-        assert "event calendar" in sketch["reasons"]["events"]
+        # Vectorised under rounds, but not on the bucketed calendar.
+        full_transfer = rows["push-sum-revert-full-transfer"]
+        assert full_transfer["cells"]["rounds"]["vectorized"] == "yes"
+        assert "event calendar" in full_transfer["reasons"]["events"]
 
     def test_kernel_and_notes_sections(self):
         matrix = capability_matrix()

@@ -539,8 +539,62 @@ def _host_matching(kernel, alive_idx):
     return order[:pair_count], order[pair_count : 2 * pair_count]
 
 
+def _settle(kernel, host_idx, revert=False):
+    """The host-space tail: ``host_idx``'s fixed revert if ``revert``, then the estimate
+    refresh (a massless host keeps its last estimate)."""
+    weight, total = kernel.weight[host_idx], kernel.total[host_idx]
+    if revert:
+        lam = kernel.reversion
+        old_mass = weight.sum()
+        weight *= 1.0 - lam
+        weight += lam
+        kernel.mass_injected += float(weight.sum() - old_mass)
+        anchor = kernel.initial[host_idx]
+        anchor *= lam
+        total *= 1.0 - lam
+        total += anchor
+        kernel.weight[host_idx] = weight
+        kernel.total[host_idx] = total
+    has_weight = weight > 1e-12
+    if not has_weight.all():
+        host_idx, weight, total = host_idx[has_weight], weight[has_weight], total[has_weight]
+    kernel._last_estimate[host_idx] = np.divide(total, weight, out=total)
+
+
+def _settle_exchanges(kernel, left, right):
+    """Account for attempted exchanges; a lossy link cancels one (the initiator's
+    message still crossed the radio)."""
+    if kernel.loss > 0.0:
+        kept = kernel.rng.random(left.size) >= kernel.loss
+        dropped = int(left.size - int(kept.sum()))
+        left, right = left[kept], right[kept]
+        kernel.messages_lost += 2 * dropped
+        kernel.bytes_sent += 16 * dropped
+    kernel.messages_delivered += 2 * int(left.size)
+    kernel.bytes_sent += 32 * int(left.size)
+    return left, right
+
+
+def _emit_push(kernel, senders):
+    """Halve ``senders``' mass; return the outgoing halves."""
+    halves = kernel.weight[senders] / 2.0, kernel.total[senders] / 2.0
+    kernel.weight[senders], kernel.total[senders] = halves
+    return halves
+
+
+def _lose_pushes(kernel, targets, weight, total):
+    """Account for pushed halves; return the delivered ones (a lost half's mass leaves)."""
+    if kernel.loss > 0.0:
+        kept = kernel.rng.random(targets.size) >= kernel.loss
+        kernel.mass_lost += float(weight[~kept].sum())
+        kernel.messages_lost += int(targets.size - int(kept.sum()))
+        targets, weight, total = targets[kept], weight[kept], total[kept]
+    kernel.messages_delivered += int(targets.size)
+    return targets, weight, total
+
+
 def _host_step_matching(kernel, alive_idx):
-    left, right = kernel._settle_exchanges(*_host_matching(kernel, alive_idx))
+    left, right = _settle_exchanges(kernel, *_host_matching(kernel, alive_idx))
     for array in (kernel.weight, kernel.total):
         mean = (array[left] + array[right]) / 2.0
         array[left] = mean
@@ -550,9 +604,9 @@ def _host_step_matching(kernel, alive_idx):
 def _host_step_push(kernel, alive_idx):
     senders, targets = _host_push_targets(kernel, alive_idx)
     kernel.bytes_sent += 16 * int(np.count_nonzero(targets != senders))
-    outgoing_weight, outgoing_total = kernel.emit_push(senders)
-    targets, outgoing_weight, outgoing_total = kernel._lose_pushes(
-        targets, outgoing_weight, outgoing_total
+    outgoing_weight, outgoing_total = _emit_push(kernel, senders)
+    targets, outgoing_weight, outgoing_total = _lose_pushes(
+        kernel, targets, outgoing_weight, outgoing_total
     )
     np.add.at(kernel.weight, targets, outgoing_weight)
     np.add.at(kernel.total, targets, outgoing_total)
@@ -611,7 +665,7 @@ def _host_space_step(kernel):
                 "full-transfer": _host_step_full_transfer}[kernel.mode]
         body(kernel, alive_idx)
     fixed = kernel.mode == "pushpull" or (kernel.mode == "push" and not kernel.adaptive)
-    kernel._settle(alive_idx, revert=fixed and kernel.reversion > 0.0)
+    _settle(kernel, alive_idx, revert=fixed and kernel.reversion > 0.0)
     kernel.round_index += 1
 
 
@@ -726,7 +780,7 @@ def _host_space_tick(kernel, ticking, delays):
     alive_idx = kernel.live_index()
     k = ticking.size
     if alive_idx.size < 2 or k == 0:
-        kernel._settle(ticking, revert=kernel.reversion > 0.0)
+        _settle(kernel, ticking, revert=kernel.reversion > 0.0)
         return []
     if kernel.mode == "pushpull":
         offset = kernel.rng.integers(1, alive_idx.size, size=k)
@@ -736,25 +790,29 @@ def _host_space_tick(kernel, ticking, delays):
     else:
         peers = alive_idx[kernel.rng.integers(0, alive_idx.size, size=k)]
         kernel.bytes_sent += 16 * int(np.count_nonzero(peers != ticking))
-        weight, total = kernel.emit_push(ticking)
+        weight, total = _emit_push(kernel, ticking)
         delay = np.zeros(k) if delays is None else delays(k)
     now, later = np.flatnonzero(delay <= TIME_EPS), np.flatnonzero(delay > TIME_EPS)
     if kernel.mode == "pushpull":
         if now.size:
-            left, right = kernel._settle_exchanges(ticking[now], peers[now])
+            left, right = _settle_exchanges(kernel, ticking[now], peers[now])
             _exchange_one_by_one(kernel.weight, kernel.total, zip(left, right))
-            kernel._settle(np.concatenate([left, right]))
+            _settle(kernel, np.concatenate([left, right]))
         kernel.bytes_sent += 32 * later.size
         kernel.messages_in_flight += 2 * later.size
         deferred = [("exchange", ticking[later], delay[later], ticking[later], peers[later])]
     else:
         if now.size:
-            kernel.apply_deliveries(*kernel._lose_pushes(peers[now], weight[now], total[now]))
+            targets, landed_weight, landed_total = _lose_pushes(
+                kernel, peers[now], weight[now], total[now])
+            np.add.at(kernel.weight, targets, landed_weight)
+            np.add.at(kernel.total, targets, landed_total)
+            _settle(kernel, targets)
         kernel.in_flight_mass += float(weight[later].sum())
         kernel.messages_in_flight += later.size
         deferred = [("push", ticking[later], delay[later], peers[later], weight[later],
                      total[later])]
-    kernel._settle(ticking, revert=kernel.reversion > 0.0)
+    _settle(kernel, ticking, revert=kernel.reversion > 0.0)
     return deferred if later.size else []
 
 
@@ -1337,7 +1395,7 @@ class TestMergePairsIsSequentialApplication:
             )
             kernel.merge_pairs(left, right)
             _exchange_one_by_one(reference.weight, reference.total, pairs)
-            reference._settle(np.concatenate([left, right]))
+            _settle(reference, np.concatenate([left, right]))
             assert _bits(kernel.weight) == _bits(reference.weight), pairs
             assert _bits(kernel.total) == _bits(reference.total), pairs
             # Every touched host's stored estimate is current; nobody else's moved.
