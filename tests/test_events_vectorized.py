@@ -165,8 +165,9 @@ CALENDAR_PROTOCOLS = {
     "extrema-gossip": dict(protocol="extrema-gossip", protocol_params={}),
     "extrema-reset": dict(protocol="extrema-reset", protocol_params={"cutoff": 12}),
 }
-#: Push-Sum-Revert runs every scenario; the massless kernels (no Bernoulli loss)
-#: one per calendar path: deferral, membership, partial ticks on a graph.
+#: Push-Sum-Revert runs every scenario over all seeds; the massless kernels (no
+#: Bernoulli loss) one scenario per calendar path — deferral, membership, partial
+#: ticks on a graph — over half of them.
 AGREEMENT_CELLS = [
     (protocol, name) for protocol in CALENDAR_PROTOCOLS for name in sorted(SCENARIOS)
     if protocol == "push-sum-revert" or name in ("latency-exchange", "departures", "ring")
@@ -180,7 +181,7 @@ class TestDistributionAgreement:
         overrides = dict(CALENDAR_PROTOCOLS[protocol], **SCENARIOS[name])
         agent_first, agent_final = [], []
         vector_first, vector_final = [], []
-        for seed in SEEDS:
+        for seed in SEEDS if protocol == "push-sum-revert" else SEEDS[::2]:
             agent = run_scenario(events_spec(backend="agent", seed=seed, **overrides))
             vector = run_scenario(events_spec(backend="vectorized", seed=seed,
                                               **overrides))

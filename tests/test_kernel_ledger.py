@@ -21,9 +21,12 @@ have no join cell.
 The event calendar off its anchor is a product too large to run whole: every
 mode × network × membership change, each completed greedily from the clock,
 rate, ledger, reversion and quantum levels so that any two levels of any two
-factors meet in at least one cell.  Six larger calendar runs (600 hosts, ten
-rounds) sit beside them, among them a join under lognormal clocks, four tick
-passes per bucket, and loss with no delay sampler.
+factors meet in at least one cell.  The sketch and extrema kernels get a second
+such table (each protocol in each of its modes × network).  Six larger calendar
+runs (600 hosts, ten rounds) sit beside them, among them a join under lognormal
+clocks, four tick passes per bucket, and loss with no delay sampler; so do ring
+calendar cells for Push-Sum-Revert and Count-Sketch-Reset in both modes, and
+static Push-Sum under both of its names on both engines.
 """
 
 from collections import Counter
