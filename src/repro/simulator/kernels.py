@@ -10,7 +10,7 @@ one entry here.  A kernel states its gossip once — its begin/end hooks, its
 merge rule and what a push carries — and the shared base derives both the
 lockstep round and the event calendar's protocol from it
 (:class:`repro.simulator.vectorized._VectorizedKernel`, DESIGN.md §7 and §14),
-so the event calendar (``calendar``, on by default) costs no kernel code.
+so the event calendar (``calendar``) costs no kernel code.
 
 :meth:`KernelDeclaration.build` takes the protocol parameters from the
 *resolved agent protocol instance* (``spec.build_protocol()``, every default
@@ -89,7 +89,9 @@ class KernelDeclaration:
     calendar:
         Runs on the bucketed event calendar (DESIGN.md §14) through the
         ``step_subset`` / ``deliver`` / ``mass_view`` its kernel derives from
-        its one merge rule; only Full-Transfer's whole-round fan-out opts out.
+        its one merge rule.  Off for Full-Transfer (a whole-round fan-out) and
+        the kernels with a begin hook, which the calendar runs a bucket at a
+        time (DESIGN.md §14 "Begin hooks act a bucket at a time").
     """
 
     kernel: type
@@ -147,6 +149,7 @@ KERNELS: Dict[str, KernelDeclaration] = {
         modes=_SKETCH_MODES,
         params=frozenset({"bins", "bits", "cutoff", "identifiers_per_host"}),
         value_carrying=False,
+        calendar=False,  # a begin hook (ageing)
     ),
     "sketch-count": KernelDeclaration(
         kernel=VectorizedSketchCount,
@@ -161,11 +164,13 @@ KERNELS: Dict[str, KernelDeclaration] = {
         modes={"exchange": {}},
         params=frozenset({"maximum"}),
         value_carrying=True,
+        calendar=False,  # a begin hook (the age that breaks ties)
     ),
     "extrema-reset": KernelDeclaration(
         kernel=VectorizedExtrema,
         modes={"exchange": {}},
         params=frozenset({"maximum", "cutoff"}),
         value_carrying=True,
+        calendar=False,  # a begin hook (ageing and expiry)
     ),
 }

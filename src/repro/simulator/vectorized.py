@@ -19,21 +19,11 @@ or :class:`~repro.simulator.sparse.GridRingTopology` — and then samples
 partners from the graph instead of the whole population, which is what
 runs the paper's Section IV-A grid-restricted scenarios at kernel speed.
 
-Differences from the agent engine worth knowing about:
-
-* push/pull is realised as a random perfect matching of the live hosts per
-  round (every host takes part in exactly one pairwise exchange), rather
-  than "every host contacts one random peer" with incidental collisions.
-  Both schemes mix mass at the same rate and the matching form vectorises
-  exactly.  Under a topology the matching runs along sampled graph edges
-  (:meth:`~repro.simulator.sparse.LiveView.sample_matching`), so hosts
-  whose neighbourhood is exhausted simply sit the round out — like an
-  agent-engine host whose ``select_peers`` comes back empty.
-* failures are applied by masking hosts out; their mass/counters simply
-  stop participating, which is precisely the silent-departure semantics.
-
-Each kernel states its gossip once, and :class:`_VectorizedKernel` derives the
-lockstep round and the event calendar's protocol from it (DESIGN.md §7).
+How they differ from the agent engine — push/pull as a random perfect matching
+(along sampled graph edges under a topology), failures as masking — is DESIGN.md
+§7 "Kernel semantics deltas".  Each kernel states its gossip once, and
+:class:`_VectorizedKernel` derives the lockstep round and the event calendar's
+protocol from it (DESIGN.md §7).
 
 The two sketch kernels hold one sketch per host row and share one merge
 (:func:`_merge_rows`, a fan-in-ranked scatter — no ``ufunc.at`` on the
@@ -165,8 +155,8 @@ class _VectorizedKernel:
 
     * ``_state()`` — the per-host arrays the gossip moves (row ``h`` is host ``h``);
     * ``_begin(block, hosts)`` / ``_end(block, hosts)`` — optional hooks over the
-      acting hosts, ``block`` holding their rows of every state array; neither
-      draws randomness;
+      acting hosts, ``block`` holding their rows of every state array (the arrays
+      themselves in :attr:`_host_space`); neither draws randomness;
     * ``_exchange(state, a, b)`` — the rule for endpoint-disjoint row pairs
       ``(a[i], b[i])``, returning the rows both ends now share, if any;
     * ``_payload(state, senders)`` / ``_land(state, targets, payload)`` — what a
@@ -215,6 +205,9 @@ class _VectorizedKernel:
     #: The optional ``begin_round`` / ``finalize_round`` hooks, ``(block, hosts)``.
     _begin = None
     _end = None
+    #: The hooks and the move index the state arrays themselves by host id, so no
+    #: block is gathered (kernels whose rules are cheaper in place than on a copy).
+    _host_space = False
 
     def _init_population(self, n: int, topology, seed: int, probe) -> None:
         """Set what every kernel shares: size, peers, probe, generator, liveness.
@@ -320,13 +313,14 @@ class _VectorizedKernel:
 
     # ---------------------------------------------------------- the derived step
     def _gather(self, hosts: np.ndarray) -> List[np.ndarray]:
-        """``hosts``' rows of every state array: the arrays themselves for everyone."""
+        """``hosts``' rows of every state array: the arrays themselves for everyone, or in
+        host space."""
         state = self._state()
-        return state if hosts.size == self.n else [array[hosts] for array in state]
+        return state if self._host_space or hosts.size == self.n else [a[hosts] for a in state]
 
     def _scatter(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
         """Write a gathered block back (nothing to do when it is the arrays themselves)."""
-        if hosts.size != self.n:
+        if not self._host_space and hosts.size != self.n:
             for array, rows in zip(self._state(), block):
                 array[hosts] = rows
 
@@ -344,11 +338,14 @@ class _VectorizedKernel:
         everyone is alive, else one gather of each and one write-back at the end.  The
         peer draw comes first, as live ranks — so a sparse matcher's temporaries never
         sit beside the block — then begin, the move and end run in place on the block;
-        dead rows are never read or written.
+        dead rows are never read or written.  In host space (:attr:`_host_space`) the
+        block is the arrays themselves and the draw is mapped to host ids.
         """
         alive_idx = self.live_index()
         if alive_idx.size:
             pairs = self._draw_round(alive_idx) if alive_idx.size >= 2 else None
+            if pairs is not None and self._host_space and alive_idx.size < self.n:
+                pairs = tuple(alive_idx[ranks] for ranks in pairs)
             block = self._gather(alive_idx)
             if self._begin is not None:
                 self._begin(block, alive_idx)
@@ -538,9 +535,7 @@ class _VectorizedKernel:
         pass refreshes them), then repeats on the rest.  Every lower-indexed
         pair sharing an endpoint with a taken pair went in an earlier pass,
         so the result is, bit for bit, the pairs applied one by one in pair
-        order.  Pass counts stay tiny in practice — collisions are rare at
-        gossip fan-out — and the lowest remaining pair is always taken, so
-        the loop terminates.
+        order; collisions are rare at gossip fan-out, so passes are few.
         """
         state = self._state()
         with self.probe.span("scatter"):
@@ -843,11 +838,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         Every path that moves mass ends here or in :meth:`_end`, so
         :attr:`_last_estimate` is always current for every live host (the
         invariant :meth:`estimates` reads).  Several ``hosts`` arrays share one
-        mass: the two ends of exchanged pairs.  Repeated hosts are fine.  A
-        ``merge_pairs`` pass refreshing its pairs equals one refresh of every
-        endpoint after the last pass, since no pushpull weight — a mean of
-        weights that start at 1 and revert towards 1 — crosses the 1e-12
-        threshold between passes.
+        mass: the two ends of exchanged pairs.  Repeated hosts are fine.  Why a
+        refresh per ``merge_pairs`` pass is exact: DESIGN.md §14.
         """
         weight, total = (self.weight[hosts[0]], self.total[hosts[0]]) if rows is None else rows
         has_weight = weight > 1e-12
@@ -1066,6 +1058,13 @@ class _CountingKernel(_VectorizedKernel):
         self.messages_delivered += legs * non_self
         self.bytes_sent += legs * self._message_bytes * non_self
         _merge_rows(block[0], senders, targets, self._reduce, self.pull)
+
+    def _draw_partners(self, ticking: np.ndarray, alive_idx: np.ndarray):
+        """The base draw less its self-pushes: on the calendar too, a row merged into
+        itself is no message (the agent engine never counts one either)."""
+        senders, peers = super()._draw_partners(ticking, alive_idx)
+        sends = np.flatnonzero(peers != senders)  # (an exchange partner is never oneself)
+        return senders[sends], peers[sends]
 
     def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> None:
         (rows,) = state
@@ -1289,6 +1288,7 @@ class VectorizedSketchCount(_CountingKernel):
 
     # ------------------------------------------------------------------ gossip
     _reduce = np.logical_or
+    _host_space = True  # no hooks: the merge alone touches rows
 
     def _state(self) -> List[np.ndarray]:
         return [self.matrix.reshape(self.n, -1)]  # a view: one sketch per row
@@ -1357,26 +1357,26 @@ class VectorizedExtrema(_ValueKernel):
         self.best_age = np.zeros(self.n, dtype=np.int64)
 
     # ------------------------------------------------------------------ gossip
-    _matched = _exchanges = True
+    _matched = _exchanges = _host_space = True
 
     def _state(self) -> List[np.ndarray]:
         return [self.best_value, self.best_id, self.best_age]
 
-    def _begin(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
+    def _begin(self, state: List[np.ndarray], hosts: np.ndarray) -> None:
         """``ExtremaReset.begin_round``: own values are always fresh; everything learned
         from others ages, and with a cutoff a stale best falls back to the host's own."""
-        value, ident, age = block
-        is_own = ident == hosts
-        age += 1
-        age[is_own] = 0
+        value, ident, age = state
+        is_own = ident[hosts] == hosts
+        age[hosts] = np.where(is_own, 0, age[hosts] + 1)
         if self.cutoff is not None:
             # Re-sync own-held bests to the current own value (a host may
             # have re-absorbed its own stale advertisement after a value
             # change; refreshing that would keep the outdated value alive).
-            value[is_own] = self.own[hosts[is_own]]
-            expired = age > self.cutoff
-            value[expired] = self.own[hosts[expired]]
-            ident[expired] = hosts[expired]
+            own_holders = hosts[is_own]
+            value[own_holders] = self.own[own_holders]
+            expired = hosts[age[hosts] > self.cutoff]
+            value[expired] = self.own[expired]
+            ident[expired] = expired
             age[expired] = 0
 
     def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> None:

@@ -210,8 +210,8 @@ EVENTS_REJECTIONS = [
         id="trace-under-events",
     ),
     pytest.param(
-        dict(protocol="extrema-gossip", mode="push"),
-        "mode", "only vectorised in mode", id="unsupported-mode",
+        dict(protocol="count-sketch-reset", workload="constant"),
+        "protocol", "event calendar is only vectorised", id="begin-hook-kernel",
     ),
     pytest.param(
         dict(protocol="sketch-count", workload="constant",
@@ -260,7 +260,8 @@ class TestEventEngineRejections:
             {"protocol": "push-sum", "network": "bernoulli-loss", "network_params": {"p": 0.2}},
             {"protocol": "sketch-count", "workload": "constant", "network": "latency",
              "network_params": {"distribution": "fixed", "delay": 1}, "mode": "push"},
-            {"protocol": "extrema-reset", "environment": "grid", "n_hosts": 36},
+            {"protocol": "sketch-count", "workload": "constant", "environment": "grid",
+             "n_hosts": 36},
         ):
             spec = make_spec(engine="events", **overrides)
             assert vectorized_rejections(spec) == [], overrides
@@ -292,6 +293,8 @@ class TestCapabilityMatrix:
             ("epoch-push-sum", "rounds"), ("epoch-push-sum", "events"),
             ("invert-average", "rounds"), ("invert-average", "events"),
             ("push-sum-revert-full-transfer", "events"),
+            ("count-sketch-reset", "events"), ("extrema-gossip", "events"),
+            ("extrema-reset", "events"),
         }
         row = rows["invert-average"]
         assert row["cells"]["rounds"] == {"agent": "yes", "vectorized": "no"}
@@ -338,3 +341,11 @@ class TestKernelDeclarations:
             name for name, cell in cells.items() if cell["events"]["vectorized"] == "yes"
         }
         assert on_the_calendar == {name for name, entry in KERNELS.items() if entry.calendar}
+
+    def test_no_kernel_with_a_begin_hook_is_on_the_calendar(self):
+        # The calendar runs a bucket's begin hooks before any of its exchanges;
+        # the agent event engine runs each host's right before its own
+        # (DESIGN.md §14 "Begin hooks act a bucket at a time").
+        hooked = {name for name, entry in KERNELS.items() if entry.kernel._begin is not None}
+        assert hooked == {"count-sketch-reset", "extrema-gossip", "extrema-reset"}
+        assert not any(KERNELS[name].calendar for name in hooked)
