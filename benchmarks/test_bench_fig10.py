@@ -9,21 +9,12 @@ headline numbers for panel (b): λ=0.5 converges in <10 rounds at σ≈2.13;
 
 import pytest
 
-from repro.experiments.fig10_correlated import render_fig10, run_fig10
-
-N_HOSTS = 5000
-ROUNDS = 60
-FAILURE_ROUND = 20
+from repro.experiments.fig10_correlated import FIG10, render_fig10, run_fig10
 
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_correlated_failures(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_fig10,
-        kwargs={"n_hosts": N_HOSTS, "rounds": ROUNDS, "failure_round": FAILURE_ROUND, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(run_fig10, args=(FIG10,), rounds=1, iterations=1)
     rendering = render_fig10(result)
     save_rendering("fig10", rendering)
     print("\n" + rendering)

@@ -13,33 +13,17 @@ aggregate with bounded error; the reversion-free variants drift.
 
 import pytest
 
-from repro.experiments.fig11_traces import render_fig11, run_fig11
-
-DATASETS = (1, 2)
-MAX_HOURS = 24.0
+from repro.experiments.fig11_traces import FIG11, render_fig11, run_fig11
 
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_trace_driven_aggregation(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_fig11,
-        kwargs={
-            "datasets": DATASETS,
-            "max_hours": MAX_HOURS,
-            "bins": 32,
-            "bits": 16,
-            "identifiers_per_host": 100,
-            "seed": 0,
-        },
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(run_fig11, args=(FIG11,), rounds=1, iterations=1)
     rendering = render_fig11(result)
     save_rendering("fig11", rendering)
     print("\n" + rendering)
 
-    for dataset in DATASETS:
-        data = result.datasets[dataset]
+    for data in result.datasets.values():
         # Reversion tracks the group average at least as well as static
         # Push-Sum over the whole trace (Fig 11's headline comparison).
         assert data.mean_error("lambda=0.01") <= data.mean_error("lambda=0") + 0.5

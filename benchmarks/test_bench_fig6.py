@@ -8,19 +8,12 @@ hosts with 32 bins.
 
 import pytest
 
-from repro.experiments.fig6_counter_cdf import render_fig6, run_fig6
-
-SIZES = (1000, 4000, 10000)
+from repro.experiments.fig6_counter_cdf import FIG6, render_fig6, run_fig6
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_counter_distributions(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_fig6,
-        kwargs={"sizes": SIZES, "bins": 32, "bits": 20, "convergence_rounds": 30, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(run_fig6, args=(FIG6,), rounds=1, iterations=1)
     rendering = render_fig6(result)
     save_rendering("fig6", rendering)
     print("\n" + rendering)
@@ -29,7 +22,7 @@ def test_fig6_counter_distributions(benchmark, save_rendering):
     import numpy as np
 
     for bit in (0, 1, 2):
-        medians = [float(np.median(result.counters[size][bit])) for size in SIZES]
+        medians = [float(np.median(result.counters[size][bit])) for size in result.sizes]
         assert max(medians) - min(medians) <= 3.0
     # The fitted bound is linear with a shallow slope, like the paper's 7+k/4.
     assert 0.1 < result.pooled_fit.slope < 0.6

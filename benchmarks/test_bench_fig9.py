@@ -2,40 +2,24 @@
 
 Paper setup: 100 000 hosts each holding 1, half removed after 20 rounds;
 naive sketch counting versus Count-Sketch-Reset with cutoff 7 + k/4.
-Scaled setup: 5 000 hosts, 32 bins.  Expected shape: the naive sketch's
+Scaled setup: ``FIG9``, 5 000 hosts, 32 bins.  Expected shape: the naive sketch's
 error jumps to ≈ the removed population and stays there; Count-Sketch-Reset
 returns to a small error within ~10 rounds.
 """
 
 import pytest
 
-from repro.experiments.fig9_counting_failure import render_fig9, run_fig9
-
-N_HOSTS = 5000
-ROUNDS = 40
-FAILURE_ROUND = 20
+from repro.experiments.fig9_counting_failure import FIG9, render_fig9, run_fig9
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_counting_under_failure(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_fig9,
-        kwargs={
-            "n_hosts": N_HOSTS,
-            "rounds": ROUNDS,
-            "failure_round": FAILURE_ROUND,
-            "bins": 32,
-            "bits": 20,
-            "seed": 0,
-        },
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(run_fig9, args=(FIG9,), rounds=1, iterations=1)
     rendering = render_fig9(result)
     save_rendering("fig9", rendering)
     print("\n" + rendering)
 
-    removed = N_HOSTS // 2
+    removed = result.n_hosts // 2
     # Naive counting never forgets the failed half.
     assert result.naive_final_error() > 0.5 * removed
     # Count-Sketch-Reset recovers to well under the removed population…

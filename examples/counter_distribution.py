@@ -16,41 +16,28 @@ Run it with::
     python examples/counter_distribution.py
 """
 
-from repro.analysis import fit_linear_cutoff, render_table
-from repro.experiments import render_fig6, run_fig6
-from repro.simulator.vectorized import VectorizedCountSketchReset
+from repro.analysis import render_table
+from repro.experiments import FIG6, render_fig6, run_fig6
 
 SIZES = (500, 2000, 8000)
 
 
-def fit_without_pull(size: int) -> tuple:
-    """Fit the counter bound for push-only gossip at the given size."""
-    kernel = VectorizedCountSketchReset(size, bins=32, bits=20, seed=1, pull=False)
-    kernel.step_many(30)
-    counters_by_bit = {
-        bit: kernel.counter_values_for_bit(bit)
-        for bit in range(20)
-        if kernel.counter_values_for_bit(bit).size >= 10
-    }
-    fit = fit_linear_cutoff(counters_by_bit)
-    return fit.intercept, fit.slope
-
-
 def main() -> None:
-    result = run_fig6(sizes=SIZES, bins=32, bits=20, convergence_rounds=30, seed=1)
+    result = run_fig6(FIG6.replace(seed=1), sizes=SIZES)
     print(render_fig6(result))
+    # The same networks with push-only gossip (no pull response).
+    push_only = run_fig6(FIG6.replace(seed=1, mode="push"), sizes=SIZES)
 
     rows = []
     for size in SIZES:
-        push_only = fit_without_pull(size)
-        push_pull = result.fits[size]
+        push_pull, push = result.fits[size], push_only.fits[size]
         rows.append(
             [
                 f"{size} hosts",
                 round(push_pull.intercept, 2),
                 round(push_pull.slope, 3),
-                round(push_only[0], 2),
-                round(push_only[1], 3),
+                round(push.intercept, 2),
+                round(push.slope, 3),
             ]
         )
     print(

@@ -15,7 +15,7 @@ def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     ``probabilities[i]`` is the fraction of samples ≤ ``sorted_values[i]``.
     Raises on an empty sample, because a CDF of nothing is meaningless.
     """
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot build a CDF from an empty sample")
     ordered = np.sort(arr)
@@ -25,11 +25,11 @@ def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 def cdf_at(values: Sequence[float], points: Sequence[float]) -> np.ndarray:
     """Evaluate the empirical CDF of ``values`` at the given ``points``."""
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot evaluate a CDF of an empty sample")
     ordered = np.sort(arr)
-    points_arr = np.asarray(list(points), dtype=float)
+    points_arr = np.asarray(points, dtype=float)
     counts = np.searchsorted(ordered, points_arr, side="right")
     return counts / arr.size
 
@@ -38,7 +38,7 @@ def quantile(values: Sequence[float], q: float) -> float:
     """The ``q``-quantile of ``values`` (0 ≤ q ≤ 1)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot take a quantile of an empty sample")
     return float(np.quantile(arr, q))

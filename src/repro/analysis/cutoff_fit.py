@@ -12,7 +12,7 @@ derive their own cutoffs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -80,10 +80,11 @@ def fit_linear_cutoff(
         raise ValueError("probability must be in (0, 1]")
     bounds: Dict[int, float] = {}
     for bit_index, samples in sorted(counters_by_bit.items()):
-        samples_list = [value for value in samples if np.isfinite(value)]
-        if len(samples_list) < min_samples:
+        samples = np.asarray(samples, dtype=float)
+        samples = samples[np.isfinite(samples)]
+        if samples.size < min_samples:
             continue
-        bounds[bit_index] = quantile(samples_list, probability)
+        bounds[bit_index] = quantile(samples, probability)
     if len(bounds) < 2:
         raise ValueError("need bounds for at least two bit indices to fit a line")
     bits = np.array(sorted(bounds), dtype=float)

@@ -58,7 +58,7 @@ from repro.analysis.render import render_series_table, render_table
 from repro.api import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
 from repro.api.spec import ScenarioSpec, run_scenario
 from repro.api.sweep import Sweep, SweepRunner
-from repro.experiments.runner import PROFILES, run_all_experiments
+from repro.experiments.runner import EXPERIMENTS, SCENARIO_PROFILES, run_all_experiments
 from repro.mobility.stats import (
     average_group_size_series,
     contact_duration_stats,
@@ -249,13 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="run the paper's evaluation figures and print the tables"
     )
     experiments.add_argument(
-        "--profile", choices=sorted(PROFILES), default="quick", help="problem-size profile"
+        "--profile", choices=sorted(SCENARIO_PROFILES), default="quick", help="problem-size profile"
     )
     experiments.add_argument(
-        "--only",
-        nargs="*",
-        default=None,
-        help="subset of experiments to run (fig6 fig8 fig9 fig10 fig11 ablations)",
+        "--only", nargs="*", default=None, choices=EXPERIMENTS,
+        help="subset of experiments to run",
     )
     experiments.add_argument("--seed", type=int, default=0, help="root random seed")
     experiments.add_argument(

@@ -8,10 +8,12 @@ together (and backs the ``python -m repro`` command line), and
 :mod:`repro.experiments.ablations` covers the design-choice ablations
 called out in DESIGN.md.
 
-Default problem sizes are scaled down from the paper's 100 000-host runs
-so that the full suite finishes in minutes on a laptop; every size is a
-parameter, and the figure benchmarks under ``benchmarks/`` set the scaled
-configuration behind the committed goldens in ``benchmarks/output/``.
+Each figure module defines its scenario once, as a module-level
+:class:`~repro.api.ScenarioSpec` (``FIG6`` … ``FIG11``) at the
+configuration behind the committed goldens in ``benchmarks/output/`` —
+scaled down from the paper's 100 000 hosts so the suite finishes in minutes.
+Every ``run_*`` takes that spec as its first argument and expands only the
+figure's variant axis; pass ``FIGN.replace(...)`` for another size or seed.
 """
 
 from repro.experiments.ablations import (
@@ -22,15 +24,20 @@ from repro.experiments.ablations import (
     run_push_vs_pushpull_ablation,
     run_summation_cost_ablation,
 )
-from repro.experiments.fig6_counter_cdf import Fig6Result, render_fig6, run_fig6
-from repro.experiments.fig8_uncorrelated import Fig8Result, render_fig8, run_fig8
-from repro.experiments.fig9_counting_failure import Fig9Result, render_fig9, run_fig9
-from repro.experiments.fig10_correlated import Fig10Result, render_fig10, run_fig10
-from repro.experiments.fig11_traces import Fig11Result, render_fig11, run_fig11
+from repro.experiments.fig6_counter_cdf import FIG6, Fig6Result, render_fig6, run_fig6
+from repro.experiments.fig8_uncorrelated import FIG8, Fig8Result, render_fig8, run_fig8
+from repro.experiments.fig9_counting_failure import FIG9, Fig9Result, render_fig9, run_fig9
+from repro.experiments.fig10_correlated import FIG10, Fig10Result, render_fig10, run_fig10
+from repro.experiments.fig11_traces import FIG11, Fig11Result, render_fig11, run_fig11
 from repro.experiments.runner import run_all_experiments
 
 __all__ = [
     "AblationResult",
+    "FIG10",
+    "FIG11",
+    "FIG6",
+    "FIG8",
+    "FIG9",
     "Fig10Result",
     "Fig11Result",
     "Fig6Result",

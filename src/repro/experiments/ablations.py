@@ -5,8 +5,9 @@ makes in passing (push/pull halves convergence, adaptive λ halves
 reconvergence, Invert-Average is orders of magnitude cheaper than multiple
 insertion) so that each claim has a reproducible measurement attached.
 Every ablation returns an :class:`AblationResult` with labelled scalar
-outcomes plus the raw series where relevant; each simulated variant is one
-:class:`~repro.api.ScenarioSpec` on the vectorised backend.
+outcomes plus the raw series where relevant; each simulated variant is a
+figure's scenario (:data:`~repro.experiments.fig8_uncorrelated.FIG8`,
+``FIG9``, ``FIG10``) resized and with the ablated parameter changed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.analysis.render import render_table
-from repro.api.spec import ScenarioSpec, run_scenario
-from repro.experiments.fig8_uncorrelated import push_sum_spec
-from repro.experiments.fig9_counting_failure import counting_spec
+from repro.api.spec import run_scenario
+from repro.experiments.fig8_uncorrelated import FIG8, failure_of
+from repro.experiments.fig9_counting_failure import FIG9
+from repro.experiments.fig10_correlated import FIG10
 from repro.metrics.bandwidth import protocol_cost_summary
 from repro.metrics.convergence import convergence_round, plateau_error, reconvergence_round
 
@@ -53,12 +55,6 @@ class AblationResult:
         return title + "\n" + render_table(["variant", "outcome"], rows)
 
 
-def _half_failure(failure_round: int, model: str) -> dict:
-    """Half the hosts fail at ``failure_round``: the highest-valued or random ones."""
-    event = {"event": "failure", "round": failure_round, "model": model, "fraction": 0.5}
-    return dict(event, highest=True) if model == "correlated" else event
-
-
 def run_push_vs_pushpull_ablation(
     n_hosts: int = 2000, *, rounds: int = 40, threshold: float = 1.0, seed: int = 0
 ) -> AblationResult:
@@ -72,11 +68,14 @@ def run_push_vs_pushpull_ablation(
         name="push vs push/pull",
         notes=f"{n_hosts} hosts, rounds to error <= {threshold}",
     )
-    for mode in ("push", "pushpull"):
-        errors = run_scenario(push_sum_spec(n_hosts, rounds, 0.0, mode=mode, seed=seed)).errors()
-        result.series[mode] = errors
+    static = FIG8.replace(
+        protocol_params={"reversion": 0.0}, n_hosts=n_hosts, rounds=rounds, events=(), seed=seed
+    )
+    for label, mode in (("push", "push"), ("pushpull", "exchange")):
+        errors = run_scenario(static.replace(mode=mode)).errors()
+        result.series[label] = errors
         converged = convergence_round(errors, threshold)
-        result.outcomes[mode] = float(converged) if converged is not None else float("nan")
+        result.outcomes[label] = float(converged) if converged is not None else float("nan")
     return result
 
 
@@ -84,31 +83,24 @@ def run_adaptive_lambda_ablation(
     n_hosts: int = 2000,
     *,
     rounds: int = 60,
-    failure_round: int = 20,
     reversion: float = 0.05,
     threshold: float = 5.0,
     seed: int = 0,
 ) -> AblationResult:
     """Fixed λ versus indegree-adaptive λ/2-per-message reversion (push mode).
 
-    Outcome per variant: rounds after the correlated failure needed to bring
-    the error back under ``threshold`` (NaN = never within the horizon).
+    Outcome per variant: rounds after Figure 10's correlated failure needed
+    to bring the error back under ``threshold`` (NaN = never within the
+    horizon).
     """
+    scenario = FIG10.replace(mode="push", n_hosts=n_hosts, rounds=rounds, seed=seed)
+    failure_round, _fraction = failure_of(scenario)
     result = AblationResult(
         name="fixed vs adaptive reversion",
         notes=f"lambda={reversion}, correlated failure at round {failure_round}",
     )
     for label, adaptive in (("fixed", False), ("adaptive", True)):
-        spec = ScenarioSpec(
-            protocol="push-sum-revert",
-            protocol_params={"reversion": reversion, "adaptive": adaptive},
-            mode="push",
-            n_hosts=n_hosts,
-            rounds=rounds,
-            seed=seed,
-            events=(_half_failure(failure_round, "correlated"),),
-            backend="vectorized",
-        )
+        spec = scenario.replace(protocol_params={"reversion": reversion, "adaptive": adaptive})
         errors = run_scenario(spec).errors()
         result.series[label] = errors
         recovered = reconvergence_round(errors, threshold, disturbance_round=failure_round)
@@ -120,23 +112,24 @@ def run_full_transfer_parameter_ablation(
     n_hosts: int = 2000,
     *,
     rounds: int = 60,
-    failure_round: int = 20,
     reversion: float = 0.1,
     parcel_counts: Sequence[int] = (1, 2, 4, 8),
     history_lengths: Sequence[int] = (1, 3, 6),
     seed: int = 0,
 ) -> AblationResult:
-    """Plateau error of Full-Transfer as a function of N (parcels) and T (history)."""
+    """Plateau error of Full-Transfer after Figure 10's failure, by N (parcels) and T (history)."""
     result = AblationResult(
         name="full-transfer parcels/history sweep",
         notes=f"lambda={reversion}, plateau error after correlated failure",
     )
-    failure = _half_failure(failure_round, "correlated")
+    scenario = FIG10.replace(
+        protocol="push-sum-revert-full-transfer", mode="push", n_hosts=n_hosts, rounds=rounds,
+        seed=seed,
+    )
     for parcels in parcel_counts:
         for history in history_lengths:
-            spec = push_sum_spec(
-                n_hosts, rounds, reversion, mode="full-transfer", parcels=parcels,
-                history=history, events=(failure,), seed=seed,
+            spec = scenario.replace(
+                protocol_params={"reversion": reversion, "parcels": parcels, "history": history}
             )
             errors = run_scenario(spec).errors()
             label = f"N={parcels}, T={history}"
@@ -149,7 +142,6 @@ def run_cutoff_slope_ablation(
     n_hosts: int = 2000,
     *,
     rounds: int = 40,
-    failure_round: int = 20,
     intercepts: Sequence[float] = (4.0, 7.0, 12.0),
     slopes: Sequence[float] = (0.25,),
     bins: int = 32,
@@ -160,19 +152,19 @@ def run_cutoff_slope_ablation(
 
     Too small an intercept expires bits that are still being sourced
     (underestimation before any failure); too large an intercept delays
-    recovery after the failure.  Outcomes are the post-failure plateau
-    errors; the pre-failure plateau is recorded in the series.
+    recovery after Figure 9's failure.  Outcomes are the post-failure
+    plateau errors; the pre-failure plateau is recorded in the series.
     """
+    scenario = FIG9.replace(n_hosts=n_hosts, rounds=rounds, seed=seed)
+    failure_round, failure_fraction = failure_of(scenario)
     result = AblationResult(
         name="freshness cutoff sweep",
-        notes=f"{n_hosts} hosts, 50% random failure at round {failure_round}",
+        notes=f"{n_hosts} hosts, {failure_fraction:.0%} random failure at round {failure_round}",
     )
-    failure = _half_failure(failure_round, "uncorrelated")
     for intercept in intercepts:
         for slope in slopes:
-            spec = counting_spec(
-                n_hosts, rounds, bins=bins, bits=bits, cutoff=[intercept, slope],
-                events=(failure,), seed=seed,
+            spec = scenario.replace(
+                protocol_params={"bins": bins, "bits": bits, "cutoff": [intercept, slope]}
             )
             errors = run_scenario(spec).errors()
             label = f"f(k)={intercept:g}+{slope:g}k"

@@ -17,17 +17,29 @@ mass circulating in the system still encodes the old average.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.render import render_series_table
-from repro.api.spec import run_scenario
-from repro.experiments.fig8_uncorrelated import push_sum_spec
+from repro.api.spec import ScenarioSpec, run_scenario
+from repro.experiments.fig8_uncorrelated import DEFAULT_LAMBDAS, failure_of, reversion_sweep
 from repro.metrics.convergence import plateau_error, reconvergence_round
 
-__all__ = ["Fig10Result", "run_fig10", "render_fig10", "DEFAULT_LAMBDAS"]
+__all__ = ["FIG10", "Fig10Result", "run_fig10", "render_fig10"]
 
-#: Reversion constants swept in the paper's figure.
-DEFAULT_LAMBDAS: Tuple[float, ...] = (0.0, 0.001, 0.01, 0.1, 0.5)
+#: Figure 10's scenario at the configuration behind ``benchmarks/output/fig10.txt``;
+#: :func:`run_fig10` sweeps its reversion constant for both panels.
+FIG10 = ScenarioSpec(
+    name="fig10-correlated-failure",
+    protocol="push-sum-revert",
+    protocol_params={"reversion": 0.1},
+    n_hosts=5000,
+    rounds=60,
+    events=(
+        {"event": "failure", "round": 20, "model": "correlated", "fraction": 0.5, "highest": True},
+    ),
+    seed=0,
+    backend="vectorized",
+)
 
 
 @dataclass
@@ -65,70 +77,48 @@ class Fig10Result:
 
 
 def run_fig10(
-    n_hosts: int = 4000,
+    spec: ScenarioSpec = FIG10,
     *,
-    rounds: int = 60,
-    failure_round: int = 20,
-    failure_fraction: float = 0.5,
     lambdas: Sequence[float] = DEFAULT_LAMBDAS,
     parcels: int = 4,
     history: int = 3,
     include_full_transfer: bool = True,
-    seed: int = 0,
-    backend: str = "vectorized",
     store=None,
 ) -> Fig10Result:
-    """Run both panels of the Figure 10 experiment (scaled to ``n_hosts``).
+    """Run both panels of the Figure 10 experiment: ``spec`` once per λ.
 
-    Every (λ, variant) pair is one declarative scenario executed through the
-    backend layer; panel (b) runs the ``push-sum-revert-full-transfer``
-    protocol.  An optional :class:`repro.store.ResultStore` makes
-    regeneration incremental — touching one protocol re-runs only the
-    curves whose code fingerprint changed.
+    Panel (b) is the same scenario on the ``push-sum-revert-full-transfer``
+    protocol (push mode, ``parcels`` parcels, ``history`` rounds).  An
+    optional :class:`repro.store.ResultStore` makes regeneration
+    incremental — touching one protocol re-runs only the curves whose code
+    fingerprint changed.
     """
-    if failure_round >= rounds:
-        raise ValueError("failure_round must fall inside the simulated rounds")
-    failure = {
-        "event": "failure",
-        "round": failure_round,
-        "model": "correlated",
-        "fraction": failure_fraction,
-        "highest": True,
-    }
+    failure_round, failure_fraction = failure_of(spec)
     result = Fig10Result(
-        n_hosts=n_hosts,
-        rounds=rounds,
+        n_hosts=spec.n_hosts,
+        rounds=spec.rounds,
         failure_round=failure_round,
         failure_fraction=failure_fraction,
         parcels=parcels,
         history=history,
-        seed=seed,
+        seed=spec.seed,
     )
-
-    def run_variant(reversion: float, mode: str) -> Tuple[List[float], List[float]]:
-        spec = push_sum_spec(
-            n_hosts,
-            rounds,
-            reversion,
-            mode=mode,
-            parcels=parcels,
-            history=history,
-            events=(failure,),
-            seed=seed,
-            backend=backend,
-            name=f"fig10 lambda={reversion:g} ({mode})",
+    panels = [(spec, result.basic_errors)]
+    if include_full_transfer:
+        full_transfer = spec.replace(
+            protocol="push-sum-revert-full-transfer",
+            mode="push",
+            protocol_params={
+                **spec.protocol_params, "parcels": int(parcels), "history": int(history)
+            },
         )
-        run = run_scenario(spec, store=store)
-        return run.errors(), run.truths()
-
-    for index, reversion in enumerate(lambdas):
-        basic_errors, truths = run_variant(float(reversion), "pushpull")
-        result.basic_errors[float(reversion)] = basic_errors
-        if index == 0:
-            result.truths = truths
-        if include_full_transfer:
-            full_errors, _ = run_variant(float(reversion), "full-transfer")
-            result.full_transfer_errors[float(reversion)] = full_errors
+        panels.append((full_transfer, result.full_transfer_errors))
+    for panel, errors in panels:
+        for variant in reversion_sweep(panel, lambdas).specs():
+            run = run_scenario(variant, store=store)
+            errors[variant.protocol_params["reversion"]] = run.errors()
+            if not result.truths:
+                result.truths = run.truths()
     return result
 
 

@@ -32,7 +32,7 @@ from repro.analysis.render import render_series_table
 from repro.api.spec import ScenarioSpec, run_scenario
 from repro.mobility.synthetic_haggle import haggle_dataset
 
-__all__ = ["Fig11DatasetResult", "Fig11Result", "run_fig11", "render_fig11"]
+__all__ = ["FIG11", "Fig11DatasetResult", "Fig11Result", "run_fig11", "render_fig11"]
 
 #: Reversion constants used for the averaging panels.
 DEFAULT_AVERAGE_LAMBDAS: Tuple[float, ...] = (0.0, 0.001, 0.01)
@@ -44,6 +44,22 @@ DEFAULT_SIZE_VARIANTS: Dict[str, object] = {
     "reversion on": "default",
     "reversion slow": "slow",
 }
+
+#: Figure 11's trace scenario: one gossip round per 30 s, errors against
+#: the group seen over the last 10 minutes.  :func:`run_fig11` sets the
+#: dataset, its device count, its length and the protocol per variant.  The
+#: agent engine is pinned: ``"auto"`` would resolve to the kernels, which
+#: agree statistically but not bit for bit (DESIGN.md §7).
+FIG11 = ScenarioSpec(
+    name="fig11-trace",
+    protocol="push-sum-revert",
+    environment="trace",
+    environment_params={"dataset": 1, "round_seconds": 30.0, "group_window_seconds": 600.0},
+    n_hosts=9,
+    seed=0,
+    group_relative=True,
+    backend="agent",
+)
 
 
 @dataclass
@@ -94,45 +110,39 @@ def _hourly(series: Sequence[float], rounds_per_hour: int) -> List[float]:
 
 
 def run_fig11(
-    datasets: Sequence[int] = (1, 2),
+    spec: ScenarioSpec = FIG11,
     *,
+    datasets: Sequence[int] = (1, 2),
     average_lambdas: Sequence[float] = DEFAULT_AVERAGE_LAMBDAS,
-    size_variants: Optional[Dict[str, object]] = None,
     max_hours: Optional[float] = 24.0,
-    round_seconds: float = 30.0,
-    group_window_seconds: float = 600.0,
     bins: int = 32,
     bits: int = 16,
     identifiers_per_host: int = 100,
-    seed: int = 0,
-    backend: str = "agent",
 ) -> Fig11Result:
     """Replay the trace-driven experiment for the requested datasets.
 
-    Every variant is one group-relative ``trace`` scenario run through
-    :func:`~repro.api.spec.run_scenario`: Push-Sum-Revert in exchange mode
-    per λ in ``average_lambdas``, Count-Sketch-Reset per cutoff in
-    ``size_variants`` (label → spec cutoff, default
-    :data:`DEFAULT_SIZE_VARIANTS`), all over the same values (seed
-    ``seed + dataset``).  ``max_hours`` truncates each trace (``None``
-    replays it in full — the configuration behind the committed
-    ``benchmarks/output/fig11.txt`` is set in
-    ``benchmarks/test_bench_fig11.py``).  ``backend="vectorized"`` replays
+    Every variant is ``spec`` on one dataset: Push-Sum-Revert in exchange
+    mode per λ in ``average_lambdas``, and Count-Sketch-Reset per cutoff in
+    :data:`DEFAULT_SIZE_VARIANTS`, all over the same values (seed
+    ``spec.seed + dataset``).  ``max_hours`` truncates each trace (``None``
+    replays it in full).  ``spec.replace(backend="vectorized")`` replays
     the same traces on the NumPy kernels, every variant of a dataset over
     one memoised compiled trace (DESIGN.md §12) — statistically equivalent
     but not bit-identical to the agent default (DESIGN.md §7), and the
     route for large synthetic device counts.
     """
-    if backend not in ("agent", "vectorized"):
-        raise ValueError(f"unknown fig11 backend {backend!r}; expected 'agent' or 'vectorized'")
-    variants = size_variants if size_variants is not None else DEFAULT_SIZE_VARIANTS
+    if spec.backend not in ("agent", "vectorized"):
+        raise ValueError(
+            f"unknown fig11 backend {spec.backend!r}; expected 'agent' or 'vectorized'"
+        )
+    round_seconds = float(spec.environment_params["round_seconds"])
     result = Fig11Result(
         round_seconds=round_seconds,
-        group_window_seconds=group_window_seconds,
+        group_window_seconds=float(spec.environment_params["group_window_seconds"]),
         identifiers_per_host=identifiers_per_host,
         bins=bins,
         bits=bits,
-        seed=seed,
+        seed=spec.seed,
     )
     rounds_per_hour = max(1, int(round(3600.0 / round_seconds)))
     sketch = {"bins": bins, "bits": bits, "identifiers_per_host": identifiers_per_host}
@@ -141,20 +151,11 @@ def run_fig11(
         total_rounds = int(trace.duration // round_seconds) + 1
         if max_hours is not None:
             total_rounds = min(total_rounds, int(max_hours * rounds_per_hour))
-        base = ScenarioSpec(
-            protocol="push-sum-revert",
-            environment="trace",
-            environment_params={
-                "dataset": dataset,
-                "round_seconds": round_seconds,
-                "group_window_seconds": group_window_seconds,
-            },
-            workload_params={"seed": seed + dataset},
+        base = spec.replace(
+            environment_params={**spec.environment_params, "dataset": dataset},
+            workload_params={"seed": spec.seed + dataset},
             n_hosts=trace.n_devices,
             rounds=total_rounds,
-            seed=seed,
-            group_relative=True,
-            backend=backend,
         )
         dataset_result = Fig11DatasetResult(
             dataset=dataset,
@@ -171,11 +172,11 @@ def run_fig11(
             (dataset_result.size_errors, label,
              base.replace(protocol="count-sketch-reset",
                           protocol_params={**sketch, "cutoff": cutoff}))
-            for label, cutoff in variants.items()
+            for label, cutoff in DEFAULT_SIZE_VARIANTS.items()
         ]
         group_size_series: Optional[List[float]] = None
-        for errors, label, spec in variant_runs:
-            run = run_scenario(spec)
+        for errors, label, variant in variant_runs:
+            run = run_scenario(variant)
             errors[label] = _hourly(run.errors(), rounds_per_hour)
             if group_size_series is None:
                 group_size_series = [

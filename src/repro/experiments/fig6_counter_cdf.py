@@ -28,7 +28,20 @@ from repro.analysis.render import render_table
 from repro.api.backends import BACKENDS
 from repro.api.spec import ScenarioSpec
 
-__all__ = ["Fig6Result", "run_fig6", "render_fig6"]
+__all__ = ["FIG6", "Fig6Result", "run_fig6", "render_fig6"]
+
+#: Figure 6's converged network at the configuration behind
+#: ``benchmarks/output/fig6.txt``: a 32 x 20 Count-Sketch-Reset after 30
+#: rounds; :func:`run_fig6` sets ``n_hosts`` once per network size.
+FIG6 = ScenarioSpec(
+    name="fig6-counter-cdf",
+    protocol="count-sketch-reset",
+    protocol_params={"bins": 32, "bits": 20},
+    workload="constant",
+    rounds=30,
+    seed=0,
+    backend="vectorized",
+)
 
 
 @dataclass
@@ -57,50 +70,38 @@ class Fig6Result:
 
 
 def run_fig6(
-    sizes: Sequence[int] = (500, 2000, 8000),
+    spec: ScenarioSpec = FIG6,
     *,
-    bins: int = 32,
-    bits: int = 20,
-    convergence_rounds: int = 30,
+    sizes: Sequence[int] = (1000, 4000, 10000),
     min_samples: int = 10,
     quantile: float = 0.99,
-    seed: int = 0,
 ) -> Fig6Result:
-    """Collect converged counter distributions for several network sizes.
+    """Collect converged counter distributions of ``spec`` at several network sizes.
 
     The per-size kernels are built through the vectorised execution backend
     (:mod:`repro.api.backends`) — this experiment reads raw counter state
     (:meth:`~repro.simulator.vectorized.VectorizedCountSketchReset.counter_values_for_bit`),
     which only the vectorised realisation exposes.
     """
+    bits = spec.protocol_params["bits"]
     result = Fig6Result(
         sizes=tuple(int(size) for size in sizes),
-        bins=bins,
+        bins=spec.protocol_params["bins"],
         bits=bits,
-        convergence_rounds=convergence_rounds,
-        seed=seed,
+        convergence_rounds=spec.rounds,
+        seed=spec.seed,
     )
-    pooled: Dict[int, List[int]] = {}
+    pooled: Dict[int, List[np.ndarray]] = {}
     vectorized = BACKENDS.get("vectorized")
     for size in result.sizes:
-        spec = ScenarioSpec(
-            protocol="count-sketch-reset",
-            protocol_params={"bins": bins, "bits": bits},
-            workload="constant",
-            n_hosts=size,
-            rounds=convergence_rounds,
-            seed=seed,
-            backend="vectorized",
-            name=f"fig6 n={size}",
-        )
-        kernel = vectorized.build_kernel(spec)
-        kernel.step_many(convergence_rounds)
+        kernel = vectorized.build_kernel(spec.replace(n_hosts=size, name=f"fig6 n={size}"))
+        kernel.step_many(spec.rounds)
         per_bit: Dict[int, np.ndarray] = {}
         for bit_index in range(bits):
             values = kernel.counter_values_for_bit(bit_index)
             if values.size:
                 per_bit[bit_index] = values
-                pooled.setdefault(bit_index, []).extend(int(v) for v in values)
+                pooled.setdefault(bit_index, []).append(values)
         result.counters[size] = per_bit
         fit_input = {bit: values for bit, values in per_bit.items() if values.size >= min_samples}
         if len(fit_input) >= 2:
@@ -108,7 +109,9 @@ def run_fig6(
                 fit_input, probability=quantile, min_samples=min_samples
             )
     result.pooled_fit = fit_linear_cutoff(
-        pooled, probability=quantile, min_samples=min_samples
+        {bit: np.concatenate(parts) for bit, parts in pooled.items()},
+        probability=quantile,
+        min_samples=min_samples,
     )
     return result
 

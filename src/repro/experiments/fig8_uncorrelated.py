@@ -19,56 +19,44 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.render import render_series_table
 from repro.api.spec import ScenarioSpec, run_scenario
+from repro.api.sweep import Sweep
 
-__all__ = ["Fig8Result", "run_fig8", "render_fig8", "DEFAULT_LAMBDAS", "push_sum_spec"]
+__all__ = ["FIG8", "Fig8Result", "run_fig8", "render_fig8", "DEFAULT_LAMBDAS"]
 
 #: Reversion constants swept in the paper's figure.
 DEFAULT_LAMBDAS: Tuple[float, ...] = (0.0, 0.001, 0.01, 0.1, 0.5)
 
-#: Kernel gossip modes expressed as (protocol, engine-mode) spec fields.
-_MODE_TABLE = {
-    "pushpull": ("push-sum-revert", "exchange"),
-    "push": ("push-sum-revert", "push"),
-    "full-transfer": ("push-sum-revert-full-transfer", "push"),
-}
+#: Figure 8's scenario at the configuration behind ``benchmarks/output/fig8.txt``;
+#: :func:`run_fig8` sweeps its reversion constant.
+FIG8 = ScenarioSpec(
+    name="fig8-uncorrelated-failure",
+    protocol="push-sum-revert",
+    protocol_params={"reversion": 0.01},
+    n_hosts=5000,
+    rounds=60,
+    events=({"event": "failure", "round": 20, "model": "uncorrelated", "fraction": 0.5},),
+    seed=0,
+    backend="vectorized",
+)
 
 
-def push_sum_spec(
-    n_hosts: int,
-    rounds: int,
-    reversion: float,
-    *,
-    mode: str = "pushpull",
-    parcels: int = 4,
-    history: int = 3,
-    events: Tuple[dict, ...] = (),
-    seed: int = 0,
-    backend: str = "vectorized",
-    name: str = "",
-) -> ScenarioSpec:
-    """The declarative scenario behind one Push-Sum(-Revert) figure curve.
+def failure_of(spec: ScenarioSpec) -> Tuple[int, float]:
+    """The round and fraction of a failure figure's one failure event."""
+    failures = [event for event in spec.events if event["event"] == "failure"]
+    if len(failures) != 1:
+        raise ValueError(f"a failure figure needs exactly one failure event, got {len(failures)}")
+    (failure,) = failures
+    if failure["round"] >= spec.rounds:
+        raise ValueError("the failure round must fall inside the simulated rounds")
+    return failure["round"], float(failure["fraction"])
 
-    Shared by the Figure 8 and Figure 10 runners so both execute through the
-    backend layer (:mod:`repro.api.backends`) instead of instantiating
-    kernels by hand.
-    """
-    if mode not in _MODE_TABLE:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_MODE_TABLE)}")
-    protocol, engine_mode = _MODE_TABLE[mode]
-    params: Dict[str, object] = {"reversion": float(reversion)}
-    if mode == "full-transfer":
-        params.update({"parcels": int(parcels), "history": int(history)})
-    return ScenarioSpec(
-        protocol=protocol,
-        protocol_params=params,
-        n_hosts=n_hosts,
-        rounds=rounds,
-        mode=engine_mode,
-        seed=seed,
-        events=events,
-        backend=backend,
-        name=name,
-    )
+
+def reversion_sweep(
+    spec: ScenarioSpec, lambdas: Sequence[float] = DEFAULT_LAMBDAS, **axes
+) -> Sweep:
+    """``spec`` swept over the reversion constants ``lambdas`` (plus any further ``axes``)."""
+    reversions = [float(reversion) for reversion in lambdas]
+    return Sweep.over(spec, **{"protocol_params.reversion": reversions}, **axes)
 
 
 @dataclass
@@ -95,54 +83,29 @@ class Fig8Result:
 
 
 def run_fig8(
-    n_hosts: int = 4000,
+    spec: ScenarioSpec = FIG8,
     *,
-    rounds: int = 60,
-    failure_round: int = 20,
-    failure_fraction: float = 0.5,
     lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-    mode: str = "pushpull",
-    seed: int = 0,
-    backend: str = "vectorized",
     store=None,
 ) -> Fig8Result:
-    """Run the Figure 8 experiment (scaled to ``n_hosts``).
+    """Run the Figure 8 experiment: ``spec`` once per λ in ``lambdas``.
 
-    Each λ curve is one declarative scenario executed through the backend
-    layer (``backend="vectorized"`` by default; pass ``"agent"`` to
-    cross-check against the per-host engine at small populations).  With a
-    :class:`repro.store.ResultStore`, curves whose spec is unchanged come
+    Each λ curve is one scenario executed through the backend layer.  With
+    a :class:`repro.store.ResultStore`, curves whose spec is unchanged come
     out of the cache instead of re-simulating.
     """
-    if failure_round >= rounds:
-        raise ValueError("failure_round must fall inside the simulated rounds")
-    failure = {
-        "event": "failure",
-        "round": failure_round,
-        "model": "uncorrelated",
-        "fraction": failure_fraction,
-    }
+    failure_round, failure_fraction = failure_of(spec)
     result = Fig8Result(
-        n_hosts=n_hosts,
-        rounds=rounds,
+        n_hosts=spec.n_hosts,
+        rounds=spec.rounds,
         failure_round=failure_round,
         failure_fraction=failure_fraction,
-        seed=seed,
+        seed=spec.seed,
     )
-    for index, reversion in enumerate(lambdas):
-        spec = push_sum_spec(
-            n_hosts,
-            rounds,
-            float(reversion),
-            mode=mode,
-            events=(failure,),
-            seed=seed,
-            backend=backend,
-            name=f"fig8 lambda={reversion:g}",
-        )
-        run = run_scenario(spec, store=store)
-        result.errors[float(reversion)] = run.errors()
-        if index == 0:
+    for variant in reversion_sweep(spec, lambdas).specs():
+        run = run_scenario(variant, store=store)
+        result.errors[variant.protocol_params["reversion"]] = run.errors()
+        if not result.truths:
             result.truths = run.truths()
     return result
 

@@ -20,41 +20,24 @@ from typing import List, Optional
 
 from repro.analysis.render import render_series_table
 from repro.api.spec import ScenarioSpec, run_scenario
+from repro.experiments.fig8_uncorrelated import failure_of
 from repro.metrics.convergence import reconvergence_round
 
-__all__ = ["Fig9Result", "run_fig9", "render_fig9", "counting_spec"]
+__all__ = ["FIG9", "Fig9Result", "run_fig9", "render_fig9"]
 
-
-def counting_spec(
-    n_hosts: int,
-    rounds: int,
-    *,
-    bins: int,
-    bits: int,
-    cutoff="default",
-    events=(),
-    seed: int = 0,
-    backend: str = "vectorized",
-    name: str = "",
-) -> ScenarioSpec:
-    """One declarative Count-Sketch-Reset counting scenario.
-
-    ``cutoff`` is a :data:`~repro.api.spec.NAMED_CUTOFFS` name —
-    ``"default"`` for the paper's f(k) = 7 + k/4 propagation limiting,
-    ``"off"`` for the naive never-decaying variant — or an
-    ``[intercept, slope]`` pair for f(k) = intercept + slope·k.
-    """
-    return ScenarioSpec(
-        protocol="count-sketch-reset",
-        protocol_params={"bins": int(bins), "bits": int(bits), "cutoff": cutoff},
-        workload="constant",
-        n_hosts=n_hosts,
-        rounds=rounds,
-        seed=seed,
-        events=events,
-        backend=backend,
-        name=name,
-    )
+#: Figure 9's scenario at the configuration behind ``benchmarks/output/fig9.txt``:
+#: Count-Sketch-Reset with the paper's cutoff (``"default"``, f(k) = 7 + k/4).
+FIG9 = ScenarioSpec(
+    name="fig9-counting-failure",
+    protocol="count-sketch-reset",
+    protocol_params={"bins": 32, "bits": 20, "cutoff": "default"},
+    workload="constant",
+    n_hosts=5000,
+    rounds=40,
+    events=({"event": "failure", "round": 20, "model": "uncorrelated", "fraction": 0.5},),
+    seed=0,
+    backend="vectorized",
+)
 
 
 @dataclass
@@ -89,61 +72,29 @@ class Fig9Result:
         return self.limited_errors[-1]
 
 
-def run_fig9(
-    n_hosts: int = 4000,
-    *,
-    rounds: int = 40,
-    failure_round: int = 20,
-    failure_fraction: float = 0.5,
-    bins: int = 32,
-    bits: int = 20,
-    seed: int = 0,
-    backend: str = "vectorized",
-    store=None,
-) -> Fig9Result:
-    """Run the Figure 9 experiment (scaled to ``n_hosts``).
+def run_fig9(spec: ScenarioSpec = FIG9, *, store=None) -> Fig9Result:
+    """Run the Figure 9 experiment: ``spec`` with its cutoff, then with ``cutoff="off"``.
 
-    Both variants are declarative scenarios executed through the backend
-    layer — the same sketch with the propagation-limiting cutoff on
-    (``"default"``) and off (``"off"``).  An optional
-    :class:`repro.store.ResultStore` makes regeneration incremental.
+    An optional :class:`repro.store.ResultStore` makes regeneration
+    incremental.
     """
-    if failure_round >= rounds:
-        raise ValueError("failure_round must fall inside the simulated rounds")
-    failure = {
-        "event": "failure",
-        "round": failure_round,
-        "model": "uncorrelated",
-        "fraction": failure_fraction,
-    }
-    result = Fig9Result(
-        n_hosts=n_hosts,
-        rounds=rounds,
+    failure_round, failure_fraction = failure_of(spec)
+    limited = run_scenario(spec, store=store)
+    naive = run_scenario(
+        spec.replace(protocol_params={**spec.protocol_params, "cutoff": "off"}), store=store
+    )
+    return Fig9Result(
+        n_hosts=spec.n_hosts,
+        rounds=spec.rounds,
         failure_round=failure_round,
         failure_fraction=failure_fraction,
-        bins=bins,
-        bits=bits,
-        seed=seed,
+        bins=spec.protocol_params["bins"],
+        bits=spec.protocol_params["bits"],
+        seed=spec.seed,
+        limited_errors=limited.errors(),
+        naive_errors=naive.errors(),
+        truths=limited.truths(),
     )
-    for name, cutoff in (("limited", "default"), ("naive", "off")):
-        spec = counting_spec(
-            n_hosts,
-            rounds,
-            bins=bins,
-            bits=bits,
-            cutoff=cutoff,
-            events=(failure,),
-            seed=seed,
-            backend=backend,
-            name=f"fig9 propagation limiting {'on' if name == 'limited' else 'off'}",
-        )
-        run = run_scenario(spec, store=store)
-        if name == "limited":
-            result.limited_errors = run.errors()
-            result.truths = run.truths()
-        else:
-            result.naive_errors = run.errors()
-    return result
 
 
 def render_fig9(result: Fig9Result, *, every: int = 2) -> str:

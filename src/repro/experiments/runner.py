@@ -1,26 +1,27 @@
 """Run every experiment and render a combined text report.
 
-Two profiles are provided:
+Each figure module defines its scenario once, at the configuration behind
+the committed ``benchmarks/output/fig*.txt`` (``FIG6`` … ``FIG11``).  The
+two profiles here are size overrides of those specs:
 
-* ``quick`` — small populations and truncated traces; finishes in a couple
-  of minutes and is what the benchmark suite and CI exercise;
+* ``quick`` — smaller populations and truncated traces; finishes in
+  seconds;
 * ``full`` — larger populations (still below the paper's 100 000 hosts; see
   DESIGN.md §4) and full-length traces for all three datasets.
 
-Since the declarative scenario API landed, the profiles are defined as
-:class:`~repro.api.ScenarioSpec` grids (:data:`SCENARIO_PROFILES`): each
-figure's engine-level scenario is written down once as plain data, and the
-keyword dicts the vectorised figure runners consume (:data:`PROFILES`)
-derive their shared numbers — population, rounds, sketch geometry — from
-those specs.  :func:`scenario_specs` and :func:`lambda_sweep` expose the
-same definitions to the CLI's ``run``/``sweep`` subcommands and to tests.
+:data:`SCENARIO_PROFILES` holds each profile's specs and
+:data:`PROFILE_EXTRAS` the keywords of the two figures whose variant axis
+is not a spec field (Fig 6's network sizes, Fig 11's datasets, trace length
+and sketch size).  :func:`run_all_experiments` runs exactly those specs;
+:func:`scenario_specs` and :func:`lambda_sweep` expose them to tests and
+library callers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.spec import ScenarioSpec
 from repro.api.sweep import Sweep
@@ -31,163 +32,56 @@ from repro.experiments.ablations import (
     run_push_vs_pushpull_ablation,
     run_summation_cost_ablation,
 )
-from repro.experiments.fig6_counter_cdf import render_fig6, run_fig6
-from repro.experiments.fig8_uncorrelated import DEFAULT_LAMBDAS, render_fig8, run_fig8
-from repro.experiments.fig9_counting_failure import render_fig9, run_fig9
-from repro.experiments.fig10_correlated import render_fig10, run_fig10
-from repro.experiments.fig11_traces import render_fig11, run_fig11
+from repro.experiments.fig6_counter_cdf import FIG6, render_fig6, run_fig6
+from repro.experiments.fig8_uncorrelated import FIG8, render_fig8, reversion_sweep, run_fig8
+from repro.experiments.fig9_counting_failure import FIG9, render_fig9, run_fig9
+from repro.experiments.fig10_correlated import FIG10, render_fig10, run_fig10
+from repro.experiments.fig11_traces import FIG11, render_fig11, run_fig11
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentReport",
     "run_all_experiments",
-    "PROFILES",
+    "PROFILE_EXTRAS",
     "SCENARIO_PROFILES",
     "scenario_specs",
     "lambda_sweep",
 ]
 
-#: The round at which the paper's failure figures remove half the hosts.
-FAILURE_ROUND = 20
 
-_HALF_UNCORRELATED = {
-    "event": "failure",
-    "round": FAILURE_ROUND,
-    "model": "uncorrelated",
-    "fraction": 0.5,
-}
-_HALF_CORRELATED = {
-    "event": "failure",
-    "round": FAILURE_ROUND,
-    "model": "correlated",
-    "fraction": 0.5,
-    "highest": True,
-}
-
-#: Engine-level scenario definitions per profile — the declarative source of
-#: truth for the population sizes and round counts used everywhere below.
+#: Each profile's figure specs: the figure modules' scenarios, resized.
 SCENARIO_PROFILES: Dict[str, Dict[str, ScenarioSpec]] = {
     "quick": {
-        "fig8": ScenarioSpec(
-            name="fig8-uncorrelated-failure",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.01},
-            n_hosts=2000,
-            rounds=60,
-            events=(_HALF_UNCORRELATED,),
-        ),
-        "fig9": ScenarioSpec(
-            name="fig9-counting-failure",
-            protocol="count-sketch-reset",
-            protocol_params={"bins": 16, "bits": 20, "cutoff": "default"},
-            workload="constant",
-            n_hosts=2000,
-            rounds=40,
-            events=(_HALF_UNCORRELATED,),
-        ),
-        "fig10": ScenarioSpec(
-            name="fig10-correlated-failure",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.1},
-            n_hosts=2000,
-            rounds=60,
-            events=(_HALF_CORRELATED,),
-        ),
-        "fig11": ScenarioSpec(
-            name="fig11-trace-dataset-1",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.01},
-            environment="trace",
-            environment_params={"dataset": 1},
-            workload_params={"seed": 1},
-            n_hosts=9,
-            rounds=12 * 120,  # 12 hours of 30-second rounds
-            group_relative=True,
-        ),
+        "fig6": FIG6.replace(rounds=25, protocol_params={"bins": 16, "bits": 18}),
+        "fig8": FIG8.replace(n_hosts=2000),
+        "fig9": FIG9.replace(n_hosts=2000, protocol_params={**FIG9.protocol_params, "bins": 16}),
+        "fig10": FIG10.replace(n_hosts=2000),
+        "fig11": FIG11,
     },
     "full": {
-        "fig8": ScenarioSpec(
-            name="fig8-uncorrelated-failure",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.01},
-            n_hosts=50000,
-            rounds=60,
-            events=(_HALF_UNCORRELATED,),
-        ),
-        "fig9": ScenarioSpec(
-            name="fig9-counting-failure",
-            protocol="count-sketch-reset",
-            protocol_params={"bins": 32, "bits": 20, "cutoff": "default"},
-            workload="constant",
-            n_hosts=20000,
-            rounds=40,
-            events=(_HALF_UNCORRELATED,),
-        ),
-        "fig10": ScenarioSpec(
-            name="fig10-correlated-failure",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.1},
-            n_hosts=50000,
-            rounds=60,
-            events=(_HALF_CORRELATED,),
-        ),
-        "fig11": ScenarioSpec(
-            name="fig11-trace-dataset-1",
-            protocol="push-sum-revert",
-            protocol_params={"reversion": 0.01},
-            environment="trace",
-            environment_params={"dataset": 1},
-            workload_params={"seed": 1},
-            n_hosts=9,
-            rounds=90 * 120,  # the full 90-hour dataset-1 trace
-            group_relative=True,
-        ),
+        "fig6": FIG6.replace(rounds=35, protocol_params={**FIG6.protocol_params, "bits": 22}),
+        "fig8": FIG8.replace(n_hosts=50000),
+        "fig9": FIG9.replace(n_hosts=20000),
+        "fig10": FIG10.replace(n_hosts=50000),
+        "fig11": FIG11,
     },
 }
 
-#: Keyword dicts consumed by the vectorised figure runners.  Populations and
-#: round counts come from the scenario specs above so the two views of each
-#: profile cannot drift apart; sketch-CDF (fig6) and multi-dataset trace
-#: (fig11) settings have no engine-level counterpart and stay literal.
-PROFILES: Dict[str, Dict[str, dict]] = {
+#: Keyword extras of the figures whose variant axis is not a spec field.
+PROFILE_EXTRAS: Dict[str, Dict[str, dict]] = {
     "quick": {
-        "fig6": {"sizes": (500, 2000), "bins": 16, "bits": 18, "convergence_rounds": 25},
-        "fig8": {
-            "n_hosts": SCENARIO_PROFILES["quick"]["fig8"].n_hosts,
-            "rounds": SCENARIO_PROFILES["quick"]["fig8"].rounds,
-        },
-        "fig9": {
-            "n_hosts": SCENARIO_PROFILES["quick"]["fig9"].n_hosts,
-            "rounds": SCENARIO_PROFILES["quick"]["fig9"].rounds,
-            "bins": SCENARIO_PROFILES["quick"]["fig9"].protocol_params["bins"],
-        },
-        "fig10": {
-            "n_hosts": SCENARIO_PROFILES["quick"]["fig10"].n_hosts,
-            "rounds": SCENARIO_PROFILES["quick"]["fig10"].rounds,
-        },
+        "fig6": {"sizes": (500, 2000)},
         "fig11": {"datasets": (1,), "max_hours": 12.0, "bins": 16, "bits": 14},
     },
     "full": {
-        "fig6": {"sizes": (1000, 10000, 50000), "bins": 32, "bits": 22, "convergence_rounds": 35},
-        "fig8": {
-            "n_hosts": SCENARIO_PROFILES["full"]["fig8"].n_hosts,
-            "rounds": SCENARIO_PROFILES["full"]["fig8"].rounds,
-        },
-        "fig9": {
-            "n_hosts": SCENARIO_PROFILES["full"]["fig9"].n_hosts,
-            "rounds": SCENARIO_PROFILES["full"]["fig9"].rounds,
-            "bins": SCENARIO_PROFILES["full"]["fig9"].protocol_params["bins"],
-        },
-        "fig10": {
-            "n_hosts": SCENARIO_PROFILES["full"]["fig10"].n_hosts,
-            "rounds": SCENARIO_PROFILES["full"]["fig10"].rounds,
-        },
+        "fig6": {"sizes": (1000, 10000, 50000)},
         "fig11": {"datasets": (1, 2, 3), "max_hours": None, "bins": 64, "bits": 16},
     },
 }
 
 
 def scenario_specs(profile: str = "quick") -> Dict[str, ScenarioSpec]:
-    """The engine-level scenario specs of ``profile`` (figure name → spec)."""
+    """The figure specs of ``profile`` (figure name → spec)."""
     if profile not in SCENARIO_PROFILES:
         raise ValueError(
             f"unknown profile {profile!r}; expected one of {sorted(SCENARIO_PROFILES)}"
@@ -199,16 +93,13 @@ def lambda_sweep(profile: str = "quick", *, figure: str = "fig10", seeds: int = 
     """The paper's reversion-constant sweep for a failure figure, as a grid.
 
     Expands ``figure``'s scenario over λ ∈ {0, 0.001, 0.01, 0.1, 0.5} (and
-    optionally several seeds), ready for
-    :class:`~repro.api.SweepRunner`.
+    optionally several seeds) — the grid :func:`run_fig8` and
+    :func:`run_fig10` run — ready for :class:`~repro.api.SweepRunner`.
     """
-    specs = scenario_specs(profile)
     if figure not in ("fig8", "fig10"):
         raise ValueError(f"lambda_sweep supports fig8 and fig10, got {figure!r}")
-    axes = {"protocol_params.reversion": list(DEFAULT_LAMBDAS)}
-    if seeds > 1:
-        axes["seed"] = list(range(seeds))
-    return Sweep.over(specs[figure], **axes)
+    axes = {"seed": list(range(seeds))} if seeds > 1 else {}
+    return reversion_sweep(scenario_specs(profile)[figure], **axes)
 
 
 _FIGURE_SECTION = re.compile(r"^fig(\d+)$")
@@ -220,6 +111,13 @@ def _section_order(name: str):
     if match:
         return (0, int(match.group(1)), name)
     return (1, 0, name)
+
+
+#: Every experiment name ``only=`` (and the CLI's ``--only``) accepts.
+EXPERIMENTS: Tuple[str, ...] = tuple(
+    sorted({name for specs in SCENARIO_PROFILES.values() for name in specs} | {"ablations"},
+           key=_section_order)
+)
 
 
 @dataclass
@@ -256,9 +154,10 @@ def run_all_experiments(
     Parameters
     ----------
     profile:
-        ``"quick"`` or ``"full"`` (see :data:`PROFILES`).
+        ``"quick"`` or ``"full"`` (see :data:`SCENARIO_PROFILES`).
     only:
-        Restrict to a subset of experiment names (e.g. ``["fig8", "fig10"]``).
+        Restrict to a subset of :data:`EXPERIMENTS` (e.g. ``["fig8", "fig10"]``);
+        any other name raises :class:`ValueError`.
     include_ablations:
         Also run the DESIGN.md §6 ablations (cheap; included by default).
     backend:
@@ -273,9 +172,13 @@ def run_all_experiments(
         only the affected figures.  Fig 6 (raw kernel state), Fig 11 and
         the ablations (scenarios run without a store) always execute.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
-    config = PROFILES[profile]
+    specs = scenario_specs(profile)
+    extras = PROFILE_EXTRAS[profile]
+    unknown = sorted(set(only or ()) - {*specs, "ablations"})
+    if unknown:
+        raise ValueError(
+            f"unknown experiment(s) {unknown}; expected some of {list(EXPERIMENTS)}"
+        )
     selected = set(only) if only else None
 
     def wanted(name: str) -> bool:
@@ -283,28 +186,25 @@ def run_all_experiments(
 
     report = ExperimentReport(profile=profile)
 
-    if wanted("fig6"):
-        result = run_fig6(seed=seed, **config["fig6"])
-        report.results["fig6"] = result
-        report.rendered["fig6"] = render_fig6(result)
-    if wanted("fig8"):
-        result = run_fig8(seed=seed, backend=backend, store=store, **config["fig8"])
-        report.results["fig8"] = result
-        report.rendered["fig8"] = render_fig8(result)
-    if wanted("fig9"):
-        result = run_fig9(seed=seed, backend=backend, store=store, **config["fig9"])
-        report.results["fig9"] = result
-        report.rendered["fig9"] = render_fig9(result)
-    if wanted("fig10"):
-        result = run_fig10(seed=seed, backend=backend, store=store, **config["fig10"])
-        report.results["fig10"] = result
-        report.rendered["fig10"] = render_fig10(result)
-    if wanted("fig11"):
-        result = run_fig11(seed=seed, **config["fig11"])
-        report.results["fig11"] = result
-        report.rendered["fig11"] = render_fig11(result)
+    def record(name: str, result, render) -> None:
+        report.results[name] = result
+        report.rendered[name] = render(result)
 
-    if include_ablations and (selected is None or "ablations" in selected):
+    if wanted("fig6"):
+        record("fig6", run_fig6(specs["fig6"].replace(seed=seed), **extras["fig6"]), render_fig6)
+    for name, run, render in (
+        ("fig8", run_fig8, render_fig8),
+        ("fig9", run_fig9, render_fig9),
+        ("fig10", run_fig10, render_fig10),
+    ):
+        if wanted(name):
+            record(name, run(specs[name].replace(seed=seed, backend=backend), store=store), render)
+    if wanted("fig11"):
+        record(
+            "fig11", run_fig11(specs["fig11"].replace(seed=seed), **extras["fig11"]), render_fig11
+        )
+
+    if include_ablations and wanted("ablations"):
         ablations = {
             "push-vs-pushpull": run_push_vs_pushpull_ablation(seed=seed),
             "adaptive-lambda": run_adaptive_lambda_ablation(seed=seed),

@@ -18,6 +18,8 @@ class TestParser:
     def test_experiments_only_list(self):
         args = build_parser().parse_args(["experiments", "--only", "fig8", "fig9"])
         assert args.only == ["fig8", "fig9"]
+        with pytest.raises(SystemExit, match="^2$"):
+            build_parser().parse_args(["experiments", "--only", "fig7"])
 
     def test_demo_arguments(self):
         args = build_parser().parse_args(["demo", "--hosts", "50", "--reversion", "0.2"])

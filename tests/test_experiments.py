@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments import FIG6, FIG8, FIG9, FIG10, FIG11
 from repro.experiments import (
     render_fig10,
     render_fig11,
@@ -24,17 +25,25 @@ from repro.experiments import (
 from repro.api import run_scenario
 from repro.experiments.fig8_uncorrelated import DEFAULT_LAMBDAS
 from repro.experiments.runner import (
-    PROFILES,
+    SCENARIO_PROFILES,
     ExperimentReport,
     lambda_sweep,
     scenario_specs,
 )
+from repro.store import ResultStore
+
+
+def fail_at(spec, failure_round, **changes):
+    """``spec`` resized by ``changes``, its failure moved to ``failure_round``."""
+    (failure,) = spec.events
+    return spec.replace(events=({**failure, "round": failure_round},), **changes)
 
 
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig6(sizes=(200, 800), bins=8, bits=16, convergence_rounds=20, seed=1)
+        spec = FIG6.replace(protocol_params={"bins": 8, "bits": 16}, rounds=20, seed=1)
+        return run_fig6(spec, sizes=(200, 800))
 
     def test_counters_collected_for_low_bits(self, result):
         for size in (200, 800):
@@ -68,13 +77,14 @@ class TestFig6:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_fig6(sizes=(10,), bins=4, bits=4, convergence_rounds=1, min_samples=1000)
+            spec = FIG6.replace(protocol_params={"bins": 4, "bits": 4}, rounds=1)
+            run_fig6(spec, sizes=(10,), min_samples=1000)
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig8(n_hosts=600, rounds=40, failure_round=15, lambdas=(0.0, 0.01, 0.5), seed=1)
+        return run_fig8(fail_at(FIG8, 15, n_hosts=600, rounds=40, seed=1), lambdas=(0.0, 0.01, 0.5))
 
     def test_series_lengths(self, result):
         assert set(result.errors) == {0.0, 0.01, 0.5}
@@ -100,14 +110,17 @@ class TestFig8:
         assert "round" in text
 
     def test_failure_round_validation(self):
-        with pytest.raises(ValueError):
-            run_fig8(n_hosts=10, rounds=5, failure_round=10)
+        with pytest.raises(ValueError, match="inside the simulated rounds"):
+            run_fig8(FIG8.replace(n_hosts=10, rounds=5))
+        with pytest.raises(ValueError, match="exactly one failure event"):
+            run_fig8(FIG8.replace(n_hosts=10, events=()))
 
 
 class TestFig9:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig9(n_hosts=800, rounds=35, failure_round=15, bins=16, bits=18, seed=1)
+        params = {**FIG9.protocol_params, "bins": 16, "bits": 18}
+        return run_fig9(fail_at(FIG9, 15, n_hosts=800, rounds=35, protocol_params=params, seed=1))
 
     def test_naive_variant_never_recovers(self, result):
         # The naive estimate stays near the pre-failure population, so its
@@ -131,9 +144,8 @@ class TestFig9:
 class TestFig10:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig10(
-            n_hosts=800, rounds=50, failure_round=15, lambdas=(0.0, 0.1, 0.5), seed=1
-        )
+        spec = fail_at(FIG10, 15, n_hosts=800, rounds=50, seed=1)
+        return run_fig10(spec, lambdas=(0.0, 0.1, 0.5))
 
     def test_truth_drops_after_failure(self, result):
         assert result.truths[10] == pytest.approx(50.0, abs=3.0)
@@ -161,9 +173,8 @@ class TestFig10:
         assert "Figure 10(b)" in text
 
     def test_can_skip_full_transfer(self):
-        result = run_fig10(
-            n_hosts=100, rounds=10, failure_round=5, lambdas=(0.0,), include_full_transfer=False
-        )
+        spec = fail_at(FIG10, 5, n_hosts=100, rounds=10)
+        result = run_fig10(spec, lambdas=(0.0,), include_full_transfer=False)
         assert result.full_transfer_errors == {}
         assert "Figure 10(b)" not in render_fig10(result)
 
@@ -171,15 +182,8 @@ class TestFig10:
 class TestFig11:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig11(
-            datasets=(1,),
-            max_hours=6.0,
-            average_lambdas=(0.0, 0.01),
-            bins=8,
-            bits=12,
-            identifiers_per_host=50,
-            seed=1,
-        )
+        return run_fig11(FIG11.replace(seed=1), datasets=(1,), max_hours=6.0,
+                         average_lambdas=(0.0, 0.01), bins=8, bits=12, identifiers_per_host=50)
 
     def test_dataset_structure(self, result):
         data = result.datasets[1]
@@ -246,18 +250,14 @@ class TestAblations:
 
 
 class TestRunner:
-    def test_profiles_exist(self):
-        assert "quick" in PROFILES
-        assert "full" in PROFILES
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             run_all_experiments("enormous")
 
-    def test_subset_run(self):
-        report = run_all_experiments("quick", only=["fig8"], include_ablations=False)
-        assert set(report.results) == {"fig8"}
-        assert "fig8" in report.text()
+    @pytest.mark.parametrize("name", ["fig7", "Fig8"])
+    def test_unknown_experiment_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown experiment"):
+            run_all_experiments("quick", only=[name], include_ablations=False)
 
     def test_report_sections_in_numeric_figure_order(self):
         report = ExperimentReport(profile="quick")
@@ -271,17 +271,20 @@ class TestRunner:
 
 class TestScenarioProfiles:
     def test_every_profile_has_engine_level_specs(self):
-        for profile in PROFILES:
+        assert {"quick", "full"} <= set(SCENARIO_PROFILES)
+        for profile in SCENARIO_PROFILES:
             specs = scenario_specs(profile)
-            assert {"fig8", "fig9", "fig10", "fig11"} <= set(specs)
+            assert {"fig6", "fig8", "fig9", "fig10", "fig11"} <= set(specs)
 
-    def test_profiles_share_numbers_with_specs(self):
-        for profile in PROFILES:
-            specs = scenario_specs(profile)
-            assert PROFILES[profile]["fig8"]["n_hosts"] == specs["fig8"].n_hosts
-            assert PROFILES[profile]["fig9"]["rounds"] == specs["fig9"].rounds
-            assert PROFILES[profile]["fig9"]["bins"] == specs["fig9"].protocol_params["bins"]
-            assert PROFILES[profile]["fig10"]["n_hosts"] == specs["fig10"].n_hosts
+    def test_report_runs_the_lambda_sweep_of_its_spec(self, tmp_path):
+        # The report's fig8 section runs exactly the cells lambda_sweep describes.
+        with ResultStore(str(tmp_path / "store")) as store:
+            report = run_all_experiments("quick", only=["fig8"], store=store)
+            sweep = lambda_sweep("quick", figure="fig8")
+            assert len(store) == len(sweep)
+            assert all(store.contains(spec) for spec in sweep.specs())
+        assert set(report.results) == {"fig8"}
+        assert "fig8" in report.text()
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):

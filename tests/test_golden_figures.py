@@ -8,10 +8,10 @@ or kernel change cannot silently drift the reproduction.  Tolerances are
 tight — the runs are seed-stable, so only float-rounding in the rendered
 tables (3 decimals) and platform arithmetic differences are absorbed.
 
-The slices exploit that every figure runs its variants independently:
-``run_fig8(lambdas=(0.0, 0.1))`` reproduces exactly the ``lambda=0`` and
-``lambda=0.1`` columns of the full table, and a ``max_hours``-truncated
-Figure 11 reproduces the full run's early hours.
+Each re-run calls the figure module's spec (``FIG8`` …), as the benchmark
+that wrote the file does; slices work because every variant runs alone:
+``run_fig8(FIG8, lambdas=(0.0, 0.1))`` reproduces exactly two columns of
+the table, and a ``max_hours``-truncated Figure 11 the early hours.
 """
 
 import pathlib
@@ -19,11 +19,11 @@ import re
 
 import pytest
 
-from repro.experiments.fig6_counter_cdf import run_fig6
-from repro.experiments.fig8_uncorrelated import run_fig8
-from repro.experiments.fig9_counting_failure import run_fig9
-from repro.experiments.fig10_correlated import run_fig10
-from repro.experiments.fig11_traces import run_fig11
+from repro.experiments.fig6_counter_cdf import FIG6, run_fig6
+from repro.experiments.fig8_uncorrelated import FIG8, run_fig8
+from repro.experiments.fig9_counting_failure import FIG9, run_fig9
+from repro.experiments.fig10_correlated import FIG10, run_fig10
+from repro.experiments.fig11_traces import FIG11, run_fig11
 
 OUTPUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "output"
 
@@ -59,7 +59,7 @@ def _parse_table(block: str):
 
 
 class TestFig8Golden:
-    """fig8.txt: 5000 hosts, uncorrelated 50% failure at round 20, seed 0."""
+    """fig8.txt: ``FIG8`` (uncorrelated half failure)."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -67,8 +67,7 @@ class TestFig8Golden:
 
     @pytest.fixture(scope="class")
     def rerun(self):
-        return run_fig8(n_hosts=5000, rounds=60, failure_round=20,
-                        lambdas=(0.0, 0.1), seed=0)
+        return run_fig8(FIG8, lambdas=(0.0, 0.1))
 
     @pytest.mark.parametrize("reversion", [0.0, 0.1])
     def test_error_series_match(self, golden, rerun, reversion):
@@ -87,7 +86,7 @@ class TestFig8Golden:
 
 
 class TestFig9Golden:
-    """fig9.txt: 5000 hosts each holding 1, 32x20 sketch, seed 0."""
+    """fig9.txt: ``FIG9`` (every host holding 1, half removed)."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -95,8 +94,7 @@ class TestFig9Golden:
 
     @pytest.fixture(scope="class")
     def rerun(self):
-        return run_fig9(n_hosts=5000, rounds=40, failure_round=20,
-                        bins=32, bits=20, seed=0)
+        return run_fig9(FIG9)
 
     def test_series_match(self, golden, rerun):
         series = {
@@ -120,7 +118,7 @@ class TestFig9Golden:
 
 
 class TestFig10Golden:
-    """fig10.txt: 5000 hosts, highest-valued 50% removed at round 20, seed 0."""
+    """fig10.txt: ``FIG10`` (highest-valued half removed)."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -130,8 +128,7 @@ class TestFig10Golden:
 
     @pytest.fixture(scope="class")
     def rerun(self):
-        return run_fig10(n_hosts=5000, rounds=60, failure_round=20,
-                         lambdas=(0.0, 0.1), seed=0)
+        return run_fig10(FIG10, lambdas=(0.0, 0.1))
 
     @pytest.mark.parametrize("reversion", [0.0, 0.1])
     def test_basic_panel_matches(self, golden, rerun, reversion):
@@ -162,12 +159,11 @@ class TestFig10Golden:
 
 
 class TestFig6Golden:
-    """fig6.txt: converged 32x20 sketches; the 1000-host block and its fit."""
+    """fig6.txt: ``FIG6``'s converged sketches; the 1000-host block and its fit."""
 
     @pytest.fixture(scope="class")
     def rerun(self):
-        return run_fig6(sizes=(1000,), bins=32, bits=20,
-                        convergence_rounds=30, seed=0)
+        return run_fig6(FIG6, sizes=(1000,))
 
     @pytest.fixture(scope="class")
     def golden_block(self):
@@ -218,10 +214,8 @@ class TestFig11Golden:
 
     @pytest.fixture(scope="class")
     def rerun(self):
-        # The committed file ran 24 trace hours; a truncation replays the
-        # identical round prefix, so the early hourly rows must agree.
-        return run_fig11(datasets=(1,), max_hours=self.MAX_HOURS,
-                         bins=32, bits=16, identifiers_per_host=100, seed=0)
+        # A truncated replay shares the committed run's round prefix.
+        return run_fig11(FIG11, datasets=(1,), max_hours=self.MAX_HOURS)
 
     def test_average_panel_early_hours_match(self, golden, rerun):
         average, _size = golden

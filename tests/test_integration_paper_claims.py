@@ -10,28 +10,29 @@ conclusion of each figure holds in this implementation.
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig10, run_fig6, run_fig8, run_fig9
+from repro.experiments import FIG6, FIG8, FIG9, FIG10, run_fig10, run_fig6, run_fig8, run_fig9
 from repro.metrics.convergence import reconvergence_round
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return run_fig8(n_hosts=1500, rounds=60, failure_round=20, seed=0)
+    return run_fig8(FIG8.replace(n_hosts=1500))
 
 
 @pytest.fixture(scope="module")
 def fig9():
-    return run_fig9(n_hosts=1500, rounds=40, failure_round=20, bins=16, bits=18, seed=0)
+    params = {**FIG9.protocol_params, "bins": 16, "bits": 18}
+    return run_fig9(FIG9.replace(n_hosts=1500, protocol_params=params))
 
 
 @pytest.fixture(scope="module")
 def fig10():
-    return run_fig10(n_hosts=1500, rounds=60, failure_round=20, seed=0)
+    return run_fig10(FIG10.replace(n_hosts=1500))
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_fig6(sizes=(500, 2000, 5000), bins=16, bits=20, convergence_rounds=30, seed=0)
+    return run_fig6(FIG6.replace(protocol_params={"bins": 16, "bits": 20}), sizes=(500, 2000, 5000))
 
 
 class TestSectionVAClaims:
