@@ -41,6 +41,8 @@ PROTOCOLS = {
 }
 HETEROGENEOUS = {"rates": {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.25},
                  "synchronized": False}
+LOGNORMAL = {"rates": {"distribution": "lognormal", "mean": 0.0, "sigma": 0.8, "min_rate": 0.5},
+             "synchronized": False}
 PSR = dict(BASE, protocol="push-sum-revert", protocol_params={"reversion": 0.1})
 
 
@@ -71,6 +73,14 @@ def _cells():
                      "p": 0.05, "arrivals_per_round": 4},)),
         "events/push/latency/graceful-departure": dict(
             events_engine, mode="push", events=(GRACEFUL,)),
+        "events/push/latency/lognormal-clocks-join": dict(
+            events_engine, mode="push", engine_params=LOGNORMAL,
+            events=(FAILURE, {"event": "join", "round": 8, "count": 60})),
+        # The joiners arrive at t=9: a slow one (period 4) snaps onto the grid point 12.
+        "events/exchange/perfect/heterogeneous-synchronized-join": dict(
+            PSR, engine="events", mode="exchange",
+            engine_params=dict(HETEROGENEOUS, synchronized=True),
+            events=(FAILURE, {"event": "join", "round": 8, "count": 60})),
         "rounds/push/loss/failure-then-join": dict(
             PSR, mode="push", **LOSS,
             events=(FAILURE, {"event": "join", "round": 8, "count": 60})),
