@@ -124,16 +124,11 @@ class AgentBackend(ExecutionBackend):
     name = "agent"
 
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
-        if spec.engine == "events":
-            with probe.span("build", backend=self.name, engine="events"):
-                simulation = spec.build_event_simulation(probe=probe)
-            with probe.span("execute", backend=self.name, engine="events"):
-                result = simulation.run()
-        else:
-            with probe.span("build", backend=self.name, engine="rounds"):
-                simulation = spec.build(probe=probe)
-            with probe.span("execute", backend=self.name, engine="rounds"):
-                result = simulation.run(spec.rounds)
+        with probe.span("build", backend=self.name, engine=spec.engine):
+            simulation = spec.build(probe=probe)
+        with probe.span("execute", backend=self.name, engine=spec.engine):
+            # The event engine runs its configured duration, not a round count.
+            result = simulation.run() if spec.engine == "events" else simulation.run(spec.rounds)
         result.metadata["backend"] = self.name
         return result
 

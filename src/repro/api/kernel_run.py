@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.departure import GracefulDepartureEvent
-from repro.events.vectorized import TIME_EPS, ClockGrid, bucket_grid, sample_delays
+from repro.events.clocks import TIME_EPS
+from repro.events.vectorized import ClockGrid, bucket_grid, sample_delays
 from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
 from repro.failures.schedule import JoinEvent, ValueChangeEvent
 from repro.metrics.accuracy import error_statistics
@@ -86,9 +87,7 @@ class KernelRun:
             _topology, environment_name = backend.build_topology(spec)
             if calendar:
                 streams = RandomStreams(spec.seed)
-                self.clocks = ClockGrid(
-                    settings["rates"], settings["synchronized"], streams.get("clocks"), kernel.n
-                )
+                self.clocks = ClockGrid(settings, streams.get("clocks"), kernel.n)
                 network = None if spec.network == "perfect" else spec.build_network()
                 if getattr(network, "has_latency", False):
                     self.delays = partial(sample_delays, network, streams.get("network"))
@@ -96,15 +95,14 @@ class KernelRun:
         # ------------------------------------------------------- bucket grid
         self.mass_check = "off"
         if calendar:
-            self.duration = settings["duration"]
-            self.sample_interval = settings["sample_interval"]
-            self.mass_check = settings["mass_check"]
-            base = settings["batch_quantum"]
+            self.duration = settings.duration
+            self.sample_interval = settings.sample_interval
+            self.mass_check = settings.mass_check
+            self.n_samples = settings.n_samples
+            base = settings.batch_quantum
             if base is None:  # just fine enough to resolve the shortest clock period
                 base = float(self.clocks.periods.min())
-            self.ratio, self.quantum, self.n_samples, self.total_buckets = bucket_grid(
-                self.duration, self.sample_interval, base
-            )
+            self.ratio, self.quantum, self.total_buckets = bucket_grid(settings, base)
         else:
             self.ratio = 1
             self.n_samples = self.total_buckets = spec.rounds
@@ -143,9 +141,7 @@ class KernelRun:
         )
         if calendar:
             # The resolved settings, with the quantum actually used.
-            self.result.metadata["engine"] = {
-                "name": "events", **settings, "batch_quantum": self.quantum
-            }
+            self.result.metadata["engine"] = {**settings.metadata(), "batch_quantum": self.quantum}
         if spec.network != "perfect":
             self.result.metadata["network"] = {"name": spec.network, **dict(spec.network_params)}
         self._counters = [0, 0, 0]  # delivered, lost, bytes at the last sample

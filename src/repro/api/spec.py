@@ -45,6 +45,7 @@ from repro.api.plan import resolve_plan
 from repro.api.registry import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
 from repro.core.cutoff import default_cutoff, linear_cutoff, no_decay_cutoff, scaled_cutoff
 from repro.core.departure import GracefulDepartureEvent
+from repro.events import EngineSettings, EventSimulation
 from repro.failures import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
 from repro.simulator import Simulation, SimulationResult
 
@@ -192,17 +193,9 @@ class ScenarioSpec:
         default — the lockstep :class:`repro.Simulation`) or ``"events"``
         (the continuous-time :class:`repro.events.EventSimulation`).
         ``engine_params`` configures the event engine and is rejected
-        under ``engine="rounds"``; accepted keys are ``duration``
-        (simulated seconds, default ``rounds * sample_interval``),
-        ``sample_interval`` (metric cadence in simulated seconds, default
-        ``1.0``), ``rates`` (per-host gossip-rate distribution —
-        ``uniform``, ``heterogeneous`` or ``lognormal``; see
-        :mod:`repro.events.clocks`), ``synchronized`` (host clocks on the
-        global grid, default ``True``), ``mass_check`` (``"sample"`` /
-        ``"event"`` / ``"off"``) and ``batch_quantum`` (bucket width in
-        simulated seconds for the *vectorised* event calendar — default
-        the tick grid; the agent event engine ignores it).  All
-        validated eagerly.
+        under ``engine="rounds"``; its keys are the fields of
+        :class:`repro.events.EngineSettings` (``duration`` defaults to
+        :attr:`rounds` sample intervals), validated eagerly.
     events:
         Scheduled membership events as plain dicts, e.g.
         ``{"event": "failure", "round": 20, "model": "uncorrelated",
@@ -267,7 +260,13 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected 'rounds' or 'events'"
             )
-        self._validate_engine_params()
+        if self.engine == "events":
+            self.engine_settings()  # validates every engine parameter
+        elif self.engine_params:
+            raise ValueError(
+                f"engine_params {sorted(self.engine_params)} apply to engine='events' only; "
+                "the round engine is configured by 'rounds' and 'mode'"
+            )
         PROTOCOLS.validate_params(self.protocol, **self.protocol_params)
         ENVIRONMENTS.validate_params(self.environment, self.n_hosts, **self.environment_params)
         WORKLOADS.validate_params(self.workload, self.n_hosts, **self._workload_call_params())
@@ -321,134 +320,14 @@ class ScenarioSpec:
         # regardless of parameter insertion order.
         return hash(self.key())
 
-    def _validate_engine_params(self) -> None:
-        """Eagerly validate :attr:`engine_params` against :attr:`engine`."""
-        params = self.engine_params
-        if self.engine == "rounds":
-            if params:
-                raise ValueError(
-                    f"engine_params {sorted(params)} apply to engine='events' only; "
-                    "the round engine is configured by 'rounds' and 'mode'"
-                )
-            return
-        allowed = {
-            "duration", "sample_interval", "rates", "synchronized", "mass_check",
-            "batch_quantum",
-        }
-        unknown = set(params) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown engine_params {sorted(unknown)}; expected a subset of {sorted(allowed)}"
-            )
-        sample_interval = params.get("sample_interval", 1.0)
-        if isinstance(sample_interval, bool) or not isinstance(sample_interval, (int, float)) \
-                or sample_interval <= 0:
-            raise ValueError(
-                f"engine_params['sample_interval'] must be a positive number of simulated "
-                f"seconds, got {sample_interval!r}"
-            )
-        duration = params.get("duration", self.rounds * float(sample_interval))
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)) \
-                or duration < sample_interval:
-            raise ValueError(
-                f"engine_params['duration'] must be a number >= the sample interval "
-                f"({sample_interval}), got {duration!r}"
-            )
-        synchronized = params.get("synchronized", True)
-        if not isinstance(synchronized, bool):
-            raise ValueError(
-                f"engine_params['synchronized'] must be a boolean, got {synchronized!r}"
-            )
-        mass_check = params.get("mass_check", "sample")
-        if mass_check not in ("sample", "event", "off"):
-            raise ValueError(
-                f"engine_params['mass_check'] must be 'sample', 'event' or 'off', "
-                f"got {mass_check!r}"
-            )
-        batch_quantum = params.get("batch_quantum")
-        if batch_quantum is not None and (
-            isinstance(batch_quantum, bool)
-            or not isinstance(batch_quantum, (int, float))
-            or batch_quantum <= 0
-        ):
-            raise ValueError(
-                f"engine_params['batch_quantum'] must be a positive number of "
-                f"simulated seconds (the vectorised calendar's bucket width), "
-                f"got {batch_quantum!r}"
-            )
-        rates = params.get("rates")
-        if rates is None:
-            return
-        if not isinstance(rates, Mapping):
-            raise ValueError(
-                f"engine_params['rates'] must be a mapping with a 'distribution', "
-                f"got {type(rates).__name__}"
-            )
-        distribution = rates.get("distribution", "uniform")
-        if distribution == "uniform":
-            rate_keys = {"distribution", "rate"}
-            rate = rates.get("rate", 1.0)
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate <= 0:
-                raise ValueError(f"uniform rates need a positive 'rate', got {rate!r}")
-        elif distribution == "heterogeneous":
-            rate_keys = {"distribution", "fast", "slow", "fast_fraction"}
-            for bound in ("fast", "slow"):
-                value = rates.get(bound)
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    raise ValueError(
-                        f"heterogeneous rates need a positive {bound!r} rate, got {value!r}"
-                    )
-            fraction = rates.get("fast_fraction", 0.5)
-            if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) \
-                    or not 0.0 <= fraction <= 1.0:
-                raise ValueError(
-                    f"heterogeneous 'fast_fraction' must be in [0, 1], got {fraction!r}"
-                )
-        elif distribution == "lognormal":
-            rate_keys = {"distribution", "mean", "sigma", "min_rate"}
-            sigma = rates.get("sigma", 0.5)
-            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or sigma < 0:
-                raise ValueError(f"lognormal 'sigma' must be non-negative, got {sigma!r}")
-            minimum = rates.get("min_rate")
-            if minimum is not None and (
-                isinstance(minimum, bool) or not isinstance(minimum, (int, float)) or minimum <= 0
-            ):
-                raise ValueError(f"lognormal 'min_rate' must be positive, got {minimum!r}")
-        else:
-            from repro.events.clocks import RATE_DISTRIBUTIONS
-
-            raise ValueError(
-                f"unknown rate distribution {distribution!r}; "
-                f"expected one of {RATE_DISTRIBUTIONS}"
-            )
-        unknown_rates = set(rates) - rate_keys
-        if unknown_rates:
-            raise ValueError(
-                f"unknown keys {sorted(unknown_rates)} for {distribution!r} rates; "
-                f"expected a subset of {sorted(rate_keys)}"
-            )
-
-    def engine_settings(self) -> Dict[str, Any]:
-        """The event engine's normalised settings (defaults resolved).
+    def engine_settings(self) -> EngineSettings:
+        """The event engine's validated settings (defaults resolved).
 
         Only meaningful for ``engine="events"``; the default duration is
         :attr:`rounds` sample intervals, so a spec switched between
         engines covers the same number of recorded rounds.
         """
-        params = self.engine_params
-        sample_interval = float(params.get("sample_interval", 1.0))
-        return {
-            "duration": float(params.get("duration", self.rounds * sample_interval)),
-            "sample_interval": sample_interval,
-            "rates": dict(params.get("rates") or {"distribution": "uniform", "rate": 1.0}),
-            "synchronized": bool(params.get("synchronized", True)),
-            "mass_check": params.get("mass_check", "sample"),
-            "batch_quantum": (
-                float(params["batch_quantum"])
-                if params.get("batch_quantum") is not None
-                else None
-            ),
-        }
+        return EngineSettings.from_params(self.engine_params, self.rounds)
 
     # ------------------------------------------------------------- construction
     def _workload_call_params(self) -> Dict[str, Any]:
@@ -519,48 +398,20 @@ class ScenarioSpec:
             built.extend(_build_event(entry))
         return built
 
-    def build_event_simulation(self, *, probe=None):
-        """A ready-to-run :class:`repro.events.EventSimulation`.
-
-        The event-engine counterpart of :meth:`build`: constructs the
-        continuous-time engine with this spec's components and
-        :meth:`engine_settings`.  Useful directly in tests and notebooks;
-        execution paths should go through :meth:`run` / :func:`run_scenario`,
-        which dispatch on :attr:`engine` automatically.  ``probe`` is a
-        runtime observer (:mod:`repro.obs`); it never enters :meth:`key`.
-        """
-        from repro.events import EventSimulation
-
-        settings = self.engine_settings()
-        return EventSimulation(
-            self.build_protocol(),
-            self.build_environment(),
-            self.build_values().tolist(),
-            seed=self.seed,
-            mode=self.mode,
-            events=self.build_events(),
-            network=None if self.network == "perfect" else self.build_network(),
-            group_relative=self.group_relative,
-            store_estimates=self.store_estimates,
-            duration=settings["duration"],
-            sample_interval=settings["sample_interval"],
-            rates=settings["rates"],
-            synchronized=settings["synchronized"],
-            mass_check=settings["mass_check"],
-            probe=probe,
-        )
-
     def build(self, *, probe=None) -> Simulation:
-        """A ready-to-run :class:`repro.Simulation` (the *agent* realisation).
+        """A ready-to-run agent engine for :attr:`engine`.
 
-        This always constructs the per-host *round* engine regardless of
-        :attr:`backend` / :attr:`engine`; use :meth:`run` /
-        :func:`run_scenario` to dispatch through the backend layer (which
-        routes ``engine="events"`` to :meth:`build_event_simulation`).
-        ``probe`` is a runtime observer (:mod:`repro.obs`); it never enters
-        :meth:`key`.
+        :class:`repro.Simulation` for ``engine="rounds"``, and
+        :class:`repro.events.EventSimulation` over :meth:`engine_settings`
+        for ``engine="events"``; :attr:`backend` is not consulted.  Use
+        :meth:`run` / :func:`run_scenario` to dispatch through the backend
+        layer.  ``probe`` is a runtime observer (:mod:`repro.obs`); it never
+        enters :meth:`key`.
         """
-        return Simulation(
+        engine_class, engine_options = Simulation, {}
+        if self.engine == "events":
+            engine_class, engine_options = EventSimulation, {"settings": self.engine_settings()}
+        return engine_class(
             self.build_protocol(),
             self.build_environment(),
             self.build_values().tolist(),
@@ -571,6 +422,7 @@ class ScenarioSpec:
             group_relative=self.group_relative,
             store_estimates=self.store_estimates,
             probe=probe,
+            **engine_options,
         )
 
     def resolved_backend(self) -> str:

@@ -9,7 +9,9 @@ is what unlocks latency×exchange scenarios (forbidden in the round
 engine) and rate-heterogeneous populations.
 
 Select it per scenario with ``ScenarioSpec(engine="events",
-engine_params={...})`` — see DESIGN.md §11.  The classes exported here
+engine_params={...})`` — see DESIGN.md §11; the parameters resolve to one
+validated :class:`EngineSettings` that both realisations read.  The
+classes exported here
 are the per-host (agent) realisation; :mod:`repro.events.vectorized`
 holds the array-form clock grid and delay sampler that the kernel driver
 (:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14) runs the same
@@ -17,19 +19,25 @@ calendar on in per-bucket batches.
 """
 
 from repro.events.calendar import DELIVER, MEMBERSHIP, SAMPLE, TICK, EventCalendar
-from repro.events.clocks import RATE_DISTRIBUTIONS, HostClock, draw_rate, make_clock
-from repro.events.engine import MASS_CHECK_MODES, EventSimulation
+from repro.events.clocks import (
+    RATE_DISTRIBUTIONS,
+    TIME_EPS,
+    EngineSettings,
+    HostClock,
+    make_clock,
+)
+from repro.events.engine import EventSimulation
 
 __all__ = [
     "DELIVER",
+    "EngineSettings",
     "EventCalendar",
     "EventSimulation",
     "HostClock",
-    "MASS_CHECK_MODES",
     "MEMBERSHIP",
     "RATE_DISTRIBUTIONS",
     "SAMPLE",
     "TICK",
-    "draw_rate",
+    "TIME_EPS",
     "make_clock",
 ]

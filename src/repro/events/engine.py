@@ -29,7 +29,8 @@ totals of the mass at hosts, in pending inboxes, and in flight, and the
 :class:`~repro.network.MassLedger` can be checked after *every* event
 (``mass_check="event"``), at every sample (``"sample"``, the default —
 which also resyncs the running totals against an exact recount) or never
-(``"off"``).
+(``"off"``).  That and the other settings are one validated
+:class:`~repro.events.clocks.EngineSettings` value.
 
 The class subclasses :class:`repro.Simulation` for its population
 management, truth/metric computation and result plumbing — but ``run``
@@ -45,18 +46,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.environments.base import LiveRoster
 from repro.events.adapters import ExchangeAdapter, PushAdapter
 from repro.events.calendar import DELIVER, MEMBERSHIP, SAMPLE, TICK, EventCalendar
-from repro.events.clocks import HostClock, draw_rate, make_clock
+from repro.events.clocks import TIME_EPS, EngineSettings, HostClock, make_clock
 from repro.simulator.engine import Simulation
 from repro.simulator.host import Host
 from repro.simulator.result import SimulationResult
 
-__all__ = ["EventSimulation", "MASS_CHECK_MODES"]
-
-#: Accepted values for the ``mass_check`` engine parameter.
-MASS_CHECK_MODES = ("sample", "event", "off")
-
-#: Slack used when comparing event times against the run duration.
-_TIME_EPS = 1e-9
+__all__ = ["EventSimulation"]
 
 
 class EventSimulation(Simulation):
@@ -64,23 +59,9 @@ class EventSimulation(Simulation):
 
     Parameters (beyond :class:`repro.Simulation`'s)
     -----------------------------------------------
-    duration:
-        Simulated seconds to run.  Defaults to ``rounds``×``sample_interval``
-        worth when built from a :class:`~repro.api.spec.ScenarioSpec`.
-    sample_interval:
-        Simulated seconds between metric samples; sample *j* fires at
-        ``j * sample_interval`` and records ``round_index = j - 1``.
-    rates:
-        The host-clock rate configuration (see
-        :func:`repro.events.clocks.draw_rate`); ``None`` means every host
-        gossips once per second.
-    synchronized:
-        Whether host clocks share the global grid (see
-        :mod:`repro.events.clocks`).
-    mass_check:
-        ``"sample"`` (default), ``"event"`` or ``"off"`` — how often the
-        mass-conservation books are balanced for mass-conserving
-        protocols.
+    settings:
+        The :class:`~repro.events.clocks.EngineSettings` — duration, sample
+        interval, clock rates and synchronisation, mass-check cadence.
     """
 
     #: Exchange mode over a latency network is realised as request/reply
@@ -99,24 +80,9 @@ class EventSimulation(Simulation):
         network=None,
         group_relative: bool = False,
         store_estimates: bool = False,
-        duration: float = 60.0,
-        sample_interval: float = 1.0,
-        rates: Optional[dict] = None,
-        synchronized: bool = True,
-        mass_check: str = "sample",
+        settings: EngineSettings,
         probe=None,
     ):
-        if not (isinstance(sample_interval, (int, float)) and sample_interval > 0):
-            raise ValueError(f"sample_interval must be a positive number, got {sample_interval!r}")
-        if not (isinstance(duration, (int, float)) and duration >= sample_interval):
-            raise ValueError(
-                f"duration must be a number >= sample_interval ({sample_interval}), "
-                f"got {duration!r}"
-            )
-        if mass_check not in MASS_CHECK_MODES:
-            raise ValueError(
-                f"unknown mass_check mode {mass_check!r}; expected one of {MASS_CHECK_MODES}"
-            )
         # Attributes the add_host override consults must exist before the
         # base constructor registers the initial population.
         self._event_init_done = False
@@ -132,11 +98,10 @@ class EventSimulation(Simulation):
             store_estimates=store_estimates,
             probe=probe,
         )
-        self.duration = float(duration)
-        self.sample_interval = float(sample_interval)
-        self.synchronized = bool(synchronized)
-        self.mass_check = mass_check
-        self._rates_config = dict(rates) if rates else {"distribution": "uniform", "rate": 1.0}
+        self.settings = settings
+        self.duration = settings.duration
+        self.sample_interval = settings.sample_interval
+        self.mass_check = settings.mass_check
         self.calendar = EventCalendar()
         self._clock_rng = self.streams.get("clocks")
         self._clocks: Dict[int, HostClock] = {}
@@ -156,7 +121,7 @@ class EventSimulation(Simulation):
         # pending inboxes between ticks (unlike the round engine, where
         # only a network can put mass outside host states).
         self._track_mass = False
-        if mass_check != "off" and self.hosts:
+        if self.mass_check != "off" and self.hosts:
             probe = next(iter(self.hosts.values()))
             if self.protocol.state_mass(probe.state) is not None:
                 self._track_mass = True
@@ -164,14 +129,7 @@ class EventSimulation(Simulation):
         self._state_mass = self._total_state_mass() if self._track_mass else 0.0
         self._inbox_mass = 0.0
 
-        self.result.metadata["engine"] = {
-            "name": "events",
-            "duration": self.duration,
-            "sample_interval": self.sample_interval,
-            "rates": dict(self._rates_config),
-            "synchronized": self.synchronized,
-            "mass_check": mass_check,
-        }
+        self.result.metadata["engine"] = settings.metadata()
 
         # The whole agenda is knowable up front except deliveries: host
         # first ticks (registration order = host-id order), every sample,
@@ -179,12 +137,11 @@ class EventSimulation(Simulation):
         self._event_init_done = True
         for host_id in sorted(self.hosts):
             self._attach_clock(host_id, join_time=0.0)
-        self._n_samples = int(math.floor(self.duration / self.sample_interval + _TIME_EPS))
-        for j in range(1, self._n_samples + 1):
+        for j in range(1, settings.n_samples + 1):
             self.calendar.schedule(j * self.sample_interval, SAMPLE, ("sample", j))
         for event in self.events:
             fire_at = (event.round + 1) * self.sample_interval
-            if fire_at <= self.duration + _TIME_EPS:
+            if fire_at <= self.duration + TIME_EPS:
                 self.calendar.schedule(fire_at, MEMBERSHIP, ("membership", event))
 
     # ----------------------------------------------------------- population
@@ -208,17 +165,17 @@ class EventSimulation(Simulation):
         return self._roster
 
     def _attach_clock(self, host_id: int, *, join_time: float) -> None:
-        rate = draw_rate(self._rates_config, self._clock_rng)
+        rate = float(self.settings.draw_rates(self._clock_rng, 1)[0])
         clock = make_clock(
             host_id,
             rate,
             join_time=join_time,
-            synchronized=self.synchronized,
+            synchronized=self.settings.synchronized,
             rng=self._clock_rng,
         )
         self._clocks[host_id] = clock
         first = clock.next_time()
-        if first <= self.duration + _TIME_EPS:
+        if first <= self.duration + TIME_EPS:
             self.calendar.schedule(first, TICK, ("tick", host_id))
             self._pending_ticks.add(host_id)
 
@@ -240,7 +197,7 @@ class EventSimulation(Simulation):
         if self.network is not None:
             self.network.begin_round(0)
         calendar = self.calendar
-        horizon = self.duration + _TIME_EPS
+        horizon = self.duration + TIME_EPS
         probe = self.probe
         probing = probe.enabled
         with probe.span("calendar"):
@@ -306,7 +263,7 @@ class EventSimulation(Simulation):
         )
         clock.advance()
         next_time = clock.next_time()
-        if next_time <= self.duration + _TIME_EPS:
+        if next_time <= self.duration + TIME_EPS:
             self.calendar.schedule(next_time, TICK, ("tick", host_id))
             self._pending_ticks.add(host_id)
 
@@ -356,10 +313,10 @@ class EventSimulation(Simulation):
             if clock is None:
                 self._attach_clock(host_id, join_time=time)
                 continue
-            while clock.next_time() <= time + _TIME_EPS:
+            while clock.next_time() <= time + TIME_EPS:
                 clock.advance()
             next_time = clock.next_time()
-            if next_time <= self.duration + _TIME_EPS:
+            if next_time <= self.duration + TIME_EPS:
                 self.calendar.schedule(next_time, TICK, ("tick", host_id))
                 self._pending_ticks.add(host_id)
         if self._track_mass:
@@ -374,7 +331,7 @@ class EventSimulation(Simulation):
     # -------------------------------------------------------------- plumbing
     def _sample_bin(self, time: float) -> int:
         """The sample (== round) index that will record activity at ``time``."""
-        return max(0, math.ceil(time / self.sample_interval - _TIME_EPS) - 1)
+        return max(0, math.ceil(time / self.sample_interval - TIME_EPS) - 1)
 
     def _plan_delay(self, source: int, destination: int, bin_index: int, size: int):
         """Delivery delay in simulated seconds, or ``None`` when lost."""

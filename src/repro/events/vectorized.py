@@ -16,37 +16,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["TIME_EPS", "ClockGrid", "bucket_grid", "sample_delays"]
+from repro.events.clocks import TIME_EPS, EngineSettings
 
-#: Same-timestamp tolerance as the agent calendar (events/engine.py).
-TIME_EPS = 1e-9
+__all__ = ["ClockGrid", "bucket_grid", "sample_delays"]
 
 #: Hard cap on buckets per sample interval: finer clock grids coarsen to
 #: this rather than degenerating into per-event buckets.
 _MAX_BUCKETS_PER_SAMPLE = 64
-
-
-def _draw_rates(config, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Batched counterpart of :func:`repro.events.clocks.draw_rate`.
-
-    Same distributions and parameter defaults; one vectorised draw per
-    batch instead of one scalar draw per host (distribution-identical,
-    not stream-identical, to the agent clock draws).
-    """
-    distribution = config.get("distribution", "uniform")
-    if distribution == "uniform":
-        return np.full(count, float(config.get("rate", 1.0)))
-    if distribution == "heterogeneous":
-        fast = float(config["fast"])
-        slow = float(config["slow"])
-        fraction = float(config.get("fast_fraction", 0.5))
-        return np.where(rng.random(count) < fraction, fast, slow)
-    # lognormal (spec validation rejects everything else)
-    rates = rng.lognormal(float(config.get("mean", 0.0)), float(config.get("sigma", 0.5)), count)
-    minimum = config.get("min_rate")
-    if minimum is not None:
-        rates = np.maximum(rates, float(minimum))
-    return rates
 
 
 def sample_delays(network_model, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -72,9 +48,8 @@ class ClockGrid:
     when hosts join.
     """
 
-    def __init__(self, rates_config, synchronized: bool, rng: np.random.Generator, count: int):
-        self._config = rates_config
-        self._synchronized = bool(synchronized)
+    def __init__(self, settings: EngineSettings, rng: np.random.Generator, count: int):
+        self._settings = settings
         self._rng = rng
         self.periods = np.empty(0, dtype=float)
         self.origins = np.empty(0, dtype=float)
@@ -84,8 +59,8 @@ class ClockGrid:
     def grow(self, count: int, *, join_time: float) -> None:
         if count <= 0:
             return
-        periods = 1.0 / _draw_rates(self._config, self._rng, count)
-        if self._synchronized:
+        periods = 1.0 / self._settings.draw_rates(self._rng, count)
+        if self._settings.synchronized:
             origins = np.zeros(count, dtype=float)
             first = np.ceil(join_time / periods - TIME_EPS).astype(np.int64)
             next_index = np.maximum(1, first)
@@ -109,10 +84,8 @@ class ClockGrid:
         return self.origins[host_idx] + next_index * self.periods[host_idx]
 
 
-def bucket_grid(
-    duration: float, sample_interval: float, base: float
-) -> Tuple[int, float, int, int]:
-    """``(ratio, quantum, n_samples, total_buckets)`` for a calendar run.
+def bucket_grid(settings: EngineSettings, base: float) -> Tuple[int, float, int]:
+    """``(ratio, quantum, total_buckets)`` for a calendar run.
 
     ``base`` is the requested bucket width (``batch_quantum``, or the
     shortest clock period).  The quantum actually used is the sample
@@ -120,9 +93,8 @@ def bucket_grid(
     with it every membership event, is a bucket boundary — capped at
     :data:`_MAX_BUCKETS_PER_SAMPLE`.
     """
-    ratio = max(1, int(math.ceil(sample_interval / float(base) - TIME_EPS)))
+    ratio = max(1, int(math.ceil(settings.sample_interval / float(base) - TIME_EPS)))
     ratio = min(ratio, _MAX_BUCKETS_PER_SAMPLE)
-    quantum = sample_interval / ratio
-    n_samples = int(math.floor(duration / sample_interval + TIME_EPS))
-    total_buckets = int(math.ceil(duration / quantum - TIME_EPS))
-    return ratio, quantum, n_samples, total_buckets
+    quantum = settings.sample_interval / ratio
+    total_buckets = int(math.ceil(settings.duration / quantum - TIME_EPS))
+    return ratio, quantum, total_buckets

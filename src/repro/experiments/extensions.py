@@ -285,20 +285,12 @@ class RateHeterogeneityResult:
 def _convergence_time(result, threshold: float, sustained: int):
     """Simulated time of the first record opening a sustained sub-threshold run.
 
-    ``threshold`` is relative to each record's truth (mirrors
-    :meth:`SimulationResult.convergence_round` with ``relative=True``)
-    but the answer is the record's ``time`` — the axis rate heterogeneity
-    distorts.  Returns ``None`` when the run never converges.
+    :meth:`SimulationResult.convergence_round` with ``relative=True``, read
+    on the ``time`` axis rate heterogeneity distorts (an event run's round
+    index is its record's position).  ``None`` when the run never converges.
     """
-    run_length = 0
-    for index, record in enumerate(result.rounds):
-        if record.stddev_error <= threshold * abs(record.truth):
-            run_length += 1
-            if run_length >= sustained:
-                return result.rounds[index - sustained + 1].time
-        else:
-            run_length = 0
-    return None
+    first = result.convergence_round(threshold, relative=True, sustained=sustained)
+    return None if first is None else result.rounds[first].time
 
 
 def run_rate_heterogeneity_sweep(
@@ -373,11 +365,10 @@ def run_rate_heterogeneity_sweep(
                     "duration": float(duration),
                     "sample_interval": 1.0,
                     "synchronized": False,
-                    "rates": {
+                    "rates": {  # the default split: half fast, half slow
                         "distribution": "heterogeneous",
                         "fast": 1.0,
                         "slow": 1.0 / ratio,
-                        "fast_fraction": 0.5,
                     },
                 },
             )

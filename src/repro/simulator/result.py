@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.metrics.convergence import plateau_error
 from repro.obs.probe import NULL_PROBE
 
 __all__ = ["RoundRecord", "SimulationResult"]
@@ -214,10 +215,7 @@ class SimulationResult:
 
     def plateau_error(self, tail: int = 5) -> float:
         """Mean error over the last ``tail`` rounds (the figure's plateau)."""
-        if not self.rounds:
-            raise ValueError("simulation produced no rounds")
-        tail_records = self.rounds[-tail:]
-        return sum(record.stddev_error for record in tail_records) / len(tail_records)
+        return plateau_error(self.errors(), tail)
 
     def error_at(self, round_index: int) -> float:
         """Error recorded at ``round_index`` (exact match required)."""

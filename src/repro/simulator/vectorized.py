@@ -38,7 +38,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cutoff import default_cutoff
-from repro.events.vectorized import TIME_EPS
+from repro.events.clocks import TIME_EPS
 from repro.metrics.accuracy import error_statistics, group_truths
 from repro.obs.probe import NULL_PROBE
 from repro.sketches.fm_sketch import PHI

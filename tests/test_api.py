@@ -302,8 +302,7 @@ class TestGracefulDepartureEvent:
             events=({"event": "graceful-departure", "round": 2, "model": "explicit",
                      "host_ids": host_ids},),
         )
-        build = spec.build_event_simulation if engine == "events" else spec.build
-        simulation = build()
+        simulation = spec.build()
         agent = simulation.run() if engine == "events" else simulation.run(spec.rounds)
         run = KernelRun(BACKENDS.get("vectorized"), spec)
         kernel = run.kernel

@@ -13,9 +13,9 @@ from repro.events import (
     MEMBERSHIP,
     SAMPLE,
     TICK,
+    EngineSettings,
     EventCalendar,
     EventSimulation,
-    draw_rate,
     make_clock,
 )
 from repro.failures import ExplicitFailure, FailureEvent, JoinEvent, ValueChangeEvent
@@ -52,16 +52,13 @@ def membership_events():
 def event_simulation(n_hosts=48, seed=11, **overrides):
     """A small event-engine run over the standard uniform scenario."""
     values = uniform_values(n_hosts, seed=seed)
-    kwargs = dict(
-        seed=seed,
-        mode="push",
-        duration=20.0,
-        sample_interval=1.0,
-        mass_check="event",
-    )
-    kwargs.update(overrides)
+    settings = dict(duration=20.0, mass_check="event")
+    for key in ("duration", "sample_interval", "rates", "synchronized", "mass_check"):
+        if key in overrides:
+            settings[key] = overrides.pop(key)
     return EventSimulation(
-        PushSumRevert(0.05), UniformEnvironment(n_hosts), values, **kwargs
+        PushSumRevert(0.05), UniformEnvironment(n_hosts), values, seed=seed,
+        settings=EngineSettings(**settings), **overrides
     )
 
 
@@ -122,16 +119,15 @@ class TestClocks:
         assert clock.next_time() == pytest.approx(first + 0.5)
 
     def test_rate_distributions(self, rng):
-        assert draw_rate({"distribution": "uniform", "rate": 2.5}, rng) == 2.5
-        fast_slow = {
-            draw_rate(
-                {"distribution": "heterogeneous", "fast": 2.0, "slow": 0.5}, rng
-            )
-            for _ in range(64)
+        def draw(rates, count=64):
+            return EngineSettings(duration=1.0, rates=rates).draw_rates(rng, count)
+
+        assert draw({"distribution": "uniform", "rate": 2.5}, count=1).tolist() == [2.5]
+        assert set(draw({"distribution": "heterogeneous", "fast": 2.0, "slow": 0.5})) == {
+            2.0, 0.5
         }
-        assert fast_slow == {2.0, 0.5}
         floored = {"distribution": "lognormal", "mean": 0.0, "sigma": 2.0, "min_rate": 1.0}
-        assert all(draw_rate(floored, rng) >= 1.0 for _ in range(64))
+        assert (draw(floored) >= 1.0).all()
 
     def test_nonpositive_rate_is_rejected(self, rng):
         with pytest.raises(ValueError, match="rate"):
@@ -170,10 +166,7 @@ class TestRoundEngineEquivalence:
             mode="push",
             events=membership_events(),
             network=LatencyNetwork(distribution="fixed", delay=1),
-            duration=float(rounds),
-            sample_interval=1.0,
-            synchronized=True,
-            mass_check="event",
+            settings=EngineSettings(duration=float(rounds), mass_check="event"),
         )
         candidate = event_engine.run()
 
@@ -238,8 +231,7 @@ class TestMassConservation:
             values,
             seed=3,
             mode="push",
-            duration=5.0,
-            mass_check="event",
+            settings=EngineSettings(duration=5.0, mass_check="event"),
         )
         with pytest.raises(MassConservationError):
             simulation.run()
@@ -347,6 +339,17 @@ class TestScenarioSpec:
             ({"rates": {"distribution": "lognormal", "sigma": -1.0}}, "sigma"),
             ({"rates": {"distribution": "lognormal", "min_rate": 0}}, "min_rate"),
             ({"rates": {"distribution": "uniform", "fast": 2.0}}, "unknown keys"),
+            # Non-numeric and non-finite values fail here, naming their key,
+            # rather than mid-run (or, batch_quantum on the agent, never).
+            ({"rates": {"distribution": "lognormal", "mean": "x"}}, "'mean'"),
+            ({"rates": {"distribution": "lognormal", "sigma": float("nan")}}, "'sigma'"),
+            ({"rates": {"rate": float("nan")}}, "'rate'"),
+            ({"rates": {"distribution": "heterogeneous", "fast": float("inf"), "slow": 1.0}},
+             "'fast'"),
+            ({"duration": float("nan")}, "'duration'"),
+            ({"duration": float("inf")}, "'duration'"),
+            ({"sample_interval": float("inf")}, "'sample_interval'"),
+            ({"batch_quantum": float("nan")}, "'batch_quantum'"),
         ],
     )
     def test_bad_engine_params_fail_eagerly(self, params, match):
@@ -370,9 +373,9 @@ class TestScenarioSpec:
 
     def test_engine_settings_resolve_defaults(self):
         settings = events_spec(engine_params={"sample_interval": 2.0}).engine_settings()
-        assert settings["duration"] == 16.0  # rounds * sample_interval
-        assert settings["synchronized"] is True
-        assert settings["mass_check"] == "sample"
+        assert settings == EngineSettings(duration=16.0, sample_interval=2.0)  # rounds samples
+        assert (settings.synchronized, settings.mass_check) == (True, "sample")
+        assert settings.n_samples == 8
 
     def test_engine_fields_address_distinct_cache_keys(self):
         rounds_key = events_spec(engine="rounds").key()
@@ -563,9 +566,7 @@ class TestExchangeAccounting:
             mode="exchange",
             events=[FailureEvent(round=8, model=ExplicitFailure([0, 3, 5]))],
             network=BernoulliLossNetwork(0.2),
-            duration=float(rounds),
-            sample_interval=1.0,
-            mass_check="event",
+            settings=EngineSettings(duration=float(rounds), mass_check="event"),
         )
         event_result = event_engine.run()
 

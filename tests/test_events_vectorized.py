@@ -26,7 +26,7 @@ import pytest
 
 from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.kernel_run import KernelRun
-from repro.events.vectorized import TIME_EPS
+from repro.events import TIME_EPS
 from repro.network import MassConservationError
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.vectorized import _VectorizedKernel

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.cdf import cdf_at, empirical_cdf
 from repro.baselines.push_sum import PushSum
 from repro.core.push_sum_revert import PushSumRevert
-from repro.events.vectorized import TIME_EPS
+from repro.events import TIME_EPS
 from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.obs.probe import NULL_PROBE
