@@ -26,8 +26,10 @@ How they differ from the agent engine — push/pull as a random perfect matching
 protocol from it (DESIGN.md §7).
 
 The two sketch kernels hold one sketch per host row and share one merge
-(:func:`_merge_rows`, a fan-in-ranked scatter — no ``ufunc.at`` on the
-N-D state) and one read-out (:func:`_prefix_rank` over the live rows);
+(:func:`_merge_rows`: one pre-round snapshot, then a fan-in-ranked scatter
+a chunk of rows at a time — no ``ufunc.at`` on the N-D state) and one
+read-out (:func:`_chunked_ranks`, a chunk of rows at a time), so a round
+holds the state, one snapshot and a few :data:`_CHUNK_BYTES` chunks;
 DESIGN.md §7 "Sketch kernel layout" has the exactness argument.
 """
 
@@ -54,18 +56,29 @@ __all__ = [
 _COUNTER_INFINITY = np.int16(30_000)
 
 
+#: Bytes of state rows one chunk of the sketch merges and read-out touches: every
+#: per-round temporary besides the merge's one snapshot is a few chunks, not the
+#: population (a private budget, not an option; the tests shrink it to 1-2 rows).
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunk_rows(rows: np.ndarray) -> int:
+    """Rows of ``rows`` in one chunk of :data:`_CHUNK_BYTES` (at least one)."""
+    row_bytes = rows.itemsize * int(np.prod(rows.shape[1:]))
+    return max(1, _CHUNK_BYTES // max(1, row_bytes))
+
+
 def _draw_identifiers(
     rng: np.random.Generator, n: int, bins: int, bits: int, identifiers_per_host: int
 ):
-    """``(mask, hosts, positions)``: the FM-style sketch kernels' owned coordinates.
+    """``(hosts, positions)``: the FM-style sketch kernels' owned coordinates.
 
     Each identifier lands in a uniform bin with a geometric bit index
     (P[bit = k] = 2^-(k+1), clamped to L-1) — the array analogue of the
-    hash-based coordinates in :mod:`repro.sketches.hashing`.  ``mask`` is
-    the (host, bin, bit) ownership image; identifier ``i`` belongs to
-    ``hosts[i]`` and sits at ``positions[i]`` of that host's flattened
-    ``bins * bits`` sketch, so owners can be revisited without rescanning
-    the mask.
+    hash-based coordinates in :mod:`repro.sketches.hashing`.  Identifier
+    ``i`` belongs to ``hosts[i]`` and sits at ``positions[i]`` of that host's
+    flattened ``bins * bits`` sketch, so owners can be revisited without
+    scanning an ownership image (:func:`_owned_image` builds one).
     """
     hosts = np.tile(np.arange(n), identifiers_per_host)
     positions = np.empty((identifiers_per_host, n), dtype=np.int64)
@@ -73,10 +86,14 @@ def _draw_identifiers(
         owned_bins = rng.integers(0, bins, size=n)
         owned_bits = np.minimum(rng.geometric(0.5, size=n) - 1, bits - 1)
         drawn[:] = owned_bins * bits + owned_bits
-    positions = positions.reshape(-1)
+    return hosts, positions.reshape(-1)
+
+
+def _owned_image(n: int, bins: int, bits: int, hosts: np.ndarray, positions: np.ndarray):
+    """The (host, bin, bit) boolean image of the owned ``(hosts, positions)`` pairs."""
     mask = np.zeros((n, bins * bits), dtype=bool)
     mask[hosts, positions] = True
-    return mask.reshape(n, bins, bits), hosts, positions
+    return mask.reshape(n, bins, bits)
 
 
 def _scatter_rows(
@@ -87,27 +104,33 @@ def _scatter_rows(
     ``reduce``, in place; a target may repeat.
 
     What ``reduce.at(rows, targets, source)`` computes, without ``ufunc.at``'s
-    slow generic N-D path.  ``source`` rows are gathered before the first write,
-    so ``source`` may be ``rows`` itself.  Pairs are ordered by their fan-in rank
-    (the k-th sender of its target), so within one rank every target row occurs
-    once and a plain gather → reduce → fancy assignment is exact; the loop runs
-    max-fan-in times (≈ 8 under uniform gossip).  Both sort keys are cast to the
-    smallest dtype that holds a row index: NumPy radix-sorts keys of 16 bits or
-    fewer.
+    slow generic N-D path.  Pairs are ordered by their fan-in rank (the k-th
+    sender of its target), so within one rank every target row occurs once and a
+    plain gather → reduce → fancy assignment is exact; the loop runs max-fan-in
+    times (≈ 8 under uniform gossip), a chunk of :func:`_chunk_rows` pairs at a
+    time.  ``source`` rows are gathered rank by rank, after earlier ranks have
+    written ``rows``, so ``source`` must not share memory with ``rows``
+    (``ValueError``).  Both sort keys are cast to the smallest dtype that holds a
+    row index: NumPy radix-sorts keys of 16 bits or fewer.
     """
+    if np.may_share_memory(source, rows):
+        raise ValueError("source must not share memory with rows: later ranks read it")
     key = np.min_scalar_type(len(rows))
     order = np.argsort(targets.astype(key), kind="stable")
     grouped = targets[order]
     rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
     order = order[np.argsort(rank.astype(key), kind="stable")]
-    sent = source[order if index is None else index[order]]
+    sent = order if index is None else index[order]
     receivers = targets[order]
+    chunk = _chunk_rows(rows)
     start = 0
     for stop in np.cumsum(np.bincount(rank)).tolist():
-        into = receivers[start:stop]
-        merged = rows[into]
-        reduce(merged, sent[start:stop], out=merged)
-        rows[into] = merged
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            into = receivers[lo:hi]
+            merged = rows[into]
+            reduce(merged, source[sent[lo:hi]], out=merged)
+            rows[into] = merged
         start = stop
 
 
@@ -119,29 +142,61 @@ def _merge_rows(
     Every ``targets[i]`` row absorbs the pre-round ``senders[i]`` row under
     ``reduce`` (an idempotent, commutative ufunc: ``minimum`` / ``logical_or``;
     :func:`_scatter_rows`) and, with ``pull``, every sender then absorbs its
-    target's pre-round row.  Precondition: ``senders`` is unique and
-    *ascending*, so that when every row sends, ``senders`` is
-    ``arange(len(rows))`` and the pull is one in-place reduce.
+    target's pre-round row.  Both legs read one snapshot of the pre-round rows —
+    the round's only full-size temporary — and move a chunk of rows at a time.
+    Precondition: ``senders`` is unique and *ascending*, so that when every row
+    sends, ``senders`` is ``arange(len(rows))`` and each pull chunk reduces a
+    slice of ``rows`` in place.
     """
-    pulled = rows[targets] if pull else None
-    _scatter_rows(rows, targets, reduce, rows, senders)
-    if pull and senders.size == len(rows):
-        reduce(rows, pulled, out=rows)
-    elif pull:
-        merged = rows[senders]
-        reduce(merged, pulled, out=merged)
-        rows[senders] = merged
+    snapshot = rows.copy()
+    _scatter_rows(rows, targets, reduce, snapshot, senders)
+    if not pull:
+        return
+    everyone = senders.size == len(rows)
+    chunk = _chunk_rows(rows)
+    for lo in range(0, senders.size, chunk):
+        hi = min(lo + chunk, senders.size)
+        pulled = snapshot[targets[lo:hi]]
+        if everyone:
+            into = rows[lo:hi]
+            reduce(into, pulled, out=into)
+        else:
+            into = senders[lo:hi]
+            merged = rows[into]
+            reduce(merged, pulled, out=merged)
+            rows[into] = merged
 
 
-def _prefix_rank(image: np.ndarray) -> np.ndarray:
-    """Per (host, bin) length of the prefix of ones in a boolean bit image.
+def _chunked_ranks(
+    sketches: np.ndarray, hosts: Optional[np.ndarray] = None,
+    thresholds: Optional[np.ndarray] = None, mean: bool = False,
+) -> np.ndarray:
+    """Per (row, bin) length of the prefix of ones in the sketches' bit image, or with
+    ``mean`` each row's mean over its bins — for the ``hosts`` rows, or all of them.
 
-    A trailing all-False sentinel column makes ``argmin`` (first False)
-    return the full width for all-True rows in the same pass.
+    The image is the boolean ``sketches`` themselves, or ``sketches <= thresholds``
+    (per bit) for counters.  A chunk of :func:`_chunk_rows` rows at a time is
+    written into one reused buffer with a trailing all-False sentinel column, so
+    ``argmin`` (first False) returns the full width for all-True rows in the same
+    pass.  With ``hosts=None`` the rows are read in place; else gathered a chunk at
+    a time.
     """
-    padded = np.zeros(image.shape[:-1] + (image.shape[-1] + 1,), dtype=bool)
-    padded[..., :-1] = image
-    return padded.argmin(axis=-1)
+    count = len(sketches) if hosts is None else hosts.size
+    bins, bits = sketches.shape[1:]
+    chunk = _chunk_rows(sketches)
+    padded = np.zeros((min(chunk, count), bins, bits + 1), dtype=bool)
+    out = np.empty(count if mean else (count, bins), dtype=float if mean else np.intp)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        rows = sketches[lo:hi] if hosts is None else sketches[hosts[lo:hi]]
+        image = padded[: hi - lo, :, :-1]
+        if thresholds is None:
+            np.copyto(image, rows)
+        else:
+            np.less_equal(rows, thresholds, out=image)
+        ranks = padded[: hi - lo].argmin(axis=-1)
+        out[lo:hi] = ranks.mean(axis=1) if mean else ranks
+    return out
 
 
 class _VectorizedKernel:
@@ -1048,7 +1103,7 @@ class _CountingKernel(_VectorizedKernel):
 
     def truth(self) -> float:
         """The correct count (number of live hosts; NaN once nobody is alive)."""
-        n_alive = int(self.alive.sum())
+        n_alive = self.live_index().size
         return float(n_alive) if n_alive else float("nan")
 
     def _move(self, block, hosts: np.ndarray, senders: np.ndarray, targets: np.ndarray):
@@ -1078,6 +1133,14 @@ class _CountingKernel(_VectorizedKernel):
 
     def _land(self, state: List[np.ndarray], targets: np.ndarray, payload) -> None:
         _scatter_rows(state[0], targets, self._reduce, payload[0])
+
+    def _estimate(self, sketches: np.ndarray, thresholds: Optional[np.ndarray] = None):
+        """The FM estimate of every live host from its sketch row (:func:`_chunked_ranks`;
+        rows read in place while everyone is alive)."""
+        alive_idx = self.live_index()
+        hosts = None if alive_idx.size == self.n else alive_idx
+        mean_rank = _chunked_ranks(sketches, hosts, thresholds, mean=True)
+        return self.bins / PHI * np.exp2(mean_rank) / self.identifiers_per_host
 
 
 class VectorizedCountSketchReset(_CountingKernel):
@@ -1138,24 +1201,31 @@ class VectorizedCountSketchReset(_CountingKernel):
             raise ValueError("cutoff(k) must not be NaN")
         self._thresholds = np.clip(np.floor(cutoffs), -1, no_decay).astype(np.int16)
 
-        (
-            self.counters, self.own_mask, self._owned_hosts, self._owned_positions
-        ) = self._fresh_rows(self.n)
+        self.counters, self._owned_hosts, self._owned_positions = self._fresh_rows(self.n)
 
     def _fresh_rows(self, count: int):
-        """Counters, ownership mask and owned (host, position) pairs of new hosts."""
-        own_mask, hosts, positions = _draw_identifiers(
+        """Counters and owned (host, position) pairs of new hosts."""
+        hosts, positions = _draw_identifiers(
             self.rng, count, self.bins, self.bits, self.identifiers_per_host
         )
         counters = np.full((count, self.bins * self.bits), _COUNTER_INFINITY, dtype=np.int16)
         counters[hosts, positions] = 0
-        return counters.reshape(count, self.bins, self.bits), own_mask, hosts, positions
+        return counters.reshape(count, self.bins, self.bits), hosts, positions
+
+    @property
+    def own_mask(self) -> np.ndarray:
+        """The (host, bin, bit) ownership image, rebuilt on each read from the owned
+        ``(host, position)`` pairs (a departed host owns nothing); read-only."""
+        mask = _owned_image(
+            self.n, self.bins, self.bits, self._owned_hosts, self._owned_positions
+        )
+        mask.flags.writeable = False
+        return mask
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:
-        counters, own_mask, hosts, positions = self._fresh_rows(values.size)
+        counters, hosts, positions = self._fresh_rows(values.size)
         self.counters = np.concatenate([self.counters, counters])
-        self.own_mask = np.concatenate([self.own_mask, own_mask])
         self._owned_hosts = np.concatenate([self._owned_hosts, hosts + start])
         self._owned_positions = np.concatenate([self._owned_positions, positions])
 
@@ -1170,7 +1240,6 @@ class VectorizedCountSketchReset(_CountingKernel):
         indices = np.asarray(list(host_indices), dtype=np.int64)
         if indices.size == 0:
             return
-        self.own_mask[indices] = False
         self._mark_dead(indices)
         kept = ~np.isin(self._owned_hosts, indices)
         self._owned_hosts = self._owned_hosts[kept]
@@ -1207,14 +1276,11 @@ class VectorizedCountSketchReset(_CountingKernel):
 
     def ranks(self) -> np.ndarray:
         """Per (host, bin) prefix-of-ones length of :meth:`bit_image` (all rows)."""
-        return _prefix_rank(self.bit_image())
+        return _chunked_ranks(self.counters, thresholds=self._thresholds)
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the live population size (or sum)."""
-        live_image = self.counters[self.live_index()] <= self._thresholds
-        mean_rank = _prefix_rank(live_image).mean(axis=1)
-        raw = self.bins / PHI * np.exp2(mean_rank)
-        return raw / self.identifiers_per_host
+        return self._estimate(self.counters, self._thresholds)
 
     # ------------------------------------------------------- Fig 6 diagnostics
     def counter_values_for_bit(self, bit_index: int, *, finite_only: bool = True) -> np.ndarray:
@@ -1278,9 +1344,10 @@ class VectorizedSketchCount(_CountingKernel):
 
     def _fresh_rows(self, count: int) -> np.ndarray:
         """Sketches of ``count`` new hosts: just their own identifiers' bits."""
-        return _draw_identifiers(
+        hosts, positions = _draw_identifiers(
             self.rng, count, self.bins, self.bits, self.identifiers_per_host
-        )[0]
+        )
+        return _owned_image(count, self.bins, self.bits, hosts, positions)
 
     # ------------------------------------------------------------- membership
     def _grow(self, values: np.ndarray, start: int) -> None:
@@ -1296,12 +1363,11 @@ class VectorizedSketchCount(_CountingKernel):
     # -------------------------------------------------------------- estimates
     def ranks(self) -> np.ndarray:
         """Per (host, bin) prefix-of-ones length of the bit matrix."""
-        return _prefix_rank(self.matrix)
+        return _chunked_ranks(self.matrix)
 
     def estimates(self) -> np.ndarray:
         """Per-live-host estimates of the (ever-seen) population size."""
-        mean_rank = _prefix_rank(self.matrix[self.live_index()]).mean(axis=1)
-        return self.bins / PHI * np.exp2(mean_rank) / self.identifiers_per_host
+        return self._estimate(self.matrix)
 
 
 class VectorizedExtrema(_ValueKernel):

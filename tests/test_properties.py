@@ -21,15 +21,18 @@ from repro.simulator.sparse import (
     TraceCSRTopology,
     greedy_edge_matching,
 )
+import repro.simulator.vectorized as vectorized
 from repro.simulator.vectorized import (
     _COUNTER_INFINITY,
+    _chunked_ranks,
     _merge_rows,
+    _scatter_rows,
     VectorizedCountSketchReset,
     VectorizedPushSumRevert,
     VectorizedSketchCount,
 )
 from repro.sketches.counter_matrix import CounterMatrix, INFINITY
-from repro.sketches.fm_sketch import FMSketch, rank_of_bits
+from repro.sketches.fm_sketch import PHI, FMSketch, rank_of_bits
 from repro.sketches.hashing import bin_index, rho
 from repro.topology.graphs import ring_lattice_edges
 
@@ -407,8 +410,28 @@ def gossip_pairs(draw):
     return n, senders, targets
 
 
+def _prefix_rank(image):
+    """Per (host, bin) prefix-of-ones length of a whole boolean image, in one pass: a
+    trailing all-False column makes ``argmin`` (first False) see all-True rows' width."""
+    padded = np.zeros(image.shape[:-1] + (image.shape[-1] + 1,), dtype=bool)
+    padded[..., :-1] = image
+    return padded.argmin(axis=-1)
+
+
+def _chunks_of(monkeypatch, rows, chunk):
+    """Shrink the sketch helpers' byte budget to ``chunk`` rows of ``rows`` (``None``:
+    the module's own budget)."""
+    if chunk is not None:
+        row_bytes = rows.itemsize * int(np.prod(rows.shape[1:]))
+        monkeypatch.setattr(vectorized, "_CHUNK_BYTES", chunk * row_bytes)
+
+
 class TestSketchKernelPrimitives:
-    """The shared row merge and threshold table against their plain references."""
+    """The shared row merge, read-out and threshold table against their plain references.
+
+    The merge and read-out work a chunk of rows at a time; ``chunk`` reruns a test
+    with 1- and 2-row chunks, so the small drawn states cross chunk boundaries.
+    """
 
     @staticmethod
     def _ufunc_at_merge(rows, senders, targets, reduce, pull):
@@ -417,6 +440,7 @@ class TestSketchKernelPrimitives:
         if pull:
             rows[senders] = reduce(rows[senders], before[targets])
 
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
     @COMMON_SETTINGS
     @given(
         pairs=gossip_pairs(),
@@ -434,7 +458,7 @@ class TestSketchKernelPrimitives:
     # Every row sends: the in-place pull, without and with self-targets.
     @example(pairs=(5, [0, 1, 2, 3, 4], [1, 2, 3, 4, 0]), width=3, pull=True, boolean=False, seed=5)
     @example(pairs=(5, [0, 1, 2, 3, 4], [3, 1, 0, 3, 4]), width=3, pull=True, boolean=True, seed=6)
-    def test_matches_ufunc_at_reference(self, pairs, width, pull, boolean, seed):
+    def test_matches_ufunc_at_reference(self, chunk, pairs, width, pull, boolean, seed):
         n, senders, targets = pairs
         senders = np.array(senders, dtype=np.int64)
         targets = np.array(targets, dtype=np.int64)
@@ -446,8 +470,86 @@ class TestSketchKernelPrimitives:
             rows[rng.random((n, width)) < 0.3] = _COUNTER_INFINITY
         expected = rows.copy()
         self._ufunc_at_merge(expected, senders, targets, reduce, pull)
-        _merge_rows(rows, senders, targets, reduce, pull)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _chunks_of(monkeypatch, rows, chunk)
+            _merge_rows(rows, senders, targets, reduce, pull)
         assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    @COMMON_SETTINGS
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        bins=st.integers(min_value=1, max_value=4),
+        bits=st.integers(min_value=1, max_value=8),
+        rounds=st.integers(min_value=0, max_value=4),
+        survivors=st.one_of(st.sampled_from([0, 1, None]), st.integers(min_value=0, max_value=20)),
+        counters=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=None, counters=True, seed=0)  # all alive
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=1, counters=True, seed=1)
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=0, counters=True, seed=2)
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=None, counters=False, seed=3)
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=1, counters=False, seed=4)
+    @example(n=5, bins=2, bits=4, rounds=3, survivors=0, counters=False, seed=5)
+    def test_chunked_read_out_matches_whole_image(
+        self, chunk, n, bins, bits, rounds, survivors, counters, seed
+    ):
+        """Both sketch kernels' ``ranks()`` and ``estimates()`` (``survivors`` live hosts,
+        ``None``: everyone) equal the prefix ranks of the whole bit image."""
+        kernel_class = VectorizedCountSketchReset if counters else VectorizedSketchCount
+        kernel = kernel_class(n, bins=bins, bits=bits, identifiers_per_host=2, seed=seed)
+        kernel.step_many(rounds)
+        if survivors is not None:
+            leaving = np.random.default_rng(seed).permutation(n)[min(survivors, n):]
+            kernel.fail(leaving)
+        image = kernel.bit_image() if counters else kernel.matrix
+        sketches = kernel.counters if counters else kernel.matrix
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _chunks_of(monkeypatch, sketches, chunk)
+            ranks, estimates = kernel.ranks(), kernel.estimates()
+            live_mean = _chunked_ranks(
+                sketches, kernel.live_index(), kernel._thresholds if counters else None, mean=True
+            )
+        whole = _prefix_rank(image)
+        mean_rank = whole.mean(axis=1)[kernel.alive]
+        assert np.array_equal(ranks, whole)
+        assert np.array_equal(live_mean, mean_rank)
+        assert np.array_equal(estimates, bins / PHI * np.exp2(mean_rank) / 2)
+
+    def test_scatter_rows_refuses_a_source_sharing_memory_with_rows(self):
+        """Later fan-in ranks gather ``source`` after earlier ones wrote ``rows``."""
+        rows = np.arange(12, dtype=np.int16).reshape(4, 3)
+        for source in (rows, rows[::-1], rows[1:3]):
+            targets = np.zeros(len(source), dtype=np.int64)
+            with pytest.raises(ValueError, match="share memory"):
+                _scatter_rows(rows, targets, np.minimum, source)
+        assert np.array_equal(rows, np.arange(12).reshape(4, 3))
+
+    def test_neither_caller_hands_scatter_rows_an_alias(self, monkeypatch):
+        """``_merge_rows`` scatters from its snapshot and a landing push from its payload
+        copy: rounds of both kernels, and Sketch-Count's calendar with delayed pushes."""
+        callers = []
+
+        def recorded(rows, targets, reduce, source, index=None):
+            callers.append("merge" if index is not None else "land")
+            _scatter_rows(rows, targets, reduce, source, index)
+
+        monkeypatch.setattr(vectorized, "_scatter_rows", recorded)
+        for kernel_class in (VectorizedCountSketchReset, VectorizedSketchCount):
+            kernel = kernel_class(12, bins=2, bits=6, seed=0)
+            kernel.step_many(2)
+            kernel.fail([3, 7])
+            kernel.step()
+        calendar = VectorizedSketchCount(12, bins=2, bits=6, pull=False, seed=1)
+        delays = np.random.default_rng(2)
+        for _ in range(3):
+            batches = calendar.step_subset(
+                calendar.live_index()[::2], lambda k: delays.choice([0.0, 1.0], size=k)
+            )
+            for _kind, _senders, _delay, *arrays in batches:
+                calendar.deliver("push", *arrays)
+        assert {"merge", "land"} <= set(callers)
 
     @COMMON_SETTINGS
     @given(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,6 +667,36 @@ class TestSketchKernelPinnedState:
 
         with pytest.raises(ValueError, match="NaN"):
             VectorizedCountSketchReset(4, bins=2, bits=6, cutoff=cutoff)
+
+
+class TestSketchKernelMemoryBound:
+    """A Count-Sketch-Reset round holds one pre-round snapshot of the counters plus
+    chunks, and the read-out only chunks: one more whole-matrix gather in either
+    (a round's ``sent`` or ``pulled``, a read-out's live image) breaks the bound."""
+
+    @staticmethod
+    def _traced_peak(call) -> int:
+        """Bytes ``call()`` allocates at its peak above what was traced before it."""
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    def test_round_and_read_out_stay_within_one_snapshot(self):
+        kernel = VectorizedCountSketchReset(4000, bins=16, bits=18, seed=0)
+        state = kernel.counters.nbytes
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            step = self._traced_peak(kernel.step)
+            read_out = self._traced_peak(kernel.estimates)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert step <= 1.3 * state, f"step() peaked {step / state:.2f}x the counters"
+        assert read_out <= 0.25 * state, f"estimates() peaked {read_out / state:.2f}x the counters"
+        assert "own_mask" not in vars(kernel)
 
 
 class TestBenchShapesPinnedPayloads:
