@@ -53,6 +53,9 @@ class CounterMatrix:
         self.bits = int(bits)
         self.counters = np.full((self.bins, self.bits), INFINITY, dtype=np.int64)
         self.owned: Set[Tuple[int, int]] = set()
+        # ``(cutoff, thresholds)`` of the last :meth:`bit_image`: a cutoff is
+        # a pure function of the bit index, so its row is built once.
+        self._thresholds: Optional[Tuple[Callable[[int], float], np.ndarray]] = None
         for position in owned:
             self.own(position)
 
@@ -136,8 +139,10 @@ class CounterMatrix:
     # -------------------------------------------------------------- estimates
     def bit_image(self, cutoff: Callable[[int], float]) -> np.ndarray:
         """The derived bit matrix: position (n, k) is set iff counter ≤ cutoff(k)."""
-        thresholds = np.array([cutoff(k) for k in range(self.bits)], dtype=float)
-        return self.counters <= thresholds[None, :]
+        if self._thresholds is None or self._thresholds[0] is not cutoff:
+            row = np.array([cutoff(k) for k in range(self.bits)], dtype=float)
+            self._thresholds = (cutoff, row)
+        return self.counters <= self._thresholds[1][None, :]
 
     def ranks(self, cutoff: Callable[[int], float]) -> List[int]:
         """Per-bin R values of the derived bit image."""
