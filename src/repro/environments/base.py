@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 import numpy as np
 
@@ -14,26 +14,38 @@ class LiveRoster(frozenset):
     """The live host ids of one round: a frozen set that also lists itself.
 
     ``members`` is ``tuple(self)``, materialised once, so an environment can
-    draw a uniform live host by index without copying the set per call.
-    Build it from the *sorted* id list: a set iterates in the order its
-    history of insertions left it in, and the peer drawn is ``members[k]``.
+    pick a live host by index without copying the set per call.  Build it
+    from the *sorted* id list: a set iterates in the order its history of
+    insertions left it in, and the peer picked is ``members[k]``.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_index")
 
     def __new__(cls, sorted_ids):
         self = super().__new__(cls, sorted_ids)
         self.members = tuple(self)
+        self._index = None
         return self
+
+    def ranks(self, hosts: Iterable[int]) -> List[int]:
+        """Each host's index in ``members``; ``len(self)`` for a host outside.
+
+        The id-to-index map is built on first use.
+        """
+        if self._index is None:
+            self._index = {host: index for index, host in enumerate(self.members)}
+        get, outside = self._index.get, len(self.members)
+        return [get(host, outside) for host in hosts]
 
 
 class GossipEnvironment(abc.ABC):
     """Decides which peers a host may gossip with at a given round.
 
-    The engine calls :meth:`select_peers` once per live host per round.  An
-    environment may also *provide groups* — a partition of the live hosts
-    into "nearby" clusters — in which case trace-style experiments can
-    measure each host's error against its own group's aggregate (Fig 11).
+    The round engine calls :meth:`select_peers_round` once per round, the
+    event engine :meth:`select_peers` once per clock tick.  An environment
+    may also *provide groups* — a partition of the live hosts into "nearby"
+    clusters — in which case trace-style experiments can measure each
+    host's error against its own group's aggregate (Fig 11).
 
     Attributes
     ----------
@@ -59,6 +71,22 @@ class GossipEnvironment(abc.ABC):
         isolated host gets an empty list and simply skips the round — a
         situation that arises constantly in the trace-driven environment.
         """
+
+    def select_peers_round(
+        self,
+        hosts: Sequence[int],
+        alive: Set[int],
+        round_index: int,
+        count: int,
+        rng: np.random.Generator,
+    ) -> List[List[int]]:
+        """One round's :meth:`select_peers` for each of ``hosts``, in order.
+
+        The default calls :meth:`select_peers` host by host.  An environment
+        that batches the round's draws overrides it, and must consume ``rng``
+        exactly as those calls would: the two granularities are one stream.
+        """
+        return [self.select_peers(host, alive, round_index, count, rng) for host in hosts]
 
     def neighbors(self, host_id: int, alive: Set[int], round_index: int) -> List[int]:
         """All hosts ``host_id`` could possibly gossip with this round.

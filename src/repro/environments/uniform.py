@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Set
+from bisect import insort
+from typing import List, Sequence, Set
 
 import numpy as np
 
@@ -14,17 +15,14 @@ __all__ = ["UniformEnvironment"]
 class UniformEnvironment(GossipEnvironment):
     """Every live host may gossip with every other live host.
 
-    This is the idealised model used for the large-scale experiments in the
-    paper (Figs 6, 8, 9, 10): peer selection is uniform over the live
-    population.  The engine passes one :class:`LiveRoster` per round, so
-    failed hosts are never selected and a call costs O(count) draws; a plain
-    set from any other caller is sorted into a roster first (O(n log n)).
+    The idealised model of the paper's large-scale experiments (Figs 6, 8,
+    9, 10).  A host's ``j``-th peer is a draw ``r ∈ [0, pop − 1 − j)`` mapped
+    to the ``r``-th roster member that is neither the host nor one of its
+    earlier picks.  A round of single peers is one ``rng.integers`` call, the
+    same stream as its hosts' :meth:`select_peers` calls (DESIGN.md §2).
 
-    Parameters
-    ----------
-    n:
-        Initial number of hosts (informational; the live set passed by the
-        engine is authoritative).
+    ``n`` is the initial number of hosts: informational, as the live set the
+    engine passes is authoritative.
     """
 
     def __init__(self, n: int):
@@ -40,35 +38,35 @@ class UniformEnvironment(GossipEnvironment):
         count: int,
         rng: np.random.Generator,
     ) -> List[int]:
-        if not isinstance(alive, LiveRoster):
-            alive = LiveRoster(sorted(alive))
-        members = alive.members
-        population = len(members)
-        if population <= 1 or count <= 0:
-            return []
-        # Rejection-sample identifiers while dead or unregistered ids make the
-        # id space wider than the population; a dense space, or a missed draw,
-        # indexes the roster's member list instead.  Fall back to explicit
-        # sampling when that too would thrash (tiny alive sets).
-        peers: List[int] = []
-        seen = {host_id}
-        attempts = 0
-        max_attempts = 16 * max(1, count)
-        wanted = min(count, population - 1)
-        while len(peers) < wanted:
-            attempts += 1
-            if attempts > max_attempts:
-                unseen = [h for h in members if h not in seen]
-                peers.extend(self._sample_distinct(unseen, wanted - len(peers), rng))
-                break
-            candidate = int(rng.integers(0, self.n)) if self.n > population else None
-            if candidate is None or candidate not in alive or candidate in seen:
-                candidate = members[int(rng.integers(0, population))]
-                if candidate in seen:
-                    continue
-            peers.append(candidate)
-            seen.add(candidate)
+        alive = alive if isinstance(alive, LiveRoster) else LiveRoster(sorted(alive))
+        (rank,) = alive.ranks((host_id,))
+        others = len(alive) - (rank < len(alive))
+        skipped, peers = [rank], []  # skipped: the host and its picks, ascending
+        for bound in range(others, max(others - count, 0), -1):
+            draw = int(rng.integers(0, bound))
+            for index in skipped:
+                draw += draw >= index
+            insort(skipped, draw)
+            peers.append(alive.members[draw])
         return peers
+
+    def select_peers_round(
+        self,
+        hosts: Sequence[int],
+        alive: Set[int],
+        round_index: int,
+        count: int,
+        rng: np.random.Generator,
+    ) -> List[List[int]]:
+        alive = alive if isinstance(alive, LiveRoster) else LiveRoster(sorted(alive))
+        if count != 1 or len(alive) < 2:
+            return super().select_peers_round(hosts, alive, round_index, count, rng)
+        # One draw per host, stepped past the host's own index (an outsider's
+        # rank is past every member): select_peers' rule, a round at a time.
+        ranks = np.array(alive.ranks(hosts), dtype=np.int64)
+        draws = rng.integers(0, len(alive) - (ranks < len(alive)))
+        draws += draws >= ranks
+        return np.array(alive.members, dtype=np.int64)[draws, None].tolist()
 
     def register_host(self, host_id: int) -> None:
         self.n = max(self.n, host_id + 1)

@@ -382,12 +382,13 @@ class Simulation:
                     # Matured at a host that has since departed: lost, just
                     # like a same-round send to a failed host.
                     self._record_lost_message(t, item.mass)
-        select_peers = self.environment.select_peers
         make_payloads, payload_size = protocol.make_payloads, protocol.payload_size
         record_sent = self.bandwidth.record_sent
-        fanout, peer_rng, protocol_rng = protocol.fanout, self._peer_rng, self._protocol_rng
-        for host_id in alive:
-            peers = select_peers(host_id, alive_set, t, fanout, peer_rng)
+        protocol_rng = self._protocol_rng
+        peers_by_host = self.environment.select_peers_round(
+            alive, alive_set, t, protocol.fanout, self._peer_rng
+        )
+        for host_id, peers in zip(alive, peers_by_host):
             for target, payload in make_payloads(hosts[host_id].state, peers, protocol_rng):
                 if target is None or target == host_id:
                     # Self-messages never touch the radio: free on the meter,
@@ -440,10 +441,8 @@ class Simulation:
     ) -> None:
         order = list(alive)
         self._peer_rng.shuffle(order)
-        for host_id in order:
-            if not self.hosts[host_id].alive:
-                continue
-            peers = self.environment.select_peers(host_id, alive_set, t, 1, self._peer_rng)
+        peers_by_host = self.environment.select_peers_round(order, alive_set, t, 1, self._peer_rng)
+        for host_id, peers in zip(order, peers_by_host):
             if not peers:
                 continue
             peer_id = peers[0]

@@ -31,14 +31,8 @@ def _uniform_cases(draw):
     return n, id_space, alive, host, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
 
 
-class _AlwaysDrawsIndexZero:
-    """A generator whose index draws all land on ``members[0]``: forces the thrash fallback."""
-
-    def __init__(self, seed):
-        self.choice = np.random.default_rng(seed).choice
-
-    def integers(self, low, high):
-        return 0
+#: 30 of 200 ids: a frozenset of them does not iterate in id order.
+_SPARSE_IDS = frozenset(range(0, 180, 6))
 
 
 class TestUniformEnvironment:
@@ -49,18 +43,54 @@ class TestUniformEnvironment:
     @example((4, 12, {0, 9, 11}, 9, 2, 2))  # ids registered past n
     @example((5, 5, {3}, 3, 1, 3))  # population 1
     @example((5, 5, {1, 3}, 3, 4, 4))  # population 2, count > population - 1
+    @example((200, 200, set(_SPARSE_IDS), 36, 3, 5))  # roster not in id order
     def test_roster_contract(self, case):
         n, id_space, alive, host, count, seed = case
         env = UniformEnvironment(n)
         for host_id in range(n, id_space):
             env.register_host(host_id)
+        roster = LiveRoster(sorted(alive))
         roster_rng, set_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        peers = env.select_peers(host, LiveRoster(sorted(alive)), 0, count, roster_rng)
+        peers = env.select_peers(host, roster, 0, count, roster_rng)
         assert len(peers) == len(set(peers)) == min(count, len(alive) - 1)
         assert host not in peers and set(peers) <= alive
         # A plain set is the same call: same peers, same draws.
         assert env.select_peers(host, set(sorted(alive)), 0, count, set_rng) == peers
         assert roster_rng.bit_generator.state == set_rng.bit_generator.state
+        # One round's batch is the same stream as its hosts one by one, in
+        # any host order and with a requester outside the roster.
+        hosts = np.random.default_rng(seed).permutation(sorted(alive)).tolist() + [id_space]
+        for round_count in (1, 3):
+            round_rng, host_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = env.select_peers_round(hosts, roster, 0, round_count, round_rng)
+            assert batch == [env.select_peers(h, roster, 0, round_count, host_rng) for h in hosts]
+            assert round_rng.bit_generator.state == host_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_peers_are_uniform_over_the_live_others(self, count):
+        # Chi-square goodness of fit at alpha = 0.001, one test per pick
+        # column (a count-1 round is the batched draw); critical values are
+        # the chi-square 0.999 quantiles for 10 (a live requester: 11
+        # others) and 11 (an outsider: all 12 members) degrees of freedom.
+        live = sorted(_SPARSE_IDS)[:12]
+        roster, env, draws = LiveRoster(live), UniformEnvironment(200), 6000
+        for host, others, critical in ((live[5], 11, 29.588), (199, 12, 31.264)):
+            rng = np.random.default_rng(3)
+            rounds = env.select_peers_round([host] * draws, roster, 0, count, rng)
+            picks = np.array(rounds)
+            assert picks.shape == (draws, count) and host not in picks
+            assert all(len(set(row)) == count for row in rounds)
+            for column in picks.T:
+                observed = np.unique(column, return_counts=True)[1]
+                assert len(observed) == others
+                expected = draws / others
+                assert ((observed - expected) ** 2 / expected).sum() < critical
+
+    def test_requester_outside_the_roster_draws_from_every_member(self, rng):
+        env = UniformEnvironment(10)
+        assert env.select_peers(7, {3}, 0, 1, rng) == [3]  # a lone survivor
+        assert sorted(env.select_peers(7, {1, 2, 3}, 0, 5, rng)) == [1, 2, 3]
+        assert env.select_peers(7, set(), 0, 1, rng) == []
 
     def test_roster_is_a_value(self):
         env = UniformEnvironment(6)
@@ -69,11 +99,9 @@ class TestUniformEnvironment:
         rng = np.random.default_rng(1)
         for call in range(1000):
             host = call % 6
-            # Every tenth call exhausts its attempts on the host itself and
-            # takes the thrash fallback, which filters the shared members.
-            peers = env.select_peers(
-                host, roster, call, 3, rng if call % 10 else _AlwaysDrawsIndexZero(call)
-            )
+            # Three of five others: every call skips the host and its own
+            # earlier picks in the shared members, and must not reorder them.
+            peers = env.select_peers(host, roster, call, 3, rng)
             assert len(set(peers)) == 3 and host not in peers and set(peers) <= roster
         assert tuple(roster.members) == members == tuple(roster)
         assert not hasattr(roster, "add") and not hasattr(roster, "discard")
