@@ -67,6 +67,3 @@ class UniformEnvironment(GossipEnvironment):
         draws = rng.integers(0, len(alive) - (ranks < len(alive)))
         draws += draws >= ranks
         return np.array(alive.members, dtype=np.int64)[draws, None].tolist()
-
-    def register_host(self, host_id: int) -> None:
-        self.n = max(self.n, host_id + 1)

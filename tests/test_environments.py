@@ -25,7 +25,7 @@ def rng():
 def _uniform_cases(draw):
     """``(n, id-space size, alive ids, host, count, seed)`` for ``select_peers``."""
     n = draw(st.integers(1, 40))
-    id_space = n + draw(st.integers(0, 30))  # ids registered past n
+    id_space = n + draw(st.integers(0, 30))  # ids past n
     alive = draw(st.sets(st.integers(0, id_space - 1), min_size=1))
     host = draw(st.sampled_from(sorted(alive)))
     return n, id_space, alive, host, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
@@ -40,15 +40,13 @@ class TestUniformEnvironment:
     @given(_uniform_cases())
     @example((10, 10, set(range(10)), 0, 1, 0))  # dense ids
     @example((10, 10, {0, 2, 4, 6, 8}, 2, 3, 1))  # a sparse half
-    @example((4, 12, {0, 9, 11}, 9, 2, 2))  # ids registered past n
+    @example((4, 12, {0, 9, 11}, 9, 2, 2))  # ids past n
     @example((5, 5, {3}, 3, 1, 3))  # population 1
     @example((5, 5, {1, 3}, 3, 4, 4))  # population 2, count > population - 1
     @example((200, 200, set(_SPARSE_IDS), 36, 3, 5))  # roster not in id order
     def test_roster_contract(self, case):
         n, id_space, alive, host, count, seed = case
         env = UniformEnvironment(n)
-        for host_id in range(n, id_space):
-            env.register_host(host_id)
         roster = LiveRoster(sorted(alive))
         roster_rng, set_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         peers = env.select_peers(host, roster, 0, count, roster_rng)
@@ -137,10 +135,12 @@ class TestUniformEnvironment:
         peers = env.select_peers(0, {0, 1, 2}, 0, 10, rng)
         assert sorted(peers) == [1, 2]
 
-    def test_register_host_extends_id_space(self, rng):
+    def test_ids_past_n_are_peers(self, rng):
+        # n is informational: the roster alone decides who can be drawn.
         env = UniformEnvironment(3)
         env.register_host(7)
-        assert env.n == 8
+        assert env.n == 3
+        assert env.select_peers(0, {0, 7}, 0, 1, rng) == [7]
 
     def test_default_groups_are_global(self, rng):
         env = UniformEnvironment(5)
