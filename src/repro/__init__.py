@@ -107,12 +107,9 @@ from repro.api import (
 )
 from repro.baselines import (
     EpochPushSum,
-    HopsSampling,
-    IntervalDensity,
     PushPull,
     PushSum,
     SketchCount,
-    TreeAggregation,
 )
 from repro.core import (
     CountSketchReset,
@@ -163,8 +160,6 @@ __all__ = [
     "FAILURES",
     "FailureEvent",
     "FullTransferPushSumRevert",
-    "HopsSampling",
-    "IntervalDensity",
     "InvertAverage",
     "JoinEvent",
     "LatencyNetwork",
@@ -192,7 +187,6 @@ __all__ = [
     "SweepRunner",
     "TraceEnvironment",
     "TraceRecorder",
-    "TreeAggregation",
     "UncorrelatedFailure",
     "UniformEnvironment",
     "WORKLOADS",

@@ -206,6 +206,8 @@ class ScenarioSpec:
         :mod:`repro.failures`.
     rounds / mode / seed / group_relative / store_estimates:
         Engine options, passed straight to :class:`repro.Simulation`.
+        ``mode="exchange"`` is rejected at construction for a protocol
+        whose class sets ``supports_exchange = False`` (Full-Transfer).
     backend:
         Execution backend (:mod:`repro.api.backends`): ``"agent"`` (the
         per-host reference engine), ``"vectorized"`` (the NumPy kernels) or
@@ -268,6 +270,13 @@ class ScenarioSpec:
                 "the round engine is configured by 'rounds' and 'mode'"
             )
         PROTOCOLS.validate_params(self.protocol, **self.protocol_params)
+        if self.mode == "exchange" and not getattr(
+            PROTOCOLS.get(self.protocol), "supports_exchange", True
+        ):
+            raise ValueError(
+                f"protocol {self.protocol!r} does not support push/pull exchanges; "
+                "use mode='push'"
+            )
         ENVIRONMENTS.validate_params(self.environment, self.n_hosts, **self.environment_params)
         WORKLOADS.validate_params(self.workload, self.n_hosts, **self._workload_call_params())
         NETWORKS.validate_params(self.network, **self.network_params)

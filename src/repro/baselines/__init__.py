@@ -1,6 +1,6 @@
 """Static distributed aggregation baselines.
 
-These are the protocols the paper builds on (and compares against):
+These are the protocols the paper builds on and compares against:
 
 * :class:`PushSum` / :class:`PushPull` — Kempe, Dobra and Gehrke's
   gossip-based averaging (Figure 1 of the paper), in push and push/pull
@@ -10,28 +10,21 @@ These are the protocols the paper builds on (and compares against):
 * :class:`EpochPushSum` — the "simplest form of dynamic aggregation": a
   static protocol restarted every epoch (Section II-C / Jelasity &
   Montresor);
-* :class:`TreeAggregation` — a TAG-style spanning-tree overlay aggregator
-  (Section II, "overlay protocols");
-* :class:`HopsSampling` / :class:`IntervalDensity` — Kostoulas et al.'s
-  coordinator-based size estimators discussed in related work.
+* :class:`ExtremaGossip` / :class:`ExtremaReset` — max/min gossip and its
+  age-reset extension, beyond the paper's figures.
 """
 
 from repro.baselines.count_sketch import SketchCount
 from repro.baselines.epoch import EpochPushSum
 from repro.baselines.extrema import ExtremaGossip, ExtremaReset
 from repro.baselines.push_sum import MassState, PushPull, PushSum
-from repro.baselines.size_estimators import HopsSampling, IntervalDensity
-from repro.baselines.tree_aggregation import TreeAggregation
 
 __all__ = [
     "EpochPushSum",
     "ExtremaGossip",
     "ExtremaReset",
-    "HopsSampling",
-    "IntervalDensity",
     "MassState",
     "PushPull",
     "PushSum",
     "SketchCount",
-    "TreeAggregation",
 ]

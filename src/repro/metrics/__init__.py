@@ -10,13 +10,7 @@ scores its per-round :class:`~repro.simulator.result.RoundRecord` through
   (Invert-Average versus multiple-insertion summation).
 """
 
-from repro.metrics.accuracy import (
-    error_statistics,
-    group_truths,
-    mean_absolute_error,
-    relative_error,
-    stddev_from_truth,
-)
+from repro.metrics.accuracy import error_statistics, group_truths
 from repro.metrics.bandwidth import CostSummary, DeliveryMeter, protocol_cost_summary
 from repro.metrics.convergence import convergence_round, plateau_error, reconvergence_round
 
@@ -26,10 +20,7 @@ __all__ = [
     "convergence_round",
     "error_statistics",
     "group_truths",
-    "mean_absolute_error",
     "plateau_error",
     "protocol_cost_summary",
     "reconvergence_round",
-    "relative_error",
-    "stddev_from_truth",
 ]

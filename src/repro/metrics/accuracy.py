@@ -22,9 +22,6 @@ __all__ = [
     "ErrorStatistics",
     "error_statistics",
     "group_truths",
-    "stddev_from_truth",
-    "relative_error",
-    "mean_absolute_error",
 ]
 
 
@@ -85,23 +82,3 @@ def group_truths(
         extremum = np.maximum if kind == "max" else np.minimum
         extremum.at(per_group, labels, values)
     return per_group[labels]
-
-
-def stddev_from_truth(estimates: Sequence[float], truth: float) -> float:
-    """Root-mean-square deviation of ``estimates`` from ``truth``.
-
-    Returns NaN for an empty estimate set (e.g. after every host failed).
-    """
-    return error_statistics(list(estimates), truth).stddev_error
-
-
-def relative_error(error: float, truth: float) -> float:
-    """``error`` as a fraction of ``truth`` (NaN when the truth is zero)."""
-    if truth == 0:
-        return float("nan")
-    return float(error / abs(truth))
-
-
-def mean_absolute_error(estimates: Sequence[float], truth: float) -> float:
-    """Mean absolute deviation of ``estimates`` from ``truth``."""
-    return error_statistics(list(estimates), truth).mean_abs_error

@@ -13,14 +13,11 @@ provides:
   community-based synthetic generator that reproduces the statistical
   features the evaluation depends on (small transient groups, churn between
   groups, day/night cycles) at the paper's device counts (9, 12, 41);
-* :class:`~repro.mobility.random_waypoint.RandomWaypointModel` — a classic
-  mobility model used for additional sensitivity experiments;
 * :mod:`repro.mobility.stats` — trace statistics (average group size,
   contact durations, inter-contact times) used to sanity-check the
   synthetic traces against the qualitative description of the real ones.
 """
 
-from repro.mobility.random_waypoint import RandomWaypointModel
 from repro.mobility.synthetic_haggle import (
     HAGGLE_DATASET_SIZES,
     generate_haggle_like_trace,
@@ -38,7 +35,6 @@ __all__ = [
     "ContactRecord",
     "ContactTrace",
     "HAGGLE_DATASET_SIZES",
-    "RandomWaypointModel",
     "average_degree_series",
     "average_group_size_series",
     "contact_duration_stats",

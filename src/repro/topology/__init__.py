@@ -5,8 +5,7 @@ package provides the adjacency-structure generators used across the
 experiments (complete graphs for uniform gossip, grids for spatial gossip,
 random geometric graphs for wireless-range connectivity, Erdős–Rényi graphs
 for sensitivity studies) and the graph utilities the protocols and metrics
-need (connected components for the paper's "nearby group" definition, BFS
-spanning trees for the TAG-style overlay baseline).
+need (connected components for the paper's "nearby group" definition).
 
 Graphs are represented as plain ``dict[int, set[int]]`` adjacency maps; the
 helpers in :mod:`repro.topology.connectivity` operate on those maps and on
@@ -14,12 +13,8 @@ optional "alive" subsets so that failed hosts drop out of the structure.
 """
 
 from repro.topology.connectivity import (
-    bfs_distances,
-    bfs_tree,
     connected_component,
     connected_components,
-    induced_subgraph,
-    is_connected,
     union_adjacency,
 )
 from repro.topology.graphs import (
@@ -29,22 +24,16 @@ from repro.topology.graphs import (
     grid_graph,
     random_geometric_graph,
     ring_lattice,
-    star_graph,
 )
 
 __all__ = [
-    "bfs_distances",
-    "bfs_tree",
     "complete_graph",
     "connected_component",
     "connected_components",
     "empty_graph",
     "erdos_renyi_graph",
     "grid_graph",
-    "induced_subgraph",
-    "is_connected",
     "random_geometric_graph",
     "ring_lattice",
-    "star_graph",
     "union_adjacency",
 ]

@@ -6,8 +6,6 @@ needs:
 * connected components restricted to the currently live hosts — this is how
   the trace environment computes the paper's "nearby group" (all hosts
   reachable over the union of edges seen in the last 10 minutes);
-* BFS distances and BFS spanning trees — used by the TAG-style overlay
-  baseline and by the Hops-Sampling size estimator;
 * unions of adjacency maps over a time window.
 """
 
@@ -17,22 +15,12 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Set
 
 __all__ = [
-    "induced_subgraph",
     "connected_component",
     "connected_components",
-    "is_connected",
-    "bfs_distances",
-    "bfs_tree",
     "union_adjacency",
 ]
 
 Adjacency = Dict[int, Set[int]]
-
-
-def induced_subgraph(graph: Adjacency, nodes: Iterable[int]) -> Adjacency:
-    """The subgraph induced by ``nodes`` (edges with both endpoints kept)."""
-    keep = set(nodes)
-    return {node: graph.get(node, set()) & keep for node in keep}
 
 
 def connected_component(graph: Adjacency, start: int, alive: Optional[Set[int]] = None) -> Set[int]:
@@ -69,53 +57,6 @@ def connected_components(graph: Adjacency, alive: Optional[Set[int]] = None) -> 
         components.append(component)
         remaining -= component
     return components
-
-
-def is_connected(graph: Adjacency, alive: Optional[Set[int]] = None) -> bool:
-    """Whether the (alive-restricted) graph has a single connected component."""
-    nodes = set(graph) if alive is None else set(alive)
-    if len(nodes) <= 1:
-        return True
-    return len(connected_component(graph, next(iter(nodes)), alive=nodes)) == len(nodes)
-
-
-def bfs_distances(graph: Adjacency, source: int, alive: Optional[Set[int]] = None) -> Dict[int, int]:
-    """Hop distance from ``source`` to every reachable (alive) node."""
-    if alive is not None and source not in alive:
-        return {}
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.get(node, ()):
-            if alive is not None and neighbor not in alive:
-                continue
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                queue.append(neighbor)
-    return distances
-
-
-def bfs_tree(graph: Adjacency, root: int, alive: Optional[Set[int]] = None) -> Dict[int, Optional[int]]:
-    """A BFS spanning tree rooted at ``root``: map node → parent (root → None).
-
-    This is the flood-then-aggregate-up communication structure of the
-    TAG-style overlay baseline: the request floods outward, establishing
-    each host's parent as the node it first heard the request from.
-    """
-    if alive is not None and root not in alive:
-        return {}
-    parents: Dict[int, Optional[int]] = {root: None}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.get(node, ()):
-            if alive is not None and neighbor not in alive:
-                continue
-            if neighbor not in parents:
-                parents[neighbor] = node
-                queue.append(neighbor)
-    return parents
 
 
 def union_adjacency(graphs: Iterable[Adjacency]) -> Adjacency:

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "empty_graph",
     "complete_graph",
-    "star_graph",
     "ring_lattice",
     "ring_lattice_edges",
     "grid_graph",
@@ -45,23 +44,6 @@ def complete_graph(n: int) -> Adjacency:
     _check_count(n)
     nodes = set(range(n))
     return {node: nodes - {node} for node in range(n)}
-
-
-def star_graph(n: int, center: int = 0) -> Adjacency:
-    """Node ``center`` connected to every other node; no other edges.
-
-    Models the single-coordinator deployments that the Kostoulas et al.
-    baselines (Hops Sampling, Interval Density) assume.
-    """
-    _check_count(n)
-    if n and not 0 <= center < n:
-        raise ValueError(f"center {center} outside 0..{n - 1}")
-    graph = empty_graph(n)
-    for node in range(n):
-        if node != center:
-            graph[center].add(node)
-            graph[node].add(center)
-    return graph
 
 
 def _edges_to_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:

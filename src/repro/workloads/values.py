@@ -1,9 +1,10 @@
 """Host value distributions.
 
-Each distribution comes twice: ``*_array`` draws one float64 array (what the
-scenario layer builds once per run and the NumPy kernels copy), ``*_values``
-is the same draw as a list of floats (what the agent engines and the
-prebuilt scenarios hold).
+Each ``*_array`` generator draws one float64 array: what
+:meth:`~repro.api.spec.ScenarioSpec.build_values` returns once per run, the
+NumPy kernels copy and the agent engines take as a list.
+:func:`uniform_values` is the paper's default draw as a list of floats, for
+hand-built :class:`~repro.simulator.engine.Simulation` runs.
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ __all__ = [
     "uniform_array",
     "uniform_values",
     "constant_array",
-    "constant_values",
     "normal_array",
-    "normal_values",
     "zipf_array",
-    "zipf_values",
     "clustered_array",
-    "clustered_values",
 ]
 
 
@@ -96,32 +93,3 @@ def uniform_values(
 ) -> List[float]:
     """:func:`uniform_array` as a list."""
     return uniform_array(n, low, high, seed).tolist()
-
-
-def constant_values(n: int, value: float = 1.0) -> List[float]:
-    """:func:`constant_array` as a list."""
-    return constant_array(n, value).tolist()
-
-
-def normal_values(
-    n: int, mean: float = 50.0, std: float = 15.0, seed: Optional[int] = None
-) -> List[float]:
-    """:func:`normal_array` as a list."""
-    return normal_array(n, mean, std, seed).tolist()
-
-
-def zipf_values(
-    n: int, exponent: float = 1.5, scale: float = 1.0, seed: Optional[int] = None
-) -> List[float]:
-    """:func:`zipf_array` as a list."""
-    return zipf_array(n, exponent, scale, seed).tolist()
-
-
-def clustered_values(
-    n: int,
-    cluster_means: Sequence[float] = (10.0, 50.0, 90.0),
-    std: float = 5.0,
-    seed: Optional[int] = None,
-) -> List[float]:
-    """:func:`clustered_array` as a list."""
-    return clustered_array(n, cluster_means, std, seed).tolist()

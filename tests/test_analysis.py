@@ -1,19 +1,16 @@
-"""Tests for CDFs, series helpers, cutoff fitting and text rendering."""
+"""Tests for CDFs, cutoff fitting and text rendering."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     cdf_at,
-    downsample,
     empirical_cdf,
     fit_linear_cutoff,
     format_number,
-    moving_average,
     quantile,
     render_series_table,
     render_table,
-    series_summary,
 )
 
 
@@ -38,30 +35,6 @@ class TestCDF:
             quantile([1.0], 1.5)
         with pytest.raises(ValueError):
             quantile([], 0.5)
-
-
-class TestSeriesHelpers:
-    def test_moving_average_ramp(self):
-        assert moving_average([2.0, 4.0, 6.0], 2) == [2.0, 3.0, 5.0]
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-    def test_downsample_keeps_endpoints(self):
-        assert downsample(list(range(10)), 4) == [0, 4, 8, 9]
-        assert downsample([], 3) == []
-        with pytest.raises(ValueError):
-            downsample([1], 0)
-
-    def test_series_summary(self):
-        summary = series_summary([1.0, 5.0, 3.0])
-        assert summary["min"] == 1.0
-        assert summary["max"] == 5.0
-        assert summary["final"] == 3.0
-        assert series_summary([])["count"] == 0
-
-    def test_series_summary_ignores_nan(self):
-        summary = series_summary([float("nan"), 2.0, 4.0])
-        assert summary["mean"] == pytest.approx(3.0)
 
 
 class TestCutoffFit:

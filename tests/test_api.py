@@ -125,6 +125,9 @@ class TestScenarioSpec:
             self.spec(n_hosts=0)
         with pytest.raises(ValueError, match="rounds"):
             self.spec(rounds=0)
+        # Full-Transfer cannot exchange: rejected here, not by the engine mid-sweep.
+        with pytest.raises(ValueError, match="push/pull exchanges"):
+            self.spec(protocol="push-sum-revert-full-transfer", mode="exchange")
 
     def test_bad_events_rejected(self):
         with pytest.raises(ValueError, match="event kind"):

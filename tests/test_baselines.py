@@ -5,17 +5,13 @@ import pytest
 
 from repro.baselines import (
     EpochPushSum,
-    HopsSampling,
-    IntervalDensity,
     PushPull,
     PushSum,
     SketchCount,
-    TreeAggregation,
 )
 from repro.environments import NeighborhoodEnvironment, UniformEnvironment
 from repro.failures import FailureEvent, UncorrelatedFailure
 from repro.simulator import Simulation
-from repro.topology import complete_graph, grid_graph
 from repro.workloads import uniform_values
 
 
@@ -184,94 +180,3 @@ class TestEpochPushSum:
         offsets = {protocol.create_state(i, 1.0, rng).epoch_offset for i in range(50)}
         assert offsets <= {0, 1, 2, 3}
         assert len(offsets) > 1
-
-
-class TestTreeAggregation:
-    def test_average_over_connected_graph(self):
-        graph = complete_graph(5)
-        values = {i: float(i) for i in range(5)}
-        result = TreeAggregation("average").query(graph, values, root=0)
-        assert result.value == pytest.approx(2.0)
-        assert result.reachable == set(range(5))
-
-    def test_count_and_sum(self):
-        graph = grid_graph(3, 1)
-        values = {0: 1.0, 1: 2.0, 2: 3.0}
-        assert TreeAggregation("count").query(graph, values, 0).value == 3.0
-        assert TreeAggregation("sum").query(graph, values, 0).value == 6.0
-
-    def test_unsupported_aggregate_rejected(self):
-        with pytest.raises(ValueError):
-            TreeAggregation("median")
-
-    def test_query_restricted_to_component(self):
-        graph = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
-        values = {0: 1.0, 1: 3.0, 2: 100.0, 3: 200.0}
-        result = TreeAggregation("average").query(graph, values, root=0)
-        assert result.value == pytest.approx(2.0)
-        assert result.reachable == {0, 1}
-
-    def test_root_must_be_alive(self):
-        with pytest.raises(ValueError):
-            TreeAggregation().query({0: set()}, {0: 1.0}, root=0, alive=[])
-
-    def test_message_count_scales_with_tree_edges(self):
-        graph = complete_graph(6)
-        values = {i: 1.0 for i in range(6)}
-        with_dissemination = TreeAggregation(disseminate=True).query(graph, values, 0)
-        without = TreeAggregation(disseminate=False).query(graph, values, 0)
-        assert with_dissemination.messages == 15
-        assert without.messages == 10
-
-    def test_depth_of_path_graph(self):
-        graph = grid_graph(4, 1)
-        values = {i: 1.0 for i in range(4)}
-        result = TreeAggregation().query(graph, values, root=0)
-        assert result.depth == 3
-
-    def test_query_all_components_covers_every_host(self):
-        graph = {0: {1}, 1: {0}, 2: set()}
-        values = {0: 2.0, 1: 4.0, 2: 9.0}
-        results = TreeAggregation("average").query_all_components(graph, values)
-        assert set(results) == {0, 1, 2}
-        assert results[0].value == pytest.approx(3.0)
-        assert results[2].value == pytest.approx(9.0)
-
-    def test_alive_filter_excludes_failed_hosts(self):
-        graph = complete_graph(4)
-        values = {0: 0.0, 1: 10.0, 2: 20.0, 3: 30.0}
-        result = TreeAggregation("average").query(graph, values, root=0, alive=[0, 1])
-        assert result.value == pytest.approx(5.0)
-
-
-class TestSizeEstimators:
-    def test_hops_sampling_order_of_magnitude(self):
-        estimate = HopsSampling(1000, seed=1).run()
-        assert 200 < estimate < 5000
-
-    def test_hops_sampling_grows_with_population(self):
-        small = HopsSampling(100, seed=1).run()
-        large = HopsSampling(10000, seed=1).run()
-        assert large > small
-
-    def test_hops_sampling_validation(self):
-        with pytest.raises(ValueError):
-            HopsSampling(0)
-        with pytest.raises(ValueError):
-            HopsSampling(10, fanout=0)
-
-    def test_interval_density_converges_with_observation(self):
-        estimate = IntervalDensity(500, rounds=20000, subinterval=0.5, seed=1).run()
-        assert 250 < estimate < 900
-
-    def test_interval_density_validation(self):
-        with pytest.raises(ValueError):
-            IntervalDensity(10, subinterval=0.0)
-        with pytest.raises(ValueError):
-            IntervalDensity(10, rounds=0)
-
-    def test_messages_used_reported(self):
-        sampler = HopsSampling(100, rounds=10, seed=1)
-        assert sampler.messages_used() == 100 * 10
-        density = IntervalDensity(100, rounds=10, samples_per_round=4, seed=1)
-        assert density.messages_used() == 40

@@ -1,4 +1,4 @@
-"""Tests for failure models, scheduled events, value distributions and scenarios."""
+"""Tests for failure models, scheduled events and value distributions."""
 
 import numpy as np
 import pytest
@@ -17,16 +17,11 @@ from repro.failures import (
 )
 from repro.simulator import Simulation
 from repro.workloads import (
-    Scenario,
-    clustered_values,
-    constant_values,
-    correlated_failure_scenario,
-    counting_failure_scenario,
-    normal_values,
-    trace_scenario,
-    uncorrelated_failure_scenario,
+    clustered_array,
+    constant_array,
+    normal_array,
     uniform_values,
-    zipf_values,
+    zipf_array,
 )
 
 
@@ -145,29 +140,29 @@ class TestValueDistributions:
         with pytest.raises(ValueError):
             uniform_values(-1)
 
-    def test_constant_values(self):
-        assert constant_values(4, 2.5) == [2.5, 2.5, 2.5, 2.5]
-        assert constant_values(0) == []
+    def test_constant_array(self):
+        assert constant_array(4, 2.5).tolist() == [2.5, 2.5, 2.5, 2.5]
+        assert constant_array(0).tolist() == []
 
-    def test_normal_values(self):
-        values = normal_values(2000, mean=10.0, std=2.0, seed=1)
+    def test_normal_array(self):
+        values = normal_array(2000, mean=10.0, std=2.0, seed=1)
         assert abs(np.mean(values) - 10.0) < 0.5
         with pytest.raises(ValueError):
-            normal_values(10, std=-1.0)
+            normal_array(10, std=-1.0)
 
-    def test_zipf_values_positive_and_heavy_tailed(self):
-        values = zipf_values(2000, exponent=1.8, seed=1)
-        assert min(values) >= 1.0
-        assert max(values) > 10 * np.median(values)
+    def test_zipf_array_positive_and_heavy_tailed(self):
+        values = zipf_array(2000, exponent=1.8, seed=1)
+        assert values.min() >= 1.0
+        assert values.max() > 10 * np.median(values)
         with pytest.raises(ValueError):
-            zipf_values(10, exponent=1.0)
+            zipf_array(10, exponent=1.0)
 
-    def test_clustered_values(self):
-        values = clustered_values(3000, cluster_means=(0.0, 100.0), std=1.0, seed=1)
-        below = sum(1 for v in values if v < 50.0)
+    def test_clustered_array(self):
+        values = clustered_array(3000, cluster_means=(0.0, 100.0), std=1.0, seed=1)
+        below = int((values < 50.0).sum())
         assert 0.4 * 3000 < below < 0.6 * 3000
         with pytest.raises(ValueError):
-            clustered_values(10, cluster_means=())
+            clustered_array(10, cluster_means=())
 
 
 #: Each registered workload as the per-element ``float(...)`` loop it was
@@ -205,60 +200,7 @@ class TestWorkloadsAreTheSamePythonFloats:
 
         draws = np.random.default_rng(5).zipf(1.1, size=300)
         assert (draws > 2**53).any()  # where int64 -> float has to round
-        assert zipf_values(300, 1.1, 0.37, seed=5) == [float(v) * 0.37 for v in draws]
+        assert zipf_array(300, 1.1, 0.37, seed=5).tolist() == [float(v) * 0.37 for v in draws]
         clamped = WORKLOADS.create("zipf", 300, seed=5, exponent=1.1, clamp=40.0)
         assert clamped.dtype == np.float64
         assert clamped.tolist() == [min(40.0, float(v) * 1.0) for v in draws]
-
-
-class TestScenarios:
-    def test_uncorrelated_scenario_structure(self):
-        scenario = uncorrelated_failure_scenario(100, failure_round=5, rounds=20)
-        assert scenario.n_hosts == 100
-        assert scenario.rounds == 20
-        assert scenario.events[0].round == 5
-        env = scenario.build_environment()
-        assert env.n == 100
-        assert "uncorrelated" in scenario.name
-
-    def test_correlated_scenario_uses_highest_failure(self):
-        scenario = correlated_failure_scenario(50)
-        model = scenario.events[0].model
-        assert model.highest is True
-
-    def test_counting_scenario_constant_values(self):
-        scenario = counting_failure_scenario(30)
-        assert set(scenario.values) == {1.0}
-
-    def test_failure_round_inside_horizon(self):
-        # nothing enforces it at construction, but descriptions must exist
-        scenario = uncorrelated_failure_scenario(10, failure_round=2, rounds=5)
-        description = scenario.describe()
-        assert description["n_hosts"] == 10
-        assert description["events"][0]["event"] == "failure"
-
-    def test_trace_scenario_matches_dataset_size(self):
-        scenario = trace_scenario(dataset=1, max_rounds=100)
-        assert scenario.n_hosts == 9
-        assert scenario.group_relative is True
-        assert scenario.rounds == 100
-        env = scenario.build_environment()
-        assert env.trace.n_devices == 9
-
-    def test_trace_scenario_validates_value_count(self):
-        with pytest.raises(ValueError):
-            trace_scenario(dataset=1, values=[1.0, 2.0])
-
-    def test_scenario_runs_end_to_end(self):
-        scenario = uncorrelated_failure_scenario(40, failure_round=3, rounds=8)
-        sim = Simulation(
-            PushSum(),
-            scenario.build_environment(),
-            scenario.values,
-            seed=2,
-            mode=scenario.mode,
-            events=scenario.events,
-        )
-        result = sim.run(scenario.rounds)
-        assert len(result.rounds) == 8
-        assert result.rounds[-1].n_alive == 20

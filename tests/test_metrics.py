@@ -10,31 +10,13 @@ from repro.metrics import (
     convergence_round,
     error_statistics,
     group_truths,
-    mean_absolute_error,
     plateau_error,
     protocol_cost_summary,
     reconvergence_round,
-    relative_error,
-    stddev_from_truth,
 )
 
 
 class TestAccuracy:
-    def test_stddev_from_truth_basic(self):
-        assert stddev_from_truth([3.0, 5.0], 4.0) == pytest.approx(1.0)
-        assert stddev_from_truth([4.0, 4.0, 4.0], 4.0) == 0.0
-
-    def test_stddev_from_truth_empty_is_nan(self):
-        assert math.isnan(stddev_from_truth([], 4.0))
-
-    def test_relative_error(self):
-        assert relative_error(5.0, 50.0) == pytest.approx(0.1)
-        assert math.isnan(relative_error(5.0, 0.0))
-
-    def test_mean_absolute_error(self):
-        assert mean_absolute_error([2.0, 6.0], 4.0) == pytest.approx(2.0)
-        assert math.isnan(mean_absolute_error([], 4.0))
-
     def test_error_statistics_scalar_and_per_host_truths(self):
         stats = error_statistics([9.0, 12.0], 10.0)
         assert stats == (pytest.approx(math.sqrt(2.5)), 2.0, 1.5, 10.5)

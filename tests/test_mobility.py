@@ -1,13 +1,11 @@
-"""Tests for contact traces, synthetic Haggle generation and mobility models."""
+"""Tests for contact traces, synthetic Haggle generation and trace statistics."""
 
-import numpy as np
 import pytest
 
 from repro.mobility import (
     ContactRecord,
     ContactTrace,
     HAGGLE_DATASET_SIZES,
-    RandomWaypointModel,
     average_degree_series,
     average_group_size_series,
     contact_duration_stats,
@@ -198,39 +196,3 @@ class TestTraceStats:
 
     def test_intercontact_time_stats_empty(self):
         assert intercontact_time_stats(ContactTrace(2, []))["count"] == 0
-
-
-class TestRandomWaypoint:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            RandomWaypointModel(5, speed_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            RandomWaypointModel(5, arena_size=-1.0)
-
-    def test_positions_stay_in_arena(self):
-        model = RandomWaypointModel(10, arena_size=100.0, seed=1)
-        for _ in range(20):
-            model.advance(30.0)
-        positions = model.positions()
-        assert positions.shape == (10, 2)
-        assert (positions >= -1e-9).all() and (positions <= 100.0 + 1e-9).all()
-
-    def test_nodes_actually_move(self):
-        model = RandomWaypointModel(5, arena_size=100.0, seed=1, pause_range=(0.0, 0.0))
-        before = model.positions().copy()
-        model.advance(60.0)
-        after = model.positions()
-        assert not np.allclose(before, after)
-
-    def test_adjacency_radius(self):
-        model = RandomWaypointModel(5, arena_size=10.0, radius=100.0, seed=1)
-        graph = model.adjacency()
-        assert all(len(neighbors) == 4 for neighbors in graph.values())
-        sparse = model.adjacency(radius=0.0)
-        assert all(len(neighbors) == 0 for neighbors in sparse.values())
-
-    def test_to_trace(self):
-        model = RandomWaypointModel(6, arena_size=200.0, radius=80.0, seed=2)
-        trace = model.to_trace(duration_seconds=600.0, sample_interval=30.0)
-        assert trace.n_devices == 6
-        assert trace.duration <= 600.0 + 30.0 + 1e-6

@@ -3,19 +3,14 @@
 import pytest
 
 from repro.topology import (
-    bfs_distances,
-    bfs_tree,
     complete_graph,
     connected_component,
     connected_components,
     empty_graph,
     erdos_renyi_graph,
     grid_graph,
-    induced_subgraph,
-    is_connected,
     random_geometric_graph,
     ring_lattice,
-    star_graph,
     union_adjacency,
 )
 from repro.topology.graphs import grid_positions
@@ -43,15 +38,6 @@ class TestGenerators:
     def test_complete_graph_no_self_loops(self):
         graph = complete_graph(5)
         assert all(node not in graph[node] for node in graph)
-
-    def test_star_graph(self):
-        graph = star_graph(5, center=2)
-        assert len(graph[2]) == 4
-        assert all(len(graph[node]) == 1 for node in graph if node != 2)
-
-    def test_star_graph_center_validation(self):
-        with pytest.raises(ValueError):
-            star_graph(3, center=5)
 
     def test_ring_lattice_degree(self):
         graph = ring_lattice(10, k=2)
@@ -139,37 +125,6 @@ class TestConnectivity:
     def test_connected_components_alive_subset(self):
         components = connected_components(self.graph, alive={0, 1, 3, 6})
         assert sorted(len(c) for c in components) == [1, 1, 2]
-
-    def test_is_connected(self):
-        assert not is_connected(self.graph)
-        assert is_connected(complete_graph(5))
-        assert is_connected(self.graph, alive={0, 1, 2})
-        assert is_connected(empty_graph(1))
-        assert is_connected(empty_graph(0))
-
-    def test_bfs_distances(self):
-        graph = grid_graph(3, 3)
-        distances = bfs_distances(graph, 0)
-        assert distances[0] == 0
-        assert distances[8] == 4  # opposite corner via Manhattan path
-
-    def test_bfs_distances_unreachable_excluded(self):
-        distances = bfs_distances(self.graph, 0)
-        assert 3 not in distances
-
-    def test_bfs_tree_parents(self):
-        graph = grid_graph(3, 1)  # path 0-1-2
-        parents = bfs_tree(graph, 0)
-        assert parents == {0: None, 1: 0, 2: 1}
-
-    def test_bfs_tree_respects_alive(self):
-        graph = grid_graph(3, 1)
-        parents = bfs_tree(graph, 0, alive={0, 2})
-        assert parents == {0: None}
-
-    def test_induced_subgraph(self):
-        sub = induced_subgraph(self.graph, {0, 1, 3})
-        assert sub == {0: {1}, 1: {0}, 3: set()}
 
     def test_union_adjacency(self):
         first = {0: {1}, 1: {0}}
