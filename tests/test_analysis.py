@@ -29,6 +29,11 @@ class TestCDF:
         probabilities = cdf_at([1, 2, 3, 4], [0, 2, 10])
         assert list(probabilities) == [0.0, 0.5, 1.0]
 
+    def test_cdf_at_ignores_sample_order(self):
+        assert list(cdf_at([4, 1, 3, 2], [2.5, 4])) == [0.5, 1.0]
+        with pytest.raises(ValueError):
+            cdf_at([], [1.0])
+
     def test_quantile(self):
         assert quantile(list(range(101)), 0.5) == pytest.approx(50.0)
         with pytest.raises(ValueError):

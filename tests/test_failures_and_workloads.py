@@ -1,10 +1,13 @@
-"""Tests for failure models, scheduled events and value distributions."""
+"""Tests for failure models, scheduled events, value distributions and figure scenarios."""
 
 import numpy as np
 import pytest
 
+from repro.api import run_scenario
 from repro.baselines import PushSum
 from repro.environments import UniformEnvironment
+from repro.experiments import FIG8, FIG9, FIG10, FIG11
+from repro.experiments.fig8_uncorrelated import failure_of
 from repro.failures import (
     BernoulliChurn,
     ChurnProcess,
@@ -20,6 +23,7 @@ from repro.workloads import (
     clustered_array,
     constant_array,
     normal_array,
+    uniform_array,
     uniform_values,
     zipf_array,
 )
@@ -163,6 +167,31 @@ class TestValueDistributions:
         assert 0.4 * 3000 < below < 0.6 * 3000
         with pytest.raises(ValueError):
             clustered_array(10, cluster_means=())
+        with pytest.raises(ValueError):
+            clustered_array(10, std=-1.0)
+
+    @pytest.mark.parametrize(
+        "generator", [uniform_array, constant_array, normal_array, zipf_array, clustered_array]
+    )
+    def test_negative_count_rejected(self, generator):
+        with pytest.raises(ValueError, match="non-negative"):
+            generator(-1)
+
+    @pytest.mark.parametrize("generator", [uniform_array, normal_array, zipf_array, clustered_array])
+    def test_seeded_draws_are_reproducible(self, generator):
+        first = generator(200, seed=4)
+        assert first.dtype == np.float64 and first.shape == (200,)
+        assert np.array_equal(first, generator(200, seed=4))
+        assert not np.array_equal(first, generator(200, seed=5))
+
+    def test_zero_std_collapses_to_the_means(self):
+        assert normal_array(5, mean=3.0, std=0.0, seed=1).tolist() == [3.0] * 5
+        values = clustered_array(50, cluster_means=(1.0, 7.0), std=0.0, seed=1)
+        assert set(values.tolist()) == {1.0, 7.0}
+
+    def test_uniform_values_is_the_array_as_a_list(self):
+        assert uniform_values(64, 2.0, 3.0, seed=8) == uniform_array(64, 2.0, 3.0, seed=8).tolist()
+        assert uniform_array(3, 5.0, 5.0, seed=0).tolist() == [5.0, 5.0, 5.0]
 
 
 #: Each registered workload as the per-element ``float(...)`` loop it was
@@ -204,3 +233,52 @@ class TestWorkloadsAreTheSamePythonFloats:
         clamped = WORKLOADS.create("zipf", 300, seed=5, exponent=1.1, clamp=40.0)
         assert clamped.dtype == np.float64
         assert clamped.tolist() == [min(40.0, float(v) * 1.0) for v in draws]
+
+
+class TestScenarios:
+    """The figure scenarios, as the ``FIGn`` specs of :mod:`repro.experiments`."""
+
+    def test_uncorrelated_scenario_structure(self):
+        assert "uncorrelated" in FIG8.name
+        assert (FIG8.n_hosts, FIG8.rounds) == (5000, 60)
+        (event,) = FIG8.build_events()
+        assert event.round == 20
+        assert isinstance(event.model, UncorrelatedFailure)
+        assert FIG8.replace(n_hosts=100).build_environment().n == 100
+
+    def test_correlated_scenario_uses_highest_failure(self):
+        (event,) = FIG10.build_events()
+        assert isinstance(event.model, CorrelatedFailure)
+        assert event.model.highest is True
+
+    def test_counting_scenario_constant_values(self):
+        assert set(FIG9.replace(n_hosts=30).build_values().tolist()) == {1.0}
+
+    @pytest.mark.parametrize("spec", [FIG8, FIG9, FIG10], ids=lambda spec: spec.name)
+    def test_failure_round_inside_horizon(self, spec):
+        failure_round, fraction = failure_of(spec)
+        assert 0 < failure_round < spec.rounds
+        assert fraction == 0.5
+        assert spec.to_dict()["events"][0]["event"] == "failure"
+
+    def test_trace_scenario_matches_dataset_size(self):
+        assert FIG11.n_hosts == 9
+        assert FIG11.group_relative is True
+        assert FIG11.build_environment().trace.n_devices == 9
+
+    def test_trace_scenario_validates_value_count(self):
+        with pytest.raises(ValueError, match="9 devices"):
+            FIG11.replace(n_hosts=2).build_environment()
+
+    def test_scenario_runs_end_to_end(self):
+        spec = FIG8.replace(
+            protocol="push-sum",
+            protocol_params={},
+            n_hosts=40,
+            rounds=8,
+            events=({**FIG8.events[0], "round": 3},),
+            backend="agent",
+        )
+        result = run_scenario(spec)
+        assert len(result.rounds) == 8
+        assert result.rounds[-1].n_alive == 20

@@ -24,6 +24,13 @@ class TestAccuracy:
         assert error_statistics([9.0, 12.0], np.array([9.0, 10.0])).max_abs_error == 2.0
         assert all(math.isnan(value) for value in error_statistics([], 4.0))
 
+    def test_stddev_is_the_root_mean_square_from_truth(self):
+        # The paper's "standard deviation from the correct value": RMS of
+        # estimate minus truth, not the spread around the estimates' mean.
+        assert error_statistics([3.0, 5.0], 4.0).stddev_error == pytest.approx(1.0)
+        assert error_statistics([6.0, 6.0], 4.0) == (2.0, 2.0, 2.0, 6.0)
+        assert error_statistics([4.0, 4.0, 4.0], 4.0) == (0.0, 0.0, 0.0, 4.0)
+
     def test_group_relative_errors(self):
         # Hosts 0 and 1 form one group, host 2 its own: each is scored
         # against its own group's aggregate.
@@ -40,6 +47,12 @@ class TestAccuracy:
         # A group with no live member (size 0) contributes no host truth.
         labels, sizes = np.array([1]), np.array([0, 1])
         assert group_truths("average", labels, sizes, np.array([7.0])).tolist() == [7.0]
+
+
+    def test_group_truths_of_no_live_hosts_is_empty(self):
+        labels, sizes = np.array([], dtype=np.int64), np.array([0, 0])
+        for kind in ("count", "average", "max", "min"):
+            assert group_truths(kind, labels, sizes, np.array([])).size == 0
 
 
 class TestConvergence:

@@ -115,6 +115,16 @@ class TestContactTrace:
         assert len(sub) == 1
         assert sub.adjacency_at(100.0)[0] == {1}
 
+    def test_union_graph_joins_every_contact(self):
+        trace = self._trace()
+        assert trace.union_graph() == {0: {1}, 1: {0, 2}, 2: {1}}
+        assert trace.device_ids() == [0, 1, 2]
+
+    def test_csv_without_device_count_sizes_to_the_highest_id(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        ContactTrace(5, [ContactRecord(1, 3, 0.0, 10.0)]).to_csv(str(path))
+        assert ContactTrace.from_csv(str(path)).n_devices == 4
+
     def test_snapshots_iteration(self):
         trace = self._trace()
         snaps = list(trace.snapshots(step=100.0))
