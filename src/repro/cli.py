@@ -491,7 +491,6 @@ def _command_cache(args: argparse.Namespace) -> int:
                 ["schema version", stats["schema_version"]],
                 ["entries", stats["entries"]],
                 ["stale entries", stats["stale_entries"]],
-                ["orphan files", stats["orphan_files"]],
                 ["total bytes", stats["total_bytes"]],
                 ["lifetime hits", stats["lifetime_hits"]],
             ]

@@ -2,8 +2,9 @@
 
 Every :class:`~repro.api.spec.ScenarioSpec` has a stable canonical hash
 (:meth:`~repro.api.spec.ScenarioSpec.key`); :class:`ResultStore` maps that
-hash to the full simulation result on disk (sqlite index + compressed JSON
-blobs) so identical scenarios are never computed twice:
+hash to the full simulation result on disk (one sqlite file whose rows
+carry the compressed JSON payloads) so identical scenarios are never
+computed twice:
 
 >>> from repro.api import ScenarioSpec, run_scenario
 >>> from repro.store import ResultStore

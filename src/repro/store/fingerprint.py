@@ -28,6 +28,7 @@ import hashlib
 import importlib.util
 import inspect
 import os
+import threading
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["code_fingerprint", "clear_fingerprint_cache"]
@@ -56,6 +57,10 @@ _PROTOCOL_PACKAGES = ("repro.core", "repro.baselines")
 #: protocol name (or "" for the shared part) -> digest, memoised per
 #: process (source files do not change under a running interpreter).
 _CACHE: Dict[str, str] = {}
+#: Serialises filling the memo: store handles in several threads would
+#: otherwise run ``ast.parse`` concurrently, which can fail with a spurious
+#: ``SystemError`` on CPython 3.11 (seen on 3.11.7).
+_LOCK = threading.Lock()
 
 
 def _module_path(module_name: str) -> Optional[str]:
@@ -156,9 +161,13 @@ def code_fingerprint(protocol: Optional[str] = None) -> str:
     """
     cache_key = protocol or ""
     cached = _CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        with _LOCK:
+            cached = _CACHE[cache_key] = _digest(protocol)
+    return cached
 
+
+def _digest(protocol: Optional[str]) -> str:
     digest = hashlib.sha256()
     material = list(_shared_digest_material())
     if protocol is not None:
@@ -173,10 +182,7 @@ def code_fingerprint(protocol: Optional[str] = None) -> str:
         digest.update(name.encode())
         digest.update(b"\x00")
         digest.update(_read(path))
-
-    fingerprint = digest.hexdigest()
-    _CACHE[cache_key] = fingerprint
-    return fingerprint
+    return digest.hexdigest()
 
 
 def clear_fingerprint_cache() -> None:

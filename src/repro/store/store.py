@@ -6,20 +6,19 @@ canonical hash (:meth:`~repro.api.spec.ScenarioSpec.key`) to the full
 (``.repro-cache/`` by default)::
 
     .repro-cache/
-        index.db                 # sqlite: one row per cached result
-        blobs/<k[:2]>/<k>.json.gz  # gzip-compressed full result payload
+        index-v2.db       # sqlite: one row per cached result, payload included
+        index-v2.db-wal   # sqlite's write-ahead log (and -shm) while a handle is open
 
-The sqlite index carries everything needed to answer ``get`` without
-touching a blob — the store schema version and the per-protocol code
-fingerprint (:mod:`repro.store.fingerprint`) recorded at ``put`` time.  A
-mismatch on either is treated as a miss and the stale entry is dropped, so
-a store can never serve a result produced by older code or an older blob
-layout.  Blob writes go through a temp file + :func:`os.replace` and index
-writes are single sqlite transactions, which makes concurrent writers
-(several sweeps sharing one cache directory, one handle each) safe; the
-sweep runner additionally funnels all of a grid's writes through the parent
-process.  ``get`` / ``put`` are the one-element case of ``get_many`` /
-``put_many``, which pay one lookup and one transaction per *batch*.
+Each row carries the store schema version and the per-protocol code
+fingerprint (:mod:`repro.store.fingerprint`) recorded at ``put`` time
+beside the zlib-compressed payload.  A mismatch on either is treated as a
+miss and the stale entry is dropped, so a store can never serve a result
+produced by older code or an older payload layout.  A write is one sqlite
+transaction in WAL mode, which makes concurrent writers (several sweeps
+sharing one cache directory, one handle each) safe; the sweep runner
+additionally funnels all of a grid's writes through the parent process.
+``get`` / ``put`` are the one-element case of ``get_many`` / ``put_many``,
+which pay one lookup and one transaction per *batch*.
 
 Results round-trip exactly: payload floats are serialised with
 ``repr``-fidelity JSON, so a warm read is bit-identical to the run that
@@ -29,13 +28,13 @@ produced it (asserted in ``tests/test_store.py``).
 from __future__ import annotations
 
 import contextlib
-import gzip
 import json
 import os
+import shutil
 import sqlite3
-import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import zlib
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.result import SimulationResult
@@ -49,13 +48,16 @@ __all__ = ["ResultStore", "STORE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR"]
 #: Version of the store's on-disk layout *and* of the result payload
 #: format.  Bump it whenever either changes shape; every existing entry
 #: then reads as a miss and is pruned on first contact.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Where a store lives when the caller does not say otherwise.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Seconds a writer waits for the index lock — and therefore the longest a
-#: live writer can sit between its blob ``os.replace`` and its INSERT.
+#: The index file.  Its name changes with the table's shape, so a cache
+#: written by the version-1 store (``index.db`` beside ``blobs/``) is never
+#: opened: it reads as all misses, and :meth:`ResultStore.clear` removes it.
+_INDEX = "index-v2.db"
+#: Seconds a writer waits for the index lock.
 _BUSY_TIMEOUT = 30.0
 #: Keys per lookup SELECT, under sqlite's oldest bound-variable limit (999).
 _SELECT_CHUNK = 500
@@ -71,9 +73,16 @@ CREATE TABLE IF NOT EXISTS results (
     last_used      REAL NOT NULL,
     hits           INTEGER NOT NULL DEFAULT 0,
     n_bytes        INTEGER NOT NULL,
-    spec           TEXT NOT NULL
+    spec           TEXT NOT NULL,
+    payload        BLOB NOT NULL
 )
 """
+
+
+def _encode(result: SimulationResult) -> bytes:
+    """``result``'s payload as compact JSON, zlib-compressed at level 9."""
+    payload = json.dumps(result.to_payload(), separators=(",", ":"))
+    return zlib.compress(payload.encode("utf-8"), 9)
 
 
 class ResultStore:
@@ -89,19 +98,22 @@ class ResultStore:
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR, *, probe=None):
         self.root = os.path.abspath(root)
-        self._blob_root = os.path.join(self.root, "blobs")
-        os.makedirs(self._blob_root, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
         # The generous busy timeout is the concurrency story — sqlite
         # serialises writers itself; contending stores just wait their turn.
         self._connection = sqlite3.connect(
-            os.path.join(self.root, "index.db"), timeout=_BUSY_TIMEOUT
+            os.path.join(self.root, _INDEX), timeout=_BUSY_TIMEOUT
         )
+        # A commit appends to the log without an fsync: it survives a killed
+        # process, and after a power loss it is a hit or a miss (DESIGN.md §9).
+        self._connection.execute("PRAGMA journal_mode=WAL").fetchall()
+        self._connection.execute("PRAGMA synchronous=NORMAL")
         with self._connection as connection:
             connection.execute(_TABLE)
         #: Counters for this store handle's lifetime (reported by the CLI).
         self.session: Dict[str, int] = {"hits": 0, "misses": 0, "puts": 0}
-        #: Optional :mod:`repro.obs` observer: hit/miss counts and blob-IO
-        #: latency spans.  Defaults to the zero-cost null probe.
+        #: Optional :mod:`repro.obs` observer: hit/miss counts and payload
+        #: encode/decode latency spans.  Defaults to the zero-cost null probe.
         self.probe = probe if probe is not None else NULL_PROBE
 
     def close(self) -> None:
@@ -115,9 +127,6 @@ class ResultStore:
         self.close()
 
     # ------------------------------------------------------------------ plumbing
-    def _blob_path(self, key: str) -> str:
-        return os.path.join(self._blob_root, key[:2], f"{key}.json.gz")
-
     @staticmethod
     def _key(spec: "ScenarioSpec") -> str:
         key = spec.key()
@@ -127,7 +136,7 @@ class ResultStore:
 
     def _settle(self, hits: Sequence[str] = (), drops: Sequence[str] = ()) -> None:
         """A call's index bookkeeping as one transaction: count ``hits``,
-        delete ``drops`` — whose blobs are removed once the rows are gone."""
+        delete ``drops``."""
         if not hits and not drops:
             return
         now = time.time()
@@ -141,8 +150,6 @@ class ResultStore:
                 connection.executemany(
                     "DELETE FROM results WHERE key = ?", [(key,) for key in drops]
                 )
-        for key in drops:
-            _remove(self._blob_path(key))
 
     def _tally(self, outcome: str) -> None:
         self.session[outcome] += 1
@@ -162,43 +169,44 @@ class ResultStore:
             return True
         return fingerprint != expected
 
-    def _select(self, keys: Sequence[str]) -> Dict[str, bool]:
-        """Every indexed key among ``keys``, mapped to whether its entry is
-        current (``False``: stale).  One SELECT per chunk of the batch."""
-        current: Dict[str, bool] = {}
+    def _select(self, keys: Sequence[str]) -> Dict[str, Optional[bytes]]:
+        """Every indexed key among ``keys``, mapped to its payload (``None``:
+        the entry is stale).  One SELECT per chunk of the batch."""
+        current: Dict[str, Optional[bytes]] = {}
         for start in range(0, len(keys), _SELECT_CHUNK):
             chunk = keys[start : start + _SELECT_CHUNK]
             rows = self._connection.execute(
-                "SELECT key, schema_version, protocol, fingerprint FROM results "
+                "SELECT key, schema_version, protocol, fingerprint, payload FROM results "
                 f"WHERE key IN ({','.join('?' * len(chunk))})",
                 chunk,
             ).fetchall()
-            for key, schema_version, protocol, fingerprint in rows:
-                current[key] = not self._is_stale(schema_version, protocol, fingerprint)
+            for key, schema_version, protocol, fingerprint, payload in rows:
+                stale = self._is_stale(schema_version, protocol, fingerprint)
+                current[key] = None if stale else payload
         return current
 
-    def _read_blob(self, key: str) -> Optional[SimulationResult]:
+    def _decode(self, payload: Optional[bytes]) -> Optional[SimulationResult]:
+        if payload is None:
+            return None
         try:
             with self.probe.span("blob_read"):
-                with gzip.open(self._blob_path(key), "rt", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                return SimulationResult.from_payload(payload)
-        except (OSError, EOFError, ValueError, KeyError, TypeError):
-            return None  # missing or corrupt: the caller heals the index
+                return SimulationResult.from_payload(json.loads(zlib.decompress(payload)))
+        except (zlib.error, ValueError, KeyError, TypeError):
+            return None  # corrupt: the caller drops the row
 
     # ------------------------------------------------------------------- lookup
     def get_many(self, specs: Iterable["ScenarioSpec"]) -> List[Optional[SimulationResult]]:
         """The stored result for each spec, ``None`` on a miss.
 
         Stale entries — written under another schema version or before the
-        protocol/engine code changed — and entries whose blob is missing or
-        corrupt are dropped and reported as misses.  A batch costs one
-        SELECT, its blob reads (outside any transaction), then one
-        transaction for all its bookkeeping: hit counters and drops.
+        protocol/engine code changed — and entries whose payload is corrupt
+        are dropped and reported as misses.  A batch costs one SELECT, which
+        reads the payloads too, then one transaction for all its
+        bookkeeping: hit counters and drops.
         """
         keys = [self._key(spec) for spec in specs]
         current = self._select(keys)
-        results = [self._read_blob(key) if current.get(key) else None for key in keys]
+        results = [self._decode(current.get(key)) for key in keys]
         hits = [key for key, result in zip(keys, results) if result is not None]
         served = set(hits)
         self._settle(hits, [key for key in current if key not in served])
@@ -211,17 +219,16 @@ class ResultStore:
         return self.get_many([spec])[0]
 
     def contains(self, spec: "ScenarioSpec") -> bool:
-        """Whether ``get(spec)`` would hit (without reading the blob)."""
+        """Whether ``get(spec)`` would hit (without decoding the payload)."""
         key = self._key(spec)
-        return self._select([key]).get(key, False) and os.path.exists(self._blob_path(key))
+        return self._select([key]).get(key) is not None
 
     # ------------------------------------------------------------------ storage
     def put_many(self, pairs: Iterable[Tuple["ScenarioSpec", SimulationResult]]) -> List[str]:
         """Store each ``(spec, result)`` pair; returns the keys.
 
-        Every blob is written first, then the batch's rows are inserted in
-        one transaction — a batch killed in between leaves blobs without
-        rows, which read as misses and which :meth:`prune` sweeps.
+        Every payload is encoded first, then the batch's rows are inserted
+        in one transaction — a batch killed in between leaves nothing.
         """
         pairs = list(pairs)
         for _spec, result in pairs:
@@ -230,20 +237,21 @@ class ResultStore:
         rows = []
         for spec, result in pairs:
             key = self._key(spec)
-            n_bytes = self._write_blob(key, result)
+            with self.probe.span("blob_write"):
+                payload = _encode(result)
             now = time.time()
             rows.append((
                 key, spec.protocol, spec.resolved_backend(), STORE_SCHEMA_VERSION,
-                code_fingerprint(spec.protocol), now, now, n_bytes,
-                json.dumps(spec.to_dict(), sort_keys=True),
+                code_fingerprint(spec.protocol), now, now, len(payload),
+                json.dumps(spec.to_dict(), sort_keys=True), payload,
             ))
         if rows:
             with self._connection as connection:
                 connection.executemany(
                     "INSERT OR REPLACE INTO results "
                     "(key, protocol, backend, schema_version, fingerprint, created, "
-                    " last_used, hits, n_bytes, spec) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?, ?)",
+                    " last_used, hits, n_bytes, spec, payload) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?, ?, ?)",
                     rows,
                 )
         for _row in rows:
@@ -254,56 +262,21 @@ class ResultStore:
         """Store ``result`` under ``spec``'s key; returns the key."""
         return self.put_many([(spec, result)])[0]
 
-    def _write_blob(self, key: str, result: SimulationResult) -> int:
-        """Write ``result``'s blob atomically; returns its size in bytes."""
-        blob_path = self._blob_path(key)
-        os.makedirs(os.path.dirname(blob_path), exist_ok=True)
-        with self.probe.span("blob_write"):
-            payload = json.dumps(result.to_payload(), separators=(",", ":"))
-            # ``mtime=0`` keeps equal payloads byte-identical on disk; the temp
-            # file + replace makes a concurrent reader see old-or-new, never half.
-            blob = gzip.compress(payload.encode("utf-8"), mtime=0)
-            # A temp name unique per *writer* (thread), not per process: two
-            # threads putting one key must not replace each other's file away.
-            tmp_path = f"{blob_path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp_path, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_path, blob_path)
-        return len(blob)
-
     # --------------------------------------------------------------- management
     def __len__(self) -> int:
         ((count,),) = self._connection.execute("SELECT COUNT(*) FROM results").fetchall()
         return int(count)
 
-    def _orphans(self, indexed: Set[str]) -> List[str]:
-        """Files under ``blobs/`` that no index row accounts for: blobs whose
-        INSERT never committed and temp files of killed writers.  Only files
-        older than the busy timeout count, so a live writer between its
-        ``os.replace`` and its INSERT is never raced."""
-        horizon = time.time() - _BUSY_TIMEOUT
-        orphans = []
-        for dirpath, _dirnames, filenames in os.walk(self._blob_root):
-            for filename in filenames:
-                key, _dot, suffix = filename.partition(".")
-                if suffix == "json.gz" and key in indexed:
-                    continue
-                path = os.path.join(dirpath, filename)
-                with contextlib.suppress(OSError):  # removed under our feet
-                    if os.stat(path).st_mtime < horizon:
-                        orphans.append(path)
-        return orphans
-
     def stats(self) -> Dict[str, Any]:
         """A summary of the store's contents (what ``cache stats`` prints)."""
         rows = self._connection.execute(
-            "SELECT key, protocol, schema_version, fingerprint, hits, n_bytes FROM results"
+            "SELECT protocol, schema_version, fingerprint, hits, n_bytes FROM results"
         ).fetchall()
         by_protocol: Dict[str, int] = {}
         stale = 0
         total_bytes = 0
         lifetime_hits = 0
-        for _indexed_key, protocol, schema_version, fingerprint, hits, n_bytes in rows:
+        for protocol, schema_version, fingerprint, hits, n_bytes in rows:
             by_protocol[protocol] = by_protocol.get(protocol, 0) + 1
             total_bytes += int(n_bytes)
             lifetime_hits += int(hits)
@@ -314,7 +287,6 @@ class ResultStore:
             "schema_version": STORE_SCHEMA_VERSION,
             "entries": len(rows),
             "stale_entries": stale,
-            "orphan_files": len(self._orphans({row[0] for row in rows})),
             "total_bytes": total_bytes,
             "lifetime_hits": lifetime_hits,
             "by_protocol": dict(sorted(by_protocol.items())),
@@ -322,11 +294,10 @@ class ResultStore:
         }
 
     def prune(self, *, older_than_days: Optional[float] = None) -> int:
-        """Drop stale entries (wrong schema/fingerprint, missing blobs),
-        orphan files (:meth:`_orphans`) and, optionally, entries created
-        more than ``older_than_days`` ago.
+        """Drop stale entries (wrong schema/fingerprint) and, optionally,
+        entries created more than ``older_than_days`` ago.
 
-        Returns the number of entries and orphan files removed.
+        Returns the number of entries removed.
         """
         if older_than_days is not None and older_than_days < 0:
             raise ValueError("older_than_days must be >= 0")
@@ -339,27 +310,22 @@ class ResultStore:
             for key, protocol, schema_version, fingerprint, created in rows
             if self._is_stale(schema_version, protocol, fingerprint)
             or (cutoff is not None and created < cutoff)
-            or not os.path.exists(self._blob_path(key))
         ]
-        orphans = self._orphans({row[0] for row in rows})
         self._settle(drops=doomed)
-        for path in orphans:
-            _remove(path)
-        return len(doomed) + len(orphans)
+        return len(doomed)
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were dropped."""
+        """Remove every entry, and any version-1 cache beside the index;
+        returns how many entries were dropped."""
         with self._connection as connection:
             count = connection.execute("DELETE FROM results").rowcount
-        for dirpath, _dirnames, filenames in os.walk(self._blob_root):
-            for filename in filenames:
-                _remove(os.path.join(dirpath, filename))
+        self._connection.execute("VACUUM")  # hand the payloads' pages back
+        shutil.rmtree(os.path.join(self.root, "blobs"), ignore_errors=True)
+        for name in ("index.db", "index.db-journal"):
+            with contextlib.suppress(OSError):  # absent: no version-1 cache here
+                os.remove(os.path.join(self.root, name))
         return int(count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({self.root!r}, {len(self)} entries)"
 
-
-def _remove(path: str) -> None:
-    with contextlib.suppress(OSError):  # already gone: a concurrent drop or clear
-        os.remove(path)

@@ -1,12 +1,13 @@
 """Tests for the content-addressed result store and incremental sweeps."""
 
 import glob
+import gzip
 import json
 import os
 import sqlite3
 import subprocess
 import sys
-import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -58,15 +59,32 @@ def statements(monkeypatch):
     return connections
 
 
+def index_path(store):
+    return os.path.join(store.root, store_module._INDEX)
+
+
 def index_is_unlocked(store):
-    """A second connection that refuses to wait can still commit a write."""
-    other = sqlite3.connect(os.path.join(store.root, "index.db"), timeout=0)
+    """A second connection that refuses to wait can still commit a write and
+    then checkpoint the whole log, which no open read may pin under WAL."""
+    other = sqlite3.connect(index_path(store), timeout=0)
     try:
         with other:
             other.execute("UPDATE results SET hits = hits")
+        ((busy, _frames, _copied),) = other.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchall()
     finally:
         other.close()
-    return True
+    return busy == 0
+
+
+def cache_files(root):
+    """Every file under ``root`` with its bytes."""
+    files = {}
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in filenames:
+            path = os.path.join(dirpath, filename)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +255,9 @@ class TestResultStore:
 
         spec = small_spec()
         store.put(spec, run_scenario(spec))
-        with sqlite3.connect(os.path.join(store.root, "index.db")) as connection:
+        with sqlite3.connect(index_path(store)) as connection:
             connection.execute("UPDATE results SET protocol = 'gone-protocol'")
+        connection.close()
         # stats and prune must survive the unregistered name (the very
         # tools for cleaning such entries), and get must treat it as a miss.
         assert store.stats()["stale_entries"] == 1
@@ -246,14 +265,20 @@ class TestResultStore:
         assert store.prune() == 0  # get already dropped it on contact
         assert len(store) == 0
 
-    def test_corrupt_blob_heals_to_a_miss(self, store):
+    @pytest.mark.parametrize(
+        "payload",
+        [b"not zlib at all", zlib.compress(b"{not json"), zlib.compress(b'{"rounds": 3}')],
+        ids=["compression", "json", "shape"],
+    )
+    def test_corrupt_payload_heals_to_a_miss(self, store, payload):
         spec = small_spec()
         key = store.put(spec, run_scenario(spec))
-        blob = store._blob_path(key)
-        with open(blob, "wb") as handle:
-            handle.write(b"not gzip at all")
+        with sqlite3.connect(index_path(store)) as connection:
+            connection.execute("UPDATE results SET payload = ? WHERE key = ?", (payload, key))
+        connection.close()
+        assert store.contains(spec)  # the row is current; only decoding can tell
         assert store.get(spec) is None
-        assert len(store) == 0 and not os.path.exists(blob)
+        assert len(store) == 0 and index_is_unlocked(store)
 
     def test_stats_prune_clear(self, store, monkeypatch):
         specs = [small_spec(seed=seed) for seed in range(3)]
@@ -287,34 +312,61 @@ class TestResultStore:
         good = small_spec()
         with pytest.raises(TypeError):
             store.put_many([(good, run_scenario(good)), (small_spec(seed=1), None)])
-        assert len(store) == 0 and not os.path.exists(store._blob_path(good.key()))
+        assert len(store) == 0
 
-    def test_prune_sweeps_orphan_files_but_not_a_live_writers(self, store):
-        healthy, lost = small_spec(), small_spec(seed=12)
-        store.put(healthy, run_scenario(healthy))
-        # A writer killed between os.replace and its INSERT leaves a blob
-        # without a row; one killed mid-write leaves its temp file.
-        store.put(lost, run_scenario(lost))
-        with sqlite3.connect(os.path.join(store.root, "index.db")) as connection:
-            connection.execute("DELETE FROM results WHERE key = ?", (lost.key(),))
+    def test_a_committed_put_survives_a_killed_process(self, tmp_path):
+        # The child commits one put and dies without closing its handle, so
+        # the entry lives only in the write-ahead log a fresh handle recovers.
+        root = str(tmp_path / "cache")
+        spec = small_spec()
+        script = (
+            "import json, os, sys\n"
+            "from repro.api import ScenarioSpec, run_scenario\n"
+            "from repro.store import ResultStore\n"
+            "spec = ScenarioSpec.from_dict(json.loads(sys.argv[2]))\n"
+            "ResultStore(sys.argv[1]).put(spec, run_scenario(spec))\n"
+            "os._exit(1)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.run(
+            [sys.executable, "-c", script, root, json.dumps(spec.to_dict())],
+            capture_output=True, text=True, env=env,
+        )
+        assert child.returncode == 1, child.stderr
+        assert os.path.getsize(os.path.join(root, store_module._INDEX + "-wal")) > 0
+        with ResultStore(root) as fresh:
+            assert payload_json(fresh.get(spec)) == payload_json(run_scenario(spec))
+
+    def test_a_version_1_cache_reads_as_misses_until_clear_removes_it(self, tmp_path):
+        # What the version-1 store wrote: a gzip blob per cell under blobs/
+        # and a row naming it in index.db, in that store's table shape.
+        root = tmp_path / "cache"
+        spec = small_spec()
+        key = spec.key()
+        blob = root / "blobs" / key[:2] / f"{key}.json.gz"
+        blob.parent.mkdir(parents=True)
+        blob.write_bytes(gzip.compress(payload_json(run_scenario(spec)).encode(), mtime=0))
+        with sqlite3.connect(str(root / "index.db")) as connection:
+            connection.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY, protocol TEXT NOT NULL, "
+                "backend TEXT NOT NULL, schema_version INTEGER NOT NULL, "
+                "fingerprint TEXT NOT NULL, created REAL NOT NULL, last_used REAL NOT NULL, "
+                "hits INTEGER NOT NULL DEFAULT 0, n_bytes INTEGER NOT NULL, spec TEXT NOT NULL)"
+            )
+            connection.execute(
+                "INSERT INTO results VALUES (?, ?, 'vectorized', 1, ?, 0, 0, 0, ?, ?)",
+                (key, spec.protocol, code_fingerprint(spec.protocol), blob.stat().st_size,
+                 json.dumps(spec.to_dict(), sort_keys=True)),
+            )
         connection.close()
-        orphan_blob = store._blob_path(lost.key())
-        dead_tmp = store._blob_path(healthy.key()) + ".tmp.4242.1"
-        live_tmp = store._blob_path(healthy.key()) + ".tmp.4242.2"
-        for path in (dead_tmp, live_tmp):
-            with open(path, "wb") as handle:
-                handle.write(b"half a blob")
-        long_ago = time.time() - 2 * store_module._BUSY_TIMEOUT
-        for path in (orphan_blob, dead_tmp):
-            os.utime(path, (long_ago, long_ago))
 
-        assert store.get(lost) is None  # a blob without a row is a miss
-        assert store.stats()["orphan_files"] == 2
-        assert store.prune() == 2
-        assert not os.path.exists(orphan_blob) and not os.path.exists(dead_tmp)
-        assert os.path.exists(live_tmp)  # younger than the busy timeout: maybe in use
-        assert store.stats()["orphan_files"] == 0 and store.prune() == 0
-        assert store.get(healthy) is not None and len(store) == 1
+        with ResultStore(str(root)) as store:
+            assert store.get(spec) is None and not store.contains(spec)
+            assert store.stats()["entries"] == len(store) == 0
+            assert store.prune() == 0 and blob.exists()  # left alone until a clear
+            assert store.clear() == 0
+        assert os.listdir(root) == [store_module._INDEX]
 
     def test_no_lock_outlives_a_call(self, store, monkeypatch):
         specs = [small_spec(seed=seed) for seed in range(4)]
@@ -376,8 +428,8 @@ class TestResultStore:
             outcomes = list(pool.map(write, range(24)))
         assert all(outcomes)
 
-        # One fingerprint from many threads of one process: every writer
-        # needs its own temp blob, or one os.replace() steals another's.
+        # One key from many threads of one process: every REPLACE of its
+        # row waits its turn for the write lock.
         def hammer(_):
             handle = ResultStore(root)
             for _ in range(50):
@@ -495,10 +547,10 @@ class TestIncrementalSweeps:
     @pytest.mark.parametrize(
         "runner, killed_at, committed",
         [
-            # Serial: killed inside the third cell's put, blob replaced, row not inserted.
+            # Serial: killed inside the third cell's put, payload encoded, row not inserted.
             (dict(parallel=False), 3, 2),
             # Pool, two cells per batch: killed inside the second batch's
-            # put_many, both of its blobs replaced, neither row inserted.
+            # put_many, both of its payloads encoded, neither row inserted.
             (dict(parallel=True, max_workers=2, chunksize=2), 4, 2),
         ],
     )
@@ -506,27 +558,29 @@ class TestIncrementalSweeps:
         self, store, monkeypatch, runner, killed_at, committed
     ):
         reference = SweepRunner(parallel=False).run(grid())
-        real_replace = os.replace
-        replaced = []
+        real_encode = store_module._encode
+        encoded = []
+        on_disk_at_the_kill = {}
 
-        def dies_after_the_replace(source, destination):
-            real_replace(source, destination)
-            replaced.append(destination)
-            if len(replaced) == killed_at:
-                raise KeyboardInterrupt("killed between the blob replace and the INSERT")
+        def dies_after_encoding(result):
+            encoded.append(real_encode(result))
+            if len(encoded) == killed_at:
+                on_disk_at_the_kill.update(cache_files(store.root))
+                raise KeyboardInterrupt("killed between encoding and the INSERT")
+            return encoded[-1]
 
-        monkeypatch.setattr(store_module.os, "replace", dies_after_the_replace)
+        monkeypatch.setattr(store_module, "_encode", dies_after_encoding)
         with pytest.raises(KeyboardInterrupt):
             SweepRunner(store=store, **runner).run(grid())
-        monkeypatch.setattr(store_module.os, "replace", real_replace)
+        monkeypatch.setattr(store_module, "_encode", real_encode)
 
-        # The index holds exactly the committed cells, and agrees with what
-        # can be read; the killed write's blobs are on disk without rows.
+        # The killed write left nothing on disk, and the index holds exactly
+        # the committed cells, which agree with what can be read.
+        assert cache_files(store.root) == on_disk_at_the_kill
         specs = grid().specs()
         assert len(store) == committed
         assert sum(store.contains(spec) for spec in specs) == committed
-        assert all(os.path.exists(path) for path in replaced) and len(replaced) == killed_at
-        assert index_is_unlocked(store)  # the rolled-back write holds no lock
+        assert index_is_unlocked(store)  # the interrupted write holds no lock
 
         executed_after, resumed = self._resume(store, monkeypatch)
         assert len(executed_after) == len(specs) - committed  # only the remainder ran
