@@ -65,20 +65,25 @@ def greedy_edge_matching(
 ) -> np.ndarray:
     """A matching among the candidate edges ``(left[i], right[i])``.
 
-    Each candidate edge draws a distinct random priority; an edge is
-    accepted when it holds the highest priority at *both* of its
-    endpoints.  Accepted edges therefore never share a vertex (two
-    accepted edges meeting at ``v`` would both have to carry ``v``'s
-    unique maximum), which makes the result a valid matching computed in
-    one vectorised pass — no sequential greedy loop.
+    Each candidate edge draws an iid uniform priority; an edge is accepted
+    when it holds the highest priority at *both* of its endpoints.  The
+    order of ``m`` iid uniforms is a uniform random permutation of the
+    edges, so the law is that of shuffled distinct ranks without the
+    shuffle.  Accepted edges never share a vertex (two accepted edges
+    meeting at ``v`` would both have to carry ``v``'s maximum) unless two
+    priorities tie there — probability about 2⁻⁵³ per pair of edges, which
+    :meth:`LiveView.sample_matching` detects and redraws.  The result is
+    computed in one vectorised pass — no sequential greedy loop.
 
-    Returns the boolean acceptance mask over the candidate edges.
+    ``left`` must not repeat a vertex (each requester proposes once), so
+    its priorities are assigned rather than max-reduced.  Returns the
+    boolean acceptance mask over the candidate edges.
     """
     if left.size == 0:
         return np.zeros(0, dtype=bool)
-    priority = rng.permutation(left.size)
-    best = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(best, left, priority)
+    priority = rng.random(left.size)
+    best = np.full(n, -1.0)
+    best[left] = priority
     np.maximum.at(best, right, priority)
     return (best[left] == priority) & (best[right] == priority)
 
@@ -120,9 +125,9 @@ class LiveView:
         Returns ``(left, right)`` index arrays of the accepted exchanges.
         """
         pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-        available = None  # copied from the mask once somebody is matched
+        available = None  # copied from the mask after pass 0's proposals
         requesters = self.live_index
-        for passes_left in reversed(range(max(1, passes))):
+        for _ in range(max(1, passes)):
             if requesters.size < 2:
                 break
             targets = self.sample_peers(requesters, rng, round_index)
@@ -136,18 +141,27 @@ class LiveView:
             else:
                 standing = np.flatnonzero(valid)
                 left, right = requesters[standing], targets[standing]
-            accepted = np.flatnonzero(greedy_edge_matching(left, right, self.topology.n, rng))
-            if accepted.size == 0:
-                break
-            left, right = left[accepted], right[accepted]
-            pairs.append((left, right))
-            if not passes_left:
-                break
             if available is None:
                 available = self.alive.copy()
-            available[left] = False
-            available[right] = False
-            requesters = requesters[np.flatnonzero(available[requesters])]
+            while True:
+                accepted = np.flatnonzero(
+                    greedy_edge_matching(left, right, self.topology.n, rng)
+                )
+                matched_left, matched_right = left[accepted], right[accepted]
+                available[matched_left] = False
+                available[matched_right] = False
+                unmatched = requesters[np.flatnonzero(available[requesters])]
+                # Every endpoint is a requester, so the pass is a matching
+                # exactly when each accepted edge took two requesters away;
+                # a priority tie did not: undo the pass and redraw.
+                if requesters.size - unmatched.size == 2 * accepted.size:
+                    break
+                available[matched_left] = True
+                available[matched_right] = True
+            if accepted.size == 0:
+                break
+            pairs.append((matched_left, matched_right))
+            requesters = unmatched
         if not pairs:
             empty = np.array([], dtype=np.int64)
             return empty, empty
@@ -185,15 +199,15 @@ class _CSRView(LiveView):
                 self.degree = np.diff(topology.indptr)
                 self._index_degree, self._index_start = self.degree, self.indptr[:-1]
             else:
-                edge_alive = alive[topology.indices]
+                # One compaction serves both gathers; an ascending take keeps
+                # the CSR grouping, so the kept indices stay segment-aligned.
+                live_edges = np.flatnonzero(alive[topology.indices])
                 self.degree = np.bincount(
-                    topology._edge_owner[edge_alive], minlength=topology.n
+                    topology._edge_owner[live_edges], minlength=topology.n
                 ).astype(np.int64)
                 self.indptr = np.zeros(topology.n + 1, dtype=np.int64)
                 np.cumsum(self.degree, out=self.indptr[1:])
-                # Boolean masking preserves CSR grouping: indices stay sorted
-                # by owner, so the filtered array is already segment-aligned.
-                self.indices = topology.indices[edge_alive]
+                self.indices = topology.indices[live_edges]
                 self._index_degree = self.degree[self.live_index]
                 self._index_start = self.indptr[self.live_index]
 

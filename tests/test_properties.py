@@ -19,7 +19,6 @@ from repro.simulator.sparse import (
     CSRTopology,
     GridRingTopology,
     TraceCSRTopology,
-    greedy_edge_matching,
 )
 import repro.simulator.vectorized as vectorized
 from repro.simulator.vectorized import (
@@ -1186,57 +1185,8 @@ class TestKernelCachesSurviveAnyCallSequence:
 
 
 # ---------------------------------------------------------------------------
-# Live views against the samplers they replaced
+# Sparse matching: the contract every view keeps and the matcher's law
 # ---------------------------------------------------------------------------
-def _csr_sample_peers_before_views(topology, requesters, alive, rng):
-    """``CSRTopology.sample_peers`` as of c90acb3: live CSR from the mask, then
-    gather / scale / clamp / gather / ``where`` through fresh temporaries."""
-    n = topology.n
-    if alive.all():
-        live_indptr, live_indices = topology.indptr, topology.indices
-        live_degree = np.diff(topology.indptr)
-    else:
-        edge_alive = alive[topology.indices]
-        edge_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(topology.indptr))
-        live_degree = np.bincount(edge_owner[edge_alive], minlength=n).astype(np.int64)
-        live_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(live_degree, out=live_indptr[1:])
-        live_indices = topology.indices[edge_alive]
-    if live_indices.size == 0:
-        return np.full(requesters.size, -1, dtype=np.int64)
-    degree = live_degree[requesters]
-    draw = (rng.random(requesters.size) * degree).astype(np.int64)
-    offset = np.minimum(draw, np.maximum(degree - 1, 0))
-    slots = np.minimum(live_indptr[requesters] + offset, live_indices.size - 1)
-    return np.where(degree > 0, live_indices[slots], -1)
-
-
-def _sample_matching_before_views(sample_peers, n, alive, rng, passes):
-    """``_Topology.sample_matching`` as of c90acb3, over ``sample_peers(requesters, rng)``:
-    boolean-mask compaction, availability checked (and updated) on every pass."""
-    matched_left, matched_right = [], []
-    available = alive.copy()
-    requesters = np.nonzero(alive)[0]
-    for _ in range(max(1, passes)):
-        if requesters.size < 2:
-            break
-        targets = sample_peers(requesters, rng)
-        valid = (targets >= 0) & available[np.where(targets >= 0, targets, 0)]
-        left, right = requesters[valid], targets[valid]
-        accept = greedy_edge_matching(left, right, n, rng)
-        if not accept.any():
-            break
-        matched_left.append(left[accept])
-        matched_right.append(right[accept])
-        available[left[accept]] = False
-        available[right[accept]] = False
-        requesters = requesters[available[requesters]]
-    if not matched_left:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
-    return np.concatenate(matched_left), np.concatenate(matched_right)
-
-
 @st.composite
 def masked_graphs(draw):
     """``(n, edges, mask)``: a simple undirected graph and who is alive on it."""
@@ -1268,14 +1218,48 @@ def _with_examples(test):
     return test
 
 
-class TestLiveViewMatchesThePreRewriteSamplers:
-    """Same answers *and* same generator state: every RNG call kept, in order."""
+def _masked_csr(graph):
+    n, edges, mask = graph
+    u, v = (np.array(side, dtype=np.int64) for side in zip(*edges)) if edges else ([], [])
+    return CSRTopology.from_edges(u, v, n), np.array(mask, dtype=bool)
 
-    @staticmethod
-    def _build(graph):
-        n, edges, mask = graph
-        u, v = (np.array(side, dtype=np.int64) for side in zip(*edges)) if edges else ([], [])
-        return CSRTopology.from_edges(u, v, n), np.array(mask, dtype=bool)
+
+def _assert_peer_contract(peers, requesters, alive):
+    """``sample_peers``' contract: a live host or -1, never the requester itself."""
+    assert peers.shape == requesters.shape and (peers >= -1).all()
+    assert alive[peers[peers >= 0]].all()
+    assert not np.any(peers == requesters)
+
+
+def _assert_matching(left, right, alive, graph=None):
+    """Vertex-disjoint pairs of live hosts, each an edge of the CSR ``graph`` if given."""
+    touched = np.concatenate([left, right])
+    assert np.unique(touched).size == touched.size and alive[touched].all()
+    if graph is not None:
+        for a, b in zip(left.tolist(), right.tolist()):
+            assert b in graph.indices[graph.indptr[a] : graph.indptr[a + 1]], (a, b)
+
+
+class _TieOnFirstPriorityDraw:
+    """A generator whose second ``random`` call — a CSR view's first priority
+    draw, after the proposal draw — gives every candidate edge the same value."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        draw = self._rng.random(size)
+        return np.full(size, 0.5) if self.calls == 2 else draw
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestSparseMatchingContract:
+    """``LiveView.sample_matching``: disjoint pairs along live edges, drawn by
+    the greedy-priority law, and still a matching when two priorities tie."""
 
     @COMMON_SETTINGS
     @given(
@@ -1284,30 +1268,15 @@ class TestLiveViewMatchesThePreRewriteSamplers:
         seed=st.integers(min_value=0, max_value=1000),
     )
     @_with_examples
-    def test_csr_view(self, graph, passes, seed):
-        topology, alive = self._build(graph)
+    def test_pairs_are_disjoint_live_edges(self, graph, passes, seed):
+        topology, alive = _masked_csr(graph)
         view = topology.view(alive)
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         # The whole live index (the per-view gathers), then an arbitrary subset.
         for requesters in (view.live_index, view.live_index[::2].copy()):
-            got = view.sample_peers(requesters, got_rng)
-            want = _csr_sample_peers_before_views(topology, requesters, alive, want_rng)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        left, right = view.sample_matching(got_rng, passes=passes)
-        want_left, want_right = _sample_matching_before_views(
-            lambda requesters, rng: _csr_sample_peers_before_views(
-                topology, requesters, alive, rng
-            ),
-            topology.n, alive, want_rng, passes,
-        )
-        assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        # ... and it is a matching of live hosts along edges of the graph.
-        touched = np.concatenate([left, right])
-        assert np.unique(touched).size == touched.size and alive[touched].all()
-        assert set(zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist())) <= set(
-            graph[1]
-        )
+            _assert_peer_contract(view.sample_peers(requesters, rng), requesters, alive)
+        left, right = view.sample_matching(rng, passes=passes)
+        _assert_matching(left, right, alive, topology)
 
     @staticmethod
     def _topology(kind):
@@ -1331,29 +1300,55 @@ class TestLiveViewMatchesThePreRewriteSamplers:
         alive = np.ones(topology.n, dtype=bool)
         alive[[host for host in dead if host < topology.n]] = False
         view = topology.view(alive)
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        # sample_peers: a live host or -1 — what lets pass 0 skip the availability gather.
-        peers = view.sample_peers(view.live_index, got_rng, round_index)
-        assert peers.shape == view.live_index.shape
-        assert alive[peers[peers >= 0]].all() and (peers >= -1).all()
-        assert not np.any(peers == view.live_index)
-        topology.sample_peers(view.live_index, alive, want_rng, round_index=round_index)
-        # The one matcher against the old loop over the stateless sampler.
-        left, right = view.sample_matching(got_rng, passes=passes, round_index=round_index)
-        want_left, want_right = _sample_matching_before_views(
-            lambda requesters, rng: topology.sample_peers(
-                requesters, alive, rng, round_index=round_index
-            ),
-            topology.n, alive, want_rng, passes,
-        )
-        assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        touched = np.concatenate([left, right])
-        assert np.unique(touched).size == touched.size and alive[touched].all()
-        if kind != "grid-ring":  # (any two cells of the grid are a 1/d² link apart)
+        rng = np.random.default_rng(seed)
+        # A live host or -1: what lets pass 0 skip the availability gather.
+        peers = view.sample_peers(view.live_index, rng, round_index)
+        _assert_peer_contract(peers, view.live_index, alive)
+        left, right = view.sample_matching(rng, passes=passes, round_index=round_index)
+        if kind == "grid-ring":  # (any two cells of the grid are a 1/d² link apart)
+            graph = None
+        else:
             graph = topology if kind == "csr" else topology._round_csr(round_index, NULL_PROBE)
-            for a, b in zip(left.tolist(), right.tolist()):
-                assert b in graph.indices[graph.indptr[a] : graph.indptr[a + 1]]
+        _assert_matching(left, right, alive, graph)
+
+    def test_acceptance_law_on_a_star(self):
+        """Everyone alive, one pass: the six leaves propose the hub and the hub
+        one leaf, so seven candidate edges meet at the hub and the highest
+        priority wins.  The hub's own target holds two of them (2/7), every
+        other leaf one (1/7).  Each of the six offsets from the hub's target
+        is held to 4.5 binomial sigmas over 4 000 seeds: a correct matcher
+        trips one with probability about 6 × 6.8e-6 ≈ 4e-5 per seed range.
+        """
+        topology, alive = _masked_csr((7, STAR, [True] * 7))
+        view = topology.view(alive)
+        seeds = 4000
+        counts = np.zeros(6, dtype=np.int64)
+        for seed in range(seeds):
+            # The matching's first draw is the proposals: replay it for the hub's.
+            hub_target = int(view.sample_peers(view.live_index, np.random.default_rng(seed))[0])
+            left, right = view.sample_matching(np.random.default_rng(seed), passes=1)
+            assert left.size == 1 and 0 in (left[0], right[0])
+            leaf = int(left[0] + right[0])
+            counts[(leaf - hub_target) % 6] += 1
+        law = np.array([2, 1, 1, 1, 1, 1]) / 7
+        sigma = np.sqrt(seeds * law * (1 - law))
+        assert (np.abs(counts - seeds * law) <= 4.5 * sigma).all(), counts
+
+    @COMMON_SETTINGS
+    @given(graph=masked_graphs(), passes=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 1000))
+    @_with_examples
+    def test_a_priority_tie_is_redrawn(self, graph, passes, seed):
+        topology, alive = _masked_csr(graph)
+        view = topology.view(alive)
+        left, right = view.sample_matching(_TieOnFirstPriorityDraw(seed), passes=passes)
+        _assert_matching(left, right, alive, topology)
+
+    def test_a_tie_on_the_star_costs_one_redraw(self):
+        topology, alive = _masked_csr((7, STAR, [True] * 7))
+        rng = _TieOnFirstPriorityDraw(0)
+        left, right = topology.view(alive).sample_matching(rng, passes=1)
+        # Proposals, the tied draw (all seven edges meet at the hub), one redraw.
+        assert rng.calls == 3 and left.size == 1 and 0 in (left[0], right[0])
 
 
 # ---------------------------------------------------------------------------

@@ -706,7 +706,9 @@ class TestBenchShapesPinnedPayloads:
     estimates, so the digest covers every float a kernel refactor could move.
     Captured at e6750a6, the commit before Push-Sum-Revert began serving
     ``estimates()`` from its refresh; a PR that means to move them re-pins
-    them and says why.
+    them and says why.  ``ring_exchange`` was re-pinned at the child of
+    76a6142, where the edge matcher's priorities became iid uniforms (same
+    law, new RNG stream).
     """
 
     PUSH_SUM = dict(protocol="push-sum-revert", protocol_params={"reversion": 0.1})
@@ -728,7 +730,7 @@ class TestBenchShapesPinnedPayloads:
         "name, payload_digest",
         [
             ("uniform_push", "cc571f2193c4d6963f04f3ae8474d5bb"),
-            ("ring_exchange", "1b14d94f30e6ffdb7f03b60958451086"),
+            ("ring_exchange", "1499adb7a483e559806dd47169c516df"),
             ("events_latency", "8ddf7d14d924e25f77eb8f2cec77b104"),
             ("sketch_reset", "e735010da5792d95fa21df7102046a74"),
         ],
@@ -760,6 +762,9 @@ class TestTopologyPinnedPayloads:
     Captured at c90acb3, the commit before liveness moved off the shared
     topology into each kernel's ``LiveView`` (and the matcher began
     compacting by index): same RNG calls in the same order, so every bit holds.
+    The three exchange runs were re-pinned at the child of 76a6142, where the
+    edge matcher's priorities became iid uniforms (same law, new RNG stream);
+    ``grid-push-correlated-failure`` never matches and kept its digest.
     """
 
     PUSH_SUM = dict(
@@ -785,10 +790,10 @@ class TestTopologyPinnedPayloads:
     @pytest.mark.parametrize(
         "name, payload_digest",
         [
-            ("ring-exchange-failure-groups", "69caa614ed75ab09a292a3d17892c51b"),
+            ("ring-exchange-failure-groups", "91cef77229899ff7426983ee38d17682"),
             ("grid-push-correlated-failure", "08a8d3f5a09fa0f164339ed5b667aac3"),
-            ("trace-churn", "45139582ca6785d03491e87fd1b7233a"),
-            ("spatial-grid-exchange", "32913ee4a34cc6dc7a7b861bd7f5a2e7"),
+            ("trace-churn", "a0f7710d9eb54bb90c5a385b5db95c1c"),
+            ("spatial-grid-exchange", "85c30cf6378395abd49e1eacd5eddec1"),
         ],
     )
     def test_payload_is_bit_identical(self, name, payload_digest):
