@@ -7,7 +7,8 @@ runner, file format and regeneration switch::
     PYTHONPATH=src python tests/test_kernel_ledger.py --regenerate
 
 It covers the two sketch kernels, each under uniform gossip, a ring and a grid,
-through a silent failure, a graceful departure, a join and churn; Push-Sum-Revert
+through a silent failure, a graceful departure, a join and churn, and uniform with
+four bits per bin (most bins fill to the end); Push-Sum-Revert
 in both modes over a perfect and a lossy network, uniform and on three graphs,
 through a silent, a graceful and a correlated departure and a join, with and
 without reversion; adaptive push, Full-Transfer, both extrema kernels (on three
@@ -69,6 +70,9 @@ def _sketch_cells():
             for scenario, kwargs in scenarios.items():
                 cells[f"{protocol}/{environment}/{scenario}"] = dict(
                     BASE, protocol=protocol, **env_kwargs, **kwargs)
+        # Four bits for 300 hosts: most bins fill to the end (the read-out's all-ones rank).
+        cells[f"{protocol}/uniform/full-bins"] = dict(
+            BASE, protocol=protocol, protocol_params={"bins": 16, "bits": 4}, events=(FAILURE,))
     return cells
 
 
