@@ -175,27 +175,37 @@ def _chunked_ranks(
     ``mean`` each row's mean over its bins — for the ``hosts`` rows, or all of them.
 
     The image is the boolean ``sketches`` themselves, or ``sketches <= thresholds``
-    (per bit) for counters.  A chunk of :func:`_chunk_rows` rows at a time is
-    written into one reused buffer with a trailing all-False sentinel column, so
-    ``argmin`` (first False) returns the full width for all-True rows in the same
-    pass.  With ``hosts=None`` the rows are read in place; else gathered a chunk at
-    a time.
+    (per bit) for counters.  A chunk of :func:`_chunk_rows` rows at a time is written
+    into one reused contiguous buffer as full ``bins * bits`` rows: the compare runs
+    against the thresholds tiled once to that width, since against the ``bits``-wide
+    table its inner loop is ``bits`` elements long (DESIGN.md §7 "Sketch kernel
+    layout").  ``argmin`` (first False) ranks each bin; a bin that ranks 0 with bit 0
+    set is all ones and ranks ``bits``.  With ``hosts=None`` the rows are read in
+    place; else gathered a chunk at a time.
     """
     count = len(sketches) if hosts is None else hosts.size
     bins, bits = sketches.shape[1:]
     chunk = _chunk_rows(sketches)
-    padded = np.zeros((min(chunk, count), bins, bits + 1), dtype=bool)
+    buffer = np.empty((min(chunk, count), bins * bits), dtype=bool)
+    tiled = None if thresholds is None else np.tile(thresholds, bins)
     out = np.empty(count if mean else (count, bins), dtype=float if mean else np.intp)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
         rows = sketches[lo:hi] if hosts is None else sketches[hosts[lo:hi]]
-        image = padded[: hi - lo, :, :-1]
-        if thresholds is None:
+        rows = rows.reshape(hi - lo, -1)
+        image = buffer[: hi - lo]
+        if tiled is None:
             np.copyto(image, rows)
         else:
-            np.less_equal(rows, thresholds, out=image)
-        ranks = padded[: hi - lo].argmin(axis=-1)
-        out[lo:hi] = ranks.mean(axis=1) if mean else ranks
+            np.less_equal(rows, tiled, out=image)
+        ranks = image.reshape(-1, bins, bits).argmin(axis=-1)
+        ranks[image[:, ::bits] & (ranks == 0)] = bits
+        if mean:
+            np.add.reduce(ranks, axis=1, dtype=float, out=out[lo:hi])
+        else:
+            out[lo:hi] = ranks
+    if mean:
+        out /= bins  # one division of exact integer sums: ``ranks.mean(axis=1)`` bit for bit
     return out
 
 
@@ -1200,6 +1210,8 @@ class VectorizedCountSketchReset(_CountingKernel):
         if np.isnan(cutoffs).any():
             raise ValueError("cutoff(k) must not be NaN")
         self._thresholds = np.clip(np.floor(cutoffs), -1, no_decay).astype(np.int16)
+        # The ageing clamp's full-row operand (DESIGN.md §7 "Sketch kernel layout").
+        self._infinity_row = np.full(self.bins * self.bits, _COUNTER_INFINITY, dtype=np.int16)
 
         self.counters, self._owned_hosts, self._owned_positions = self._fresh_rows(self.n)
 
@@ -1259,7 +1271,7 @@ class VectorizedCountSketchReset(_CountingKernel):
         (rows,) = block
         with self.probe.span("ageing"):
             np.add(rows, 1, out=rows)
-            np.minimum(rows, _COUNTER_INFINITY, out=rows)
+            np.minimum(rows, self._infinity_row, out=rows)
             if hosts is self.live_index():
                 row = self.live_rank()
             else:  # the rows of a partial tick
