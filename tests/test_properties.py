@@ -516,6 +516,32 @@ class TestSketchKernelPrimitives:
         assert np.array_equal(live_mean, mean_rank)
         assert np.array_equal(estimates, bins / PHI * np.exp2(mean_rank) / 2)
 
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    @pytest.mark.parametrize("gather", [False, True])
+    @pytest.mark.parametrize("counters", [False, True])
+    @pytest.mark.parametrize("bits", [1, 8, 18])
+    def test_read_out_corners(self, bits, counters, gather, chunk):
+        """An all-ones bin ranks ``bits``, a bin with bit 0 unset ranks 0 and a bin whose
+        only unset bit is the last ranks ``bits - 1``, in every bin of the row."""
+        corners = np.ones((3, bits), dtype=bool)
+        corners[1, 0] = corners[2, -1] = False
+        order = (np.arange(5)[:, None] + np.arange(3)) % 3  # row r: corners rotated by r
+        image, expected = corners[order], np.array([bits, 0, bits - 1])[order]
+        if counters:  # set on the boundary (c == f(k)), unset one above it
+            thresholds = np.random.default_rng(bits).integers(0, 20, size=bits).astype(np.int16)
+            sketches = np.where(image, thresholds, thresholds + 1).astype(np.int16)
+        else:
+            thresholds, sketches = None, image
+        hosts = np.array([4, 1, 3]) if gather else None
+        if gather:
+            expected = expected[hosts]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _chunks_of(monkeypatch, sketches, chunk)
+            ranks = _chunked_ranks(sketches, hosts, thresholds)
+            mean_rank = _chunked_ranks(sketches, hosts, thresholds, mean=True)
+        assert np.array_equal(ranks, expected)
+        assert np.array_equal(mean_rank, expected.mean(axis=1))
+
     def test_scatter_rows_refuses_a_source_sharing_memory_with_rows(self):
         """Later fan-in ranks gather ``source`` after earlier ones wrote ``rows``."""
         rows = np.arange(12, dtype=np.int16).reshape(4, 3)

@@ -218,6 +218,56 @@ class TestVectorizedCountSketchReset:
         without_pull.step_many(6)
         assert (with_pull.counters <= without_pull.counters).all()
 
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_live_owned_positions_stay_zero(self, ring):
+        """The invariant that lets a round skip a post-merge re-pin, after every round of
+        a script with failures, graceful departures and a join: push-only gossip on a
+        ring lattice, or uniform push/pull with three identifiers per host."""
+        if ring:
+            from repro.simulator.sparse import CSRTopology
+            from repro.topology.graphs import ring_lattice
+
+            topology = CSRTopology.from_adjacency(ring_lattice(48, k=2), 48)
+            kernel = VectorizedCountSketchReset(
+                48, bins=8, bits=12, pull=False, topology=topology, seed=12)
+            script = {
+                4: lambda: kernel.fail_random_fraction(0.4),
+                8: lambda: kernel.depart_gracefully([3, 4, 5]),
+            }
+        else:
+            kernel = VectorizedCountSketchReset(60, bins=8, bits=12, identifiers_per_host=3, seed=11)
+            script = {
+                3: lambda: kernel.fail_random_fraction(0.3),
+                5: lambda: kernel.join([1.0] * 7),
+                7: lambda: kernel.depart_gracefully([1, 2, 40, 41]),
+                9: lambda: kernel.fail([0, 5]),
+            }
+        for t in range(12):
+            script.get(t, lambda: None)()
+            kernel.step()
+            live_owned = kernel.own_mask & kernel.alive[:, None, None]
+            assert live_owned.any()
+            assert not kernel.counters[live_owned].any()
+
+    def test_ranks_and_bit_image_cover_every_row(self):
+        kernel = VectorizedCountSketchReset(30, bins=4, bits=10, seed=2)
+        kernel.step_many(4)
+        kernel.fail_random_fraction(0.5)
+        kernel.step_many(2)
+        assert kernel.bit_image().shape == (30, 4, 10)
+        assert kernel.ranks().shape == (30, 4)
+        # estimates() ranks the live rows only, and agrees with the all-rows view.
+        live_ranks = kernel.ranks()[kernel.alive]
+        expected = 4 / PHI * np.exp2(live_ranks.mean(axis=1))
+        assert np.array_equal(kernel.estimates(), expected)
+
+    def test_nan_cutoff_rejected(self):
+        def cutoff(k):
+            return float("nan") if k == 3 else 7.0
+
+        with pytest.raises(ValueError, match="NaN"):
+            VectorizedCountSketchReset(4, bins=2, bits=6, cutoff=cutoff)
+
 
 class TestAgentVsVectorizedCrossCheck:
     """The two implementations should agree on aggregate behaviour."""
@@ -547,126 +597,6 @@ class TestKernelMembership:
         silent.step_many(30)
         graceful.step_many(30)
         assert np.mean(graceful.estimates()) <= np.mean(silent.estimates()) + 1e-6
-
-
-class TestSketchKernelPinnedState:
-    """Whole-state bit-identity of the sketch kernels across a mixed script.
-
-    The digests were captured at the commit *before* the fan-in-ranked
-    scatter / in-place ageing rewrite, so they pin every row (dead ones
-    included) of the kernels' public state, not just what a result carries.
-    """
-
-    @staticmethod
-    def _digest(*arrays):
-        digest = hashlib.sha256()
-        for array in arrays:
-            array = np.ascontiguousarray(array)
-            digest.update(str((array.dtype.str, array.shape)).encode())
-            digest.update(array.tobytes())
-        return digest.hexdigest()
-
-    @staticmethod
-    def _scripted(kernel_class, ring, seed, after_step=lambda kernel: None):
-        """12 rounds of ``kernel_class`` with membership events in between:
-        push-only gossip on a ring lattice, or uniform push/pull with three
-        identifiers per host and a join (joins need uniform gossip)."""
-        if ring:
-            from repro.simulator.sparse import CSRTopology
-            from repro.topology.graphs import ring_lattice
-
-            topology = CSRTopology.from_adjacency(ring_lattice(48, k=2), 48)
-            kernel = kernel_class(48, bins=8, bits=12, pull=False, topology=topology, seed=seed)
-            script = {
-                4: lambda: kernel.fail_random_fraction(0.4),
-                8: lambda: kernel.depart_gracefully([3, 4, 5]),
-            }
-        else:
-            kernel = kernel_class(60, bins=8, bits=12, identifiers_per_host=3, seed=seed)
-            script = {
-                3: lambda: kernel.fail_random_fraction(0.3),
-                5: lambda: kernel.join([1.0] * 7),
-                7: lambda: kernel.depart_gracefully([1, 2, 40, 41]),
-                9: lambda: kernel.fail([0, 5]),
-            }
-        for t in range(12):
-            script.get(t, lambda: None)()
-            kernel.step()
-            after_step(kernel)
-        return kernel
-
-    @pytest.mark.parametrize(
-        "ring, seed, state_digest, estimates_digest",
-        [
-            (
-                False,
-                11,
-                "bf10818c95ce40e7905583674e7f7e4aa8da00bcbff83a6ecb1b2e6169820bfc",
-                "a08ef92edcc5d02319d34933cdab08c01b6729a8a4769cb3eb313966185e06a2",
-            ),
-            (
-                True,
-                12,
-                "8ca989961271560664e7d75715a6a622ae7e718907e4f403a2930fafe7d0cfda",
-                "1cfcae1135cc850da704a3447f1bc804b356eb2b72264d6b0d0cc8a876cd4478",
-            ),
-        ],
-    )
-    def test_count_sketch_reset(self, ring, seed, state_digest, estimates_digest):
-        def live_owned_positions_are_zero(kernel):
-            # The invariant that lets step() skip a post-merge re-pin.
-            live_owned = kernel.own_mask & kernel.alive[:, None, None]
-            assert live_owned.any()
-            assert not kernel.counters[live_owned].any()
-
-        kernel = self._scripted(
-            VectorizedCountSketchReset, ring, seed, live_owned_positions_are_zero
-        )
-        assert kernel.counters.dtype == np.int16 and kernel.own_mask.dtype == bool
-        assert kernel.counters.shape == kernel.own_mask.shape == (kernel.n, 8, 12)
-        assert self._digest(kernel.counters, kernel.own_mask) == state_digest
-        assert self._digest(np.round(kernel.estimates(), 6)) == estimates_digest
-
-    @pytest.mark.parametrize(
-        "ring, seed, state_digest, estimates_digest",
-        [
-            (
-                False,
-                13,
-                "8add01782b04ef2b20ebd2be23f18f7136c7b37a0abc80e0430b295ea2cc97b8",
-                "4cdf40be1823ccab412ab8dc11759ef33d764e0a2196e56a63b41d93af9ae6ee",
-            ),
-            (
-                True,
-                14,
-                "0d621bb8aff957eb988eeac31b6988cd064e6d6cac000cfcd5af5ec36061b5a5",
-                "80cc529d17ac281dae42d2b83b01ff9d548a35e58d743841e4f758e6c6eb6db8",
-            ),
-        ],
-    )
-    def test_sketch_count(self, ring, seed, state_digest, estimates_digest):
-        kernel = self._scripted(VectorizedSketchCount, ring, seed)
-        assert self._digest(kernel.matrix) == state_digest
-        assert self._digest(np.round(kernel.estimates(), 6)) == estimates_digest
-
-    def test_ranks_and_bit_image_cover_every_row(self):
-        kernel = VectorizedCountSketchReset(30, bins=4, bits=10, seed=2)
-        kernel.step_many(4)
-        kernel.fail_random_fraction(0.5)
-        kernel.step_many(2)
-        assert kernel.bit_image().shape == (30, 4, 10)
-        assert kernel.ranks().shape == (30, 4)
-        # estimates() ranks the live rows only, and agrees with the all-rows view.
-        live_ranks = kernel.ranks()[kernel.alive]
-        expected = 4 / PHI * np.exp2(live_ranks.mean(axis=1))
-        assert np.array_equal(kernel.estimates(), expected)
-
-    def test_nan_cutoff_rejected(self):
-        def cutoff(k):
-            return float("nan") if k == 3 else 7.0
-
-        with pytest.raises(ValueError, match="NaN"):
-            VectorizedCountSketchReset(4, bins=2, bits=6, cutoff=cutoff)
 
 
 class TestSketchKernelMemoryBound:
