@@ -29,8 +29,13 @@ The two sketch kernels hold one sketch per host row and share one merge
 (:func:`_merge_rows`: one pre-round snapshot, then a fan-in-ranked scatter
 a chunk of rows at a time — no ``ufunc.at`` on the N-D state) and one
 read-out (:func:`_chunked_ranks`, a chunk of rows at a time), so a round
-holds the state, one snapshot and a few :data:`_CHUNK_BYTES` chunks;
-DESIGN.md §7 "Sketch kernel layout" has the exactness argument.
+holds the state, one snapshot and a few :data:`_CHUNK_BYTES` chunks.
+Every per-round int16 pass takes contiguous operands a whole ``bins * bits``
+row wide — the ageing clamp's sentinel row, the read-out's tiled thresholds,
+the merge's rows — because NumPy runs an int16 ``minimum`` against a scalar,
+or a compare against the ``bits``-wide table, in a loop 3–5× slower.
+DESIGN.md §7 "Sketch kernel layout" has the exactness argument and the
+measurements.
 """
 
 from __future__ import annotations
@@ -178,10 +183,10 @@ def _chunked_ranks(
     (per bit) for counters.  A chunk of :func:`_chunk_rows` rows at a time is written
     into one reused contiguous buffer as full ``bins * bits`` rows: the compare runs
     against the thresholds tiled once to that width, since against the ``bits``-wide
-    table its inner loop is ``bits`` elements long (DESIGN.md §7 "Sketch kernel
-    layout").  ``argmin`` (first False) ranks each bin; a bin that ranks 0 with bit 0
-    set is all ones and ranks ``bits``.  With ``hosts=None`` the rows are read in
-    place; else gathered a chunk at a time.
+    table its inner loop is ``bits`` elements long (0.9 ms against 4.4 ms on 20 000 ×
+    288 counters; DESIGN.md §7 "Sketch kernel layout").  ``argmin`` (first False)
+    ranks each bin; a bin that ranks 0 with bit 0 set is all ones and ranks ``bits``.
+    With ``hosts=None`` the rows are read in place; else gathered a chunk at a time.
     """
     count = len(sketches) if hosts is None else hosts.size
     bins, bits = sketches.shape[1:]
@@ -1210,7 +1215,8 @@ class VectorizedCountSketchReset(_CountingKernel):
         if np.isnan(cutoffs).any():
             raise ValueError("cutoff(k) must not be NaN")
         self._thresholds = np.clip(np.floor(cutoffs), -1, no_decay).astype(np.int16)
-        # The ageing clamp's full-row operand (DESIGN.md §7 "Sketch kernel layout").
+        # The ageing clamp's operand: a whole row, not the scalar, whose int16 minimum
+        # takes NumPy's non-SIMD loop (DESIGN.md §7 "Sketch kernel layout").
         self._infinity_row = np.full(self.bins * self.bits, _COUNTER_INFINITY, dtype=np.int16)
 
         self.counters, self._owned_hosts, self._owned_positions = self._fresh_rows(self.n)
