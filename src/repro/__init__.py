@@ -8,8 +8,8 @@ In-Network Aggregation* (Kennedy, Koch, Demers; ICDE 2009).  It provides:
   :class:`~repro.core.InvertAverage` (summation) — together with the
   Full-Transfer and adaptive-reversion optimisations;
 * the static baselines they extend — Kempe et al.'s Push-Sum / Push-Pull,
-  Considine et al.'s Sketch-Count, epoch-restarted aggregation and a
-  TAG-style spanning-tree aggregator;
+  Considine et al.'s Sketch-Count, epoch-restarted aggregation and
+  max/min extrema gossip;
 * the simulation substrate used for the paper's evaluation — a round-based
   gossip simulator with uniform, neighbourhood, spatial and trace-driven
   gossip environments, failure/churn models, synthetic contact traces and

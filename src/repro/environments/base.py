@@ -88,14 +88,6 @@ class GossipEnvironment(abc.ABC):
         """
         return [self.select_peers(host, alive, round_index, count, rng) for host in hosts]
 
-    def neighbors(self, host_id: int, alive: Set[int], round_index: int) -> List[int]:
-        """All hosts ``host_id`` could possibly gossip with this round.
-
-        The default assumes full connectivity.  Overlay baselines (TAG) use
-        this to build spanning trees over the current communication graph.
-        """
-        return [other for other in alive if other != host_id]
-
     def groups(self, alive: Set[int], round_index: int) -> List[Set[int]]:
         """Partition of the live hosts into "nearby" groups.
 

@@ -48,23 +48,8 @@ class NeighborhoodEnvironment(GossipEnvironment):
         candidates = [n for n in self.adjacency.get(host_id, ()) if n in alive and n != host_id]
         return self._sample_distinct(candidates, count, rng)
 
-    def neighbors(self, host_id: int, alive: Set[int], round_index: int) -> List[int]:
-        return [n for n in self.adjacency.get(host_id, ()) if n in alive and n != host_id]
-
     def groups(self, alive: Set[int], round_index: int) -> List[Set[int]]:
         return connected_components(self.adjacency, alive=set(alive))
 
     def register_host(self, host_id: int) -> None:
         self.adjacency.setdefault(host_id, set())
-
-    def connect(self, a: int, b: int) -> None:
-        """Add an undirected edge (used by scenarios that densify over time)."""
-        if a == b:
-            raise ValueError("self-loops are not allowed")
-        self.adjacency.setdefault(a, set()).add(b)
-        self.adjacency.setdefault(b, set()).add(a)
-
-    def disconnect(self, a: int, b: int) -> None:
-        """Remove an undirected edge if present."""
-        self.adjacency.get(a, set()).discard(b)
-        self.adjacency.get(b, set()).discard(a)

@@ -125,9 +125,6 @@ class SpatialGridEnvironment(GossipEnvironment):
                 peers.append(peer)
         return peers
 
-    def neighbors(self, host_id: int, alive: Set[int], round_index: int) -> List[int]:
-        return [n for n in self.adjacency.get(host_id, ()) if n in alive]
-
     def groups(self, alive: Set[int], round_index: int) -> List[Set[int]]:
         return connected_components(self.adjacency, alive=set(alive))
 

@@ -100,10 +100,6 @@ class TraceEnvironment(GossipEnvironment):
             return candidates
         return self._sample_distinct(candidates, count, rng)
 
-    def neighbors(self, host_id: int, alive: Set[int], round_index: int) -> List[int]:
-        adjacency = self._adjacency(round_index)
-        return [n for n in adjacency.get(host_id, ()) if n in alive]
-
     # ----------------------------------------------------------------- groups
     def groups(self, alive: Set[int], round_index: int) -> List[Set[int]]:
         if round_index not in self._group_cache:

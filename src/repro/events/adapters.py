@@ -79,24 +79,22 @@ class PushAdapter(ProtocolAdapter):
             if target is None or target == host_id:
                 # Self-messages never touch the radio: straight into the
                 # sender's own pending inbox, integrated this very tick.
-                engine._deliver_payload(host_id, payload, mass, bin_index, count=False)
+                engine._deliver_payload(host_id, payload, mass, count=False)
                 continue
             size = protocol.payload_size(payload)
-            engine.bandwidth.record_sent(bin_index, host_id, size)
+            engine.bytes_sent += size
             if target not in alive:
-                engine._record_lost_message(bin_index, mass)
+                engine._record_lost_message(mass)
                 continue
             delay = engine._plan_delay(host_id, target, bin_index, size)
             if delay is None:
-                engine._record_lost_message(bin_index, mass)
+                engine._record_lost_message(mass)
             elif delay <= 0.0:
                 # Instant arrival: into the pending inbox now (integrated at
                 # the target's next tick — possibly later this same instant).
-                # The delivery meter only runs when a network model does,
+                # Deliveries are counted only when a network model runs,
                 # matching the round engine's accounting.
-                engine._deliver_payload(
-                    target, payload, mass, bin_index, count=engine.network is not None
-                )
+                engine._deliver_payload(target, payload, mass, count=engine.network is not None)
             else:
                 deliver_time = time + delay
                 engine._in_flight.schedule(
@@ -134,17 +132,14 @@ class PushAdapter(ProtocolAdapter):
         # each scheduled a calendar event; the first pops the whole batch and
         # the duplicates harmlessly pop an empty list.
         engine = self.engine
-        bin_index = engine._sample_bin(time)
         alive = engine._alive_set
         for item in engine._in_flight.due(time):
             if item.destination in alive:
-                engine._deliver_payload(
-                    item.destination, item.payload, item.mass, bin_index, count=True
-                )
+                engine._deliver_payload(item.destination, item.payload, item.mass, count=True)
             else:
                 # Matured at a host that has since departed: lost, just like
                 # the round engine's same-fate rule.
-                engine._record_lost_message(bin_index, item.mass)
+                engine._record_lost_message(item.mass)
 
 
 class ExchangeAdapter(ProtocolAdapter):
@@ -164,10 +159,10 @@ class ExchangeAdapter(ProtocolAdapter):
         delay = engine._plan_delay(host_id, peer_id, bin_index, size)
         # The initiator's transmitted half costs radio bytes either way,
         # mirroring the round engine's lost-exchange accounting.
-        engine.bandwidth.record_sent(bin_index, host_id, size)
+        engine.bytes_sent += size
         if delay is None:
             # A lossy link makes the exchange not happen at all.
-            engine.delivery.record_lost(bin_index, 2)
+            engine.messages_lost += 2
             return
         # Zero-delay legs schedule at the current instant with DELIVER
         # priority, which pops before the instant's remaining ticks —
@@ -176,7 +171,6 @@ class ExchangeAdapter(ProtocolAdapter):
 
     def handle(self, event: Tuple, time: float) -> None:
         engine = self.engine
-        bin_index = engine._sample_bin(time)
         if event[0] == "xreq":
             _, initiator, responder, size = event
             if responder not in engine._alive_set:
@@ -184,24 +178,24 @@ class ExchangeAdapter(ProtocolAdapter):
                 # and the reply will never be sent.  Every attempted
                 # exchange accounts exactly two messages (DESIGN.md §11),
                 # matching the round engine's lost-exchange accounting.
-                engine.delivery.record_lost(bin_index, 2)
+                engine.messages_lost += 2
                 return
-            engine.delivery.record_delivered(bin_index)
+            engine.messages_delivered += 1
             # The responder transmits its reply immediately; the reply bytes
             # go on the radio whether or not the network then loses the leg.
-            engine.bandwidth.record_sent(bin_index, responder, size)
-            delay = engine._plan_delay(responder, initiator, bin_index, size)
+            engine.bytes_sent += size
+            delay = engine._plan_delay(responder, initiator, engine._sample_bin(time), size)
             if delay is None:
-                engine.delivery.record_lost(bin_index)
+                engine.messages_lost += 1
                 return
             engine.calendar.schedule(time + delay, DELIVER, ("xdone", initiator, responder))
             return
         # ("xdone", initiator, responder): the reply arrived.
         _, initiator, responder = event
         if initiator not in engine._alive_set:
-            engine.delivery.record_lost(bin_index)
+            engine.messages_lost += 1
             return
-        engine.delivery.record_delivered(bin_index)
+        engine.messages_delivered += 1
         if responder not in engine._alive_set:
             # The responder departed after replying; the atomic exchange
             # needs both endpoints, so nothing reconciles (and no mass was

@@ -279,8 +279,6 @@ class EventSimulation(Simulation):
                 total + self._in_flight.in_flight_mass + self._inbox_mass,
                 round_index=round_index,
             )
-        if self.network is not None:
-            self.delivery.snapshot_in_flight(round_index, self._in_flight.in_flight)
         record = self._record_round(alive, round_index, time)
         self.round_index = sample_index
         if self.network is not None:
@@ -341,14 +339,12 @@ class EventSimulation(Simulation):
             source, destination, bin_index, size, self._network_rng
         )
 
-    def _deliver_payload(
-        self, target: int, payload, mass: Optional[float], bin_index: int, *, count: bool
-    ) -> None:
+    def _deliver_payload(self, target: int, payload, mass: Optional[float], *, count: bool) -> None:
         """Drop ``payload`` into ``target``'s pending inbox."""
         self._inboxes.setdefault(target, []).append(payload)
         self._received[target] = self._received.get(target, 0) + 1
         if count:
-            self.delivery.record_delivered(bin_index)
+            self.messages_delivered += 1
         if self._track_mass and mass is not None:
             self._inbox_mass += mass
 

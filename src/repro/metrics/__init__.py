@@ -11,12 +11,11 @@ scores its per-round :class:`~repro.simulator.result.RoundRecord` through
 """
 
 from repro.metrics.accuracy import error_statistics, group_truths
-from repro.metrics.bandwidth import CostSummary, DeliveryMeter, protocol_cost_summary
+from repro.metrics.bandwidth import CostSummary, protocol_cost_summary
 from repro.metrics.convergence import convergence_round, plateau_error, reconvergence_round
 
 __all__ = [
     "CostSummary",
-    "DeliveryMeter",
     "convergence_round",
     "error_statistics",
     "group_truths",

@@ -1,4 +1,4 @@
-"""Bandwidth and storage cost summaries, plus delivery accounting.
+"""Bandwidth and storage cost summaries.
 
 Section IV-B of the paper argues that Invert-Average (Count-Sketch-Reset
 for the size × Push-Sum-Revert for the average) is far cheaper than the
@@ -6,79 +6,18 @@ multiple-insertion summation once the sketch cost is amortised over many
 summations.  These helpers quantify that comparison for the ablation
 benchmark: per-round bytes per host for each protocol configuration.
 
-:class:`DeliveryMeter` is the metrics-side counterpart of the network
-layer (`repro.network`): the engine feeds it one event per planned
-message, and it keeps the per-round delivered / lost / in-flight counts
-that :class:`~repro.simulator.result.RoundRecord` surfaces — the
-observability half of the lossy / latent network models.
+The bytes and messages a run actually puts on the radio are not counted
+here: every engine keeps them as cumulative counters
+(``delivery_counters()``), and each
+:class:`~repro.simulator.result.RoundRecord` carries their change since
+the previous record (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
-__all__ = ["CostSummary", "DeliveryMeter", "protocol_cost_summary"]
-
-
-@dataclass
-class DeliveryMeter:
-    """Per-round delivery outcomes on the simulated network.
-
-    The engine records one event per non-self message (push mode) or two
-    per pairwise exchange (exchange mode — one each way, matching
-    :class:`~repro.simulator.message.BandwidthMeter`), and snapshots the
-    in-flight backlog at the end of every round.  ``mass_lost_per_round``
-    tracks the conserved protocol mass (Push-Sum weight) destroyed by
-    lost messages, which is what the mass-conservation ledger reconciles.
-    """
-
-    delivered_per_round: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    lost_per_round: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    in_flight_per_round: Dict[int, int] = field(default_factory=dict)
-    mass_lost_per_round: Dict[int, float] = field(default_factory=lambda: defaultdict(float))
-
-    def record_delivered(self, round_index: int, count: int = 1) -> None:
-        """Count ``count`` messages delivered during ``round_index``."""
-        self.delivered_per_round[round_index] += count
-
-    def record_lost(self, round_index: int, count: int = 1, *, mass: float = 0.0) -> None:
-        """Count ``count`` messages lost during ``round_index``."""
-        self.lost_per_round[round_index] += count
-        if mass:
-            self.mass_lost_per_round[round_index] += float(mass)
-
-    def snapshot_in_flight(self, round_index: int, count: int) -> None:
-        """Record the in-flight backlog at the end of ``round_index``."""
-        self.in_flight_per_round[round_index] = int(count)
-
-    @property
-    def total_delivered(self) -> int:
-        """All messages the network delivered."""
-        return sum(self.delivered_per_round.values())
-
-    @property
-    def total_lost(self) -> int:
-        """All messages the network lost."""
-        return sum(self.lost_per_round.values())
-
-    @property
-    def total_mass_lost(self) -> float:
-        """All conserved mass destroyed inside lost messages."""
-        return sum(self.mass_lost_per_round.values())
-
-    def delivered_in_round(self, round_index: int) -> int:
-        """Messages delivered during ``round_index`` (0 if none)."""
-        return self.delivered_per_round.get(round_index, 0)
-
-    def lost_in_round(self, round_index: int) -> int:
-        """Messages lost during ``round_index`` (0 if none)."""
-        return self.lost_per_round.get(round_index, 0)
-
-    def in_flight_after_round(self, round_index: int) -> int:
-        """In-flight backlog at the end of ``round_index`` (0 if none)."""
-        return self.in_flight_per_round.get(round_index, 0)
+__all__ = ["CostSummary", "protocol_cost_summary"]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ peers according to the *gossip environment* and performs the protocol's
 exchange with them.  This package provides that substrate:
 
 * :mod:`repro.simulator.rng` — deterministic, per-purpose random streams;
-* :mod:`repro.simulator.message` — message and bandwidth accounting;
 * :mod:`repro.simulator.host` — per-host bookkeeping (value, state, liveness);
 * :mod:`repro.simulator.protocol` — the abstract protocol interface that both
-  the static baselines and the paper's dynamic protocols implement;
+  the static baselines and the paper's dynamic protocols implement, and the
+  payload-size estimate behind its byte counts;
 * :mod:`repro.simulator.engine` — the :class:`Simulation` driver;
 * :mod:`repro.simulator.result` — per-round records and summaries;
 * :mod:`repro.simulator.vectorized` — NumPy kernels used for the large
@@ -21,7 +21,6 @@ exchange with them.  This package provides that substrate:
 
 from repro.simulator.engine import Simulation
 from repro.simulator.host import Host
-from repro.simulator.message import BandwidthMeter, Message
 from repro.simulator.protocol import AggregationProtocol, ExchangeProtocol
 from repro.simulator.result import RoundRecord, SimulationResult
 from repro.simulator.rng import RandomStreams
@@ -29,12 +28,10 @@ from repro.simulator.sparse import CSRTopology, GridRingTopology
 
 __all__ = [
     "AggregationProtocol",
-    "BandwidthMeter",
     "CSRTopology",
     "ExchangeProtocol",
     "GridRingTopology",
     "Host",
-    "Message",
     "RandomStreams",
     "RoundRecord",
     "Simulation",

@@ -29,17 +29,15 @@ path bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.environments.base import LiveRoster
 from repro.network.delivery import DeliveryQueue, InFlightMessage, MassLedger
 from repro.metrics.accuracy import error_statistics
-from repro.metrics.bandwidth import DeliveryMeter
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.host import Host
-from repro.simulator.message import BandwidthMeter
 from repro.simulator.protocol import AggregationProtocol, ExchangeProtocol
 from repro.simulator.result import RoundRecord, SimulationResult
 from repro.simulator.rng import RandomStreams
@@ -161,9 +159,13 @@ class Simulation:
         #: never draw from an RNG stream — so any probe leaves the run
         #: bit-identical to the NULL_PROBE default.
         self.probe = probe if probe is not None else NULL_PROBE
-        self.bandwidth = BandwidthMeter()
         self.network = network
-        self.delivery = DeliveryMeter()
+        #: Cumulative delivery accounting, the kernels' contract (DESIGN.md
+        #: §13): a record carries the change since the previous record.
+        self.messages_delivered = 0
+        self.messages_lost = 0
+        self.bytes_sent = 0
+        self._counters = [0, 0, 0]  # delivered, lost, bytes at the last record
         self.mass_ledger = MassLedger()
         self._in_flight = DeliveryQueue()
         self._network_rng = self.streams.get("network") if network is not None else None
@@ -328,8 +330,6 @@ class Simulation:
                 # Reversion injects mass towards each initial value by design.
                 self._mass_checkpoint = self._record_mass_injection(mass_checkpoint)
 
-            if self.network is not None:
-                self.delivery.snapshot_in_flight(t, self._in_flight.in_flight)
             with probe.span("record"):
                 record = self._record_round(alive, t)
             self.round_index += 1
@@ -354,9 +354,9 @@ class Simulation:
             self.mass_ledger.record_injected(total - previous_total)
         return total
 
-    def _record_lost_message(self, round_index: int, mass: Optional[float]) -> None:
+    def _record_lost_message(self, mass: Optional[float]) -> None:
         """Account one lost message (and its conserved mass, if any)."""
-        self.delivery.record_lost(round_index, mass=mass or 0.0)
+        self.messages_lost += 1
         if self._track_mass and mass is not None:
             self.mass_ledger.record_lost(mass)
 
@@ -377,13 +377,12 @@ class Simulation:
                 if item.destination in alive_set:
                     inboxes[item.destination].append(item.payload)
                     received_counts[item.destination] += 1
-                    self.delivery.record_delivered(t)
+                    self.messages_delivered += 1
                 else:
                     # Matured at a host that has since departed: lost, just
                     # like a same-round send to a failed host.
-                    self._record_lost_message(t, item.mass)
+                    self._record_lost_message(item.mass)
         make_payloads, payload_size = protocol.make_payloads, protocol.payload_size
-        record_sent = self.bandwidth.record_sent
         protocol_rng = self._protocol_rng
         peers_by_host = self.environment.select_peers_round(
             alive, alive_set, t, protocol.fanout, self._peer_rng
@@ -391,13 +390,13 @@ class Simulation:
         for host_id, peers in zip(alive, peers_by_host):
             for target, payload in make_payloads(hosts[host_id].state, peers, protocol_rng):
                 if target is None or target == host_id:
-                    # Self-messages never touch the radio: free on the meter,
+                    # Self-messages never touch the radio: they cost no bytes,
                     # and the network model cannot lose or delay them.
                     inboxes[host_id].append(payload)
                     received_counts[host_id] += 1
                     continue
                 size = payload_size(payload)
-                record_sent(t, host_id, size)
+                self.bytes_sent += size
                 if network is None:
                     if target in alive_set:
                         inboxes[target].append(payload)
@@ -408,15 +407,15 @@ class Simulation:
                     continue
                 mass = protocol.payload_mass(payload)
                 if target not in alive_set:
-                    self._record_lost_message(t, mass)
+                    self._record_lost_message(mass)
                     continue
                 delay = network.plan(host_id, target, t, size, self._network_rng)
                 if delay is None:
-                    self._record_lost_message(t, mass)
+                    self._record_lost_message(mass)
                 elif delay == 0:
                     inboxes[target].append(payload)
                     received_counts[target] += 1
-                    self.delivery.record_delivered(t)
+                    self.messages_delivered += 1
                 else:
                     self._in_flight.schedule(
                         InFlightMessage(
@@ -457,23 +456,32 @@ class Simulation:
                     # A lossy link makes the atomic exchange not happen at
                     # all (both directions; mass is never at risk in
                     # exchange mode — see DESIGN.md §8).  The initiator's
-                    # transmitted half still cost radio bytes, mirroring
-                    # how lost push payloads stay on the bandwidth meter.
-                    self.delivery.record_lost(t, 2)
-                    self.bandwidth.record_sent(t, host_id, size)
+                    # transmitted half still cost radio bytes, as a lost
+                    # push payload does.
+                    self.messages_lost += 2
+                    self.bytes_sent += size
                     continue
                 if delay:
                     raise RuntimeError(  # pragma: no cover - rejected eagerly
                         f"network model {self.network.name!r} returned a delivery delay of "
                         f"{delay} rounds, but atomic push/pull exchanges cannot be deferred"
                     )
-                self.delivery.record_delivered(t, 2)
+                self.messages_delivered += 2
             self.protocol.exchange(state_a, state_b, self._protocol_rng)
-            self.bandwidth.record_exchange(t, host_id, peer_id, size)
+            self.bytes_sent += 2 * size  # one message each way
             received_counts[host_id] += 1
             received_counts[peer_id] += 1
 
     # --------------------------------------------------------------- metrics
+    def delivery_counters(self) -> Tuple[int, int, int, int]:
+        """``(delivered, lost, bytes_sent)`` so far, and the ``in_flight`` backlog now."""
+        return (
+            self.messages_delivered,
+            self.messages_lost,
+            self.bytes_sent,
+            self._in_flight.in_flight,
+        )
+
     def _record_round(self, alive: List[int], t: int, time: Optional[float] = None) -> RoundRecord:
         """Round ``t``'s record, scored by :func:`~repro.metrics.accuracy.error_statistics`.
 
@@ -503,17 +511,21 @@ class Simulation:
             truths = np.array([truth_by_host[host_id] for host_id in estimates], dtype=float)
         else:
             truths = truth = self._truth_for(alive)
+        # The delivery deltas since the last record, as KernelRun.sample takes them.
+        *counters, in_flight = self.delivery_counters()
+        delivered, lost, bytes_sent = (now - was for now, was in zip(counters, self._counters))
+        self._counters = counters
         return RoundRecord(
             round_index=t,
             truth=truth,
             n_alive=len(alive),
             **error_statistics(list(estimates.values()), truths)._asdict(),
-            bytes_sent=self.bandwidth.bytes_in_round(t),
+            bytes_sent=bytes_sent,
             estimates=dict(estimates) if self.store_estimates else None,
             group_sizes=mean_group_size,
-            messages_delivered=self.delivery.delivered_in_round(t),
-            messages_lost=self.delivery.lost_in_round(t),
-            messages_in_flight=self.delivery.in_flight_after_round(t),
+            messages_delivered=delivered,
+            messages_lost=lost,
+            messages_in_flight=in_flight,
             time=time,
         )
 

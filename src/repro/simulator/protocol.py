@@ -26,12 +26,46 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.message import estimate_payload_size
-
-__all__ = ["AggregationProtocol", "ExchangeProtocol", "AGGREGATE_KINDS"]
+__all__ = ["AggregationProtocol", "ExchangeProtocol", "AGGREGATE_KINDS", "estimate_payload_size"]
 
 #: Aggregate kinds a protocol may declare.
 AGGREGATE_KINDS = ("average", "count", "sum", "max", "min")
+
+
+def estimate_payload_size(payload: Any) -> int:
+    """Best-effort estimate of a payload's size in bytes.
+
+    Protocols may override this by implementing ``payload_size``; this
+    fallback understands the payload shapes used by the built-in protocols:
+    numbers (8 bytes), tuples/lists (sum of elements), dicts (sum of values),
+    NumPy arrays (``nbytes``) and booleans (1 bit rounded up to a byte per 8).
+    """
+    if payload is None:
+        return 0
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, (int, float)):
+        return 8
+    if isinstance(payload, np.ndarray):
+        if payload.dtype == bool:
+            return int(np.ceil(payload.size / 8))
+        return int(payload.nbytes)
+    if isinstance(payload, (tuple, list)):
+        return sum(estimate_payload_size(item) for item in payload)
+    if isinstance(payload, dict):
+        return sum(estimate_payload_size(value) for value in payload.values())
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload)
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    # Dataclasses and small objects: count their public attributes.
+    if hasattr(payload, "__dict__"):
+        return sum(
+            estimate_payload_size(value)
+            for key, value in vars(payload).items()
+            if not key.startswith("_")
+        )
+    return 8
 
 
 class AggregationProtocol(abc.ABC):

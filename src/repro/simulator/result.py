@@ -35,13 +35,15 @@ class RoundRecord:
     max_abs_error / mean_abs_error:
         Additional error summaries used by some analyses.
     bytes_sent:
-        Radio bytes placed on the network during the round.
+        Radio bytes placed on the network since the previous record (the
+        round, on the round engine).
     messages_delivered / messages_lost / messages_in_flight:
-        Delivery outcomes on the simulated network during the round
-        (``repro.network``): non-self messages delivered, messages lost
-        (link loss, over-budget drops, sends to departed hosts) and the
-        in-flight backlog at the end of the round.  All zero for runs
-        without a network model (the perfect-delivery fast path).
+        Delivery outcomes on the simulated network since the previous
+        record (``repro.network``): non-self messages delivered, messages
+        lost (link loss, over-budget drops, sends to departed hosts) and
+        the in-flight backlog at the record.  Every engine derives them
+        from its cumulative ``delivery_counters()`` (DESIGN.md §13); the
+        agent round engine leaves them zero without a network model.
     estimates:
         Per-host estimates, retained only when the engine was created with
         ``store_estimates=True`` (small runs / debugging).

@@ -248,11 +248,10 @@ class _VectorizedKernel:
     #: ``"max"`` or ``"min"``) — the agent protocol's ``aggregate``.
     aggregate: str
 
-    #: Cumulative network accounting, maintained by every kernel so the
-    #: vectorised path exposes the same delivery series the agent
-    #: engine's RoundRecord carries.  One pairwise exchange counts as two
-    #: messages and self-messages cost no radio bytes, matching
-    #: :class:`repro.simulator.message.BandwidthMeter`.
+    #: Cumulative network accounting, the contract every engine keeps
+    #: (``delivery_counters()``, DESIGN.md §13): a record carries the change
+    #: since the previous record.  One pairwise exchange counts as two
+    #: messages and self-messages cost no radio bytes, as on the agent engines.
     messages_delivered: int = 0
     messages_lost: int = 0
     bytes_sent: int = 0

@@ -174,18 +174,6 @@ class TestNeighborhoodEnvironment:
         env = NeighborhoodEnvironment({0: {1}, 1: set()})
         assert 0 in env.adjacency[1]
 
-    def test_connect_and_disconnect(self, rng):
-        env = NeighborhoodEnvironment({0: set(), 1: set()})
-        env.connect(0, 1)
-        assert env.select_peers(0, {0, 1}, 0, 1, rng) == [1]
-        env.disconnect(0, 1)
-        assert env.select_peers(0, {0, 1}, 0, 1, rng) == []
-
-    def test_connect_self_loop_rejected(self):
-        env = NeighborhoodEnvironment({0: set()})
-        with pytest.raises(ValueError):
-            env.connect(0, 0)
-
     def test_register_host_adds_isolated_node(self, rng):
         env = NeighborhoodEnvironment({0: {1}, 1: {0}})
         env.register_host(2)
@@ -251,7 +239,7 @@ class TestSpatialGridEnvironment:
 
     def test_neighbors_are_grid_adjacent(self):
         env = SpatialGridEnvironment(3, 3)
-        assert sorted(env.neighbors(4, set(range(9)), 0)) == [1, 3, 5, 7]
+        assert sorted(env.adjacency[4]) == [1, 3, 5, 7]
 
     def test_groups_follow_grid_components(self):
         env = SpatialGridEnvironment(3, 1)

@@ -508,10 +508,10 @@ class TestExchangeAccounting:
             mass_check="off",
         )
         sim.fail_host(1)
-        before = sim.delivery.total_lost
+        before = sim.messages_lost
         sim._adapter.handle(("xreq", 0, 1, 16), 1.0)
-        assert sim.delivery.total_lost - before == 2
-        assert sim.delivery.total_delivered == 0
+        assert sim.messages_lost - before == 2
+        assert sim.messages_delivered == 0
 
     def test_departures_under_latency_lose_exchanges_in_pairs(self):
         # Integration: explicit departures at round 8 strand requests that
@@ -525,13 +525,15 @@ class TestExchangeAccounting:
             events=[FailureEvent(round=8, model=ExplicitFailure(list(range(24))))],
             mass_check="off",
         )
-        original = sim.delivery.record_lost
+        original = sim._adapter.handle
 
-        def recording_lost(bin_index, count=1, **kwargs):
-            lost_counts.append(count)
-            return original(bin_index, count, **kwargs)
+        def recording_handle(event, time):
+            before = sim.messages_lost
+            original(event, time)
+            if sim.messages_lost != before:
+                lost_counts.append(sim.messages_lost - before)
 
-        sim.delivery.record_lost = recording_lost
+        sim._adapter.handle = recording_handle
         sim.run()
         # The only loss sources in a pure-latency exchange run are the
         # dead-responder request (2) and the dead-initiator reply (1).
@@ -576,6 +578,55 @@ class TestExchangeAccounting:
             assert delivered > 0
             assert lost > 0
             assert (delivered + lost) % 2 == 0
+
+
+class TestDeliveryCounters:
+    """Records carry the change of the engine's cumulative counters (DESIGN.md §11)."""
+
+    @pytest.mark.parametrize("mode, legs", [("push", 1), ("exchange", 2)])
+    def test_records_add_up_to_the_tick_grid(self, mode, legs):
+        # Synchronized 10 Hz clocks sampled every 0.3 s: every third tick
+        # (k * 0.1 == 0.30000000000000004, ...) falls just after a sample
+        # instant and must land in the next record, not in none.
+        n_hosts, rounds, rate, interval = 100, 12, 10.0, 0.3
+        result = run_scenario(
+            events_spec(
+                backend="agent",
+                n_hosts=n_hosts,
+                rounds=rounds,
+                mode=mode,
+                engine_params={
+                    "rates": {"distribution": "uniform", "rate": rate},
+                    "synchronized": True,
+                    "sample_interval": interval,
+                },
+            )
+        )
+        last_sample = rounds * interval
+        # Ticks sit on the grid k / rate; one at a sample's instant runs first.
+        grid = (k * (1.0 / rate) for k in range(1, int(rate * last_sample) + 2))
+        ticks = sum(1 for tick in grid if tick <= last_sample)
+        payload_bytes = 16  # Push-Sum's (sum, weight): two float64s
+        assert ticks == 35
+        assert sum(result.bytes_per_round()) == ticks * n_hosts * legs * payload_bytes
+
+    @pytest.mark.parametrize("mode", ["push", "exchange"])
+    def test_round_records_sum_to_the_counters(self, mode):
+        sim = Simulation(
+            PushSumRevert(0.05),
+            UniformEnvironment(32),
+            uniform_values(32, seed=3),
+            seed=3,
+            mode=mode,
+            network=BernoulliLossNetwork(0.2),
+        )
+        result = sim.run(10)
+        delivered, lost, bytes_sent, in_flight = sim.delivery_counters()
+        assert all(isinstance(count, int) for count in sim.delivery_counters())
+        assert sum(result.delivered_per_round()) == delivered > 0
+        assert sum(result.lost_per_round()) == lost > 0
+        assert sum(result.bytes_per_round()) == bytes_sent > 0
+        assert result.rounds[-1].messages_in_flight == in_flight
 
 
 # ---------------------------------------------------------------------------

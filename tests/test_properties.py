@@ -1378,24 +1378,8 @@ class TestSparseMatchingContract:
 
 
 # ---------------------------------------------------------------------------
-# The event calendar's queue against the loop it replaced
+# The event calendar's queue: KernelRun.defer's contract
 # ---------------------------------------------------------------------------
-def _defer_before_the_sort(run, kind, bucket_now, mature, *arrays):
-    """``KernelRun.defer`` as of 0b0fbf2: ``np.unique`` over the destination
-    buckets, then a fresh mask and one boolean gather per (bucket, edge) and array."""
-    buckets = np.maximum(
-        bucket_now + 1, np.ceil(mature / run.quantum - TIME_EPS).astype(np.int64)
-    )
-    at_edge = mature >= buckets * run.quantum - TIME_EPS
-    for dest in np.unique(buckets):
-        for edge in (False, True):
-            sel = (buckets == dest) & (at_edge == edge)
-            if sel.any():
-                run.pending.setdefault((int(dest), edge), []).append(
-                    (kind, *(a[sel] for a in arrays))
-                )
-
-
 #: One message's maturity, ``(whole, inside, hair)``: ``whole`` buckets past
 #: ``bucket_now`` (zero or negative = already due; the far ones need a 16- or
 #: 32-bit sort key), ``inside`` of a bucket short of that boundary, and a
@@ -1419,8 +1403,8 @@ deferred_batches = st.lists(
 ON_THE_EDGE = [(whole, 0.0, hair) for whole in (1, 2) for hair in HAIRS]
 
 
-class TestDeferMatchesThePreRewriteLoop:
-    """Same slots, same batch order inside a slot, arrays equal element for element."""
+class TestDeferContract:
+    """``KernelRun.defer`` queues each message once, in the slot its maturity names."""
 
     @COMMON_SETTINGS
     @given(
@@ -1446,37 +1430,47 @@ class TestDeferMatchesThePreRewriteLoop:
                  ("exchange", 2, [(2, 0.2, 0.0), (1, 0.0, 0.0), (1, 0.9, 0.0)])],
         quantum=0.25, bucket_now=2,
     )
-    def test_same_pending(self, batches, quantum, bucket_now):
+    def test_each_message_lands_in_its_slot_in_queue_order(self, batches, quantum, bucket_now):
         from types import SimpleNamespace
 
         from repro.api.kernel_run import KernelRun
 
         # ``defer`` reads the quantum and writes the queue, nothing else of a run.
-        got = SimpleNamespace(quantum=quantum, pending={})
-        want = SimpleNamespace(quantum=quantum, pending={})
+        run = SimpleNamespace(quantum=quantum, pending={})
+        sent = {}  # message id -> (kind, maturity); ids grow in queue order
         for call, (kind, width, offsets) in enumerate(batches):
             mature = np.array(
                 [(bucket_now + whole - inside) * quantum + hair for whole, inside, hair in offsets],
                 dtype=float,
             )
             ids = 1000 * call + np.arange(mature.size)
-            arrays = [ids, ids / 8.0, ids * 3.0][:width]
-            KernelRun.defer(got, kind, bucket_now, mature, *arrays)
-            _defer_before_the_sort(want, kind, bucket_now, mature, *arrays)
-        # (repr: the slots are plain ``(int, bool)``, not NumPy scalars that merely compare equal)
-        assert list(map(repr, sorted(got.pending))) == list(map(repr, sorted(want.pending)))
-        assert all(bucket > bucket_now for bucket, _edge in got.pending)
-        for slot, want_batches in want.pending.items():
-            got_batches = got.pending[slot]
-            assert len(got_batches) == len(want_batches), slot
-            for (got_kind, *got_arrays), (want_kind, *want_arrays) in zip(
-                got_batches, want_batches
-            ):
-                assert got_kind == want_kind and len(got_arrays) == len(want_arrays)
-                for got_array, want_array in zip(got_arrays, want_arrays):
-                    assert got_array.dtype == want_array.dtype
-                    assert np.array_equal(got_array, want_array), slot
-                    assert got_array.base is None  # it owns its data: freed when drained
+            sent.update((int(i), (kind, m)) for i, m in zip(ids, mature))
+            KernelRun.defer(run, kind, bucket_now, mature, *[ids, ids / 8.0, ids * 3.0][:width])
+        landed = []
+        for slot, queued in run.pending.items():
+            bucket, edge = slot
+            # A plain ``(int, bool)`` key, not NumPy scalars that merely compare equal.
+            assert type(bucket) is int and type(edge) is bool, repr(slot)
+            assert bucket > bucket_now
+            ids = np.concatenate([arrays[0] for _kind, *arrays in queued])
+            assert np.all(np.diff(ids) > 0), slot  # queue order kept inside the slot
+            for kind, *arrays in queued:
+                assert arrays[0].size and all(sent[int(i)][0] == kind for i in arrays[0])
+                # The arrays of a batch travel together, and each owns its data
+                # (freed when its slot drains, not when the batch's last slot does).
+                for array, scale in zip(arrays, (1.0, 1 / 8.0, 3.0)):
+                    assert np.array_equal(array, arrays[0] * scale)
+                    assert array.base is None
+            for i in ids:
+                m = sent[int(i)][1]
+                # Matured by the bucket's end, and not by the one before unless
+                # already due (then forced into the first bucket after now).
+                assert m / quantum - TIME_EPS <= bucket, (slot, m)
+                assert bucket == bucket_now + 1 or m / quantum - TIME_EPS > bucket - 1, (slot, m)
+                # On the edge exactly when it lands within TIME_EPS of the bucket's end.
+                assert edge == (m >= bucket * quantum - TIME_EPS), (slot, m)
+            landed.extend(ids.tolist())
+        assert sorted(landed) == sorted(sent)  # every message queued exactly once
 
 
 # ---------------------------------------------------------------------------
