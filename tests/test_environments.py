@@ -174,6 +174,18 @@ class TestNeighborhoodEnvironment:
         env = NeighborhoodEnvironment({0: {1}, 1: set()})
         assert 0 in env.adjacency[1]
 
+    def test_only_listed_links_carry_gossip(self, rng):
+        linked = NeighborhoodEnvironment({0: {1}, 1: {0}})
+        assert linked.select_peers(0, {0, 1}, 0, 1, rng) == [1]
+        unlinked = NeighborhoodEnvironment({0: set(), 1: set()})
+        assert unlinked.select_peers(0, {0, 1}, 0, 1, rng) == []
+
+    def test_self_loop_is_never_a_peer(self, rng):
+        env = NeighborhoodEnvironment({0: {0, 1}, 1: {0}})
+        for _ in range(20):
+            assert env.select_peers(0, {0, 1}, 0, 2, rng) == [1]
+        assert NeighborhoodEnvironment({0: {0}}).select_peers(0, {0}, 0, 1, rng) == []
+
     def test_register_host_adds_isolated_node(self, rng):
         env = NeighborhoodEnvironment({0: {1}, 1: {0}})
         env.register_host(2)

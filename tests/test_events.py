@@ -7,7 +7,7 @@ import pytest
 from repro.api import ScenarioSpec, run_scenario
 from repro.cli import main as cli_main
 from repro.core import PushSumRevert
-from repro.environments import UniformEnvironment
+from repro.environments import NeighborhoodEnvironment, UniformEnvironment
 from repro.events import (
     DELIVER,
     MEMBERSHIP,
@@ -19,7 +19,12 @@ from repro.events import (
     make_clock,
 )
 from repro.failures import ExplicitFailure, FailureEvent, JoinEvent, ValueChangeEvent
-from repro.network import BernoulliLossNetwork, LatencyNetwork, MassConservationError
+from repro.network import (
+    BernoulliLossNetwork,
+    LatencyNetwork,
+    MassConservationError,
+    StackedNetwork,
+)
 from repro.simulator import Simulation
 from repro.workloads import uniform_values
 
@@ -627,6 +632,84 @@ class TestDeliveryCounters:
         assert sum(result.lost_per_round()) == lost > 0
         assert sum(result.bytes_per_round()) == bytes_sent > 0
         assert result.rounds[-1].messages_in_flight == in_flight
+
+
+class TestRoundsEngineCounters:
+    """What each send books on ``Simulation``'s cumulative counters."""
+
+    N_HOSTS = 16
+    PAYLOAD_BYTES = 16  # Push-Sum's (sum, weight): two float64s
+
+    def _sim(self, mode="push", network=None, environment=None):
+        n = self.N_HOSTS
+        return Simulation(
+            PushSumRevert(0.05),
+            environment if environment is not None else UniformEnvironment(n),
+            uniform_values(n, seed=5),
+            seed=5,
+            mode=mode,
+            network=network,
+        )
+
+    def test_counters_start_at_zero(self):
+        assert self._sim(network=BernoulliLossNetwork(0.2)).delivery_counters() == (0, 0, 0, 0)
+
+    def test_push_books_one_payload_per_host_and_nothing_for_the_kept_share(self):
+        # PSR keeps half its mass and pushes half to one peer; only the
+        # peer message touches the radio.
+        records = self._sim().run(4).rounds
+        assert [record.bytes_sent for record in records] == [
+            self.N_HOSTS * self.PAYLOAD_BYTES
+        ] * 4
+
+    def test_exchange_counts_both_directions(self):
+        records = self._sim("exchange", BernoulliLossNetwork(0.0)).run(4).rounds
+        n = self.N_HOSTS
+        assert [record.messages_delivered for record in records] == [2 * n] * 4
+        assert [record.bytes_sent for record in records] == [2 * n * self.PAYLOAD_BYTES] * 4
+        assert [record.messages_lost for record in records] == [0] * 4
+
+    def test_lost_exchange_books_two_losses_and_the_initiators_bytes(self):
+        records = self._sim("exchange", BernoulliLossNetwork(1.0)).run(3).rounds
+        n = self.N_HOSTS
+        assert [record.messages_lost for record in records] == [2 * n] * 3
+        assert [record.messages_delivered for record in records] == [0] * 3
+        assert [record.bytes_sent for record in records] == [n * self.PAYLOAD_BYTES] * 3
+
+    def test_lost_push_still_costs_its_bytes(self):
+        records = self._sim("push", BernoulliLossNetwork(1.0)).run(3).rounds
+        n = self.N_HOSTS
+        assert [record.messages_lost for record in records] == [n] * 3
+        assert [record.messages_delivered for record in records] == [0] * 3
+        assert [record.bytes_sent for record in records] == [n * self.PAYLOAD_BYTES] * 3
+
+    @pytest.mark.parametrize("mode", ["push", "exchange"])
+    def test_isolated_hosts_book_nothing(self, mode):
+        # With no neighbour every message is a self-message: no bytes, and
+        # the network model can neither deliver nor lose it.
+        environment = NeighborhoodEnvironment({host: set() for host in range(self.N_HOSTS)})
+        sim = self._sim(mode, BernoulliLossNetwork(0.5), environment)
+        sim.run(3)
+        assert sim.delivery_counters() == (0, 0, 0, 0)
+
+    def test_each_record_is_the_change_since_the_previous_one(self):
+        network = StackedNetwork(
+            [BernoulliLossNetwork(0.2), LatencyNetwork(distribution="uniform", low=0, high=2)]
+        )
+        sim = self._sim("push", network)
+        before = sim.delivery_counters()
+        for _ in range(8):
+            record = sim.step()
+            after = sim.delivery_counters()
+            assert all(now >= was for now, was in zip(after[:3], before[:3]))
+            assert (
+                record.messages_delivered,
+                record.messages_lost,
+                record.bytes_sent,
+                record.messages_in_flight,
+            ) == (after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3])
+            before = after
+        assert before[0] > 0 and before[1] > 0
 
 
 # ---------------------------------------------------------------------------
