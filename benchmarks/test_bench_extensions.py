@@ -1,6 +1,4 @@
-"""Benchmarks for the extension experiments (DESIGN.md §6 and §8)."""
-
-import pytest
+"""The extension experiments (DESIGN.md §6 and §8), against their committed outputs."""
 
 from repro.experiments.extensions import (
     render_departure_comparison,
@@ -14,17 +12,8 @@ from repro.experiments.extensions import (
 )
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_extension_graceful_vs_silent_departure(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_departure_comparison,
-        kwargs={"n_hosts": 400, "rounds": 50, "departure_round": 15, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    rendering = render_departure_comparison(result)
-    save_rendering("extension_departure", rendering)
-    print("\n" + rendering)
+def test_extension_graceful_vs_silent_departure(golden):
+    result = run_departure_comparison(n_hosts=400, rounds=50, departure_round=15, seed=0)
     # Graceful sign-off never hurts, and it rescues the protocols that cannot
     # forget on their own.
     static = result.final_errors["push-sum (static)"]
@@ -33,36 +22,20 @@ def test_extension_graceful_vs_silent_departure(benchmark, save_rendering):
     # The reverting protocol recovers either way.
     revert = result.final_errors["push-sum-revert (lambda=0.1)"]
     assert revert["silent"] < static["silent"]
+    golden("extension_departure", render_departure_comparison(result))
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_extension_extrema_freshness(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_extrema_comparison,
-        kwargs={"n_hosts": 300, "rounds": 60, "departure_round": 15, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    rendering = render_extrema_comparison(result)
-    save_rendering("extension_extrema", rendering)
-    print("\n" + rendering)
+def test_extension_extrema_freshness(golden):
+    result = run_extrema_comparison(n_hosts=300, rounds=60, departure_round=15, seed=0)
     # The static maximum survives its owner's departure forever; the
     # freshness-limited variant re-converges to the surviving maximum.
     assert result.static_final() > 0.0
     assert result.reset_final() < result.static_final()
+    golden("extension_extrema", render_extrema_comparison(result))
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_extension_loss_rate_sweep(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_loss_sweep,
-        kwargs={"n_hosts": 400, "rounds": 50, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    rendering = render_loss_sweep(result)
-    save_rendering("extension_loss_sweep", rendering)
-    print("\n" + rendering)
+def test_extension_loss_rate_sweep(golden):
+    result = run_loss_sweep(n_hosts=400, rounds=50, seed=0)
     psr = result.relative_plateau["push-sum-revert"]
     sketch = result.relative_plateau["count-sketch-reset"]
     # Loss hurts both protocols monotonically (small sampling wiggles aside).
@@ -75,19 +48,11 @@ def test_extension_loss_rate_sweep(benchmark, save_rendering):
     # re-minting lost mass and degrades gracefully.
     assert sketch[0.0] < psr[0.0]
     assert sketch[0.5] > psr[0.5]
+    golden("extension_loss_sweep", render_loss_sweep(result))
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_extension_rate_heterogeneity(benchmark, save_rendering):
-    result = benchmark.pedantic(
-        run_rate_heterogeneity_sweep,
-        kwargs={"n_hosts": 400, "duration": 60.0, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    rendering = render_rate_heterogeneity_sweep(result)
-    save_rendering("extension_rate_heterogeneity", rendering)
-    print("\n" + rendering)
+def test_extension_rate_heterogeneity(golden):
+    result = run_rate_heterogeneity_sweep(n_hosts=400, duration=60.0, seed=0)
     psr = result.convergence_seconds["push-sum-revert"]
     sketch = result.convergence_seconds["count-sketch-reset"]
     # Every ratio converges within the horizon for both protocols: slow
@@ -102,3 +67,4 @@ def test_extension_rate_heterogeneity(benchmark, save_rendering):
     assert sketch[16.0] > sketch[1.0]
     assert psr[16.0] < 16.0 * psr[1.0]
     assert sketch[16.0] < 16.0 * sketch[1.0]
+    golden("extension_rate_heterogeneity", render_rate_heterogeneity_sweep(result))

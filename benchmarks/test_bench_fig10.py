@@ -1,4 +1,4 @@
-"""Benchmark: Figure 10 — dynamic averaging under correlated failures.
+"""Figure 10 — dynamic averaging under correlated failures.
 
 Paper setup: as Figure 8 but the highest-valued half of the hosts fails
 (true average 50 → 25).  Panel (a) is basic Push-Sum-Revert; panel (b) adds
@@ -7,17 +7,11 @@ headline numbers for panel (b): λ=0.5 converges in <10 rounds at σ≈2.13;
 λ=0.1 takes ≈35 rounds but reaches σ≈0.694.
 """
 
-import pytest
-
 from repro.experiments.fig10_correlated import FIG10, render_fig10, run_fig10
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_correlated_failures(benchmark, save_rendering):
-    result = benchmark.pedantic(run_fig10, args=(FIG10,), rounds=1, iterations=1)
-    rendering = render_fig10(result)
-    save_rendering("fig10", rendering)
-    print("\n" + rendering)
+def test_fig10_correlated_failures(golden):
+    result = run_fig10(FIG10)
 
     # Panel (a): the static protocol (lambda=0) never recovers.
     assert result.plateau(0.0) > 17.0
@@ -33,3 +27,4 @@ def test_fig10_correlated_failures(benchmark, save_rendering):
     assert result.plateau(0.5, full_transfer=True) < 6.0
     recovery = result.recovery_rounds(0.5, threshold=5.0, full_transfer=True)
     assert recovery is not None and recovery <= 15
+    golden("fig10", render_fig10(result))

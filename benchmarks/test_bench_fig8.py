@@ -1,4 +1,4 @@
-"""Benchmark: Figure 8 — dynamic averaging under uncorrelated failures.
+"""Figure 8 — dynamic averaging under uncorrelated failures.
 
 Paper setup: 100 000 hosts, values U[0, 100), push/pull uniform gossip,
 50 % random hosts removed after 20 rounds, λ ∈ {0, 0.001, 0.01, 0.1, 0.5}.
@@ -7,17 +7,11 @@ see DESIGN.md §4).  Expected shape: every λ rides through the failure without
 any lasting error increase.
 """
 
-import pytest
-
 from repro.experiments.fig8_uncorrelated import FIG8, render_fig8, run_fig8
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_uncorrelated_failures(benchmark, save_rendering):
-    result = benchmark.pedantic(run_fig8, args=(FIG8,), rounds=1, iterations=1)
-    rendering = render_fig8(result)
-    save_rendering("fig8", rendering)
-    print("\n" + rendering)
+def test_fig8_uncorrelated_failures(golden):
+    result = run_fig8(FIG8)
 
     # Shape checks: uncorrelated failures do not hurt any reversion constant.
     for reversion, errors in result.errors.items():
@@ -28,3 +22,4 @@ def test_fig8_uncorrelated_failures(benchmark, save_rendering):
     assert result.final_error(0.0) < 2.0
     assert result.final_error(0.001) < 2.0
     assert result.final_error(0.01) < 3.0
+    golden("fig8", render_fig8(result))

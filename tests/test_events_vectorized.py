@@ -371,6 +371,24 @@ class TestDriverPhases:
         assert np.array_equal(first.total, second.total)
         assert first.messages_delivered == second.messages_delivered == 6
 
+    def test_an_exchange_bucket_matures_on_bucket_edges_and_drains_to_empty(self):
+        # Every live host ticks at t = 0 on a network of whole-second legs of
+        # 0..2: what the tick deferred matures on the edges of buckets 1..4.
+        run = driver(
+            mode="exchange", n_hosts=400, network="latency",
+            network_params={"distribution": "uniform", "low": 0, "high": 2},
+        )
+        kernel = run.kernel
+        kernel.fail_random_fraction(0.25)  # so a host's live rank is not its id
+        for kind, _senders, delay, *arrays in kernel.step_subset(kernel.live_index(), run.delays):
+            run.defer(kind, 0, delay, *arrays)
+        slots = sorted(run.pending)
+        assert slots == [(1, True), (2, True), (3, True), (4, True)]
+        for slot in slots:
+            run.drain(*slot)
+        assert not run.pending and kernel.messages_in_flight == 0
+        assert kernel.messages_delivered > 400
+
     def test_a_latency_tick_lands_the_instant_messages_and_returns_the_rest(self):
         # step_subset with a delay sampler: zero-delay halves land within the
         # tick, the rest come back as one batch the driver can only queue.

@@ -1376,6 +1376,17 @@ class TestSparseMatchingContract:
         # Proposals, the tied draw (all seven edges meet at the hub), one redraw.
         assert rng.calls == 3 and left.size == 1 and 0 in (left[0], right[0])
 
+    def test_a_kernel_view_of_a_ring_with_a_quarter_failed_matches_most_hosts(self):
+        # Through a kernel's own live view, where a live rank is not a host id.
+        n = 10_000
+        topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
+        values = np.random.default_rng(1).uniform(0.0, 100.0, n)
+        kernel = VectorizedPushSumRevert(values, 0.01, topology=topology, seed=1)
+        kernel.fail_random_fraction(0.25)
+        left, right = kernel.live_view().sample_matching(kernel.rng)
+        _assert_matching(left, right, kernel.alive, topology)
+        assert left.size > n // 4
+
 
 # ---------------------------------------------------------------------------
 # The event calendar's queue: KernelRun.defer's contract
