@@ -97,10 +97,8 @@ class PushSum(ExchangeProtocol):
         if not peers:
             # Isolated host: all mass goes back to itself, nothing changes.
             return [(None, (state.weight, state.total))]
-        half_weight = state.weight / 2.0
-        half_total = state.total / 2.0
-        peer = peers[0]
-        return [(None, (half_weight, half_total)), (peer, (half_weight, half_total))]
+        half = (state.weight / 2.0, state.total / 2.0)
+        return [(None, half), (peers[0], half)]
 
     def integrate(
         self, state: MassState, payloads: Sequence[Any], rng: np.random.Generator
@@ -111,8 +109,9 @@ class PushSum(ExchangeProtocol):
             state.weight = 0.0
             state.total = 0.0
             return
-        state.weight = float(sum(weight for weight, _ in payloads))
-        state.total = float(sum(total for _, total in payloads))
+        weights, totals = zip(*payloads)
+        state.weight = float(sum(weights))
+        state.total = float(sum(totals))
 
     def finalize_round(
         self, state: MassState, received_count: int, rng: np.random.Generator

@@ -81,17 +81,17 @@ class PushSumRevert(PushSum):
         # so a host with in-degree 1 applies exactly λ).
         return min(1.0, 0.5 * self.reversion * max(received_count, 0))
 
-    def _revert(self, state: MassState, effective_lambda: float) -> None:
-        lam = effective_lambda
-        state.weight = lam * 1.0 + (1.0 - lam) * state.weight
-        state.total = lam * state.initial_value + (1.0 - lam) * state.total
-
     def finalize_round(
         self, state: MassState, received_count: int, rng: np.random.Generator
     ) -> None:
-        if self.reversion > 0.0:
-            self._revert(state, self._effective_lambda(received_count))
-        self._refresh_estimate(state)
+        lam = self.reversion
+        if lam > 0.0:
+            if self.adaptive:
+                lam = self._effective_lambda(received_count)
+            state.weight = lam + (1.0 - lam) * state.weight
+            state.total = lam * state.initial_value + (1.0 - lam) * state.total
+        if state.weight > self.weight_epsilon:
+            state.last_estimate = state.total / state.weight
 
     # ------------------------------------------------------------- exchange
     # Pairwise exchange is inherited from PushSum (mass averaging); the revert

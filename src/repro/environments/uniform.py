@@ -63,7 +63,11 @@ class UniformEnvironment(GossipEnvironment):
             return super().select_peers_round(hosts, alive, round_index, count, rng)
         # One draw per host, stepped past the host's own index (an outsider's
         # rank is past every member): select_peers' rule, a round at a time.
-        ranks = np.array(alive.ranks(hosts), dtype=np.int64)
+        # The round engine's push round passes the roster's members in order.
+        if tuple(hosts) == alive.members:
+            ranks = np.arange(len(alive), dtype=np.int64)
+        else:
+            ranks = np.array(alive.ranks(hosts), dtype=np.int64)
         draws = rng.integers(0, len(alive) - (ranks < len(alive)))
         draws += draws >= ranks
         return np.array(alive.members, dtype=np.int64)[draws, None].tolist()

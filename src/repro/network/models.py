@@ -20,10 +20,12 @@ non-self message:
 * :class:`StackedNetwork` — composes any of the above: a message
   survives only if every layer delivers it, and the layers' delays add.
 
-The single entry point is :meth:`NetworkModel.plan`: given a message's
+The per-message primitive is :meth:`NetworkModel.plan`: given a message's
 endpoints, round and size, return the delivery delay in rounds (``0`` =
 the end of the sending round, exactly the perfect-network semantics) or
-``None`` when the message is lost.  Models draw all randomness from the
+``None`` when the message is lost.  :meth:`NetworkModel.plan_many` plans a
+round's batch of messages in one call; by default it is the ``plan`` loop.
+Models draw all randomness from the
 generator the engine passes in (the dedicated ``"network"`` stream of
 :class:`~repro.simulator.rng.RandomStreams`), so installing a network
 model never perturbs peer selection or protocol randomness — a loss rate
@@ -32,7 +34,7 @@ of exactly ``0.0`` reproduces the perfect network bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +55,9 @@ DELAY_DISTRIBUTIONS = ("fixed", "uniform", "lognormal")
 class NetworkModel:
     """Policy deciding the fate of every non-self message on the radio.
 
-    Subclasses implement :meth:`plan`; the engine calls it once per
-    message (push mode) or once per pairwise exchange (exchange mode) and
-    interprets the result:
+    Subclasses implement :meth:`plan`; the round engine plans a push
+    round's messages in one :meth:`plan_many` call and each pairwise
+    exchange with one :meth:`plan` call, and interprets the result:
 
     * ``0`` — delivered at the end of the sending round;
     * ``d > 0`` — delivered at the end of round ``t + d`` (push mode
@@ -96,6 +98,26 @@ class NetworkModel:
     ) -> Optional[int]:
         """The delivery delay in rounds for this message, or ``None`` if lost."""
         return 0
+
+    def plan_many(
+        self,
+        messages: Sequence[Tuple[int, int, int]],
+        round_index: int,
+        rng: np.random.Generator,
+    ) -> List[Optional[int]]:
+        """:meth:`plan` for each ``(source, destination, size_bytes)``, in order.
+
+        The default is the :meth:`plan` loop, so the draws interleave and
+        budgets are spent exactly as per-message calls would.  Only a model
+        whose per-message decision is exactly one ``rng.random()`` draw may
+        override it (with one vector draw: the same doubles, and the
+        generator left in the same state).
+        """
+        plan = self.plan
+        return [
+            plan(source, destination, round_index, size_bytes, rng)
+            for source, destination, size_bytes in messages
+        ]
 
     def plan_seconds(
         self,
@@ -160,6 +182,12 @@ class BernoulliLossNetwork(NetworkModel):
         if rng.random() < self.p:
             return None
         return 0
+
+    def plan_many(self, messages, round_index, rng) -> List[Optional[int]]:
+        # rng.random(k) yields the doubles of k rng.random() calls.
+        if not messages:
+            return []
+        return [None if lost else 0 for lost in (rng.random(len(messages)) < self.p).tolist()]
 
     def describe(self) -> dict:
         return {"name": self.name, "p": self.p}

@@ -188,7 +188,8 @@ class Simulation:
                 self._track_mass = True
                 self._mass_checkpoint = self._total_state_mass()
                 self.mass_ledger.open(self._mass_checkpoint)
-        # Only an overridden begin_round can mint mass (epoch restarts do).
+        # Only an overridden begin_round does anything, and so can mint mass
+        # (epoch restarts do); the round skips the no-op's per-host calls.
         self._begin_round_mints = (
             getattr(protocol.begin_round, "__func__", None) is not AggregationProtocol.begin_round
         )
@@ -284,23 +285,24 @@ class Simulation:
                 self.network.begin_round(t)
             alive = self.alive_ids()
             alive_set = LiveRoster(alive)
-            received_counts: Dict[int, int] = {host_id: 0 for host_id in alive}
+            hosts, protocol_rng = self.hosts, self._protocol_rng
+            states = [hosts[host_id].state for host_id in alive]
 
             with probe.span("begin_round"):
-                for host_id in alive:
-                    self.protocol.begin_round(
-                        self.hosts[host_id].state, t, self._protocol_rng
-                    )
+                if self._begin_round_mints:
+                    begin_round = self.protocol.begin_round
+                    for state in states:
+                        begin_round(state, t, protocol_rng)
             if self._track_mass and self._begin_round_mints:
                 # Epoch restarts re-mint mass inside begin_round by design.
                 mass_checkpoint = self._record_mass_injection(mass_checkpoint)
 
             if self.mode == "push":
                 with probe.span("push"):
-                    self._push_round(alive, alive_set, received_counts, t)
+                    received_counts = self._push_round(alive, alive_set, states, t)
             else:
                 with probe.span("exchange"):
-                    self._exchange_round(alive, alive_set, received_counts, t)
+                    received_counts = self._exchange_round(alive, alive_set, t)
             if self._track_mass:
                 # The round body may only move mass (host→flight→host) or lose
                 # it through the network — both already on the ledger — so the
@@ -320,12 +322,9 @@ class Simulation:
                     )
 
             with probe.span("finalize"):
-                for host_id in alive:
-                    self.protocol.finalize_round(
-                        self.hosts[host_id].state,
-                        received_counts[host_id],
-                        self._protocol_rng,
-                    )
+                finalize_round = self.protocol.finalize_round
+                for state, received in zip(states, received_counts):
+                    finalize_round(state, received, protocol_rng)
             if self._track_mass:
                 # Reversion injects mass towards each initial value by design.
                 self._mass_checkpoint = self._record_mass_injection(mass_checkpoint)
@@ -365,79 +364,125 @@ class Simulation:
         self,
         alive: List[int],
         alive_set: LiveRoster,
-        received_counts: Dict[int, int],
+        states: List,
         t: int,
-    ) -> None:
-        hosts, protocol, network = self.hosts, self.protocol, self.network
+    ) -> List[int]:
+        """Round ``t``'s message gossip; each live host's received count, in ``alive`` order.
+
+        Three passes (DESIGN.md §8 "Time model"): collect every host's sends
+        in host order; plan the radio sends to live hosts in one
+        ``network.plan_many`` call; then land, lose or defer each send in
+        send order.  An inbox holds the matured messages first, then this
+        round's arrivals in ascending sender id (the host's own
+        self-message at its own id), and lost mass is booked in send order.
+        """
+        protocol, network = self.protocol, self.network
         inboxes: Dict[int, List] = {host_id: [] for host_id in alive}
+        delivered = lost = 0
+        book_lost_mass = self.mass_ledger.record_lost if self._track_mass else None
+        payload_mass = protocol.payload_mass
         if network is not None:
             # Deliver the in-flight messages that mature this round before
             # this round's sends, so their payloads integrate alongside them.
             for item in self._in_flight.due(t):
                 if item.destination in alive_set:
                     inboxes[item.destination].append(item.payload)
-                    received_counts[item.destination] += 1
-                    self.messages_delivered += 1
+                    delivered += 1
                 else:
                     # Matured at a host that has since departed: lost, just
                     # like a same-round send to a failed host.
-                    self._record_lost_message(item.mass)
+                    lost += 1
+                    if book_lost_mass is not None and item.mass is not None:
+                        book_lost_mass(item.mass)
         make_payloads, payload_size = protocol.make_payloads, protocol.payload_size
         protocol_rng = self._protocol_rng
         peers_by_host = self.environment.select_peers_round(
             alive, alive_set, t, protocol.fanout, self._peer_rng
         )
-        for host_id, peers in zip(alive, peers_by_host):
-            for target, payload in make_payloads(hosts[host_id].state, peers, protocol_rng):
+        # Pass 1: every host's sends, in host order, flattened (a round keeps
+        # no per-host outbox alive), and the radio sends to live hosts among
+        # them.  Self-messages never touch the radio: they cost no bytes, and
+        # the network model cannot lose or delay them.
+        senders: List[int] = []
+        targets: List[int] = []
+        payloads: List = []
+        radio = []
+        bytes_sent = 0
+        for host_id, state, peers in zip(alive, states, peers_by_host):
+            for target, payload in make_payloads(state, peers, protocol_rng):
                 if target is None or target == host_id:
-                    # Self-messages never touch the radio: they cost no bytes,
-                    # and the network model cannot lose or delay them.
-                    inboxes[host_id].append(payload)
-                    received_counts[host_id] += 1
-                    continue
-                size = payload_size(payload)
-                self.bytes_sent += size
-                if network is None:
-                    if target in alive_set:
-                        inboxes[target].append(payload)
-                        received_counts[target] += 1
-                    # Payloads addressed to failed hosts are silently lost:
-                    # this is exactly the mass-leaves-the-system behaviour of
-                    # a silent departure mid-computation.
-                    continue
-                mass = protocol.payload_mass(payload)
-                if target not in alive_set:
-                    self._record_lost_message(mass)
-                    continue
-                delay = network.plan(host_id, target, t, size, self._network_rng)
-                if delay is None:
-                    self._record_lost_message(mass)
-                elif delay == 0:
-                    inboxes[target].append(payload)
-                    received_counts[target] += 1
-                    self.messages_delivered += 1
+                    target = host_id
                 else:
-                    self._in_flight.schedule(
-                        InFlightMessage(
-                            source=host_id,
-                            destination=target,
-                            payload=payload,
-                            sent_round=t,
-                            deliver_round=t + int(delay),
-                            mass=mass,
-                        )
+                    size = payload_size(payload)
+                    bytes_sent += size
+                    if target in alive_set:
+                        radio.append((host_id, target, size))
+                senders.append(host_id)
+                targets.append(target)
+                payloads.append(payload)
+        self.bytes_sent += bytes_sent
+        # Pass 2: one network decision per radio send to a live host.
+        decisions = None
+        if network is not None:
+            decisions = iter(network.plan_many(radio, t, self._network_rng))
+        del radio
+        # Pass 3: land, lose or defer each send, in send order.
+        schedule = self._in_flight.schedule
+        for host_id, target, payload in zip(senders, targets, payloads):
+            if target == host_id:
+                inboxes[host_id].append(payload)
+                continue
+            if target not in alive_set:
+                # Payloads addressed to failed hosts are silently lost: this
+                # is exactly the mass-leaves-the-system behaviour of a silent
+                # departure mid-computation.
+                delay = None
+            elif decisions is None:
+                delay = 0
+            else:
+                delay = next(decisions)
+            if delay == 0:
+                inboxes[target].append(payload)
+                delivered += 1
+            elif delay is None:
+                lost += 1
+                if book_lost_mass is not None:
+                    mass = payload_mass(payload)
+                    if mass is not None:
+                        book_lost_mass(mass)
+            else:
+                schedule(
+                    InFlightMessage(
+                        source=host_id,
+                        destination=target,
+                        payload=payload,
+                        sent_round=t,
+                        deliver_round=t + int(delay),
+                        mass=payload_mass(payload),
                     )
+                )
+        if network is not None:
+            # Without a model the delivery counters stay untouched.
+            self.messages_delivered += delivered
+            self.messages_lost += lost
         integrate = protocol.integrate
-        for host_id in alive:
-            integrate(hosts[host_id].state, inboxes[host_id], protocol_rng)
+        received_counts = []
+        for state, host_id in zip(states, alive):
+            inbox = inboxes[host_id]
+            received_counts.append(len(inbox))
+            integrate(state, inbox, protocol_rng)
+        return received_counts
 
-    def _exchange_round(
-        self,
-        alive: List[int],
-        alive_set: LiveRoster,
-        received_counts: Dict[int, int],
-        t: int,
-    ) -> None:
+    def _exchange_round(self, alive: List[int], alive_set: LiveRoster, t: int) -> List[int]:
+        """Round ``t``'s pairwise exchanges; each live host's received count, in ``alive`` order.
+
+        Each pair's link is planned on its own: its ``exchange_size`` is read
+        after the round's earlier merges.
+        """
+        hosts, protocol, network = self.hosts, self.protocol, self.network
+        exchange, exchange_size = protocol.exchange, protocol.exchange_size
+        protocol_rng, network_rng = self._protocol_rng, self._network_rng
+        received_counts = dict.fromkeys(alive, 0)
         order = list(alive)
         self._peer_rng.shuffle(order)
         peers_by_host = self.environment.select_peers_round(order, alive_set, t, 1, self._peer_rng)
@@ -447,11 +492,11 @@ class Simulation:
             peer_id = peers[0]
             if peer_id == host_id or peer_id not in alive_set:
                 continue
-            state_a = self.hosts[host_id].state
-            state_b = self.hosts[peer_id].state
-            size = self.protocol.exchange_size(state_a, state_b)
-            if self.network is not None:
-                delay = self.network.plan(host_id, peer_id, t, size, self._network_rng)
+            state_a = hosts[host_id].state
+            state_b = hosts[peer_id].state
+            size = exchange_size(state_a, state_b)
+            if network is not None:
+                delay = network.plan(host_id, peer_id, t, size, network_rng)
                 if delay is None:
                     # A lossy link makes the atomic exchange not happen at
                     # all (both directions; mass is never at risk in
@@ -463,14 +508,15 @@ class Simulation:
                     continue
                 if delay:
                     raise RuntimeError(  # pragma: no cover - rejected eagerly
-                        f"network model {self.network.name!r} returned a delivery delay of "
+                        f"network model {network.name!r} returned a delivery delay of "
                         f"{delay} rounds, but atomic push/pull exchanges cannot be deferred"
                     )
                 self.messages_delivered += 2
-            self.protocol.exchange(state_a, state_b, self._protocol_rng)
+            exchange(state_a, state_b, protocol_rng)
             self.bytes_sent += 2 * size  # one message each way
             received_counts[host_id] += 1
             received_counts[peer_id] += 1
+        return list(received_counts.values())
 
     # --------------------------------------------------------------- metrics
     def delivery_counters(self) -> Tuple[int, int, int, int]:
@@ -488,10 +534,8 @@ class Simulation:
         Group-relative runs score each host against its own group's truth
         (``environment.groups`` partitions the live hosts, so each has one).
         """
-        estimates = {
-            host_id: float(self.protocol.estimate(self.hosts[host_id].state))
-            for host_id in alive
-        }
+        estimate, hosts = self.protocol.estimate, self.hosts
+        estimates = {host_id: float(estimate(hosts[host_id].state)) for host_id in alive}
         mean_group_size: Optional[float] = None
         if self.group_relative:
             truth_by_host: Dict[int, float] = {}

@@ -10,6 +10,8 @@ validation error path.  The committed loss-sweep table is checked by
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import NETWORKS, ScenarioSpec, run_scenario
 from repro.baselines import PushSum
@@ -28,6 +30,7 @@ from repro.network import (
     StackedNetwork,
 )
 from repro.simulator import Simulation
+from repro.simulator.protocol import AggregationProtocol
 from repro.simulator.vectorized import VectorizedPushSumRevert
 from repro.workloads import uniform_values
 
@@ -303,6 +306,193 @@ class TestMassConservation:
         ledger.check(90.0, round_index=0)  # balanced
         with pytest.raises(MassConservationError, match="round 3"):
             ledger.check(95.0, round_index=3)
+
+
+#: Every registered model, with the parameter sets whose batch plan is checked.
+PLAN_MANY_CONFIGS = [
+    ("perfect", {}),
+    ("bernoulli-loss", {"p": 0.0}),
+    ("bernoulli-loss", {"p": 0.2}),
+    ("bernoulli-loss", {"p": 1.0}),
+    ("latency", {"distribution": "fixed", "delay": 2}),
+    ("latency", {"distribution": "uniform", "low": 0, "high": 3}),
+    ("latency", {"distribution": "lognormal", "mean": 0.3, "sigma": 0.6, "max_delay": 8}),
+    ("bandwidth-cap", {"bytes_per_round": 40}),
+    (
+        "stacked",
+        {"layers": [{"model": "bernoulli-loss", "p": 0.3},
+                    {"model": "latency", "distribution": "uniform", "low": 0, "high": 2},
+                    {"model": "bandwidth-cap", "bytes_per_round": 48}]},
+    ),
+]
+PLAN_MANY_IDS = [f"{name}:{sorted(params.items())}" for name, params in PLAN_MANY_CONFIGS]
+
+#: One round's radio sends: ``(source, destination, size_bytes)``, few sources
+#: so that bandwidth budgets bind.
+RADIO_BATCHES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 32)), max_size=40
+)
+
+
+class TestPlanMany:
+    """``plan_many`` is the sequential ``plan`` loop: same decisions, same stream."""
+
+    def test_every_registered_model_is_covered(self):
+        assert {name for name, _ in PLAN_MANY_CONFIGS} == set(NETWORKS)
+
+    @staticmethod
+    def _check(name, params, batches, seed):
+        batched, looped = NETWORKS.create(name, **params), NETWORKS.create(name, **params)
+        batched_rng, looped_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched.begin_round(0)
+        looped.begin_round(0)
+        # Several batches in one round: budgets carry across calls.
+        for messages in batches:
+            expected = [looped.plan(src, dst, 0, size, looped_rng) for src, dst, size in messages]
+            assert batched.plan_many(messages, 0, batched_rng) == expected
+        assert batched_rng.random() == looped_rng.random()
+
+    @pytest.mark.parametrize("name, params", PLAN_MANY_CONFIGS, ids=PLAN_MANY_IDS)
+    def test_an_empty_batch_draws_nothing(self, name, params):
+        self._check(name, params, [[]], seed=0)
+
+    @pytest.mark.parametrize("name, params", PLAN_MANY_CONFIGS, ids=PLAN_MANY_IDS)
+    @settings(max_examples=30, deadline=None)
+    @given(batches=st.lists(RADIO_BATCHES, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_batches_match_the_plan_loop(self, name, params, batches, seed):
+        self._check(name, params, batches, seed)
+
+
+class _OrderRecorder(AggregationProtocol):
+    """Mass-splitting gossip whose payloads name their send.
+
+    A payload is ``(sender, round, seq, weight)``: ``seq`` 0 is the
+    self-message, ``1..`` the peers in order.  Every send ``(target,
+    payload)`` and every inbox the engine integrates is logged, in call order.
+    """
+
+    name = "order-recorder"
+    aggregate = "average"
+    fanout = 2
+
+    def __init__(self):
+        self.round = 0
+        self.sent = []
+        self.inboxes = []
+
+    def create_state(self, host_id, value, rng):
+        # Distinct weights, so that every booked mass names one payload.
+        return {"id": host_id, "weight": 1.0 + host_id / 1024}
+
+    def begin_round(self, state, round_index, rng):
+        self.round = round_index
+
+    def make_payloads(self, state, peers, rng):
+        share = state["weight"] / (len(peers) + 1)
+        payloads = [(None, (state["id"], self.round, 0, share))]
+        payloads += [(peer, (state["id"], self.round, seq, share))
+                     for seq, peer in enumerate(peers, start=1)]
+        self.sent += payloads
+        return payloads
+
+    def integrate(self, state, payloads, rng):
+        self.inboxes.append((state["id"], self.round, list(payloads)))
+        state["weight"] = sum(payload[3] for payload in payloads)
+
+    def estimate(self, state):
+        return state["weight"]
+
+    def payload_size(self, payload):
+        return 16
+
+    def payload_mass(self, payload):
+        return payload[3]
+
+    def state_mass(self, state):
+        return state["weight"]
+
+
+class TestPushRoundSendOrder:
+    """The batched push round lands, loses and defers sends in send order."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        plans = []
+
+        class RecordedNetwork(StackedNetwork):
+            def plan_many(self, messages, round_index, rng):
+                decisions = super().plan_many(messages, round_index, rng)
+                plans.append((round_index, list(messages), list(decisions)))
+                return decisions
+
+        protocol = _OrderRecorder()
+        network = RecordedNetwork([
+            BernoulliLossNetwork(0.3),
+            LatencyNetwork(distribution="uniform", low=0, high=2),
+        ])
+        sim = Simulation(protocol, UniformEnvironment(16), [1.0] * 16, seed=5, network=network)
+        booked = []
+        record_lost = sim.mass_ledger.record_lost
+
+        def spy(mass):
+            booked.append(mass)
+            record_lost(mass)
+
+        sim.mass_ledger.record_lost = spy
+        sim.run(12)
+        in_flight = {
+            message.payload[:3] for due in sim._in_flight._pending.values() for message in due
+        }
+        return protocol, plans, booked, in_flight
+
+    def test_inboxes_hold_matured_messages_then_arrivals_by_sender(self, recorded):
+        protocol = recorded[0]
+
+        def send_order(payload):
+            return payload[1], payload[0], payload[2]  # round, sender, seq
+
+        saw_matured = False
+        for host, t, inbox in protocol.inboxes:
+            matured = [payload for payload in inbox if payload[1] < t]
+            arrivals = inbox[len(matured):]
+            saw_matured |= bool(matured)
+            # Matured first, in the delivery queue's order: by send.
+            assert inbox[: len(matured)] == matured
+            assert matured == sorted(matured, key=send_order)
+            # Then this round's arrivals by sender id, the self-message at its own id.
+            assert all(payload[1] == t for payload in arrivals)
+            assert arrivals == sorted(arrivals, key=send_order)
+            assert (host, t, 0) in [payload[:3] for payload in arrivals]
+        assert saw_matured
+
+    def test_each_radio_send_meets_its_own_decision(self, recorded):
+        protocol, plans, _, in_flight = recorded
+        landed = {
+            payload[:3]: (host, t) for host, t, inbox in protocol.inboxes for payload in inbox
+        }
+        for t, messages, decisions in plans:
+            sends = [
+                (target, payload) for target, payload in protocol.sent
+                if payload[1] == t and target is not None
+            ]
+            # One call per round, over the radio sends in send order.
+            assert messages == [(payload[0], target, 16) for target, payload in sends]
+            for (target, payload), delay in zip(sends, decisions):
+                if delay is None:
+                    assert payload[:3] not in landed and payload[:3] not in in_flight
+                elif payload[:3] not in in_flight:
+                    assert landed[payload[:3]] == (target, t + delay)
+        assert [t for t, _, _ in plans] == list(range(12))
+
+    def test_lost_mass_is_booked_in_send_order(self, recorded):
+        protocol, _, booked, in_flight = recorded
+        landed = {payload[:3] for _, _, inbox in protocol.inboxes for payload in inbox}
+        lost = [
+            payload[3]
+            for _, payload in protocol.sent
+            if payload[:3] not in landed and payload[:3] not in in_flight
+        ]
+        assert lost and booked == lost
 
 
 class TestDeliveryQueue:
