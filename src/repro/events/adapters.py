@@ -92,9 +92,7 @@ class PushAdapter(ProtocolAdapter):
             elif delay <= 0.0:
                 # Instant arrival: into the pending inbox now (integrated at
                 # the target's next tick — possibly later this same instant).
-                # Deliveries are counted only when a network model runs,
-                # matching the round engine's accounting.
-                engine._deliver_payload(target, payload, mass, count=engine.network is not None)
+                engine._deliver_payload(target, payload, mass, count=True)
             else:
                 deliver_time = time + delay
                 engine._in_flight.schedule(

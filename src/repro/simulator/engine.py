@@ -461,10 +461,8 @@ class Simulation:
                         mass=payload_mass(payload),
                     )
                 )
-        if network is not None:
-            # Without a model the delivery counters stay untouched.
-            self.messages_delivered += delivered
-            self.messages_lost += lost
+        self.messages_delivered += delivered
+        self.messages_lost += lost
         integrate = protocol.integrate
         received_counts = []
         for state, host_id in zip(states, alive):
@@ -511,8 +509,8 @@ class Simulation:
                         f"network model {network.name!r} returned a delivery delay of "
                         f"{delay} rounds, but atomic push/pull exchanges cannot be deferred"
                     )
-                self.messages_delivered += 2
             exchange(state_a, state_b, protocol_rng)
+            self.messages_delivered += 2
             self.bytes_sent += 2 * size  # one message each way
             received_counts[host_id] += 1
             received_counts[peer_id] += 1

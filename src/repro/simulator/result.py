@@ -42,8 +42,8 @@ class RoundRecord:
         record (``repro.network``): non-self messages delivered, messages
         lost (link loss, over-budget drops, sends to departed hosts) and
         the in-flight backlog at the record.  Every engine derives them
-        from its cumulative ``delivery_counters()`` (DESIGN.md §13); the
-        agent round engine leaves them zero without a network model.
+        from its cumulative ``delivery_counters()`` (DESIGN.md §13), the
+        perfect network included.
     estimates:
         Per-host estimates, retained only when the engine was created with
         ``store_estimates=True`` (small runs / debugging).

@@ -111,13 +111,19 @@ class TestDeterminism:
 class TestPerfectEquivalence:
     """Zero loss and the perfect model reproduce the legacy engine bit for bit."""
 
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
     @pytest.mark.parametrize("mode", ["push", "exchange"])
-    def test_zero_loss_matches_perfect_on_agent(self, mode):
-        perfect = run_scenario(_spec("perfect", {}, mode=mode))
-        zero_loss = run_scenario(_spec("bernoulli-loss", {"p": 0.0}, mode=mode))
+    def test_zero_loss_matches_perfect_on_agent(self, mode, engine):
+        perfect = run_scenario(_spec("perfect", {}, mode=mode, engine=engine))
+        zero_loss = run_scenario(_spec("bernoulli-loss", {"p": 0.0}, mode=mode, engine=engine))
         assert zero_loss.errors() == perfect.errors()
         assert zero_loss.truths() == perfect.truths()
         assert zero_loss.total_lost() == 0
+        # One delivery-counter contract: the perfect network counts as p = 0 does.
+        assert perfect.delivered_per_round() == zero_loss.delivered_per_round()
+        assert perfect.lost_per_round() == zero_loss.lost_per_round()
+        assert perfect.bytes_per_round() == zero_loss.bytes_per_round()
+        assert sum(perfect.delivered_per_round()) > 0
 
     def test_zero_loss_matches_perfect_on_vectorized(self):
         perfect = run_scenario(_spec("perfect", {}, backend="vectorized"))
