@@ -369,18 +369,17 @@ class Simulation:
     ) -> List[int]:
         """Round ``t``'s message gossip; each live host's received count, in ``alive`` order.
 
-        Three passes (DESIGN.md §8 "Time model"): collect every host's sends
-        in host order; plan the radio sends to live hosts in one
-        ``network.plan_many`` call; then land, lose or defer each send in
-        send order.  An inbox holds the matured messages first, then this
-        round's arrivals in ascending sender id (the host's own
-        self-message at its own id), and lost mass is booked in send order.
+        Three passes (DESIGN.md §8 "One network call per push round"):
+        collect every host's sends in host order; plan the radio sends to
+        live hosts in one ``network.plan_many`` call; then land, lose or
+        defer each send in send order.  An inbox holds the matured messages
+        first, then this round's arrivals in ascending sender id (the host's
+        own self-message at its own id), and lost mass is booked in send order.
         """
         protocol, network = self.protocol, self.network
         inboxes: Dict[int, List] = {host_id: [] for host_id in alive}
-        delivered = lost = 0
-        book_lost_mass = self.mass_ledger.record_lost if self._track_mass else None
-        payload_mass = protocol.payload_mass
+        delivered = 0
+        record_lost, payload_mass = self._record_lost_message, protocol.payload_mass
         if network is not None:
             # Deliver the in-flight messages that mature this round before
             # this round's sends, so their payloads integrate alongside them.
@@ -391,9 +390,7 @@ class Simulation:
                 else:
                     # Matured at a host that has since departed: lost, just
                     # like a same-round send to a failed host.
-                    lost += 1
-                    if book_lost_mass is not None and item.mass is not None:
-                        book_lost_mass(item.mass)
+                    record_lost(item.mass)
         make_payloads, payload_size = protocol.make_payloads, protocol.payload_size
         protocol_rng = self._protocol_rng
         peers_by_host = self.environment.select_peers_round(
@@ -445,11 +442,7 @@ class Simulation:
                 inboxes[target].append(payload)
                 delivered += 1
             elif delay is None:
-                lost += 1
-                if book_lost_mass is not None:
-                    mass = payload_mass(payload)
-                    if mass is not None:
-                        book_lost_mass(mass)
+                record_lost(payload_mass(payload))
             else:
                 schedule(
                     InFlightMessage(
@@ -462,7 +455,6 @@ class Simulation:
                     )
                 )
         self.messages_delivered += delivered
-        self.messages_lost += lost
         integrate = protocol.integrate
         received_counts = []
         for state, host_id in zip(states, alive):
