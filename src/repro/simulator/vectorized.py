@@ -341,7 +341,8 @@ class _VectorizedKernel:
         ascend) for one "everyone contacts one peer" round.
 
         Uniform gossip draws a random live host per sender (self-contact
-        allowed, as in the agent engine); topology-restricted gossip draws a
+        allowed, unlike the agent's ``UniformEnvironment``; DESIGN.md §7
+        "Kernel semantics deltas"); topology-restricted gossip draws a
         random live graph neighbour, and hosts whose live neighbourhood is
         empty drop out of the round (the agent engine's isolated-host rule).
         """
