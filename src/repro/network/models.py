@@ -25,11 +25,11 @@ endpoints, round and size, return the delivery delay in rounds (``0`` =
 the end of the sending round, exactly the perfect-network semantics) or
 ``None`` when the message is lost.  :meth:`NetworkModel.plan_many` plans a
 round's batch of messages in one call; by default it is the ``plan`` loop.
-Models draw all randomness from the
-generator the engine passes in (the dedicated ``"network"`` stream of
-:class:`~repro.simulator.rng.RandomStreams`), so installing a network
-model never perturbs peer selection or protocol randomness — a loss rate
-of exactly ``0.0`` reproduces the perfect network bit for bit.
+Models draw all randomness from the generator the engine passes in (the
+dedicated ``"network"`` stream of :class:`~repro.simulator.rng.RandomStreams`),
+so installing a network model never perturbs peer selection or protocol
+randomness — a loss rate of exactly ``0.0`` reproduces the perfect network
+bit for bit.
 """
 
 from __future__ import annotations
@@ -185,8 +185,6 @@ class BernoulliLossNetwork(NetworkModel):
 
     def plan_many(self, messages, round_index, rng) -> List[Optional[int]]:
         # rng.random(k) yields the doubles of k rng.random() calls.
-        if not messages:
-            return []
         return [None if lost else 0 for lost in (rng.random(len(messages)) < self.p).tolist()]
 
     def describe(self) -> dict:
