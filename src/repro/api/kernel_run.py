@@ -23,8 +23,9 @@ against the kernel's read-only ``mass_view()``.
 ``engine="rounds"`` is the same loop configured as the degenerate
 calendar: one bucket per sample, every host ticking in every bucket over
 an instant network.  Nothing can be in flight and no clock can disagree,
-so that configuration builds no clock grid, no random streams and no
-ledger, and its tick phase is plain ``kernel.step()`` — which is also what
+so that configuration builds no clock grid and no random streams, closes
+the mass ledger once, after its last bucket (``mass_check="run"``, not a
+setting), and its tick phase is plain ``kernel.step()`` — which is also what
 the calendar executes whenever the whole live population ticks in one
 bucket over an instant network.  Hence ``engine="events"`` at the
 synchronized anchor (unit rates, unit sample interval, instant network)
@@ -93,7 +94,7 @@ class KernelRun:
                     self.delays = partial(sample_delays, network, streams.get("network"))
 
         # ------------------------------------------------------- bucket grid
-        self.mass_check = "off"
+        self.mass_check = "run"  # lockstep: the books close once, at run end
         if calendar:
             self.duration = settings.duration
             self.sample_interval = settings.sample_interval
@@ -164,6 +165,8 @@ class KernelRun:
         with self.probe.span("execute", **self._span_attrs):
             for bucket in range(1, self.total_buckets + 1):
                 run_bucket(bucket)
+            if self.mass_check == "run":
+                self.check_mass(self.n_samples - 1)
         return self.result
 
     def _round(self, bucket: int) -> None:
@@ -216,7 +219,7 @@ class KernelRun:
         key = key.astype(np.min_scalar_type(key.max()))
         order = np.argsort(key, kind="stable")
         ranked = key[order]
-        for group in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        for group in np.split(order, (ranked[1:] != ranked[:-1]).nonzero()[0] + 1):
             offset, edge = divmod(int(key[group[0]]), 2)
             self.pending.setdefault((first + offset, bool(edge)), []).append(
                 (kind, *(a[group] for a in arrays))
@@ -297,7 +300,7 @@ class KernelRun:
         kernel, clocks = self.kernel, self.clocks
         cap = min(bucket * self.quantum, self.duration) + TIME_EPS
         next_times = clocks.next_times()
-        tick_idx = np.flatnonzero(kernel.alive & (next_times <= cap))
+        tick_idx = (kernel.alive & (next_times <= cap)).nonzero()[0]
         while tick_idx.size:
             if self.delays is None and tick_idx.size == kernel.live_index().size:
                 # Whole live population ticking over an instant network:

@@ -49,11 +49,13 @@ def error_statistics(
     if n == 0:
         return ErrorStatistics(*[float("nan")] * 4)
     deltas = estimates - truths
-    magnitudes = np.abs(deltas)
     # The reductions behind np.mean / np.max, minus their Python wrappers:
-    # the same pairwise sums and the same division, so the same bits.
+    # the same pairwise sums and the same division, so the same bits.  The
+    # stddev is taken first, so the magnitudes can overwrite the deltas.
+    stddev = float(np.sqrt(np.add.reduce(deltas * deltas) / n))
+    magnitudes = np.abs(deltas, out=deltas)
     return ErrorStatistics(
-        float(np.sqrt(np.add.reduce(deltas * deltas) / n)),
+        stddev,
         float(np.maximum.reduce(magnitudes)),
         float(np.add.reduce(magnitudes) / n),
         float(np.add.reduce(estimates) / n),

@@ -92,14 +92,14 @@ class LiveView:
     """A topology under one alive mask (see the module docstring).
 
     ``alive`` must not change under a view — its owner drops the view
-    instead — and ``live_index``, if given, is its ``np.flatnonzero``.  The
+    instead — and ``live_index``, if given, is its ``alive.nonzero()[0]``.  The
     base class samples through ``topology._draw_peers(requesters, alive,
     rng)``; the CSR and trace views add what they precompute per mask.
     """
 
     def __init__(self, topology, alive: np.ndarray, probe=NULL_PROBE, live_index=None):
         self.topology, self.alive, self.probe = topology, alive, probe
-        self.live_index = np.flatnonzero(alive) if live_index is None else live_index
+        self.live_index = alive.nonzero()[0] if live_index is None else live_index
         self._labels = None
 
     def sample_peers(
@@ -139,18 +139,16 @@ class LiveView:
             if valid.all():
                 left, right = requesters, targets
             else:
-                standing = np.flatnonzero(valid)
+                standing = valid.nonzero()[0]
                 left, right = requesters[standing], targets[standing]
             if available is None:
                 available = self.alive.copy()
             while True:
-                accepted = np.flatnonzero(
-                    greedy_edge_matching(left, right, self.topology.n, rng)
-                )
+                accepted = greedy_edge_matching(left, right, self.topology.n, rng).nonzero()[0]
                 matched_left, matched_right = left[accepted], right[accepted]
                 available[matched_left] = False
                 available[matched_right] = False
-                unmatched = requesters[np.flatnonzero(available[requesters])]
+                unmatched = requesters[available[requesters].nonzero()[0]]
                 # Every endpoint is a requester, so the pass is a matching
                 # exactly when each accepted edge took two requesters away;
                 # a priority tie did not: undo the pass and redraw.
@@ -201,7 +199,7 @@ class _CSRView(LiveView):
             else:
                 # One compaction serves both gathers; an ascending take keeps
                 # the CSR grouping, so the kept indices stay segment-aligned.
-                live_edges = np.flatnonzero(alive[topology.indices])
+                live_edges = alive[topology.indices].nonzero()[0]
                 self.degree = np.bincount(
                     topology._edge_owner[live_edges], minlength=topology.n
                 ).astype(np.int64)

@@ -327,9 +327,17 @@ class _VectorizedKernel:
             self._live_rank.flags.writeable = False
         return self._live_rank
 
+    def _every_rank(self) -> np.ndarray:
+        """``arange`` over the live ranks — every live host as a sender — read-only, built on
+        first use, dropped with :meth:`live_index`."""
+        if self._ranks_held is None:
+            self._ranks_held = np.arange(self.live_index().size)
+            self._ranks_held.flags.writeable = False
+        return self._ranks_held
+
     def _end_epoch(self) -> None:
         """Drop everything derived from :attr:`alive`; the next reader rebuilds it."""
-        self._live_index = self._live_view = self._live_rank = None
+        self._live_index = self._live_view = self._live_rank = self._ranks_held = None
 
     def _mark_dead(self, indices: np.ndarray) -> None:
         """The one way hosts leave: clear their liveness, end the membership epoch."""
@@ -346,12 +354,11 @@ class _VectorizedKernel:
         random live graph neighbour, and hosts whose live neighbourhood is
         empty drop out of the round (the agent engine's isolated-host rule).
         """
-        k = alive_idx.size
         if self.topology is None:
-            return np.arange(k), self.rng.integers(0, k, size=k)
+            return self._every_rank(), self.rng.integers(0, alive_idx.size, size=alive_idx.size)
         drawn = self.live_view().sample_peers(alive_idx, self.rng, self.round_index)
         has_peer = drawn >= 0
-        return np.flatnonzero(has_peer), self._ranks(drawn[has_peer])
+        return has_peer.nonzero()[0], self._ranks(drawn[has_peer])
 
     def _draw_matching(self, alive_idx: np.ndarray):
         """``(left, right)``: one round's pairwise exchanges, as live ranks.
@@ -539,7 +546,7 @@ class _VectorizedKernel:
         if legs == 2:
             delay += drawn[m:]
         later = delay > TIME_EPS
-        now, later = np.flatnonzero(~later), np.flatnonzero(later)
+        now, later = (~later).nonzero()[0], later.nonzero()[0]
         if now.size and legs == 2:
             self.merge_pairs(*self._account_exchanges(senders[now], peers[now]))
         elif now.size:
@@ -579,7 +586,7 @@ class _VectorizedKernel:
         if mass is not None:
             self.in_flight_mass -= float(mass.sum())
         self.messages_in_flight -= legs * targets.size
-        landed = np.flatnonzero(alive)
+        landed = alive.nonzero()[0]
         if landed.size < targets.size:
             if mass is not None:
                 self.mass_lost += float(mass[~alive].sum())
@@ -629,13 +636,13 @@ class _VectorizedKernel:
                 claim[endpoints] = claims[claims.size - 2 * m :]
                 idx = index[:m]
                 take = (claim[left] == idx) & (claim[right] == idx)
-                taken = np.flatnonzero(take)
+                taken = take.nonzero()[0]
                 if taken.size == m:  # the usual last pass: nothing to compact
                     self._refresh(left, right, rows=self._exchange(state, left, right))
                     break
                 a, b = left[taken], right[taken]
                 self._refresh(a, b, rows=self._exchange(state, a, b))
-                rest = np.flatnonzero(~take)
+                rest = (~take).nonzero()[0]
                 left, right = left[rest], right[rest]
 
     def mass_view(self) -> Tuple[float, float, float, float]:
@@ -882,24 +889,46 @@ class VectorizedPushSumRevert(_ValueKernel):
         self._truth = float("nan")
         self._truth_of: Optional[np.ndarray] = None
 
+    def _end_epoch(self) -> None:
+        """The base epoch's holdings, plus the live hosts' estimates (:meth:`estimates`)."""
+        super()._end_epoch()
+        #: The live hosts' estimates, read-only, and the live index they are over.
+        self._estimates: Optional[np.ndarray] = None
+        self._estimates_of: Optional[np.ndarray] = None
+
     # ------------------------------------------------------------------ gossip
     def _state(self) -> List[np.ndarray]:
         return [self.weight, self.total]
 
     def _end(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
-        """Push-Sum's ``finalize_round``: the fixed revert where it applies (its weight
-        booked in :attr:`mass_injected`), then the estimate refresh — a massless host
-        keeps its last estimate."""
+        """Push-Sum's ``finalize_round``: the fixed revert where it applies, then the
+        estimate refresh — a massless host keeps its last estimate.
+
+        Without a massless row the refresh is one plain divide (into
+        :attr:`_last_estimate` itself while everyone is alive); only a massless row
+        takes the ``where=`` divide.  A partial block's estimates are scattered once
+        and, over the live index, held for :meth:`estimates`.
+        """
         weight, total = block
         if self._fixed_revert:
-            old_mass = weight.sum()
             self._revert_block(hosts, weight, total, self.reversion)
-            self.mass_injected += float(weight.sum() - old_mass)
         everyone = hosts.size == self.n
-        estimate = self._last_estimate if everyone else self._last_estimate[hosts]
-        np.divide(total, weight, out=estimate, where=weight > 1e-12)
+        if weight.size and weight.min() > 1e-12:  # (a NaN weight fails this too)
+            estimate = np.divide(total, weight, out=self._last_estimate if everyone else None)
+        else:
+            estimate = self._last_estimate if everyone else self._last_estimate[hosts]
+            np.divide(total, weight, out=estimate, where=weight > 1e-12)
+        self._estimates = None
         if not everyone:
             self._last_estimate[hosts] = estimate
+            if hosts is self._live_index:
+                self._hold_estimates(estimate, hosts)
+
+    def _hold_estimates(self, estimate: np.ndarray, hosts: np.ndarray) -> None:
+        """Keep ``estimate`` — the live index ``hosts``' estimates — read-only for
+        :meth:`estimates`."""
+        estimate.flags.writeable = False
+        self._estimates, self._estimates_of = estimate, hosts
 
     def _refresh(self, *hosts: np.ndarray, rows=None) -> None:
         """Refresh ``hosts``' stored estimates from their mass (``rows``, if the caller
@@ -911,6 +940,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         mass: the two ends of exchanged pairs.  Repeated hosts are fine.  Why a
         refresh per ``merge_pairs`` pass is exact: DESIGN.md §14.
         """
+        self._estimates = None
         weight, total = (self.weight[hosts[0]], self.total[hosts[0]]) if rows is None else rows
         has_weight = weight > 1e-12
         if not has_weight.all():
@@ -933,12 +963,16 @@ class VectorizedPushSumRevert(_ValueKernel):
         return means
 
     def _payload(self, state: List[np.ndarray], senders: np.ndarray):
-        """Each sender keeps half its mass and pushes the other half (whole rows while
-        every row sends)."""
+        """Each sender keeps half its mass and pushes the other half.  While every row
+        sends, the rows are halved in place (``*= 0.5`` is ``/ 2.0`` bit for bit: both
+        round the same exact half) and the payload is one copy of them."""
         weight, total = state
-        rows = slice(None) if senders.size == weight.size else senders
-        halves = weight[rows] / 2.0, total[rows] / 2.0
-        weight[rows], total[rows] = halves
+        if senders.size == weight.size:
+            weight *= 0.5
+            total *= 0.5
+            return weight.copy(), total.copy()
+        halves = weight[senders] / 2.0, total[senders] / 2.0
+        weight[senders], total[senders] = halves
         return halves
 
     def _land(self, state: List[np.ndarray], targets: np.ndarray, payload) -> None:
@@ -973,7 +1007,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         parcels = weight / self.parcels, total / self.parcels
         weight.fill(0.0)  # the block now collects what lands
         total.fill(0.0)
-        ranks = np.arange(k)
+        ranks = self._every_rank()
         for parcel in range(self.parcels):
             if parcel:
                 targets = self.rng.integers(0, k, size=k)
@@ -982,7 +1016,7 @@ class VectorizedPushSumRevert(_ValueKernel):
             self.bytes_sent += self._message_bytes * int(np.count_nonzero(targets != ranks))
             self._land(block, *self._lose(targets, parcels))
         # Record this round in the history of hosts that received any mass.
-        received = np.flatnonzero(weight > 1e-12)
+        received = (weight > 1e-12).nonzero()[0]
         if received.size:
             idx = received if k == self.n else hosts[received]
             self._history_weight[idx, 1:] = self._history_weight[idx, :-1]
@@ -997,20 +1031,24 @@ class VectorizedPushSumRevert(_ValueKernel):
         at_hosts = float(self.weight[self.live_index()].sum())
         return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
 
-    def _revert_block(self, alive_idx: np.ndarray, weight: np.ndarray, total: np.ndarray, lam):
-        """Move the rows of ``alive_idx`` ``lam`` of the way back to ``(1, initial)``, in place.
+    def _revert_block(self, hosts: np.ndarray, weight: np.ndarray, total: np.ndarray, lam):
+        """Move the rows of ``hosts`` ``lam`` of the way back to ``(1, initial)``, in place,
+        and book the weight that creates in :attr:`mass_injected` (from the block's own
+        sums, so the mass ledger closes on every revert: fixed, adaptive, Full-Transfer).
 
         ``lam`` is one λ or one per row.  IEEE ``+`` and ``*`` commute exactly, so
         this is still ``lam + (1 - lam) * weight`` and ``lam * initial + (1 - lam) *
         total``, bit for bit.
         """
+        old_mass = weight.sum()
         weight *= 1.0 - lam
         weight += lam
+        self.mass_injected += float(weight.sum() - old_mass)
         total *= 1.0 - lam
-        if alive_idx.size == self.n:
+        if hosts.size == self.n:
             total += lam * self.initial
         else:  # scaled in place: one block-sized temporary, not two
-            anchor = self.initial[alive_idx]
+            anchor = self.initial[hosts]
             anchor *= lam
             total += anchor
 
@@ -1037,18 +1075,18 @@ class VectorizedPushSumRevert(_ValueKernel):
         Mirrors :func:`repro.core.departure.sign_off_mass` — the departing
         weight/total move to a live peer, so the conserved mass stays in the
         system and the average re-converges instead of drifting.  With no
-        survivors left the mass leaves the system (tracked in
-        :attr:`mass_lost`).  A host named twice signs off once (the agent's
-        second sign-off hands over an empty state).
+        survivors left the mass leaves with the leavers, as on a silent failure:
+        it drops out of :meth:`mass_view`'s live weight, which the driver books
+        around every membership event, so :attr:`mass_lost` (lost messages)
+        does not count it a second time.  A host named twice signs off once
+        (the agent's second sign-off hands over an empty state).
         """
         indices = np.asarray(list(dict.fromkeys(map(int, host_indices))), dtype=np.int64)
         if indices.size == 0:
             return
         self._mark_dead(indices)
         survivors = self.live_index()
-        if survivors.size == 0:
-            self.mass_lost += float(self.weight[indices].sum())
-        else:
+        if survivors.size:
             heirs = survivors[self.rng.integers(0, survivors.size, size=indices.size)]
             np.add.at(self.weight, heirs, self.weight[indices])
             np.add.at(self.total, heirs, self.total[indices])
@@ -1074,15 +1112,30 @@ class VectorizedPushSumRevert(_ValueKernel):
 
     # -------------------------------------------------------------- estimates
     def estimates(self) -> np.ndarray:
-        """Per-live-host estimates of the network average."""
+        """Per-live-host estimates of the network average, read-only; no later call
+        changes the array returned.
+
+        In the push and pushpull modes they are :attr:`_last_estimate`, kept current by
+        :meth:`_end` / :meth:`_refresh`: a copy of it while everyone is alive, else the
+        live block's estimates the last end hook held (gathered once if a refresh has
+        dropped them).
+        """
         alive_idx = self.live_index()
-        if self.mode != "full-transfer":
-            return self._last_estimate[alive_idx]  # kept current by _end / _refresh
-        weight_sum = self._history_weight[alive_idx].sum(axis=1)
-        total_sum = self._history_total[alive_idx].sum(axis=1)
-        return np.where(
-            weight_sum > 1e-12, total_sum / np.maximum(weight_sum, 1e-300), self._last_estimate[alive_idx]
-        )
+        if self.mode == "full-transfer":
+            weight_sum = self._history_weight[alive_idx].sum(axis=1)
+            total_sum = self._history_total[alive_idx].sum(axis=1)
+            estimates = np.where(
+                weight_sum > 1e-12, total_sum / np.maximum(weight_sum, 1e-300),
+                self._last_estimate[alive_idx],
+            )
+        elif alive_idx.size == self.n:
+            estimates = self._last_estimate.copy()
+        else:
+            if self._estimates is None or self._estimates_of is not alive_idx:
+                self._hold_estimates(self._last_estimate[alive_idx], alive_idx)
+            return self._estimates
+        estimates.flags.writeable = False
+        return estimates
 
     def truth(self) -> float:
         """The correct average over the currently live hosts (NaN with nobody alive)."""
@@ -1133,7 +1186,7 @@ class _CountingKernel(_VectorizedKernel):
         """The base draw less its self-pushes: on the calendar too, a row merged into
         itself is no message (the agent engine never counts one either)."""
         senders, peers = super()._draw_partners(ticking, alive_idx)
-        sends = np.flatnonzero(peers != senders)  # (an exchange partner is never oneself)
+        sends = (peers != senders).nonzero()[0]  # (an exchange partner is never oneself)
         return senders[sends], peers[sends]
 
     def _exchange(self, state: List[np.ndarray], a: np.ndarray, b: np.ndarray) -> None:

@@ -104,14 +104,49 @@ class TestSyncAnchorBitIdentity:
 
     def test_lockstep_is_the_same_grid_with_the_calendar_machinery_off(self):
         # One bucket per sample on both; the lockstep configuration builds
-        # no clocks, no delay sampler, no ledger and never queues anything.
+        # no clocks, no delay sampler and never queues anything.  Both open
+        # the mass ledger: the anchor checks it per sample, lockstep once.
         lockstep = driver(engine="rounds", engine_params={})
         anchor = driver()
         for run in (lockstep, anchor):
             assert (run.ratio, run.total_buckets, run.n_samples) == (1, 12, 12)
             assert run.delays is None and run.pending == {}
-        assert lockstep.clocks is None and lockstep.ledger is None
-        assert anchor.clocks.periods.size == 64 and anchor.ledger is not None
+            assert run.ledger is not None and run.ledger.initial == 64.0
+        assert lockstep.clocks is None and lockstep.mass_check == "run"
+        assert anchor.clocks.periods.size == 64 and anchor.mass_check == "sample"
+
+    def test_lockstep_closes_the_ledger_once_at_run_end(self, monkeypatch):
+        # The failure's weight leaves the live books through membership();
+        # the revert's injections reach them at the one closing check.
+        lockstep = driver(
+            engine="rounds", engine_params={}, mode="push",
+            events=({"event": "failure", "round": 5, "model": "uncorrelated", "fraction": 0.25},),
+        )
+        checks = []
+        real_check = lockstep.check_mass
+        monkeypatch.setattr(lockstep, "check_mass", lambda t: checks.append(t) or real_check(t))
+        lockstep.run()
+        assert checks == [11]
+        ledger, (at_hosts, in_flight, injected, lost) = lockstep.ledger, lockstep.kernel.mass_view()
+        assert injected > 0.0 and ledger.injected < injected  # net of the failed hosts' weight
+        assert ledger.expected == pytest.approx(at_hosts + in_flight, rel=1e-12)
+
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
+    def test_everyone_departing_gracefully_closes_the_ledger(self, engine):
+        # With no survivor the leavers' mass leaves with them: booked once, by
+        # membership(), not a second time as lost messages.
+        result = run_scenario(events_spec(
+            engine=engine, backend="vectorized", mode="push",
+            events=({"event": "graceful-departure", "round": 2,
+                     "model": "uncorrelated", "fraction": 1.0},),
+        ))
+        assert [record.n_alive for record in result.rounds][2:] == [0] * 10
+
+    def test_lockstep_ledger_catches_a_leak(self):
+        lockstep = driver(engine="rounds", engine_params={})
+        lockstep.kernel.weight[3] += 1.0  # mass from nowhere, booked by nobody
+        with pytest.raises(MassConservationError, match="round 11"):
+            lockstep.run()
 
     def test_same_seed_is_bit_deterministic_off_the_anchor(self):
         kwargs = dict(

@@ -742,7 +742,9 @@ def _host_step_push(kernel, alive_idx):
         np.add.at(received, targets, 1)
         received[alive_idx] += 1  # the self-message
         lam = np.minimum(1.0, 0.5 * kernel.reversion * received[alive_idx])
+        old_mass = kernel.weight[alive_idx].sum()
         kernel.weight[alive_idx] = lam + (1.0 - lam) * kernel.weight[alive_idx]
+        kernel.mass_injected += float(kernel.weight[alive_idx].sum() - old_mass)
         kernel.total[alive_idx] = (
             lam * kernel.initial[alive_idx] + (1.0 - lam) * kernel.total[alive_idx]
         )
@@ -751,6 +753,7 @@ def _host_step_push(kernel, alive_idx):
 def _host_step_full_transfer(kernel, alive_idx):
     lam = kernel.reversion
     outgoing_weight = (1.0 - lam) * kernel.weight[alive_idx] + lam
+    kernel.mass_injected += float(outgoing_weight.sum() - kernel.weight[alive_idx].sum())
     outgoing_total = (1.0 - lam) * kernel.total[alive_idx] + lam * kernel.initial[alive_idx]
     parcel_weight = outgoing_weight / kernel.parcels
     parcel_total = outgoing_total / kernel.parcels
@@ -785,7 +788,9 @@ def _host_step_full_transfer(kernel, alive_idx):
 
 def _host_space_step(kernel):
     """``VectorizedPushSumRevert.step`` as of fbc5cdb: the host-space ``_step_*`` bodies
-    (every gather and scatter through live host ids), then ``_settle`` over the live index."""
+    (every gather and scatter through live host ids), then ``_settle`` over the live index
+    — with the adaptive and Full-Transfer reverts' weight booked in ``mass_injected``,
+    which fbc5cdb left out of the books."""
     alive_idx = kernel.live_index()
     if alive_idx.size >= 2:
         body = {"pushpull": _host_step_matching, "push": _host_step_push,
@@ -1160,6 +1165,8 @@ class TestKernelCachesSurviveAnyCallSequence:
             rank = kernel.live_rank()  # its inverse, dropped in the same breath
             assert np.array_equal(rank[live], np.arange(live.size))
             assert rank.shape == kernel.alive.shape and (rank[~kernel.alive] == -1).all()
+            senders = kernel._every_rank()  # every live rank, held for the epoch too
+            assert np.array_equal(senders, np.arange(live.size)) and not senders.flags.writeable
 
     @pytest.mark.parametrize("overrides", [
         dict(mode="exchange"),
@@ -1168,6 +1175,10 @@ class TestKernelCachesSurviveAnyCallSequence:
         dict(mode="exchange", network="bernoulli-loss", network_params={"p": 0.3}),
         dict(mode="exchange", environment="ring", environment_params={"k": 2}),
         dict(mode="push", environment="ring", environment_params={"k": 2}),
+        pytest.param(dict(mode="push", protocol_params={"adaptive": True}), id="push-adaptive"),
+        pytest.param(dict(protocol="push-sum-revert-full-transfer", mode="push",
+                          network="bernoulli-loss", network_params={"p": 0.3}),
+                     id="full-transfer-bernoulli-loss"),
     ], ids=lambda overrides: "-".join(str(v) for v in overrides.values() if isinstance(v, str)))
     @COMMON_SETTINGS
     @given(
@@ -1178,19 +1189,40 @@ class TestKernelCachesSurviveAnyCallSequence:
     def test_push_sum_revert_serves_fresh_estimates_and_truth(
         self, overrides, calls, reversion, seed
     ):
-        kernel = self._kernel(
-            "push-sum-revert", seed, protocol_params={"reversion": reversion}, **overrides
-        )
-        in_flight = []
+        """``estimates()`` and ``truth()`` equal their from-scratch values after any call,
+        read-only and untouched by later calls; the live block's estimates the kernel
+        holds for the epoch are what it would gather; and the mass books close as the
+        driver keeps them: a membership call booked at the live weight it moves, the
+        kernel's own reverts and losses read off ``mass_view()``."""
+        spec = dict(overrides)
+        protocol = spec.pop("protocol", "push-sum-revert")
+        params = {"reversion": reversion, **spec.pop("protocol_params", {})}
+        kernel = self._kernel(protocol, seed, protocol_params=params, **spec)
+        in_flight, held = [], []
+        initial, moved = kernel.mass_view()[0], 0.0
         for call in calls:
+            before = kernel.mass_view()[0]
             if not _apply(kernel, in_flight, *call):
                 continue
+            at_hosts, in_flight_mass, injected, lost = kernel.mass_view()
+            if call[0] not in ("step", "step_subset", "deliver"):
+                moved += at_hosts - before  # what KernelRun.membership books
+            expected = initial + moved + injected - lost
+            assert at_hosts + in_flight_mass == pytest.approx(expected, rel=1e-9, abs=1e-9), call
             live = np.nonzero(kernel.alive)[0]
-            weight, total = kernel.weight[live], kernel.total[live]
-            from_scratch = np.where(
-                weight > 1e-12, total / np.maximum(weight, 1e-300), kernel._last_estimate[live]
-            )
-            assert _bits(kernel.estimates()) == _bits(from_scratch), call
+            for estimates, bits in held:  # every earlier answer, unchanged by this call
+                assert _bits(estimates) == bits, call
+            estimates = kernel.estimates()
+            assert not estimates.flags.writeable
+            held.append((estimates, _bits(estimates)))
+            if kernel.mode != "full-transfer":
+                weight, total = kernel.weight[live], kernel.total[live]
+                from_scratch = np.where(
+                    weight > 1e-12, total / np.maximum(weight, 1e-300), kernel._last_estimate[live]
+                )
+                assert _bits(estimates) == _bits(from_scratch), call
+            if kernel._estimates is not None and kernel._estimates_of is kernel.live_index():
+                assert _bits(kernel._estimates) == _bits(kernel._last_estimate[live]), call
             truth = float(kernel.initial[live].mean()) if live.size else float("nan")
             assert _bits(kernel.truth()) == _bits(truth), call
 

@@ -141,6 +141,26 @@ class TestVectorizedPushSumRevertDynamics:
         b.step_many(10)
         assert np.allclose(a.estimates(), b.estimates())
 
+    @pytest.mark.parametrize("mode", ["push", "pushpull"])
+    def test_estimates_are_read_only_and_survive_the_next_step(self, mode):
+        # While everyone is alive estimates() copies the stored estimates; after a
+        # failure it hands out the live block's, which the kernel holds: neither may
+        # be written through, and a later round must not move an answer already given.
+        kernel = VectorizedPushSumRevert(uniform_values(50, seed=2), 0.1, mode=mode, seed=2)
+        for fail in (False, True):
+            if fail:
+                kernel.fail_random_fraction(0.4)
+            kernel.step()
+            held = kernel.estimates()
+            kept = held.copy()
+            with pytest.raises(ValueError):
+                held[0] = -1.0
+            if fail:
+                assert kernel.estimates() is held  # the held block, served again as is
+            kernel.step()
+            assert np.array_equal(held, kept)
+            assert not np.array_equal(kernel.estimates(), kept)
+
 
 class TestVectorizedCountSketchReset:
     def test_rejects_bad_parameters(self):
@@ -560,7 +580,44 @@ class TestKernelMembership:
         kernel = VectorizedPushSumRevert([1.0, 2.0], 0.0, seed=0)
         kernel.depart_gracefully([0, 1])
         assert int(kernel.alive.sum()) == 0
-        assert kernel.mass_lost == pytest.approx(2.0)
+        # The mass leaves with the leavers, like a silent failure's: it drops out of
+        # the live weight (which the driver books around the event) and is no lost
+        # message, so the ledger does not count it twice.
+        assert kernel.mass_view() == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("mode", ["push", "full-transfer"])
+    def test_a_massless_row_on_the_live_block_keeps_its_last_estimate(self, mode):
+        # Full-Transfer under heavy loss leaves hosts no parcel reached massless; in
+        # push mode host 4 is emptied by hand, and a topology that leaves it without
+        # neighbours keeps it so.  After a failure the round runs on a gathered block,
+        # whose refresh must still skip exactly the massless rows.
+        from repro.simulator.sparse import CSRTopology
+
+        others = [host for host in range(10) if host != 4]
+        topology = CSRTopology.from_edges(
+            np.array(others[:-1]), np.array(others[1:]), 10
+        ) if mode == "push" else None
+        kernel = VectorizedPushSumRevert(
+            np.arange(10.0), 0.0, mode=mode, loss=0.7 if mode == "full-transfer" else 0.0,
+            topology=topology, seed=3,
+        )
+        kernel.step()
+        kernel.fail([0, 9])
+        massless = 4
+        if mode == "push":
+            kernel.weight[massless] = kernel.total[massless] = 0.0
+        live = kernel.live_index()
+        for _ in range(3):
+            before = kernel._last_estimate.copy()
+            kernel.step()
+            weight, total = kernel.weight[live], kernel.total[live]
+            has_weight = weight > 1e-12
+            assert not has_weight.all()
+            expected = before[live]
+            expected[has_weight] = total[has_weight] / weight[has_weight]
+            assert np.array_equal(kernel._last_estimate[live], expected)
+            if mode == "push":
+                assert kernel._last_estimate[massless] == before[massless]
 
     def test_graceful_departure_disowns_sketch_positions(self):
         kernel = VectorizedCountSketchReset(16, bins=16, bits=14,
