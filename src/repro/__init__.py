@@ -88,67 +88,61 @@ realisation, still fully supported):
 True
 """
 
-from repro.api import (
-    ENVIRONMENTS,
-    FAILURES,
-    NETWORKS,
-    PROTOCOLS,
-    WORKLOADS,
-    ScenarioSpec,
-    Sweep,
-    SweepResult,
-    SweepRunner,
-    register_environment,
-    register_failure,
-    register_network,
-    register_protocol,
-    register_workload,
-    run_scenario,
-)
-from repro.baselines import (
-    EpochPushSum,
-    PushPull,
-    PushSum,
-    SketchCount,
-)
-from repro.core import (
-    CountSketchReset,
-    FullTransferPushSumRevert,
-    InvertAverage,
-    PushSumRevert,
-    default_cutoff,
-)
-from repro.environments import (
-    NeighborhoodEnvironment,
-    SpatialGridEnvironment,
-    TraceEnvironment,
-    UniformEnvironment,
-)
-from repro.failures import (
-    CorrelatedFailure,
-    FailureEvent,
-    JoinEvent,
-    UncorrelatedFailure,
-)
-from repro.network import (
-    BandwidthCapNetwork,
-    BernoulliLossNetwork,
-    LatencyNetwork,
-    NetworkModel,
-    PerfectNetwork,
-    StackedNetwork,
-)
-from repro.obs import (
-    MetricsRegistry,
-    MultiProbe,
-    NullProbe,
-    Probe,
-    TraceRecorder,
-    read_trace,
-    render_report,
-)
-from repro.simulator import Simulation, SimulationResult
-from repro.store import ResultStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": (
+        "ENVIRONMENTS",
+        "FAILURES",
+        "NETWORKS",
+        "PROTOCOLS",
+        "WORKLOADS",
+        "ScenarioSpec",
+        "Sweep",
+        "SweepResult",
+        "SweepRunner",
+        "register_environment",
+        "register_failure",
+        "register_network",
+        "register_protocol",
+        "register_workload",
+        "run_scenario",
+    ),
+    "repro.baselines": ("EpochPushSum", "PushPull", "PushSum", "SketchCount"),
+    "repro.core": (
+        "CountSketchReset",
+        "FullTransferPushSumRevert",
+        "InvertAverage",
+        "PushSumRevert",
+        "default_cutoff",
+    ),
+    "repro.environments": (
+        "NeighborhoodEnvironment",
+        "SpatialGridEnvironment",
+        "TraceEnvironment",
+        "UniformEnvironment",
+    ),
+    "repro.failures": ("CorrelatedFailure", "FailureEvent", "JoinEvent", "UncorrelatedFailure"),
+    "repro.network": (
+        "BandwidthCapNetwork",
+        "BernoulliLossNetwork",
+        "LatencyNetwork",
+        "NetworkModel",
+        "PerfectNetwork",
+        "StackedNetwork",
+    ),
+    "repro.obs": (
+        "MetricsRegistry",
+        "MultiProbe",
+        "NullProbe",
+        "Probe",
+        "TraceRecorder",
+        "read_trace",
+        "render_report",
+    ),
+    "repro.simulator": ("Simulation", "SimulationResult"),
+    "repro.store": ("ResultStore",),
+})
 
 __all__ = [
     "BandwidthCapNetwork",

@@ -7,9 +7,13 @@ the fitted linear cutoff f(k) — and renders them as plain-text tables for
 the benchmark output (committed under ``benchmarks/output/``).
 """
 
-from repro.analysis.cdf import cdf_at, empirical_cdf, quantile
-from repro.analysis.cutoff_fit import CutoffFit, fit_linear_cutoff
-from repro.analysis.render import format_number, render_series_table, render_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.cdf": ("cdf_at", "empirical_cdf", "quantile"),
+    "repro.analysis.cutoff_fit": ("CutoffFit", "fit_linear_cutoff"),
+    "repro.analysis.render": ("format_number", "render_series_table", "render_table"),
+})
 
 __all__ = [
     "CutoffFit",

@@ -26,35 +26,34 @@ working unchanged; this layer is additive and is what the CLI, the
 experiment profiles and the examples are built on.
 """
 
-from repro.api.backends import (
-    BACKENDS,
-    AgentBackend,
-    ExecutionBackend,
-    VectorizedBackend,
-)
-from repro.api.plan import (
-    ExecutionPlan,
-    PlanRejectionError,
-    Rejection,
-    capability_matrix,
-    resolve_plan,
-)
-from repro.api.registry import (
-    ENVIRONMENTS,
-    FAILURES,
-    NETWORKS,
-    PROTOCOLS,
-    WORKLOADS,
-    Registry,
-    UnknownKeyError,
-    register_environment,
-    register_failure,
-    register_network,
-    register_protocol,
-    register_workload,
-)
-from repro.api.spec import NAMED_CUTOFFS, ScenarioSpec, run_scenario
-from repro.api.sweep import Sweep, SweepResult, SweepRunner
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.backends": ("BACKENDS", "AgentBackend", "ExecutionBackend", "VectorizedBackend"),
+    "repro.api.plan": (
+        "ExecutionPlan",
+        "PlanRejectionError",
+        "Rejection",
+        "capability_matrix",
+        "resolve_plan",
+    ),
+    "repro.api.registry": (
+        "ENVIRONMENTS",
+        "FAILURES",
+        "NETWORKS",
+        "PROTOCOLS",
+        "WORKLOADS",
+        "Registry",
+        "UnknownKeyError",
+        "register_environment",
+        "register_failure",
+        "register_network",
+        "register_protocol",
+        "register_workload",
+    ),
+    "repro.api.spec": ("NAMED_CUTOFFS", "ScenarioSpec", "run_scenario"),
+    "repro.api.sweep": ("Sweep", "SweepResult", "SweepRunner"),
+})
 
 __all__ = [
     "AgentBackend",

@@ -39,7 +39,6 @@ from collections import OrderedDict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Tuple
 
-from repro.api.kernel_run import KernelRun
 from repro.api.plan import (
     AUTO,
     ExecutionPlan,
@@ -50,8 +49,6 @@ from repro.api.registry import ENVIRONMENTS, Registry, _grid_dimensions
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.kernels import KERNELS
 from repro.simulator.result import SimulationResult
-from repro.simulator.sparse import CSRTopology, GridRingTopology, TraceCSRTopology
-from repro.topology.graphs import erdos_renyi_edges, grid_edges, ring_lattice_edges
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.spec import ScenarioSpec
@@ -168,6 +165,10 @@ class VectorizedBackend(ExecutionBackend):
         if cached is not None:
             _TOPOLOGY_CACHE.move_to_end(key)
             return cached
+        # A kernel run's graph layer, imported by the first topology it builds.
+        from repro.simulator.sparse import CSRTopology, GridRingTopology, TraceCSRTopology
+        from repro.topology.graphs import erdos_renyi_edges, grid_edges, ring_lattice_edges
+
         params = spec.environment_params
 
         def default(name):
@@ -188,7 +189,7 @@ class VectorizedBackend(ExecutionBackend):
             )
             built = CSRTopology.from_edges(u, v, spec.n_hosts), "NeighborhoodEnvironment"
         else:
-            from repro.environments import SpatialGridEnvironment
+            from repro.environments.spatial import SpatialGridEnvironment
             from repro.environments.trace import TraceEnvironment
 
             environment = spec.build_environment()
@@ -249,6 +250,8 @@ class VectorizedBackend(ExecutionBackend):
     # -------------------------------------------------------------- execution
     def run(self, spec: "ScenarioSpec", probe=NULL_PROBE) -> SimulationResult:
         """Both engines run on the one kernel driver (:class:`KernelRun`)."""
+        from repro.api.kernel_run import KernelRun
+
         return KernelRun(self, spec, probe).run()
 
 

@@ -234,14 +234,18 @@ class KernelRun:
     def membership(self, bucket: int) -> None:
         """Apply the membership events scheduled at this bucket's boundary."""
         kernel, ledger, probe = self.kernel, self.ledger, self.probe
-        for event in self._membership.get(bucket, ()):
-            before = kernel.mass_view()[0] if ledger is not None else 0.0
+        events = self._membership.get(bucket, ())
+        # One O(n) live-weight sum per event: each event's "after" is the next one's "before".
+        before = kernel.mass_view()[0] if events and ledger is not None else 0.0
+        for event in events:
             old_n = kernel.n
             self.apply_event(event)
             if self.clocks is not None and kernel.n > old_n:
                 self.clocks.grow(kernel.n - old_n, join_time=bucket * self.quantum)
             if ledger is not None:
-                ledger.record_injected(kernel.mass_view()[0] - before)
+                after = kernel.mass_view()[0]
+                ledger.record_injected(after - before)
+                before = after
             if probe.enabled and not isinstance(event, ValueChangeEvent):
                 action = "join" if isinstance(event, JoinEvent) else "fail"
                 probe.event("membership", action=action, round=bucket // self.ratio - 1)

@@ -29,17 +29,22 @@ New components self-register with the matching decorator::
     class MyProtocol(ExchangeProtocol):
         ...
 
-All the classes shipped in :mod:`repro.core`, :mod:`repro.baselines`,
-:mod:`repro.environments`, :mod:`repro.failures` and
-:mod:`repro.workloads` are registered at import time at the bottom of this
-module.
+The components shipped in :mod:`repro.core`, :mod:`repro.baselines`,
+:mod:`repro.environments`, :mod:`repro.failures`, :mod:`repro.network` and
+:mod:`repro.workloads` are registered by name at the bottom of this module
+and imported on first lookup: a built-in protocol, failure model or network
+is a ``"module:attr"`` reference that :meth:`Registry.get` resolves once and
+memoises, and the environment, workload and ``stacked`` factories import
+what they build inside their own bodies.  Keys (and their order) exist from
+import time on; a run imports only the components it names.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
 import inspect
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -81,16 +86,21 @@ class Registry:
 
     def __init__(self, kind: str):
         self.kind = kind
-        self._entries: Dict[str, Callable] = {}
+        #: A factory, or a ``"module:attr"`` reference until the first :meth:`get`.
+        self._entries: Dict[str, Union[Callable, str]] = {}
         #: ``inspect.signature`` per key (``None``: not introspectable).  A
         #: key can never be re-registered, so the memo cannot go stale.
         self._signatures: Dict[str, Optional[inspect.Signature]] = {}
 
     # ------------------------------------------------------------ registration
-    def register(self, key: str, factory: Optional[Callable] = None, *, aliases: tuple = ()):
+    def register(
+        self, key: str, factory: Union[Callable, str, None] = None, *, aliases: tuple = ()
+    ):
         """Register ``factory`` under ``key`` (usable as a decorator).
 
-        ``aliases`` registers the same factory under additional names.
+        ``factory`` may be a ``"module:attr"`` reference, imported on the
+        first :meth:`get`.  ``aliases`` registers the same factory under
+        additional names.
         Registering an existing key raises ``ValueError`` — shadowing a
         component silently would make specs ambiguous.
         """
@@ -112,9 +122,13 @@ class Registry:
     def get(self, key: str) -> Callable:
         """The factory registered under ``key``; raises :class:`UnknownKeyError`."""
         try:
-            return self._entries[key]
+            entry = self._entries[key]
         except KeyError:
             raise UnknownKeyError(self.kind, key, list(self._entries)) from None
+        if isinstance(entry, str):
+            module, _, attr = entry.partition(":")
+            entry = self._entries[key] = getattr(importlib.import_module(module), attr)
+        return entry
 
     def create(self, key: str, *args, **kwargs):
         """Instantiate the factory registered under ``key``."""
@@ -173,92 +187,64 @@ register_network = NETWORKS.register
 
 
 # --------------------------------------------------------------------------
-# Built-in registrations.  Protocols and failure models register as their
-# classes; environments and workloads register as factories with the uniform
-# (n_hosts, **params) calling convention the spec layer relies on.
+# Built-in registrations.  Protocols, failure models and networks register as
+# "module:attr" references to their classes; environments and workloads
+# register as factories with the uniform (n_hosts, **params) calling
+# convention the spec layer relies on.  Nothing here imports a component.
 # --------------------------------------------------------------------------
 
 def _register_builtins() -> None:
-    from repro.baselines import (
-        EpochPushSum,
-        ExtremaGossip,
-        ExtremaReset,
-        PushPull,
-        PushSum,
-        SketchCount,
-    )
-    from repro.core import (
-        CountSketchReset,
-        FullTransferPushSumRevert,
-        InvertAverage,
-        PushSumRevert,
-    )
-    from repro.environments import (
-        NeighborhoodEnvironment,
-        SpatialGridEnvironment,
-        TraceEnvironment,
-        UniformEnvironment,
-    )
-    from repro.failures import (
-        BernoulliChurn,
-        CorrelatedFailure,
-        ExplicitFailure,
-        UncorrelatedFailure,
-    )
-    from repro.mobility import generate_haggle_like_trace, haggle_dataset
-    from repro.network import (
-        BandwidthCapNetwork,
-        BernoulliLossNetwork,
-        LatencyNetwork,
-        PerfectNetwork,
-        StackedNetwork,
-    )
-    from repro.topology import erdos_renyi_graph, grid_graph, random_geometric_graph, ring_lattice
-    from repro.workloads import (
-        clustered_array,
-        constant_array,
-        normal_array,
-        uniform_array,
-        zipf_array,
-    )
-
     # ------------------------------------------------------------- protocols
-    for protocol_class in (
-        PushSumRevert,
-        FullTransferPushSumRevert,
-        CountSketchReset,
-        InvertAverage,
-        PushSum,
-        PushPull,
-        EpochPushSum,
-        SketchCount,
-        ExtremaGossip,
-        ExtremaReset,
+    for key, reference in (
+        ("push-sum-revert", "repro.core.push_sum_revert:PushSumRevert"),
+        ("push-sum-revert-full-transfer", "repro.core.full_transfer:FullTransferPushSumRevert"),
+        ("count-sketch-reset", "repro.core.count_sketch_reset:CountSketchReset"),
+        ("invert-average", "repro.core.invert_average:InvertAverage"),
+        ("push-sum", "repro.baselines.push_sum:PushSum"),
+        ("push-pull", "repro.baselines.push_sum:PushPull"),
+        ("epoch-push-sum", "repro.baselines.epoch:EpochPushSum"),
+        ("sketch-count", "repro.baselines.count_sketch:SketchCount"),
+        ("extrema-gossip", "repro.baselines.extrema:ExtremaGossip"),
+        ("extrema-reset", "repro.baselines.extrema:ExtremaReset"),
     ):
-        PROTOCOLS.register(protocol_class.name, protocol_class)
+        PROTOCOLS.register(key, reference)
 
     # ---------------------------------------------------------- environments
     @register_environment("uniform")
     def _uniform(n_hosts: int):
+        from repro.environments.uniform import UniformEnvironment
+
         return UniformEnvironment(n_hosts)
 
     @register_environment("ring")
     def _ring(n_hosts: int, *, k: int = 2):
+        from repro.environments.neighborhood import NeighborhoodEnvironment
+        from repro.topology.graphs import ring_lattice
+
         return NeighborhoodEnvironment(ring_lattice(n_hosts, k=k))
 
     @register_environment("grid")
     def _grid(n_hosts: int, *, width: Optional[int] = None, height: Optional[int] = None,
               diagonal: bool = False):
+        from repro.environments.neighborhood import NeighborhoodEnvironment
+        from repro.topology.graphs import grid_graph
+
         width, height = _grid_dimensions(n_hosts, width, height)
         return NeighborhoodEnvironment(grid_graph(width, height, diagonal=diagonal))
 
     @register_environment("random-geometric")
     def _random_geometric(n_hosts: int, *, radius: float = 0.15, graph_seed: int = 0):
+        from repro.environments.neighborhood import NeighborhoodEnvironment
+        from repro.topology.graphs import random_geometric_graph
+
         adjacency, _positions = random_geometric_graph(n_hosts, radius, seed=graph_seed)
         return NeighborhoodEnvironment(adjacency)
 
     @register_environment("erdos-renyi")
     def _erdos_renyi(n_hosts: int, *, p: float = 0.1, graph_seed: int = 0):
+        from repro.environments.neighborhood import NeighborhoodEnvironment
+        from repro.topology.graphs import erdos_renyi_graph
+
         # Seed-deterministic G(n, p): the same (n, p, graph_seed) triple
         # yields the same graph on every backend and every machine.
         return NeighborhoodEnvironment(erdos_renyi_graph(n_hosts, p, seed=graph_seed))
@@ -266,6 +252,8 @@ def _register_builtins() -> None:
     @register_environment("spatial-grid")
     def _spatial_grid(n_hosts: int, *, width: Optional[int] = None, height: Optional[int] = None,
                       max_distance: Optional[int] = None, walk: bool = True):
+        from repro.environments.spatial import SpatialGridEnvironment
+
         width, height = _grid_dimensions(n_hosts, width, height)
         return SpatialGridEnvironment(width, height, max_distance=max_distance, walk=walk)
 
@@ -274,6 +262,9 @@ def _register_builtins() -> None:
                hours: float = 48.0, trace_seed: Optional[int] = None, community_size: int = 4,
                round_seconds: float = 30.0, group_window_seconds: float = 600.0,
                broadcast: bool = False):
+        from repro.environments.trace import TraceEnvironment
+        from repro.mobility.synthetic_haggle import generate_haggle_like_trace, haggle_dataset
+
         if dataset is not None:
             trace = haggle_dataset(dataset, seed=trace_seed)
         else:
@@ -296,21 +287,29 @@ def _register_builtins() -> None:
         )
 
     # -------------------------------------------------------------- failures
-    FAILURES.register("uncorrelated", UncorrelatedFailure)
-    FAILURES.register("correlated", CorrelatedFailure)
-    FAILURES.register("explicit", ExplicitFailure)
-    FAILURES.register("bernoulli", BernoulliChurn)
+    for key, name in (
+        ("uncorrelated", "UncorrelatedFailure"),
+        ("correlated", "CorrelatedFailure"),
+        ("explicit", "ExplicitFailure"),
+        ("bernoulli", "BernoulliChurn"),
+    ):
+        FAILURES.register(key, f"repro.failures.models:{name}")
 
     # -------------------------------------------------------------- networks
-    NETWORKS.register("perfect", PerfectNetwork)
-    NETWORKS.register("bernoulli-loss", BernoulliLossNetwork)
-    NETWORKS.register("latency", LatencyNetwork)
-    NETWORKS.register("bandwidth-cap", BandwidthCapNetwork)
+    for key, name in (
+        ("perfect", "PerfectNetwork"),
+        ("bernoulli-loss", "BernoulliLossNetwork"),
+        ("latency", "LatencyNetwork"),
+        ("bandwidth-cap", "BandwidthCapNetwork"),
+    ):
+        NETWORKS.register(key, f"repro.network.models:{name}")
 
     @register_network("stacked")
     def _stacked(*, layers):
         """Compose registered models: ``layers`` is a list of dicts, each
         naming a registered ``model`` plus its parameters."""
+        from repro.network.models import StackedNetwork
+
         if not isinstance(layers, (list, tuple)) or not layers:
             raise ValueError(
                 "stacked networks need a non-empty 'layers' list of "
@@ -333,26 +332,36 @@ def _register_builtins() -> None:
     @register_workload("uniform")
     def _uniform_workload(n_hosts: int, *, seed: Optional[int] = None,
                           low: float = 0.0, high: float = 100.0):
+        from repro.workloads.values import uniform_array
+
         return uniform_array(n_hosts, low, high, seed=seed)
 
     @register_workload("constant")
     def _constant_workload(n_hosts: int, *, seed: Optional[int] = None, value: float = 1.0):
+        from repro.workloads.values import constant_array
+
         return constant_array(n_hosts, value)
 
     @register_workload("normal")
     def _normal_workload(n_hosts: int, *, seed: Optional[int] = None,
                          mean: float = 50.0, std: float = 15.0):
+        from repro.workloads.values import normal_array
+
         return normal_array(n_hosts, mean, std, seed=seed)
 
     @register_workload("zipf")
     def _zipf_workload(n_hosts: int, *, seed: Optional[int] = None, exponent: float = 1.5,
                        scale: float = 1.0, clamp: Optional[float] = None):
+        from repro.workloads.values import zipf_array
+
         values = zipf_array(n_hosts, exponent, scale, seed=seed)
         return values if clamp is None else np.minimum(values, float(clamp))
 
     @register_workload("clustered")
     def _clustered_workload(n_hosts: int, *, seed: Optional[int] = None,
                             cluster_means: tuple = (10.0, 50.0, 90.0), std: float = 5.0):
+        from repro.workloads.values import clustered_array
+
         return clustered_array(n_hosts, tuple(cluster_means), std, seed=seed)
 
 

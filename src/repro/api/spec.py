@@ -37,7 +37,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +45,12 @@ from repro.api.plan import resolve_plan
 from repro.api.registry import ENVIRONMENTS, FAILURES, NETWORKS, PROTOCOLS, WORKLOADS
 from repro.core.cutoff import default_cutoff, linear_cutoff, no_decay_cutoff, scaled_cutoff
 from repro.core.departure import GracefulDepartureEvent
-from repro.events import EngineSettings, EventSimulation
-from repro.failures import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
-from repro.simulator import Simulation, SimulationResult
+from repro.events.clocks import EngineSettings
+from repro.failures.schedule import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
+from repro.simulator.result import SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; build() imports the engine it builds
+    from repro.simulator.engine import Simulation
 
 __all__ = ["ScenarioSpec", "run_scenario", "NAMED_CUTOFFS"]
 
@@ -417,9 +420,14 @@ class ScenarioSpec:
         layer.  ``probe`` is a runtime observer (:mod:`repro.obs`); it never
         enters :meth:`key`.
         """
-        engine_class, engine_options = Simulation, {}
         if self.engine == "events":
-            engine_class, engine_options = EventSimulation, {"settings": self.engine_settings()}
+            from repro.events.engine import EventSimulation as engine_class
+
+            engine_options = {"settings": self.engine_settings()}
+        else:
+            from repro.simulator.engine import Simulation as engine_class
+
+            engine_options = {}
         return engine_class(
             self.build_protocol(),
             self.build_environment(),

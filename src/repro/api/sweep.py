@@ -46,14 +46,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.render import render_table
 from repro.api.spec import ScenarioSpec, run_scenario
 from repro.obs.probe import NULL_PROBE, Probe
-from repro.simulator import SimulationResult
+from repro.simulator.result import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ResultStore
@@ -376,6 +375,9 @@ class SweepRunner:
         # header as the cold run that populated the store.
         ran_parallel = self.parallel and len(specs) > 1
         if self.parallel and len(pending) > 1:
+            # Only this path needs the pool (and, through it, multiprocessing).
+            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
             workers = min(self.max_workers or (os.cpu_count() or 1), len(pending))
             batches = [
                 pending[start : start + self.chunksize]

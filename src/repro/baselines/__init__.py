@@ -14,10 +14,14 @@ These are the protocols the paper builds on and compares against:
   age-reset extension, beyond the paper's figures.
 """
 
-from repro.baselines.count_sketch import SketchCount
-from repro.baselines.epoch import EpochPushSum
-from repro.baselines.extrema import ExtremaGossip, ExtremaReset
-from repro.baselines.push_sum import MassState, PushPull, PushSum
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.count_sketch": ("SketchCount",),
+    "repro.baselines.epoch": ("EpochPushSum",),
+    "repro.baselines.extrema": ("ExtremaGossip", "ExtremaReset"),
+    "repro.baselines.push_sum": ("MassState", "PushPull", "PushSum"),
+})
 
 __all__ = [
     "EpochPushSum",

@@ -20,12 +20,16 @@ small, bounded local error for the ability to *forget*:
   summation (Section IV-B).
 """
 
-from repro.core.count_sketch_reset import CountSketchReset, CountSketchResetState
-from repro.core.cutoff import default_cutoff, linear_cutoff, no_decay_cutoff, scaled_cutoff
-from repro.core.departure import GracefulDepartureEvent
-from repro.core.full_transfer import FullTransferPushSumRevert
-from repro.core.invert_average import InvertAverage, InvertAverageState
-from repro.core.push_sum_revert import PushSumRevert
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.count_sketch_reset": ("CountSketchReset", "CountSketchResetState"),
+    "repro.core.cutoff": ("default_cutoff", "linear_cutoff", "no_decay_cutoff", "scaled_cutoff"),
+    "repro.core.departure": ("GracefulDepartureEvent",),
+    "repro.core.full_transfer": ("FullTransferPushSumRevert",),
+    "repro.core.invert_average": ("InvertAverage", "InvertAverageState"),
+    "repro.core.push_sum_revert": ("PushSumRevert",),
+})
 
 __all__ = [
     "CountSketchReset",

@@ -29,14 +29,15 @@ hook simply leave silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.push_sum import MassState
-from repro.core.count_sketch_reset import CountSketchResetState
-from repro.core.invert_average import InvertAverageState
-from repro.failures.models import FailureModel
+if TYPE_CHECKING:  # pragma: no cover - annotations only; the event needs no protocol
+    from repro.baselines.push_sum import MassState
+    from repro.core.count_sketch_reset import CountSketchResetState
+    from repro.core.invert_average import InvertAverageState
+    from repro.failures.models import FailureModel
 
 __all__ = [
     "GracefulDepartureEvent",

@@ -16,11 +16,15 @@ environments used in the evaluation plus two generalisations:
   10-minute-union group definition (Fig 11).
 """
 
-from repro.environments.base import GossipEnvironment
-from repro.environments.neighborhood import NeighborhoodEnvironment
-from repro.environments.spatial import SpatialGridEnvironment
-from repro.environments.trace import TraceEnvironment
-from repro.environments.uniform import UniformEnvironment
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.environments.base": ("GossipEnvironment",),
+    "repro.environments.neighborhood": ("NeighborhoodEnvironment",),
+    "repro.environments.spatial": ("SpatialGridEnvironment",),
+    "repro.environments.trace": ("TraceEnvironment",),
+    "repro.environments.uniform": ("UniformEnvironment",),
+})
 
 __all__ = [
     "GossipEnvironment",

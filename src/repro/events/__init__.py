@@ -18,15 +18,19 @@ holds the array-form clock grid and delay sampler that the kernel driver
 calendar on in per-bucket batches.
 """
 
-from repro.events.calendar import DELIVER, MEMBERSHIP, SAMPLE, TICK, EventCalendar
-from repro.events.clocks import (
-    RATE_DISTRIBUTIONS,
-    TIME_EPS,
-    EngineSettings,
-    HostClock,
-    make_clock,
-)
-from repro.events.engine import EventSimulation
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.events.calendar": ("DELIVER", "MEMBERSHIP", "SAMPLE", "TICK", "EventCalendar"),
+    "repro.events.clocks": (
+        "RATE_DISTRIBUTIONS",
+        "TIME_EPS",
+        "EngineSettings",
+        "HostClock",
+        "make_clock",
+    ),
+    "repro.events.engine": ("EventSimulation",),
+})
 
 __all__ = [
     "DELIVER",

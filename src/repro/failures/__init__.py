@@ -14,14 +14,18 @@ changes, so the failure machinery is a first-class substrate here:
   :class:`repro.simulator.Simulation`.
 """
 
-from repro.failures.models import (
-    BernoulliChurn,
-    CorrelatedFailure,
-    ExplicitFailure,
-    FailureModel,
-    UncorrelatedFailure,
-)
-from repro.failures.schedule import ChurnProcess, FailureEvent, JoinEvent, ValueChangeEvent
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.failures.models": (
+        "BernoulliChurn",
+        "CorrelatedFailure",
+        "ExplicitFailure",
+        "FailureModel",
+        "UncorrelatedFailure",
+    ),
+    "repro.failures.schedule": ("ChurnProcess", "FailureEvent", "JoinEvent", "ValueChangeEvent"),
+})
 
 __all__ = [
     "BernoulliChurn",

@@ -10,9 +10,13 @@ scores its per-round :class:`~repro.simulator.result.RoundRecord` through
   (Invert-Average versus multiple-insertion summation).
 """
 
-from repro.metrics.accuracy import error_statistics, group_truths
-from repro.metrics.bandwidth import CostSummary, protocol_cost_summary
-from repro.metrics.convergence import convergence_round, plateau_error, reconvergence_round
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.accuracy": ("error_statistics", "group_truths"),
+    "repro.metrics.bandwidth": ("CostSummary", "protocol_cost_summary"),
+    "repro.metrics.convergence": ("convergence_round", "plateau_error", "reconvergence_round"),
+})
 
 __all__ = [
     "CostSummary",

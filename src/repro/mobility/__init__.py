@@ -18,18 +18,22 @@ provides:
   synthetic traces against the qualitative description of the real ones.
 """
 
-from repro.mobility.synthetic_haggle import (
-    HAGGLE_DATASET_SIZES,
-    generate_haggle_like_trace,
-    haggle_dataset,
-)
-from repro.mobility.stats import (
-    average_degree_series,
-    average_group_size_series,
-    contact_duration_stats,
-    intercontact_time_stats,
-)
-from repro.mobility.traces import ContactRecord, ContactTrace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mobility.synthetic_haggle": (
+        "HAGGLE_DATASET_SIZES",
+        "generate_haggle_like_trace",
+        "haggle_dataset",
+    ),
+    "repro.mobility.stats": (
+        "average_degree_series",
+        "average_group_size_series",
+        "contact_duration_stats",
+        "intercontact_time_stats",
+    ),
+    "repro.mobility.traces": ("ContactRecord", "ContactTrace"),
+})
 
 __all__ = [
     "ContactRecord",

@@ -18,21 +18,25 @@ Models are registered in :data:`repro.api.NETWORKS` and named by
 with :func:`repro.api.register_network`.
 """
 
-from repro.network.delivery import (
-    DeliveryQueue,
-    InFlightMessage,
-    MassConservationError,
-    MassLedger,
-)
-from repro.network.models import (
-    DELAY_DISTRIBUTIONS,
-    BandwidthCapNetwork,
-    BernoulliLossNetwork,
-    LatencyNetwork,
-    NetworkModel,
-    PerfectNetwork,
-    StackedNetwork,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.delivery": (
+        "DeliveryQueue",
+        "InFlightMessage",
+        "MassConservationError",
+        "MassLedger",
+    ),
+    "repro.network.models": (
+        "DELAY_DISTRIBUTIONS",
+        "BandwidthCapNetwork",
+        "BernoulliLossNetwork",
+        "LatencyNetwork",
+        "NetworkModel",
+        "PerfectNetwork",
+        "StackedNetwork",
+    ),
+})
 
 __all__ = [
     "BandwidthCapNetwork",

@@ -27,10 +27,14 @@ for the phase-time breakdown and per-round counter table.  See
 DESIGN.md §13.
 """
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import NULL_PROBE, MultiProbe, NullProbe, Probe, compose
-from repro.obs.report import render_report, summarize_trace
-from repro.obs.trace import TraceRecorder, read_trace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.probe": ("NULL_PROBE", "MultiProbe", "NullProbe", "Probe", "compose"),
+    "repro.obs.report": ("render_report", "summarize_trace"),
+    "repro.obs.trace": ("TraceRecorder", "read_trace"),
+})
 
 __all__ = [
     "Probe",

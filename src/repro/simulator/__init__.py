@@ -19,12 +19,16 @@ exchange with them.  This package provides that substrate:
   random-geometric, spatial-grid) instead of uniform gossip.
 """
 
-from repro.simulator.engine import Simulation
-from repro.simulator.host import Host
-from repro.simulator.protocol import AggregationProtocol, ExchangeProtocol
-from repro.simulator.result import RoundRecord, SimulationResult
-from repro.simulator.rng import RandomStreams
-from repro.simulator.sparse import CSRTopology, GridRingTopology
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulator.engine": ("Simulation",),
+    "repro.simulator.host": ("Host",),
+    "repro.simulator.protocol": ("AggregationProtocol", "ExchangeProtocol"),
+    "repro.simulator.result": ("RoundRecord", "SimulationResult"),
+    "repro.simulator.rng": ("RandomStreams",),
+    "repro.simulator.sparse": ("CSRTopology", "GridRingTopology"),
+})
 
 __all__ = [
     "AggregationProtocol",

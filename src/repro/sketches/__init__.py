@@ -13,9 +13,13 @@ sketches as applied to sensor networks by Considine et al.:
   which is what gives the sketch the ability to decay (Section IV).
 """
 
-from repro.sketches.counter_matrix import CounterMatrix
-from repro.sketches.fm_sketch import FMSketch, PHI, fm_estimate, rank_of_bits
-from repro.sketches.hashing import bin_index, identifier_hash, rho
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sketches.counter_matrix": ("CounterMatrix",),
+    "repro.sketches.fm_sketch": ("FMSketch", "PHI", "fm_estimate", "rank_of_bits"),
+    "repro.sketches.hashing": ("bin_index", "identifier_hash", "rho"),
+})
 
 __all__ = [
     "CounterMatrix",

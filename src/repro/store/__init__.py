@@ -21,8 +21,12 @@ the affected entries into misses.  :class:`~repro.api.sweep.SweepRunner`
 builds incremental, resumable grid execution on top (see DESIGN.md §9).
 """
 
-from repro.store.fingerprint import clear_fingerprint_cache, code_fingerprint
-from repro.store.store import DEFAULT_CACHE_DIR, STORE_SCHEMA_VERSION, ResultStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.fingerprint": ("clear_fingerprint_cache", "code_fingerprint"),
+    "repro.store.store": ("DEFAULT_CACHE_DIR", "STORE_SCHEMA_VERSION", "ResultStore"),
+})
 
 __all__ = [
     "DEFAULT_CACHE_DIR",

@@ -106,6 +106,10 @@ def _protocol_imports(source: bytes) -> Set[str]:
             # the module itself.  Collect both candidates — non-modules are
             # filtered out when their source cannot be located.
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A package ``__init__`` names its modules in a lazy-export table
+            # (:mod:`repro._lazy`) instead of importing them.
+            names = [node.value]
         else:
             continue
         for name in names:
@@ -119,7 +123,7 @@ def _protocol_closure(module_name: str) -> List[Tuple[str, str]]:
 
     Returns (module name, path) pairs.  Imports that resolve to the
     protocol *packages* themselves pull in the ``__init__`` module, whose
-    own imports are chased in turn — so ``from repro.core import X``
+    export table is chased in turn — so ``from repro.core import X``
     reaches ``X``'s defining module through the package re-exports.
     """
     seen: Set[str] = set()

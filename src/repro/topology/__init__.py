@@ -12,19 +12,23 @@ helpers in :mod:`repro.topology.connectivity` operate on those maps and on
 optional "alive" subsets so that failed hosts drop out of the structure.
 """
 
-from repro.topology.connectivity import (
-    connected_component,
-    connected_components,
-    union_adjacency,
-)
-from repro.topology.graphs import (
-    complete_graph,
-    empty_graph,
-    erdos_renyi_graph,
-    grid_graph,
-    random_geometric_graph,
-    ring_lattice,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.connectivity": (
+        "connected_component",
+        "connected_components",
+        "union_adjacency",
+    ),
+    "repro.topology.graphs": (
+        "complete_graph",
+        "empty_graph",
+        "erdos_renyi_graph",
+        "grid_graph",
+        "random_geometric_graph",
+        "ring_lattice",
+    ),
+})
 
 __all__ = [
     "complete_graph",

@@ -14,14 +14,18 @@ parameters) are not assembled here: each is one module-level
 module under :mod:`repro.experiments`.
 """
 
-from repro.workloads.values import (
-    clustered_array,
-    constant_array,
-    normal_array,
-    uniform_array,
-    uniform_values,
-    zipf_array,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.values": (
+        "clustered_array",
+        "constant_array",
+        "normal_array",
+        "uniform_array",
+        "uniform_values",
+        "zipf_array",
+    ),
+})
 
 __all__ = [
     "clustered_array",

@@ -131,6 +131,25 @@ class TestSyncAnchorBitIdentity:
         assert injected > 0.0 and ledger.injected < injected  # net of the failed hosts' weight
         assert ledger.expected == pytest.approx(at_hosts + in_flight, rel=1e-12)
 
+    def test_lockstep_churn_sums_the_live_weight_once_per_event(self, monkeypatch):
+        # A failure and a join per round: membership() takes one O(n) sum
+        # before the bucket's first event and one after each event (the
+        # "after" is the next event's "before"), and the books still close.
+        lockstep = driver(
+            engine="rounds", engine_params={}, mode="push",
+            events=({"event": "churn", "start": 2, "stop": 9, "model": "uncorrelated",
+                     "fraction": 0.05, "arrivals_per_round": 3},),
+        )
+        buckets = lockstep._membership
+        assert buckets and all(len(events) == 2 for events in buckets.values())
+        calls = []
+        real_view = lockstep.kernel.mass_view
+        monkeypatch.setattr(lockstep.kernel, "mass_view", lambda: calls.append(1) or real_view())
+        lockstep.run()  # raises MassConservationError if a membership event went unbooked
+        assert len(calls) == 3 * len(buckets) + 1  # + the closing check_mass
+        ledger, (at_hosts, in_flight, _injected, _lost) = lockstep.ledger, real_view()
+        assert ledger.expected == pytest.approx(at_hosts + in_flight, rel=1e-12)
+
     @pytest.mark.parametrize("engine", ["rounds", "events"])
     def test_everyone_departing_gracefully_closes_the_ledger(self, engine):
         # With no survivor the leavers' mass leaves with them: booked once, by

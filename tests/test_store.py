@@ -217,6 +217,15 @@ class TestResultStore:
         assert "repro.core.push_sum_revert" in names
         assert "repro.baselines.push_sum" in names
 
+    def test_fingerprint_chases_the_lazy_package_exports(self):
+        # ``from repro.core import X`` imports the package, whose __init__
+        # names X's module in its lazy-export table rather than importing it.
+        from repro.store.fingerprint import _protocol_closure
+
+        names = [name for name, _path in _protocol_closure("repro.core")]
+        assert "repro.core.push_sum_revert" in names
+        assert "repro.baselines.push_sum" in names
+
     def test_editing_the_event_engine_invalidates_cached_results(self, store, monkeypatch):
         # repro.events is part of the shared fingerprint: a cached result
         # may have been produced by the event engine, so editing any of its
