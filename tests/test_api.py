@@ -33,6 +33,10 @@ class TestRegistry:
                     "push-sum", "push-pull", "sketch-count"):
             assert key in PROTOCOLS
         assert PROTOCOLS.get("push-sum-revert") is PushSumRevert
+        # Built-ins are registered by "module:attr" reference; each key must
+        # resolve to the protocol class that calls itself by that name.
+        for key in PROTOCOLS:
+            assert PROTOCOLS.get(key).name == key
 
     def test_builtin_environments_failures_workloads(self):
         assert {"uniform", "ring", "grid", "spatial-grid", "trace"} <= set(ENVIRONMENTS.keys())
