@@ -68,6 +68,13 @@ def test_the_scenario_api_loads_no_engine_environment_trace_or_pool():
     assert not loaded & unwanted
 
 
+@pytest.mark.parametrize("module", ["repro.core.departure", "repro.simulator.result"])
+def test_importing_a_module_runs_none_of_its_siblings(module):
+    package = module.rsplit(".", 1)[0]
+    loaded = loaded_after(f"import {module}")
+    assert {name for name in loaded if name.startswith(f"{package}.")} == {module}
+
+
 @pytest.mark.parametrize("engine", ["rounds", "events"])
 def test_a_vectorised_uniform_run_loads_no_agent_engine(engine):
     loaded = loaded_after(run_source(backend="vectorized", engine=engine))
