@@ -31,10 +31,9 @@ In-Network Aggregation* (Kennedy, Koch, Demers; ICDE 2009).  It provides:
   paper's populations);
 * lossy and latent network models (``repro.network``) — the paper assumes
   instant, reliable delivery; ``ScenarioSpec(network=..., network_params=...)``
-  lifts that: ``bernoulli-loss``, ``latency`` (fixed/uniform/lognormal
-  delays through an in-flight delivery queue), ``bandwidth-cap`` and
-  composable ``stacked`` models, with per-round mass-conservation
-  assertions for the Push-Sum family (DESIGN.md §8);
+  lifts that: ``bernoulli-loss`` and ``latency`` (fixed/uniform/lognormal
+  delays through an in-flight delivery queue) models, with per-round
+  mass-conservation assertions for the Push-Sum family (DESIGN.md §8);
 * an observability layer (``repro.obs``, DESIGN.md §13) — pass
   ``run_scenario(spec, probe=TraceRecorder("out.jsonl"))`` (or a
   :class:`~repro.obs.MetricsRegistry`, or both via
@@ -108,7 +107,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "register_workload",
         "run_scenario",
     ),
-    "repro.baselines": ("EpochPushSum", "PushPull", "PushSum", "SketchCount"),
+    "repro.baselines": ("EpochPushSum", "PushSum", "SketchCount"),
     "repro.core": (
         "CountSketchReset",
         "FullTransferPushSumRevert",
@@ -123,14 +122,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "UniformEnvironment",
     ),
     "repro.failures": ("CorrelatedFailure", "FailureEvent", "JoinEvent", "UncorrelatedFailure"),
-    "repro.network": (
-        "BandwidthCapNetwork",
-        "BernoulliLossNetwork",
-        "LatencyNetwork",
-        "NetworkModel",
-        "PerfectNetwork",
-        "StackedNetwork",
-    ),
+    "repro.network": ("BernoulliLossNetwork", "LatencyNetwork", "NetworkModel", "PerfectNetwork"),
     "repro.obs": (
         "MetricsRegistry",
         "MultiProbe",
@@ -145,7 +137,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BandwidthCapNetwork",
     "BernoulliLossNetwork",
     "CountSketchReset",
     "CorrelatedFailure",
@@ -166,12 +157,10 @@ __all__ = [
     "PROTOCOLS",
     "PerfectNetwork",
     "Probe",
-    "PushPull",
     "PushSum",
     "PushSumRevert",
     "ResultStore",
     "ScenarioSpec",
-    "StackedNetwork",
     "SketchCount",
     "Simulation",
     "SimulationResult",

@@ -18,8 +18,8 @@ resolve those names:
   size plus a ``seed`` keyword and return one value per host (the built-in
   ones as a float64 array).
 * :data:`NETWORKS` — network models deciding message fate
-  (``"perfect"``, ``"bernoulli-loss"``, ``"latency"``,
-  ``"bandwidth-cap"``, ``"stacked"``; see :mod:`repro.network`).
+  (``"perfect"``, ``"bernoulli-loss"``, ``"latency"``; see
+  :mod:`repro.network`).
 
 New components self-register with the matching decorator::
 
@@ -34,8 +34,8 @@ The components shipped in :mod:`repro.core`, :mod:`repro.baselines`,
 :mod:`repro.workloads` are registered by name at the bottom of this module
 and imported on first lookup: a built-in protocol, failure model or network
 is a ``"module:attr"`` reference that :meth:`Registry.get` resolves once and
-memoises, and the environment, workload and ``stacked`` factories import
-what they build inside their own bodies.  Keys (and their order) exist from
+memoises, and the environment and workload factories import what they
+build inside their own bodies.  Keys (and their order) exist from
 import time on; a run imports only the components it names.
 """
 
@@ -201,7 +201,6 @@ def _register_builtins() -> None:
         ("count-sketch-reset", "repro.core.count_sketch_reset:CountSketchReset"),
         ("invert-average", "repro.core.invert_average:InvertAverage"),
         ("push-sum", "repro.baselines.push_sum:PushSum"),
-        ("push-pull", "repro.baselines.push_sum:PushPull"),
         ("epoch-push-sum", "repro.baselines.epoch:EpochPushSum"),
         ("sketch-count", "repro.baselines.count_sketch:SketchCount"),
         ("extrema-gossip", "repro.baselines.extrema:ExtremaGossip"),
@@ -300,33 +299,8 @@ def _register_builtins() -> None:
         ("perfect", "PerfectNetwork"),
         ("bernoulli-loss", "BernoulliLossNetwork"),
         ("latency", "LatencyNetwork"),
-        ("bandwidth-cap", "BandwidthCapNetwork"),
     ):
         NETWORKS.register(key, f"repro.network.models:{name}")
-
-    @register_network("stacked")
-    def _stacked(*, layers):
-        """Compose registered models: ``layers`` is a list of dicts, each
-        naming a registered ``model`` plus its parameters."""
-        from repro.network.models import StackedNetwork
-
-        if not isinstance(layers, (list, tuple)) or not layers:
-            raise ValueError(
-                "stacked networks need a non-empty 'layers' list of "
-                '{"model": <registered name>, ...} dicts'
-            )
-        built = []
-        for entry in layers:
-            if not isinstance(entry, dict) or not isinstance(entry.get("model"), str):
-                raise ValueError(
-                    f"each stacked layer must be a dict naming a registered 'model', "
-                    f"got {entry!r}"
-                )
-            if entry["model"] == "stacked":
-                raise ValueError("stacked networks cannot nest further stacked layers")
-            params = {key: value for key, value in entry.items() if key != "model"}
-            built.append(NETWORKS.create(entry["model"], **params))
-        return StackedNetwork(built)
 
     # ------------------------------------------------------------- workloads
     @register_workload("uniform")

@@ -183,14 +183,13 @@ class ScenarioSpec:
         Registry name and parameters of the network model
         (:mod:`repro.network`) deciding the fate of every message:
         ``"perfect"`` (the default — instant, reliable delivery,
-        bit-identical to pre-network results), ``"bernoulli-loss"``,
-        ``"latency"``, ``"bandwidth-cap"`` or ``"stacked"``.  Validation
-        is eager: bad parameters fail here, and a latency-capable model
-        combined with ``mode="exchange"`` is rejected at construction
-        under the round engine (atomic push/pull exchanges cannot be
-        deferred across a round barrier); ``engine="events"`` lifts the
-        rejection by realising an exchange as a request event plus a
-        timed reply event.
+        bit-identical to pre-network results), ``"bernoulli-loss"`` or
+        ``"latency"``.  Validation is eager: bad parameters fail here,
+        and a latency-capable model combined with ``mode="exchange"`` is
+        rejected at construction under the round engine (atomic push/pull
+        exchanges cannot be deferred across a round barrier);
+        ``engine="events"`` lifts the rejection by realising an exchange
+        as a request event plus a timed reply event.
     engine / engine_params:
         Which simulation engine realises the scenario: ``"rounds"`` (the
         default — the lockstep :class:`repro.Simulation`) or ``"events"``
@@ -284,7 +283,7 @@ class ScenarioSpec:
         WORKLOADS.validate_params(self.workload, self.n_hosts, **self._workload_call_params())
         NETWORKS.validate_params(self.network, **self.network_params)
         # Instantiating the model runs its constructor validation (loss
-        # probabilities, delay bounds, stacked layer resolution) eagerly and
+        # probabilities, delay bounds and distribution parameters) eagerly and
         # tells us whether it can defer delivery — which the round engine's
         # exchange mode cannot honour, since an atomic push/pull has no
         # "later" inside a lockstep round.  The event engine realises an
@@ -395,7 +394,7 @@ class ScenarioSpec:
         return values
 
     def build_network(self):
-        """A fresh network model instance (budgets reset).
+        """A fresh network model instance.
 
         The agent engine takes ``None`` for the perfect network so its
         fast path — bit-identical to the pre-network-layer engine — stays

@@ -2,8 +2,8 @@
 
 These are the protocols the paper builds on and compares against:
 
-* :class:`PushSum` / :class:`PushPull` — Kempe, Dobra and Gehrke's
-  gossip-based averaging (Figure 1 of the paper), in push and push/pull
+* :class:`PushSum` — Kempe, Dobra and Gehrke's gossip-based averaging
+  (Figure 1 of the paper), in push and push/pull (``mode="exchange"``)
   form;
 * :class:`SketchCount` — Considine et al.'s duplicate-insensitive counting
   and summation with Flajolet–Martin sketches (Figure 2);
@@ -20,7 +20,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.baselines.count_sketch": ("SketchCount",),
     "repro.baselines.epoch": ("EpochPushSum",),
     "repro.baselines.extrema": ("ExtremaGossip", "ExtremaReset"),
-    "repro.baselines.push_sum": ("MassState", "PushPull", "PushSum"),
+    "repro.baselines.push_sum": ("MassState", "PushSum"),
 })
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ExtremaGossip",
     "ExtremaReset",
     "MassState",
-    "PushPull",
     "PushSum",
     "SketchCount",
 ]

@@ -6,10 +6,10 @@ to a random peer and half to itself, then replaces its mass with the total
 mass it received.  The ratio ``v/w`` converges to the network-wide average
 because every exchange conserves total mass while mixing it.
 
-The push/pull variant (Karp et al.) lets the contacted peer respond, which
-in mass terms makes each exchange a pairwise averaging of the two masses;
-the paper uses push/pull for all its averaging experiments because it
-roughly halves convergence time.
+The push/pull variant (Karp et al.; ``mode="exchange"`` in the simulator)
+lets the contacted peer respond, which in mass terms makes each exchange
+a pairwise averaging of the two masses; the paper uses push/pull for all
+its averaging experiments because it roughly halves convergence time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.simulator.protocol import ExchangeProtocol
 
-__all__ = ["MassState", "PushSum", "PushPull"]
+__all__ = ["MassState", "PushSum"]
 
 
 @dataclass
@@ -178,13 +178,3 @@ class PushSum(ExchangeProtocol):
     def describe(self) -> dict:
         return {"name": self.name, "aggregate": self.aggregate, "fanout": self.fanout}
 
-
-class PushPull(PushSum):
-    """Push-Sum run exclusively in push/pull (pairwise exchange) mode.
-
-    Functionally identical to :class:`PushSum`; the separate class exists so
-    experiment configurations read the way the paper describes them
-    ("the Push-Pull variant of traditional Push-Sum").
-    """
-
-    name = "push-pull"

@@ -81,12 +81,11 @@ class PushAdapter(ProtocolAdapter):
                 # sender's own pending inbox, integrated this very tick.
                 engine._deliver_payload(host_id, payload, mass, count=False)
                 continue
-            size = protocol.payload_size(payload)
-            engine.bytes_sent += size
+            engine.bytes_sent += protocol.payload_size(payload)
             if target not in alive:
                 engine._record_lost_message(mass)
                 continue
-            delay = engine._plan_delay(host_id, target, bin_index, size)
+            delay = engine._plan_delay(host_id, target, bin_index)
             if delay is None:
                 engine._record_lost_message(mass)
             elif delay <= 0.0:
@@ -154,7 +153,7 @@ class ExchangeAdapter(ProtocolAdapter):
         if peer_id == host_id or peer_id not in alive:
             return
         size = protocol.exchange_size(state, engine.hosts[peer_id].state)
-        delay = engine._plan_delay(host_id, peer_id, bin_index, size)
+        delay = engine._plan_delay(host_id, peer_id, bin_index)
         # The initiator's transmitted half costs radio bytes either way,
         # mirroring the round engine's lost-exchange accounting.
         engine.bytes_sent += size
@@ -182,7 +181,7 @@ class ExchangeAdapter(ProtocolAdapter):
             # The responder transmits its reply immediately; the reply bytes
             # go on the radio whether or not the network then loses the leg.
             engine.bytes_sent += size
-            delay = engine._plan_delay(responder, initiator, engine._sample_bin(time), size)
+            delay = engine._plan_delay(responder, initiator, engine._sample_bin(time))
             if delay is None:
                 engine.messages_lost += 1
                 return

@@ -194,8 +194,6 @@ class EventSimulation(Simulation):
         if self._started:
             raise RuntimeError("EventSimulation.run() can only be called once")
         self._started = True
-        if self.network is not None:
-            self.network.begin_round(0)
         calendar = self.calendar
         horizon = self.duration + TIME_EPS
         probe = self.probe
@@ -281,8 +279,6 @@ class EventSimulation(Simulation):
             )
         record = self._record_round(alive, round_index, time)
         self.round_index = sample_index
-        if self.network is not None:
-            self.network.begin_round(sample_index)
         if self.probe.enabled and self._track_mass:
             self.probe.event(
                 "mass_check",
@@ -331,13 +327,11 @@ class EventSimulation(Simulation):
         """The sample (== round) index that will record activity at ``time``."""
         return max(0, math.ceil(time / self.sample_interval - TIME_EPS) - 1)
 
-    def _plan_delay(self, source: int, destination: int, bin_index: int, size: int):
+    def _plan_delay(self, source: int, destination: int, bin_index: int):
         """Delivery delay in simulated seconds, or ``None`` when lost."""
         if self.network is None:
             return 0.0
-        return self.network.plan_seconds(
-            source, destination, bin_index, size, self._network_rng
-        )
+        return self.network.plan_seconds(source, destination, bin_index, self._network_rng)
 
     def _deliver_payload(self, target: int, payload, mass: Optional[float], *, count: bool) -> None:
         """Drop ``payload`` into ``target``'s pending inbox."""

@@ -5,9 +5,8 @@ message delivery.  This package drops that assumption:
 
 * :mod:`repro.network.models` — the :class:`NetworkModel` policy
   interface and its implementations: ``perfect`` (the default,
-  bit-identical to the pre-network engine), ``bernoulli-loss``,
-  ``latency`` (fixed / uniform / lognormal delay distributions),
-  ``bandwidth-cap`` and the composable ``stacked`` model;
+  bit-identical to the pre-network engine), ``bernoulli-loss`` and
+  ``latency`` (fixed / uniform / lognormal delay distributions);
 * :mod:`repro.network.delivery` — the :class:`DeliveryQueue` of
   in-flight messages (a payload pushed in round *t* arrives in round
   *t + d*, or never) and the :class:`MassLedger` that asserts Push-Sum
@@ -29,17 +28,14 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.network.models": (
         "DELAY_DISTRIBUTIONS",
-        "BandwidthCapNetwork",
         "BernoulliLossNetwork",
         "LatencyNetwork",
         "NetworkModel",
         "PerfectNetwork",
-        "StackedNetwork",
     ),
 })
 
 __all__ = [
-    "BandwidthCapNetwork",
     "BernoulliLossNetwork",
     "DELAY_DISTRIBUTIONS",
     "DeliveryQueue",
@@ -49,5 +45,4 @@ __all__ = [
     "MassLedger",
     "NetworkModel",
     "PerfectNetwork",
-    "StackedNetwork",
 ]

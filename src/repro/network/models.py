@@ -3,10 +3,9 @@
 The paper's evaluation — and the seed reproduction — assumes a *perfect*
 network: every message sent in round *t* arrives at the end of round *t*.
 Real deployments of the protocols (bandwidth- and power-constrained
-wireless devices) see none of that: links drop packets, deliveries take
-time, and radios have per-round budgets.  The classes here model those
-conditions as a pluggable policy the simulator consults for every
-non-self message:
+wireless devices) see none of that: links drop packets and deliveries
+take time.  The classes here model those conditions as a pluggable
+policy the simulator consults for every non-self message:
 
 * :class:`PerfectNetwork` — instant, reliable delivery (the default; the
   engine's behaviour is bit-identical to the pre-network-layer code).
@@ -14,14 +13,9 @@ non-self message:
   with probability ``p``.
 * :class:`LatencyNetwork` — delivery is deferred by a per-message delay
   drawn from a fixed, uniform or lognormal distribution (in rounds).
-* :class:`BandwidthCapNetwork` — each host may place at most
-  ``bytes_per_round`` on the radio per round; over-budget messages are
-  dropped.
-* :class:`StackedNetwork` — composes any of the above: a message
-  survives only if every layer delivers it, and the layers' delays add.
 
 The per-message primitive is :meth:`NetworkModel.plan`: given a message's
-endpoints, round and size, return the delivery delay in rounds (``0`` =
+endpoints and round, return the delivery delay in rounds (``0`` =
 the end of the sending round, exactly the perfect-network semantics) or
 ``None`` when the message is lost.  :meth:`NetworkModel.plan_many` plans a
 round's batch of messages in one call; by default it is the ``plan`` loop.
@@ -34,7 +28,8 @@ bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +38,6 @@ __all__ = [
     "PerfectNetwork",
     "BernoulliLossNetwork",
     "LatencyNetwork",
-    "BandwidthCapNetwork",
-    "StackedNetwork",
     "DELAY_DISTRIBUTIONS",
 ]
 
@@ -73,59 +66,36 @@ class NetworkModel:
     has_latency:
         Whether :meth:`plan` may ever return a delay > 0.  Instances may
         override the class value (a fixed delay of 0 has no latency).
-    has_loss:
-        Whether :meth:`plan` may ever return ``None``.
     """
 
     name: str = "abstract"
     has_latency: bool = False
-    has_loss: bool = False
-
-    def begin_round(self, round_index: int) -> None:
-        """Hook run once per round before any messages are planned.
-
-        Budgeted models (:class:`BandwidthCapNetwork`) reset their
-        per-round accounting here.  The default is a no-op.
-        """
 
     def plan(
-        self,
-        source: int,
-        destination: int,
-        round_index: int,
-        size_bytes: int,
-        rng: np.random.Generator,
+        self, source: int, destination: int, round_index: int, rng: np.random.Generator
     ) -> Optional[int]:
         """The delivery delay in rounds for this message, or ``None`` if lost."""
         return 0
 
     def plan_many(
         self,
-        messages: Sequence[Tuple[int, int, int]],
+        messages: Sequence[Tuple[int, int]],
         round_index: int,
         rng: np.random.Generator,
     ) -> List[Optional[int]]:
-        """:meth:`plan` for each ``(source, destination, size_bytes)``, in order.
+        """:meth:`plan` for each ``(source, destination)``, in order.
 
-        The default is the :meth:`plan` loop, so the draws interleave and
-        budgets are spent exactly as per-message calls would.  Only a model
-        whose per-message decision is exactly one ``rng.random()`` draw may
+        The default is the :meth:`plan` loop, so the draws interleave
+        exactly as per-message calls would.  Only a model whose
+        per-message decision is exactly one ``rng.random()`` draw may
         override it (with one vector draw: the same doubles, and the
         generator left in the same state).
         """
         plan = self.plan
-        return [
-            plan(source, destination, round_index, size_bytes, rng)
-            for source, destination, size_bytes in messages
-        ]
+        return [plan(source, destination, round_index, rng) for source, destination in messages]
 
     def plan_seconds(
-        self,
-        source: int,
-        destination: int,
-        round_index: int,
-        size_bytes: int,
-        rng: np.random.Generator,
+        self, source: int, destination: int, round_index: int, rng: np.random.Generator
     ) -> Optional[float]:
         """The delivery delay in *simulated seconds*, or ``None`` if lost.
 
@@ -133,11 +103,11 @@ class NetworkModel:
         :meth:`plan`: delays become continuous times on the global event
         calendar rather than whole-round deferrals.  The default maps the
         round-based answer one-to-one (one round of delay = one second),
-        so loss-only and budget models behave identically under both
-        engines; latency models override it to yield unrounded delays.
-        ``round_index`` is the engine's current sample bin.
+        so loss-only models behave identically under both engines; latency
+        models override it to yield unrounded delays.  ``round_index`` is
+        the engine's current sample bin.
         """
-        delay = self.plan(source, destination, round_index, size_bytes, rng)
+        delay = self.plan(source, destination, round_index, rng)
         return None if delay is None else float(delay)
 
     def describe(self) -> dict:
@@ -171,14 +141,13 @@ class BernoulliLossNetwork(NetworkModel):
     """
 
     name = "bernoulli-loss"
-    has_loss = True
 
     def __init__(self, p: float):
         if not 0.0 <= float(p) <= 1.0:
             raise ValueError(f"loss probability p must be in [0, 1], got {p!r}")
         self.p = float(p)
 
-    def plan(self, source, destination, round_index, size_bytes, rng) -> Optional[int]:
+    def plan(self, source, destination, round_index, rng) -> Optional[int]:
         if rng.random() < self.p:
             return None
         return 0
@@ -225,21 +194,25 @@ class LatencyNetwork(NetworkModel):
                 f"unknown delay distribution {distribution!r}; "
                 f"expected one of {DELAY_DISTRIBUTIONS}"
             )
-        if isinstance(delay, bool) or not isinstance(delay, int) or delay < 0:
-            raise ValueError(f"fixed delay must be a non-negative integer, got {delay!r}")
-        if low < 0 or high < low:
+        for label, bound in (("fixed delay", delay), ("uniform low", low),
+                             ("uniform high", high), ("max_delay", max_delay)):
+            if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+                raise ValueError(f"{label} must be a non-negative integer, got {bound!r}")
+        if high < low:
             raise ValueError(f"uniform delay needs 0 <= low <= high, got [{low}, {high}]")
+        for label, number in (("lognormal mean", mean), ("lognormal sigma", sigma)):
+            if isinstance(number, bool) or not isinstance(number, (int, float)) \
+                    or not math.isfinite(number):
+                raise ValueError(f"{label} must be a finite number, got {number!r}")
         if sigma < 0:
             raise ValueError(f"lognormal sigma must be non-negative, got {sigma}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be non-negative, got {max_delay}")
         self.distribution = distribution
-        self.delay = int(delay)
-        self.low = int(low)
-        self.high = int(high)
+        self.delay = delay
+        self.low = low
+        self.high = high
         self.mean = float(mean)
         self.sigma = float(sigma)
-        self.max_delay = int(max_delay)
+        self.max_delay = max_delay
         if distribution == "fixed":
             worst = self.delay
         elif distribution == "uniform":
@@ -248,7 +221,7 @@ class LatencyNetwork(NetworkModel):
             worst = self.max_delay
         self.has_latency = min(worst, self.max_delay) > 0
 
-    def plan(self, source, destination, round_index, size_bytes, rng) -> Optional[int]:
+    def plan(self, source, destination, round_index, rng) -> Optional[int]:
         if self.distribution == "fixed":
             drawn = self.delay
         elif self.distribution == "uniform":
@@ -257,7 +230,7 @@ class LatencyNetwork(NetworkModel):
             drawn = int(round(rng.lognormal(self.mean, self.sigma)))
         return min(drawn, self.max_delay)
 
-    def plan_seconds(self, source, destination, round_index, size_bytes, rng) -> Optional[float]:
+    def plan_seconds(self, source, destination, round_index, rng) -> Optional[float]:
         # Same draws, continuous answer: the uniform distribution keeps its
         # integer draw (identical stream consumption under either engine),
         # while the lognormal keeps its unrounded tail — the event calendar
@@ -280,90 +253,3 @@ class LatencyNetwork(NetworkModel):
         else:
             described.update(mean=self.mean, sigma=self.sigma)
         return described
-
-
-class BandwidthCapNetwork(NetworkModel):
-    """Per-host, per-round radio budget; over-budget messages are dropped.
-
-    Each round every host may place at most ``bytes_per_round`` bytes on
-    the radio; a message that would exceed the sender's remaining budget
-    is lost (the radio refuses it).  Budgets reset every round via
-    :meth:`begin_round`.  Deterministic: no randomness is consumed.
-    """
-
-    name = "bandwidth-cap"
-    has_loss = True
-
-    def __init__(self, bytes_per_round: int):
-        if isinstance(bytes_per_round, bool) or not isinstance(bytes_per_round, int) \
-                or bytes_per_round < 1:
-            raise ValueError(
-                f"bytes_per_round must be a positive integer, got {bytes_per_round!r}"
-            )
-        self.bytes_per_round = int(bytes_per_round)
-        self._spent: Dict[int, int] = {}
-
-    def begin_round(self, round_index: int) -> None:
-        self._spent.clear()
-
-    def plan(self, source, destination, round_index, size_bytes, rng) -> Optional[int]:
-        spent = self._spent.get(source, 0)
-        if spent + int(size_bytes) > self.bytes_per_round:
-            return None
-        self._spent[source] = spent + int(size_bytes)
-        return 0
-
-    def describe(self) -> dict:
-        return {"name": self.name, "bytes_per_round": self.bytes_per_round}
-
-
-class StackedNetwork(NetworkModel):
-    """Several network models composed into one link policy.
-
-    A message survives only if *every* layer delivers it, and the layers'
-    delays add — e.g. a lossy link with store-and-forward latency is
-    ``StackedNetwork([BernoulliLossNetwork(0.1), LatencyNetwork(...)])``.
-    Layers are consulted in order; a loss short-circuits the rest (later
-    layers draw no randomness for that message, keeping equal-seed runs of
-    equal stacks bit-reproducible).
-    """
-
-    name = "stacked"
-
-    def __init__(self, layers: Sequence[NetworkModel]):
-        layers = list(layers)
-        if not layers:
-            raise ValueError("a stacked network needs at least one layer")
-        for layer in layers:
-            if not isinstance(layer, NetworkModel):
-                raise ValueError(
-                    f"stacked layers must be NetworkModel instances, got {type(layer).__name__}"
-                )
-        self.layers: List[NetworkModel] = layers
-        self.has_latency = any(layer.has_latency for layer in layers)
-        self.has_loss = any(layer.has_loss for layer in layers)
-
-    def begin_round(self, round_index: int) -> None:
-        for layer in self.layers:
-            layer.begin_round(round_index)
-
-    def plan(self, source, destination, round_index, size_bytes, rng) -> Optional[int]:
-        total_delay = 0
-        for layer in self.layers:
-            delay = layer.plan(source, destination, round_index, size_bytes, rng)
-            if delay is None:
-                return None
-            total_delay += delay
-        return total_delay
-
-    def plan_seconds(self, source, destination, round_index, size_bytes, rng) -> Optional[float]:
-        total_delay = 0.0
-        for layer in self.layers:
-            delay = layer.plan_seconds(source, destination, round_index, size_bytes, rng)
-            if delay is None:
-                return None
-            total_delay += delay
-        return total_delay
-
-    def describe(self) -> dict:
-        return {"name": self.name, "layers": [layer.describe() for layer in self.layers]}

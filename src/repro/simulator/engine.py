@@ -71,7 +71,7 @@ class Simulation:
         ``apply(simulation, round_index)`` method (see :mod:`repro.failures`).
     network:
         A :class:`~repro.network.NetworkModel` deciding the fate of every
-        non-self message (loss, delay, budget drops), or ``None`` (the
+        non-self message (loss or delay), or ``None`` (the
         default) for the original instant-and-reliable delivery.  All
         network randomness comes from the dedicated ``"network"`` stream,
         so installing a model never perturbs peer selection or protocol
@@ -281,8 +281,6 @@ class Simulation:
                 # Events may mint mass (joins) or drop it (graceful departures
                 # with no survivor); both are deliberate, not leaks.
                 mass_checkpoint = self._record_mass_injection(mass_checkpoint)
-            if self.network is not None:
-                self.network.begin_round(t)
             alive = self.alive_ids()
             alive_set = LiveRoster(alive)
             hosts, protocol_rng = self.hosts, self._protocol_rng
@@ -410,10 +408,9 @@ class Simulation:
                 if target is None or target == host_id:
                     target = host_id
                 else:
-                    size = payload_size(payload)
-                    bytes_sent += size
+                    bytes_sent += payload_size(payload)
                     if target in alive_set:
-                        radio.append((host_id, target, size))
+                        radio.append((host_id, target))
                 senders.append(host_id)
                 targets.append(target)
                 payloads.append(payload)
@@ -466,8 +463,8 @@ class Simulation:
     def _exchange_round(self, alive: List[int], alive_set: LiveRoster, t: int) -> List[int]:
         """Round ``t``'s pairwise exchanges; each live host's received count, in ``alive`` order.
 
-        Each pair's link is planned on its own: its ``exchange_size`` is read
-        after the round's earlier merges.
+        Each pair's link is planned with its own :meth:`NetworkModel.plan`
+        call, in shuffled initiator order (DESIGN.md §8).
         """
         hosts, protocol, network = self.hosts, self.protocol, self.network
         exchange, exchange_size = protocol.exchange, protocol.exchange_size
@@ -486,7 +483,7 @@ class Simulation:
             state_b = hosts[peer_id].state
             size = exchange_size(state_a, state_b)
             if network is not None:
-                delay = network.plan(host_id, peer_id, t, size, network_rng)
+                delay = network.plan(host_id, peer_id, t, network_rng)
                 if delay is None:
                     # A lossy link makes the atomic exchange not happen at
                     # all (both directions; mass is never at risk in

@@ -115,15 +115,6 @@ class KernelDeclaration:
 
 _PUSH_SUM_MODES = {"exchange": {"mode": "pushpull"}, "push": {"mode": "push"}}
 _SKETCH_MODES = {"exchange": {"pull": True}, "push": {"pull": False}}
-# Static Push-Sum (and its push/pull-named twin) is Push-Sum-Revert at the
-# kernel's default λ = 0.
-_STATIC_PUSH_SUM = KernelDeclaration(
-    kernel=VectorizedPushSumRevert,
-    modes=_PUSH_SUM_MODES,
-    params=frozenset(),
-    value_carrying=True,
-    lossy=True,
-)
 
 KERNELS: Dict[str, KernelDeclaration] = {
     "push-sum-revert": KernelDeclaration(
@@ -133,8 +124,14 @@ KERNELS: Dict[str, KernelDeclaration] = {
         value_carrying=True,
         lossy=True,
     ),
-    "push-sum": _STATIC_PUSH_SUM,
-    "push-pull": _STATIC_PUSH_SUM,
+    # Static Push-Sum is Push-Sum-Revert at the kernel's default λ = 0.
+    "push-sum": KernelDeclaration(
+        kernel=VectorizedPushSumRevert,
+        modes=_PUSH_SUM_MODES,
+        params=frozenset(),
+        value_carrying=True,
+        lossy=True,
+    ),
     "push-sum-revert-full-transfer": KernelDeclaration(
         kernel=VectorizedPushSumRevert,
         modes={"push": {"mode": "full-transfer"}},

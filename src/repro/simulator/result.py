@@ -40,7 +40,7 @@ class RoundRecord:
     messages_delivered / messages_lost / messages_in_flight:
         Delivery outcomes on the simulated network since the previous
         record (``repro.network``): non-self messages delivered, messages
-        lost (link loss, over-budget drops, sends to departed hosts) and
+        lost (link loss, sends to departed hosts) and
         the in-flight backlog at the record.  Every engine derives them
         from its cumulative ``delivery_counters()`` (DESIGN.md §13), the
         perfect network included.

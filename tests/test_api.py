@@ -30,7 +30,7 @@ from repro.simulator import Simulation, SimulationResult
 class TestRegistry:
     def test_builtin_protocols_registered(self):
         for key in ("push-sum-revert", "count-sketch-reset", "invert-average",
-                    "push-sum", "push-pull", "sketch-count"):
+                    "push-sum", "sketch-count"):
             assert key in PROTOCOLS
         assert PROTOCOLS.get("push-sum-revert") is PushSumRevert
         # Built-ins are registered by "module:attr" reference; each key must
@@ -358,13 +358,8 @@ _EVENTS = st.one_of(
 _NETWORKS = st.one_of(
     st.just(("perfect", {})),
     st.builds(lambda p: ("bernoulli-loss", {"p": p}), _small_floats),
-    st.builds(
-        lambda p, cap: ("stacked", {"layers": (
-            {"model": "bernoulli-loss", "p": p},
-            {"model": "bandwidth-cap", "bytes_per_round": cap},
-        )}),
-        _small_floats, st.integers(64, 4096),
-    ),
+    st.builds(lambda high: ("latency", {"distribution": "uniform", "low": 0, "high": high}),
+              st.integers(0, 4)),
 )
 _ENGINES = st.one_of(
     st.just(("rounds", {})),
@@ -498,7 +493,7 @@ class TestSweep:
             Sweep.over(self.base(), host=[10, 20])
 
     def test_json_round_trip(self):
-        sweep = Sweep.over(self.base(), seed=range(2), protocol=["push-sum", "push-pull"])
+        sweep = Sweep.over(self.base(), seed=range(2), protocol=["push-sum", "sketch-count"])
         restored = Sweep.from_json(sweep.to_json())
         assert restored.base == sweep.base
         assert restored.axes == sweep.axes

@@ -49,8 +49,8 @@ SUPPORTED_COMBOS = [
         0.10,
     ),
     (
-        "push-pull/exchange",
-        dict(protocol="push-pull", n_hosts=N_HOSTS, rounds=30),
+        "push-sum/exchange",
+        dict(protocol="push-sum", mode="exchange", n_hosts=N_HOSTS, rounds=30),
         0.10,
     ),
     (

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines import (
     EpochPushSum,
-    PushPull,
     PushSum,
     SketchCount,
 )
@@ -77,9 +76,6 @@ class TestPushSumUnit:
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):
             PushSum(weight_epsilon=0.0)
-
-    def test_pushpull_alias(self):
-        assert PushPull().name == "push-pull"
 
 
 class TestSketchCountProtocol:

@@ -19,12 +19,7 @@ from repro.events import (
     make_clock,
 )
 from repro.failures import ExplicitFailure, FailureEvent, JoinEvent, ValueChangeEvent
-from repro.network import (
-    BernoulliLossNetwork,
-    LatencyNetwork,
-    MassConservationError,
-    StackedNetwork,
-)
+from repro.network import BernoulliLossNetwork, LatencyNetwork, MassConservationError
 from repro.simulator import Simulation
 from repro.workloads import uniform_values
 
@@ -692,11 +687,8 @@ class TestRoundsEngineCounters:
         sim.run(3)
         assert sim.delivery_counters() == (0, 0, 0, 0)
 
-    def test_each_record_is_the_change_since_the_previous_one(self):
-        network = StackedNetwork(
-            [BernoulliLossNetwork(0.2), LatencyNetwork(distribution="uniform", low=0, high=2)]
-        )
-        sim = self._sim("push", network)
+    def test_each_record_is_the_change_since_the_previous_one(self, lossy_latent_network):
+        sim = self._sim("push", lossy_latent_network(0.2, high=2))
         before = sim.delivery_counters()
         for _ in range(8):
             record = sim.step()

@@ -27,8 +27,7 @@ gets a second such table (network × membership, filled in from its two modes an
 the same levels).  Six larger calendar runs (600 hosts, ten rounds) sit beside
 them, among them a join under lognormal clocks, four tick passes per bucket, and
 loss with no delay sampler; so do ring calendar cells for Push-Sum-Revert and
-Sketch-Count in both modes, and static Push-Sum under both of its names on both
-engines.
+Sketch-Count in both modes, and static Push-Sum in both modes on both engines.
 """
 
 from collections import Counter
@@ -284,17 +283,16 @@ KERNEL_CALENDAR_ROWS = _calendar_rows(KERNEL_CALENDAR_PRODUCT, KERNEL_CALENDAR_F
 
 
 def _newly_runnable_cells():
-    """Static Push-Sum under both names, and Push-Sum-Revert and Sketch-Count on the
-    calendar over a ring."""
+    """Static Push-Sum in both modes on both engines, and Push-Sum-Revert and
+    Sketch-Count on the calendar over a ring."""
     latency = CALENDAR_NETWORKS["latency-uniform"]
+    static = dict(BASE, protocol="push-sum", events=(FAILURE,))
     cells = {}
-    for protocol, events_mode in (("push-sum", "push"), ("push-pull", "exchange")):
-        static = dict(BASE, protocol=protocol, events=(FAILURE,))
-        for mode in ("push", "exchange"):
-            for network, net_kwargs in NETWORKS.items():
-                cells[f"{protocol}/{mode}/{network}"] = dict(static, mode=mode, **net_kwargs)
-        cells[f"events/{protocol}/{events_mode}/latency-uniform"] = dict(
-            static, engine="events", mode=events_mode, engine_params=HETEROGENEOUS, **latency)
+    for mode in ("push", "exchange"):
+        for network, net_kwargs in NETWORKS.items():
+            cells[f"push-sum/{mode}/{network}"] = dict(static, mode=mode, **net_kwargs)
+        cells[f"events/push-sum/{mode}/latency-uniform"] = dict(
+            static, engine="events", mode=mode, engine_params=HETEROGENEOUS, **latency)
     ring = dict(engine="events", environment="ring", engine_params=HETEROGENEOUS, **latency)
     for protocol, base in (("push-sum-revert", dict(PSR, protocol_params={"reversion": 0.1})),
                            ("sketch-count", dict(BASE, protocol="sketch-count",

@@ -19,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.core import PushSumRevert
 from repro.environments import UniformEnvironment
 from repro.network import (
-    BandwidthCapNetwork,
     BernoulliLossNetwork,
     DeliveryQueue,
     InFlightMessage,
@@ -27,7 +26,6 @@ from repro.network import (
     MassConservationError,
     MassLedger,
     PerfectNetwork,
-    StackedNetwork,
 )
 from repro.simulator import Simulation
 from repro.simulator.protocol import AggregationProtocol
@@ -43,12 +41,6 @@ NETWORK_CONFIGS = [
     ("latency", {"distribution": "fixed", "delay": 2}),
     ("latency", {"distribution": "uniform", "low": 0, "high": 3}),
     ("latency", {"distribution": "lognormal", "mean": 0.3, "sigma": 0.6, "max_delay": 8}),
-    ("bandwidth-cap", {"bytes_per_round": 16}),
-    (
-        "stacked",
-        {"layers": [{"model": "bernoulli-loss", "p": 0.1},
-                    {"model": "latency", "distribution": "fixed", "delay": 1}]},
-    ),
 ]
 CONFIG_IDS = [
     f"{name}:{params.get('distribution', '')}" if name == "latency" else name
@@ -74,7 +66,7 @@ def _spec(network, network_params, *, mode="push", backend="agent", **overrides)
 
 class TestRegistry:
     def test_models_are_registered(self):
-        for name in ("perfect", "bernoulli-loss", "latency", "bandwidth-cap", "stacked"):
+        for name in ("perfect", "bernoulli-loss", "latency"):
             assert name in NETWORKS
 
     def test_network_round_trips_through_json(self):
@@ -85,10 +77,10 @@ class TestRegistry:
         assert restored.network_params == {"p": 0.2}
 
     def test_build_network_returns_fresh_instances(self):
-        spec = _spec("bandwidth-cap", {"bytes_per_round": 64})
+        spec = _spec("bernoulli-loss", {"p": 0.2})
         first, second = spec.build_network(), spec.build_network()
         assert first is not second
-        assert isinstance(first, BandwidthCapNetwork)
+        assert isinstance(first, BernoulliLossNetwork)
 
 
 class TestDeterminism:
@@ -179,16 +171,12 @@ class TestMassConservation:
         assert sim.mass_ledger.injected != 0.0
         assert sim.mass_ledger.lost > 0.0
 
-    def test_latency_and_failures_keep_the_books(self):
+    def test_latency_and_failures_keep_the_books(self, lossy_latent_network):
         from repro.failures import CorrelatedFailure, FailureEvent
 
-        network = StackedNetwork([
-            BernoulliLossNetwork(0.15),
-            LatencyNetwork(distribution="uniform", low=0, high=4),
-        ])
         sim = self._simulation(
             PushSum(),
-            network,
+            lossy_latent_network(0.15, high=4),
             events=[FailureEvent(round=10, model=CorrelatedFailure(0.5, highest=True))],
         )
         result = sim.run(30)
@@ -323,21 +311,11 @@ PLAN_MANY_CONFIGS = [
     ("latency", {"distribution": "fixed", "delay": 2}),
     ("latency", {"distribution": "uniform", "low": 0, "high": 3}),
     ("latency", {"distribution": "lognormal", "mean": 0.3, "sigma": 0.6, "max_delay": 8}),
-    ("bandwidth-cap", {"bytes_per_round": 40}),
-    (
-        "stacked",
-        {"layers": [{"model": "bernoulli-loss", "p": 0.3},
-                    {"model": "latency", "distribution": "uniform", "low": 0, "high": 2},
-                    {"model": "bandwidth-cap", "bytes_per_round": 48}]},
-    ),
 ]
 PLAN_MANY_IDS = [f"{name}:{sorted(params.items())}" for name, params in PLAN_MANY_CONFIGS]
 
-#: One round's radio sends: ``(source, destination, size_bytes)``, few sources
-#: so that bandwidth budgets bind.
-RADIO_BATCHES = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 32)), max_size=40
-)
+#: One round's radio sends: ``(source, destination)``.
+RADIO_BATCHES = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40)
 
 
 class TestPlanMany:
@@ -350,11 +328,9 @@ class TestPlanMany:
     def _check(name, params, batches, seed):
         batched, looped = NETWORKS.create(name, **params), NETWORKS.create(name, **params)
         batched_rng, looped_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        batched.begin_round(0)
-        looped.begin_round(0)
-        # Several batches in one round: budgets carry across calls.
+        # Several batches in one round: the stream carries across calls.
         for messages in batches:
-            expected = [looped.plan(src, dst, 0, size, looped_rng) for src, dst, size in messages]
+            expected = [looped.plan(src, dst, 0, looped_rng) for src, dst in messages]
             assert batched.plan_many(messages, 0, batched_rng) == expected
         assert batched_rng.random() == looped_rng.random()
 
@@ -422,20 +398,17 @@ class TestPushRoundSendOrder:
     """The batched push round lands, loses and defers sends in send order."""
 
     @pytest.fixture(scope="class")
-    def recorded(self):
+    def recorded(self, lossy_latent_network):
         plans = []
 
-        class RecordedNetwork(StackedNetwork):
+        class RecordedNetwork(lossy_latent_network):
             def plan_many(self, messages, round_index, rng):
                 decisions = super().plan_many(messages, round_index, rng)
                 plans.append((round_index, list(messages), list(decisions)))
                 return decisions
 
         protocol = _OrderRecorder()
-        network = RecordedNetwork([
-            BernoulliLossNetwork(0.3),
-            LatencyNetwork(distribution="uniform", low=0, high=2),
-        ])
+        network = RecordedNetwork(0.3, high=2)
         sim = Simulation(protocol, UniformEnvironment(16), [1.0] * 16, seed=5, network=network)
         booked = []
         record_lost = sim.mass_ledger.record_lost
@@ -482,7 +455,7 @@ class TestPushRoundSendOrder:
                 if payload[1] == t and target is not None
             ]
             # One call per round, over the radio sends in send order.
-            assert messages == [(payload[0], target, 16) for target, payload in sends]
+            assert messages == [(payload[0], target) for target, payload in sends]
             for (target, payload), delay in zip(sends, decisions):
                 if delay is None:
                     assert payload[:3] not in landed and payload[:3] not in in_flight
@@ -531,13 +504,6 @@ class TestDeliveryAccounting:
         sent = sum(record.n_alive for record in result.rounds)
         assert delivered + lost + backlog == sent
         assert max(result.in_flight_per_round()) > 0
-
-    def test_bandwidth_cap_drops_over_budget_messages(self):
-        generous = run_scenario(_spec("bandwidth-cap", {"bytes_per_round": 1024}))
-        tight = run_scenario(_spec("bandwidth-cap", {"bytes_per_round": 8}))
-        assert generous.total_lost() == 0
-        # Push-Sum payloads are 16 bytes; an 8-byte budget drops every one.
-        assert tight.total_lost() == sum(record.n_alive for record in tight.rounds)
 
     def test_lost_exchanges_still_cost_radio_bytes(self):
         # The initiator's transmitted half is spent whether or not the link
@@ -589,10 +555,8 @@ class TestAgentVectorizedEquivalence:
         assert run_scenario(spec).metadata["backend"] == "vectorized"
 
     def test_auto_falls_back_for_unvectorised_models(self):
-        for name, params in (("latency", {"distribution": "fixed", "delay": 1}),
-                             ("bandwidth-cap", {"bytes_per_round": 64})):
-            spec = _spec(name, params, backend="auto")
-            assert spec.resolved_backend() == "agent"
+        spec = _spec("latency", {"distribution": "fixed", "delay": 1}, backend="auto")
+        assert spec.resolved_backend() == "agent"
 
 
 class TestSweepIntegration:
@@ -631,43 +595,40 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match="unknown delay distribution 'pareto'"):
             _spec("latency", {"distribution": "pareto"})
 
-    def test_negative_fixed_delay(self):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            _spec("latency", {"distribution": "fixed", "delay": -1})
+    @pytest.mark.parametrize("delay", [-1, 1.5, True])
+    def test_negative_fixed_delay(self, delay):
+        with pytest.raises(ValueError, match="fixed delay must be a non-negative integer"):
+            _spec("latency", {"distribution": "fixed", "delay": delay})
 
-    def test_bad_uniform_delay_bounds(self):
-        with pytest.raises(ValueError, match="low <= high"):
-            _spec("latency", {"distribution": "uniform", "low": 5, "high": 2})
+    @pytest.mark.parametrize("low, high, match", [
+        (5, 2, "low <= high"),
+        (-1, 2, "uniform low must be a non-negative integer"),
+        # Truncated, these would read [0, 0]: a latency model with no latency.
+        (0.5, 0.7, "uniform low must be a non-negative integer"),
+        (0, 2.5, "uniform high must be a non-negative integer"),
+    ], ids=["low-above-high", "negative-low", "float-bounds", "float-high"])
+    def test_bad_uniform_delay_bounds(self, low, high, match):
+        with pytest.raises(ValueError, match=match):
+            _spec("latency", {"distribution": "uniform", "low": low, "high": high})
 
-    def test_non_positive_bandwidth_budget(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            _spec("bandwidth-cap", {"bytes_per_round": 0})
-
-    def test_stacked_needs_layers(self):
-        with pytest.raises(ValueError, match="non-empty 'layers'"):
-            _spec("stacked", {"layers": []})
-
-    def test_stacked_layer_needs_a_model_name(self):
-        with pytest.raises(ValueError, match="naming a registered 'model'"):
-            _spec("stacked", {"layers": [{"p": 0.1}]})
-
-    def test_stacked_rejects_nesting(self):
-        with pytest.raises(ValueError, match="cannot nest"):
-            _spec("stacked", {"layers": [{"model": "stacked", "layers": []}]})
+    @pytest.mark.parametrize("params, match", [
+        ({"mean": float("nan")}, "lognormal mean must be a finite number"),
+        ({"mean": float("inf")}, "lognormal mean must be a finite number"),
+        ({"sigma": float("nan")}, "lognormal sigma must be a finite number"),
+        ({"sigma": -0.5}, "lognormal sigma must be non-negative"),
+        ({"max_delay": 2.5}, "max_delay must be a non-negative integer"),
+        ({"max_delay": -1}, "max_delay must be a non-negative integer"),
+    ], ids=["nan-mean", "inf-mean", "nan-sigma", "negative-sigma", "float-cap", "negative-cap"])
+    def test_bad_lognormal_parameters(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            _spec("latency", {"distribution": "lognormal", **params})
 
     def test_exchange_mode_rejects_latency(self):
         with pytest.raises(ValueError, match="atomic push/pull.*round\\s+engine cannot defer"):
             _spec("latency", {"distribution": "fixed", "delay": 2}, mode="exchange")
 
-    def test_exchange_mode_rejects_stacked_latency(self):
-        layers = {"layers": [{"model": "bernoulli-loss", "p": 0.1},
-                             {"model": "latency", "distribution": "fixed", "delay": 1}]}
-        with pytest.raises(ValueError, match="round\\s+engine cannot defer"):
-            _spec("stacked", layers, mode="exchange")
-
     def test_exchange_mode_allows_loss_only_models(self):
         _spec("bernoulli-loss", {"p": 0.2}, mode="exchange")
-        _spec("bandwidth-cap", {"bytes_per_round": 64}, mode="exchange")
         _spec("latency", {"distribution": "fixed", "delay": 0}, mode="exchange")
 
     def test_engine_rejects_latency_in_exchange_mode_too(self):

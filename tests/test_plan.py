@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import PROTOCOLS, ScenarioSpec, run_scenario
+from repro.api import NETWORKS, PROTOCOLS, ScenarioSpec, register_network, run_scenario
 from repro.api.backends import VectorizedBackend
 from repro.api.plan import (
     ExecutionPlan,
@@ -223,8 +223,8 @@ EVENTS_REJECTIONS = [
         "accounting", "environment that defines groups", id="group-relative",
     ),
     pytest.param(
-        dict(network="bandwidth-cap", network_params={"bytes_per_round": 64}),
-        "network", "not vectorised under engine='events'", id="bandwidth-cap",
+        dict(network="lossy-latent", network_params={"p": 0.1, "high": 2}),
+        "network", "not vectorised under engine='events'", id="user-network",
     ),
     pytest.param(
         dict(protocol_params={"reversion": 0.1, "adaptive": True}),
@@ -237,9 +237,17 @@ EVENTS_REJECTIONS = [
 ]
 
 
+@pytest.fixture
+def user_network(monkeypatch, lossy_latent_network):
+    """``lossy-latent`` registered as a user model for one test, then gone."""
+    monkeypatch.setattr(NETWORKS, "_entries", dict(NETWORKS._entries))
+    monkeypatch.setattr(NETWORKS, "_signatures", dict(NETWORKS._signatures))
+    register_network(lossy_latent_network.name, lossy_latent_network)
+
+
 class TestEventEngineRejections:
     @pytest.mark.parametrize("overrides, axis, needle", EVENTS_REJECTIONS)
-    def test_rejection_axis_and_reason(self, overrides, axis, needle):
+    def test_rejection_axis_and_reason(self, user_network, overrides, axis, needle):
         spec = make_spec(engine="events", **overrides)
         rejections = vectorized_rejections(spec)
         hits = [r for r in rejections if r.axis == axis and needle in r.reason]
