@@ -29,6 +29,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,23 +197,23 @@ class LatencyNetwork(NetworkModel):
             )
         for label, bound in (("fixed delay", delay), ("uniform low", low),
                              ("uniform high", high), ("max_delay", max_delay)):
-            if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Integral) or bound < 0:
                 raise ValueError(f"{label} must be a non-negative integer, got {bound!r}")
         if high < low:
             raise ValueError(f"uniform delay needs 0 <= low <= high, got [{low}, {high}]")
         for label, number in (("lognormal mean", mean), ("lognormal sigma", sigma)):
-            if isinstance(number, bool) or not isinstance(number, (int, float)) \
+            if isinstance(number, bool) or not isinstance(number, numbers.Real) \
                     or not math.isfinite(number):
                 raise ValueError(f"{label} must be a finite number, got {number!r}")
         if sigma < 0:
             raise ValueError(f"lognormal sigma must be non-negative, got {sigma}")
         self.distribution = distribution
-        self.delay = delay
-        self.low = low
-        self.high = high
+        self.delay = int(delay)
+        self.low = int(low)
+        self.high = int(high)
         self.mean = float(mean)
         self.sigma = float(sigma)
-        self.max_delay = max_delay
+        self.max_delay = int(max_delay)
         if distribution == "fixed":
             worst = self.delay
         elif distribution == "uniform":

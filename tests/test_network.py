@@ -8,6 +8,9 @@ validation error path.  The committed loss-sweep table is checked by
 ``benchmarks/test_bench_extensions.py``.
 """
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,20 @@ class TestRegistry:
         first, second = spec.build_network(), spec.build_network()
         assert first is not second
         assert isinstance(first, BernoulliLossNetwork)
+
+    @pytest.mark.parametrize("name", ["bandwidth-cap", "stacked"])
+    def test_removed_models_are_unknown(self, name):
+        with pytest.raises(KeyError, match=f"unknown network '{name}'"):
+            _spec(name, {})
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_models_see_endpoints_round_and_stream_only(self, name):
+        # No message size, no per-round budget hook, no loss flag.
+        model = NETWORKS.get(name)
+        for method in ("plan", "plan_seconds"):
+            assert list(inspect.signature(getattr(model, method)).parameters) == [
+                "self", "source", "destination", "round_index", "rng"]
+        assert not hasattr(model, "begin_round") and not hasattr(model, "has_loss")
 
 
 class TestDeterminism:
@@ -311,6 +328,8 @@ PLAN_MANY_CONFIGS = [
     ("latency", {"distribution": "fixed", "delay": 2}),
     ("latency", {"distribution": "uniform", "low": 0, "high": 3}),
     ("latency", {"distribution": "lognormal", "mean": 0.3, "sigma": 0.6, "max_delay": 8}),
+    ("latency", {"distribution": "uniform", "low": 2, "high": 2}),
+    ("latency", {"distribution": "lognormal", "mean": 0.7, "sigma": 0.0, "max_delay": 1}),
 ]
 PLAN_MANY_IDS = [f"{name}:{sorted(params.items())}" for name, params in PLAN_MANY_CONFIGS]
 
@@ -595,7 +614,7 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match="unknown delay distribution 'pareto'"):
             _spec("latency", {"distribution": "pareto"})
 
-    @pytest.mark.parametrize("delay", [-1, 1.5, True])
+    @pytest.mark.parametrize("delay", [-1, 1.5, 2.0, True, "1", None])
     def test_negative_fixed_delay(self, delay):
         with pytest.raises(ValueError, match="fixed delay must be a non-negative integer"):
             _spec("latency", {"distribution": "fixed", "delay": delay})
@@ -606,7 +625,12 @@ class TestEagerValidation:
         # Truncated, these would read [0, 0]: a latency model with no latency.
         (0.5, 0.7, "uniform low must be a non-negative integer"),
         (0, 2.5, "uniform high must be a non-negative integer"),
-    ], ids=["low-above-high", "negative-low", "float-bounds", "float-high"])
+        (np.float64(1.0), 2, "uniform low must be a non-negative integer"),
+        (True, 2, "uniform low must be a non-negative integer"),
+        (0, -1, "uniform high must be a non-negative integer"),
+        (0, "3", "uniform high must be a non-negative integer"),
+    ], ids=["low-above-high", "negative-low", "float-bounds", "float-high", "numpy-float-low",
+            "bool-low", "negative-high", "string-high"])
     def test_bad_uniform_delay_bounds(self, low, high, match):
         with pytest.raises(ValueError, match=match):
             _spec("latency", {"distribution": "uniform", "low": low, "high": high})
@@ -618,10 +642,33 @@ class TestEagerValidation:
         ({"sigma": -0.5}, "lognormal sigma must be non-negative"),
         ({"max_delay": 2.5}, "max_delay must be a non-negative integer"),
         ({"max_delay": -1}, "max_delay must be a non-negative integer"),
-    ], ids=["nan-mean", "inf-mean", "nan-sigma", "negative-sigma", "float-cap", "negative-cap"])
+        ({"mean": float("-inf")}, "lognormal mean must be a finite number"),
+        ({"sigma": float("inf")}, "lognormal sigma must be a finite number"),
+        ({"mean": "0.3"}, "lognormal mean must be a finite number"),
+        ({"mean": True}, "lognormal mean must be a finite number"),
+        ({"max_delay": True}, "max_delay must be a non-negative integer"),
+    ], ids=["nan-mean", "inf-mean", "nan-sigma", "negative-sigma", "float-cap", "negative-cap",
+            "minus-inf-mean", "inf-sigma", "string-mean", "bool-mean", "bool-cap"])
     def test_bad_lognormal_parameters(self, params, match):
         with pytest.raises(ValueError, match=match):
             _spec("latency", {"distribution": "lognormal", **params})
+
+    @pytest.mark.parametrize("params, has_latency", [
+        ({"distribution": "fixed", "delay": 0}, False),
+        ({"distribution": "fixed", "delay": np.int64(2)}, True),
+        ({"distribution": "uniform", "low": 0, "high": 0}, False),
+        ({"distribution": "uniform", "low": 2, "high": 2}, True),
+        ({"distribution": "uniform", "low": np.int64(1), "high": np.uint8(3)}, True),
+        ({"distribution": "lognormal", "sigma": 0}, True),
+        ({"distribution": "lognormal", "mean": -1, "max_delay": 0}, False),
+        ({"distribution": "lognormal", "mean": np.float32(0.3), "max_delay": np.int32(4)}, True),
+    ], ids=["zero-delay", "numpy-delay", "zero-range", "point-range", "numpy-bounds",
+            "zero-sigma", "zero-cap", "numpy-lognormal"])
+    def test_edge_values_are_accepted_as_plain_numbers(self, params, has_latency):
+        model = LatencyNetwork(**params)
+        assert model.has_latency is has_latency
+        # Stored as Python numbers, so the metadata stays JSON.
+        assert json.loads(json.dumps(model.describe()))["max_delay"] == model.max_delay
 
     def test_exchange_mode_rejects_latency(self):
         with pytest.raises(ValueError, match="atomic push/pull.*round\\s+engine cannot defer"):
@@ -673,6 +720,22 @@ class TestCLI:
                 "run", "--protocol", "push-sum-revert",
                 "--network", "bernoulli-loss", "--network-params", "not-json",
             ])
+
+    @pytest.mark.parametrize("params", [
+        '{"distribution": "lognormal", "mean": NaN}',
+        '{"distribution": "lognormal", "mean": Infinity}',
+        '{"distribution": "lognormal", "sigma": -Infinity}',
+        '{"distribution": "lognormal", "max_delay": 2.5}',
+        '{"distribution": "uniform", "low": 0.5, "high": 0.7}',
+        '{"distribution": "fixed", "delay": true}',
+    ], ids=["nan-mean", "inf-mean", "minus-inf-sigma", "float-cap", "float-bounds", "bool-delay"])
+    def test_bad_latency_params_are_a_clean_cli_error(self, params, capsys):
+        # These ran (or died mid-run) before construction checked them.
+        code = cli_main(["run", "--protocol", "push-sum", "--mode", "push", "--hosts", "20",
+                         "--rounds", "3", "--engine", "events", "--network", "latency",
+                         "--network-params", params])
+        assert code == 2
+        assert "must be a" in capsys.readouterr().err
 
     def test_unknown_network_is_a_clean_cli_error(self, capsys):
         code = cli_main(["run", "--protocol", "push-sum-revert", "--network", "wifi"])
