@@ -30,10 +30,12 @@ The two sketch kernels hold one sketch per host row and share one merge
 a chunk of rows at a time — no ``ufunc.at`` on the N-D state) and one
 read-out (:func:`_chunked_ranks`, a chunk of rows at a time), so a round
 holds the state, one snapshot and a few :data:`_CHUNK_BYTES` chunks.
-Every per-round int16 pass takes contiguous operands a whole ``bins * bits``
-row wide — the ageing clamp's sentinel row, the read-out's tiled thresholds,
-the merge's rows — because NumPy runs an int16 ``minimum`` against a scalar,
-or a compare against the ``bits``-wide table, in a loop 3–5× slower.
+Count-Sketch-Reset stores a counter in one byte (uint8) whenever every
+``floor(f(k))`` fits below its never-heard sentinel of 255, else in int16.
+Every per-round counter pass takes contiguous operands a whole ``bins * bits``
+row wide — the ageing clamp row, the read-out's tiled thresholds,
+the merge's rows — because NumPy runs a small-integer ``minimum`` against a
+scalar, or a compare against the ``bits``-wide table, in a loop 3–10× slower.
 DESIGN.md §7 "Sketch kernel layout" has the exactness argument and the
 measurements.
 """
@@ -57,8 +59,11 @@ __all__ = [
     "VectorizedExtrema",
 ]
 
-#: Sentinel for "never heard of" in the vectorised counter kernel (int16-safe).
+#: "Never heard of" in the vectorised counter kernel when some cutoff does not fit
+#: a byte (decay off, a cutoff of 255 or more, a negative one); its counters are
+#: then int16.  Otherwise they are uint8 and the sentinel is 255.
 _COUNTER_INFINITY = np.int16(30_000)
+_NARROW_INFINITY = np.uint8(np.iinfo(np.uint8).max)
 
 
 #: Bytes of state rows one chunk of the sketch merges and read-out touches: every
@@ -1258,19 +1263,26 @@ class VectorizedCountSketchReset(_CountingKernel):
         self._message_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
 
         # Counters are integers, so ``c <= f(k)`` is ``c <= floor(f(k))`` and
-        # the read-out compares int16 against int16.  Below -1 nothing
-        # qualifies either way; the upper clip keeps the "never heard of"
-        # sentinel unset even with decay disabled (``cutoff=None``).
-        no_decay = int(_COUNTER_INFINITY) - 1
-        cutoffs = np.array(
-            [no_decay if cutoff is None else float(cutoff(k)) for k in range(self.bits)]
-        )
+        # the read-out compares counters against a table of their own dtype.
+        # When every floor lies in [0, 254] the counters are uint8 with a
+        # sentinel of 255: a uint8 counter is then always min(int16 counter,
+        # 255), which reads the same bit against every threshold (DESIGN.md §7
+        # "Sketch kernel layout").  Otherwise they are int16; below -1 nothing
+        # qualifies either way, and the upper clip keeps the sentinel unset
+        # even with decay disabled (``cutoff=None``).
+        wide = int(_COUNTER_INFINITY) - 1
+        cutoffs = np.floor(np.array(
+            [wide if cutoff is None else float(cutoff(k)) for k in range(self.bits)]
+        ))
         if np.isnan(cutoffs).any():
             raise ValueError("cutoff(k) must not be NaN")
-        self._thresholds = np.clip(np.floor(cutoffs), -1, no_decay).astype(np.int16)
-        # The ageing clamp's operand: a whole row, not the scalar, whose int16 minimum
-        # takes NumPy's non-SIMD loop (DESIGN.md §7 "Sketch kernel layout").
-        self._infinity_row = np.full(self.bins * self.bits, _COUNTER_INFINITY, dtype=np.int16)
+        narrow = bool(((cutoffs >= 0) & (cutoffs < _NARROW_INFINITY)).all())
+        self._never_heard = _NARROW_INFINITY if narrow else _COUNTER_INFINITY
+        dtype, no_decay = self._never_heard.dtype, int(self._never_heard) - 1
+        self._thresholds = np.clip(cutoffs, -1, no_decay).astype(dtype)
+        # The ageing clamp's operand: a whole row, not the scalar, whose small-integer
+        # minimum takes NumPy's non-SIMD loop (DESIGN.md §7 "Sketch kernel layout").
+        self._clamp_row = np.full(self.bins * self.bits, no_decay, dtype=dtype)
 
         self.counters, self._owned_hosts, self._owned_positions = self._fresh_rows(self.n)
 
@@ -1279,9 +1291,17 @@ class VectorizedCountSketchReset(_CountingKernel):
         hosts, positions = _draw_identifiers(
             self.rng, count, self.bins, self.bits, self.identifiers_per_host
         )
-        counters = np.full((count, self.bins * self.bits), _COUNTER_INFINITY, dtype=np.int16)
+        counters = np.full(
+            (count, self.bins * self.bits), self._never_heard, dtype=self._never_heard.dtype
+        )
         counters[hosts, positions] = 0
         return counters.reshape(count, self.bins, self.bits), hosts, positions
+
+    @property
+    def never_heard(self):
+        """The counter value of a position never heard of: 255 on uint8 counters,
+        30 000 on int16 ones (the scalar carries the counters' dtype)."""
+        return self._never_heard
 
     @property
     def own_mask(self) -> np.ndarray:
@@ -1325,12 +1345,14 @@ class VectorizedCountSketchReset(_CountingKernel):
     def _begin(self, block: List[np.ndarray], hosts: np.ndarray) -> None:
         """Count-Sketch-Reset's ``begin_round``: age every acting counter, then re-pin
         the acting owners' positions (through the ``(host, position)`` index arrays
-        recorded when the identifiers were drawn).  Counters are >= 0 and every
-        live owned position is 0 after ageing, so no later min can unpin one."""
+        recorded when the identifiers were drawn).  Clamping to one below the
+        sentinel before adding is ``min(c + 1, sentinel)`` and never wraps a uint8.
+        Counters are >= 0 and every live owned position is 0 after ageing, so no
+        later min can unpin one."""
         (rows,) = block
         with self.probe.span("ageing"):
+            np.minimum(rows, self._clamp_row, out=rows)
             np.add(rows, 1, out=rows)
-            np.minimum(rows, self._infinity_row, out=rows)
             if hosts is self.live_index():
                 row = self.live_rank()
             else:  # the rows of a partial tick
@@ -1357,14 +1379,15 @@ class VectorizedCountSketchReset(_CountingKernel):
     def counter_values_for_bit(self, bit_index: int, *, finite_only: bool = True) -> np.ndarray:
         """All live hosts' counter values for bit ``bit_index`` (all bins).
 
-        This is the raw data behind Fig 6's per-bit CDFs.
+        This is the raw data behind Fig 6's per-bit CDFs.  On uint8 counters a raw
+        age of 255 or more reads as never heard of (:attr:`never_heard`).
         """
         if not 0 <= bit_index < self.bits:
             raise ValueError(f"bit_index must be in [0, {self.bits})")
         alive_idx = self.live_index()
         values = self.counters[alive_idx, :, bit_index].reshape(-1).astype(np.int64)
         if finite_only:
-            values = values[values < int(_COUNTER_INFINITY)]
+            values = values[values < int(self._never_heard)]
         return values
 
 

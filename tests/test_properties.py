@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import cdf_at, empirical_cdf
+from repro.api.spec import NAMED_CUTOFFS
 from repro.baselines.push_sum import PushSum
+from repro.core.cutoff import default_cutoff, linear_cutoff
 from repro.core.push_sum_revert import PushSumRevert
 from repro.events import TIME_EPS
 from repro.metrics.accuracy import error_statistics
@@ -22,7 +24,6 @@ from repro.simulator.sparse import (
 )
 import repro.simulator.vectorized as vectorized
 from repro.simulator.vectorized import (
-    _COUNTER_INFINITY,
     _chunked_ranks,
     _merge_rows,
     _scatter_rows,
@@ -342,21 +343,30 @@ class TestVectorizedKernelBounds:
         bits=st.integers(min_value=1, max_value=12),
         rounds=st.integers(min_value=0, max_value=15),
         fail_fraction=st.floats(min_value=0.0, max_value=0.9),
+        decay=st.booleans(),
         seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_counter_kernel_stays_inside_int16_sentinel(
-        self, n, bins, bits, rounds, fail_fraction, seed
+    def test_counter_kernel_stays_inside_its_sentinel(
+        self, n, bins, bits, rounds, fail_fraction, decay, seed
     ):
-        kernel = VectorizedCountSketchReset(n, bins=bins, bits=bits, seed=seed)
+        """The default cutoff stores uint8 counters, decay off int16 ones; either way
+        every counter lies in [0, never_heard] and a position nobody owns stays at
+        the sentinel on every row."""
+        cutoff = default_cutoff if decay else None
+        kernel = VectorizedCountSketchReset(n, bins=bins, bits=bits, cutoff=cutoff, seed=seed)
         kernel.step_many(rounds)
         kernel.fail_random_fraction(fail_fraction)
         kernel.step_many(rounds)
-        assert kernel.counters.dtype == np.int16
+        never_heard = kernel.never_heard
+        assert kernel.counters.dtype == (np.uint8 if decay else np.int16)
+        assert never_heard.dtype == kernel.counters.dtype
         assert kernel.counters.min() >= 0
-        assert kernel.counters.max() <= _COUNTER_INFINITY
+        assert kernel.counters.max() <= never_heard
+        unowned = ~kernel.own_mask.any(axis=0)  # fail() disowns nothing
+        assert (kernel.counters[:, unowned] == never_heard).all()
         # Finite counters are bounded by the elapsed rounds: nothing can be
         # staler than the simulation is old.
-        finite = kernel.counters[kernel.counters < _COUNTER_INFINITY]
+        finite = kernel.counters[kernel.counters < never_heard]
         if finite.size:
             assert finite.max() <= 2 * rounds
 
@@ -466,7 +476,7 @@ class TestSketchKernelPrimitives:
             reduce, rows = np.logical_or, rng.random((n, width)) < 0.3
         else:
             reduce, rows = np.minimum, rng.integers(0, 9, size=(n, width)).astype(np.int16)
-            rows[rng.random((n, width)) < 0.3] = _COUNTER_INFINITY
+            rows[rng.random((n, width)) < 0.3] = 30_000
         expected = rows.copy()
         self._ufunc_at_merge(expected, senders, targets, reduce, pull)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -585,24 +595,30 @@ class TestSketchKernelPrimitives:
         ring=st.booleans(),
         leaves=st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.6), st.booleans()),
                         max_size=5),
+        decay=st.booleans(),
         seed=st.integers(min_value=0, max_value=1000),
     )
-    @example(n=6, bits=3, identifiers=1, pull=True, ring=False, leaves=[], seed=0)  # all alive
-    @example(n=6, bits=3, identifiers=2, pull=True, ring=True, leaves=[(0.5, True)], seed=1)
+    @example(n=6, bits=3, identifiers=1, pull=True, ring=False, leaves=[], decay=True, seed=0)
+    @example(n=6, bits=3, identifiers=2, pull=True, ring=True, leaves=[(0.5, True)], decay=True,
+             seed=1)
+    @example(n=6, bits=3, identifiers=1, pull=False, ring=False, leaves=[(0.5, False)],
+             decay=False, seed=2)
     def test_count_sketch_reset_round_matches_plain_reference(
-        self, n, bits, identifiers, pull, ring, leaves, seed
+        self, n, bits, identifiers, pull, ring, leaves, decay, seed
     ):
-        """Each round equals "age every live row, re-pin live owners, ``minimum.at``
-        merge" on a copy, and a dead row stays byte-identical from the round it died in.
-        ``leaves`` lists one (fraction, graceful) departure per round; two more rounds
-        follow."""
+        """Each round equals "age every live row in int64 against the kernel's sentinel,
+        re-pin live owners, ``minimum.at`` merge" on a copy, and a dead row stays
+        byte-identical from the round it died in.  ``leaves`` lists one (fraction,
+        graceful) departure per round; two more rounds follow.  ``decay`` picks uint8
+        counters (the default cutoff) or int16 ones (decay off)."""
         topology = None
         if ring and n > 4:
             topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
         kernel = VectorizedCountSketchReset(
-            n, bins=2, bits=bits, identifiers_per_host=identifiers, pull=pull,
-            topology=topology, seed=seed,
+            n, bins=2, bits=bits, cutoff=default_cutoff if decay else None,
+            identifiers_per_host=identifiers, pull=pull, topology=topology, seed=seed,
         )
+        never_heard = int(kernel.never_heard)
         frozen = {}  # dead host → its row at death
         for fraction, graceful in leaves + [(0.0, False)] * 2:
             leaving = kernel.live_index()[: int(fraction * kernel.live_index().size)]
@@ -611,7 +627,7 @@ class TestSketchKernelPrimitives:
             reference = copy.deepcopy(kernel)  # same generator state: same peers
             alive_idx = reference.live_index()
             rows = reference.counters.reshape(n, -1)
-            rows[alive_idx] = np.minimum(rows[alive_idx] + 1, _COUNTER_INFINITY)
+            rows[alive_idx] = np.minimum(rows[alive_idx].astype(np.int64) + 1, never_heard)
             owner_alive = reference.alive[reference._owned_hosts]
             rows[reference._owned_hosts[owner_alive], reference._owned_positions[owner_alive]] = 0
             if alive_idx.size >= 2:
@@ -631,18 +647,138 @@ class TestSketchKernelPrimitives:
     @example(intercept=float("inf"), slope=0.0)
     @example(intercept=float("-inf"), slope=0.0)
     def test_integer_threshold_table_matches_float_compare(self, intercept, slope):
-        """``c <= f(k)`` for every counter value 0..infinity and every bit k."""
+        """``c <= f(k)`` for every counter value 0..never_heard of the kernel's dtype and
+        every bit k."""
         bits = 12
         cutoff = None if intercept is None else (lambda k: intercept + slope * k)
-        values = np.arange(int(_COUNTER_INFINITY) + 1)
+        never_heard = VectorizedCountSketchReset(1, bins=1, bits=bits, cutoff=cutoff).never_heard
+        values = np.arange(int(never_heard) + 1, dtype=never_heard.dtype)
         kernel = VectorizedCountSketchReset(values.size, bins=1, bits=bits, cutoff=cutoff)
+        assert kernel.counters.dtype == values.dtype
         kernel.counters[:, 0, :] = values[:, None]
         # With decay off the threshold still excludes the "never heard of" sentinel.
-        ceiling = float(_COUNTER_INFINITY) - 1.0
+        ceiling = float(never_heard) - 1.0
         thresholds = np.array(
             [ceiling if cutoff is None else min(float(cutoff(k)), ceiling) for k in range(bits)]
         )
         assert np.array_equal(kernel.bit_image()[:, 0, :], values[:, None] <= thresholds)
+
+
+class TestCounterDtypeRule:
+    """Count-Sketch-Reset stores uint8 counters with a sentinel of 255 exactly when every
+    ``floor(f(k))`` lies in [0, 254], else int16 with a sentinel of 30 000; either way
+    its bits, ranks and estimates are those of a counter that never saturates."""
+
+    BITS = 20
+    ROUNDS = 300  # long enough for a departed source's counters to pass 255
+
+    @pytest.mark.parametrize(
+        "cutoff, dtype",
+        [
+            (NAMED_CUTOFFS["default"], np.uint8),
+            (NAMED_CUTOFFS["slow"], np.uint8),
+            (linear_cutoff(216.0, 2.0), np.uint8),  # floor(f(19)) = 254
+            (linear_cutoff(216.9, 2.0), np.uint8),  # f(19) = 254.9
+            (None, np.int16),
+            (NAMED_CUTOFFS["off"], np.int16),
+            (linear_cutoff(217.0, 2.0), np.int16),  # f(19) = 255
+            (lambda k: k - 0.5, np.int16),  # floor(f(0)) = -1
+        ],
+        ids=["default", "slow", "floor-254", "254.9", "none", "off", "reaches-255", "negative"],
+    )
+    def test_the_cutoff_table_picks_the_dtype(self, cutoff, dtype):
+        kernel = VectorizedCountSketchReset(6, bins=2, bits=self.BITS, cutoff=cutoff)
+        assert kernel.counters.dtype == dtype
+        assert kernel.never_heard.dtype == dtype
+        assert kernel.never_heard == (255 if dtype is np.uint8 else 30_000)
+        kernel.step_many(2)
+        assert kernel.counters.dtype == dtype
+        kernel.join([1.0])
+        assert kernel.counters.dtype == dtype
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        bits=st.integers(min_value=1, max_value=8),
+        identifiers=st.integers(min_value=1, max_value=3),
+        pull=st.booleans(),
+        ring=st.booleans(),
+        cutoff=st.sampled_from(["default", "slow", "edge"]),
+        script=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.sampled_from(["fail", "leave", "join"]),
+                st.floats(min_value=0.0, max_value=0.5),
+            ),
+            max_size=6,
+        ),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @example(n=12, bits=4, identifiers=2, pull=True, ring=False, cutoff="edge",
+             script=[(2, "leave", 0.4), (5, "join", 0.3), (9, "fail", 0.2)], seed=0)
+    @example(n=12, bits=4, identifiers=1, pull=False, ring=True, cutoff="edge",
+             script=[(0, "leave", 0.3), (3, "fail", 0.3)], seed=1)
+    def test_uint8_counters_match_a_wide_reference(
+        self, n, bits, identifiers, pull, ring, cutoff, script, seed
+    ):
+        """Every round, the kernel's bit image, ranks and estimates equal those of an
+        int64 reference whose sentinel is :data:`INFINITY`, and its counters equal the
+        reference's clamped to 255.  ``script`` lists (round, event, fraction): an
+        uncorrelated failure, a graceful departure, or a join (uniform gossip only).
+        The "edge" cutoff puts ``floor(f(L-1))`` at 254; in both explicit examples live
+        counters of departed sources climb through 254 and stop at 255."""
+        cutoffs = {
+            "default": NAMED_CUTOFFS["default"],
+            "slow": NAMED_CUTOFFS["slow"],
+            "edge": linear_cutoff(254.0 - 2.0 * (bits - 1), 2.0),
+        }
+        topology = None
+        if ring and n > 4:
+            topology = CSRTopology.from_edges(*ring_lattice_edges(n, k=2), n)
+        kernel = VectorizedCountSketchReset(
+            n, bins=2, bits=bits, cutoff=cutoffs[cutoff], identifiers_per_host=identifiers,
+            pull=pull, topology=topology, seed=seed,
+        )
+        assert kernel.counters.dtype == np.uint8
+        thresholds = np.floor([cutoffs[cutoff](k) for k in range(bits)])
+
+        def widened(counters):
+            rows = counters.reshape(len(counters), -1).astype(np.int64)
+            rows[rows == kernel.never_heard] = INFINITY
+            return rows
+
+        wide = widened(kernel.counters)
+        picker = np.random.default_rng(seed)
+        for t in range(self.ROUNDS):
+            for _, event, fraction in (entry for entry in script if entry[0] == t):
+                live = kernel.live_index()
+                if event == "fail":
+                    kernel.fail_random_fraction(fraction)
+                elif event == "leave":
+                    count = int(fraction * live.size)
+                    kernel.depart_gracefully(picker.choice(live, size=count, replace=False))
+                elif topology is None:
+                    start = kernel.n
+                    kernel.join([1.0] * (1 + int(10 * fraction)))
+                    wide = np.concatenate([wide, widened(kernel.counters[start:])])
+            alive_idx = kernel.live_index()
+            wide[alive_idx] = np.minimum(wide[alive_idx] + 1, INFINITY)
+            owner_alive = kernel.alive[kernel._owned_hosts]
+            wide[kernel._owned_hosts[owner_alive], kernel._owned_positions[owner_alive]] = 0
+            if alive_idx.size >= 2:
+                draw = copy.deepcopy(kernel)  # same generator state: same peers
+                senders, targets = draw._draw_push_targets(alive_idx)
+                TestSketchKernelPrimitives._ufunc_at_merge(
+                    wide, alive_idx[senders], alive_idx[targets], np.minimum, pull
+                )
+            kernel.step()
+            image = wide.reshape(kernel.n, 2, bits) <= thresholds
+            ranks = _prefix_rank(image)
+            expected = 2 / PHI * np.exp2(ranks.mean(axis=1)[kernel.alive]) / identifiers
+            assert np.array_equal(kernel.counters.reshape(kernel.n, -1), np.minimum(wide, 255))
+            assert np.array_equal(kernel.bit_image(), image)
+            assert np.array_equal(kernel.ranks(), ranks)
+            assert np.array_equal(kernel.estimates(), expected)
 
 
 # ---------------------------------------------------------------------------
