@@ -13,7 +13,8 @@ module decides *how*.  Two backends are registered:
   :class:`repro.api.kernel_run.KernelRun` (lockstep rounds are its
   degenerate configuration); this module only builds what that driver
   runs — the (memoised) topology and the kernel its declaration
-  (:data:`repro.simulator.kernels.KERNELS`) configures.  Orders of
+  (:data:`repro.simulator.kernels.KERNELS`) configures, every kernel with
+  the network's Bernoulli loss rate (0 off ``bernoulli-loss``).  Orders of
   magnitude faster; the backend of the paper's
   large population sweeps (Figs 6, 8, 9, 10), its Section IV-A spatial
   scenarios and its Fig 11 trace replays.  ``repro-aggregate list
@@ -238,13 +239,9 @@ class VectorizedBackend(ExecutionBackend):
         if topology is None and spec.environment != "uniform":
             topology, _environment_name = self.build_topology(spec)
         declaration = KERNELS[spec.protocol]
-        wiring = {"topology": topology, "seed": spec.seed, "probe": probe}
-        if declaration.lossy:
-            # The Bernoulli loss probability a lossy kernel should apply.
-            wiring["loss"] = (
-                float(spec.network_params["p"]) if spec.network == "bernoulli-loss" else 0.0
-            )
+        loss = float(spec.network_params["p"]) if spec.network == "bernoulli-loss" else 0.0
         population = spec.build_values() if declaration.value_carrying else spec.n_hosts
+        wiring = {"loss": loss, "topology": topology, "seed": spec.seed, "probe": probe}
         return declaration.build(spec.build_protocol(), population, spec.mode, **wiring)
 
     # -------------------------------------------------------------- execution

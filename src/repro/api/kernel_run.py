@@ -21,13 +21,17 @@ The mass ledger balances per bucket (or per sample), never per event,
 against the kernel's read-only ``mass_view()``.
 
 ``engine="rounds"`` is the same loop configured as the degenerate
-calendar: one bucket per sample, every host ticking in every bucket over
-an instant network.  Nothing can be in flight and no clock can disagree,
-so that configuration builds no clock grid and no random streams, closes
+calendar: one bucket per sample, every host ticking in every bucket.  Over
+an instant network nothing can be in flight and no clock can disagree, so
+that configuration builds no clock grid and no random streams, closes
 the mass ledger once, after its last bucket (``mass_check="run"``, not a
 setting), and its tick phase is plain ``kernel.step()`` — which is also what
 the calendar executes whenever the whole live population ticks in one
-bucket over an instant network.  Hence ``engine="events"`` at the
+bucket over an instant network.  Over a latency network a rounds spec runs
+the calendar itself, at the defaults of ``spec.engine_settings()``
+(synchronized unit clocks, a unit sample interval), so what is in flight is
+deferred and drained; its records carry no ``time`` and its metadata no
+``engine``, like any rounds run.  Hence ``engine="events"`` at the
 synchronized anchor (unit rates, unit sample interval, instant network)
 consumes the kernel RNG identically and is bit-identical to
 ``engine="rounds"`` (DESIGN.md §14); heterogeneous-rate runs agree with
@@ -65,20 +69,17 @@ class KernelRun:
     ``backend`` is the :class:`~repro.api.backends.VectorizedBackend`
     (the kernel and topology factory; its ``build_kernel`` screens the
     spec, so an unsupported scenario raises here, before anything is
-    built).  The span vocabulary is picked once, from the spec's engine:
-    ``build``/``execute``/``round`` under ``engine="rounds"``,
-    ``build``/``execute``/``drain``/``ticks`` (tagged ``engine="events"``)
-    under ``engine="events"``.
+    built).  The span vocabulary is picked once: ``build``/``execute``/``round``
+    for lockstep rounds, ``build``/``execute``/``drain``/``ticks`` on the
+    calendar (tagged ``engine="events"`` under that engine).
     """
 
     def __init__(self, backend, spec: "ScenarioSpec", probe=NULL_PROBE):
         self.spec = spec
         self.probe = probe
-        calendar = spec.engine == "events"
         self._span_attrs = {"backend": backend.name}
-        if calendar:
+        if spec.engine == "events":
             self._span_attrs["engine"] = "events"
-            settings = spec.engine_settings()
         self.clocks: Optional[ClockGrid] = None
         #: ``delays(k)`` draws ``k`` network delays, when the network's messages take time.
         self.delays: Optional[Callable[[int], np.ndarray]] = None
@@ -86,11 +87,13 @@ class KernelRun:
             self.kernel = kernel = backend.build_kernel(spec, probe=probe)
             # A memo hit on the topology the kernel was just built over.
             _topology, environment_name = backend.build_topology(spec)
-            if calendar:
+            network = spec.build_network()
+            calendar = spec.engine == "events" or network.has_latency
+            if calendar:  # a rounds spec takes the defaults: unit clocks, unit samples
+                settings = spec.engine_settings()
                 streams = RandomStreams(spec.seed)
                 self.clocks = ClockGrid(settings, streams.get("clocks"), kernel.n)
-                network = None if spec.network == "perfect" else spec.build_network()
-                if getattr(network, "has_latency", False):
+                if network.has_latency:
                     self.delays = partial(sample_delays, network, streams.get("network"))
 
         # ------------------------------------------------------- bucket grid
@@ -140,7 +143,7 @@ class KernelRun:
                 "kernel": type(kernel).__name__,
             },
         )
-        if calendar:
+        if spec.engine == "events":
             # The resolved settings, with the quantum actually used.
             self.result.metadata["engine"] = {**settings.metadata(), "batch_quantum": self.quantum}
         if spec.network != "perfect":
@@ -193,7 +196,8 @@ class KernelRun:
             return
         if self.mass_check == "sample":
             self.check_mass(sample_index - 1)
-        record = self.sample(sample_index - 1, time=sample_index * self.sample_interval)
+        time = sample_index * self.sample_interval if self.spec.engine == "events" else None
+        record = self.sample(sample_index - 1, time=time)
         self.result.append(record, self.probe)
 
     # -------------------------------------------------------------- deliveries

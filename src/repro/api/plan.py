@@ -13,8 +13,10 @@
 
 What a kernel can run is stated once, in
 :data:`repro.simulator.kernels.KERNELS`; this module only turns those
-declarations into rejections.  Backends carry no capability method of
-their own: everything dispatches through plans.
+declarations into rejections.  The network is no kernel capability: only a
+user-registered model, or Full-Transfer's fan-out under latency, is rejected
+on that axis.  Backends carry no capability method of their own: everything
+dispatches through plans.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.simulator.kernels import (
-    CALENDAR_NETWORKS,
     KERNEL_ENVIRONMENTS,
     KERNEL_FAILURE_MODELS,
+    KERNEL_NETWORKS,
     KERNELS,
     KernelDeclaration,
 )
@@ -124,6 +126,11 @@ class PlanRejectionError(ValueError):
         self.nearest = nearest
 
 
+def _on_the_calendar(spec: "ScenarioSpec") -> bool:
+    """Whether a kernel run of ``spec`` is the calendar: on events, or where messages take time."""
+    return spec.engine == "events" or spec.network == "latency"
+
+
 def _kernels_with(flag: str) -> List[str]:
     """The protocols whose kernel declaration sets ``flag``, sorted."""
     return sorted(name for name, entry in KERNELS.items() if getattr(entry, flag))
@@ -182,19 +189,19 @@ def _environment_rejections(
             f"environment {spec.environment!r} is not vectorised "
             f"(vectorised environments: {known})",
         ))
-    if spec.environment != "uniform" and entry is not None and not entry.topology:
+    if spec.environment != "uniform" and entry is not None and entry.fan_out:
         rejections.append(Rejection(
             "environment", spec.environment,
             f"protocol {spec.protocol!r} is only vectorised under uniform gossip "
             f"(its kernel takes no topology); environment {spec.environment!r} "
             "requires the agent engine",
         ))
-    if spec.environment == "trace" and spec.engine == "events":
+    if spec.environment == "trace" and _on_the_calendar(spec):
         rejections.append(Rejection(
             "environment", "trace",
-            "trace replay is not vectorised under engine='events': its per-round CSR is "
-            "keyed by a round index that the event calendar does not advance; it "
-            "requires the agent engine",
+            "trace replay is not vectorised on the calendar (engine='events' or a 'latency' "
+            "network): its per-round CSR is keyed by a round index that the event calendar "
+            "does not advance; it requires the agent engine",
         ))
     elif spec.environment == "trace" and bool(spec.environment_params.get("broadcast", False)):
         rejections.append(Rejection(
@@ -209,27 +216,21 @@ def _network_rejections(
     spec: "ScenarioSpec", entry: Optional[KernelDeclaration]
 ) -> List[Rejection]:
     """Rejections from the network model (at most one)."""
-    if spec.engine == "events" and spec.network not in CALENDAR_NETWORKS:
-        known = ", ".join(repr(name) for name in CALENDAR_NETWORKS)
+    if spec.network not in KERNEL_NETWORKS:
+        known = ", ".join(repr(name) for name in KERNEL_NETWORKS)
         return [Rejection(
             "network", spec.network,
-            f"network model {spec.network!r} is not vectorised under engine='events' "
-            f"(the event calendar supports {known})",
+            f"network model {spec.network!r} is not vectorised under "
+            f"engine={spec.engine!r} (kernels support {known})",
         )]
-    if spec.engine != "events" and spec.network not in ("perfect", "bernoulli-loss"):
+    if spec.network == "latency" and entry is not None and entry.fan_out:
         return [Rejection(
             "network", spec.network,
-            f"network model {spec.network!r} is not vectorised "
-            "(kernels support 'perfect' and 'bernoulli-loss' only)",
+            f"protocol {spec.protocol!r} is only vectorised over an instant network (its round "
+            "is a whole-population fan-out, with no per-tick form): 'latency' requires the "
+            "agent engine",
         )]
-    if spec.network != "bernoulli-loss" or entry is None or entry.lossy:
-        return []
-    return [Rejection(
-        "network", spec.network,
-        f"Bernoulli message loss is only vectorised for {', '.join(_kernels_with('lossy'))}; "
-        f"protocol {spec.protocol!r} under a lossy network requires "
-        "the agent engine",
-    )]
+    return []
 
 
 def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
@@ -270,12 +271,11 @@ def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
             f"protocol {spec.protocol!r} has no vectorised kernel (kernels: {supported})",
         ))
     else:
-        if calendar and bool(spec.protocol_params.get("adaptive", False)):
+        if _on_the_calendar(spec) and bool(spec.protocol_params.get("adaptive", False)):
             rejections.append(Rejection(
                 "protocol", "adaptive",
-                "indegree-adaptive reversion is not vectorised under engine='events' "
-                "(the bucketed calendar has no per-tick indegree); it requires the "
-                "agent engine",
+                "indegree-adaptive reversion is not vectorised on the calendar (engine='events' "
+                "or a 'latency' network): it has no per-tick indegree; use the agent engine",
             ))
         if spec.mode not in entry.modes:
             modes = " or ".join(repr(mode) for mode in entry.modes)
@@ -354,17 +354,16 @@ def capability_matrix() -> Dict[str, object]:
             "kernel": name,
             "modes": "/".join(entry.modes),
             "parameters": ",".join(sorted(entry.params)),
-            "topology": "yes" if entry.topology else "uniform-only",
+            "topology": "uniform-only" if entry.fan_out else "yes",
         }
         for name, entry in sorted(KERNELS.items())
     ]
     notes = [
         f"vectorised environments: {', '.join(KERNEL_ENVIRONMENTS)}",
         f"vectorised failure models: {', '.join(KERNEL_FAILURE_MODELS)}",
-        f"lossy-network kernels: {', '.join(_kernels_with('lossy'))}",
         "event-calendar (engine='events') vectorisation: "
         f"{', '.join(_kernels_with('calendar'))} on "
-        f"{', '.join(CALENDAR_NETWORKS)} networks (no trace replay)",
+        f"{', '.join(KERNEL_NETWORKS)} networks (no trace replay)",
     ]
     return {"engines": engines, "backends": ("agent", "vectorized"),
             "rows": rows, "kernels": kernels, "notes": notes}

@@ -196,8 +196,10 @@ def run_loss_sweep(
     protocol's truth so an averaging protocol over [0, 100) values and a
     counting protocol over ``n_hosts`` hosts are comparable.  ``loss=0``
     is the paper's (perfect-network) regime.  Backends are pinned per
-    protocol — the lossy Push-Sum-Revert kernel and the agent engine for
-    the sketch — so every row of a column comes from one engine.
+    protocol, so every row of a column comes from one engine: the lossy
+    Push-Sum-Revert kernel, and the agent engine for the sketch, although
+    its kernel now loses messages too — the committed table was written on
+    the agent, and the pin keeps its golden.
     """
     base = {
         "push-sum-revert": ScenarioSpec(

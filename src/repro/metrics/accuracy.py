@@ -4,8 +4,7 @@ All the evaluation figures in the paper plot one statistic: "the standard
 deviation from the correct value" — the root-mean-square deviation of the
 hosts' estimates from the true aggregate.  :func:`error_statistics` computes
 it (with its companions) for ``Simulation._record_round`` (both agent
-engines), ``KernelRun.sample`` and ``kernel.error()``;
-:func:`group_truths` is the array form of the Fig 11 rule (each host
+engines) and ``KernelRun.sample``; :func:`group_truths` is the array form of the Fig 11 rule (each host
 against its own group's aggregate).  The scorer owns the statistics of
 ``estimates − truths`` only: the scalar *recorded* as a record's ``truth``
 stays with the caller (the agent engine averages group truths in

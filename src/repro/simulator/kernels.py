@@ -10,7 +10,11 @@ one entry here.  A kernel states its gossip once — its begin/end hooks, its
 merge rule and what a push carries — and the shared base derives both the
 lockstep round and the event calendar's protocol from it
 (:class:`repro.simulator.vectorized._VectorizedKernel`, DESIGN.md §7 and §14),
-so the event calendar (``calendar``) costs no kernel code.
+so the event calendar (``calendar``) costs no kernel code.  Nor does the
+network, which no flag names: the base loses the messages a kernel counts, and
+a latency network runs on the calendar, so every kernel realises every one of
+:data:`KERNEL_NETWORKS` — but Full-Transfer (``fan_out``), whose round has no
+per-tick form, is realised only over an instant network.
 
 :meth:`KernelDeclaration.build` takes the protocol parameters from the
 *resolved agent protocol instance* (``spec.build_protocol()``, every default
@@ -31,10 +35,10 @@ from repro.simulator.vectorized import (
 )
 
 __all__ = [
-    "CALENDAR_NETWORKS",
     "KERNELS",
     "KERNEL_ENVIRONMENTS",
     "KERNEL_FAILURE_MODELS",
+    "KERNEL_NETWORKS",
     "KernelDeclaration",
 ]
 
@@ -56,10 +60,8 @@ KERNEL_ENVIRONMENTS = (
 #: ``fail_extreme_fraction``, ``fail``).
 KERNEL_FAILURE_MODELS = ("uncorrelated", "correlated", "explicit")
 
-#: Networks a calendar-capable kernel realises under ``engine="events"``:
-#: instant networks run whole-bucket or subset steps, ``latency`` defers
-#: matured parcels/exchanges into later buckets.
-CALENDAR_NETWORKS = ("perfect", "bernoulli-loss", "latency")
+#: Networks every kernel realises, on both engines (see the module docstring).
+KERNEL_NETWORKS = ("perfect", "bernoulli-loss", "latency")
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,10 @@ class KernelDeclaration:
     value_carrying:
         One value per host: what correlated failures order hosts by and
         value-change events rewrite (counting kernels carry none).
-    topology:
-        Accepts a :mod:`~repro.simulator.sparse` topology (only
-        Full-Transfer's multi-parcel fan-out is uniform-only).
-    lossy:
-        Takes a Bernoulli ``loss`` probability, so the common lossy case
-        still resolves to the fast path.
+    fan_out:
+        A round is a whole-population fan-out of several parcels per host
+        (Full-Transfer): it samples no topology and has no per-tick form,
+        so it runs only under uniform gossip over an instant network.
     calendar:
         Runs on the bucketed event calendar (DESIGN.md §14) through the
         ``step_subset`` / ``deliver`` / ``mass_view`` its kernel derives from
@@ -98,16 +98,14 @@ class KernelDeclaration:
     modes: Mapping[str, Mapping[str, object]]
     params: FrozenSet[str]
     value_carrying: bool
-    topology: bool = True
-    lossy: bool = False
+    fan_out: bool = False
     calendar: bool = True
 
     def build(self, agent, population, mode: str, **wiring):
         """The configured kernel for the resolved agent protocol ``agent``.
 
         ``population`` is the host values when ``value_carrying``, else the
-        host count; ``wiring`` is ``topology``/``seed``/``probe``, plus
-        ``loss`` when ``lossy``.
+        host count; ``wiring`` is ``loss``/``topology``/``seed``/``probe``.
         """
         params = {name: getattr(agent, name) for name in self.params}
         return self.kernel(population, **params, **self.modes[mode], **wiring)
@@ -122,7 +120,6 @@ KERNELS: Dict[str, KernelDeclaration] = {
         modes=_PUSH_SUM_MODES,
         params=frozenset({"reversion", "adaptive"}),
         value_carrying=True,
-        lossy=True,
     ),
     # Static Push-Sum is Push-Sum-Revert at the kernel's default λ = 0.
     "push-sum": KernelDeclaration(
@@ -130,15 +127,13 @@ KERNELS: Dict[str, KernelDeclaration] = {
         modes=_PUSH_SUM_MODES,
         params=frozenset(),
         value_carrying=True,
-        lossy=True,
     ),
     "push-sum-revert-full-transfer": KernelDeclaration(
         kernel=VectorizedPushSumRevert,
         modes={"push": {"mode": "full-transfer"}},
         params=frozenset({"reversion", "parcels", "history"}),
         value_carrying=True,
-        topology=False,
-        lossy=True,
+        fan_out=True,
         calendar=False,
     ),
     "count-sketch-reset": KernelDeclaration(

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.cutoff import default_cutoff
 from repro.events.clocks import TIME_EPS
-from repro.metrics.accuracy import error_statistics, group_truths
+from repro.metrics.accuracy import group_truths
 from repro.obs.probe import NULL_PROBE
 from repro.sketches.fm_sketch import PHI
 
@@ -270,8 +270,8 @@ class _VectorizedKernel:
 
     #: Bytes of one message — one leg of an exchange; self-messages cost none.
     _message_bytes: int = 16
-    #: Bernoulli message-loss probability (set by the lossy kernels).
-    loss: float = 0.0
+    #: Bernoulli loss: each message the kernel counts is lost independently.
+    loss: float
     #: A round draws a matching of disjoint exchanges (else one push target per host).
     _matched: bool = False
     #: A calendar tick opens an exchange with one other live host (else it pushes).
@@ -283,18 +283,21 @@ class _VectorizedKernel:
     #: block is gathered (kernels whose rules are cheaper in place than on a copy).
     _host_space = False
 
-    def _init_population(self, n: int, topology, seed: int, probe) -> None:
-        """Set what every kernel shares: size, peers, probe, generator, liveness.
+    def _init_population(self, n: int, topology, seed: int, probe, loss: float) -> None:
+        """Set what every kernel shares: size, peers, probe, generator, liveness, loss.
 
         ``probe`` is the instrumentation sink (:mod:`repro.obs`) of the run
         that owns this kernel; the :meth:`live_view` carries it too, since
         the topology itself is shared between runs.  Probes never draw from
-        ``rng``, so attaching one is bit-neutral.
+        ``rng``, so attaching one is bit-neutral; so is ``loss=0``.
         """
         if n < 1:
             raise ValueError("need at least one host")
         if topology is not None and topology.n != n:
             raise ValueError(f"topology covers {topology.n} hosts but the kernel has {n}")
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError("loss must be in [0, 1]")
+        self.loss = float(loss)
         self.n = int(n)
         self.topology = topology
         self.probe = probe
@@ -753,10 +756,6 @@ class _VectorizedKernel:
         return chosen
 
     # -------------------------------------------------------------- estimates
-    def error(self) -> float:
-        """Standard deviation of the live hosts' estimates from the truth."""
-        return error_statistics(self.estimates(), self.truth()).stddev_error
-
     def group_truths(self, round_index: int) -> Tuple[np.ndarray, float]:
         """``(truths, mean_group_size)``: each live host's *group* truth (Fig 11).
 
@@ -821,14 +820,9 @@ class VectorizedPushSumRevert(_ValueKernel):
         under the matching-based push/pull every host has indegree 1, so the
         adaptive rule coincides with the fixed rule).
     loss:
-        Bernoulli message-loss probability (the ``bernoulli-loss`` network
-        model of :mod:`repro.network`).  In push and full-transfer modes
-        each emitted mass parcel is lost independently with probability
-        ``loss`` — the mass leaves the system and accumulates in
-        :attr:`mass_lost` — while in pushpull mode a lossy link makes the
-        atomic pairwise exchange simply not happen (no mass at risk),
-        matching the agent engine's exchange semantics.  ``loss=0`` draws
-        no extra randomness, so it is bit-identical to the lossless kernel.
+        Bernoulli message-loss probability: a lost push or parcel takes its
+        mass into :attr:`mass_lost`; in pushpull mode a lost link cancels the
+        atomic exchange (no mass at risk), as on the agent engine.
     topology:
         Optional :mod:`~repro.simulator.sparse` topology restricting who
         may gossip with whom (push and pushpull modes; Full-Transfer's
@@ -860,8 +854,6 @@ class VectorizedPushSumRevert(_ValueKernel):
             raise ValueError(f"unknown mode {mode!r}")
         if not 0.0 <= reversion <= 1.0:
             raise ValueError("reversion must be in [0, 1]")
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError("loss must be in [0, 1]")
         if parcels < 1 or history < 1:
             raise ValueError("parcels and history must be >= 1")
         if topology is not None and mode == "full-transfer":
@@ -870,13 +862,12 @@ class VectorizedPushSumRevert(_ValueKernel):
                 "gossip supports the push and pushpull modes"
             )
         self.initial = np.array(values, dtype=float)
-        self._init_population(self.initial.size, topology, seed, probe)
+        self._init_population(self.initial.size, topology, seed, probe, loss)
         self.reversion = float(reversion)
         self.mode = mode
         self.parcels = int(parcels)
         self.history = int(history)
         self.adaptive = bool(adaptive)
-        self.loss = float(loss)
         self._matched = self._exchanges = mode == "pushpull"
         # Full-Transfer reverts inside its own round, and so does adaptive push
         # (per indegree): the fixed revert of the end hook skips both.
@@ -1099,11 +1090,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.weight[indices] = 0.0
         self.total[indices] = 0.0
 
-    # ------------------------------------------------- failures/value changes
-    def fail_highest_fraction(self, fraction: float) -> np.ndarray:
-        """Fail the highest-valued fraction of live hosts (correlated failure)."""
-        return self.fail_extreme_fraction(fraction, highest=True)
-
+    # ---------------------------------------------------------- value changes
     def _host_values(self) -> np.ndarray:
         return self.initial
 
@@ -1163,13 +1150,13 @@ class _CountingKernel(_VectorizedKernel):
     #: The element-wise merge: ``np.minimum`` (counters) or ``np.logical_or`` (bits).
     _reduce: np.ufunc
 
-    def _init_sketches(self, n, bins, bits, identifiers_per_host, pull, topology, seed, probe):
-        """:meth:`_init_population` plus the sketch dimensions both kernels share."""
+    def _init_sketches(self, n, bins, bits, identifiers_per_host, pull, *wiring):
+        """:meth:`_init_population` (``wiring``) plus the sketch dimensions both kernels share."""
         if bins < 1 or bits < 1:
             raise ValueError("bins and bits must be >= 1")
         if identifiers_per_host < 1:
             raise ValueError("identifiers_per_host must be >= 1")
-        self._init_population(n, topology, seed, probe)
+        self._init_population(n, *wiring)
         self.bins, self.bits = int(bins), int(bits)
         self.identifiers_per_host = int(identifiers_per_host)
         self.pull = self._exchanges = bool(pull)
@@ -1180,11 +1167,21 @@ class _CountingKernel(_VectorizedKernel):
         return float(n_alive) if n_alive else float("nan")
 
     def _move(self, block, hosts: np.ndarray, senders: np.ndarray, targets: np.ndarray):
-        # A self-contact is no message; the pull reply is a second one.
-        non_self = int(np.count_nonzero(targets != senders))
-        legs = 2 if self.pull else 1
-        self.messages_delivered += legs * non_self
-        self.bytes_sent += legs * self._message_bytes * non_self
+        """The round's merge.  A self-contact is no message (and a row merged into itself
+        is unchanged), so only the others are counted, and only they can be lost: with
+        ``pull`` as exchanges, else as pushes (whose payload, the sender's pre-round row, is
+        named by its index).  Without loss every pair merges, and the full ascending
+        ``senders`` keep :func:`_merge_rows`' in-place pull."""
+        sends = (targets != senders).nonzero()[0]
+        sent, landed = senders[sends], targets[sends]
+        if self.pull:
+            sent, landed = self._account_exchanges(sent, landed)
+        else:
+            self.bytes_sent += self._message_bytes * sends.size
+            landed, (sent,) = self._lose(landed, [sent])
+        if self.loss > 0.0:
+            senders, targets = sent, landed
+        del sends, sent, landed  # before the merge takes its snapshot
         _merge_rows(block[0], senders, targets, self._reduce, self.pull)
 
     def _draw_partners(self, ticking: np.ndarray, alive_idx: np.ndarray):
@@ -1236,6 +1233,9 @@ class VectorizedCountSketchReset(_CountingKernel):
     pull:
         Whether the contacted peer responds with its own array (recommended
         by the paper; on by default).
+    loss:
+        Bernoulli message-loss probability: a lost push is a merge that does
+        not happen; with ``pull`` a lost contact cancels the exchange.
     topology:
         Optional :mod:`~repro.simulator.sparse` topology restricting who
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
@@ -1254,11 +1254,12 @@ class VectorizedCountSketchReset(_CountingKernel):
         cutoff: Optional[Callable[[int], float]] = default_cutoff,
         identifiers_per_host: int = 1,
         pull: bool = True,
+        loss: float = 0.0,
         topology=None,
         seed: int = 0,
         probe=NULL_PROBE,
     ):
-        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe)
+        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe, loss)
         self.cutoff = cutoff
         self._message_bytes = 2 * self.bins * self.bits  # agent parity: 2 B/counter
 
@@ -1410,6 +1411,8 @@ class VectorizedSketchCount(_CountingKernel):
         Identifiers registered per host (the estimate divides by this).
     pull:
         Whether the contacted peer responds with its own sketch.
+    loss:
+        As for :class:`VectorizedCountSketchReset`.
     topology:
         Optional :mod:`~repro.simulator.sparse` topology restricting who
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
@@ -1427,11 +1430,12 @@ class VectorizedSketchCount(_CountingKernel):
         bits: int = 20,
         identifiers_per_host: int = 1,
         pull: bool = True,
+        loss: float = 0.0,
         topology=None,
         seed: int = 0,
         probe=NULL_PROBE,
     ):
-        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe)
+        self._init_sketches(n, bins, bits, identifiers_per_host, pull, topology, seed, probe, loss)
         # Agent parity: a boolean sketch packs to one bit per position.
         self._message_bytes = int(np.ceil(self.bins * self.bits / 8))
         self.matrix = self._fresh_rows(self.n)
@@ -1486,6 +1490,8 @@ class VectorizedExtrema(_ValueKernel):
         Track the maximum (default) or the minimum.
     cutoff:
         Maximum tolerated age in rounds, or ``None`` for the static protocol.
+    loss:
+        Bernoulli message-loss probability: a lost link cancels the exchange.
     topology:
         Optional :mod:`~repro.simulator.sparse` topology restricting who
         may gossip with whom; ``None`` keeps uniform gossip bit for bit.
@@ -1501,6 +1507,7 @@ class VectorizedExtrema(_ValueKernel):
         *,
         maximum: bool = True,
         cutoff: Optional[int] = None,
+        loss: float = 0.0,
         topology=None,
         seed: int = 0,
         probe=NULL_PROBE,
@@ -1508,7 +1515,7 @@ class VectorizedExtrema(_ValueKernel):
         if cutoff is not None and cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         self.own = np.array(values, dtype=float)
-        self._init_population(self.own.size, topology, seed, probe)
+        self._init_population(self.own.size, topology, seed, probe, loss)
         self.maximum = bool(maximum)
         self.aggregate = "max" if self.maximum else "min"
         self.cutoff = None if cutoff is None else int(cutoff)

@@ -49,3 +49,14 @@ class LossyLatentNetwork(NetworkModel):
 def lossy_latent_network():
     """The :class:`LossyLatentNetwork` class (subclass it to spy on plans)."""
     return LossyLatentNetwork
+
+
+@pytest.fixture
+def user_network(monkeypatch, lossy_latent_network):
+    """``lossy-latent`` registered as a user model for one test, then gone: the one
+    kind of network no kernel realises."""
+    from repro.api import NETWORKS, register_network
+
+    monkeypatch.setattr(NETWORKS, "_entries", dict(NETWORKS._entries))
+    monkeypatch.setattr(NETWORKS, "_signatures", dict(NETWORKS._signatures))
+    register_network(lossy_latent_network.name, lossy_latent_network)

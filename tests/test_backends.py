@@ -257,6 +257,46 @@ SUPPORTED_COMBOS = [
              environment="grid", n_hosts=N_HOSTS, rounds=50),
         0.06,
     ),
+    # ---- every kernel family under loss, and under latency on rounds ----
+    (
+        "push-sum-revert/push+bernoulli-loss",
+        dict(protocol="push-sum-revert", protocol_params={"reversion": 0.05},
+             mode="push", network="bernoulli-loss", network_params={"p": 0.2},
+             n_hosts=N_HOSTS, rounds=30),
+        0.10,
+    ),
+    (
+        "count-sketch-reset/exchange+bernoulli-loss",
+        dict(protocol="count-sketch-reset",
+             protocol_params={"bins": 32, "bits": 16, "cutoff": "default"},
+             workload="constant", network="bernoulli-loss", network_params={"p": 0.2},
+             n_hosts=N_HOSTS, rounds=20),
+        0.30,
+    ),
+    (
+        "extrema-reset/exchange+bernoulli-loss",
+        dict(protocol="extrema-reset", protocol_params={"cutoff": 12},
+             network="bernoulli-loss", network_params={"p": 0.2},
+             n_hosts=N_HOSTS, rounds=20),
+        0.05,
+    ),
+    (
+        "push-sum-revert/push+latency",
+        dict(protocol="push-sum-revert", protocol_params={"reversion": 0.05},
+             mode="push", network="latency",
+             network_params={"distribution": "uniform", "low": 0, "high": 2},
+             n_hosts=N_HOSTS, rounds=30),
+        0.10,
+    ),
+    (
+        "count-sketch-reset/push+latency",
+        dict(protocol="count-sketch-reset",
+             protocol_params={"bins": 32, "bits": 16, "cutoff": "default"},
+             workload="constant", mode="push", network="latency",
+             network_params={"distribution": "uniform", "low": 0, "high": 2},
+             n_hosts=N_HOSTS, rounds=20),
+        0.30,
+    ),
     # ---- dynamic membership combos (joins, churn, trace replay) ---------
     (
         "push-sum-revert+join",
@@ -743,20 +783,20 @@ DEGENERATE_SETS = {
 }
 #: The kernel's sketch dimensions, small (the agent engine's are per host).
 _SKETCH = {"bins": 8, "bits": 10}
+_LATENCY = dict(network="latency", network_params={"distribution": "fixed", "delay": 1})
 DEGENERATE_CELLS = [
     pytest.param(protocol, mode, engine_kwargs, id=f"{protocol}/{mode}/{label}")
     for protocol, declaration in KERNELS.items()
     for mode in declaration.modes
     for label, engine_kwargs in [
         ("rounds", {}),
+        ("rounds-lossy", dict(network="bernoulli-loss", network_params={"p": 0.5})),
+        # Rounds x latency is the calendar's lockstep configuration (push only:
+        # an atomic exchange cannot be deferred; Full-Transfer has no per-tick form).
+        *([("rounds-latency", _LATENCY)] if mode == "push" and not declaration.fan_out else []),
         *(
-            [
-                ("events-instant", dict(engine="events")),
-                ("events-latency", dict(
-                    engine="events", network="latency",
-                    network_params={"distribution": "fixed", "delay": 1},
-                )),
-            ]
+            [("events-instant", dict(engine="events")),
+             ("events-latency", dict(engine="events", **_LATENCY))]
             if declaration.calendar
             else []
         ),
@@ -794,6 +834,30 @@ class TestDegeneratePopulations:
                     assert math.isnan(getattr(record, field)), (field, record)
         if population == "everyone-failed":
             assert vector.alive_counts() == [4, 0, 0, 0]
+        if "engine" not in engine_kwargs:  # a rounds run, over a latency network too
+            assert "engine" not in vector.metadata
+            assert all(record.time is None for record in vector.rounds)
+
+    @pytest.mark.parametrize("protocol, mode", [
+        (protocol, mode) for protocol, declaration in KERNELS.items() for mode in declaration.modes
+    ])
+    def test_total_loss_delivers_nothing_on_both_backends(self, protocol, mode):
+        """At p = 1 every message a kernel counts is lost, as every agent message is:
+        nothing is delivered, something was lost, and nothing merges, so every host
+        keeps the finite estimate it started from."""
+        kwargs = dict(
+            protocol=protocol, protocol_params=_SKETCH if "sketch" in protocol else {},
+            mode=mode, n_hosts=20, rounds=6, seed=1,
+            network="bernoulli-loss", network_params={"p": 1.0},
+        )
+        for backend in ("agent", "vectorized"):
+            result = run_scenario(ScenarioSpec(backend=backend, **kwargs))
+            assert result.metadata["backend"] == backend
+            assert sum(record.messages_delivered for record in result.rounds) == 0, backend
+            assert sum(record.messages_lost for record in result.rounds) > 0, backend
+            errors = [record.stddev_error for record in result.rounds]
+            assert all(map(math.isfinite, errors)), backend
+            assert errors == pytest.approx([errors[0]] * len(errors), rel=1e-12), backend
 
     @pytest.mark.parametrize("protocol, mode, engine_kwargs", DEGENERATE_CELLS)
     def test_zero_rounds_is_a_structured_error(self, protocol, mode, engine_kwargs):

@@ -541,8 +541,8 @@ class TokenPassing(_VectorizedKernel):
 
     aggregate = "average"
 
-    def __init__(self, values, *, topology=None, seed=0, probe=NULL_PROBE):
-        self._init_population(len(values), topology, seed, probe)
+    def __init__(self, values, *, loss=0.0, topology=None, seed=0, probe=NULL_PROBE):
+        self._init_population(len(values), topology, seed, probe, loss)
         self.tokens = np.full(self.n, 3, dtype=np.int64)
         self.flying = 0
 

@@ -28,6 +28,9 @@ the same levels).  Six larger calendar runs (600 hosts, ten rounds) sit beside
 them, among them a join under lognormal clocks, four tick passes per bucket, and
 loss with no delay sampler; so do ring calendar cells for Push-Sum-Revert and
 Sketch-Count in both modes, and static Push-Sum in both modes on both engines.
+Every kernel also runs under loss in each of its modes (the sketches on both
+engines), and every push-capable kernel but Full-Transfer under latency on
+lockstep rounds.
 """
 
 from collections import Counter
@@ -302,6 +305,33 @@ def _newly_runnable_cells():
     return cells
 
 
+def _network_cells():
+    """The kernels over the networks they once sat out: loss on the sketch and extrema
+    kernels (the sketches on both engines), and latency on lockstep rounds, which run
+    as the calendar's lockstep configuration."""
+    lossy, latency = NETWORKS["bernoulli-loss"], CALENDAR_NETWORKS["latency-uniform"]
+    cells = {}
+    for protocol in ("count-sketch-reset", "sketch-count"):
+        for mode in ("push", "exchange"):
+            cells[f"{protocol}/{mode}/bernoulli-loss"] = dict(
+                BASE, protocol=protocol, mode=mode, events=(FAILURE,), **lossy)
+    for protocol in ("extrema-gossip", "extrema-reset"):
+        cells[f"{protocol}/exchange/bernoulli-loss"] = dict(
+            BASE, protocol=protocol, mode="exchange", events=(FAILURE,), **lossy)
+    for mode in ("push", "exchange"):
+        cells[f"events/sketch-count/{mode}/bernoulli-loss"] = dict(
+            BASE, protocol="sketch-count", mode=mode, engine="events", events=(FAILURE,),
+            **lossy)
+    for protocol, base in (("push-sum-revert", dict(PSR, protocol_params={"reversion": 0.1})),
+                           ("push-sum", dict(PSR, protocol="push-sum")),
+                           ("count-sketch-reset", dict(BASE, protocol="count-sketch-reset",
+                                                       events=(FAILURE,))),
+                           ("sketch-count", dict(BASE, protocol="sketch-count",
+                                                 events=(FAILURE,)))):
+        cells[f"{protocol}/push/latency"] = dict(base, mode="push", **latency)
+    return cells
+
+
 def _larger_calendar_cells():
     """Six 600-host calendar runs off the anchor, stored estimates included."""
     base = dict(PSR, engine="events", protocol_params={"reversion": 0.1},
@@ -338,7 +368,7 @@ def _cells():
                 for name, row in {**CALENDAR_ROWS, **KERNEL_CALENDAR_ROWS}.items()}
     return {**_sketch_cells(), **_push_sum_revert_cells(), **_other_value_kernel_cells(),
             **_membership_cells(), **_group_relative_cells(), **calendar,
-            **_larger_calendar_cells(), **_newly_runnable_cells()}
+            **_larger_calendar_cells(), **_newly_runnable_cells(), **_network_cells()}
 
 
 CELLS = _cells()

@@ -573,8 +573,8 @@ class TestAgentVectorizedEquivalence:
         assert spec.resolved_backend() == "vectorized"
         assert run_scenario(spec).metadata["backend"] == "vectorized"
 
-    def test_auto_falls_back_for_unvectorised_models(self):
-        spec = _spec("latency", {"distribution": "fixed", "delay": 1}, backend="auto")
+    def test_auto_falls_back_for_unvectorised_models(self, user_network):
+        spec = _spec("lossy-latent", {"p": 0.1, "high": 2}, backend="auto")
         assert spec.resolved_backend() == "agent"
 
 
@@ -685,17 +685,16 @@ class TestEagerValidation:
                 mode="exchange", network=LatencyNetwork(distribution="fixed", delay=1),
             )
 
-    def test_vectorized_backend_rejects_unvectorised_models(self):
-        with pytest.raises(ValueError, match="network model 'latency' is not vectorised"):
-            _spec("latency", {"distribution": "fixed", "delay": 1}, backend="vectorized")
+    def test_vectorized_backend_rejects_unvectorised_models(self, user_network):
+        with pytest.raises(ValueError, match="network model 'lossy-latent' is not vectorised"):
+            _spec("lossy-latent", {"p": 0.1, "high": 2}, backend="vectorized")
 
-    def test_vectorized_backend_rejects_lossy_sketch(self):
+    def test_vectorized_backend_rejects_full_transfer_under_latency(self):
         with pytest.raises(ValueError, match="requires\\s+the agent engine"):
             _spec(
-                "bernoulli-loss", {"p": 0.2}, backend="vectorized",
-                protocol="count-sketch-reset",
-                protocol_params={"bins": 8, "bits": 12},
-                workload="constant",
+                "latency", {"distribution": "fixed", "delay": 1}, backend="vectorized",
+                protocol="push-sum-revert-full-transfer",
+                protocol_params={"reversion": 0.1},
             )
 
 

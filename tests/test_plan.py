@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import NETWORKS, PROTOCOLS, ScenarioSpec, register_network, run_scenario
+from repro.api import NETWORKS, PROTOCOLS, ScenarioSpec, run_scenario
 from repro.api.backends import VectorizedBackend
 from repro.api.plan import (
     ExecutionPlan,
@@ -57,7 +57,7 @@ class TestResolvePlan:
         for overrides in (
             {"protocol": "invert-average"},
             {"group_relative": True},
-            {"network": "latency", "mode": "push"},
+            {"protocol": "push-sum-revert-full-transfer", "network": "latency", "mode": "push"},
             {"engine": "events", "protocol": "epoch-push-sum"},
         ):
             plan = resolve_plan(make_spec(**overrides))
@@ -107,14 +107,14 @@ ROUNDS_REJECTIONS = [
         "protocol", "weight_epsilon", id="unknown-kernel-parameter",
     ),
     pytest.param(
-        dict(network="latency", mode="push",
+        dict(protocol="push-sum-revert-full-transfer", network="latency", mode="push",
              network_params={"distribution": "fixed", "delay": 1}),
-        "network", "'perfect' and 'bernoulli-loss' only", id="latency-network",
+        "network", "only vectorised over an instant network", id="full-transfer-under-latency",
     ),
     pytest.param(
-        dict(protocol="sketch-count", workload="constant",
-             network="bernoulli-loss", network_params={"p": 0.1}),
-        "network", "only vectorised for", id="loss-on-counting-kernel",
+        dict(protocol="sketch-count", workload="constant", mode="push",
+             network="lossy-latent", network_params={"p": 0.1, "high": 2}),
+        "network", "not vectorised under engine='rounds'", id="user-network-on-counting-kernel",
     ),
     pytest.param(
         dict(events=({"event": "failure", "round": 2, "model": "bernoulli", "p": 0.1},)),
@@ -152,7 +152,7 @@ ROUNDS_REJECTIONS = [
 
 class TestRoundEngineRejections:
     @pytest.mark.parametrize("overrides, axis, needle", ROUNDS_REJECTIONS)
-    def test_rejection_axis_and_reason(self, overrides, axis, needle):
+    def test_rejection_axis_and_reason(self, user_network, overrides, axis, needle):
         spec = make_spec(**overrides)
         rejections = vectorized_rejections(spec)
         assert rejections, overrides
@@ -161,7 +161,9 @@ class TestRoundEngineRejections:
         assert resolve_plan(spec).backend == "agent"
 
     @pytest.mark.parametrize("overrides, axis, needle", ROUNDS_REJECTIONS)
-    def test_explicit_vectorized_request_raises_structured(self, overrides, axis, needle):
+    def test_explicit_vectorized_request_raises_structured(
+        self, user_network, overrides, axis, needle
+    ):
         with pytest.raises(PlanRejectionError) as excinfo:
             make_spec(backend="vectorized", **overrides)
         error = excinfo.value
@@ -215,8 +217,8 @@ EVENTS_REJECTIONS = [
     ),
     pytest.param(
         dict(protocol="sketch-count", workload="constant",
-             network="bernoulli-loss", network_params={"p": 0.1}),
-        "network", "only vectorised for", id="loss-on-counting-kernel",
+             network="lossy-latent", network_params={"p": 0.1, "high": 2}),
+        "network", "not vectorised under engine='events'", id="user-network-on-counting-kernel",
     ),
     pytest.param(
         dict(group_relative=True),
@@ -235,14 +237,6 @@ EVENTS_REJECTIONS = [
         "events", "failure model 'bernoulli'", id="bernoulli-failure",
     ),
 ]
-
-
-@pytest.fixture
-def user_network(monkeypatch, lossy_latent_network):
-    """``lossy-latent`` registered as a user model for one test, then gone."""
-    monkeypatch.setattr(NETWORKS, "_entries", dict(NETWORKS._entries))
-    monkeypatch.setattr(NETWORKS, "_signatures", dict(NETWORKS._signatures))
-    register_network(lossy_latent_network.name, lossy_latent_network)
 
 
 class TestEventEngineRejections:
@@ -273,6 +267,45 @@ class TestEventEngineRejections:
         ):
             spec = make_spec(engine="events", **overrides)
             assert vectorized_rejections(spec) == [], overrides
+
+
+# ---------------------------------------------------------------------------
+# The plan's product: what the network axis still blocks
+# ---------------------------------------------------------------------------
+def _plan_product():
+    """``(protocol, mode, engine, network) -> plan`` for every cell a spec accepts, at
+    n = 20 with each built-in network at its defaults (``p=0.1`` for the loss)."""
+    plans = {}
+    for protocol in sorted(PROTOCOLS.keys()):
+        for mode in ("push", "exchange"):
+            for engine in ("rounds", "events"):
+                for network in sorted(NETWORKS.keys()):
+                    params = {"p": 0.1} if network == "bernoulli-loss" else {}
+                    try:
+                        spec = ScenarioSpec(protocol=protocol, mode=mode, engine=engine,
+                                            network=network, network_params=params,
+                                            n_hosts=20, rounds=2)
+                    except (ValueError, KeyError, TypeError):
+                        continue
+                    plans[protocol, mode, engine, network] = resolve_plan(spec)
+    return plans
+
+
+class TestPlanProduct:
+    def test_the_network_blocks_only_full_transfer_under_latency_on_rounds(self):
+        plans = _plan_product()
+        vectorised = {cell for cell, plan in plans.items() if plan.backend == "vectorized"}
+        assert (len(plans), len(vectorised)) == (94, 44)
+        shares = {}
+        for cell in plans:
+            network = cell[3] if cell[3] != "latency" else f"latency/{cell[2]}"
+            accepted, fast = shares.get(network, (0, 0))
+            shares[network] = (accepted + 1, fast + (cell in vectorised))
+        assert shares == {"perfect": (34, 17), "bernoulli-loss": (34, 17),
+                          "latency/rounds": (9, 4), "latency/events": (17, 6)}
+        blocked = {cell for cell, plan in plans.items()
+                   if any(rejection.axis == "network" for rejection in plan.rejections)}
+        assert blocked == {("push-sum-revert-full-transfer", "push", "rounds", "latency")}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +350,11 @@ class TestCapabilityMatrix:
         kernels = {entry["kernel"]: entry for entry in matrix["kernels"]}
         assert kernels["push-sum-revert"]["modes"] == "exchange/push"
         assert kernels["push-sum-revert-full-transfer"]["topology"] == "uniform-only"
-        assert len(matrix["notes"]) == 4
+        # Every kernel realises every built-in network, so no note lists kernels by one.
+        assert [note.split(":")[0] for note in matrix["notes"]] == [
+            "vectorised environments", "vectorised failure models",
+            "event-calendar (engine='events') vectorisation",
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1227,7 +1227,7 @@ kernel_calls = st.lists(
     st.tuples(
         st.sampled_from([
             "step", "step_subset", "deliver", "fail", "fail_random_fraction",
-            "fail_highest_fraction", "depart_gracefully", "join", "change_values",
+            "fail_extreme_fraction", "depart_gracefully", "join", "change_values",
         ]),
         st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=0, max_value=10_000),
@@ -1260,10 +1260,10 @@ def _apply(kernel, in_flight, name, fraction, seed):
         kernel.fail(rng.integers(0, kernel.n, size=2).tolist())  # dead or alive
     elif name == "fail_random_fraction":
         kernel.fail_random_fraction(fraction)
-    elif name == "fail_highest_fraction":
-        if not hasattr(kernel, "fail_highest_fraction"):
+    elif name == "fail_extreme_fraction":
+        if not hasattr(kernel, "change_values"):  # a counting kernel orders by no value
             return False
-        kernel.fail_highest_fraction(fraction)
+        kernel.fail_extreme_fraction(fraction, highest=True)
     elif name == "depart_gracefully":
         kernel.depart_gracefully(picked[:3].tolist())
     elif name == "join":
