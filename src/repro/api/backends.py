@@ -25,11 +25,12 @@ the scenario's (protocol, environment, failure, workload) combination is
 supported and falls back to the agent engine otherwise, so callers get the
 fast path for free without ever losing coverage.
 
-Kernel semantics differ from the agent engine in documented, statistically
-equivalent ways (random perfect matchings instead of collision-prone peer
-selection — see DESIGN.md §7), so a vectorised run is *not* bit-identical
-to an agent run of the same spec; ``tests/test_backends.py`` pins the two
-to agree in distribution on every supported combination.
+Kernel semantics differ from the agent engine in documented ways (random
+perfect matchings instead of collision-prone peer selection, so half the
+exchanges a round — see DESIGN.md §7), so a vectorised run is *not*
+bit-identical to an agent run of the same spec; ``tests/test_backends.py``
+pins the two to agree in distribution on every supported combination and
+bounds the matching's gap.
 """
 
 from __future__ import annotations

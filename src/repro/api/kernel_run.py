@@ -29,7 +29,8 @@ setting), and its tick phase is plain ``kernel.step()`` — which is also what
 the calendar executes whenever the whole live population ticks in one
 bucket over an instant network.  Over a latency network a rounds spec runs
 the calendar itself, at the defaults of ``spec.engine_settings()``
-(synchronized unit clocks, a unit sample interval), so what is in flight is
+(synchronized unit clocks, a unit sample interval, every delay drawn in
+whole rounds as the agent round engine draws it), so what is in flight is
 deferred and drained; its records carry no ``time`` and its metadata no
 ``engine``, like any rounds run.  Hence ``engine="events"`` at the
 synchronized anchor (unit rates, unit sample interval, instant network)
@@ -87,14 +88,15 @@ class KernelRun:
             self.kernel = kernel = backend.build_kernel(spec, probe=probe)
             # A memo hit on the topology the kernel was just built over.
             _topology, environment_name = backend.build_topology(spec)
-            network = spec.build_network()
-            calendar = spec.engine == "events" or network.has_latency
+            calendar = spec.on_calendar
             if calendar:  # a rounds spec takes the defaults: unit clocks, unit samples
                 settings = spec.engine_settings()
                 streams = RandomStreams(spec.seed)
                 self.clocks = ClockGrid(settings, streams.get("clocks"), kernel.n)
-                if network.has_latency:
-                    self.delays = partial(sample_delays, network, streams.get("network"))
+                network = spec.build_network()
+                if network.has_latency:  # on rounds, in whole rounds like the agent's
+                    self.delays = partial(sample_delays, network, streams.get("network"),
+                                          whole_rounds=spec.engine == "rounds")
 
         # ------------------------------------------------------- bucket grid
         self.mass_check = "run"  # lockstep: the books close once, at run end

@@ -126,11 +126,6 @@ class PlanRejectionError(ValueError):
         self.nearest = nearest
 
 
-def _on_the_calendar(spec: "ScenarioSpec") -> bool:
-    """Whether a kernel run of ``spec`` is the calendar: on events, or where messages take time."""
-    return spec.engine == "events" or spec.network == "latency"
-
-
 def _kernels_with(flag: str) -> List[str]:
     """The protocols whose kernel declaration sets ``flag``, sorted."""
     return sorted(name for name, entry in KERNELS.items() if getattr(entry, flag))
@@ -196,12 +191,12 @@ def _environment_rejections(
             f"(its kernel takes no topology); environment {spec.environment!r} "
             "requires the agent engine",
         ))
-    if spec.environment == "trace" and _on_the_calendar(spec):
+    if spec.environment == "trace" and spec.on_calendar:
         rejections.append(Rejection(
             "environment", "trace",
-            "trace replay is not vectorised on the calendar (engine='events' or a 'latency' "
-            "network): its per-round CSR is keyed by a round index that the event calendar "
-            "does not advance; it requires the agent engine",
+            "trace replay is not vectorised on the calendar (engine='events' or a network "
+            "that delays messages): its per-round CSR is keyed by a round index that the "
+            "event calendar does not advance; it requires the agent engine",
         ))
     elif spec.environment == "trace" and bool(spec.environment_params.get("broadcast", False)):
         rejections.append(Rejection(
@@ -223,12 +218,12 @@ def _network_rejections(
             f"network model {spec.network!r} is not vectorised under "
             f"engine={spec.engine!r} (kernels support {known})",
         )]
-    if spec.network == "latency" and entry is not None and entry.fan_out:
+    if entry is not None and entry.fan_out and spec.on_calendar:
         return [Rejection(
             "network", spec.network,
             f"protocol {spec.protocol!r} is only vectorised over an instant network (its round "
-            "is a whole-population fan-out, with no per-tick form): 'latency' requires the "
-            "agent engine",
+            f"is a whole-population fan-out, with no per-tick form): {spec.network!r} with "
+            "these parameters delays messages and requires the agent engine",
         )]
     return []
 
@@ -271,11 +266,12 @@ def vectorized_rejections(spec: "ScenarioSpec") -> List[Rejection]:
             f"protocol {spec.protocol!r} has no vectorised kernel (kernels: {supported})",
         ))
     else:
-        if _on_the_calendar(spec) and bool(spec.protocol_params.get("adaptive", False)):
+        if bool(spec.protocol_params.get("adaptive", False)) and spec.on_calendar:
             rejections.append(Rejection(
                 "protocol", "adaptive",
                 "indegree-adaptive reversion is not vectorised on the calendar (engine='events' "
-                "or a 'latency' network): it has no per-tick indegree; use the agent engine",
+                "or a network that delays messages): it has no per-tick indegree; use the agent "
+                "engine",
             ))
         if spec.mode not in entry.modes:
             modes = " or ".join(repr(mode) for mode in entry.modes)

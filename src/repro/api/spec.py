@@ -283,14 +283,14 @@ class ScenarioSpec:
         WORKLOADS.validate_params(self.workload, self.n_hosts, **self._workload_call_params())
         NETWORKS.validate_params(self.network, **self.network_params)
         # Instantiating the model runs its constructor validation (loss
-        # probabilities, delay bounds and distribution parameters) eagerly and
-        # tells us whether it can defer delivery — which the round engine's
-        # exchange mode cannot honour, since an atomic push/pull has no
-        # "later" inside a lockstep round.  The event engine realises an
-        # exchange as a request event plus a timed reply event, so the
-        # combination is legal there.
-        network_model = NETWORKS.create(self.network, **self.network_params)
-        if self.mode == "exchange" and network_model.has_latency and self.engine == "rounds":
+        # probabilities, delay bounds and distribution parameters) eagerly.
+        # A rounds spec whose network can defer delivery runs on the calendar,
+        # which the round engine's exchange mode cannot honour, since an
+        # atomic push/pull has no "later" inside a lockstep round.  The event
+        # engine realises an exchange as a request event plus a timed reply
+        # event, so the combination is legal there.
+        NETWORKS.create(self.network, **self.network_params)
+        if self.mode == "exchange" and self.engine == "rounds" and self.on_calendar:
             raise ValueError(
                 f"network {self.network!r} can delay message delivery, but "
                 "mode='exchange' performs atomic push/pull exchanges the round "
@@ -339,6 +339,17 @@ class ScenarioSpec:
         engines covers the same number of recorded rounds.
         """
         return EngineSettings.from_params(self.engine_params, self.rounds)
+
+    @property
+    def on_calendar(self) -> bool:
+        """Whether this spec runs on the event calendar (DESIGN.md §14).
+
+        It does under ``engine="events"``, and on rounds wherever the network
+        model can delay a message (its ``has_latency``): lockstep rounds are
+        the calendar's degenerate case only while nothing is in flight.  The
+        kernel driver, the plan and the exchange-mode validation all ask this.
+        """
+        return self.engine == "events" or self.build_network().has_latency
 
     # ------------------------------------------------------------- construction
     def _workload_call_params(self) -> Dict[str, Any]:

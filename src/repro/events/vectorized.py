@@ -2,11 +2,12 @@
 
 The kernel driver (:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14)
 runs ``engine="events"`` in per-bucket NumPy batches.  This module holds
-the continuous-time machinery it switches on for that engine and leaves
-out for lockstep rounds: :func:`bucket_grid` (the batch quantum),
-:class:`ClockGrid` (every host clock as three arrays — the vectorised
-:class:`~repro.events.clocks.HostClock`) and :func:`sample_delays` (the
-latency model's ``plan_seconds``, ``k`` draws per call).
+the calendar machinery it switches on for that engine, and for a rounds spec
+over a latency network, and leaves out for lockstep rounds over an instant
+one: :func:`bucket_grid` (the batch quantum), :class:`ClockGrid` (every host
+clock as three arrays — the vectorised :class:`~repro.events.clocks.HostClock`)
+and :func:`sample_delays` (the latency model's ``plan_seconds``, or its
+``plan`` on rounds, ``k`` draws per call).
 """
 
 from __future__ import annotations
@@ -25,8 +26,14 @@ __all__ = ["ClockGrid", "bucket_grid", "sample_delays"]
 _MAX_BUCKETS_PER_SAMPLE = 64
 
 
-def sample_delays(network_model, rng: np.random.Generator, k: int) -> np.ndarray:
-    """Vectorised ``plan_seconds`` for the latency model: ``k`` delays at once."""
+def sample_delays(
+    network_model, rng: np.random.Generator, k: int, *, whole_rounds: bool = False
+) -> np.ndarray:
+    """Vectorised ``plan_seconds`` for the latency model: ``k`` delays at once.
+
+    With ``whole_rounds`` it is the vectorised ``plan`` instead: a lognormal
+    draw is rounded to the nearest whole round, as the round engine does.
+    """
     cap = float(network_model.max_delay)
     if network_model.distribution == "fixed":
         return np.full(k, min(float(network_model.delay), cap))
@@ -36,6 +43,8 @@ def sample_delays(network_model, rng: np.random.Generator, k: int) -> np.ndarray
             return drawn
     else:  # lognormal
         drawn = rng.lognormal(network_model.mean, network_model.sigma, k)
+        if whole_rounds:
+            drawn = np.rint(drawn)
     return np.minimum(drawn, cap)
 
 

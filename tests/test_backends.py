@@ -289,6 +289,13 @@ SUPPORTED_COMBOS = [
         0.10,
     ),
     (
+        "push-sum/push+lognormal-latency",
+        dict(protocol="push-sum", mode="push", network="latency",
+             network_params={"distribution": "lognormal", "sigma": 1.0},
+             n_hosts=N_HOSTS, rounds=30),
+        0.10,
+    ),
+    (
         "count-sketch-reset/push+latency",
         dict(protocol="count-sketch-reset",
              protocol_params={"bins": 32, "bits": 16, "cutoff": "default"},
@@ -380,6 +387,26 @@ class TestBackendEquivalence:
         # Error magnitudes are comparable: neither engine may be wildly
         # noisier than the other on a supported combo.
         assert max(agent_error, vector_error) <= 6.0 * min(agent_error, vector_error) + 0.05 * scale
+
+    @pytest.mark.parametrize("distribution", [
+        {"distribution": "uniform", "low": 0, "high": 2},
+        {"distribution": "lognormal", "sigma": 1.0},
+    ], ids=["uniform", "lognormal"])
+    def test_rounds_over_latency_keeps_as_much_in_flight(self, distribution):
+        """A delay takes as many whole rounds on the kernel as on the agent round
+        engine, so both hold as many messages in flight."""
+        in_flight = {}
+        for backend in ("agent", "vectorized"):
+            in_flight[backend] = sum(
+                record.messages_in_flight
+                for seed in SEEDS
+                for record in run_scenario(ScenarioSpec(
+                    protocol="push-sum-revert", protocol_params={"reversion": 0.05},
+                    mode="push", n_hosts=N_HOSTS, rounds=20, seed=seed, backend=backend,
+                    network="latency", network_params=distribution,
+                )).rounds
+            )
+        assert in_flight["vectorized"] == pytest.approx(in_flight["agent"], rel=0.05)
 
     def test_extrema_value_change_parity(self):
         """Dropping the current maximum holder's value must propagate on both
@@ -582,6 +609,35 @@ class TestBackendEquivalence:
         final = result.final_record().estimates
         assert final is not None and len(final) == 32
         assert all(isinstance(key, int) for key in final)
+
+
+class TestMatchedExchangeDelta:
+    """The kernels' exchange round is a perfect matching: n/2 exchanges, where the agent's
+    round makes n (DESIGN.md §7).  Pinned where it shows most, extrema-reset's recovery
+    from losing half its hosts, with and without loss: the gap is the matching's, and
+    loss does not widen it past its bound."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_extrema_reset_exchanges_half_as_often_and_stays_bounded(self, p):
+        network = dict(network="bernoulli-loss", network_params={"p": p}) if p else {}
+        messages, errors = {}, {}
+        for backend in ("agent", "vectorized"):
+            results = [run_scenario(ScenarioSpec(
+                protocol="extrema-reset", protocol_params={"cutoff": 12}, n_hosts=300,
+                rounds=30, seed=seed, backend=backend, **network,
+                events=({"event": "failure", "round": 15, "model": "uncorrelated",
+                         "fraction": 0.5},),
+            )) for seed in range(24)]
+            assert all(result.metadata["backend"] == backend for result in results)
+            messages[backend] = sum(record.messages_delivered + record.messages_lost
+                                    for result in results for record in result.rounds)
+            errors[backend] = float(np.mean([
+                result.plateau_error(10) / abs(result.final_truth()) for result in results
+            ]))
+        assert messages["vectorized"] / messages["agent"] == pytest.approx(0.5, abs=0.01)
+        # Measured 1.96x without loss and 2.28x at p = 0.2.
+        assert 1.5 * errors["agent"] < errors["vectorized"] < 3.0 * errors["agent"]
+        assert errors["vectorized"] < 0.12
 
 
 class TestAutoDispatch:

@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import BACKENDS, ScenarioSpec, run_scenario
 from repro.api.kernel_run import KernelRun
+from repro.api.plan import vectorized_rejections
 from repro.events import TIME_EPS
 from repro.network import MassConservationError
 from repro.obs.probe import NULL_PROBE
@@ -114,6 +115,35 @@ class TestSyncAnchorBitIdentity:
             assert run.ledger is not None and run.ledger.initial == 64.0
         assert lockstep.clocks is None and lockstep.mass_check == "run"
         assert anchor.clocks.periods.size == 64 and anchor.mass_check == "sample"
+
+    @pytest.mark.parametrize("engine, whole", [("rounds", True), ("events", False)])
+    def test_a_rounds_run_draws_its_delays_in_whole_rounds(self, engine, whole):
+        # The agent round engine rounds a lognormal delay to the nearest round
+        # (``LatencyNetwork.plan``); the event engine keeps it continuous.
+        run = driver(engine=engine, engine_params={}, mode="push", network="latency",
+                     network_params={"distribution": "lognormal", "sigma": 1.0})
+        delays = run.delays(4000)
+        assert bool((np.rint(delays) == delays).all()) is whole
+        assert 0.0 <= delays.min() and delays.max() <= 64.0
+
+    @pytest.mark.parametrize("network_params, on_calendar", [
+        ({"distribution": "fixed", "delay": 0}, False),
+        ({"distribution": "uniform", "low": 0, "high": 0}, False),
+        ({"distribution": "fixed", "delay": 1}, True),
+    ])
+    def test_only_a_network_that_delays_messages_puts_rounds_on_the_calendar(
+        self, network_params, on_calendar
+    ):
+        spec = events_spec(engine="rounds", engine_params={}, mode="push", network="latency",
+                           network_params=network_params)
+        assert spec.on_calendar is on_calendar
+        assert (driver(engine="rounds", engine_params={}, mode="push", network="latency",
+                       network_params=network_params).clocks is not None) is on_calendar
+        # What the calendar cannot run is rejected by the same rule.
+        adaptive = spec.replace(protocol_params={"reversion": 0.05, "adaptive": True})
+        full_transfer = spec.replace(protocol="push-sum-revert-full-transfer")
+        for unfit in (adaptive, full_transfer):
+            assert bool(vectorized_rejections(unfit)) is on_calendar, unfit.protocol
 
     def test_lockstep_closes_the_ledger_once_at_run_end(self, monkeypatch):
         # The failure's weight leaves the live books through membership();

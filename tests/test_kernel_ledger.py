@@ -30,7 +30,7 @@ loss with no delay sampler; so do ring calendar cells for Push-Sum-Revert and
 Sketch-Count in both modes, and static Push-Sum in both modes on both engines.
 Every kernel also runs under loss in each of its modes (the sketches on both
 engines), and every push-capable kernel but Full-Transfer under latency on
-lockstep rounds.
+lockstep rounds (Push-Sum-Revert under a lognormal delay too).
 """
 
 from collections import Counter
@@ -329,6 +329,10 @@ def _network_cells():
                            ("sketch-count", dict(BASE, protocol="sketch-count",
                                                  events=(FAILURE,)))):
         cells[f"{protocol}/push/latency"] = dict(base, mode="push", **latency)
+    # A lognormal delay on rounds is rounded to whole rounds, as the agent rounds it.
+    cells["push-sum-revert/push/latency-lognormal"] = dict(
+        PSR, protocol_params={"reversion": 0.1}, mode="push",
+        **CALENDAR_NETWORKS["latency-lognormal"])
     return cells
 
 
