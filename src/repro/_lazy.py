@@ -16,7 +16,7 @@ import importlib
 import sys
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-__all__ = ["lazy_exports"]
+__all__ = ["lazy_exports", "resolve"]
 
 
 def lazy_exports(
@@ -37,3 +37,9 @@ def lazy_exports(
         return sorted(set(vars(sys.modules[package])) | set(owner))
 
     return __getattr__, __dir__
+
+
+def resolve(reference: str) -> object:
+    """The object a ``"module:attr"`` reference names, importing its module."""
+    module, _, attr = reference.partition(":")
+    return getattr(importlib.import_module(module), attr)

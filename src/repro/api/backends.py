@@ -8,7 +8,7 @@ module decides *how*.  Two backends are registered:
   calendar).  Runs every protocol over every environment; the reference
   the kernels are tested against, and the only backend for joins on
   static graph topologies.
-* ``"vectorized"`` — the NumPy kernels of :mod:`repro.simulator.vectorized`,
+* ``"vectorized"`` — the NumPy kernels declared in :mod:`repro.simulator.kernels`,
   driven for *both* engines by the one bucket loop of
   :class:`repro.api.kernel_run.KernelRun` (lockstep rounds are its
   degenerate configuration); this module only builds what that driver

@@ -1,7 +1,7 @@
 """One driver for every kernel run: a bucketed calendar, rounds its degenerate case.
 
 :class:`KernelRun` executes a :class:`~repro.api.spec.ScenarioSpec` on a
-NumPy kernel (:mod:`repro.simulator.vectorized`) for both engines.  It only
+NumPy kernel (:mod:`repro.simulator.kernels`) for both engines.  It only
 *schedules* — the kernel acts, :mod:`repro.metrics.accuracy` scores — and
 owns what scheduling needs: the result skeleton, the membership schedule,
 the bucket grid, the queue of deferred deliveries, the ledger cadence and

@@ -42,11 +42,12 @@ import time on; a run imports only the components it names.
 from __future__ import annotations
 
 import difflib
-import importlib
 import inspect
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
+
+from repro._lazy import resolve
 
 __all__ = [
     "Registry",
@@ -126,8 +127,7 @@ class Registry:
         except KeyError:
             raise UnknownKeyError(self.kind, key, list(self._entries)) from None
         if isinstance(entry, str):
-            module, _, attr = entry.partition(":")
-            entry = self._entries[key] = getattr(importlib.import_module(module), attr)
+            entry = self._entries[key] = resolve(entry)
         return entry
 
     def create(self, key: str, *args, **kwargs):

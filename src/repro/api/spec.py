@@ -130,6 +130,11 @@ def _validate_event(entry: Mapping) -> Dict[str, Any]:
         values = entry.get("values")
         if not isinstance(values, Mapping) or not values:
             raise ValueError("value-change events need a non-empty 'values' mapping")
+        for key, value in values.items():
+            if not str(key).isdecimal():
+                raise ValueError(f"value-change key {key!r} is not a host id (an integer >= 0)")
+            if not np.isfinite(float(value)):
+                raise ValueError(f"value-change value {value!r} of host {key!r} is not finite")
         entry["values"] = {str(key): float(value) for key, value in values.items()}
     return entry
 

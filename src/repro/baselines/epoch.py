@@ -117,10 +117,6 @@ class EpochPushSum(PushSum):
         # value; report the previous epoch's converged value instead.
         return state.reported_estimate
 
-    def current_epoch_estimate(self, state: EpochState) -> float:
-        """The (possibly unconverged) estimate of the epoch in progress."""
-        return super().estimate(state.mass)
-
     def state_mass(self, state: EpochState) -> Optional[float]:
         # The epoch restart in begin_round re-mints mass by design; the
         # engine measures that injection around the hook (DESIGN.md §8).

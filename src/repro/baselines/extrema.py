@@ -74,7 +74,7 @@ class ExtremaGossip(ExchangeProtocol):
         copy moves with it; a best value learned from elsewhere is kept (it
         can only be displaced by gossip or, under :class:`ExtremaReset`, by
         ageing out).  Mirrors
-        :meth:`repro.simulator.vectorized.VectorizedExtrema.change_values`.
+        :meth:`repro.simulator.extrema_kernel.VectorizedExtrema.change_values`.
         """
         state.own_value = float(value)
         if state.best_id == state.own_id:

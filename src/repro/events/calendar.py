@@ -63,10 +63,6 @@ class EventCalendar:
         """Remove and return the earliest ``(time, priority, seq, event)``."""
         return heapq.heappop(self._heap)
 
-    def peek_time(self) -> float:
-        """The time of the earliest entry (raises ``IndexError`` when empty)."""
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -80,7 +80,7 @@ def run_fig6(
 
     The per-size kernels are built through the vectorised execution backend
     (:mod:`repro.api.backends`) — this experiment reads raw counter state
-    (:meth:`~repro.simulator.vectorized.VectorizedCountSketchReset.counter_values_for_bit`),
+    (:meth:`~repro.simulator.sketch_kernels.VectorizedCountSketchReset.counter_values_for_bit`),
     which only the vectorised realisation exposes.
     """
     bits = spec.protocol_params["bits"]

@@ -12,8 +12,10 @@ exchange with them.  This package provides that substrate:
   payload-size estimate behind its byte counts;
 * :mod:`repro.simulator.engine` — the :class:`Simulation` driver;
 * :mod:`repro.simulator.result` — per-round records and summaries;
-* :mod:`repro.simulator.vectorized` — NumPy kernels used for the large
-  (10^4–10^5 host) experiments;
+* :mod:`repro.simulator.kernels` — declares the NumPy kernels of the large
+  (10^4–10^5 host) experiments: :mod:`~repro.simulator.push_sum_kernel`,
+  :mod:`~repro.simulator.sketch_kernels` and :mod:`~repro.simulator.extrema_kernel`,
+  one per protocol family, on the base :mod:`repro.simulator.vectorized`;
 * :mod:`repro.simulator.sparse` — sparse-adjacency (CSR) peer sampling
   that lets the kernels run graph-restricted gossip (ring, grid,
   random-geometric, spatial-grid) instead of uniform gossip.

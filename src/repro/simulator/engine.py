@@ -232,10 +232,6 @@ class Simulation:
         if self.probe.enabled:
             self.probe.event("membership", action="fail", host=host_id, round=round_index)
 
-    def alive_hosts(self) -> List[Host]:
-        """Live hosts in identifier order."""
-        return [host for host in self.hosts.values() if host.alive]
-
     def alive_ids(self) -> List[int]:
         """Identifiers of live hosts in ascending order."""
         return [host.host_id for host in self.hosts.values() if host.alive]

@@ -1,9 +1,12 @@
 """The one declaration of what each vectorised kernel runs and how it is built.
 
-Every protocol with a NumPy realisation (:mod:`repro.simulator.vectorized`)
-has exactly one :class:`KernelDeclaration` in :data:`KERNELS`.  Nothing else
-states a kernel's modes, parameters or flags: the capability layer
-(:mod:`repro.api.plan`), the kernel factory
+Every protocol with a NumPy realisation has exactly one
+:class:`KernelDeclaration` in :data:`KERNELS`, naming its class by reference into
+one module per family (:mod:`~repro.simulator.push_sum_kernel`,
+:mod:`~repro.simulator.sketch_kernels`, :mod:`~repro.simulator.extrema_kernel`)
+that only ``build()`` imports: a spec or an agent run loads no kernel code
+(DESIGN.md §2).  Nothing else states a kernel's modes, parameters or flags:
+the capability layer (:mod:`repro.api.plan`), the kernel factory
 (:meth:`repro.api.backends.VectorizedBackend.build_kernel`) and the driver
 (:class:`repro.api.kernel_run.KernelRun`) all read it, so adding a kernel is
 one entry here.  A kernel states its gossip once — its begin/end hooks, its
@@ -25,14 +28,9 @@ agent protocol's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping
+from typing import Dict, FrozenSet, Mapping, Union
 
-from repro.simulator.vectorized import (
-    VectorizedCountSketchReset,
-    VectorizedExtrema,
-    VectorizedPushSumRevert,
-    VectorizedSketchCount,
-)
+from repro._lazy import resolve
 
 __all__ = [
     "KERNELS",
@@ -71,7 +69,8 @@ class KernelDeclaration:
     Attributes
     ----------
     kernel:
-        The kernel class.
+        The kernel class as a ``"module:attr"`` reference (a class is accepted
+        too); :meth:`kernel_class` resolves it.
     modes:
         Spec gossip mode → the kernel constructor keywords realising it;
         the keys are the modes the kernel supports (the first one is the
@@ -94,12 +93,16 @@ class KernelDeclaration:
         time (DESIGN.md §14 "Begin hooks act a bucket at a time").
     """
 
-    kernel: type
+    kernel: Union[str, type]
     modes: Mapping[str, Mapping[str, object]]
     params: FrozenSet[str]
     value_carrying: bool
     fan_out: bool = False
     calendar: bool = True
+
+    def kernel_class(self) -> type:
+        """The kernel class; resolving a reference imports the kernel's module."""
+        return resolve(self.kernel) if isinstance(self.kernel, str) else self.kernel
 
     def build(self, agent, population, mode: str, **wiring):
         """The configured kernel for the resolved agent protocol ``agent``.
@@ -108,28 +111,30 @@ class KernelDeclaration:
         host count; ``wiring`` is ``loss``/``topology``/``seed``/``probe``.
         """
         params = {name: getattr(agent, name) for name in self.params}
-        return self.kernel(population, **params, **self.modes[mode], **wiring)
+        return self.kernel_class()(population, **params, **self.modes[mode], **wiring)
 
 
+_PUSH_SUM = "repro.simulator.push_sum_kernel:VectorizedPushSumRevert"
+_EXTREMA = "repro.simulator.extrema_kernel:VectorizedExtrema"
 _PUSH_SUM_MODES = {"exchange": {"mode": "pushpull"}, "push": {"mode": "push"}}
 _SKETCH_MODES = {"exchange": {"pull": True}, "push": {"pull": False}}
 
 KERNELS: Dict[str, KernelDeclaration] = {
     "push-sum-revert": KernelDeclaration(
-        kernel=VectorizedPushSumRevert,
+        kernel=_PUSH_SUM,
         modes=_PUSH_SUM_MODES,
         params=frozenset({"reversion", "adaptive"}),
         value_carrying=True,
     ),
     # Static Push-Sum is Push-Sum-Revert at the kernel's default λ = 0.
     "push-sum": KernelDeclaration(
-        kernel=VectorizedPushSumRevert,
+        kernel=_PUSH_SUM,
         modes=_PUSH_SUM_MODES,
         params=frozenset(),
         value_carrying=True,
     ),
     "push-sum-revert-full-transfer": KernelDeclaration(
-        kernel=VectorizedPushSumRevert,
+        kernel=_PUSH_SUM,
         modes={"push": {"mode": "full-transfer"}},
         params=frozenset({"reversion", "parcels", "history"}),
         value_carrying=True,
@@ -137,14 +142,14 @@ KERNELS: Dict[str, KernelDeclaration] = {
         calendar=False,
     ),
     "count-sketch-reset": KernelDeclaration(
-        kernel=VectorizedCountSketchReset,
+        kernel="repro.simulator.sketch_kernels:VectorizedCountSketchReset",
         modes=_SKETCH_MODES,
         params=frozenset({"bins", "bits", "cutoff", "identifiers_per_host"}),
         value_carrying=False,
         calendar=False,  # a begin hook (ageing)
     ),
     "sketch-count": KernelDeclaration(
-        kernel=VectorizedSketchCount,
+        kernel="repro.simulator.sketch_kernels:VectorizedSketchCount",
         modes=_SKETCH_MODES,
         params=frozenset({"bins", "bits", "identifiers_per_host"}),
         value_carrying=False,
@@ -152,14 +157,14 @@ KERNELS: Dict[str, KernelDeclaration] = {
     # One kernel class, two protocols: without ``cutoff`` the best value is
     # never forgotten (gossip); with the agent's integer age it resets.
     "extrema-gossip": KernelDeclaration(
-        kernel=VectorizedExtrema,
+        kernel=_EXTREMA,
         modes={"exchange": {}},
         params=frozenset({"maximum"}),
         value_carrying=True,
         calendar=False,  # a begin hook (the age that breaks ties)
     ),
     "extrema-reset": KernelDeclaration(
-        kernel=VectorizedExtrema,
+        kernel=_EXTREMA,
         modes={"exchange": {}},
         params=frozenset({"maximum", "cutoff"}),
         value_carrying=True,

@@ -1,8 +1,8 @@
 """Sparse-adjacency peer sampling for the vectorised kernels.
 
 Uniform gossip selects peers with one ``rng.integers``/``rng.permutation``
-call over the live index.  This module lets the kernels in
-:mod:`repro.simulator.vectorized` run *graph-restricted* gossip at the same
+call over the live index.  This module lets the kernels declared in
+:mod:`repro.simulator.kernels` run *graph-restricted* gossip at the same
 speed: "one random live peer for each of these hosts" is answered as an array
 program, and the kernels treat the answer exactly like the uniform draw.
 

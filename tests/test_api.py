@@ -141,6 +141,19 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="model"):
             self.spec(events=({"event": "failure", "round": 1},))
 
+    @pytest.mark.parametrize("values, needle", [
+        ({"x": 1.0}, "'x'"),
+        ({"0": 1.0, "2.5": 1.0}, "'2.5'"),
+        ({"-1": 1.0}, "'-1'"),
+        ({"0": float("inf")}, "'0'"),
+        ({"0": 1.0, "3": float("nan")}, "'3'"),
+    ], ids=["word-key", "fractional-key", "negative-key", "infinite-value", "nan-value"])
+    def test_malformed_value_changes_fail_at_construction(self, values, needle):
+        # Caught here, not mid-run: a bad key would raise inside a sweep worker,
+        # and a non-finite value turns every later estimate non-finite.
+        with pytest.raises(ValueError, match=needle):
+            self.spec(events=({"event": "value-change", "round": 1, "values": values},))
+
     def test_named_cutoff_resolution(self):
         spec = self.spec(
             protocol="count-sketch-reset",

@@ -17,7 +17,7 @@ from repro.api.backends import VectorizedBackend
 from repro.api.plan import vectorized_rejections
 from repro.api.sweep import Sweep, SweepRunner
 from repro.simulator.kernels import KERNELS
-from repro.simulator.vectorized import VectorizedPushSumRevert
+from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
 N_HOSTS = 64
 SEEDS = tuple(range(8))

@@ -367,7 +367,7 @@ class TestBucketedCalendarMechanics:
         # A kernel that silently halves every delivered parcel must trip
         # the per-bucket ledger check, not sail through to the final
         # sample with a drifted truth.
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         original = VectorizedPushSumRevert._land
 

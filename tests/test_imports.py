@@ -20,7 +20,15 @@ import repro
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 AGENT_ENGINES = {"repro.simulator.engine", "repro.events.engine"}
-KERNEL_DRIVER = {"repro.api.kernel_run", "repro.simulator.sparse"}
+#: The kernel driver, the kernels' shared base and one module per kernel family.
+KERNEL_DRIVER = {
+    "repro.api.kernel_run",
+    "repro.simulator.sparse",
+    "repro.simulator.vectorized",
+    "repro.simulator.push_sum_kernel",
+    "repro.simulator.sketch_kernels",
+    "repro.simulator.extrema_kernel",
+}
 
 
 def run_source(**overrides) -> str:
@@ -82,11 +90,40 @@ def test_a_vectorised_uniform_run_loads_no_agent_engine(engine):
     assert not loaded & AGENT_ENGINES
 
 
+@pytest.mark.parametrize("protocol, family, others", [
+    ("push-sum-revert", "push_sum_kernel", {"sketch_kernels", "extrema_kernel"}),
+    ("count-sketch-reset", "sketch_kernels", {"push_sum_kernel"}),
+])
+def test_a_kernel_run_loads_no_other_kernel_family(protocol, family, others):
+    loaded = loaded_after(
+        "from repro.api import ScenarioSpec, run_scenario\n"
+        f"run_scenario(ScenarioSpec(protocol={protocol!r}, n_hosts=32, rounds=3, "
+        "backend='vectorized'))"
+    )
+    assert f"repro.simulator.{family}" in loaded
+    assert not loaded & {f"repro.simulator.{name}" for name in others}
+
+
 def test_an_agent_rounds_run_loads_no_kernel_driver():
+    # The benchmark's ``agent_lossy`` shape: Push-Sum-Revert pushes over a lossy network.
     loaded = loaded_after(
         run_source(backend="agent", network="bernoulli-loss", network_params={"p": 0.2})
     )
     assert "repro.simulator.engine" in loaded
+    assert not loaded & KERNEL_DRIVER
+
+
+def test_constructing_a_spec_loads_no_kernel_code():
+    # Every registered protocol, in a mode its agent protocol supports.
+    loaded = loaded_after(
+        "from repro.api import PROTOCOLS, ScenarioSpec\n"
+        "for protocol in PROTOCOLS.keys():\n"
+        "    try:\n"
+        "        ScenarioSpec(protocol=protocol, n_hosts=16, rounds=2)\n"
+        "    except ValueError:\n"
+        "        ScenarioSpec(protocol=protocol, n_hosts=16, rounds=2, mode='push')"
+    )
+    assert "repro.simulator.kernels" in loaded
     assert not loaded & KERNEL_DRIVER
 
 

@@ -32,7 +32,7 @@ from repro.network import (
 )
 from repro.simulator import Simulation
 from repro.simulator.protocol import AggregationProtocol
-from repro.simulator.vectorized import VectorizedPushSumRevert
+from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 from repro.workloads import uniform_values
 
 N_HOSTS = 48

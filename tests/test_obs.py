@@ -251,7 +251,7 @@ class TestEngineInstrumentation:
         # topology: a traced run that dies mid-loop has nothing to restore,
         # and the topology it shared stays silent for the next run.
         from repro.api.backends import VectorizedBackend
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         if environment == "ring":
             spec = BIT_IDENTITY_SPECS["vectorized-topology-churn"]

@@ -372,7 +372,7 @@ class TestKernelDeclarations:
         spec = ScenarioSpec(protocol=protocol, mode=mode, n_hosts=12, rounds=2)
         kernel = VectorizedBackend().build_kernel(spec)
         agent = spec.build_protocol()
-        assert type(kernel) is entry.kernel
+        assert type(kernel) is entry.kernel_class()
         assert entry.params <= set(inspect.signature(PROTOCOLS.get(protocol)).parameters)
         for name in sorted(entry.params):
             assert getattr(kernel, name) == getattr(agent, name), name
@@ -391,6 +391,8 @@ class TestKernelDeclarations:
         # The calendar runs a bucket's begin hooks before any of its exchanges;
         # the agent event engine runs each host's right before its own
         # (DESIGN.md §14 "Begin hooks act a bucket at a time").
-        hooked = {name for name, entry in KERNELS.items() if entry.kernel._begin is not None}
+        hooked = {
+            name for name, entry in KERNELS.items() if entry.kernel_class()._begin is not None
+        }
         assert hooked == {"count-sketch-reset", "extrema-gossip", "extrema-reset"}
         assert not any(KERNELS[name].calendar for name in hooked)

@@ -17,19 +17,19 @@ from repro.metrics.accuracy import error_statistics
 from repro.mobility.traces import ContactRecord, ContactTrace
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.kernels import KERNELS
-from repro.simulator.sparse import (
-    CSRTopology,
-    GridRingTopology,
-    TraceCSRTopology,
-)
-import repro.simulator.vectorized as vectorized
-from repro.simulator.vectorized import (
+from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
+import repro.simulator.sketch_kernels as sketch_kernels
+from repro.simulator.sketch_kernels import (
     _chunked_ranks,
     _merge_rows,
     _scatter_rows,
     VectorizedCountSketchReset,
-    VectorizedPushSumRevert,
     VectorizedSketchCount,
+)
+from repro.simulator.sparse import (
+    CSRTopology,
+    GridRingTopology,
+    TraceCSRTopology,
 )
 from repro.sketches.counter_matrix import CounterMatrix, INFINITY
 from repro.sketches.fm_sketch import PHI, FMSketch, rank_of_bits
@@ -432,7 +432,7 @@ def _chunks_of(monkeypatch, rows, chunk):
     the module's own budget)."""
     if chunk is not None:
         row_bytes = rows.itemsize * int(np.prod(rows.shape[1:]))
-        monkeypatch.setattr(vectorized, "_CHUNK_BYTES", chunk * row_bytes)
+        monkeypatch.setattr(sketch_kernels, "_CHUNK_BYTES", chunk * row_bytes)
 
 
 class TestSketchKernelPrimitives:
@@ -570,7 +570,7 @@ class TestSketchKernelPrimitives:
             callers.append("merge" if index is not None else "land")
             _scatter_rows(rows, targets, reduce, source, index)
 
-        monkeypatch.setattr(vectorized, "_scatter_rows", recorded)
+        monkeypatch.setattr(sketch_kernels, "_scatter_rows", recorded)
         for kernel_class in (VectorizedCountSketchReset, VectorizedSketchCount):
             kernel = kernel_class(12, bins=2, bits=6, seed=0)
             kernel.step_many(2)

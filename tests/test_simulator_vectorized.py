@@ -10,11 +10,8 @@ import pytest
 
 from repro.core.cutoff import default_cutoff
 from repro.metrics.accuracy import error_statistics
-from repro.simulator.vectorized import (
-    VectorizedCountSketchReset,
-    VectorizedPushSumRevert,
-    VectorizedSketchCount,
-)
+from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
+from repro.simulator.sketch_kernels import VectorizedCountSketchReset, VectorizedSketchCount
 from repro.sketches.fm_sketch import PHI
 from repro.workloads.values import uniform_values
 
@@ -446,7 +443,7 @@ class TestSparseTopologyLayer:
         assert (labels[[3, 4, 5]] == -1).all()
 
     def test_push_conserves_mass_on_topology(self):
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         topo = self._ring_csr(20)
         kernel = VectorizedPushSumRevert(
@@ -459,7 +456,7 @@ class TestSparseTopologyLayer:
 
     def test_isolated_host_keeps_mass_and_reports_own_value(self):
         from repro.simulator.sparse import CSRTopology
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         # Host 2 is cut off once 0 and 1 die; its mass must stay put.
         topo = CSRTopology.from_adjacency({0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4}, 4: {3}}, 5)
@@ -474,7 +471,7 @@ class TestSparseTopologyLayer:
         assert kernel.weight[2] == pytest.approx(1.0)
 
     def test_full_transfer_rejects_topology(self):
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         with pytest.raises(ValueError, match="full-transfer"):
             VectorizedPushSumRevert(
@@ -482,7 +479,7 @@ class TestSparseTopologyLayer:
             )
 
     def test_population_size_mismatch_rejected(self):
-        from repro.simulator.vectorized import VectorizedPushSumRevert
+        from repro.simulator.push_sum_kernel import VectorizedPushSumRevert
 
         with pytest.raises(ValueError, match="covers 24 hosts"):
             VectorizedPushSumRevert([1.0, 2.0], topology=self._ring_csr(24))

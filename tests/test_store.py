@@ -2,6 +2,7 @@
 
 import glob
 import gzip
+import inspect
 import json
 import os
 import sqlite3
@@ -225,6 +226,17 @@ class TestResultStore:
         names = [name for name, _path in _protocol_closure("repro.core")]
         assert "repro.core.push_sum_revert" in names
         assert "repro.baselines.push_sum" in names
+
+    def test_every_kernel_source_is_in_the_shared_fingerprint(self):
+        # A kernel module outside the hashed files would let a cached result
+        # survive an edit to the kernel that produced it.
+        from repro.simulator.kernels import KERNELS
+        from repro.store.fingerprint import _shared_digest_material
+
+        hashed = {os.path.realpath(path) for _name, path in _shared_digest_material()}
+        for name, declaration in KERNELS.items():
+            source = inspect.getsourcefile(declaration.kernel_class())
+            assert os.path.realpath(source) in hashed, name
 
     def test_editing_the_event_engine_invalidates_cached_results(self, store, monkeypatch):
         # repro.events is part of the shared fingerprint: a cached result
