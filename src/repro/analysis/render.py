@@ -7,13 +7,14 @@ and in the committed goldens under ``benchmarks/output/``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["format_number", "render_table", "render_series_table"]
 
 
 def format_number(value, precision: int = 3) -> str:
-    """Format a number compactly (integers stay integers, NaN stays readable)."""
+    """Format a number compactly (integers stay integers, NaN and ±inf stay readable)."""
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -26,6 +27,8 @@ def format_number(value, precision: int = 3) -> str:
         return str(value)
     if as_float != as_float:  # NaN
         return "nan"
+    if math.isinf(as_float):
+        return "inf" if as_float > 0 else "-inf"
     if as_float == int(as_float) and abs(as_float) < 1e12:
         return str(int(as_float))
     if abs(as_float) >= 10000 or (abs(as_float) < 0.001 and as_float != 0):

@@ -308,6 +308,11 @@ def run_with_backend(
             probe.event("store", outcome="miss", spec=spec.name)
     with probe.span("resolve"):
         plan = resolve_plan(spec)
+    if probe.enabled:
+        probe.event(
+            "plan", engine=plan.engine, backend=plan.backend, on_calendar=spec.on_calendar,
+            rejections=[rejection.feature for rejection in plan.rejections],
+        )
     result = BACKENDS.get(plan.backend).run(spec, probe=probe)
     result.metadata.setdefault("backend", plan.backend)
     if store is not None:

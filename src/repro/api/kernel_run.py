@@ -18,7 +18,8 @@ comes back as opaque batches, queued by maturity bucket and handed untouched
 to ``kernel.deliver`` (the calendar protocol, DESIGN.md §14) — what a message
 is, what it weighs and what a dead endpoint costs is the kernel's business.
 The mass ledger balances per bucket (or per sample), never per event,
-against the kernel's read-only ``mass_view()``.
+on the kernel's read-only ``mass_view()`` — the kernel's own books, joins
+and departures included, so the driver books nothing itself.
 
 ``engine="rounds"`` is the same loop configured as the degenerate
 calendar: one bucket per sample, every host ticking in every bucket.  Over
@@ -52,7 +53,7 @@ from repro.events.vectorized import ClockGrid, bucket_grid, sample_delays
 from repro.failures.models import CorrelatedFailure, ExplicitFailure, UncorrelatedFailure
 from repro.failures.schedule import JoinEvent, ValueChangeEvent
 from repro.metrics.accuracy import error_statistics
-from repro.network import MassLedger
+from repro.network.delivery import MassLedger, MassView
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.kernels import KERNELS
 from repro.simulator.result import RoundRecord, SimulationResult
@@ -158,8 +159,7 @@ class KernelRun:
         self.ledger: Optional[MassLedger] = None
         if self.mass_check != "off":
             self.ledger = MassLedger()
-            at_hosts, _in_flight, *self._booked = kernel.mass_view()
-            self.ledger.open(at_hosts)
+            self.ledger.open(kernel.mass_view())
 
     # ---------------------------------------------------------------- the loop
     def run(self) -> SimulationResult:
@@ -181,7 +181,7 @@ class KernelRun:
             self.membership(bucket)
             self.kernel.step()
             record = self.sample(t)
-        self.result.append(record, self.probe)
+        self._append(record)
 
     def _calendar_bucket(self, bucket: int) -> None:
         """The general bucket: drain, membership, ticks, ledger, maybe a sample."""
@@ -191,16 +191,23 @@ class KernelRun:
             self.drain(bucket, at_edge=True)
         with self.probe.span("ticks", bucket=bucket):
             self.ticks(bucket)
+        view = None
         if self.mass_check == "event":
-            self.check_mass((bucket - 1) // self.ratio)
+            view = self.check_mass((bucket - 1) // self.ratio)
         sample_index, between_samples = divmod(bucket, self.ratio)
         if between_samples or sample_index > self.n_samples:
             return
         if self.mass_check == "sample":
-            self.check_mass(sample_index - 1)
+            view = self.check_mass(sample_index - 1)
         time = sample_index * self.sample_interval if self.spec.engine == "events" else None
-        record = self.sample(sample_index - 1, time=time)
-        self.result.append(record, self.probe)
+        self._append(self.sample(sample_index - 1, time=time), view)
+
+    def _append(self, record: RoundRecord, view: Optional[MassView] = None) -> None:
+        """Append ``record``; a traced run that keeps a ledger carries its books, the
+        view this bucket checked or else a fresh read."""
+        if view is None and self.ledger is not None and self.probe.enabled:
+            view = self.kernel.mass_view()
+        self.result.append(record, self.probe, view)
 
     # -------------------------------------------------------------- deliveries
     def defer(self, kind: str, bucket_now: int, mature: np.ndarray, *arrays: np.ndarray) -> None:
@@ -239,19 +246,12 @@ class KernelRun:
     # -------------------------------------------------------------- membership
     def membership(self, bucket: int) -> None:
         """Apply the membership events scheduled at this bucket's boundary."""
-        kernel, ledger, probe = self.kernel, self.ledger, self.probe
-        events = self._membership.get(bucket, ())
-        # One O(n) live-weight sum per event: each event's "after" is the next one's "before".
-        before = kernel.mass_view()[0] if events and ledger is not None else 0.0
-        for event in events:
+        kernel, probe = self.kernel, self.probe
+        for event in self._membership.get(bucket, ()):
             old_n = kernel.n
             self.apply_event(event)
             if self.clocks is not None and kernel.n > old_n:
                 self.clocks.grow(kernel.n - old_n, join_time=bucket * self.quantum)
-            if ledger is not None:
-                after = kernel.mass_view()[0]
-                ledger.record_injected(after - before)
-                before = after
             if probe.enabled and not isinstance(event, ValueChangeEvent):
                 action = "join" if isinstance(event, JoinEvent) else "fail"
                 probe.event("membership", action=action, round=bucket // self.ratio - 1)
@@ -326,14 +326,11 @@ class KernelRun:
             next_times[tick_idx] = ticked[due]
 
     # ------------------------------------------------------------------ ledger
-    def check_mass(self, round_index: int) -> None:
-        """Book the kernel's own mass movements (reverts, lossy pushes), then balance."""
-        at_hosts, in_flight, *moved = self.kernel.mass_view()
-        injected, lost = (now - before for now, before in zip(moved, self._booked))
-        self._booked = moved
-        self.ledger.record_injected(injected)
-        self.ledger.record_lost(lost)
-        self.ledger.check(at_hosts + in_flight, round_index=round_index)
+    def check_mass(self, round_index: int) -> MassView:
+        """Balance the kernel's books; returns the view checked."""
+        view = self.kernel.mass_view()
+        self.ledger.check(view, round_index=round_index)
+        return view
 
     # ---------------------------------------------------------------- sampling
     def sample(self, t: int, time: Optional[float] = None) -> RoundRecord:

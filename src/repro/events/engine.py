@@ -24,12 +24,13 @@ Event kinds (priority order within one instant — see
    :class:`~repro.simulator.RoundRecord` with ``round_index = j - 1``
    and ``time = j * S``.
 
-Mass conservation is enforced continuously: the engine keeps running
-totals of the mass at hosts, in pending inboxes, and in flight, and the
-:class:`~repro.network.MassLedger` can be checked after *every* event
+Mass conservation is enforced continuously: the engine's
+:meth:`~repro.Simulation.mass_view` is a running view (host states and
+pending inboxes at hosts, the delivery queue in flight), and the
+:class:`~repro.network.MassLedger` can check it after *every* event
 (``mass_check="event"``), at every sample (``"sample"``, the default —
-which also resyncs the running totals against an exact recount) or never
-(``"off"``).  That and the other settings are one validated
+which also resyncs the running host total against an exact recount) or
+never (``"off"``).  That and the other settings are one validated
 :class:`~repro.events.clocks.EngineSettings` value.
 
 The class subclasses :class:`repro.Simulation` for its population
@@ -120,14 +121,8 @@ class EventSimulation(Simulation):
         # quantity — even without a network model, since payloads rest in
         # pending inboxes between ticks (unlike the round engine, where
         # only a network can put mass outside host states).
-        self._track_mass = False
-        if self.mass_check != "off" and self.hosts:
-            probe = next(iter(self.hosts.values()))
-            if self.protocol.state_mass(probe.state) is not None:
-                self._track_mass = True
-                self.mass_ledger.open(self._total_state_mass())
-        self._state_mass = self._total_state_mass() if self._track_mass else 0.0
         self._inbox_mass = 0.0
+        self._open_books(self.mass_check != "off")
 
         self.result.metadata["engine"] = settings.metadata()
 
@@ -225,9 +220,7 @@ class EventSimulation(Simulation):
                     if probing:
                         probe.count("events.membership")
                 if self._track_mass and self.mass_check == "event":
-                    self.mass_ledger.check(
-                        self._observed_mass(), round_index=self._sample_bin(time)
-                    )
+                    self.mass_ledger.check(self.mass_view(), round_index=self._sample_bin(time))
         return self.result
 
     def step(self):  # pragma: no cover - guarded API difference
@@ -248,16 +241,12 @@ class EventSimulation(Simulation):
         state = host.state
         clock = self._clocks[host_id]
         self._run_state_hook(
-            state,
-            lambda: self.protocol.begin_round(state, bin_index, self._protocol_rng),
-            inject=True,
+            state, lambda: self.protocol.begin_round(state, bin_index, self._protocol_rng)
         )
         self._adapter.on_tick(host_id, state, time, bin_index)
         received = self._received.pop(host_id, 0)
         self._run_state_hook(
-            state,
-            lambda: self.protocol.finalize_round(state, received, self._protocol_rng),
-            inject=True,
+            state, lambda: self.protocol.finalize_round(state, received, self._protocol_rng)
         )
         clock.advance()
         next_time = clock.next_time()
@@ -271,25 +260,13 @@ class EventSimulation(Simulation):
         if self._track_mass:
             # Exact recount: resyncs the running total (guarding against
             # float drift over many increments) and balances the books.
-            total = self._total_state_mass()
-            self._state_mass = total
-            self.mass_ledger.check(
-                total + self._in_flight.in_flight_mass + self._inbox_mass,
-                round_index=round_index,
-            )
+            self._state_mass = self._total_state_mass()
+            self.mass_ledger.check(self.mass_view(), round_index=round_index)
         record = self._record_round(alive, round_index, time)
         self.round_index = sample_index
-        if self.probe.enabled and self._track_mass:
-            self.probe.event(
-                "mass_check",
-                round=round_index,
-                at_hosts=self._state_mass,
-                in_flight=self._in_flight.in_flight_mass + self._inbox_mass,
-            )
-        self.result.append(record, self.probe)
+        self.result.append(record, self.probe, self.mass_view() if self._track_mass else None)
 
     def _on_membership(self, event, time: float) -> None:
-        before = self._state_mass
         event.apply(self, event.round)
         # Models may mutate hosts directly (graceful departures revive or
         # transfer state), so drop the roster rather than trusting the
@@ -314,13 +291,9 @@ class EventSimulation(Simulation):
                 self.calendar.schedule(next_time, TICK, ("tick", host_id))
                 self._pending_ticks.add(host_id)
         if self._track_mass:
-            total = self._total_state_mass()
-            delta = total - before
-            if delta:
-                # Joins mint mass and value rebases shift it by design;
-                # both are deliberate injections, not leaks.
-                self.mass_ledger.record_injected(delta)
-            self._state_mass = total
+            # Joins mint mass and value rebases shift it by design;
+            # both are deliberate injections, not leaks.
+            self._record_mass_injection()
 
     # -------------------------------------------------------------- plumbing
     def _sample_bin(self, time: float) -> int:
@@ -342,25 +315,15 @@ class EventSimulation(Simulation):
         if self._track_mass and mass is not None:
             self._inbox_mass += mass
 
-    def _run_state_hook(self, state, hook, *, inject: bool) -> None:
-        """Run a protocol hook, folding its state-mass delta into the books.
-
-        ``inject=True`` marks the delta as deliberate (epoch restarts in
-        ``begin_round``, reversion in ``finalize_round``); deltas from
-        non-injecting hooks are left unrecorded so the next conservation
-        check reports them as leaks.
-        """
+    def _run_state_hook(self, state, hook) -> None:
+        """Run a protocol hook, booking its state-mass delta as deliberate
+        injection (epoch restarts in ``begin_round``, reversion in
+        ``finalize_round``)."""
         if not self._track_mass:
             hook()
             return
         before = self.protocol.state_mass(state) or 0.0
         hook()
         delta = (self.protocol.state_mass(state) or 0.0) - before
-        if delta:
-            self._state_mass += delta
-            if inject:
-                self.mass_ledger.record_injected(delta)
-
-    def _observed_mass(self) -> float:
-        """All conserved mass the engine can currently see (running totals)."""
-        return self._state_mass + self._in_flight.in_flight_mass + self._inbox_mass
+        self._state_mass += delta
+        self.mass_injected += delta

@@ -13,8 +13,8 @@ instant it is asked about.
 
 Loss and latency are what make mass accounting critical.  Push-Sum-style
 protocols are correct *because* every unit of mass exists exactly once —
-at a host or inside a message — so the engine tracks where each unit is
-and :class:`MassLedger` asserts the books balance every round:
+at a host or inside a message — so every engine keeps one set of books,
+its :data:`MassView`, and :class:`MassLedger` asserts they balance:
 
     mass at hosts + mass in flight + mass lost  ==  mass created,
 
@@ -28,8 +28,8 @@ or leaked mass — a bug class that silently biases every lossy experiment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["InFlightMessage", "DeliveryQueue", "MassLedger", "MassConservationError"]
 
@@ -110,49 +110,41 @@ class MassConservationError(RuntimeError):
     """The delivery engine duplicated or leaked conserved mass."""
 
 
+#: A mass view ``(at_hosts, in_flight, injected, lost)``, every engine's one set of
+#: books (DESIGN.md §8): the mass at every host state (stranded mass at departed
+#: hosts included) and in flight now, and the cumulative mass the protocol and
+#: membership events created (+) or destroyed (−) and lost messages took out.
+MassView = Tuple[float, float, float, float]
+
+
 @dataclass
 class MassLedger:
     """Double-entry bookkeeping for a conserved protocol quantity.
 
-    The engine opens the ledger with the population's initial mass, then
-    per round: adds the injection it measured around the protocol's own
-    hooks (reversion re-injects mass by design), adds the mass of every
-    lost message, and finally calls :meth:`check` with the mass it can
-    still see (at hosts and in flight).  ``tolerance`` absorbs float
-    summation noise only — a real leak fails by whole units.
+    The engine keeps its own books as a :data:`MassView`; the ledger opens on
+    the first view and checks later ones: at hosts + in flight must equal the
+    initial mass + injected − lost.  Nothing feeds it deltas.  ``tolerance``
+    absorbs float summation noise only — a real leak fails by whole units.
     """
 
     initial: float = 0.0
-    injected: float = 0.0
-    lost: float = 0.0
     tolerance: float = 1e-6
 
-    def open(self, initial_mass: float) -> None:
-        """Start the books with the population's initial mass."""
-        self.initial = float(initial_mass)
-        self.injected = 0.0
-        self.lost = 0.0
+    def open(self, view: MassView) -> None:
+        """Start the books on the population's first view."""
+        at_hosts, in_flight, injected, lost = view
+        self.initial = float(at_hosts + in_flight - injected + lost)
 
-    def record_injected(self, delta: float) -> None:
-        """Mass the protocol itself created (+) or destroyed (-) this round."""
-        self.injected += float(delta)
-
-    def record_lost(self, mass: float) -> None:
-        """Mass that left the system inside a lost message."""
-        self.lost += float(mass)
-
-    @property
-    def expected(self) -> float:
-        """Mass that should currently exist at hosts plus in flight."""
-        return self.initial + self.injected - self.lost
-
-    def check(self, observed_mass: float, *, round_index: int) -> None:
-        """Assert the books balance; raises :class:`MassConservationError`."""
-        scale = max(abs(self.initial), abs(self.injected), abs(self.lost), 1.0)
-        if abs(observed_mass - self.expected) > self.tolerance * scale:
+    def check(self, view: MassView, *, round_index: int) -> None:
+        """Assert ``view`` balances; raises :class:`MassConservationError`."""
+        at_hosts, in_flight, injected, lost = view
+        observed = at_hosts + in_flight
+        expected = self.initial + injected - lost
+        scale = max(abs(self.initial), abs(injected), abs(lost), 1.0)
+        if abs(observed - expected) > self.tolerance * scale:
             raise MassConservationError(
                 f"mass conservation violated at round {round_index}: "
-                f"observed {observed_mass!r} at hosts + in flight, but the ledger "
-                f"expects {self.expected!r} (initial {self.initial!r} "
-                f"+ injected {self.injected!r} - lost {self.lost!r})"
+                f"observed {observed!r} at hosts + in flight, but the ledger "
+                f"expects {expected!r} (initial {self.initial!r} "
+                f"+ injected {injected!r} - lost {lost!r})"
             )

@@ -2,9 +2,9 @@
 
 This is the analysis half of :mod:`repro.obs`: given the flat record
 list a :class:`~repro.obs.trace.TraceRecorder` wrote,
-:func:`summarize_trace` folds it into per-phase wall-time aggregates,
-counter totals, and the per-round series carried by ``round_end``
-events, and :func:`render_report` renders the lot with
+:func:`summarize_trace` folds it into the resolved plans, per-phase
+wall-time aggregates, counter totals, and the per-round series carried by
+``round_end`` events, and :func:`render_report` renders the lot with
 :mod:`repro.analysis.render` — the output of
 ``repro-aggregate obs report <trace.jsonl>``.
 """
@@ -35,12 +35,15 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         ``{event name: occurrences}``;
     ``rounds``
         the ``round_end`` event records in order — the per-round
-        counter series.
+        counter series;
+    ``plans``
+        the ``plan`` event records in order — one per executed run.
     """
     phases: Dict[str, Dict[str, float]] = {}
     counters: Dict[str, float] = {}
     events: Dict[str, int] = {}
     rounds: List[Dict[str, Any]] = []
+    plans: List[Dict[str, Any]] = []
     for record in records:
         kind = record.get("kind")
         if kind == "span":
@@ -67,7 +70,43 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             events[name] = events.get(name, 0) + 1
             if name == "round_end":
                 rounds.append(record)
-    return {"phases": phases, "counters": counters, "events": events, "rounds": rounds}
+            elif name == "plan":
+                plans.append(record)
+    return {
+        "phases": phases, "counters": counters, "events": events, "rounds": rounds,
+        "plans": plans,
+    }
+
+
+def _plan_lines(plans: List[Dict[str, Any]]) -> List[str]:
+    """One ``plan:`` line per distinct plan, with its run count when above one."""
+    counts: Dict[str, int] = {}
+    for record in plans:
+        line = (
+            f"plan: engine={record.get('engine')} backend={record.get('backend')} "
+            f"on_calendar={record.get('on_calendar')} "
+            f"rejections={','.join(record.get('rejections') or ()) or 'none'}"
+        )
+        counts[line] = counts.get(line, 0) + 1
+    return [line if count == 1 else f"{line} ({count} runs)" for line, count in counts.items()]
+
+
+def _with_mass_drift(rounds: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """``rounds`` with a ``mass_drift`` on each record that carries the mass books: the
+    conserved ``at_hosts + in_flight - injected + lost`` minus its value at the run's
+    first ``round_end`` (a new run starts where the round index stops increasing)."""
+    drifted: List[Dict[str, Any]] = []
+    base = previous = None
+    for record in rounds:
+        if "mass_at_hosts" in record:
+            conserved = (record["mass_at_hosts"] + record["mass_in_flight"]
+                         - record["mass_injected"] + record["mass_lost"])
+            if base is None or record.get("round", 0) <= previous:
+                base = conserved
+            previous = record.get("round", 0)
+            record = {**record, "mass_drift": conserved - base}
+        drifted.append(record)
+    return drifted
 
 
 def _phase_table(phases: Dict[str, Dict[str, float]]) -> str:
@@ -101,9 +140,11 @@ def _round_table(rounds: List[Dict[str, Any]], every: int = 1) -> str:
 
 
 def render_report(records: Sequence[Dict[str, Any]], *, every: int = 1) -> str:
-    """The full ``obs report`` rendering: phase breakdown, counters, rounds."""
+    """The full ``obs report`` rendering: plans, phase breakdown, counters, rounds."""
     summary = summarize_trace(records)
     blocks: List[str] = []
+    if summary["plans"]:
+        blocks.append("\n".join(_plan_lines(summary["plans"])))
     if summary["phases"]:
         blocks.append("Phase-time breakdown\n" + _phase_table(summary["phases"]))
     if summary["counters"]:
@@ -114,7 +155,8 @@ def render_report(records: Sequence[Dict[str, Any]], *, every: int = 1) -> str:
         blocks.append("Events\n" + render_table(["event", "occurrences"], rows))
     if summary["rounds"]:
         blocks.append(
-            "Per-round counters\n" + _round_table(summary["rounds"], every=every)
+            "Per-round counters\n"
+            + _round_table(_with_mass_drift(summary["rounds"]), every=every)
         )
     if not blocks:
         return "(empty trace)"

@@ -20,9 +20,10 @@ the model — delivered this round, deferred ``d`` rounds through the
 in-flight :class:`~repro.network.DeliveryQueue`, or lost — and in
 exchange mode a lossy link makes the atomic exchange simply not happen
 (latency-capable models are rejected up front: an atomic push/pull
-cannot be deferred).  For mass-conserving protocols the engine keeps a
-:class:`~repro.network.MassLedger` and asserts every round that mass at
-hosts + mass in flight == mass created − mass lost (DESIGN.md §8).
+cannot be deferred).  For mass-conserving protocols the engine keeps its
+books as :meth:`Simulation.mass_view` and a :class:`~repro.network.MassLedger`
+asserts every round that mass at hosts + mass in flight == mass created −
+mass lost (DESIGN.md §8).
 Without a model the engine follows the original perfect-delivery code
 path bit for bit.
 """
@@ -34,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.environments.base import LiveRoster
-from repro.network.delivery import DeliveryQueue, InFlightMessage, MassLedger
+from repro.network.delivery import DeliveryQueue, InFlightMessage, MassLedger, MassView
 from repro.metrics.accuracy import error_statistics
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.host import Host
@@ -166,6 +167,10 @@ class Simulation:
         self.messages_lost = 0
         self.bytes_sent = 0
         self._counters = [0, 0, 0]  # delivered, lost, bytes at the last record
+        #: Cumulative conserved mass the protocol and membership events created (+)
+        #: or destroyed (−), and that lost messages took out (:meth:`mass_view`).
+        self.mass_injected = 0.0
+        self.mass_lost = 0.0
         self.mass_ledger = MassLedger()
         self._in_flight = DeliveryQueue()
         self._network_rng = self.streams.get("network") if network is not None else None
@@ -177,17 +182,11 @@ class Simulation:
         self._protocol_rng = self.streams.get("protocol")
         for value in values:
             self.add_host(float(value), round_index=0)
+        #: Mass at every host state as of the last recount; each round opens on it.
+        self._state_mass = 0.0
         # Mass conservation is tracked whenever the network can reorder or
         # drop deliveries and the protocol exposes a conserved quantity.
-        self._track_mass = False
-        #: Mass at hosts as of the last recount; each round opens on it.
-        self._mass_checkpoint = 0.0
-        if network is not None and self.hosts:
-            probe = next(iter(self.hosts.values()))
-            if self.protocol.state_mass(probe.state) is not None:
-                self._track_mass = True
-                self._mass_checkpoint = self._total_state_mass()
-                self.mass_ledger.open(self._mass_checkpoint)
+        self._open_books(network is not None)
         # Only an overridden begin_round does anything, and so can mint mass
         # (epoch restarts do); the round skips the no-op's per-host calls.
         self._begin_round_mints = (
@@ -270,13 +269,12 @@ class Simulation:
             # Nothing runs between rounds, so the last round's closing recount
             # still stands; the two recounts below run only when something
             # could have minted mass since (DESIGN.md §8).
-            mass_checkpoint = self._mass_checkpoint
             with probe.span("events"):
                 fired = self._apply_events(t)
             if self._track_mass and fired:
                 # Events may mint mass (joins) or drop it (graceful departures
                 # with no survivor); both are deliberate, not leaks.
-                mass_checkpoint = self._record_mass_injection(mass_checkpoint)
+                self._record_mass_injection()
             alive = self.alive_ids()
             alive_set = LiveRoster(alive)
             hosts, protocol_rng = self.hosts, self._protocol_rng
@@ -289,7 +287,7 @@ class Simulation:
                         begin_round(state, t, protocol_rng)
             if self._track_mass and self._begin_round_mints:
                 # Epoch restarts re-mint mass inside begin_round by design.
-                mass_checkpoint = self._record_mass_injection(mass_checkpoint)
+                self._record_mass_injection()
 
             if self.mode == "push":
                 with probe.span("push"):
@@ -301,19 +299,10 @@ class Simulation:
                 # The round body may only move mass (host→flight→host) or lose
                 # it through the network — both already on the ledger — so the
                 # books must balance before the protocol's own finalize step.
-                # Always a fresh recount: a running total fed by the ledger's
+                # Always a fresh recount: a running total fed by the books'
                 # own entries would balance by construction.
-                mass_checkpoint = self._total_state_mass()
-                self.mass_ledger.check(
-                    mass_checkpoint + self._in_flight.in_flight_mass, round_index=t
-                )
-                if probe.enabled:
-                    probe.event(
-                        "mass_check",
-                        round=t,
-                        at_hosts=mass_checkpoint,
-                        in_flight=self._in_flight.in_flight_mass,
-                    )
+                self._state_mass = self._total_state_mass()
+                self.mass_ledger.check(self.mass_view(), round_index=t)
 
             with probe.span("finalize"):
                 finalize_round = self.protocol.finalize_round
@@ -321,15 +310,36 @@ class Simulation:
                     finalize_round(state, received, protocol_rng)
             if self._track_mass:
                 # Reversion injects mass towards each initial value by design.
-                self._mass_checkpoint = self._record_mass_injection(mass_checkpoint)
+                self._record_mass_injection()
 
             with probe.span("record"):
                 record = self._record_round(alive, t)
             self.round_index += 1
-        self.result.append(record, probe)
+        self.result.append(record, probe, self.mass_view() if self._track_mass else None)
         return record
 
     # ------------------------------------------------------ mass conservation
+    #: Payloads that arrived but are not yet integrated (the event engine's inboxes).
+    _inbox_mass = 0.0
+
+    def mass_view(self) -> MassView:
+        """``(at_hosts, in_flight, injected, lost)``, the kernels' contract (DESIGN.md §8):
+        every host's state mass as of the last recount (current between rounds) plus
+        what waits in inboxes, and what the delivery queue carries."""
+        at_hosts = self._state_mass + self._inbox_mass
+        return at_hosts, self._in_flight.in_flight_mass, self.mass_injected, self.mass_lost
+
+    def _open_books(self, track: bool) -> None:
+        """Track mass when ``track`` and the protocol has a conserved quantity;
+        the ledger opens on the first view."""
+        self._track_mass = False
+        if track and self.hosts:
+            probe = next(iter(self.hosts.values()))
+            if self.protocol.state_mass(probe.state) is not None:
+                self._track_mass = True
+                self._state_mass = self._total_state_mass()
+                self.mass_ledger.open(self.mass_view())
+
     def _total_state_mass(self) -> float:
         """Conserved mass at every host — including the mass stranded at
         silently departed hosts, which stays in their frozen state."""
@@ -339,19 +349,18 @@ class Simulation:
             total += state_mass(host.state) or 0.0
         return total
 
-    def _record_mass_injection(self, previous_total: float) -> float:
-        """Attribute any state-mass change since ``previous_total`` to the
-        protocol/events (deliberate injection) and return the new total."""
+    def _record_mass_injection(self) -> None:
+        """Recount the mass at hosts and book its change since the last recount
+        as deliberate injection (events, epoch restarts, reversion)."""
         total = self._total_state_mass()
-        if total != previous_total:
-            self.mass_ledger.record_injected(total - previous_total)
-        return total
+        self.mass_injected += total - self._state_mass
+        self._state_mass = total
 
     def _record_lost_message(self, mass: Optional[float]) -> None:
         """Account one lost message (and its conserved mass, if any)."""
         self.messages_lost += 1
         if self._track_mass and mass is not None:
-            self.mass_ledger.record_lost(mass)
+            self.mass_lost += mass
 
     # ----------------------------------------------------------- round bodies
     def _push_round(

@@ -234,10 +234,10 @@ class VectorizedPushSumRevert(_ValueKernel):
             self._history_filled[idx] = np.minimum(self._history_filled[idx] + 1, self.history)
 
     def mass_view(self) -> Tuple[float, float, float, float]:
-        """The ledger's view: the weight at the live hosts and in flight now, and the
-        totals reversion has created and lost messages have destroyed."""
-        at_hosts = float(self.weight[self.live_index()].sum())
-        return at_hosts, self.in_flight_mass, self.mass_injected, self.mass_lost
+        """The ledger's view: the weight at every host (a dead row is frozen, so it
+        keeps the mass stranded there) and in flight now, and the totals reversion
+        and membership have created and lost messages have destroyed."""
+        return float(self.weight.sum()), self.in_flight_mass, self.mass_injected, self.mass_lost
 
     def _revert_block(self, hosts: np.ndarray, weight: np.ndarray, total: np.ndarray, lam):
         """Move the rows of ``hosts`` ``lam`` of the way back to ``(1, initial)``, in place,
@@ -265,6 +265,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         count = values.size
         self.initial = np.concatenate([self.initial, values])
         self.weight = np.concatenate([self.weight, np.ones(count, dtype=float)])
+        self.mass_injected += count  # a joiner brings its unit weight
         self.total = np.concatenate([self.total, values])
         self._last_estimate = np.concatenate([self._last_estimate, values])
         self._history_weight = np.concatenate(
@@ -283,11 +284,11 @@ class VectorizedPushSumRevert(_ValueKernel):
         Mirrors :func:`repro.core.departure.sign_off_mass` — the departing
         weight/total move to a live peer, so the conserved mass stays in the
         system and the average re-converges instead of drifting.  With no
-        survivors left the mass leaves with the leavers, as on a silent failure:
-        it drops out of :meth:`mass_view`'s live weight, which the driver books
-        around every membership event, so :attr:`mass_lost` (lost messages)
-        does not count it a second time.  A host named twice signs off once
-        (the agent's second sign-off hands over an empty state).
+        survivors left the leavers' mass is dropped, as the agent's sign-off
+        drops it, and booked as a negative :attr:`mass_injected` (as the agent's
+        recount books it), not as :attr:`mass_lost`, which only lost messages
+        feed.  A host named twice signs off once (the agent's second sign-off
+        hands over an empty state).
         """
         indices = np.asarray(list(dict.fromkeys(map(int, host_indices))), dtype=np.int64)
         if indices.size == 0:
@@ -299,6 +300,8 @@ class VectorizedPushSumRevert(_ValueKernel):
             np.add.at(self.weight, heirs, self.weight[indices])
             np.add.at(self.total, heirs, self.total[indices])
             self._refresh(heirs)
+        else:
+            self.mass_injected -= float(self.weight[indices].sum())
         self.weight[indices] = 0.0
         self.total[indices] = 0.0
 

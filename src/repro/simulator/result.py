@@ -10,6 +10,9 @@ from repro.obs.probe import NULL_PROBE
 
 __all__ = ["RoundRecord", "SimulationResult"]
 
+#: The ``round_end`` fields of a mass view, in its order (DESIGN.md §13).
+MASS_FIELDS = ("mass_at_hosts", "mass_in_flight", "mass_injected", "mass_lost")
+
 
 @dataclass
 class RoundRecord:
@@ -91,16 +94,19 @@ class SimulationResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------- recording
-    def append(self, record: RoundRecord, probe=NULL_PROBE) -> None:
+    def append(self, record: RoundRecord, probe=NULL_PROBE, mass=None) -> None:
         """Append one round's record and report it to ``probe``.
 
         The one ``round_end`` / ``n_alive`` emitter for all three drivers, so
         a trace reads the same whoever ran the scenario (``time`` is present
-        exactly when the record has one).
+        exactly when the record has one).  ``mass`` is the engine's mass view
+        ``(at_hosts, in_flight, injected, lost)`` when the run keeps a ledger;
+        the event then carries it as the four ``mass_*`` fields.
         """
         self.rounds.append(record)
         if probe.enabled:
             timed = {} if record.time is None else {"time": record.time}
+            books = {} if mass is None else dict(zip(MASS_FIELDS, map(float, mass)))
             probe.event(
                 "round_end",
                 round=record.round_index,
@@ -110,6 +116,7 @@ class SimulationResult:
                 messages_delivered=record.messages_delivered,
                 messages_lost=record.messages_lost,
                 bytes_sent=record.bytes_sent,
+                **books,
             )
             probe.gauge("n_alive", record.n_alive)
 

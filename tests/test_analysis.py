@@ -80,6 +80,9 @@ class TestRendering:
         assert format_number(3.0) == "3"
         assert format_number(3.14159) == "3.142"
         assert format_number(float("nan")) == "nan"
+        assert format_number(float("inf")) == "inf"
+        assert format_number(float("-inf")) == "-inf"
+        assert format_number(np.float64("inf"), precision=5) == "inf"
         assert format_number(123456.0) == "123456"
         assert format_number(1.23e-7) == "1.23e-07"
         assert format_number("text") == "text"

@@ -127,6 +127,20 @@ class TestRunCommand:
         assert payload["spec"]["rounds"] == 5  # flag overrode the config
         assert len(payload["result"]["rounds"]) == 5
 
+    def test_an_infinite_error_prints_as_inf(self, tmp_path, capsys):
+        import json
+
+        # Values near 1e200 overflow the squared errors: the stddev is inf.
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "protocol": "push-sum-revert", "n_hosts": 50, "rounds": 4, "workload": "uniform",
+            "workload_params": {"low": 0, "high": 1e200},
+        }))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            exit_code = main(["run", "--config", str(config)])
+        assert exit_code == 0
+        assert "final error inf, plateau error inf" in capsys.readouterr().out
+
     def test_run_requires_a_protocol(self):
         with pytest.raises(SystemExit):
             main(["run", "--hosts", "10"])

@@ -45,9 +45,11 @@ class TestCutoffFunctions:
             scaled_cutoff(0.0)
 
     def test_no_decay_cutoff_is_huge_but_excludes_unheard(self):
+        from repro.core import cutoff
         from repro.sketches.counter_matrix import INFINITY
 
-        assert no_decay_cutoff(0) < INFINITY
+        assert cutoff.INFINITY == INFINITY  # the one sentinel, spelled out twice
+        assert no_decay_cutoff(0) == INFINITY - 1
         assert no_decay_cutoff(0) > 1e6
 
 

@@ -111,6 +111,8 @@ def test_an_agent_rounds_run_loads_no_kernel_driver():
     )
     assert "repro.simulator.engine" in loaded
     assert not loaded & KERNEL_DRIVER
+    # Nor any sketch module: a cutoff spells out the counter sentinel it needs.
+    assert not {name for name in loaded if name.startswith("repro.sketches")}
 
 
 def test_constructing_a_spec_loads_no_kernel_code():

@@ -177,16 +177,17 @@ class TestMassConservation:
         sim.run(30)
         # λ=0: no reversion, so the only mass movement out of the system is
         # loss.  The books must balance to float precision.
-        assert sim.mass_ledger.lost > 0.0
-        assert sim.mass_ledger.injected == pytest.approx(0.0, abs=1e-9)
-        remaining = sim._total_state_mass() + sim._in_flight.in_flight_mass
-        assert remaining == pytest.approx(N_HOSTS - sim.mass_ledger.lost, abs=1e-6)
+        at_hosts, in_flight, injected, lost = sim.mass_view()
+        assert lost > 0.0
+        assert injected == pytest.approx(0.0, abs=1e-9)
+        assert at_hosts == sim._total_state_mass()  # current between rounds
+        assert at_hosts + in_flight == pytest.approx(N_HOSTS - lost, abs=1e-6)
 
     def test_reversion_injects_mass_and_books_balance(self):
         sim = self._simulation(PushSumRevert(0.1), BernoulliLossNetwork(0.2))
         sim.run(30)  # the engine asserts the ledger internally every round
-        assert sim.mass_ledger.injected != 0.0
-        assert sim.mass_ledger.lost > 0.0
+        assert sim.mass_injected != 0.0
+        assert sim.mass_lost > 0.0
 
     def test_latency_and_failures_keep_the_books(self, lossy_latent_network):
         from repro.failures import CorrelatedFailure, FailureEvent
@@ -201,13 +202,13 @@ class TestMassConservation:
         # departed hosts still counts towards the host-side total.
         assert max(result.in_flight_per_round()) > 0
         remaining = sim._total_state_mass() + sim._in_flight.in_flight_mass
-        assert remaining == pytest.approx(N_HOSTS - sim.mass_ledger.lost, abs=1e-6)
+        assert remaining == pytest.approx(N_HOSTS - sim.mass_lost, abs=1e-6)
 
     def test_exchange_loss_never_destroys_mass(self):
         sim = self._simulation(PushSum(), BernoulliLossNetwork(0.5), mode="exchange")
         result = sim.run(25)
         assert result.total_lost() > 0  # exchanges were dropped...
-        assert sim.mass_ledger.lost == 0.0  # ...but atomically: no mass at risk
+        assert sim.mass_lost == 0.0  # ...but atomically: no mass at risk
         assert sim._total_state_mass() == pytest.approx(N_HOSTS, abs=1e-6)
 
     def test_vectorized_kernel_accounts_lost_mass(self):
@@ -275,13 +276,13 @@ class TestMassConservation:
             events = [GracefulDepartureEvent(round=10, model=UncorrelatedFailure(0.4))]
         sim = self._simulation(protocol, BernoulliLossNetwork(0.2), events=events)
         sim.run(30)  # the engine checks the ledger every round
-        assert sim.mass_ledger.lost > 0.0
+        assert sim.mass_lost > 0.0
         if case == "epoch-restart":
-            assert sim.mass_ledger.injected != 0.0
+            assert sim.mass_injected != 0.0
         elif case == "join":
-            assert sim.mass_ledger.injected == pytest.approx(12.0, abs=1e-9)
+            assert sim.mass_injected == pytest.approx(12.0, abs=1e-9)
         else:  # sign-off moves mass host → host: nothing minted, nothing dropped
-            assert sim.mass_ledger.injected == pytest.approx(0.0, abs=1e-9)
+            assert sim.mass_injected == pytest.approx(0.0, abs=1e-9)
             assert sim.result.rounds[-1].n_alive < N_HOSTS
 
     def test_recounts_per_round(self):
@@ -312,11 +313,91 @@ class TestMassConservation:
 
     def test_ledger_raises_on_imbalance(self):
         ledger = MassLedger()
-        ledger.open(100.0)
-        ledger.record_lost(10.0)
-        ledger.check(90.0, round_index=0)  # balanced
-        with pytest.raises(MassConservationError, match="round 3"):
-            ledger.check(95.0, round_index=3)
+        ledger.open((100.0, 0.0, 0.0, 0.0))
+        ledger.check((80.0, 10.0, 0.0, 10.0), round_index=0)  # balanced
+        ledger.check((97.0, 0.0, 7.0, 10.0), round_index=1)  # balanced
+        with pytest.raises(MassConservationError, match="round 3") as raised:
+            ledger.check((85.0, 10.0, 0.0, 10.0), round_index=3)
+        message = str(raised.value)
+        assert "initial 100.0" in message and "injected 0.0" in message
+        assert "lost 10.0" in message
+
+    def test_a_ledger_opened_mid_run_closes_on_later_views(self):
+        ledger = MassLedger()
+        ledger.open((60.0, 5.0, 3.0, 8.0))  # initial 70: the books so far
+        assert ledger.initial == 70.0
+        ledger.check((58.0, 9.0, 4.0, 7.0), round_index=0)
+        with pytest.raises(MassConservationError):
+            ledger.check((60.0, 5.0, 3.0, 9.0), round_index=1)
+
+
+
+class TestOneSetOfBooks:
+    """Every engine × backend pair keeps one set of mass books, ``mass_view()``, and a
+    traced ``round_end`` carries it: at hosts (stranded mass included) + in flight −
+    injected + lost stays the initial mass through loss, a failure, a join and an
+    everyone-leaves graceful departure."""
+
+    PAIRS = [("rounds", "agent"), ("rounds", "vectorized"),
+             ("events", "agent"), ("events", "vectorized")]
+
+    @staticmethod
+    def spec(engine, backend):
+        return ScenarioSpec(
+            protocol="push-sum-revert", protocol_params={"reversion": 0.1},
+            n_hosts=N_HOSTS, rounds=12, seed=5, mode="push", engine=engine, backend=backend,
+            network="bernoulli-loss", network_params={"p": 0.2},
+            events=(
+                {"event": "failure", "round": 3, "model": "uncorrelated", "fraction": 0.25},
+                {"event": "join", "round": 5, "count": 6},
+                {"event": "graceful-departure", "round": 9, "model": "uncorrelated",
+                 "fraction": 1.0},
+            ),
+        )
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_every_traced_round_end_closes_the_books(self, engine, backend):
+        from repro.obs import TraceRecorder
+        from repro.simulator.result import MASS_FIELDS
+
+        trace = TraceRecorder()
+        result = run_scenario(self.spec(engine, backend), probe=trace)
+        assert result.metadata["backend"] == backend
+        rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
+        assert len(rounds) == 12 and [r["n_alive"] for r in rounds][9:] == [0, 0, 0]
+        for record in rounds:
+            at_hosts, in_flight, injected, lost = (record[key] for key in MASS_FIELDS)
+            assert at_hosts + in_flight - injected + lost == pytest.approx(N_HOSTS, abs=1e-9)
+        last = rounds[-1]
+        # Something was lost; the joiners' unit weights are injected, and the
+        # last leavers' mass went out with them as a negative injection.
+        assert last["mass_lost"] > 0.0
+        assert rounds[5]["mass_injected"] - rounds[4]["mass_injected"] > 5.0
+        assert rounds[9]["mass_injected"] < rounds[8]["mass_injected"]
+        # What stays is the weight stranded at the failed hosts.
+        assert 0.0 < last["mass_at_hosts"] < N_HOSTS
+        assert not any(r["name"] == "mass_check" for r in trace.records if r["kind"] == "event")
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_a_planted_leak_still_raises(self, engine, backend, monkeypatch):
+        if backend == "agent":
+            integrate = PushSum.integrate
+
+            def leaky(self, state, payloads, rng):
+                integrate(self, state, payloads, rng)
+                state.weight *= 0.5
+
+            monkeypatch.setattr(PushSum, "integrate", leaky)
+        else:
+            land = VectorizedPushSumRevert._land
+
+            def leaky(self, state, targets, payload):
+                weight, total = payload
+                return land(self, state, targets, (weight * 0.5, total))
+
+            monkeypatch.setattr(VectorizedPushSumRevert, "_land", leaky)
+        with pytest.raises(MassConservationError):
+            run_scenario(self.spec(engine, backend))
 
 
 #: Every registered model, with the parameter sets whose batch plan is checked.
@@ -430,13 +511,13 @@ class TestPushRoundSendOrder:
         network = RecordedNetwork(0.3, high=2)
         sim = Simulation(protocol, UniformEnvironment(16), [1.0] * 16, seed=5, network=network)
         booked = []
-        record_lost = sim.mass_ledger.record_lost
+        record_lost = sim._record_lost_message
 
         def spy(mass):
             booked.append(mass)
             record_lost(mass)
 
-        sim.mass_ledger.record_lost = spy
+        sim._record_lost_message = spy
         sim.run(12)
         in_flight = {
             message.payload[:3] for due in sim._in_flight._pending.values() for message in due

@@ -227,10 +227,12 @@ class TestEngineInstrumentation:
         # Churn rounds 3..7 emit a fail (and two joins) each.
         actions = {r["action"] for r in by_name["membership"]}
         assert actions == {"fail", "join"}
-        assert {"round", "at_hosts", "in_flight"} <= set(by_name["mass_check"][0])
-        # round_end carries the per-round counter schema the report renders.
+        assert "mass_check" not in by_name
+        # round_end carries the per-round counter schema the report renders,
+        # and the mass books of a run that keeps a ledger.
         assert {"round", "n_alive", "max_abs_error", "messages_delivered",
-                "messages_lost", "bytes_sent"} <= set(by_name["round_end"][0])
+                "messages_lost", "bytes_sent", "mass_at_hosts", "mass_in_flight",
+                "mass_injected", "mass_lost"} <= set(by_name["round_end"][0])
 
     def test_vectorized_kernel_phase_spans(self):
         trace = TraceRecorder()
@@ -574,6 +576,39 @@ class TestObsReport:
     def test_empty_trace(self):
         assert render_report([]) == "(empty trace)"
 
+    def test_report_prints_the_plan_and_the_mass_drift(self):
+        records = self._trace().records
+        (plan,) = [r for r in records if r["kind"] == "event" and r["name"] == "plan"]
+        assert {key: plan[key] for key in ("engine", "backend", "on_calendar", "rejections")} == {
+            "engine": "rounds", "backend": "vectorized", "on_calendar": False, "rejections": [],
+        }
+        text = render_report(records)
+        assert text.splitlines()[0] == (
+            "plan: engine=rounds backend=vectorized on_calendar=False rejections=none"
+        )
+        lines = text[text.index("Per-round counters"):].splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        assert header[-1] == "mass_drift" and "mass_lost" in header
+        drift = [float(line.split("|")[-1]) for line in lines[3:]]
+        assert len(drift) == 12 and drift[0] == 0.0
+        assert max(map(abs, drift)) < 1e-9
+
+    def test_mass_drift_is_per_run_and_plans_are_counted(self):
+        def round_end(t, at_hosts, lost):
+            return {"kind": "event", "name": "round_end", "round": t, "mass_at_hosts": at_hosts,
+                    "mass_in_flight": 1.0, "mass_injected": 0.0, "mass_lost": lost}
+
+        plan = {"kind": "event", "name": "plan", "engine": "events", "backend": "agent",
+                "on_calendar": True, "rejections": ["latency", "ring"]}
+        records = [plan, round_end(0, 9.0, 0.0), round_end(1, 7.5, 1.0),
+                   plan, round_end(0, 19.0, 0.0), round_end(1, 18.0, 1.0)]
+        text = render_report(records)
+        assert text.splitlines()[0] == (
+            "plan: engine=events backend=agent on_calendar=True rejections=latency,ring (2 runs)"
+        )
+        lines = text[text.index("Per-round counters"):].splitlines()
+        assert [line.split("|")[-1].strip() for line in lines[3:]] == ["0", "-0.500", "0", "0"]
+
 
 class TestStoreInstrumentation:
     def test_hit_miss_counts_and_blob_spans(self, tmp_path):
@@ -601,6 +636,9 @@ class TestStoreInstrumentation:
         outcomes = [r["outcome"] for r in trace.records
                     if r["kind"] == "event" and r["name"] == "store"]
         assert outcomes == ["miss", "hit"]
+        # Only the miss resolves a plan and runs it.
+        plans = [r for r in trace.records if r["kind"] == "event" and r["name"] == "plan"]
+        assert len(plans) == 1
         counts = [r for r in trace.records if r["kind"] == "count"]
         # Counter stream stays single-sourced (no double counting when the
         # same probe rides both the store and run_with_backend).

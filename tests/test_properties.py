@@ -1327,23 +1327,22 @@ class TestKernelCachesSurviveAnyCallSequence:
     ):
         """``estimates()`` and ``truth()`` equal their from-scratch values after any call,
         read-only and untouched by later calls; the live block's estimates the kernel
-        holds for the epoch are what it would gather; and the mass books close as the
-        driver keeps them: a membership call booked at the live weight it moves, the
-        kernel's own reverts and losses read off ``mass_view()``."""
+        holds for the epoch are what it would gather; no call moves a dead row's weight;
+        and ``mass_view()`` alone closes the books, membership calls included."""
         spec = dict(overrides)
         protocol = spec.pop("protocol", "push-sum-revert")
         params = {"reversion": reversion, **spec.pop("protocol_params", {})}
         kernel = self._kernel(protocol, seed, protocol_params=params, **spec)
         in_flight, held = [], []
-        initial, moved = kernel.mass_view()[0], 0.0
+        initial = kernel.mass_view()[0]
         for call in calls:
-            before = kernel.mass_view()[0]
+            dead = np.nonzero(~kernel.alive)[0]
+            stranded = kernel.weight[dead].copy()
             if not _apply(kernel, in_flight, *call):
                 continue
+            assert np.array_equal(kernel.weight[dead], stranded), call  # dead rows are frozen
             at_hosts, in_flight_mass, injected, lost = kernel.mass_view()
-            if call[0] not in ("step", "step_subset", "deliver"):
-                moved += at_hosts - before  # what KernelRun.membership books
-            expected = initial + moved + injected - lost
+            expected = initial + injected - lost
             assert at_hosts + in_flight_mass == pytest.approx(expected, rel=1e-9, abs=1e-9), call
             live = np.nonzero(kernel.alive)[0]
             for estimates, bits in held:  # every earlier answer, unchanged by this call

@@ -586,10 +586,10 @@ class TestKernelMembership:
         kernel = VectorizedPushSumRevert([1.0, 2.0], 0.0, seed=0)
         kernel.depart_gracefully([0, 1])
         assert int(kernel.alive.sum()) == 0
-        # The mass leaves with the leavers, like a silent failure's: it drops out of
-        # the live weight (which the driver books around the event) and is no lost
-        # message, so the ledger does not count it twice.
-        assert kernel.mass_view() == (0.0, 0.0, 0.0, 0.0)
+        # The mass leaves with the leavers, as the agent's sign-off drops it: the
+        # kernel books it as a negative injection and as no lost message, so the
+        # view alone closes the books.
+        assert kernel.mass_view() == (0.0, 0.0, -2.0, 0.0)
 
     @pytest.mark.parametrize("mode", ["push", "full-transfer"])
     def test_a_massless_row_on_the_live_block_keeps_its_last_estimate(self, mode):
