@@ -19,7 +19,8 @@ to ``kernel.deliver`` (the calendar protocol, DESIGN.md §14) — what a message
 is, what it weighs and what a dead endpoint costs is the kernel's business.
 The mass ledger balances per bucket (or per sample), never per event,
 on the kernel's read-only ``mass_view()`` — the kernel's own books, joins
-and departures included, so the driver books nothing itself.
+and departures included, so the driver books nothing itself.  A massless
+kernel's view is ``None``, and its run keeps no ledger.
 
 ``engine="rounds"`` is the same loop configured as the degenerate
 calendar: one bucket per sample, every host ticking in every bucket.  Over
@@ -157,9 +158,12 @@ class KernelRun:
         #: (bucket, at_edge) -> the kernel's ``(kind, *arrays)`` batches maturing there.
         self.pending: Dict[Tuple[int, bool], List[tuple]] = {}
         self.ledger: Optional[MassLedger] = None
-        if self.mass_check != "off":
+        opening = kernel.mass_view()
+        if opening is None:  # massless: no books, as the agent keeps none for its protocol
+            self.mass_check = "off"
+        elif self.mass_check != "off":
             self.ledger = MassLedger()
-            self.ledger.open(kernel.mass_view())
+            self.ledger.open(opening)
 
     # ---------------------------------------------------------------- the loop
     def run(self) -> SimulationResult:

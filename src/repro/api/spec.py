@@ -59,7 +59,6 @@ __all__ = ["ScenarioSpec", "run_scenario", "NAMED_CUTOFFS"]
 NAMED_CUTOFFS: Dict[str, Any] = {
     "default": default_cutoff,
     "off": no_decay_cutoff,
-    "none": no_decay_cutoff,
     "slow": scaled_cutoff(2.0),
 }
 

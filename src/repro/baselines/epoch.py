@@ -18,7 +18,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.push_sum import MassState, PushSum
+from repro.baselines.push_sum import WEIGHT_EPSILON, MassState, PushSum
 
 __all__ = ["EpochPushSum", "EpochState"]
 
@@ -50,8 +50,7 @@ class EpochPushSum(PushSum):
     name = "epoch-push-sum"
     aggregate = "average"
 
-    def __init__(self, epoch_length: int = 15, max_offset: int = 0, weight_epsilon: float = 1e-12):
-        super().__init__(weight_epsilon=weight_epsilon)
+    def __init__(self, epoch_length: int = 15, max_offset: int = 0):
         if epoch_length < 1:
             raise ValueError("epoch_length must be >= 1")
         if max_offset < 0:
@@ -82,7 +81,7 @@ class EpochPushSum(PushSum):
         epoch = (round_index + state.epoch_offset) // self.epoch_length
         if epoch != state.current_epoch:
             # Freeze the estimate the finished epoch reached, then restart.
-            if state.mass.weight > self.weight_epsilon:
+            if state.mass.weight > WEIGHT_EPSILON:
                 state.reported_estimate = state.mass.total / state.mass.weight
             state.mass.weight = 1.0
             state.mass.total = state.mass.initial_value

@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.simulator.protocol import ExchangeProtocol
 
-__all__ = ["MassState", "PushSum"]
+__all__ = ["MassState", "PushSum", "WEIGHT_EPSILON"]
+
+#: A weight at most this is "no mass": the host keeps its last estimate.  The
+#: agent protocols and the Push-Sum kernel (:mod:`repro.simulator.push_sum_kernel`)
+#: both read it.
+WEIGHT_EPSILON = 1e-12
 
 
 @dataclass
@@ -58,21 +63,13 @@ class MassState:
 class PushSum(ExchangeProtocol):
     """Kempe et al.'s Push-Sum averaging (Figure 1 of the paper).
 
-    Parameters
-    ----------
-    weight_epsilon:
-        Weights below this threshold are treated as "no mass": the host
-        reports its last well-defined estimate instead of dividing by ~0.
+    A host whose weight is at most :data:`WEIGHT_EPSILON` holds "no mass":
+    it reports its last well-defined estimate instead of dividing by ~0.
     """
 
     name = "push-sum"
     aggregate = "average"
     fanout = 1
-
-    def __init__(self, weight_epsilon: float = 1e-12):
-        if weight_epsilon <= 0:
-            raise ValueError("weight_epsilon must be positive")
-        self.weight_epsilon = float(weight_epsilon)
 
     # ------------------------------------------------------------------ state
     def create_state(self, host_id: int, value: float, rng: np.random.Generator) -> MassState:
@@ -137,11 +134,11 @@ class PushSum(ExchangeProtocol):
 
     # -------------------------------------------------------------- estimates
     def _refresh_estimate(self, state: MassState) -> None:
-        if state.weight > self.weight_epsilon:
+        if state.weight > WEIGHT_EPSILON:
             state.last_estimate = state.total / state.weight
 
     def estimate(self, state: MassState) -> float:
-        if state.weight > self.weight_epsilon:
+        if state.weight > WEIGHT_EPSILON:
             return state.total / state.weight
         return state.last_estimate
 

@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.push_sum import MassState
+from repro.baselines.push_sum import WEIGHT_EPSILON, MassState
 from repro.core.push_sum_revert import PushSumRevert
 
 __all__ = ["FullTransferPushSumRevert"]
@@ -65,9 +65,8 @@ class FullTransferPushSumRevert(PushSumRevert):
         parcels: int = 4,
         history: int = 3,
         adaptive: bool = False,
-        weight_epsilon: float = 1e-12,
     ):
-        super().__init__(reversion, adaptive=adaptive, weight_epsilon=weight_epsilon)
+        super().__init__(reversion, adaptive=adaptive)
         if parcels < 1:
             raise ValueError("parcels must be >= 1")
         if history < 1:
@@ -115,7 +114,7 @@ class FullTransferPushSumRevert(PushSumRevert):
         # out (Figure 4 folds it into the message), so none here.  Record
         # the round's imported mass for the windowed estimator, skipping
         # rounds in which no mass arrived (as the paper prescribes).
-        if state.weight > self.weight_epsilon:
+        if state.weight > WEIGHT_EPSILON:
             state.history.append((state.weight, state.total))
             if len(state.history) > self.history:
                 del state.history[: len(state.history) - self.history]
@@ -126,7 +125,7 @@ class FullTransferPushSumRevert(PushSumRevert):
         if state.history:
             weight_sum = sum(weight for weight, _ in state.history)
             total_sum = sum(total for _, total in state.history)
-            if weight_sum > self.weight_epsilon:
+            if weight_sum > WEIGHT_EPSILON:
                 return total_sum / weight_sum
         return super().estimate(state)
 

@@ -35,7 +35,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.push_sum import MassState, PushSum
+from repro.baselines.push_sum import WEIGHT_EPSILON, MassState, PushSum
 
 __all__ = ["PushSumRevert"]
 
@@ -51,22 +51,12 @@ class PushSumRevert(PushSum):
     adaptive:
         Apply λ/2 per received message instead of a fixed λ per round
         (Section III-A's indegree-adaptive variant).
-    weight_epsilon:
-        Threshold below which a host is considered massless (it then reports
-        its last well-defined estimate).
     """
 
     name = "push-sum-revert"
     aggregate = "average"
 
-    def __init__(
-        self,
-        reversion: float = 0.01,
-        *,
-        adaptive: bool = False,
-        weight_epsilon: float = 1e-12,
-    ):
-        super().__init__(weight_epsilon=weight_epsilon)
+    def __init__(self, reversion: float = 0.01, *, adaptive: bool = False):
         if not 0.0 <= reversion <= 1.0:
             raise ValueError(f"reversion constant must be in [0, 1], got {reversion}")
         self.reversion = float(reversion)
@@ -90,7 +80,7 @@ class PushSumRevert(PushSum):
                 lam = self._effective_lambda(received_count)
             state.weight = lam + (1.0 - lam) * state.weight
             state.total = lam * state.initial_value + (1.0 - lam) * state.total
-        if state.weight > self.weight_epsilon:
+        if state.weight > WEIGHT_EPSILON:
             state.last_estimate = state.total / state.weight
 
     # ------------------------------------------------------------- exchange

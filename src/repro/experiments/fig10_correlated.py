@@ -90,8 +90,8 @@ def run_fig10(
     Panel (b) is the same scenario on the ``push-sum-revert-full-transfer``
     protocol (push mode, ``parcels`` parcels, ``history`` rounds).  An
     optional :class:`repro.store.ResultStore` makes regeneration
-    incremental — touching one protocol re-runs only the curves whose code
-    fingerprint changed.
+    incremental — an unchanged checkout serves every curve from the store,
+    and any edit to the package re-runs them all.
     """
     failure_round, failure_fraction = failure_of(spec)
     result = Fig10Result(

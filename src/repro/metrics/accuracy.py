@@ -50,8 +50,10 @@ def error_statistics(
     deltas = estimates - truths
     # The reductions behind np.mean / np.max, minus their Python wrappers:
     # the same pairwise sums and the same division, so the same bits.  The
-    # stddev is taken first, so the magnitudes can overwrite the deltas.
-    stddev = float(np.sqrt(np.add.reduce(deltas * deltas) / n))
+    # stddev is taken first, so the magnitudes can overwrite the deltas.  A
+    # delta beyond ~1e154 squares to inf, which is the right stddev: no warning.
+    with np.errstate(over="ignore"):
+        stddev = float(np.sqrt(np.add.reduce(deltas * deltas) / n))
     magnitudes = np.abs(deltas, out=deltas)
     return ErrorStatistics(
         stddev,

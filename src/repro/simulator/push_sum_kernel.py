@@ -6,6 +6,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.push_sum import WEIGHT_EPSILON
 from repro.obs.probe import NULL_PROBE
 from repro.simulator.vectorized import _ValueKernel
 
@@ -121,11 +122,11 @@ class VectorizedPushSumRevert(_ValueKernel):
         if self._fixed_revert:
             self._revert_block(hosts, weight, total, self.reversion)
         everyone = hosts.size == self.n
-        if weight.size and weight.min() > 1e-12:  # (a NaN weight fails this too)
+        if weight.size and weight.min() > WEIGHT_EPSILON:  # (a NaN weight fails this too)
             estimate = np.divide(total, weight, out=self._last_estimate if everyone else None)
         else:
             estimate = self._last_estimate if everyone else self._last_estimate[hosts]
-            np.divide(total, weight, out=estimate, where=weight > 1e-12)
+            np.divide(total, weight, out=estimate, where=weight > WEIGHT_EPSILON)
         self._estimates = None
         if not everyone:
             self._last_estimate[hosts] = estimate
@@ -150,7 +151,7 @@ class VectorizedPushSumRevert(_ValueKernel):
         """
         self._estimates = None
         weight, total = (self.weight[hosts[0]], self.total[hosts[0]]) if rows is None else rows
-        has_weight = weight > 1e-12
+        has_weight = weight > WEIGHT_EPSILON
         if not has_weight.all():
             hosts = [index[has_weight] for index in hosts]
             weight, total = weight[has_weight], total[has_weight]
@@ -224,7 +225,7 @@ class VectorizedPushSumRevert(_ValueKernel):
             self.bytes_sent += self._message_bytes * int(np.count_nonzero(targets != ranks))
             self._land(block, *self._lose(targets, parcels))
         # Record this round in the history of hosts that received any mass.
-        received = (weight > 1e-12).nonzero()[0]
+        received = (weight > WEIGHT_EPSILON).nonzero()[0]
         if received.size:
             idx = received if k == self.n else hosts[received]
             self._history_weight[idx, 1:] = self._history_weight[idx, :-1]
@@ -332,7 +333,7 @@ class VectorizedPushSumRevert(_ValueKernel):
             weight_sum = self._history_weight[alive_idx].sum(axis=1)
             total_sum = self._history_total[alive_idx].sum(axis=1)
             estimates = np.where(
-                weight_sum > 1e-12, total_sum / np.maximum(weight_sum, 1e-300),
+                weight_sum > WEIGHT_EPSILON, total_sum / np.maximum(weight_sum, 1e-300),
                 self._last_estimate[alive_idx],
             )
         elif alive_idx.size == self.n:

@@ -193,7 +193,7 @@ class _CountingKernel(_VectorizedKernel):
     under an idempotent ufunc.  A round pushes every live sketch to one drawn target
     and, with ``pull``, sends the target's back (:func:`_merge_rows`); on the calendar
     ``pull`` makes a tick one atomic exchange, and a deferred push carries a copy of
-    the sender's row.  Massless: the default, all-zero ``mass_view()`` is exact."""
+    the sender's row.  Massless: ``mass_view()`` is ``None``, so a run keeps no ledger."""
 
     aggregate = "count"
     pull: bool

@@ -469,13 +469,14 @@ class _VectorizedKernel:
                 rest = (~take).nonzero()[0]
                 left, right = left[rest], right[rest]
 
-    def mass_view(self) -> Tuple[float, float, float, float]:
+    def mass_view(self) -> Optional[Tuple[float, float, float, float]]:
         """``(at_hosts, in_flight, injected, lost)``: the ledger's read-only view.
 
-        An idempotent, massless merge conserves nothing, so by default all four
-        are zero and the ledger trivially balances.
+        ``None`` for an idempotent, massless merge, which conserves nothing: a
+        run over such a kernel keeps no ledger, as the agent engines keep none
+        for a protocol whose ``state_mass`` is ``None``.
         """
-        return 0.0, 0.0, 0.0, 0.0
+        return None
 
     def step_many(self, rounds: int) -> None:
         """Execute several rounds."""

@@ -13,11 +13,12 @@ computed twice:
 >>> cold = run_scenario(spec, store=store)       # doctest: +SKIP  (executes)
 >>> warm = run_scenario(spec, store=store)       # doctest: +SKIP  (cache hit)
 
-Invalidation is versioned twice over: a store schema version
-(:data:`STORE_SCHEMA_VERSION`) guards the payload layout, and a
-per-protocol code fingerprint (:func:`code_fingerprint`) guards the
-simulation code itself — editing a protocol or the engine turns exactly
-the affected entries into misses.  :class:`~repro.api.sweep.SweepRunner`
+Invalidation has two guards: a store schema version
+(:data:`STORE_SCHEMA_VERSION`) guards the payload layout, and a code
+fingerprint (:func:`code_fingerprint`) — every ``.py`` file of the
+``repro`` package, the protocol's name and an out-of-package protocol's
+module — guards the code, so editing any file of the package turns every
+entry into a miss.  :class:`~repro.api.sweep.SweepRunner`
 builds incremental, resumable grid execution on top (see DESIGN.md §9).
 """
 

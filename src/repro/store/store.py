@@ -9,8 +9,8 @@ canonical hash (:meth:`~repro.api.spec.ScenarioSpec.key`) to the full
         index-v2.db       # sqlite: one row per cached result, payload included
         index-v2.db-wal   # sqlite's write-ahead log (and -shm) while a handle is open
 
-Each row carries the store schema version and the per-protocol code
-fingerprint (:mod:`repro.store.fingerprint`) recorded at ``put`` time
+Each row carries the store schema version and the code fingerprint
+(:mod:`repro.store.fingerprint`) recorded at ``put`` time
 beside the zlib-compressed payload.  A mismatch on either is treated as a
 miss and the stale entry is dropped, so a store can never serve a result
 produced by older code or an older payload layout.  A write is one sqlite

@@ -751,8 +751,11 @@ class TestEagerBackendValidation:
             ScenarioSpec(**self.base_kwargs(protocol="extrema-gossip", mode="push"))
 
     def test_unknown_kernel_parameter_rejected(self):
-        with pytest.raises(ValueError, match="weight_epsilon"):
-            ScenarioSpec(**self.base_kwargs(protocol_params={"weight_epsilon": 1e-9}))
+        with pytest.raises(ValueError, match="value_as_identifiers"):
+            ScenarioSpec(**self.base_kwargs(
+                protocol="sketch-count", workload="constant",
+                protocol_params={"value_as_identifiers": True},
+            ))
 
     def test_unvectorised_failure_model_rejected(self):
         with pytest.raises(ValueError, match="failure model 'bernoulli' is not vectorised"):

@@ -73,10 +73,6 @@ class TestPushSumUnit:
         protocol.rebase(state, 5.0)
         assert state.initial_value == 5.0
 
-    def test_invalid_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            PushSum(weight_epsilon=0.0)
-
 
 class TestSketchCountProtocol:
     def test_counting_state_registers_one_identifier(self, rng):

@@ -31,6 +31,23 @@ class TestAccuracy:
         assert error_statistics([6.0, 6.0], 4.0) == (2.0, 2.0, 2.0, 6.0)
         assert error_statistics([4.0, 4.0, 4.0], 4.0) == (0.0, 0.0, 0.0, 4.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_delta_whose_square_overflows_scores_inf_without_a_warning(self):
+        stats = error_statistics([0.0, 1e200], 5e199)
+        assert stats.stddev_error == math.inf
+        assert stats[1:] == (5e199, 5e199, 5e199)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["agent", "vectorized"])
+    def test_a_run_over_huge_values_scores_without_a_warning(self, backend):
+        from repro.api import ScenarioSpec, run_scenario
+
+        result = run_scenario(ScenarioSpec(
+            protocol="push-sum-revert", n_hosts=50, rounds=4, backend=backend,
+            workload="uniform", workload_params={"low": 0, "high": 1e200},
+        ))
+        assert result.rounds[-1].stddev_error == math.inf
+
     def test_group_relative_errors(self):
         # Hosts 0 and 1 form one group, host 2 its own: each is scored
         # against its own group's aggregate.

@@ -399,6 +399,25 @@ class TestOneSetOfBooks:
         with pytest.raises(MassConservationError):
             run_scenario(self.spec(engine, backend))
 
+    @pytest.mark.parametrize("protocol", ["count-sketch-reset", "sketch-count", "extrema-gossip"])
+    @pytest.mark.parametrize("backend", ["agent", "vectorized"])
+    def test_a_massless_protocol_keeps_no_books(self, protocol, backend):
+        # The agent keeps no ledger for a protocol without a conserved mass,
+        # and neither does its kernel: no traced round_end carries mass fields.
+        from repro.obs import TraceRecorder
+        from repro.simulator.result import MASS_FIELDS
+
+        trace = TraceRecorder()
+        spec = ScenarioSpec(
+            protocol=protocol, n_hosts=N_HOSTS, rounds=6, seed=5, mode="exchange",
+            workload="constant", backend=backend,
+            network="bernoulli-loss", network_params={"p": 0.2},
+        )
+        assert run_scenario(spec, probe=trace).metadata["backend"] == backend
+        rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
+        assert len(rounds) == 6
+        assert not any(key in record for record in rounds for key in MASS_FIELDS)
+
 
 #: Every registered model, with the parameter sets whose batch plan is checked.
 PLAN_MANY_CONFIGS = [

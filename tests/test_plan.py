@@ -103,8 +103,9 @@ ROUNDS_REJECTIONS = [
         "mode", "only vectorised in mode", id="unsupported-mode",
     ),
     pytest.param(
-        dict(protocol_params={"weight_epsilon": 1e-9}),
-        "protocol", "weight_epsilon", id="unknown-kernel-parameter",
+        dict(protocol="sketch-count", workload="constant",
+             protocol_params={"value_as_identifiers": True}),
+        "protocol", "value_as_identifiers", id="unknown-kernel-parameter",
     ),
     pytest.param(
         dict(protocol="push-sum-revert-full-transfer", network="latency", mode="push",

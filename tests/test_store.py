@@ -1,5 +1,6 @@
 """Tests for the content-addressed result store and incremental sweeps."""
 
+import contextlib
 import glob
 import gzip
 import inspect
@@ -35,6 +36,30 @@ def small_spec(**overrides):
 def payload_json(result):
     """The result's canonical serialised form (bit-identity comparisons)."""
     return json.dumps(result.to_payload(), sort_keys=True)
+
+
+@contextlib.contextmanager
+def edited_sources(relative):
+    """Within the block the fingerprint reads ``relative`` (a path inside the
+    ``repro`` package) with one comment appended, as if the file were edited."""
+    from repro.store import fingerprint as fingerprint_module
+
+    real_read = fingerprint_module._read
+    suffix = os.sep + os.path.join("repro", *relative.split("/"))
+
+    def edited(path):
+        data = real_read(path)
+        return data + b"\n# edited" if path.endswith(suffix) else data
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fingerprint_module, "_read", edited)
+        fingerprint_module.clear_fingerprint_cache()
+        try:
+            yield
+        finally:
+            patch.undo()
+            # Drop the digests memoised from the tampered sources.
+            fingerprint_module.clear_fingerprint_cache()
 
 
 @pytest.fixture
@@ -207,36 +232,121 @@ class TestResultStore:
         assert code_fingerprint("push-sum-revert") != code_fingerprint("extrema-gossip")
         assert code_fingerprint("push-sum-revert") == code_fingerprint("push-sum-revert")
 
-    def test_fingerprint_chases_protocol_composition(self):
+    def test_editing_a_building_block_invalidates_the_composite(self):
         # invert-average composes push-sum-revert and the counting sketch
-        # across both protocol packages; its fingerprint must cover them so
-        # editing a building block invalidates the composite's entries.
-        from repro.store.fingerprint import _protocol_closure
+        # across both protocol packages; editing a building block must change
+        # the composite's fingerprint, so its entries turn into misses.
+        before = code_fingerprint("invert-average")
+        for block in ("core/push_sum_revert.py", "baselines/push_sum.py"):
+            with edited_sources(block):
+                assert code_fingerprint("invert-average") != before, block
+        assert code_fingerprint("invert-average") == before
 
-        names = [name for name, _path in _protocol_closure("repro.core.invert_average")]
-        assert "repro.core.invert_average" in names
-        assert "repro.core.push_sum_revert" in names
-        assert "repro.baselines.push_sum" in names
-
-    def test_fingerprint_chases_the_lazy_package_exports(self):
+    def test_every_lazy_export_is_in_the_fingerprint(self):
         # ``from repro.core import X`` imports the package, whose __init__
-        # names X's module in its lazy-export table rather than importing it.
-        from repro.store.fingerprint import _protocol_closure
+        # names X's module in its lazy-export table rather than importing it;
+        # every module such a table names must be hashed all the same.
+        import importlib
+        import pkgutil
 
-        names = [name for name, _path in _protocol_closure("repro.core")]
-        assert "repro.core.push_sum_revert" in names
-        assert "repro.baselines.push_sum" in names
+        import repro
+        from repro.store.fingerprint import _package_sources
 
-    def test_every_kernel_source_is_in_the_shared_fingerprint(self):
+        hashed = {os.path.realpath(path) for _name, path in _package_sources()}
+        for package in pkgutil.iter_modules(repro.__path__, "repro."):
+            if not package.ispkg:
+                continue
+            module = importlib.import_module(package.name)
+            for name in module.__all__:
+                owner = inspect.getmodule(getattr(module, name))
+                if owner is not None and owner.__name__.startswith("repro."):
+                    assert os.path.realpath(owner.__file__) in hashed, (package.name, name)
+
+    def test_every_kernel_source_is_in_the_fingerprint(self):
         # A kernel module outside the hashed files would let a cached result
         # survive an edit to the kernel that produced it.
         from repro.simulator.kernels import KERNELS
-        from repro.store.fingerprint import _shared_digest_material
+        from repro.store.fingerprint import _package_sources
 
-        hashed = {os.path.realpath(path) for _name, path in _shared_digest_material()}
+        hashed = {os.path.realpath(path) for _name, path in _package_sources()}
         for name, declaration in KERNELS.items():
             source = inspect.getsourcefile(declaration.kernel_class())
             assert os.path.realpath(source) in hashed, name
+
+    def test_every_module_a_run_loads_is_in_the_fingerprint(self):
+        # A fresh interpreter runs the agent and the kernel, each on rounds
+        # and on events; every repro module it then holds must be hashed, or
+        # an edit to it would leave a stale result a hit.
+        import repro
+
+        code = (
+            "import json, os, sys\n"
+            "from repro.api import ScenarioSpec, run_scenario\n"
+            "from repro.store.fingerprint import _package_sources\n"
+            "for engine in ('rounds', 'events'):\n"
+            "    for backend in ('agent', 'vectorized'):\n"
+            "        spec = ScenarioSpec(protocol='push-sum-revert', n_hosts=32, rounds=4,\n"
+            "                            mode='push', engine=engine, backend=backend)\n"
+            "        assert run_scenario(spec).metadata['backend'] == backend\n"
+            "hashed = {os.path.realpath(path) for _name, path in _package_sources()}\n"
+            "loaded = {name: os.path.realpath(module.__file__) for name, module\n"
+            "          in list(sys.modules.items()) if name.split('.')[0] == 'repro'\n"
+            "          and getattr(module, '__file__', None)}\n"
+            "print(json.dumps({'loaded': len(loaded),\n"
+            "                  'missing': sorted(n for n, p in loaded.items() if p not in hashed)}))\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        assert report["loaded"] > 20
+        assert report["missing"] == []
+
+    @pytest.mark.parametrize("module", ["metrics/accuracy.py", "api/kernel_run.py"])
+    def test_editing_the_scorer_or_the_kernel_driver_invalidates(self, store, monkeypatch, module):
+        spec = small_spec(backend="vectorized")
+        run_scenario(spec, store=store)
+        assert store.get(spec) is not None
+        with edited_sources(module):
+            assert store.get(spec) is None
+            assert len(store) == 0
+
+    def test_editing_an_external_protocol_module_changes_its_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        # A protocol registered from outside the package is hashed by its
+        # defining module's source.
+        import importlib.util
+
+        from repro.api.registry import PROTOCOLS
+        from repro.store import clear_fingerprint_cache
+
+        module_path = tmp_path / "fingerprint_external_protocol.py"
+        module_path.write_text(
+            "from repro.baselines.push_sum import PushSum\n\n\n"
+            "class ExternalPushSum(PushSum):\n"
+            "    name = 'external-push-sum'\n"
+        )
+        loader = importlib.util.spec_from_file_location(module_path.stem, module_path)
+        module = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(module)
+        # Registered, as an imported module is, so ``inspect.getmodule`` finds it.
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        monkeypatch.setitem(PROTOCOLS._entries, "external-push-sum", module.ExternalPushSum)
+        try:
+            before = code_fingerprint("external-push-sum")
+            assert before != code_fingerprint("push-sum")
+            with open(module_path, "a") as handle:
+                handle.write("# edited\n")
+            assert code_fingerprint("external-push-sum") == before  # memoised per process
+            clear_fingerprint_cache()
+            assert code_fingerprint("external-push-sum") != before
+        finally:
+            clear_fingerprint_cache()
 
     def test_editing_the_event_engine_invalidates_cached_results(self, store, monkeypatch):
         # repro.events is part of the shared fingerprint: a cached result
@@ -244,7 +354,8 @@ class TestResultStore:
         # modules must turn every hit into a miss.
         from repro.store import fingerprint as fingerprint_module
 
-        assert "repro.events" in fingerprint_module._SHARED_PACKAGES
+        events_dir = os.path.join("repro", "events") + os.sep
+        assert any(events_dir in path for _name, path in fingerprint_module._package_sources())
 
         spec = small_spec(
             engine="events", backend="agent",
