@@ -57,7 +57,6 @@ def edited_sources(relative):
         try:
             yield
         finally:
-            patch.undo()
             # Drop the digests memoised from the tampered sources.
             fingerprint_module.clear_fingerprint_cache()
 
@@ -307,7 +306,7 @@ class TestResultStore:
         assert report["missing"] == []
 
     @pytest.mark.parametrize("module", ["metrics/accuracy.py", "api/kernel_run.py"])
-    def test_editing_the_scorer_or_the_kernel_driver_invalidates(self, store, monkeypatch, module):
+    def test_editing_the_scorer_or_the_kernel_driver_invalidates(self, store, module):
         spec = small_spec(backend="vectorized")
         run_scenario(spec, store=store)
         assert store.get(spec) is not None
