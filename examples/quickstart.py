@@ -34,10 +34,10 @@ This script walks through the library's core workflow both ways:
    contact trace replays as a time-varying CSR with group-relative error
    (DESIGN.md §12) — both still at kernel speed under ``backend="auto"``;
 9. watch a run from the inside: attach a :class:`repro.TraceRecorder`
-   and a :class:`repro.MetricsRegistry` (``repro.obs``, DESIGN.md §13)
-   to the churn scenario, prove the instrumented run is bit-identical to
-   the bare one, and render the recorded phase-time/per-round breakdown
-   — the CLI equivalents are ``run --trace out.jsonl --metrics`` and
+   (``repro.obs``, DESIGN.md §13) to the churn scenario, prove the
+   instrumented run is bit-identical to the bare one, and render the
+   recorded phase-time/per-round breakdown — the CLI equivalents are
+   ``run --trace out.jsonl --metrics`` and
    ``repro-aggregate obs report out.jsonl``;
 10. scale the asynchronous scenario to n = 10⁴ on the *bucketed
     vectorised calendar* (``repro.api.kernel_run``, DESIGN.md §14):
@@ -60,8 +60,6 @@ import time
 from repro import (
     CorrelatedFailure,
     FailureEvent,
-    MetricsRegistry,
-    MultiProbe,
     PushSumRevert,
     ResultStore,
     ScenarioSpec,
@@ -289,8 +287,7 @@ def main() -> None:
     # `repro-aggregate run --config … --trace out.jsonl --metrics` and
     # `repro-aggregate obs report out.jsonl`.
     trace = TraceRecorder()
-    metrics = MetricsRegistry()
-    traced = run_scenario(churning, probe=MultiProbe(trace, metrics))
+    traced = run_scenario(churning, probe=trace)
     assert traced.to_payload() == churned.to_payload(), "probes must not change results"
     print(
         f"\nObservability: the traced churn run recorded {len(trace)} structured "

@@ -35,13 +35,12 @@ In-Network Aggregation* (Kennedy, Koch, Demers; ICDE 2009).  It provides:
   delays through an in-flight delivery queue) models, with per-round
   mass-conservation assertions for the Push-Sum family (DESIGN.md §8);
 * an observability layer (``repro.obs``, DESIGN.md §13) — pass
-  ``run_scenario(spec, probe=TraceRecorder("out.jsonl"))`` (or a
-  :class:`~repro.obs.MetricsRegistry`, or both via
-  :class:`~repro.obs.MultiProbe`) to record phase spans, per-round
-  counters and store hits/misses from any engine or backend; render a
-  recorded trace with ``repro-aggregate obs report out.jsonl``.  The
-  default is a zero-cost null probe, and probes never touch the RNG
-  streams, so instrumented runs stay bit-identical.
+  ``run_scenario(spec, probe=TraceRecorder("out.jsonl"))`` to record phase
+  spans, per-round counters and store hits/misses from any engine or
+  backend; render a recorded trace with ``render_report`` or
+  ``repro-aggregate obs report out.jsonl``.  The default is a zero-cost
+  null probe, and probes never touch the RNG streams, so instrumented
+  runs stay bit-identical.
 
 Quickstart
 ----------
@@ -124,8 +123,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.failures": ("CorrelatedFailure", "FailureEvent", "JoinEvent", "UncorrelatedFailure"),
     "repro.network": ("BernoulliLossNetwork", "LatencyNetwork", "NetworkModel", "PerfectNetwork"),
     "repro.obs": (
-        "MetricsRegistry",
-        "MultiProbe",
         "NullProbe",
         "Probe",
         "TraceRecorder",
@@ -148,8 +145,6 @@ __all__ = [
     "InvertAverage",
     "JoinEvent",
     "LatencyNetwork",
-    "MetricsRegistry",
-    "MultiProbe",
     "NETWORKS",
     "NeighborhoodEnvironment",
     "NetworkModel",

@@ -94,25 +94,21 @@ class Registry:
         self._signatures: Dict[str, Optional[inspect.Signature]] = {}
 
     # ------------------------------------------------------------ registration
-    def register(
-        self, key: str, factory: Union[Callable, str, None] = None, *, aliases: tuple = ()
-    ):
+    def register(self, key: str, factory: Union[Callable, str, None] = None):
         """Register ``factory`` under ``key`` (usable as a decorator).
 
         ``factory`` may be a ``"module:attr"`` reference, imported on the
-        first :meth:`get`.  ``aliases`` registers the same factory under
-        additional names.
-        Registering an existing key raises ``ValueError`` — shadowing a
-        component silently would make specs ambiguous.
+        first :meth:`get`.  Registering an existing key raises
+        ``ValueError`` — shadowing a component silently would make specs
+        ambiguous.
         """
 
         def _register(target: Callable) -> Callable:
-            for name in (key, *aliases):
-                if not isinstance(name, str) or not name:
-                    raise ValueError(f"{self.kind} keys must be non-empty strings, got {name!r}")
-                if name in self._entries:
-                    raise ValueError(f"{self.kind} {name!r} is already registered")
-                self._entries[name] = target
+            if not isinstance(key, str) or not key:
+                raise ValueError(f"{self.kind} keys must be non-empty strings, got {key!r}")
+            if key in self._entries:
+                raise ValueError(f"{self.kind} {key!r} is already registered")
+            self._entries[key] = target
             return target
 
         if factory is not None:

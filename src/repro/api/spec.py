@@ -575,8 +575,7 @@ def run_scenario(
         use to overwrite suspect entries.
     probe:
         An optional :class:`repro.obs.Probe` (e.g. a
-        :class:`~repro.obs.TraceRecorder` or
-        :class:`~repro.obs.MetricsRegistry`) that observes the run — phase
+        :class:`~repro.obs.TraceRecorder`) that observes the run — phase
         spans, per-round counters, store hits/misses.  Probes only watch;
         they never draw from the RNG streams, so results stay bit-identical
         with or without one.

@@ -65,7 +65,7 @@ from repro.mobility.stats import (
     intercontact_time_stats,
 )
 from repro.mobility.synthetic_haggle import generate_haggle_like_trace, haggle_dataset
-from repro.obs import MetricsRegistry, TraceRecorder, compose, read_trace, render_report
+from repro.obs import NULL_PROBE, TraceRecorder, read_trace, render_report
 from repro.store import DEFAULT_CACHE_DIR, ResultStore
 
 __all__ = ["main", "build_parser"]
@@ -104,19 +104,20 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="print aggregated metrics (phase times, counters, gauges) to stderr",
+        help="print the run's trace report (the 'obs report' view: phase times, "
+             "counters, gauges, per-round counters) to stderr",
     )
 
 
 def _probe_from_args(args: argparse.Namespace):
-    """(probe, trace recorder, metrics registry) for the --trace/--metrics flags.
+    """The one trace recorder the --trace/--metrics flags ask for.
 
-    All three are None-equivalents when neither flag is given — the run
-    then goes through the zero-cost null probe and stays bit-identical.
+    ``--metrics`` alone records in memory; with neither flag the run goes
+    through the zero-cost null probe and stays bit-identical.
     """
-    trace_recorder = TraceRecorder(args.trace) if args.trace else None
-    metrics_registry = MetricsRegistry() if args.metrics else None
-    return compose([trace_recorder, metrics_registry]), trace_recorder, metrics_registry
+    if args.trace or args.metrics:
+        return TraceRecorder(args.trace)
+    return NULL_PROBE
 
 
 def _parse_json_object(raw: str) -> dict:
@@ -364,7 +365,7 @@ def _print_scenario_error(error: Exception) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    probe, trace_recorder, metrics_registry = _probe_from_args(args)
+    probe = _probe_from_args(args)
     try:
         spec = _spec_from_args(args)
         with _store_from_args(args) as store:
@@ -412,26 +413,23 @@ def _command_run(args: argparse.Namespace) -> int:
         f"\nfinal error {result.final_error():.4g}, plateau error "
         f"{result.plateau_error():.4g}, final truth {result.final_truth():.4g}"
     )
-    _emit_obs(trace_recorder, metrics_registry)
+    _emit_obs(probe, args)
     return 0
 
 
-def _emit_obs(trace_recorder, metrics_registry) -> None:
+def _emit_obs(probe, args: argparse.Namespace) -> None:
     """Flush --trace / print --metrics.  Stderr only, so stdout — the part
     golden comparisons and ``--output`` files see — is byte-identical with
     or without the observability flags."""
-    if trace_recorder is not None:
-        trace_recorder.close()
-        print(
-            f"trace: {len(trace_recorder)} records -> {trace_recorder.path}",
-            file=sys.stderr,
-        )
-    if metrics_registry is not None:
-        print(metrics_registry.render(), file=sys.stderr)
+    if args.trace:
+        probe.close()
+        print(f"trace: {len(probe)} records -> {probe.path}", file=sys.stderr)
+    if args.metrics:
+        print(render_report(probe.records), file=sys.stderr)
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    probe, trace_recorder, metrics_registry = _probe_from_args(args)
+    probe = _probe_from_args(args)
     try:
         with open(args.config) as handle:
             sweep = Sweep.from_dict(json.load(handle))
@@ -465,7 +463,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
-    _emit_obs(trace_recorder, metrics_registry)
+    _emit_obs(probe, args)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, and phase profiling.
+"""Observability: structured tracing and phase profiling.
 
 Every execution layer — the agent engine, the vectorised kernels and
 their sparse topologies, the event engine, backend dispatch, the sweep
@@ -10,28 +10,26 @@ bit-identical to (and as fast as) a run built before this module
 existed.  Probes never touch an RNG stream, so the same holds with any
 probe attached: probing changes what you *see*, never what happens.
 
-Attach probes through the same funnel everything else uses::
+The one sink is the trace; every summary is a view of it::
 
     from repro import run_scenario
-    from repro.obs import MetricsRegistry, TraceRecorder
+    from repro.obs import TraceRecorder, render_report
 
     trace = TraceRecorder("run.jsonl")
-    metrics = MetricsRegistry()
-    result = run_scenario(spec, probe=MultiProbe(trace, metrics))
-    trace.close()                 # flush the JSONL
-    print(metrics.render())       # phase/counter/gauge summary table
+    result = run_scenario(spec, probe=trace)
+    trace.close()                        # write the JSONL
+    print(render_report(trace.records))  # plans, phases, counters, gauges, rounds
 
 or from the CLI: ``repro-aggregate run --config spec.json --trace
-run.jsonl --metrics`` and then ``repro-aggregate obs report run.jsonl``
-for the phase-time breakdown and per-round counter table.  See
-DESIGN.md §13.
+run.jsonl --metrics`` prints that report to stderr, and
+``repro-aggregate obs report run.jsonl`` prints the same report from the
+file.  See DESIGN.md §13.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.obs.metrics": ("MetricsRegistry",),
-    "repro.obs.probe": ("NULL_PROBE", "MultiProbe", "NullProbe", "Probe", "compose"),
+    "repro.obs.probe": ("NULL_PROBE", "NullProbe", "Probe"),
     "repro.obs.report": ("render_report", "summarize_trace"),
     "repro.obs.trace": ("TraceRecorder", "read_trace"),
 })
@@ -39,12 +37,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "Probe",
     "NullProbe",
-    "MultiProbe",
     "NULL_PROBE",
-    "compose",
     "TraceRecorder",
     "read_trace",
-    "MetricsRegistry",
     "summarize_trace",
     "render_report",
 ]

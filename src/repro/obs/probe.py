@@ -24,9 +24,9 @@ with any probe attached is bit-identical to a run with none.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Tuple
 
-__all__ = ["Probe", "NullProbe", "MultiProbe", "NULL_PROBE"]
+__all__ = ["Probe", "NullProbe", "NULL_PROBE"]
 
 
 class _Span:
@@ -134,63 +134,3 @@ class NullProbe(Probe):
 
 #: The shared do-nothing probe every layer defaults to.
 NULL_PROBE = NullProbe()
-
-
-class MultiProbe(Probe):
-    """Fan one instrumentation stream out to several probes at once.
-
-    ``MultiProbe(TraceRecorder(...), MetricsRegistry())`` records the
-    JSONL trace and the aggregate metrics from a single run.  Null
-    members are dropped; an empty MultiProbe behaves like the null probe
-    (``enabled`` is False).
-    """
-
-    def __init__(self, *probes: Probe):
-        self.probes: List[Probe] = [p for p in probes if p is not None and p.enabled]
-        self.enabled = bool(self.probes)
-
-    def span(self, name: str, **attrs: Any) -> Any:
-        if not self.probes:
-            return _NULL_SPAN
-        return _Span(self, name, tuple(sorted(attrs.items())))
-
-    # Fan the start/finish hooks (not just ``_on_span``) so members that
-    # track span nesting — the trace recorder's depth/parent stack — see
-    # the same lifecycle they would when attached alone.
-    def _span_started(self, span: _Span) -> None:
-        for probe in self.probes:
-            probe._span_started(span)
-
-    def _span_finished(self, span: _Span, seconds: float) -> None:
-        for probe in self.probes:
-            probe._span_finished(span, seconds)
-
-    def event(self, name: str, **fields: Any) -> None:
-        for probe in self.probes:
-            probe._on_event(name, fields)
-
-    def count(self, name: str, value: float = 1) -> None:
-        for probe in self.probes:
-            probe._on_count(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        for probe in self.probes:
-            probe._on_gauge(name, value)
-
-    def close(self) -> None:
-        for probe in self.probes:
-            probe.close()
-
-    def __iter__(self) -> Iterator[Probe]:
-        return iter(self.probes)
-
-
-def compose(probes: Sequence[Probe]) -> Probe:
-    """The cheapest probe covering ``probes``: null, the single member,
-    or a :class:`MultiProbe`."""
-    live = [p for p in probes if p is not None and p.enabled]
-    if not live:
-        return NULL_PROBE
-    if len(live) == 1:
-        return live[0]
-    return MultiProbe(*live)

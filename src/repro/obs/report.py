@@ -3,10 +3,11 @@
 This is the analysis half of :mod:`repro.obs`: given the flat record
 list a :class:`~repro.obs.trace.TraceRecorder` wrote,
 :func:`summarize_trace` folds it into the resolved plans, per-phase
-wall-time aggregates, counter totals, and the per-round series carried by
-``round_end`` events, and :func:`render_report` renders the lot with
-:mod:`repro.analysis.render` — the output of
-``repro-aggregate obs report <trace.jsonl>``.
+wall-time aggregates, counter totals, gauge levels, and the per-round
+series carried by ``round_end`` events, and :func:`render_report` renders
+the lot with :mod:`repro.analysis.render` — the output of
+``repro-aggregate obs report <trace.jsonl>`` and of ``run``/``sweep
+--metrics``, which render the run's own trace.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         ``{span name: {count, total, min, max}}`` wall-time aggregates;
     ``counters``
         ``{counter name: total}`` summed increments;
+    ``gauges``
+        ``{gauge name: {last, min, max}}`` level samples;
     ``events``
         ``{event name: occurrences}``;
     ``rounds``
@@ -41,6 +44,7 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """
     phases: Dict[str, Dict[str, float]] = {}
     counters: Dict[str, float] = {}
+    gauges: Dict[str, Dict[str, float]] = {}
     events: Dict[str, int] = {}
     rounds: List[Dict[str, Any]] = []
     plans: List[Dict[str, Any]] = []
@@ -65,6 +69,11 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         elif kind == "count":
             name = record.get("name", "?")
             counters[name] = counters.get(name, 0) + float(record.get("value", 0))
+        elif kind == "gauge":
+            name = record.get("name", "?")
+            value = float(record.get("value", 0))
+            gauge = gauges.setdefault(name, {"last": value, "min": value, "max": value})
+            gauge.update(last=value, min=min(gauge["min"], value), max=max(gauge["max"], value))
         elif kind == "event":
             name = record.get("name", "?")
             events[name] = events.get(name, 0) + 1
@@ -73,8 +82,8 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             elif name == "plan":
                 plans.append(record)
     return {
-        "phases": phases, "counters": counters, "events": events, "rounds": rounds,
-        "plans": plans,
+        "phases": phases, "counters": counters, "gauges": gauges, "events": events,
+        "rounds": rounds, "plans": plans,
     }
 
 
@@ -140,7 +149,8 @@ def _round_table(rounds: List[Dict[str, Any]], every: int = 1) -> str:
 
 
 def render_report(records: Sequence[Dict[str, Any]], *, every: int = 1) -> str:
-    """The full ``obs report`` rendering: plans, phase breakdown, counters, rounds."""
+    """The full ``obs report`` rendering: plans, phase breakdown, counters,
+    gauges, events, rounds."""
     summary = summarize_trace(records)
     blocks: List[str] = []
     if summary["plans"]:
@@ -150,6 +160,12 @@ def render_report(records: Sequence[Dict[str, Any]], *, every: int = 1) -> str:
     if summary["counters"]:
         rows = [[name, f"{value:g}"] for name, value in sorted(summary["counters"].items())]
         blocks.append("Counters\n" + render_table(["counter", "total"], rows))
+    if summary["gauges"]:
+        rows = [
+            [name, f"{g['last']:g}", f"{g['min']:g}", f"{g['max']:g}"]
+            for name, g in sorted(summary["gauges"].items())
+        ]
+        blocks.append("Gauges\n" + render_table(["gauge", "last", "min", "max"], rows))
     if summary["events"]:
         rows = [[name, count] for name, count in sorted(summary["events"].items())]
         blocks.append("Events\n" + render_table(["event", "occurrences"], rows))

@@ -2,10 +2,11 @@
 
 :class:`TraceRecorder` turns a run's probe stream into a flat list of
 dict records — one per span, event, counter increment, or gauge sample —
-and writes them as JSON Lines when closed (or on demand).  Records are
-buffered in memory so the per-call cost in a hot loop is a dict append,
-not a file write; a 50-round smoke run produces a few thousand records,
-well under a megabyte.
+and writes them as JSON Lines when closed (or on demand), replacing
+whatever the file held before.  Records are buffered in memory so the
+per-call cost in a hot loop is a dict append, not a file write; a
+50-round smoke run produces a few thousand records, well under a
+megabyte.
 
 Record schema (every record carries ``kind`` and ``t``, seconds since
 the recorder was created):
@@ -48,6 +49,7 @@ class TraceRecorder(Probe):
         self._stack: List[str] = []
         self._epoch = time.perf_counter()
         self._flushed = 0
+        self._written = False
 
     # -------------------------------------------------------------- hooks
     def _now(self) -> float:
@@ -90,13 +92,18 @@ class TraceRecorder(Probe):
 
     # ------------------------------------------------------------- output
     def flush(self) -> None:
-        """Append any unwritten records to ``path`` (no-op when in-memory)."""
-        if self.path is None or self._flushed >= len(self.records):
+        """Write any unwritten records to ``path`` (no-op when in-memory).
+
+        The first flush truncates ``path``, so a file holds one recorder's
+        records, never a previous run's; later flushes append.
+        """
+        if self.path is None or (self._written and self._flushed >= len(self.records)):
             return
-        with open(self.path, "a", encoding="utf-8") as handle:
+        with open(self.path, "a" if self._written else "w", encoding="utf-8") as handle:
             for record in self.records[self._flushed:]:
                 handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._flushed = len(self.records)
+        self._written = True
 
     def close(self) -> None:
         self.flush()

@@ -97,9 +97,9 @@ class SimulationResult:
     def append(self, record: RoundRecord, probe=NULL_PROBE, mass=None) -> None:
         """Append one round's record and report it to ``probe``.
 
-        The one ``round_end`` / ``n_alive`` emitter for all three drivers, so
-        a trace reads the same whoever ran the scenario (``time`` is present
-        exactly when the record has one).  ``mass`` is the engine's mass view
+        The one ``round_end`` emitter for all three drivers, so a trace
+        reads the same whoever ran the scenario (``time`` is present exactly
+        when the record has one).  ``mass`` is the engine's mass view
         ``(at_hosts, in_flight, injected, lost)`` when the run keeps a ledger;
         the event then carries it as the four ``mass_*`` fields.
         """
@@ -118,7 +118,6 @@ class SimulationResult:
                 bytes_sent=record.bytes_sent,
                 **books,
             )
-            probe.gauge("n_alive", record.n_alive)
 
     # ---------------------------------------------------------------- series
     def round_indices(self) -> List[int]:

@@ -61,13 +61,12 @@ class TestRegistry:
     def test_decorator_registration(self):
         registry = Registry("thing")
 
-        @registry.register("fancy", aliases=("plain",))
+        @registry.register("fancy")
         class Fancy:
             pass
 
         assert registry.get("fancy") is Fancy
-        assert registry.get("plain") is Fancy
-        assert registry.keys() == ["fancy", "plain"]
+        assert registry.keys() == ["fancy"]
 
     def test_validate_params_catches_typos(self):
         with pytest.raises(ValueError, match="reversions"):

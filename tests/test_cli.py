@@ -395,6 +395,16 @@ class TestObsCommands:
         assert "phase" in captured.err and "total ms" in captured.err
         assert "phase" not in captured.out
 
+    def test_metrics_report_is_the_obs_report_of_the_trace(self, tmp_path, capsys):
+        trace_path = tmp_path / "run.jsonl"
+        assert main([*self.RUN_FLAGS, "--engine", "events", "--backend", "agent",
+                     "--trace", str(trace_path), "--metrics"]) == 0
+        trace_line, metrics = capsys.readouterr().err.split("\n", 1)
+        assert trace_line.startswith("trace: ")
+        assert main(["obs", "report", str(trace_path)]) == 0
+        assert metrics == capsys.readouterr().out
+        assert "Phase-time breakdown" in metrics and "calendar_depth" in metrics
+
     def test_obs_report_renders_recorded_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
         assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 0

@@ -10,12 +10,11 @@ The two load-bearing guarantees:
   unprobed wall time.
 
 Plus the mechanics: span nesting depth/parent bookkeeping, JSONL
-round-trips, MultiProbe fan-out, metrics folding/rendering, the obs
-report, store instrumentation, sweep progress heartbeats, and the
-vectorised delivery-counter parity satellite.
+round-trips, the obs report (the one view of a trace), store
+instrumentation, sweep progress heartbeats, and the vectorised
+delivery-counter parity satellite.
 """
 
-import json
 import time
 
 import pytest
@@ -24,12 +23,9 @@ from repro.api.spec import ScenarioSpec, run_scenario
 from repro.api.sweep import Sweep, SweepRunner
 from repro.obs import (
     NULL_PROBE,
-    MetricsRegistry,
-    MultiProbe,
     NullProbe,
     Probe,
     TraceRecorder,
-    compose,
     read_trace,
     render_report,
     summarize_trace,
@@ -79,42 +75,6 @@ class TestProbeProtocol:
         (span,) = recorder.records
         assert span["seconds"] >= 0.009
 
-    def test_multiprobe_fans_out_to_all_members(self):
-        trace = TraceRecorder()
-        metrics = MetricsRegistry()
-        multi = MultiProbe(trace, metrics)
-        assert multi.enabled
-        with multi.span("phase"):
-            with multi.span("sub"):
-                pass
-        multi.event("happened", detail=7)
-        multi.count("things", 3)
-        multi.gauge("level", 1.5)
-        # The trace recorder saw the span lifecycle (including nesting).
-        sub = next(r for r in trace.records if r["name"] == "sub")
-        assert sub["parent"] == "phase" and sub["depth"] == 1
-        assert any(r["kind"] == "event" and r["name"] == "happened" for r in trace.records)
-        # The metrics registry folded the same stream.
-        assert metrics.histograms["phase"]["count"] == 1
-        assert metrics.histograms["sub"]["count"] == 1
-        assert metrics.counters["things"] == 3
-        assert metrics.gauges["level"]["value"] == 1.5
-
-    def test_multiprobe_drops_disabled_members(self):
-        assert not MultiProbe().enabled
-        assert not MultiProbe(NullProbe(), None).enabled
-        trace = TraceRecorder()
-        multi = MultiProbe(NullProbe(), trace)
-        assert multi.enabled and list(multi) == [trace]
-
-    def test_compose_returns_cheapest_cover(self):
-        assert compose([]) is NULL_PROBE
-        assert compose([None, NullProbe()]) is NULL_PROBE
-        trace = TraceRecorder()
-        assert compose([trace, None]) is trace
-        multi = compose([trace, MetricsRegistry()])
-        assert isinstance(multi, MultiProbe) and len(list(multi)) == 2
-
 
 class TestTraceRecorder:
     def test_jsonl_round_trip(self, tmp_path):
@@ -144,6 +104,14 @@ class TestTraceRecorder:
         recorder.flush()  # idempotent: nothing new to write
         names = [r["name"] for r in read_trace(str(path))]
         assert names == ["one", "two"]
+
+    def test_a_new_recorder_replaces_the_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        for name in ("first", "second"):
+            recorder = TraceRecorder(str(path))
+            recorder.event(name)
+            recorder.close()
+        assert [r["name"] for r in read_trace(str(path))] == ["second"]
 
     def test_in_memory_recorder_needs_no_path(self):
         recorder = TraceRecorder()
@@ -195,8 +163,7 @@ class TestBitIdentity:
         spec = BIT_IDENTITY_SPECS[name]
         bare = run_scenario(spec)
         trace = TraceRecorder()
-        metrics = MetricsRegistry()
-        probed = run_scenario(spec, probe=MultiProbe(trace, metrics))
+        probed = run_scenario(spec, probe=trace)
         assert probed.to_payload() == bare.to_payload()
         assert len(trace.records) > 0
 
@@ -468,7 +435,9 @@ class TestEngineInstrumentation:
         assert counts["events.tick"] > 0
         assert counts["events.sample"] == 10
         gauges = {r["name"] for r in trace.records if r["kind"] == "gauge"}
-        assert {"calendar_depth", "n_alive"} <= gauges
+        assert gauges == {"calendar_depth"}
+        round_ends = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
+        assert [r["n_alive"] for r in round_ends] == [60] * 10
         assert any(r["kind"] == "span" and r["name"] == "calendar" for r in trace.records)
 
 
@@ -504,53 +473,6 @@ class TestDeliveryParity:
             assert record.bytes_sent == payload * record.messages_delivered
 
 
-class TestMetricsRegistry:
-    def _populated(self):
-        metrics = MetricsRegistry()
-        for _ in range(3):
-            with metrics.span("phase_a"):
-                pass
-        with metrics.span("phase_b"):
-            time.sleep(0.002)
-        metrics.count("widgets", 2)
-        metrics.count("widgets", 3)
-        metrics.event("round_end", round=0)
-        metrics.gauge("level", 4.0)
-        metrics.gauge("level", 2.0)
-        return metrics
-
-    def test_folds_spans_counters_gauges(self):
-        metrics = self._populated()
-        assert metrics.histograms["phase_a"]["count"] == 3
-        assert metrics.histograms["phase_b"]["total"] >= 0.002
-        assert metrics.counters["widgets"] == 5
-        assert metrics.counters["events.round_end"] == 1
-        level = metrics.gauges["level"]
-        assert level["value"] == 2.0 and level["min"] == 2.0 and level["max"] == 4.0
-
-    def test_render_contains_tables(self):
-        text = self._populated().render()
-        assert "phase_a" in text and "calls" in text and "share" in text
-        assert "widgets" in text
-        assert "level" in text
-        assert "(no metrics recorded)" in MetricsRegistry().render()
-
-    def test_prometheus_export(self):
-        text = self._populated().prometheus()
-        assert "repro_widgets_total 5" in text
-        assert "repro_level 2\n" in text
-        assert "repro_phase_a_seconds_count 3" in text
-        assert "repro_phase_a_seconds_sum" in text
-        # Names are sanitised to the Prometheus charset.
-        metrics = MetricsRegistry()
-        metrics.count("events.round_end")
-        assert "repro_events_round_end_total 1" in metrics.prometheus()
-
-    def test_as_dict_round_trips_through_json(self):
-        payload = self._populated().as_dict()
-        assert json.loads(json.dumps(payload)) == payload
-
-
 class TestObsReport:
     def _trace(self):
         trace = TraceRecorder()
@@ -572,6 +494,15 @@ class TestObsReport:
         lines = text[text.index("Per-round counters"):].splitlines()
         round_cells = [line.split("|")[0].strip() for line in lines[3:] if "|" in line]
         assert round_cells == ["0", "4", "8", "11"]
+
+    def test_gauges_fold_to_last_min_max(self):
+        records = [{"kind": "gauge", "name": "depth", "value": v} for v in (3, 7, 1, 4)]
+        assert summarize_trace(records)["gauges"] == {
+            "depth": {"last": 4.0, "min": 1.0, "max": 7.0},
+        }
+        lines = render_report(records).splitlines()
+        assert lines[0] == "Gauges"
+        assert [cell.strip() for cell in lines[3].split("|")] == ["depth", "4", "1", "7"]
 
     def test_empty_trace(self):
         assert render_report([]) == "(empty trace)"
