@@ -405,6 +405,41 @@ class TestObsCommands:
         assert metrics == capsys.readouterr().out
         assert "Phase-time breakdown" in metrics and "calendar_depth" in metrics
 
+    def test_metrics_alone_records_in_memory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.RUN_FLAGS, "--metrics"]) == 0
+        err = capsys.readouterr().err
+        assert not err.startswith("trace: ") and "Per-round counters" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_to_the_same_trace_path_holds_one_run(self, tmp_path, capsys):
+        trace_path = tmp_path / "run.jsonl"
+        for _ in range(2):
+            assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(trace_path)]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("plan: ") and "runs)" not in report
+        build = [line for line in report.splitlines() if line.split("|")[0].strip() == "build"]
+        assert len(build) == 1 and build[0].split("|")[1].strip() == "1"
+
+    def test_sweep_metrics_report_is_the_obs_report_of_the_trace(self, tmp_path, capsys):
+        import json as json_module
+
+        config = tmp_path / "sweep.json"
+        config.write_text(json_module.dumps({
+            "base": {"protocol": "push-sum-revert", "n_hosts": 50, "rounds": 5},
+            "axes": {"seed": [0, 1]},
+        }))
+        trace_path = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--config", str(config), "--serial",
+                     "--trace", str(trace_path), "--metrics"]) == 0
+        trace_line, metrics = capsys.readouterr().err.split("\n", 1)
+        assert trace_line.startswith("trace: ")
+        assert main(["obs", "report", str(trace_path)]) == 0
+        assert metrics == capsys.readouterr().out
+        assert metrics.splitlines()[0].endswith("(2 runs)")
+
     def test_obs_report_renders_recorded_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
         assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 0

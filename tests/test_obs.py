@@ -504,6 +504,14 @@ class TestObsReport:
         assert lines[0] == "Gauges"
         assert [cell.strip() for cell in lines[3].split("|")] == ["depth", "4", "1", "7"]
 
+    def test_counters_sum_and_events_count(self):
+        records = [{"kind": "count", "name": "sent", "value": v} for v in (2, 3)]
+        records += [{"kind": "event", "name": "tick"}] * 3
+        summary = summarize_trace(records)
+        assert summary["counters"] == {"sent": 5.0} and summary["events"] == {"tick": 3}
+        text = render_report(records)
+        assert text.startswith("Counters\n") and "\n\nEvents\n" in text
+
     def test_empty_trace(self):
         assert render_report([]) == "(empty trace)"
 
