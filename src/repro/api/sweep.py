@@ -249,10 +249,6 @@ class SweepResult:
         """How many cells actually ran a simulation."""
         return len(self.cached) - self.cache_hits() if self.cached else len(self.rows)
 
-    def to_records(self) -> List[Dict[str, Any]]:
-        """The tidy rows (copies), one dict per executed scenario."""
-        return [dict(row) for row in self.rows]
-
     def column(self, name: str) -> List[Any]:
         """One column across every row (axis value or metric)."""
         return [row[name] for row in self.rows]

@@ -374,10 +374,10 @@ def _command_run(args: argparse.Namespace) -> int:
             result = run_scenario(spec, store=store, probe=probe)
     except (ValueError, KeyError, TypeError) as error:
         _print_scenario_error(error)
-        return 2
+        return _failed(probe, args, error)
     except OSError as error:
         print(f"error: cannot read {args.config}: {error}", file=sys.stderr)
-        return 2
+        return _failed(probe, args, error)
     if store is not None:
         # Stderr, so cached and fresh runs keep bit-identical stdout.
         outcome = "hit" if store.session["hits"] else "miss (stored)"
@@ -428,6 +428,14 @@ def _emit_obs(probe, args: argparse.Namespace) -> None:
         print(render_report(probe.records), file=sys.stderr)
 
 
+def _failed(probe, args: argparse.Namespace, error: Exception) -> int:
+    """Exit 2 for a run that failed; its trace is still written, ending in one
+    ``error`` event, so the file never shows an earlier run."""
+    probe.event("error", type=type(error).__name__, message=str(error))
+    _emit_obs(probe, args)
+    return 2
+
+
 def _command_sweep(args: argparse.Namespace) -> int:
     probe = _probe_from_args(args)
     try:
@@ -447,10 +455,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
             result = runner.run(sweep)
     except (ValueError, KeyError, TypeError) as error:
         _print_scenario_error(error)
-        return 2
+        return _failed(probe, args, error)
     except OSError as error:
         print(f"error: cannot read {args.config}: {error}", file=sys.stderr)
-        return 2
+        return _failed(probe, args, error)
     text = result.render()
     print(text)
     if store is not None:

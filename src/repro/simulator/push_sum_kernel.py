@@ -89,10 +89,12 @@ class VectorizedPushSumRevert(_ValueKernel):
         )
         self.weight = np.ones(self.n, dtype=float)
         self.total = self.initial.copy()
-        # Full-Transfer history ring: most recent mass-bearing rounds first.
-        self._history_weight = np.zeros((self.n, self.history), dtype=float)
-        self._history_total = np.zeros((self.n, self.history), dtype=float)
-        self._history_filled = np.zeros(self.n, dtype=np.int64)
+        # Full-Transfer history ring: most recent mass-bearing rounds first.  No
+        # other mode reads it, so there it has no rows.
+        rows = self.n if mode == "full-transfer" else 0
+        self._history_weight = np.zeros((rows, self.history), dtype=float)
+        self._history_total = np.zeros((rows, self.history), dtype=float)
+        self._history_filled = np.zeros(rows, dtype=np.int64)
         self._last_estimate = self.initial.copy()
         #: :meth:`truth`, and the live index it was computed over (``None``: stale).
         self._truth = float("nan")
@@ -269,15 +271,16 @@ class VectorizedPushSumRevert(_ValueKernel):
         self.mass_injected += count  # a joiner brings its unit weight
         self.total = np.concatenate([self.total, values])
         self._last_estimate = np.concatenate([self._last_estimate, values])
-        self._history_weight = np.concatenate(
-            [self._history_weight, np.zeros((count, self.history), dtype=float)]
-        )
-        self._history_total = np.concatenate(
-            [self._history_total, np.zeros((count, self.history), dtype=float)]
-        )
-        self._history_filled = np.concatenate(
-            [self._history_filled, np.zeros(count, dtype=np.int64)]
-        )
+        if self.mode == "full-transfer":
+            self._history_weight = np.concatenate(
+                [self._history_weight, np.zeros((count, self.history), dtype=float)]
+            )
+            self._history_total = np.concatenate(
+                [self._history_total, np.zeros((count, self.history), dtype=float)]
+            )
+            self._history_filled = np.concatenate(
+                [self._history_filled, np.zeros(count, dtype=np.int64)]
+            )
 
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:
         """Sign-off departure: each leaver hands its mass to a random survivor.

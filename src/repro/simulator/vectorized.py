@@ -34,6 +34,15 @@ import numpy as np
 from repro.events.clocks import TIME_EPS
 from repro.metrics.accuracy import group_truths
 
+# A kernel round makes population-sized temporaries (800 KB per float array at 10⁵
+# hosts), and glibc serves any block above its mmap threshold (128 KiB at start) from
+# fresh zeroed pages, one fault per page, every round.  By the dynamic rule of mallopt(3),
+# freeing an mmapped block raises the mmap threshold to that block's size and the trim
+# threshold to twice it.  So one untouched 8 MiB block, freed once here, lets every kernel
+# temporary up to 8 MiB reuse heap memory; the block itself never becomes resident
+# (DESIGN.md §7 "Kernel temporaries and the allocator").
+np.empty(8 << 20, dtype=np.uint8)
+
 
 class _VectorizedKernel:
     """Shared population machinery, and the one gossip step every kernel derives.

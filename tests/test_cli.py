@@ -423,6 +423,28 @@ class TestObsCommands:
         build = [line for line in report.splitlines() if line.split("|")[0].strip() == "build"]
         assert len(build) == 1 and build[0].split("|")[1].strip() == "1"
 
+    def test_a_failed_traced_run_writes_its_own_trace(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        trace_path = tmp_path / "run.jsonl"
+        assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 0
+        assert main([*self.RUN_FLAGS, "-P", "reversions=0.1", "--trace", str(trace_path)]) == 2
+        assert "reversions" in capsys.readouterr().err
+        records = read_trace(str(trace_path))
+        assert [record["name"] for record in records] == ["error"]
+        assert "reversions" in records[0]["message"]
+
+    def test_a_failed_traced_sweep_writes_its_own_trace(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        trace_path = tmp_path / "sweep.jsonl"
+        assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 0
+        missing = tmp_path / "missing.json"
+        assert main(["sweep", "--config", str(missing), "--trace", str(trace_path)]) == 2
+        records = read_trace(str(trace_path))
+        assert [(record["kind"], record["name"]) for record in records] == [("event", "error")]
+        assert records[0]["type"] == "FileNotFoundError"
+
     def test_sweep_metrics_report_is_the_obs_report_of_the_trace(self, tmp_path, capsys):
         import json as json_module
 

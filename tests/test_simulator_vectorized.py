@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +36,14 @@ class TestVectorizedPushSumRevertConstruction:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             VectorizedPushSumRevert([1.0, 2.0], mode="pull")
+
+    @pytest.mark.parametrize("mode", ["push", "pushpull", "full-transfer"])
+    def test_only_full_transfer_holds_a_history_ring(self, mode):
+        kernel = VectorizedPushSumRevert(np.arange(10.0), mode=mode, history=3)
+        kernel.join(np.array([1.0, 2.0]))
+        rows = 12 if mode == "full-transfer" else 0
+        assert kernel._history_weight.shape == kernel._history_total.shape == (rows, 3)
+        assert kernel._history_filled.shape == (rows,)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -696,6 +708,56 @@ class TestSketchKernelMemoryBound:
         assert step <= state + extras, f"step() peaked {step / state:.2f}x the counters"
         assert read_out <= 0.25 * state, f"estimates() peaked {read_out / state:.2f}x the counters"
         assert "own_mask" not in vars(kernel)
+
+
+#: A fresh interpreter's warm-up run, then three timed repeats of one kernel spec; it
+#: prints the minor page faults (``ru_minflt``) of each repeat as a JSON list.
+FAULTS_CHILD = """
+import json, resource
+from repro.api import ScenarioSpec, run_scenario
+spec = ScenarioSpec(**json.loads({spec!r}))
+run_scenario(spec)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(spec)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="glibc's dynamic mmap threshold",
+)
+class TestKernelTemporariesReuseTheHeap:
+    """Importing the kernels' base lifts glibc's mmap threshold once (DESIGN.md §7), so
+    a warm repeat run takes its population-sized temporaries from reused heap memory,
+    not from fresh pages: a handful of minor faults, where each temporary above the
+    default 128 KiB threshold took hundreds.  Each spec runs in a fresh interpreter,
+    with the allocator at its defaults, since a test that ran before in this process
+    can have lifted the threshold itself."""
+
+    @pytest.mark.parametrize("spec", [
+        dict(protocol="count-sketch-reset",
+             protocol_params={"bins": 16, "bits": 18, "cutoff": "default"},
+             workload="constant", n_hosts=4_000, rounds=2, backend="vectorized"),
+        dict(protocol="push-sum-revert", mode="push", n_hosts=20_000, rounds=10,
+             backend="vectorized"),
+    ], ids=["count-sketch-reset", "push-sum-revert-push"])
+    def test_a_repeat_run_faults_in_no_fresh_pages(self, spec):
+        source_root = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source_root),
+                                                          env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", FAULTS_CHILD.format(spec=json.dumps(spec))],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        faults = json.loads(child.stdout.splitlines()[-1])
+        assert max(faults) < 50, f"minor faults per repeat run: {faults}"
 
 
 class TestBenchShapesPinnedPayloads:
