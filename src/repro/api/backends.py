@@ -309,9 +309,13 @@ def run_with_backend(
     with probe.span("resolve"):
         plan = resolve_plan(spec)
     if probe.enabled:
+        from repro.store.fingerprint import code_fingerprint
+
+        # The run's name: the store's key for the spec and for the code behind it.
         probe.event(
             "plan", engine=plan.engine, backend=plan.backend, on_calendar=spec.on_calendar,
             rejections=[rejection.feature for rejection in plan.rejections],
+            spec_key=spec.key(), code=code_fingerprint(spec.protocol),
         )
     result = BACKENDS.get(plan.backend).run(spec, probe=probe)
     result.metadata.setdefault("backend", plan.backend)

@@ -101,11 +101,11 @@ class KernelRun:
                                           whole_rounds=spec.engine == "rounds")
 
         # ------------------------------------------------------- bucket grid
-        self.mass_check = "run"  # lockstep: the books close once, at run end
+        # Lockstep closes the books once, at run end; a calendar takes its setting.
+        self.mass_check = settings.mass_check if calendar else "run"
         if calendar:
             self.duration = settings.duration
             self.sample_interval = settings.sample_interval
-            self.mass_check = settings.mass_check
             self.n_samples = settings.n_samples
             base = settings.batch_quantum
             if base is None:  # just fine enough to resolve the shortest clock period
@@ -157,12 +157,9 @@ class KernelRun:
         # ------------------------------------------------------- in flight
         #: (bucket, at_edge) -> the kernel's ``(kind, *arrays)`` batches maturing there.
         self.pending: Dict[Tuple[int, bool], List[tuple]] = {}
-        self.ledger: Optional[MassLedger] = None
+        self.ledger = MassLedger()
         opening = kernel.mass_view()
-        if opening is None:  # massless: no books, as the agent keeps none for its protocol
-            self.mass_check = "off"
-        elif self.mass_check != "off":
-            self.ledger = MassLedger()
+        if opening is not None:  # a massless kernel keeps no books, like its agent protocol
             self.ledger.open(opening)
 
     # ---------------------------------------------------------------- the loop
@@ -207,9 +204,9 @@ class KernelRun:
         self._append(self.sample(sample_index - 1, time=time), view)
 
     def _append(self, record: RoundRecord, view: Optional[MassView] = None) -> None:
-        """Append ``record``; a traced run that keeps a ledger carries its books, the
-        view this bucket checked or else a fresh read."""
-        if view is None and self.ledger is not None and self.probe.enabled:
+        """Append ``record``; a traced run that keeps books carries them, the view
+        this bucket checked or else a fresh read."""
+        if view is None and self.probe.enabled:
             view = self.kernel.mass_view()
         self.result.append(record, self.probe, view)
 
@@ -330,10 +327,11 @@ class KernelRun:
             next_times[tick_idx] = ticked[due]
 
     # ------------------------------------------------------------------ ledger
-    def check_mass(self, round_index: int) -> MassView:
-        """Balance the kernel's books; returns the view checked."""
+    def check_mass(self, round_index: int) -> Optional[MassView]:
+        """Balance the kernel's books, if it keeps any; returns the view checked."""
         view = self.kernel.mass_view()
-        self.ledger.check(view, round_index=round_index)
+        if view is not None:
+            self.ledger.check(view, round_index=round_index)
         return view
 
     # ---------------------------------------------------------------- sampling

@@ -113,11 +113,17 @@ def _probe_from_args(args: argparse.Namespace):
     """The one trace recorder the --trace/--metrics flags ask for.
 
     ``--metrics`` alone records in memory; with neither flag the run goes
-    through the zero-cost null probe and stays bit-identical.
+    through the zero-cost null probe and stays bit-identical.  A --trace
+    path that cannot be written raises ``OSError`` here, before anything runs.
     """
     if args.trace or args.metrics:
         return TraceRecorder(args.trace)
     return NULL_PROBE
+
+
+def _unwritable_trace(args: argparse.Namespace, error: OSError) -> int:
+    print(f"error: cannot write trace {args.trace}: {error.strerror or error}", file=sys.stderr)
+    return 2
 
 
 def _parse_json_object(raw: str) -> dict:
@@ -365,7 +371,10 @@ def _print_scenario_error(error: Exception) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    probe = _probe_from_args(args)
+    try:
+        probe = _probe_from_args(args)
+    except OSError as error:
+        return _unwritable_trace(args, error)
     try:
         spec = _spec_from_args(args)
         with _store_from_args(args) as store:
@@ -437,7 +446,10 @@ def _failed(probe, args: argparse.Namespace, error: Exception) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    probe = _probe_from_args(args)
+    try:
+        probe = _probe_from_args(args)
+    except OSError as error:
+        return _unwritable_trace(args, error)
     try:
         with open(args.config) as handle:
             sweep = Sweep.from_dict(json.load(handle))

@@ -107,7 +107,8 @@ class EngineSettings:
         Whether host clocks share the global grid (see the module docstring).
     mass_check:
         ``"sample"`` (default), ``"event"`` or ``"off"`` — how often the
-        mass-conservation books are balanced for mass-conserving protocols.
+        mass-conservation books are checked.  A mass-conserving protocol
+        keeps its books either way: ``"off"`` skips only the checks.
     batch_quantum:
         Bucket width in simulated seconds for the kernel calendar (default:
         the shortest clock period); the agent engine has no buckets.

@@ -26,11 +26,12 @@ Event kinds (priority order within one instant — see
 
 Mass conservation is enforced continuously: the engine's
 :meth:`~repro.Simulation.mass_view` is a running view (host states and
-pending inboxes at hosts, the delivery queue in flight), and the
-:class:`~repro.network.MassLedger` can check it after *every* event
-(``mass_check="event"``), at every sample (``"sample"``, the default —
-which also resyncs the running host total against an exact recount) or
-never (``"off"``).  That and the other settings are one validated
+pending inboxes at hosts, the delivery queue in flight), kept whenever the
+protocol conserves mass, and the :class:`~repro.network.MassLedger` can
+check it after *every* event (``mass_check="event"``), at every sample
+(``"sample"``, the default) or never (``"off"``, which still keeps the
+books).  Every sample resyncs the running host total against an exact
+recount.  That and the other settings are one validated
 :class:`~repro.events.clocks.EngineSettings` value.
 
 The class subclasses :class:`repro.Simulation` for its population
@@ -116,13 +117,6 @@ class EventSimulation(Simulation):
         self._now = 0.0
         self._started = False
         self._adapter = PushAdapter(self) if mode == "push" else ExchangeAdapter(self)
-
-        # Mass conservation runs whenever the protocol has a conserved
-        # quantity — even without a network model, since payloads rest in
-        # pending inboxes between ticks (unlike the round engine, where
-        # only a network can put mass outside host states).
-        self._inbox_mass = 0.0
-        self._open_books(self.mass_check != "off")
 
         self.result.metadata["engine"] = settings.metadata()
 
@@ -261,10 +255,11 @@ class EventSimulation(Simulation):
             # Exact recount: resyncs the running total (guarding against
             # float drift over many increments) and balances the books.
             self._state_mass = self._total_state_mass()
-            self.mass_ledger.check(self.mass_view(), round_index=round_index)
+            if self.mass_check != "off":
+                self.mass_ledger.check(self.mass_view(), round_index=round_index)
         record = self._record_round(alive, round_index, time)
         self.round_index = sample_index
-        self.result.append(record, self.probe, self.mass_view() if self._track_mass else None)
+        self.result.append(record, self.probe, self.mass_view())
 
     def _on_membership(self, event, time: float) -> None:
         event.apply(self, event.round)

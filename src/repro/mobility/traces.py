@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.topology.connectivity import connected_components, union_adjacency
+from repro.topology.connectivity import connected_components
 
 __all__ = ["ContactRecord", "ContactTrace"]
 
@@ -52,14 +52,6 @@ class ContactRecord:
     def duration(self) -> float:
         """Length of the contact in seconds."""
         return self.end - self.start
-
-    def active_at(self, time: float) -> bool:
-        """Whether the contact covers instant ``time``."""
-        return self.start <= time < self.end
-
-    def overlaps(self, start: float, end: float) -> bool:
-        """Whether the contact intersects the half-open window [start, end)."""
-        return self.start < end and start < self.end
 
 
 class ContactTrace:
@@ -124,10 +116,6 @@ class ContactTrace:
         if not self.records:
             return 0.0
         return max(record.end for record in self.records)
-
-    def device_ids(self) -> List[int]:
-        """All device identifiers."""
-        return list(range(self.n_devices))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -214,57 +202,6 @@ class ContactTrace:
                 yield time, self.adjacency_at(time)
             time += step
 
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def from_snapshots(
-        cls,
-        snapshots: Sequence[Tuple[float, Adjacency]],
-        n_devices: int,
-        *,
-        snapshot_length: Optional[float] = None,
-        name: str = "trace",
-    ) -> "ContactTrace":
-        """Build a trace from timed adjacency snapshots.
-
-        Each snapshot at time ``t`` is assumed to hold until the next
-        snapshot (or for ``snapshot_length`` seconds for the last one).
-        Contiguous intervals for the same pair are merged.
-        """
-        ordered = sorted(snapshots, key=lambda item: item[0])
-        open_contacts: Dict[Tuple[int, int], float] = {}
-        records: List[ContactRecord] = []
-
-        def edges_of(adjacency: Adjacency) -> Set[Tuple[int, int]]:
-            pairs: Set[Tuple[int, int]] = set()
-            for node, neighbors in adjacency.items():
-                for neighbor in neighbors:
-                    pairs.add((min(node, neighbor), max(node, neighbor)))
-            return pairs
-
-        previous_time = 0.0
-        for index, (time, adjacency) in enumerate(ordered):
-            pairs = edges_of(adjacency)
-            # Close contacts that disappeared.
-            for pair in list(open_contacts):
-                if pair not in pairs:
-                    records.append(ContactRecord(pair[0], pair[1], open_contacts.pop(pair), time))
-            # Open new contacts.
-            for pair in pairs:
-                open_contacts.setdefault(pair, time)
-            previous_time = time
-            del index
-        # Close anything still open at the end of the trace.
-        if ordered:
-            if snapshot_length is None:
-                # Infer a snapshot length from the median gap; fall back to 1s.
-                gaps = [b[0] - a[0] for a, b in zip(ordered, ordered[1:])]
-                inferred = sorted(gaps)[len(gaps) // 2] if gaps else 1.0
-                snapshot_length = inferred if inferred > 0 else 1.0
-            final_time = previous_time + snapshot_length
-            for pair, start in open_contacts.items():
-                records.append(ContactRecord(pair[0], pair[1], start, final_time))
-        return cls(n_devices, records, name=name)
-
     # ------------------------------------------------------------------- I/O
     def to_csv(self, path: str) -> None:
         """Write the trace as ``device_a,device_b,start,end`` rows."""
@@ -296,18 +233,3 @@ class ContactTrace:
                 max_device = max(max_device, a, b)
         count = n_devices if n_devices is not None else max_device + 1
         return cls(count, records, name=name or path)
-
-    # ------------------------------------------------------------ composition
-    def restricted_to(self, devices: Sequence[int], name: Optional[str] = None) -> "ContactTrace":
-        """A trace containing only contacts between the listed devices, renumbered."""
-        keep = {device: index for index, device in enumerate(devices)}
-        records = [
-            ContactRecord(keep[record.a], keep[record.b], record.start, record.end)
-            for record in self.records
-            if record.a in keep and record.b in keep
-        ]
-        return ContactTrace(len(devices), records, name=name or f"{self.name}-subset")
-
-    def union_graph(self) -> Adjacency:
-        """The union of all contacts over the whole trace."""
-        return union_adjacency([self.adjacency_between(0.0, self.duration + 1.0)])

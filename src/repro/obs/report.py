@@ -88,13 +88,16 @@ def summarize_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def _plan_lines(plans: List[Dict[str, Any]]) -> List[str]:
-    """One ``plan:`` line per distinct plan, with its run count when above one."""
+    """One ``plan:`` line per distinct plan, with its run count when above one.  The
+    line names the code the plan ran (the fingerprint's first 12 characters) but not
+    the spec key, so a sweep's runs of one plan share a line."""
     counts: Dict[str, int] = {}
     for record in plans:
         line = (
             f"plan: engine={record.get('engine')} backend={record.get('backend')} "
             f"on_calendar={record.get('on_calendar')} "
-            f"rejections={','.join(record.get('rejections') or ()) or 'none'}"
+            f"rejections={','.join(record.get('rejections') or ()) or 'none'} "
+            f"code={(record.get('code') or '-')[:12]}"
         )
         counts[line] = counts.get(line, 0) + 1
     return [line if count == 1 else f"{line} ({count} runs)" for line, count in counts.items()]

@@ -39,17 +39,21 @@ class TraceRecorder(Probe):
     """Buffer every probe verb as a structured record; flush to JSONL.
 
     ``path`` names the output file written by :meth:`close` (and by
-    :meth:`flush`).  Without a path the recorder is purely in-memory —
-    useful in tests and for programmatic inspection via ``records``.
+    :meth:`flush`).  The recorder empties it on construction, so a path
+    that cannot be written raises :class:`OSError` before anything is
+    recorded, and the file never holds a previous recorder's records.
+    Without a path the recorder is purely in-memory — useful in tests and
+    for programmatic inspection via ``records``.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
+        if path is not None:
+            open(path, "w", encoding="utf-8").close()
         self.records: List[Dict[str, Any]] = []
         self._stack: List[str] = []
         self._epoch = time.perf_counter()
         self._flushed = 0
-        self._written = False
 
     # -------------------------------------------------------------- hooks
     def _now(self) -> float:
@@ -92,18 +96,13 @@ class TraceRecorder(Probe):
 
     # ------------------------------------------------------------- output
     def flush(self) -> None:
-        """Write any unwritten records to ``path`` (no-op when in-memory).
-
-        The first flush truncates ``path``, so a file holds one recorder's
-        records, never a previous run's; later flushes append.
-        """
-        if self.path is None or (self._written and self._flushed >= len(self.records)):
+        """Append any unwritten records to ``path`` (no-op when in-memory)."""
+        if self.path is None or self._flushed >= len(self.records):
             return
-        with open(self.path, "a" if self._written else "w", encoding="utf-8") as handle:
+        with open(self.path, "a", encoding="utf-8") as handle:
             for record in self.records[self._flushed:]:
                 handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._flushed = len(self.records)
-        self._written = True
 
     def close(self) -> None:
         self.flush()

@@ -184,9 +184,7 @@ class Simulation:
             self.add_host(float(value), round_index=0)
         #: Mass at every host state as of the last recount; each round opens on it.
         self._state_mass = 0.0
-        # Mass conservation is tracked whenever the network can reorder or
-        # drop deliveries and the protocol exposes a conserved quantity.
-        self._open_books(network is not None)
+        self._open_books()
         # Only an overridden begin_round does anything, and so can mint mass
         # (epoch restarts do); the round skips the no-op's per-host calls.
         self._begin_round_mints = (
@@ -315,25 +313,28 @@ class Simulation:
             with probe.span("record"):
                 record = self._record_round(alive, t)
             self.round_index += 1
-        self.result.append(record, probe, self.mass_view() if self._track_mass else None)
+        self.result.append(record, probe, self.mass_view())
         return record
 
     # ------------------------------------------------------ mass conservation
     #: Payloads that arrived but are not yet integrated (the event engine's inboxes).
     _inbox_mass = 0.0
 
-    def mass_view(self) -> MassView:
+    def mass_view(self) -> Optional[MassView]:
         """``(at_hosts, in_flight, injected, lost)``, the kernels' contract (DESIGN.md §8):
         every host's state mass as of the last recount (current between rounds) plus
-        what waits in inboxes, and what the delivery queue carries."""
+        what waits in inboxes, and what the delivery queue carries; ``None`` for a
+        protocol without a conserved mass."""
+        if not self._track_mass:
+            return None
         at_hosts = self._state_mass + self._inbox_mass
         return at_hosts, self._in_flight.in_flight_mass, self.mass_injected, self.mass_lost
 
-    def _open_books(self, track: bool) -> None:
-        """Track mass when ``track`` and the protocol has a conserved quantity;
+    def _open_books(self) -> None:
+        """Keep books exactly when the protocol has a conserved quantity;
         the ledger opens on the first view."""
         self._track_mass = False
-        if track and self.hosts:
+        if self.hosts:
             probe = next(iter(self.hosts.values()))
             if self.protocol.state_mass(probe.state) is not None:
                 self._track_mass = True

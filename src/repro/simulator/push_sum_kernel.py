@@ -94,7 +94,6 @@ class VectorizedPushSumRevert(_ValueKernel):
         rows = self.n if mode == "full-transfer" else 0
         self._history_weight = np.zeros((rows, self.history), dtype=float)
         self._history_total = np.zeros((rows, self.history), dtype=float)
-        self._history_filled = np.zeros(rows, dtype=np.int64)
         self._last_estimate = self.initial.copy()
         #: :meth:`truth`, and the live index it was computed over (``None``: stale).
         self._truth = float("nan")
@@ -234,7 +233,6 @@ class VectorizedPushSumRevert(_ValueKernel):
             self._history_total[idx, 1:] = self._history_total[idx, :-1]
             self._history_weight[idx, 0] = weight[received]
             self._history_total[idx, 0] = total[received]
-            self._history_filled[idx] = np.minimum(self._history_filled[idx] + 1, self.history)
 
     def mass_view(self) -> Tuple[float, float, float, float]:
         """The ledger's view: the weight at every host (a dead row is frozen, so it
@@ -277,9 +275,6 @@ class VectorizedPushSumRevert(_ValueKernel):
             )
             self._history_total = np.concatenate(
                 [self._history_total, np.zeros((count, self.history), dtype=float)]
-            )
-            self._history_filled = np.concatenate(
-                [self._history_filled, np.zeros(count, dtype=np.int64)]
             )
 
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:

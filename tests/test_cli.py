@@ -445,6 +445,32 @@ class TestObsCommands:
         assert [(record["kind"], record["name"]) for record in records] == [("event", "error")]
         assert records[0]["type"] == "FileNotFoundError"
 
+    def test_an_unwritable_trace_path_fails_the_run_before_it_runs(self, tmp_path, capsys):
+        trace_path = tmp_path / "no" / "such" / "t.jsonl"
+        assert main([*self.RUN_FLAGS, "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write trace {trace_path}: No such file or directory"
+        ]
+
+    def test_an_unwritable_trace_path_fails_the_sweep_before_it_runs(self, tmp_path, capsys):
+        import json as json_module
+
+        config = tmp_path / "sweep.json"
+        config.write_text(json_module.dumps({
+            "base": {"protocol": "push-sum-revert", "n_hosts": 50, "rounds": 5},
+            "axes": {"seed": [0, 1]},
+        }))
+        trace_path = tmp_path / "no" / "such" / "t.jsonl"
+        assert main(["sweep", "--config", str(config), "--serial",
+                     "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write trace {trace_path}: No such file or directory"
+        ]
+
     def test_sweep_metrics_report_is_the_obs_report_of_the_trace(self, tmp_path, capsys):
         import json as json_module
 

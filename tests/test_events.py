@@ -236,11 +236,6 @@ class TestMassConservation:
         with pytest.raises(MassConservationError):
             simulation.run()
 
-    def test_mass_check_off_skips_the_books(self):
-        simulation = event_simulation(mass_check="off")
-        assert simulation._track_mass is False
-        simulation.run()
-
 
 # ---------------------------------------------------------------------------
 # Engine API guards

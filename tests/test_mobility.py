@@ -28,14 +28,8 @@ class TestContactRecord:
         with pytest.raises(ValueError):
             ContactRecord(0, 1, 10.0, 10.0)
 
-    def test_duration_and_activity(self):
-        record = ContactRecord(0, 1, 10.0, 20.0)
-        assert record.duration == 10.0
-        assert record.active_at(10.0)
-        assert record.active_at(19.9)
-        assert not record.active_at(20.0)
-        assert record.overlaps(15.0, 30.0)
-        assert not record.overlaps(20.0, 30.0)
+    def test_duration(self):
+        assert ContactRecord(0, 1, 10.0, 20.0).duration == 10.0
 
 
 class TestContactTrace:
@@ -85,21 +79,6 @@ class TestContactTrace:
         assert trace.records[0].start == 0.0
         assert trace.records[0].end == 80.0
 
-    def test_from_snapshots_round_trip(self):
-        snapshots = [
-            (0.0, {0: {1}, 1: {0}, 2: set()}),
-            (30.0, {0: {1}, 1: {0}, 2: set()}),
-            (60.0, {0: set(), 1: {2}, 2: {1}}),
-        ]
-        trace = ContactTrace.from_snapshots(snapshots, 3, snapshot_length=30.0)
-        assert trace.adjacency_at(10.0)[0] == {1}
-        assert trace.adjacency_at(70.0)[1] == {2}
-        assert trace.adjacency_at(70.0)[0] == set()
-        # The 0-1 contact spans the first two snapshots and closes at 60 s.
-        zero_one = [r for r in trace.records if {r.a, r.b} == {0, 1}][0]
-        assert zero_one.start == 0.0
-        assert zero_one.end == 60.0
-
     def test_csv_round_trip(self, tmp_path):
         trace = self._trace()
         path = tmp_path / "trace.csv"
@@ -107,18 +86,6 @@ class TestContactTrace:
         loaded = ContactTrace.from_csv(str(path), n_devices=3)
         assert len(loaded) == len(trace)
         assert loaded.adjacency_at(60.0) == trace.adjacency_at(60.0)
-
-    def test_restricted_to_renumbers(self):
-        trace = self._trace()
-        sub = trace.restricted_to([1, 2])
-        assert sub.n_devices == 2
-        assert len(sub) == 1
-        assert sub.adjacency_at(100.0)[0] == {1}
-
-    def test_union_graph_joins_every_contact(self):
-        trace = self._trace()
-        assert trace.union_graph() == {0: {1}, 1: {0, 2}, 2: {1}}
-        assert trace.device_ids() == [0, 1, 2]
 
     def test_csv_without_device_count_sizes_to_the_highest_id(self, tmp_path):
         path = tmp_path / "trace.csv"

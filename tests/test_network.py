@@ -355,31 +355,21 @@ class TestOneSetOfBooks:
             ),
         )
 
-    @pytest.mark.parametrize("engine, backend", PAIRS)
-    def test_every_traced_round_end_closes_the_books(self, engine, backend):
+    @staticmethod
+    def traced_books(spec):
+        """The traced ``round_end`` records of ``spec``, each with its books as a tuple."""
         from repro.obs import TraceRecorder
         from repro.simulator.result import MASS_FIELDS
 
         trace = TraceRecorder()
-        result = run_scenario(self.spec(engine, backend), probe=trace)
-        assert result.metadata["backend"] == backend
-        rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
-        assert len(rounds) == 12 and [r["n_alive"] for r in rounds][9:] == [0, 0, 0]
-        for record in rounds:
-            at_hosts, in_flight, injected, lost = (record[key] for key in MASS_FIELDS)
-            assert at_hosts + in_flight - injected + lost == pytest.approx(N_HOSTS, abs=1e-9)
-        last = rounds[-1]
-        # Something was lost; the joiners' unit weights are injected, and the
-        # last leavers' mass went out with them as a negative injection.
-        assert last["mass_lost"] > 0.0
-        assert rounds[5]["mass_injected"] - rounds[4]["mass_injected"] > 5.0
-        assert rounds[9]["mass_injected"] < rounds[8]["mass_injected"]
-        # What stays is the weight stranded at the failed hosts.
-        assert 0.0 < last["mass_at_hosts"] < N_HOSTS
+        assert run_scenario(spec, probe=trace).metadata["backend"] == spec.backend
         assert not any(r["name"] == "mass_check" for r in trace.records if r["kind"] == "event")
+        rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
+        return rounds, [tuple(record[key] for key in MASS_FIELDS) for record in rounds]
 
-    @pytest.mark.parametrize("engine, backend", PAIRS)
-    def test_a_planted_leak_still_raises(self, engine, backend, monkeypatch):
+    @staticmethod
+    def plant_leak(backend, monkeypatch):
+        """Halve the weight every delivery lands, outside any booked path."""
         if backend == "agent":
             integrate = PushSum.integrate
 
@@ -396,8 +386,56 @@ class TestOneSetOfBooks:
                 return land(self, state, targets, (weight * 0.5, total))
 
             monkeypatch.setattr(VectorizedPushSumRevert, "_land", leaky)
+
+    def check_membership_books(self, rounds, books):
+        """Every round balances; the joiners' unit weights are injected, the last
+        leavers' mass goes out with them as a negative injection, and what stays
+        is the weight stranded at the failed hosts."""
+        assert len(rounds) == 12 and [r["n_alive"] for r in rounds][9:] == [0, 0, 0]
+        for at_hosts, in_flight, injected, lost in books:
+            assert at_hosts + in_flight - injected + lost == pytest.approx(N_HOSTS, abs=1e-9)
+        assert rounds[5]["mass_injected"] - rounds[4]["mass_injected"] > 5.0
+        assert rounds[9]["mass_injected"] < rounds[8]["mass_injected"]
+        assert 0.0 < rounds[-1]["mass_at_hosts"] < N_HOSTS
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_every_traced_round_end_closes_the_books(self, engine, backend):
+        rounds, books = self.traced_books(self.spec(engine, backend))
+        self.check_membership_books(rounds, books)
+        assert rounds[-1]["mass_lost"] > 0.0
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_a_perfect_network_keeps_the_books(self, engine, backend):
+        # The protocol alone decides: no network model, the same books.
+        spec = self.spec(engine, backend).replace(network="perfect", network_params={})
+        rounds, books = self.traced_books(spec)
+        self.check_membership_books(rounds, books)
+        assert all(lost == 0.0 and in_flight == 0.0 for _, in_flight, _, lost in books)
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_a_planted_leak_still_raises(self, engine, backend, monkeypatch):
+        self.plant_leak(backend, monkeypatch)
         with pytest.raises(MassConservationError):
             run_scenario(self.spec(engine, backend))
+
+    @pytest.mark.parametrize("engine, backend", PAIRS)
+    def test_a_planted_leak_raises_on_a_perfect_network(self, engine, backend, monkeypatch):
+        self.plant_leak(backend, monkeypatch)
+        spec = self.spec(engine, backend).replace(network="perfect", network_params={})
+        with pytest.raises(MassConservationError):
+            run_scenario(spec)
+
+    @pytest.mark.parametrize("backend", ["agent", "vectorized"])
+    def test_mass_check_off_keeps_the_books_unchecked(self, backend, monkeypatch):
+        # "off" only skips the checks: a leak runs to the end, and the books it
+        # could not balance still ride on every traced round_end.
+        self.plant_leak(backend, monkeypatch)
+        spec = self.spec("events", backend).replace(engine_params={"mass_check": "off"})
+        rounds, books = self.traced_books(spec)
+        assert len(rounds) == 12
+        drift = [at_hosts + in_flight - injected + lost - N_HOSTS
+                 for at_hosts, in_flight, injected, lost in books]
+        assert drift[-1] < -1.0
 
     @pytest.mark.parametrize("protocol", ["count-sketch-reset", "sketch-count", "extrema-gossip"])
     @pytest.mark.parametrize("backend", ["agent", "vectorized"])
@@ -414,6 +452,35 @@ class TestOneSetOfBooks:
             network="bernoulli-loss", network_params={"p": 0.2},
         )
         assert run_scenario(spec, probe=trace).metadata["backend"] == backend
+        rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
+        assert len(rounds) == 6
+        assert not any(key in record for record in rounds for key in MASS_FIELDS)
+
+    #: Count-Sketch-Reset's begin hook keeps it off the event kernels (DESIGN.md §14),
+    #: so Sketch-Count, massless too, stands in on that pair.
+    MASSLESS = [("rounds", "agent", "count-sketch-reset"),
+                ("rounds", "vectorized", "count-sketch-reset"),
+                ("events", "agent", "count-sketch-reset"),
+                ("events", "vectorized", "sketch-count")]
+
+    @pytest.mark.parametrize("engine, backend, protocol", MASSLESS)
+    def test_a_massless_protocol_has_no_mass_view(self, engine, backend, protocol):
+        from repro.api.backends import BACKENDS
+        from repro.api.kernel_run import KernelRun
+        from repro.obs import TraceRecorder
+        from repro.simulator.result import MASS_FIELDS
+
+        trace = TraceRecorder()
+        spec = ScenarioSpec(protocol=protocol, n_hosts=N_HOSTS, rounds=6, seed=5,
+                            mode="exchange", workload="constant", engine=engine, backend=backend)
+        if backend == "agent":
+            driver = spec.build(probe=trace)
+            driver.run() if engine == "events" else driver.run(spec.rounds)
+        else:
+            run = KernelRun(BACKENDS.get(backend), spec, trace)
+            run.run()
+            driver = run.kernel
+        assert driver.mass_view() is None
         rounds = [r for r in trace.records if r["kind"] == "event" and r["name"] == "round_end"]
         assert len(rounds) == 6
         assert not any(key in record for record in rounds for key in MASS_FIELDS)

@@ -523,7 +523,8 @@ class TestObsReport:
         }
         text = render_report(records)
         assert text.splitlines()[0] == (
-            "plan: engine=rounds backend=vectorized on_calendar=False rejections=none"
+            "plan: engine=rounds backend=vectorized on_calendar=False rejections=none "
+            f"code={plan['code'][:12]}"
         )
         lines = text[text.index("Per-round counters"):].splitlines()
         header = [cell.strip() for cell in lines[1].split("|")]
@@ -543,10 +544,27 @@ class TestObsReport:
                    plan, round_end(0, 19.0, 0.0), round_end(1, 18.0, 1.0)]
         text = render_report(records)
         assert text.splitlines()[0] == (
-            "plan: engine=events backend=agent on_calendar=True rejections=latency,ring (2 runs)"
+            "plan: engine=events backend=agent on_calendar=True rejections=latency,ring code=- "
+            "(2 runs)"
         )
         lines = text[text.index("Per-round counters"):].splitlines()
         assert [line.split("|")[-1].strip() for line in lines[3:]] == ["0", "-0.500", "0", "0"]
+
+    def test_the_plan_names_its_run(self):
+        from repro.store import code_fingerprint
+
+        def name(spec):
+            trace = TraceRecorder()
+            run_scenario(spec, probe=trace)
+            (plan,) = [r for r in trace.records if r["kind"] == "event" and r["name"] == "plan"]
+            return plan["spec_key"], plan["code"]
+
+        spec = BIT_IDENTITY_SPECS["vectorized-uniform"]
+        key, code = name(spec)
+        assert (key, code) == (spec.key(), code_fingerprint(spec.protocol))
+        assert name(spec) == (key, code)
+        reseeded_key, reseeded_code = name(spec.replace(seed=spec.seed + 1))
+        assert reseeded_key != key and reseeded_code == code
 
 
 class TestStoreInstrumentation:

@@ -919,7 +919,6 @@ def _host_step_full_transfer(kernel, alive_idx):
         kernel._history_total[idx, 1:] = kernel._history_total[idx, :-1]
         kernel._history_weight[idx, 0] = new_weight[idx]
         kernel._history_total[idx, 0] = new_total[idx]
-        kernel._history_filled[idx] = np.minimum(kernel._history_filled[idx] + 1, kernel.history)
 
 
 def _host_space_step(kernel):
@@ -939,8 +938,8 @@ def _host_space_step(kernel):
 
 #: What a Push-Sum-Revert kernel is bit-compared on after every round.
 PSR_STATE = ("weight", "total", "_last_estimate", "_history_weight", "_history_total",
-             "_history_filled", "mass_injected", "mass_lost", "messages_delivered",
-             "messages_lost", "bytes_sent", "round_index")
+             "mass_injected", "mass_lost", "messages_delivered", "messages_lost", "bytes_sent",
+             "round_index")
 #: One membership change before a round: (kind, fraction of the live hosts).
 membership_changes = st.lists(
     st.tuples(st.sampled_from(["none", "fail", "graceful", "join"]),

@@ -43,7 +43,6 @@ class TestVectorizedPushSumRevertConstruction:
         kernel.join(np.array([1.0, 2.0]))
         rows = 12 if mode == "full-transfer" else 0
         assert kernel._history_weight.shape == kernel._history_total.shape == (rows, 3)
-        assert kernel._history_filled.shape == (rows,)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
