@@ -10,7 +10,7 @@ the benchmark output (committed under ``benchmarks/output/``).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.analysis.cdf": ("cdf_at", "empirical_cdf", "quantile"),
+    "repro.analysis.cdf": ("cdf_at", "quantile"),
     "repro.analysis.cutoff_fit": ("CutoffFit", "fit_linear_cutoff"),
     "repro.analysis.render": ("format_number", "render_series_table", "render_table"),
 })
@@ -18,7 +18,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "CutoffFit",
     "cdf_at",
-    "empirical_cdf",
     "fit_linear_cutoff",
     "format_number",
     "quantile",

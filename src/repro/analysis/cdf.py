@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["empirical_cdf", "cdf_at", "quantile"]
-
-
-def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """The empirical CDF of ``values`` as ``(sorted_values, probabilities)``.
-
-    ``probabilities[i]`` is the fraction of samples ≤ ``sorted_values[i]``.
-    Raises on an empty sample, because a CDF of nothing is meaningless.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot build a CDF from an empty sample")
-    ordered = np.sort(arr)
-    probabilities = np.arange(1, ordered.size + 1, dtype=float) / ordered.size
-    return ordered, probabilities
+__all__ = ["cdf_at", "quantile"]
 
 
 def cdf_at(values: Sequence[float], points: Sequence[float]) -> np.ndarray:

@@ -44,11 +44,6 @@ class CutoffFit:
         """Evaluate the fitted cutoff at ``bit_index``."""
         return self.intercept + self.slope * bit_index
 
-    def max_residual(self) -> float:
-        """Largest absolute deviation of a per-bit bound from the fitted line."""
-        if not self.per_bit_bounds:
-            return 0.0
-        return max(abs(bound - self(bit)) for bit, bound in self.per_bit_bounds.items())
 
 
 def fit_linear_cutoff(

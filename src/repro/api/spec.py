@@ -206,8 +206,8 @@ class ScenarioSpec:
         Scheduled membership events as plain dicts, e.g.
         ``{"event": "failure", "round": 20, "model": "uncorrelated",
         "fraction": 0.5}``; ``"graceful-departure"`` takes the same keys
-        but lets the leavers sign off first (:mod:`repro.core.departure`:
-        mass handed to a survivor, sketch positions disowned), and
+        but lets the leavers sign off first (each protocol's ``sign_off``
+        hook: mass handed to a survivor, sketch positions disowned), and
         ``"join"``, ``"value-change"`` and ``"churn"`` follow
         :mod:`repro.failures`.
     rounds / mode / seed / group_relative / store_estimates:

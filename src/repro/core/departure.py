@@ -5,10 +5,13 @@ its contribution is stuck in the computation (that is the problem the
 dynamic protocols solve).  Section II-C notes the alternative — "where it
 is infeasible for the host to gracefully depart the network (i.e., by
 performing a sign-off protocol), an error is introduced" — implying the
-sign-off path as the graceful best case.  This module implements that
+sign-off path as the graceful best case.  This module schedules that
 path, both to serve as the no-error baseline in failure experiments and
 because a real deployment would use it whenever a device *does* get the
-chance to say goodbye:
+chance to say goodbye.  The sign-off itself is each protocol's own
+``sign_off`` hook (:meth:`repro.baselines.PushSum.sign_off`,
+:meth:`repro.core.CountSketchReset.sign_off`,
+:meth:`repro.core.InvertAverage.sign_off`):
 
 * a Push-Sum–family host hands its entire mass to a live peer before
   leaving, so conservation of mass is preserved exactly;
@@ -34,48 +37,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; the event needs no protocol
-    from repro.baselines.push_sum import MassState
-    from repro.core.count_sketch_reset import CountSketchResetState
-    from repro.core.invert_average import InvertAverageState
     from repro.failures.models import FailureModel
 
-__all__ = [
-    "GracefulDepartureEvent",
-    "sign_off_mass",
-    "sign_off_counters",
-    "sign_off_invert_average",
-]
-
-
-def sign_off_mass(state: MassState, peer_state: MassState) -> None:
-    """Hand the departing host's entire mass to a live peer.
-
-    Total mass is conserved exactly, so even static Push-Sum keeps
-    converging to the average *of the hosts that remain plus the departed
-    host's value* — the departed value is only fully forgotten by the
-    reverting variants.  The departing host is left massless.
-    """
-    peer_state.weight += state.weight
-    peer_state.total += state.total
-    state.weight = 0.0
-    state.total = 0.0
-
-
-def sign_off_counters(state: CountSketchResetState) -> None:
-    """Stop sourcing every position the departing host owns.
-
-    The positions start ageing immediately; they disappear from the derived
-    bit image once their counters exceed the cutoff, unless another live
-    host also sources them (which the departing host cannot know — the
-    observation that motivates the cutoff design in Section IV).
-    """
-    state.matrix.disown_all()
-
-
-def sign_off_invert_average(state: InvertAverageState, peer_state: InvertAverageState) -> None:
-    """Sign off both halves of an Invert-Average host."""
-    sign_off_mass(state.average_state, peer_state.average_state)
-    sign_off_counters(state.count_state)
+__all__ = ["GracefulDepartureEvent"]
 
 
 @dataclass

@@ -150,14 +150,6 @@ class InvertAverage(ExchangeProtocol):
         average = self.averager.estimate(state.average_state)
         return size * average
 
-    def size_estimate(self, state: InvertAverageState) -> float:
-        """The Count-Sketch-Reset half's network-size estimate."""
-        return self.counter.estimate(state.count_state)
-
-    def average_estimate(self, state: InvertAverageState) -> float:
-        """The Push-Sum-Revert half's average estimate."""
-        return self.averager.estimate(state.average_state)
-
     # ---------------------------------------------------------- sign-off hook
     def sign_off(
         self,

@@ -107,10 +107,6 @@ class EventSimulation(Simulation):
         self.calendar = EventCalendar()
         self._clock_rng = self.streams.get("clocks")
         self._clocks: Dict[int, HostClock] = {}
-        # Hosts with a TICK event currently on the calendar.  Membership
-        # handling consults this to restart the tick chains of hosts that
-        # were revived after their last tick fired unrescheduled.
-        self._pending_ticks: set = set()
         self._inboxes: Dict[int, List] = {}
         self._received: Dict[int, int] = {}
         self._roster: Optional[LiveRoster] = None
@@ -166,7 +162,6 @@ class EventSimulation(Simulation):
         first = clock.next_time()
         if first <= self.duration + TIME_EPS:
             self.calendar.schedule(first, TICK, ("tick", host_id))
-            self._pending_ticks.add(host_id)
 
     # ------------------------------------------------------------------- run
     def run(self, rounds: Optional[int] = None) -> SimulationResult:
@@ -210,7 +205,7 @@ class EventSimulation(Simulation):
                         probe.count("events.sample")
                         probe.gauge("calendar_depth", len(calendar))
                 else:  # membership
-                    self._on_membership(event[1], time)
+                    self._on_membership(event[1])
                     if probing:
                         probe.count("events.membership")
                 if self._track_mass and self.mass_check == "event":
@@ -225,11 +220,9 @@ class EventSimulation(Simulation):
 
     # ---------------------------------------------------------------- events
     def _on_tick(self, host_id: int, time: float) -> None:
-        self._pending_ticks.discard(host_id)
         host = self.hosts[host_id]
         if not host.alive:
-            # Dead hosts stop ticking; _on_membership restarts the chain
-            # if a membership model later revives the host.
+            # A departed host's chain ends here: ids are never reused.
             return
         bin_index = self._sample_bin(time)
         state = host.state
@@ -246,7 +239,6 @@ class EventSimulation(Simulation):
         next_time = clock.next_time()
         if next_time <= self.duration + TIME_EPS:
             self.calendar.schedule(next_time, TICK, ("tick", host_id))
-            self._pending_ticks.add(host_id)
 
     def _on_sample(self, sample_index: int, time: float) -> None:
         alive = self.alive_ids()
@@ -261,30 +253,8 @@ class EventSimulation(Simulation):
         self.round_index = sample_index
         self.result.append(record, self.probe, self.mass_view())
 
-    def _on_membership(self, event, time: float) -> None:
+    def _on_membership(self, event) -> None:
         event.apply(self, event.round)
-        # Models may mutate hosts directly (graceful departures revive or
-        # transfer state), so drop the roster rather than trusting the
-        # fail_host/add_host overrides alone.
-        self._roster = None
-        # Restart the gossip clocks of revived hosts: a host that died
-        # mid-chain had its tick fire without rescheduling, so revival
-        # would otherwise leave it receiving payloads forever without ever
-        # gossiping.  Stale clocks are fast-forwarded on their own grid so
-        # no tick is ever scheduled in the past.
-        for host_id in sorted(self._alive_set):
-            if host_id in self._pending_ticks:
-                continue
-            clock = self._clocks.get(host_id)
-            if clock is None:
-                self._attach_clock(host_id, join_time=time)
-                continue
-            while clock.next_time() <= time + TIME_EPS:
-                clock.advance()
-            next_time = clock.next_time()
-            if next_time <= self.duration + TIME_EPS:
-                self.calendar.schedule(next_time, TICK, ("tick", host_id))
-                self._pending_ticks.add(host_id)
         if self._track_mass:
             # Joins mint mass and value rebases shift it by design;
             # both are deliberate injections, not leaks.

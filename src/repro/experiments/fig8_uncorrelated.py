@@ -77,9 +77,6 @@ class Fig8Result:
         """Error at the last round for the given λ."""
         return self.errors[reversion][-1]
 
-    def error_at(self, reversion: float, round_index: int) -> float:
-        """Error at a specific round for the given λ."""
-        return self.errors[reversion][round_index]
 
 
 def run_fig8(

@@ -27,7 +27,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "haggle_dataset",
     ),
     "repro.mobility.stats": (
-        "average_degree_series",
         "average_group_size_series",
         "contact_duration_stats",
         "intercontact_time_stats",
@@ -39,7 +38,6 @@ __all__ = [
     "ContactRecord",
     "ContactTrace",
     "HAGGLE_DATASET_SIZES",
-    "average_degree_series",
     "average_group_size_series",
     "contact_duration_stats",
     "generate_haggle_like_trace",

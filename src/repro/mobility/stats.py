@@ -17,7 +17,6 @@ from repro.mobility.traces import ContactTrace
 from repro.topology.connectivity import connected_components
 
 __all__ = [
-    "average_degree_series",
     "average_group_size_series",
     "contact_duration_stats",
     "intercontact_time_stats",
@@ -48,25 +47,6 @@ def average_group_size_series(
         sizes.append(float(np.mean(group_sizes)))
         time += step_seconds
     return times, sizes
-
-
-def average_degree_series(
-    trace: ContactTrace, step_seconds: float = 1800.0
-) -> Tuple[List[float], List[float]]:
-    """Mean instantaneous degree (peers in range) sampled every ``step_seconds``."""
-    if step_seconds <= 0:
-        raise ValueError("step_seconds must be positive")
-    times: List[float] = []
-    degrees: List[float] = []
-    time = 0.0
-    duration = trace.duration
-    while time <= duration:
-        adjacency = trace.adjacency_at(time)
-        per_node = [len(neighbors) for neighbors in adjacency.values()] or [0]
-        times.append(time / 3600.0)
-        degrees.append(float(np.mean(per_node)))
-        time += step_seconds
-    return times, degrees
 
 
 def contact_duration_stats(trace: ContactTrace) -> Dict[str, float]:

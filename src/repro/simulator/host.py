@@ -49,13 +49,6 @@ class Host:
             self.alive = False
             self.failed_round = round_index
 
-    def revive(self, round_index: int) -> None:
-        """Bring a previously failed host back (used by churn models)."""
-        if not self.alive:
-            self.alive = True
-            self.failed_round = None
-            self.joined_round = round_index
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.alive else f"failed@{self.failed_round}"
         return f"Host(id={self.host_id}, value={self.value:.3g}, {status})"

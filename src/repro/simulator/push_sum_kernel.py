@@ -280,7 +280,7 @@ class VectorizedPushSumRevert(_ValueKernel):
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:
         """Sign-off departure: each leaver hands its mass to a random survivor.
 
-        Mirrors :func:`repro.core.departure.sign_off_mass` — the departing
+        Mirrors :meth:`repro.baselines.PushSum.sign_off` — the departing
         weight/total move to a live peer, so the conserved mass stays in the
         system and the average re-converges instead of drifting.  With no
         survivors left the leavers' mass is dropped, as the agent's sign-off

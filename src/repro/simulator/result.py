@@ -1,4 +1,13 @@
-"""Per-round records and end-of-run summaries produced by the engine."""
+"""Per-round records and end-of-run summaries produced by the engine.
+
+Public API: :class:`SimulationResult`'s per-round accessor family —
+``round_indices``, ``times``, ``errors``, ``truths``, ``mean_estimates``,
+``alive_counts``, ``bytes_per_round``, ``group_size_series``,
+``delivered_per_round``, ``lost_per_round`` and ``in_flight_per_round`` —
+and its summaries (``final_error``, ``error_at``, ``total_bytes``,
+``total_lost``, ``convergence_round``, ``plateau_error``, …): the reading
+side of a run for library users, as in ``examples/``.
+"""
 
 from __future__ import annotations
 

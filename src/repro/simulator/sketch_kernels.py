@@ -13,6 +13,10 @@ the merge's rows — because NumPy runs a small-integer ``minimum`` against a
 scalar, or a compare against the ``bits``-wide table, in a loop 3–10× slower.
 DESIGN.md §7 "Sketch kernel layout" has the exactness argument and the
 measurements.
+
+Public API beyond the kernel protocol: :attr:`VectorizedCountSketchReset.own_mask`,
+the read-only (host, bin, bit) ownership image, for inspecting which positions
+live hosts still source.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ class VectorizedCountSketchReset(_CountingKernel):
     def depart_gracefully(self, host_indices: Sequence[int]) -> None:
         """Sign-off departure: the leaver disowns its sketch positions.
 
-        Mirrors :func:`repro.core.departure.sign_off_counters` — the
+        Mirrors :meth:`repro.core.CountSketchReset.sign_off` — the
         departed host's identifiers stop being refreshed, so their counters
         age past the cutoff and the live count drops without waiting for
         the silent-failure detection delay.

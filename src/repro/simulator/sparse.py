@@ -35,8 +35,11 @@ analogue of the uniform kernels' random perfect matching) and
 live-induced graph, for group-relative error accounting à la Fig 11).  It
 carries its owner's ``probe`` (:mod:`repro.obs`); only a trace view reads the
 ``round_index`` each call names.  Hand-driven callers keep the stateless
-``topology.sample_peers(requesters, alive, rng, …)`` forms, which delegate to
-a one-slot memo of the last mask's view.
+``topology.sample_peers(requesters, alive, rng)`` and
+``topology.sample_matching(alive_idx, alive, rng)`` forms (round 0, no
+probe), which delegate to a one-slot memo of the last mask's view; anything
+more — a probe, a trace round, fewer matching passes, the components — is
+asked of ``topology.view(alive)``.
 """
 
 from __future__ import annotations
@@ -277,32 +280,25 @@ class _Topology:
         """``(u, v)``: every undirected edge once (what components follow)."""
         raise NotImplementedError
 
-    def _view_of(self, alive: np.ndarray, probe) -> LiveView:
-        """The stateless calls' one-slot memo: the last view while mask and probe
-        repeat, else a new one over a copy of the mask (installed in one assignment)."""
+    def _view_of(self, alive: np.ndarray) -> LiveView:
+        """The stateless calls' one-slot memo: the last view while the mask
+        repeats, else a new one over a copy of the mask (installed in one assignment)."""
         view = self._last_view
-        if view is None or view.probe is not probe or not np.array_equal(view.alive, alive):
-            view = self._last_view = self.view(alive.copy(), probe)
+        if view is None or not np.array_equal(view.alive, alive):
+            view = self._last_view = self.view(alive.copy())
         return view
 
     def sample_peers(
-        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        probe=NULL_PROBE, round_index: int = 0,
+        self, requesters: np.ndarray, alive: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Stateless :meth:`LiveView.sample_peers`."""
-        return self._view_of(alive, probe).sample_peers(requesters, rng, round_index)
+        return self._view_of(alive).sample_peers(requesters, rng)
 
     def sample_matching(
-        self, alive_idx: np.ndarray, alive: np.ndarray, rng: np.random.Generator,
-        *, passes: int = 3, probe=NULL_PROBE, round_index: int = 0,
+        self, alive_idx: np.ndarray, alive: np.ndarray, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Stateless :meth:`LiveView.sample_matching` (``alive_idx`` is ``alive``'s nonzero)."""
-        view = self._view_of(alive, probe)
-        return view.sample_matching(rng, passes=passes, round_index=round_index)
-
-    def component_labels(self, alive: np.ndarray, probe=NULL_PROBE, round_index: int = 0):
-        """Stateless :meth:`LiveView.component_labels`."""
-        return self._view_of(alive, probe).component_labels(round_index)
+        return self._view_of(alive).sample_matching(rng)
 
 
 class CSRTopology(_Topology):

@@ -17,7 +17,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,26 +73,6 @@ class CounterMatrix:
         owned = [sketch_coordinates(identifier, bins, bits, salt=salt) for identifier in identifiers]
         return cls(bins, bits, owned)
 
-    @classmethod
-    def for_value(
-        cls,
-        host_id: Hashable,
-        value: int,
-        bins: int,
-        bits: int,
-        *,
-        salt: str = "",
-    ) -> "CounterMatrix":
-        """Build a matrix registering ``value`` identifiers for host ``host_id``.
-
-        ``value=1`` is plain counting; larger integers implement the
-        multiple-insertion summation of Considine et al.
-        """
-        if value < 0:
-            raise ValueError("value must be a non-negative integer")
-        identifiers = [(host_id, j) for j in range(int(value))]
-        return cls.for_identifiers(identifiers, bins, bits, salt=salt)
-
     # ----------------------------------------------------------------- owning
     def own(self, position: Tuple[int, int]) -> None:
         """Mark a (bin, bit) position as sourced by this host (counter pinned to 0)."""
@@ -115,13 +95,6 @@ class CounterMatrix:
         for bin_idx, bit_idx in self.owned:
             self.counters[bin_idx, bit_idx] = 0
 
-    def merge_min(self, other: "CounterMatrix") -> None:
-        """Take the element-wise minimum with another matrix (gossip merge)."""
-        self._check_compatible(other)
-        np.minimum(self.counters, other.counters, out=self.counters)
-        for bin_idx, bit_idx in self.owned:
-            self.counters[bin_idx, bit_idx] = 0
-
     def merge_min_array(self, counters: np.ndarray) -> None:
         """Merge with a raw counter array (used when payloads are plain arrays)."""
         if counters.shape != self.counters.shape:
@@ -131,10 +104,6 @@ class CounterMatrix:
         np.minimum(self.counters, counters, out=self.counters)
         for bin_idx, bit_idx in self.owned:
             self.counters[bin_idx, bit_idx] = 0
-
-    def _check_compatible(self, other: "CounterMatrix") -> None:
-        if (self.bins, self.bits) != (other.bins, other.bits):
-            raise ValueError("counter matrices have incompatible shapes")
 
     # -------------------------------------------------------------- estimates
     def bit_image(self, cutoff: Callable[[int], float]) -> np.ndarray:
@@ -189,13 +158,6 @@ class CounterMatrix:
         for convenience).
         """
         return self.bins * self.bits * counter_bytes
-
-    def max_finite_counter(self) -> Optional[int]:
-        """The largest counter strictly below the INFINITY sentinel, if any."""
-        finite = self.counters[self.counters < INFINITY]
-        if finite.size == 0:
-            return None
-        return int(finite.max())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CounterMatrix):

@@ -14,11 +14,16 @@ multiplying, and dividing is what actually makes the estimate unbiased, so
 that is what :func:`fm_estimate` implements (and what the experiments use).
 ``fm_estimate(..., paper_formula=True)`` applies the literal formula from
 the figure for comparison.
+
+Public API beyond what the protocols call: :func:`rank_of_bits`, the
+bit-at-a-time definition of R that the array read-outs are checked
+against, and :func:`expected_relative_error`, the 0.78/√m standard error
+the paper quotes for its sketch size.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
@@ -108,23 +113,6 @@ class FMSketch:
         bin_idx, bit_idx = sketch_coordinates(identifier, self.bins, self.bits, salt=self.salt)
         self.matrix[bin_idx, bit_idx] = True
 
-    def insert_many(self, identifiers: Iterable[Hashable]) -> None:
-        """Insert an iterable of identifiers."""
-        for identifier in identifiers:
-            self.insert(identifier)
-
-    def insert_value(self, host_id: Hashable, value: int) -> None:
-        """Considine-style summation: register ``value`` distinct identifiers.
-
-        Each unit of ``value`` contributes the identifier ``(host_id, j)``,
-        so the distinct-count of the union over hosts estimates the sum of
-        the hosts' integer values.
-        """
-        if value < 0:
-            raise ValueError("summation sketches require non-negative integer values")
-        for j in range(int(value)):
-            self.insert((host_id, j))
-
     # ------------------------------------------------------------------ union
     def union(self, other: "FMSketch") -> "FMSketch":
         """Return a new sketch equal to the duplicate-insensitive union."""
@@ -132,11 +120,6 @@ class FMSketch:
         result = FMSketch(self.bins, self.bits, salt=self.salt)
         np.logical_or(self.matrix, other.matrix, out=result.matrix)
         return result
-
-    def union_update(self, other: "FMSketch") -> None:
-        """In-place union (the gossip merge operator)."""
-        self._check_compatible(other)
-        np.logical_or(self.matrix, other.matrix, out=self.matrix)
 
     def _check_compatible(self, other: "FMSketch") -> None:
         if (self.bins, self.bits, self.salt) != (other.bins, other.bits, other.salt):

@@ -23,6 +23,9 @@ which pay one lookup and one transaction per *batch*.
 Results round-trip exactly: payload floats are serialised with
 ``repr``-fidelity JSON, so a warm read is bit-identical to the run that
 produced it (asserted in ``tests/test_store.py``).
+
+Public API beyond what the sweep runner calls: :meth:`ResultStore.contains`,
+the index-only probe (is a result cached, without decoding its payload).
 """
 
 from __future__ import annotations

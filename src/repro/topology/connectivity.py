@@ -1,23 +1,19 @@
 """Connectivity utilities over adjacency maps.
 
-These helpers implement the structural queries the rest of the system
-needs:
-
-* connected components restricted to the currently live hosts — this is how
-  the trace environment computes the paper's "nearby group" (all hosts
-  reachable over the union of edges seen in the last 10 minutes);
-* unions of adjacency maps over a time window.
+These helpers implement the structural query the rest of the system
+needs: connected components restricted to the currently live hosts — this
+is how the trace environment computes the paper's "nearby group" (all
+hosts reachable over the union of edges seen in the last 10 minutes).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 __all__ = [
     "connected_component",
     "connected_components",
-    "union_adjacency",
 ]
 
 Adjacency = Dict[int, Set[int]]
@@ -57,19 +53,3 @@ def connected_components(graph: Adjacency, alive: Optional[Set[int]] = None) -> 
         components.append(component)
         remaining -= component
     return components
-
-
-def union_adjacency(graphs: Iterable[Adjacency]) -> Adjacency:
-    """The union of several adjacency maps (edges present in any of them).
-
-    The trace environment uses this to build the paper's group definition:
-    "two hosts are nearby if there exists a path from one to the other over
-    the union of all edges that have existed in the last 10 minutes."
-    """
-    union: Adjacency = {}
-    for graph in graphs:
-        for node, neighbors in graph.items():
-            union.setdefault(node, set()).update(neighbors)
-            for neighbor in neighbors:
-                union.setdefault(neighbor, set()).add(node)
-    return union

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "empty_graph",
-    "complete_graph",
     "ring_lattice",
     "ring_lattice_edges",
     "grid_graph",
@@ -37,13 +36,6 @@ def empty_graph(n: int) -> Adjacency:
     """``n`` isolated nodes and no edges."""
     _check_count(n)
     return {node: set() for node in range(n)}
-
-
-def complete_graph(n: int) -> Adjacency:
-    """Every pair of distinct nodes is connected (uniform-gossip topology)."""
-    _check_count(n)
-    nodes = set(range(n))
-    return {node: nodes - {node} for node in range(n)}
 
 
 def _edges_to_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:

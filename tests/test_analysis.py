@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     cdf_at,
-    empirical_cdf,
     fit_linear_cutoff,
     format_number,
     quantile,
@@ -15,16 +14,6 @@ from repro.analysis import (
 
 
 class TestCDF:
-    def test_empirical_cdf_monotone(self):
-        values, probabilities = empirical_cdf([3.0, 1.0, 2.0, 2.0])
-        assert list(values) == [1.0, 2.0, 2.0, 3.0]
-        assert probabilities[-1] == 1.0
-        assert all(np.diff(probabilities) >= 0)
-
-    def test_empirical_cdf_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
     def test_cdf_at_points(self):
         probabilities = cdf_at([1, 2, 3, 4], [0, 2, 10])
         assert list(probabilities) == [0.0, 0.5, 1.0]
@@ -67,10 +56,10 @@ class TestCutoffFit:
         with pytest.raises(ValueError):
             fit_linear_cutoff({0: [1] * 20, 1: [2] * 20}, probability=0.0)
 
-    def test_max_residual(self):
+    def test_fit_passes_through_collinear_bounds(self):
         counters_by_bit = {k: [float(k)] * 50 for k in range(5)}
         fit = fit_linear_cutoff(counters_by_bit)
-        assert fit.max_residual() < 1e-6
+        assert all(abs(bound - fit(bit)) < 1e-6 for bit, bound in fit.per_bit_bounds.items())
 
 
 class TestRendering:

@@ -335,7 +335,8 @@ class TestInvertAverage:
         protocol = InvertAverage(0.01, bins=8, bits=12)
         state = protocol.create_state(0, 5.0, rng)
         assert protocol.estimate(state) == pytest.approx(
-            protocol.size_estimate(state) * protocol.average_estimate(state)
+            protocol.counter.estimate(state.count_state)
+            * protocol.averager.estimate(state.average_state)
         )
 
     def test_sum_estimate_on_uniform_network(self):

@@ -1,6 +1,7 @@
 """Tests for the continuous-time event-driven engine (repro.events)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -418,75 +419,41 @@ class TestScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# Membership: clock restarts and exchange accounting
+# Membership: departures and exchange accounting
 # ---------------------------------------------------------------------------
-class _ReviveEvent:
-    """Scheduled membership event bringing explicit hosts back to life.
+class TestDepartures:
+    def test_a_departed_host_is_never_rescheduled(self):
+        # A departed host's last pending tick fires and ends its chain: no
+        # tick of it is scheduled after the departure, while the survivors
+        # keep ticking.
+        sim = event_simulation(events=[FailureEvent(round=4, model=ExplicitFailure([0, 1]))])
+        departed_at = (4 + 1) * sim.sample_interval
+        scheduled = []
+        schedule = sim.calendar.schedule
 
-    Mirrors what a churn model's revival path does: the hosts are mutated
-    directly, so only the engine's post-membership clock restart can get
-    them gossiping again.
-    """
+        def recording(time, priority, event):
+            if event[0] == "tick":
+                scheduled.append((sim._now, event[1]))
+            schedule(time, priority, event)
 
-    def __init__(self, round, host_ids):
-        self.round = round
-        self.host_ids = list(host_ids)
-
-    def apply(self, simulation, round_index):
-        for host_id in self.host_ids:
-            simulation.hosts[host_id].revive(round_index)
-
-
-class TestMembershipClocks:
-    def test_revived_hosts_resume_ticking(self):
-        # Regression: a host that dies has its pending tick fire without
-        # rescheduling, so before the post-membership clock restart a
-        # revived host never gossiped again — it sat in the alive set
-        # soaking up payloads with a frozen estimate forever.
-        sim = event_simulation(
-            events=[
-                FailureEvent(round=4, model=ExplicitFailure([0, 1])),
-                _ReviveEvent(10, [0, 1]),
-            ]
-        )
-        result = sim.run()
-        record = result.final_record()
-        assert record.n_alive == 48
-        truth = record.truth
-        for host_id in (0, 1):
-            # The tick chain restarted: the clock kept advancing past the
-            # end of the run instead of freezing at the time of death...
-            assert sim._clocks[host_id].next_time() > sim.duration
-            # ...and the host re-converged with everyone else.
-            estimate = sim.protocol.estimate(sim.hosts[host_id].state)
-            assert abs(estimate - truth) < 10.0
-
-    def test_revival_keeps_the_mass_books_balanced(self):
-        # mass_check="event" in event_simulation(): the departure's mass
-        # removal and the revival's re-injection must both be booked, or
-        # the per-event conservation check raises mid-run.
-        sim = event_simulation(
-            events=[
-                FailureEvent(round=3, model=ExplicitFailure([5])),
-                _ReviveEvent(9, [5]),
-            ]
-        )
-        result = sim.run()
-        assert result.alive_counts()[-1] == 48
-
-    def test_late_revival_does_not_schedule_past_the_horizon(self):
-        # A host revived on the last sample has no room left on its grid;
-        # the restart must not schedule a tick beyond the duration.
-        sim = event_simulation(
-            events=[
-                FailureEvent(round=4, model=ExplicitFailure([2])),
-                _ReviveEvent(18, [2]),
-            ]
-        )
+        sim.calendar.schedule = recording
         sim.run()
-        for _ in range(len(sim.calendar)):
-            time, _, _, _ = sim.calendar.pop()
-            assert time > sim.duration
+        assert all(now < departed_at for now, host_id in scheduled if host_id in (0, 1))
+        assert any(now > departed_at for now, _ in scheduled)
+
+    @pytest.mark.parametrize("backend", ["agent", "vectorized"])
+    def test_the_graceful_departure_example_runs_on_the_calendar(self, backend):
+        # examples/specs/graceful_departure.json on engine="events": half the
+        # hosts sign off mid-run, every sample checks the mass books, and the
+        # survivors re-converge on their own average.
+        example = Path(__file__).resolve().parents[1] / "examples/specs/graceful_departure.json"
+        spec = ScenarioSpec.from_json(example.read_text()).replace(
+            n_hosts=200, engine="events", backend=backend
+        )
+        result = run_scenario(spec)
+        assert result.metadata["engine"]["name"] == "events"
+        assert result.alive_counts()[0] == 200 and result.alive_counts()[-1] == 100
+        assert result.final_error() < 0.25 * max(result.errors())
 
 
 class TestExchangeAccounting:

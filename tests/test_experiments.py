@@ -101,9 +101,6 @@ class TestFig8:
     def test_truth_stays_near_fifty(self, result):
         assert abs(result.truths[-1] - 50.0) < 5.0
 
-    def test_error_at_accessor(self, result):
-        assert result.error_at(0.0, 39) == result.final_error(0.0)
-
     def test_render_contains_lambdas(self, result):
         text = render_fig8(result)
         assert "lambda=0.5" in text

@@ -10,7 +10,6 @@ from repro.core import (
     InvertAverage,
     PushSumRevert,
 )
-from repro.core.departure import sign_off_counters, sign_off_invert_average, sign_off_mass
 from repro.environments import UniformEnvironment
 from repro.failures import CorrelatedFailure, ExplicitFailure, FailureEvent
 from repro.simulator import Simulation
@@ -28,7 +27,7 @@ class TestSignOffPrimitives:
         leaving = protocol.create_state(0, 30.0, rng)
         staying = protocol.create_state(1, 10.0, rng)
         total_before = leaving.total + staying.total
-        sign_off_mass(leaving, staying)
+        protocol.sign_off(leaving, staying, rng)
         assert leaving.total == 0.0
         assert leaving.weight == 0.0
         assert staying.total == pytest.approx(total_before)
@@ -43,7 +42,10 @@ class TestSignOffPrimitives:
     def test_sign_off_counters_disowns_positions(self, rng):
         protocol = CountSketchReset(bins=4, bits=8)
         state = protocol.create_state(0, 1.0, rng)
-        sign_off_counters(state)
+        peer = protocol.create_state(1, 1.0, rng)
+        peer_counters = peer.matrix.counters.copy()
+        protocol.sign_off(state, peer, rng)
+        assert np.array_equal(peer.matrix.counters, peer_counters)
         assert state.matrix.owned == set()
         protocol.begin_round(state, 0, rng)
         assert int(state.matrix.counters.min()) >= 1
@@ -52,9 +54,17 @@ class TestSignOffPrimitives:
         protocol = InvertAverage(0.01, bins=4, bits=8)
         leaving = protocol.create_state(0, 30.0, rng)
         staying = protocol.create_state(1, 10.0, rng)
-        sign_off_invert_average(leaving, staying)
+        protocol.sign_off(leaving, staying, rng)
         assert leaving.average_state.weight == 0.0
         assert staying.average_state.weight == pytest.approx(2.0)
+        assert leaving.count_state.matrix.owned == set()
+
+    def test_sign_off_invert_average_without_peer_drops_mass(self, rng):
+        protocol = InvertAverage(0.01, bins=4, bits=8)
+        leaving = protocol.create_state(0, 30.0, rng)
+        protocol.sign_off(leaving, None, rng)
+        assert leaving.average_state.weight == 0.0
+        assert leaving.average_state.total == 0.0
         assert leaving.count_state.matrix.owned == set()
 
 

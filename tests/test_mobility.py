@@ -6,7 +6,6 @@ from repro.mobility import (
     ContactRecord,
     ContactTrace,
     HAGGLE_DATASET_SIZES,
-    average_degree_series,
     average_group_size_series,
     contact_duration_stats,
     generate_haggle_like_trace,
@@ -145,7 +144,10 @@ class TestSyntheticHaggle:
 
     def test_diurnal_cycle_present(self):
         trace = generate_haggle_like_trace(20, duration_hours=48.0, seed=5, community_size=5)
-        _, degrees = average_degree_series(trace, step_seconds=3600.0)
+        degrees = []
+        for hour in range(int(trace.duration // 3600.0) + 1):
+            adjacency = trace.adjacency_at(hour * 3600.0)
+            degrees.append(sum(map(len, adjacency.values())) / max(len(adjacency), 1))
         # Peak activity should clearly exceed the overnight trough.
         assert max(degrees) > 2.0 * (min(degrees) + 0.05)
 

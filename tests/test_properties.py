@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cdf import cdf_at, empirical_cdf
+from repro.analysis.cdf import cdf_at
 from repro.api.spec import NAMED_CUTOFFS
 from repro.baselines.push_sum import PushSum
 from repro.core.cutoff import default_cutoff, linear_cutoff
@@ -108,44 +108,39 @@ class TestMassConservationProperties:
         assert estimates.max() <= max(values) + 1e-9
 
 
+def _fm_sketch(identifiers):
+    sketch = FMSketch(bins=8, bits=20)
+    for identifier in identifiers:
+        sketch.insert(identifier)
+    return sketch
+
+
 class TestSketchProperties:
     identifiers = st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max_size=200)
 
     @COMMON_SETTINGS
     @given(a=identifiers, b=identifiers)
     def test_union_commutative(self, a, b):
-        left = FMSketch(bins=8, bits=20)
-        right = FMSketch(bins=8, bits=20)
-        left.insert_many(a)
-        right.insert_many(b)
+        left, right = _fm_sketch(a), _fm_sketch(b)
         assert left.union(right) == right.union(left)
 
     @COMMON_SETTINGS
     @given(a=identifiers)
     def test_union_idempotent(self, a):
-        sketch = FMSketch(bins=8, bits=20)
-        sketch.insert_many(a)
+        sketch = _fm_sketch(a)
         assert sketch.union(sketch) == sketch
 
     @COMMON_SETTINGS
     @given(a=identifiers, b=identifiers, c=identifiers)
     def test_union_associative(self, a, b, c):
-        def build(identifiers_list):
-            sketch = FMSketch(bins=8, bits=20)
-            sketch.insert_many(identifiers_list)
-            return sketch
-
-        left = build(a).union(build(b)).union(build(c))
-        right = build(a).union(build(b).union(build(c)))
+        left = _fm_sketch(a).union(_fm_sketch(b)).union(_fm_sketch(c))
+        right = _fm_sketch(a).union(_fm_sketch(b).union(_fm_sketch(c)))
         assert left == right
 
     @COMMON_SETTINGS
     @given(a=identifiers, b=identifiers)
     def test_union_estimate_at_least_each_side(self, a, b):
-        left = FMSketch(bins=8, bits=20)
-        right = FMSketch(bins=8, bits=20)
-        left.insert_many(a)
-        right.insert_many(b)
+        left, right = _fm_sketch(a), _fm_sketch(b)
         union = left.union(right)
         assert union.estimate() >= left.estimate() - 1e-9
         assert union.estimate() >= right.estimate() - 1e-9
@@ -181,8 +176,8 @@ class TestCounterMatrixProperties:
 
         a1, b1 = build(owned_a), build(owned_b)
         a2, b2 = build(owned_a), build(owned_b)
-        a1.merge_min(b1)
-        b2.merge_min(a2)
+        a1.merge_min_array(b1.counters)
+        b2.merge_min_array(a2.counters)
         # Outside the owned positions (which each side pins to zero for
         # itself), the merged counters agree.
         mask = np.ones((4, 8), dtype=bool)
@@ -216,7 +211,7 @@ class TestCounterMatrixProperties:
         matrix = CounterMatrix(4, 8, owned)
         matrix.increment()
         clone = matrix.copy()
-        matrix.merge_min(clone)
+        matrix.merge_min_array(clone.counters)
         assert matrix == clone
 
     @COMMON_SETTINGS
@@ -246,10 +241,10 @@ class TestCounterMatrixProperties:
         forward.increment()
         shuffled = forward.copy()
         for peer in peers:
-            forward.merge_min(peer)
+            forward.merge_min_array(peer.counters)
         permutation = np.random.default_rng(order_seed).permutation(len(peers))
         for index in permutation:
-            shuffled.merge_min(peers[int(index)])
+            shuffled.merge_min_array(peers[int(index)].counters)
         assert forward == shuffled
 
 
@@ -322,7 +317,7 @@ class TestCDFProperties:
     @COMMON_SETTINGS
     @given(values=samples)
     def test_cdf_monotone_and_ends_at_one(self, values):
-        _, probabilities = empirical_cdf(values)
+        probabilities = cdf_at(values, np.sort(values))
         assert (np.diff(probabilities) >= -1e-12).all()
         assert probabilities[-1] == pytest.approx(1.0)
 

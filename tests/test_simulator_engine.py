@@ -10,7 +10,6 @@ from repro.failures import CorrelatedFailure, FailureEvent, JoinEvent, Uncorrela
 from repro.simulator import Simulation
 from repro.simulator.host import Host
 from repro.simulator.result import RoundRecord, SimulationResult
-from repro.topology import complete_graph
 from repro.workloads import uniform_values
 
 
@@ -26,14 +25,6 @@ class TestHost:
         host.fail(3)
         host.fail(9)
         assert host.failed_round == 3
-
-    def test_revive_restores_liveness(self):
-        host = Host(host_id=0, value=1.0)
-        host.fail(3)
-        host.revive(10)
-        assert host.alive
-        assert host.failed_round is None
-        assert host.joined_round == 10
 
 
 class TestSimulationBasics:

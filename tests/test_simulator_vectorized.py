@@ -399,6 +399,37 @@ class TestSparseTopologyLayer:
             for a, b in zip(left, right):
                 assert int(b) in adjacency[int(a)]
 
+    def test_stateless_calls_draw_as_the_view_of_their_mask(self):
+        # The positional stateless forms are the round-0, probe-less view
+        # calls: the same generator state gives the same draws.
+        topo = self._ring_csr(30)
+        alive = np.ones(30, dtype=bool)
+        alive[[3, 17]] = False
+        requesters = np.nonzero(alive)[0]
+        view = self._ring_csr(30).view(alive)
+        stateless, direct = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(4):
+            assert np.array_equal(
+                topo.sample_peers(requesters, alive, stateless),
+                view.sample_peers(requesters, direct),
+            )
+            left, right = topo.sample_matching(requesters, alive, stateless)
+            view_left, view_right = view.sample_matching(direct)
+            assert np.array_equal(left, view_left) and np.array_equal(right, view_right)
+
+    def test_stateless_memo_holds_one_view_over_a_copy_of_the_mask(self):
+        topo = self._ring_csr(12)
+        rng = np.random.default_rng(0)
+        alive = np.ones(12, dtype=bool)
+        topo.sample_peers(np.arange(12), alive, rng)
+        memo = topo._last_view
+        topo.sample_matching(np.arange(12), alive.copy(), rng)
+        assert topo._last_view is memo  # an equal mask reuses the view
+        alive[5] = False  # the caller's mask moves; the memo holds its own copy
+        assert memo.alive.all()
+        topo.sample_peers(np.nonzero(alive)[0], alive, rng)
+        assert topo._last_view is not memo and not topo._last_view.alive[5]
+
     def test_grid_ring_respects_distance_law(self):
         from repro.simulator.sparse import GridRingTopology
 
@@ -437,11 +468,13 @@ class TestSparseTopologyLayer:
 
         topo = CSRTopology.from_adjacency(ring_lattice(12, k=1), 12)
         alive = np.ones(12, dtype=bool)
-        labels, sizes = topo.component_labels(alive)
+        view = topo.view(alive)
+        labels, sizes = view.component_labels()
         assert sizes.tolist() == [12] and not labels.any()
-        assert topo.component_labels(alive)[0] is labels  # cached
+        assert view.component_labels()[0] is labels  # cached
         alive[[0, 6]] = False  # cut the ring twice -> two arcs
-        assert label_sets(*topo.component_labels(alive)) == [[1, 2, 3, 4, 5], [7, 8, 9, 10, 11]]
+        cut = topo.view(alive).component_labels()
+        assert label_sets(*cut) == [[1, 2, 3, 4, 5], [7, 8, 9, 10, 11]]
 
     def test_grid_ring_components_follow_grid_edges_not_long_links(self):
         from repro.simulator.sparse import GridRingTopology
@@ -449,7 +482,7 @@ class TestSparseTopologyLayer:
         topo = GridRingTopology(3, 3)
         alive = np.ones(9, dtype=bool)
         alive[[3, 4, 5]] = False  # the middle row dies: top and bottom rows split
-        labels, sizes = topo.component_labels(alive)
+        labels, sizes = topo.view(alive).component_labels()
         assert label_sets(labels, sizes) == [[0, 1, 2], [6, 7, 8]]
         assert (labels[[3, 4, 5]] == -1).all()
 
@@ -578,7 +611,7 @@ class TestKernelMembership:
         assert kernel.total.sum() == pytest.approx(total_mass)
         assert kernel.weight[[2, 5]].tolist() == [0.0, 0.0]
         # So the network still converges to the *original* average, exactly
-        # like the agent engine's sign_off_mass baseline.
+        # like the agent's PushSum.sign_off baseline.
         kernel.step_many(60)
         assert np.mean(kernel.estimates()) == pytest.approx(3.5, abs=0.2)
 
@@ -913,7 +946,7 @@ class TestTraceCSRTopology:
         alive_set = set(range(trace.n_devices))
         for t in range(0, 900, 13):
             expected = sorted(sorted(group) for group in environment.groups(alive_set, t))
-            got = label_sets(*topology.component_labels(alive, round_index=t))
+            got = label_sets(*topology.view(alive).component_labels(t))
             assert got == expected, f"round {t}"
 
     def test_components_respect_dead_bridges(self):
@@ -932,7 +965,7 @@ class TestTraceCSRTopology:
         )
         topology = TraceCSRTopology(trace, round_seconds=30.0)
         alive = np.array([True, False, True])
-        assert label_sets(*topology.component_labels(alive, round_index=10)) == [[0, 2]]
+        assert label_sets(*topology.view(alive).component_labels(10)) == [[0, 2]]
 
     def test_rebuild_is_bit_deterministic(self):
         first = self._topology()
@@ -941,8 +974,8 @@ class TestTraceCSRTopology:
         alive[[1, 4]] = False
         for t in (0, 120, 240, 600, 601):
             assert self._round_adjacency(first, t) == self._round_adjacency(second, t)
-            l1, s1 = first.component_labels(alive, round_index=t)
-            l2, s2 = second.component_labels(alive, round_index=t)
+            l1, s1 = first.view(alive).component_labels(t)
+            l2, s2 = second.view(alive).component_labels(t)
             assert np.array_equal(l1, l2) and np.array_equal(s1, s2)
 
     def test_validates_parameters(self):

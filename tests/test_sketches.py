@@ -96,51 +96,37 @@ class TestFMSketch:
 
     def test_estimate_grows_with_distinct_insertions(self):
         sketch = FMSketch(bins=16, bits=24)
-        sketch.insert_many(range(10))
+        for identifier in range(10):
+            sketch.insert(identifier)
         small = sketch.estimate()
-        sketch.insert_many(range(10, 2000))
+        for identifier in range(10, 2000):
+            sketch.insert(identifier)
         assert sketch.estimate() > small
 
     def test_estimate_accuracy_with_many_bins(self):
         sketch = FMSketch(bins=64, bits=24)
-        sketch.insert_many(("item", i) for i in range(5000))
+        for i in range(5000):
+            sketch.insert(("item", i))
         estimate = sketch.estimate()
         assert 0.6 * 5000 < estimate < 1.6 * 5000
 
     def test_union_is_duplicate_insensitive(self):
         a = FMSketch(bins=8, bits=16)
         b = FMSketch(bins=8, bits=16)
-        a.insert_many(range(100))
-        b.insert_many(range(50, 150))
-        union = a.union(b)
+        for identifier in range(100):
+            a.insert(identifier)
+        for identifier in range(50, 150):
+            b.insert(identifier)
         direct = FMSketch(bins=8, bits=16)
-        direct.insert_many(range(150))
-        assert union == direct
-
-    def test_union_update_in_place(self):
-        a = FMSketch(bins=4, bits=8)
-        b = FMSketch(bins=4, bits=8)
-        a.insert(1)
-        b.insert(2)
-        a.union_update(b)
-        expected = FMSketch(bins=4, bits=8)
-        expected.insert_many([1, 2])
-        assert a == expected
+        for identifier in range(150):
+            direct.insert(identifier)
+        assert a.union(b) == direct
 
     def test_union_requires_compatible_shapes(self):
         with pytest.raises(ValueError):
             FMSketch(bins=4, bits=8).union(FMSketch(bins=8, bits=8))
         with pytest.raises(ValueError):
             FMSketch(bins=4, bits=8).union(FMSketch(bins=4, bits=8, salt="other"))
-
-    def test_insert_value_registers_value_identifiers(self):
-        sketch = FMSketch(bins=32, bits=24)
-        sketch.insert_value("host", 500)
-        assert 150 < sketch.estimate() < 1500
-
-    def test_insert_value_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FMSketch().insert_value("host", -1)
 
     def test_copy_is_independent(self):
         sketch = FMSketch(bins=4, bits=8)
@@ -186,7 +172,7 @@ class TestCounterMatrix:
         b = CounterMatrix(2, 4, owned=[(1, 1)])
         a.counters[0, 1] = 10
         b.counters[0, 1] = 3
-        a.merge_min(b)
+        a.merge_min_array(b.counters)
         assert a.counters[0, 1] == 3
         assert a.counters[0, 0] == 0  # owned stays pinned
         assert a.counters[1, 1] == 0  # learned about b's fresh position
@@ -196,7 +182,7 @@ class TestCounterMatrix:
         b = CounterMatrix(2, 4)
         b.counters[0, 0] = 7
         a.counters[0, 0] = 5  # should never happen, but owned must re-pin
-        a.merge_min(b)
+        a.merge_min_array(b.counters)
         assert a.counters[0, 0] == 0
 
     def test_merge_min_array_shape_check(self):
@@ -204,19 +190,8 @@ class TestCounterMatrix:
         with pytest.raises(ValueError):
             a.merge_min_array(np.zeros((3, 4), dtype=np.int64))
 
-    def test_merge_requires_compatible_shapes(self):
-        with pytest.raises(ValueError):
-            CounterMatrix(2, 4).merge_min(CounterMatrix(2, 5))
-
-    def test_for_value_registers_identifiers(self):
-        matrix = CounterMatrix.for_value("host", 50, bins=16, bits=16)
-        assert 1 <= len(matrix.owned) <= 50
-        assert CounterMatrix.for_value("host", 0, bins=4, bits=4).owned == set()
-        with pytest.raises(ValueError):
-            CounterMatrix.for_value("host", -1, bins=4, bits=4)
-
     def test_bit_image_and_estimate(self):
-        matrix = CounterMatrix.for_value("host", 200, bins=16, bits=20)
+        matrix = CounterMatrix.for_identifiers([("host", j) for j in range(200)], 16, 20)
         estimate = matrix.estimate(lambda k: 7 + k / 4)
         assert 40 < estimate < 800
 
@@ -245,13 +220,6 @@ class TestCounterMatrix:
         assert matrix.counters[1, 1] == 5
         assert matrix != clone
         assert matrix.owned == clone.owned
-
-    def test_max_finite_counter(self):
-        matrix = CounterMatrix(2, 4)
-        assert matrix.max_finite_counter() is None
-        matrix.own((0, 0))
-        matrix.increment()
-        assert matrix.max_finite_counter() == 0
 
     def test_size_bytes(self):
         assert CounterMatrix(4, 8).size_bytes() == 64

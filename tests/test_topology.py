@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.topology import (
-    complete_graph,
     connected_component,
     connected_components,
     empty_graph,
@@ -12,7 +11,6 @@ from repro.topology import (
     grid_graph,
     random_geometric_graph,
     ring_lattice,
-    union_adjacency,
 )
 from repro.topology.graphs import (
     erdos_renyi_edges,
@@ -46,15 +44,6 @@ class TestGenerators:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             empty_graph(-1)
-
-    def test_complete_graph_degree(self):
-        graph = complete_graph(6)
-        assert all(len(neighbors) == 5 for neighbors in graph.values())
-        assert _is_symmetric(graph)
-
-    def test_complete_graph_no_self_loops(self):
-        graph = complete_graph(5)
-        assert all(node not in graph[node] for node in graph)
 
     def test_ring_lattice_degree(self):
         graph = ring_lattice(10, k=2)
@@ -106,10 +95,6 @@ class TestGenerators:
         assert set(graph) == set(positions)
         assert all(0 <= x <= 1 and 0 <= y <= 1 for x, y in positions.values())
 
-    def test_complete_graph_small_sizes(self):
-        assert complete_graph(0) == {}
-        assert complete_graph(1) == {0: set()}
-
     def test_ring_lattice_wraps_around(self):
         graph = ring_lattice(6, k=1)
         assert graph[0] == {1, 5}
@@ -145,7 +130,7 @@ class TestEdgeArrays:
 
     def test_saturated_ring_lattice_is_complete(self):
         # k >= n/2 reaches every other node; the duplicate offsets collapse.
-        assert ring_lattice(4, k=5) == complete_graph(4)
+        assert ring_lattice(4, k=5) == {node: {0, 1, 2, 3} - {node} for node in range(4)}
 
     @pytest.mark.parametrize(
         "width, height, diagonal", [(3, 3, False), (3, 3, True), (5, 1, False), (1, 5, True)]
@@ -217,15 +202,3 @@ class TestConnectivity:
 
     def test_connected_components_of_nobody_alive(self):
         assert connected_components(self.graph, alive=set()) == []
-
-    def test_union_adjacency_symmetrises_one_sided_edges(self):
-        union = union_adjacency([{0: {1}}, {2: {1}}])
-        assert union == {0: {1}, 1: {0, 2}, 2: {1}}
-        assert union_adjacency([]) == {}
-
-    def test_union_adjacency(self):
-        first = {0: {1}, 1: {0}}
-        second = {1: {2}, 2: {1}}
-        union = union_adjacency([first, second])
-        assert union[1] == {0, 2}
-        assert union[2] == {1}
