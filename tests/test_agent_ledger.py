@@ -111,6 +111,20 @@ def _cells():
             BASE, protocol="sketch-count", mode="push", events=(FAILURE,), **LOSS),
         "extrema-reset/push/latency": dict(
             BASE, protocol="extrema-reset", mode="push", events=(FAILURE,), **LATENCY),
+        # The massless protocols, whose only asynchronous calendar is the agent one;
+        # Count-Sketch-Reset's and extrema-reset's begin hooks keep no books.
+        "events/count-sketch-reset/push/latency": dict(
+            BASE, protocol="count-sketch-reset", engine="events", mode="push",
+            events=(FAILURE,), **LATENCY),
+        "events/count-sketch-reset/exchange/latency": dict(
+            BASE, protocol="count-sketch-reset", engine="events", mode="exchange",
+            events=(FAILURE,), **LATENCY),
+        "events/extrema-reset/exchange/heterogeneous-clocks": dict(
+            BASE, protocol="extrema-reset", engine="events", mode="exchange",
+            engine_params=HETEROGENEOUS, events=(FAILURE,)),
+        "events/sketch-count/push/loss": dict(
+            BASE, protocol="sketch-count", engine="events", mode="push",
+            events=(FAILURE,), **LOSS),
     })
     full_transfer = dict(BASE, protocol="push-sum-revert-full-transfer", mode="push",
                          events=(FAILURE,))
