@@ -88,7 +88,7 @@ True
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.api": (
         "ENVIRONMENTS",
         "FAILURES",
@@ -132,51 +132,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.simulator": ("Simulation", "SimulationResult"),
     "repro.store": ("ResultStore",),
 })
-
-__all__ = [
-    "BernoulliLossNetwork",
-    "CountSketchReset",
-    "CorrelatedFailure",
-    "ENVIRONMENTS",
-    "EpochPushSum",
-    "FAILURES",
-    "FailureEvent",
-    "FullTransferPushSumRevert",
-    "InvertAverage",
-    "JoinEvent",
-    "LatencyNetwork",
-    "NETWORKS",
-    "NeighborhoodEnvironment",
-    "NetworkModel",
-    "NullProbe",
-    "PROTOCOLS",
-    "PerfectNetwork",
-    "Probe",
-    "PushSum",
-    "PushSumRevert",
-    "ResultStore",
-    "ScenarioSpec",
-    "SketchCount",
-    "Simulation",
-    "SimulationResult",
-    "SpatialGridEnvironment",
-    "Sweep",
-    "SweepResult",
-    "SweepRunner",
-    "TraceEnvironment",
-    "TraceRecorder",
-    "UncorrelatedFailure",
-    "UniformEnvironment",
-    "WORKLOADS",
-    "default_cutoff",
-    "register_environment",
-    "register_failure",
-    "register_network",
-    "read_trace",
-    "register_protocol",
-    "register_workload",
-    "render_report",
-    "run_scenario",
-]
 
 __version__ = "1.0.0"

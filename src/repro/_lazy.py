@@ -2,7 +2,8 @@
 
 Every package of :mod:`repro` hands :func:`lazy_exports` a table of its
 defining modules and the names each one exports, and installs the PEP 562
-``__getattr__`` / ``__dir__`` pair it returns.  The first lookup of a name
+``__getattr__`` / ``__dir__`` pair and the ``__all__`` it returns, so the table
+is the one place a package states its exports.  The first lookup of a name
 imports that name's module — and only that module, plus what the module itself
 imports — then binds the name on the package, so later lookups are plain
 attribute reads.  ``from repro.core import PushSumRevert`` therefore loads
@@ -21,8 +22,8 @@ __all__ = ["lazy_exports", "resolve"]
 
 def lazy_exports(
     package: str, exports: Mapping[str, Sequence[str]]
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """``(__getattr__, __dir__)`` for ``package``, over ``{module: names}``."""
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """``(__getattr__, __dir__, __all__)`` for ``package``, over ``{module: names}``."""
     owner: Dict[str, str] = {name: module for module, names in exports.items() for name in names}
 
     def __getattr__(name: str) -> object:
@@ -36,7 +37,7 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(vars(sys.modules[package])) | set(owner))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(owner)
 
 
 def resolve(reference: str) -> object:

@@ -9,18 +9,8 @@ the benchmark output (committed under ``benchmarks/output/``).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.cdf": ("cdf_at", "quantile"),
     "repro.analysis.cutoff_fit": ("CutoffFit", "fit_linear_cutoff"),
     "repro.analysis.render": ("format_number", "render_series_table", "render_table"),
 })
-
-__all__ = [
-    "CutoffFit",
-    "cdf_at",
-    "fit_linear_cutoff",
-    "format_number",
-    "quantile",
-    "render_series_table",
-    "render_table",
-]

@@ -28,7 +28,7 @@ experiment profiles and the examples are built on.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.api.backends": ("BACKENDS", "AgentBackend", "ExecutionBackend", "VectorizedBackend"),
     "repro.api.plan": (
         "ExecutionPlan",
@@ -54,33 +54,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.api.spec": ("NAMED_CUTOFFS", "ScenarioSpec", "run_scenario"),
     "repro.api.sweep": ("Sweep", "SweepResult", "SweepRunner"),
 })
-
-__all__ = [
-    "AgentBackend",
-    "BACKENDS",
-    "ENVIRONMENTS",
-    "ExecutionBackend",
-    "ExecutionPlan",
-    "FAILURES",
-    "PlanRejectionError",
-    "Rejection",
-    "capability_matrix",
-    "resolve_plan",
-    "NAMED_CUTOFFS",
-    "NETWORKS",
-    "PROTOCOLS",
-    "Registry",
-    "VectorizedBackend",
-    "ScenarioSpec",
-    "Sweep",
-    "SweepResult",
-    "SweepRunner",
-    "UnknownKeyError",
-    "WORKLOADS",
-    "register_environment",
-    "register_failure",
-    "register_network",
-    "register_protocol",
-    "register_workload",
-    "run_scenario",
-]

@@ -16,18 +16,9 @@ These are the protocols the paper builds on and compares against:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.baselines.count_sketch": ("SketchCount",),
     "repro.baselines.epoch": ("EpochPushSum",),
     "repro.baselines.extrema": ("ExtremaGossip", "ExtremaReset"),
     "repro.baselines.push_sum": ("MassState", "PushSum"),
 })
-
-__all__ = [
-    "EpochPushSum",
-    "ExtremaGossip",
-    "ExtremaReset",
-    "MassState",
-    "PushSum",
-    "SketchCount",
-]

@@ -22,7 +22,7 @@ small, bounded local error for the ability to *forget*:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.count_sketch_reset": ("CountSketchReset", "CountSketchResetState"),
     "repro.core.cutoff": ("default_cutoff", "linear_cutoff", "no_decay_cutoff", "scaled_cutoff"),
     "repro.core.departure": ("GracefulDepartureEvent",),
@@ -30,17 +30,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.invert_average": ("InvertAverage", "InvertAverageState"),
     "repro.core.push_sum_revert": ("PushSumRevert",),
 })
-
-__all__ = [
-    "CountSketchReset",
-    "CountSketchResetState",
-    "FullTransferPushSumRevert",
-    "GracefulDepartureEvent",
-    "InvertAverage",
-    "InvertAverageState",
-    "PushSumRevert",
-    "default_cutoff",
-    "linear_cutoff",
-    "no_decay_cutoff",
-    "scaled_cutoff",
-]

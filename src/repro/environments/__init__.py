@@ -18,18 +18,10 @@ environments used in the evaluation plus two generalisations:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.environments.base": ("GossipEnvironment",),
     "repro.environments.neighborhood": ("NeighborhoodEnvironment",),
     "repro.environments.spatial": ("SpatialGridEnvironment",),
     "repro.environments.trace": ("TraceEnvironment",),
     "repro.environments.uniform": ("UniformEnvironment",),
 })
-
-__all__ = [
-    "GossipEnvironment",
-    "NeighborhoodEnvironment",
-    "SpatialGridEnvironment",
-    "TraceEnvironment",
-    "UniformEnvironment",
-]

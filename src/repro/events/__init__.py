@@ -3,10 +3,10 @@
 The round engine (:class:`repro.Simulation`) advances the whole
 population in lockstep; this package advances a *global event calendar*
 instead: per-host clocks with configurable gossip rates, timestamped
-in-flight messages, and protocol adapters that drive the existing
-round-based protocols through timed send/receive/exchange events — which
-is what unlocks latency×exchange scenarios (forbidden in the round
-engine) and rate-heterogeneous populations.
+in-flight messages, and one handler per event kind that drives the
+existing round-based protocols through timed send/receive/exchange
+events — which is what unlocks latency×exchange scenarios (forbidden in
+the round engine) and rate-heterogeneous populations.
 
 Select it per scenario with ``ScenarioSpec(engine="events",
 engine_params={...})`` — see DESIGN.md §11; the parameters resolve to one
@@ -20,7 +20,7 @@ calendar on in per-bucket batches.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.events.calendar": ("DELIVER", "MEMBERSHIP", "SAMPLE", "TICK", "EventCalendar"),
     "repro.events.clocks": (
         "RATE_DISTRIBUTIONS",
@@ -31,17 +31,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.events.engine": ("EventSimulation",),
 })
-
-__all__ = [
-    "DELIVER",
-    "EngineSettings",
-    "EventCalendar",
-    "EventSimulation",
-    "HostClock",
-    "MEMBERSHIP",
-    "RATE_DISTRIBUTIONS",
-    "SAMPLE",
-    "TICK",
-    "TIME_EPS",
-    "make_clock",
-]

@@ -16,7 +16,7 @@ changes, so the failure machinery is a first-class substrate here:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.failures.models": (
         "BernoulliChurn",
         "CorrelatedFailure",
@@ -26,15 +26,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.failures.schedule": ("ChurnProcess", "FailureEvent", "JoinEvent", "ValueChangeEvent"),
 })
-
-__all__ = [
-    "BernoulliChurn",
-    "ChurnProcess",
-    "CorrelatedFailure",
-    "ExplicitFailure",
-    "FailureEvent",
-    "FailureModel",
-    "JoinEvent",
-    "UncorrelatedFailure",
-    "ValueChangeEvent",
-]

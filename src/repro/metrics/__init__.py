@@ -12,18 +12,8 @@ scores its per-round :class:`~repro.simulator.result.RoundRecord` through
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.metrics.accuracy": ("error_statistics", "group_truths"),
     "repro.metrics.bandwidth": ("CostSummary", "protocol_cost_summary"),
     "repro.metrics.convergence": ("convergence_round", "plateau_error", "reconvergence_round"),
 })
-
-__all__ = [
-    "CostSummary",
-    "convergence_round",
-    "error_statistics",
-    "group_truths",
-    "plateau_error",
-    "protocol_cost_summary",
-    "reconvergence_round",
-]

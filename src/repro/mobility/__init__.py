@@ -20,7 +20,7 @@ provides:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.mobility.synthetic_haggle": (
         "HAGGLE_DATASET_SIZES",
         "generate_haggle_like_trace",
@@ -33,14 +33,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.mobility.traces": ("ContactRecord", "ContactTrace"),
 })
-
-__all__ = [
-    "ContactRecord",
-    "ContactTrace",
-    "HAGGLE_DATASET_SIZES",
-    "average_group_size_series",
-    "contact_duration_stats",
-    "generate_haggle_like_trace",
-    "haggle_dataset",
-    "intercontact_time_stats",
-]

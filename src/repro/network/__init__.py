@@ -19,7 +19,7 @@ with :func:`repro.api.register_network`.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.network.delivery": (
         "DeliveryQueue",
         "InFlightMessage",
@@ -34,15 +34,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "PerfectNetwork",
     ),
 })
-
-__all__ = [
-    "BernoulliLossNetwork",
-    "DELAY_DISTRIBUTIONS",
-    "DeliveryQueue",
-    "InFlightMessage",
-    "LatencyNetwork",
-    "MassConservationError",
-    "MassLedger",
-    "NetworkModel",
-    "PerfectNetwork",
-]

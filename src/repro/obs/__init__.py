@@ -28,18 +28,8 @@ file.  See DESIGN.md §13.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.obs.probe": ("NULL_PROBE", "NullProbe", "Probe"),
     "repro.obs.report": ("render_report", "summarize_trace"),
     "repro.obs.trace": ("TraceRecorder", "read_trace"),
 })
-
-__all__ = [
-    "Probe",
-    "NullProbe",
-    "NULL_PROBE",
-    "TraceRecorder",
-    "read_trace",
-    "summarize_trace",
-    "render_report",
-]

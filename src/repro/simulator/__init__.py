@@ -23,7 +23,7 @@ exchange with them.  This package provides that substrate:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.simulator.engine": ("Simulation",),
     "repro.simulator.host": ("Host",),
     "repro.simulator.protocol": ("AggregationProtocol", "ExchangeProtocol"),
@@ -31,15 +31,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.simulator.rng": ("RandomStreams",),
     "repro.simulator.sparse": ("CSRTopology", "GridRingTopology"),
 })
-
-__all__ = [
-    "AggregationProtocol",
-    "CSRTopology",
-    "ExchangeProtocol",
-    "GridRingTopology",
-    "Host",
-    "RandomStreams",
-    "RoundRecord",
-    "Simulation",
-    "SimulationResult",
-]

@@ -138,13 +138,6 @@ class CounterMatrix:
         return raw / identifiers_per_host
 
     # ------------------------------------------------------------------ misc
-    def copy(self) -> "CounterMatrix":
-        """An independent copy (owned positions included)."""
-        clone = CounterMatrix(self.bins, self.bits)
-        clone.counters = self.counters.copy()
-        clone.owned = set(self.owned)
-        return clone
-
     def payload(self) -> np.ndarray:
         """The array to place on the wire (a defensive copy of the counters)."""
         return self.counters.copy()

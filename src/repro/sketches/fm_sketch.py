@@ -113,18 +113,6 @@ class FMSketch:
         bin_idx, bit_idx = sketch_coordinates(identifier, self.bins, self.bits, salt=self.salt)
         self.matrix[bin_idx, bit_idx] = True
 
-    # ------------------------------------------------------------------ union
-    def union(self, other: "FMSketch") -> "FMSketch":
-        """Return a new sketch equal to the duplicate-insensitive union."""
-        self._check_compatible(other)
-        result = FMSketch(self.bins, self.bits, salt=self.salt)
-        np.logical_or(self.matrix, other.matrix, out=result.matrix)
-        return result
-
-    def _check_compatible(self, other: "FMSketch") -> None:
-        if (self.bins, self.bits, self.salt) != (other.bins, other.bits, other.salt):
-            raise ValueError("sketches have incompatible shapes or salts")
-
     # -------------------------------------------------------------- estimates
     def ranks(self) -> List[int]:
         """Per-bin R values (length of the prefix of ones)."""
@@ -144,12 +132,6 @@ class FMSketch:
         return fm_estimate(self.ranks(), self.bins, paper_formula=paper_formula)
 
     # ------------------------------------------------------------------ misc
-    def copy(self) -> "FMSketch":
-        """An independent copy of this sketch."""
-        clone = FMSketch(self.bins, self.bits, salt=self.salt)
-        clone.matrix = self.matrix.copy()
-        return clone
-
     def size_bytes(self) -> int:
         """Approximate wire size of the sketch (bits packed into bytes)."""
         return int(np.ceil(self.bins * self.bits / 8))

@@ -24,15 +24,7 @@ builds incremental, resumable grid execution on top (see DESIGN.md §9).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.store.fingerprint": ("clear_fingerprint_cache", "code_fingerprint"),
     "repro.store.store": ("DEFAULT_CACHE_DIR", "STORE_SCHEMA_VERSION", "ResultStore"),
 })
-
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "ResultStore",
-    "STORE_SCHEMA_VERSION",
-    "clear_fingerprint_cache",
-    "code_fingerprint",
-]

@@ -13,7 +13,7 @@ optional "alive" subsets so that failed hosts drop out of the structure.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.topology.connectivity": (
         "connected_component",
         "connected_components",
@@ -26,13 +26,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ring_lattice",
     ),
 })
-
-__all__ = [
-    "connected_component",
-    "connected_components",
-    "empty_graph",
-    "erdos_renyi_graph",
-    "grid_graph",
-    "random_geometric_graph",
-    "ring_lattice",
-]

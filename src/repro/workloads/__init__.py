@@ -16,7 +16,7 @@ module under :mod:`repro.experiments`.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.workloads.values": (
         "clustered_array",
         "constant_array",
@@ -26,12 +26,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "zipf_array",
     ),
 })
-
-__all__ = [
-    "clustered_array",
-    "constant_array",
-    "normal_array",
-    "uniform_array",
-    "uniform_values",
-    "zipf_array",
-]

@@ -219,11 +219,43 @@ class TestMassConservation:
         )
         simulation.run()
 
-    def test_a_leaking_protocol_is_caught(self):
+    @pytest.mark.parametrize("mass_check", ["event", "sample"])
+    @pytest.mark.parametrize(
+        "hook, mode, network",
+        [
+            ("make_payloads", "push", None),
+            ("integrate", "push", None),
+            ("exchange", "exchange", LatencyNetwork(distribution="uniform", low=0, high=2)),
+        ],
+    )
+    def test_a_leaking_protocol_is_caught(self, hook, mode, network, mass_check):
+        # One call of one hook drops a tenth of a state's weight.  Every hook
+        # call books the states' change in mass as a move, so "event" catches
+        # the leak at the leaking event itself and "sample" at the next sample;
+        # both name the sample bin the leak happened in.
+        calls, leaks = [], []
+
+        def leak(state):
+            calls.append(None)
+            if len(calls) == 30:
+                leaks.append(simulation._now)
+                state.weight *= 0.9
+
         class LeakyPushSumRevert(PushSumRevert):
+            def make_payloads(self, state, peers, rng):
+                if hook == "make_payloads":
+                    leak(state)  # before the split, so the payloads carry the loss
+                return super().make_payloads(state, peers, rng)
+
             def integrate(self, state, payloads, rng):
                 super().integrate(state, payloads, rng)
-                state.weight *= 0.9  # silently drop mass outside any hook
+                if hook == "integrate":
+                    leak(state)
+
+            def exchange(self, state_a, state_b, rng):
+                super().exchange(state_a, state_b, rng)
+                if hook == "exchange":
+                    leak(state_a)
 
         values = uniform_values(16, seed=3)
         simulation = EventSimulation(
@@ -231,11 +263,20 @@ class TestMassConservation:
             UniformEnvironment(16),
             values,
             seed=3,
-            mode="push",
-            settings=EngineSettings(duration=5.0, mass_check="event"),
+            mode=mode,
+            network=network,
+            settings=EngineSettings(duration=8.0, synchronized=False, mass_check=mass_check),
         )
-        with pytest.raises(MassConservationError):
+        with pytest.raises(MassConservationError) as caught:
             simulation.run()
+        (leaked_at,) = leaks
+        leak_bin = simulation._sample_bin(leaked_at)
+        assert f"violated at round {leak_bin}:" in str(caught.value)
+        if mass_check == "event":
+            assert simulation._now == leaked_at
+        else:
+            assert simulation._now == (leak_bin + 1) * simulation.sample_interval
+            assert len(simulation.result.rounds) == leak_bin
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +512,7 @@ class TestExchangeAccounting:
         )
         sim.fail_host(1)
         before = sim.messages_lost
-        sim._adapter.handle(("xreq", 0, 1, 16), 1.0)
+        sim._on_request(1.0, 0, 1, 16)
         assert sim.messages_lost - before == 2
         assert sim.messages_delivered == 0
 
@@ -487,15 +528,18 @@ class TestExchangeAccounting:
             events=[FailureEvent(round=8, model=ExplicitFailure(list(range(24))))],
             mass_check="off",
         )
-        original = sim._adapter.handle
 
-        def recording_handle(event, time):
-            before = sim.messages_lost
-            original(event, time)
-            if sim.messages_lost != before:
-                lost_counts.append(sim.messages_lost - before)
+        def recording(handler):
+            def record(*args):
+                before = sim.messages_lost
+                handler(*args)
+                if sim.messages_lost != before:
+                    lost_counts.append(sim.messages_lost - before)
 
-        sim._adapter.handle = recording_handle
+            return record
+
+        sim._on_request = recording(sim._on_request)
+        sim._on_reply = recording(sim._on_reply)
         sim.run()
         # The only loss sources in a pure-latency exchange run are the
         # dead-responder request (2) and the dead-initiator reply (1).

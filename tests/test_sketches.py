@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.count_sketch import SketchCount, SketchCountState
 from repro.sketches import (
     CounterMatrix,
     FMSketch,
@@ -111,29 +112,30 @@ class TestFMSketch:
         assert 0.6 * 5000 < estimate < 1.6 * 5000
 
     def test_union_is_duplicate_insensitive(self):
-        a = FMSketch(bins=8, bits=16)
-        b = FMSketch(bins=8, bits=16)
-        for identifier in range(100):
-            a.insert(identifier)
-        for identifier in range(50, 150):
-            b.insert(identifier)
-        direct = FMSketch(bins=8, bits=16)
-        for identifier in range(150):
-            direct.insert(identifier)
-        assert a.union(b) == direct
+        # Sketch-Count merges by a bitwise OR, in integrate and in exchange alike.
+        def state(identifiers):
+            sketch = FMSketch(bins=8, bits=16)
+            for identifier in identifiers:
+                sketch.insert(identifier)
+            return SketchCountState(sketch=sketch, own_identifiers=0)
 
-    def test_union_requires_compatible_shapes(self):
-        with pytest.raises(ValueError):
-            FMSketch(bins=4, bits=8).union(FMSketch(bins=8, bits=8))
-        with pytest.raises(ValueError):
-            FMSketch(bins=4, bits=8).union(FMSketch(bins=4, bits=8, salt="other"))
+        protocol = SketchCount(bins=8, bits=16)
+        direct = state(range(150)).sketch
+        a = state(range(100))
+        protocol.integrate(a, [state(range(50, 150)).sketch.matrix], rng=None)
+        assert a.sketch == direct
+        a, b = state(range(100)), state(range(50, 150))
+        protocol.exchange(a, b, rng=None)
+        assert a.sketch == b.sketch == direct
 
     def test_copy_is_independent(self):
+        # A pushed payload is a copy: the sender's later inserts stay off the wire.
         sketch = FMSketch(bins=4, bits=8)
         sketch.insert(1)
-        clone = sketch.copy()
-        clone.insert(2)
-        assert sketch != clone
+        state = SketchCountState(sketch=sketch, own_identifiers=1)
+        ((_, payload),) = SketchCount(bins=4, bits=8).make_payloads(state, [7], rng=None)
+        sketch.insert(2)
+        assert not np.array_equal(sketch.matrix, payload)
 
     def test_size_bytes(self):
         assert FMSketch(bins=8, bits=16).size_bytes() == 16
@@ -212,14 +214,16 @@ class TestCounterMatrix:
         assert matrix.counters[0, 0] == 1
 
     def test_copy_is_independent(self):
+        # The pushed payload is a copy: the sender's later aging stays off the wire.
         matrix = CounterMatrix(2, 4, owned=[(0, 0)])
         matrix.counters[1, 1] = 5
-        clone = matrix.copy()
-        clone.increment()
-        assert clone.counters[1, 1] == 6
-        assert matrix.counters[1, 1] == 5
-        assert matrix != clone
-        assert matrix.owned == clone.owned
+        payload = matrix.payload()
+        matrix.increment()
+        assert matrix.counters[1, 1] == 6
+        assert payload[1, 1] == 5
+        receiver = CounterMatrix(2, 4)
+        receiver.merge_min_array(payload)
+        assert receiver.counters[1, 1] == 5 and receiver.counters[0, 0] == 0
 
     def test_size_bytes(self):
         assert CounterMatrix(4, 8).size_bytes() == 64
