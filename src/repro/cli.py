@@ -393,6 +393,7 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"cache {outcome}: key {spec.key()[:12]} in {store.root}", file=sys.stderr)
     if args.json:
         print(json.dumps({"spec": spec.to_dict(), "result": result.as_dict()}, indent=2))
+        _emit_obs(probe, args)
         return 0
     network_note = "" if spec.network == "perfect" else f", network={spec.network}"
     print(

@@ -395,6 +395,19 @@ class TestObsCommands:
         assert "phase" in captured.err and "total ms" in captured.err
         assert "phase" not in captured.out
 
+    def test_json_run_keeps_its_trace_and_metrics(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import read_trace
+
+        trace_path = tmp_path / "run.jsonl"
+        assert main([*self.RUN_FLAGS, "--json", "--metrics", "--trace", str(trace_path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["spec"]["protocol"] == "push-sum-revert"
+        names = {record["name"] for record in read_trace(str(trace_path))}
+        assert {"plan", "round_end"} <= names
+        assert captured.err.startswith("trace: ") and "Per-round counters" in captured.err
+
     def test_metrics_report_is_the_obs_report_of_the_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
         assert main([*self.RUN_FLAGS, "--engine", "events", "--backend", "agent",
