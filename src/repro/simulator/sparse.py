@@ -62,6 +62,18 @@ __all__ = [
 
 Adjacency = Dict[int, Set[int]]
 
+#: Per-round compiled graphs (and window-union labels) a trace topology keeps.
+_CACHE_ROUNDS = 32
+#: Distance draws per requesting host per round on the spatial grid (the agent
+#: environment retries 4 times per requested peer).
+_GRID_ATTEMPTS = 4
+#: Offset draws per sampled distance.  The distance stays *fixed* across these
+#: inner tries so that a boundary host — whose L1 ring is partly out of bounds —
+#: keeps the full 1/d² weight on its sampled distance instead of down-weighting
+#: it by ring occupancy; only when every try misses is the distance itself
+#: redrawn, which mirrors the agent environment's attempt-level retry.
+_GRID_OFFSET_TRIES = 8
+
 
 def greedy_edge_matching(
     left: np.ndarray, right: np.ndarray, n: int, rng: np.random.Generator
@@ -200,15 +212,15 @@ class _CSRView(LiveView):
                 self.degree = np.diff(topology.indptr)
                 self._index_degree, self._index_start = self.degree, self.indptr[:-1]
             else:
-                # One compaction serves both gathers; an ascending take keeps
-                # the CSR grouping, so the kept indices stay segment-aligned.
-                live_edges = alive[topology.indices].nonzero()[0]
-                self.degree = np.bincount(
-                    topology._edge_owner[live_edges], minlength=topology.n
-                ).astype(np.int64)
-                self.indptr = np.zeros(topology.n + 1, dtype=np.int64)
-                np.cumsum(self.degree, out=self.indptr[1:])
-                self.indices = topology.indices[live_edges]
+                # An ascending take keeps the CSR grouping, so the kept indices
+                # stay segment-aligned, and a row now starts after the live
+                # slots before its old start (a prefix count of the slot mask).
+                live_slot = alive[topology.indices]
+                live_before = np.zeros(live_slot.size + 1, dtype=np.int64)
+                np.cumsum(live_slot, out=live_before[1:])
+                self.indptr = live_before[topology.indptr]
+                self.degree = np.diff(self.indptr)
+                self.indices = topology.indices[live_slot.nonzero()[0]]
                 self._index_degree = self.degree[self.live_index]
                 self._index_start = self.indptr[self.live_index]
 
@@ -324,10 +336,6 @@ class CSRTopology(_Topology):
         self.n = self.indptr.size - 1
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise ValueError("indices reference hosts outside 0..n-1")
-        #: Owner of each CSR slot (precomputed once; drives live rebuilds).
-        self._edge_owner = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
-        )
 
     @classmethod
     def from_edges(cls, u: np.ndarray, v: np.ndarray, n: int) -> "CSRTopology":
@@ -368,8 +376,9 @@ class CSRTopology(_Topology):
         return cls(indptr, indices)
 
     def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        once = self._edge_owner < self.indices  # each edge holds two CSR slots
-        return self._edge_owner[once], self.indices[once]
+        owner = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        once = owner < self.indices  # each edge holds two CSR slots
+        return owner[once], self.indices[once]
 
 
 def _min_label_components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -442,8 +451,6 @@ class TraceCSRTopology(_Topology):
     group_window_seconds:
         Length of the group-union window (0 groups by the instantaneous
         graph, like the agent environment).
-    cache_rounds:
-        Number of per-round compiled graphs kept in each LRU cache.
     """
 
     _view_class = _TraceView
@@ -454,19 +461,15 @@ class TraceCSRTopology(_Topology):
         *,
         round_seconds: float = 30.0,
         group_window_seconds: float = 600.0,
-        cache_rounds: int = 32,
     ):
         if round_seconds <= 0:
             raise ValueError("round_seconds must be positive")
         if group_window_seconds < 0:
             raise ValueError("group_window_seconds must be non-negative")
-        if cache_rounds < 1:
-            raise ValueError("cache_rounds must be >= 1")
         self.n = int(trace.n_devices)
         self.round_seconds = float(round_seconds)
         self.group_window_seconds = float(group_window_seconds)
         self.total_rounds = int(trace.duration // self.round_seconds) + 1
-        self._cache_rounds = int(cache_rounds)
         records = trace.records
         self._u = np.fromiter((r.a for r in records), dtype=np.int64, count=len(records))
         self._v = np.fromiter((r.b for r in records), dtype=np.int64, count=len(records))
@@ -493,7 +496,7 @@ class TraceCSRTopology(_Topology):
             active = (self._start <= time) & (time < self._end)
             csr = CSRTopology.from_edges(self._u[active], self._v[active], self.n)
         self._csr_cache[round_index] = csr
-        while len(self._csr_cache) > self._cache_rounds:
+        while len(self._csr_cache) > _CACHE_ROUNDS:
             self._csr_cache.popitem(last=False)
         return csr
 
@@ -517,7 +520,7 @@ class TraceCSRTopology(_Topology):
             )
             labels = _min_label_components(self._u[in_window], self._v[in_window], self.n)
         self._labels_by_round[round_index] = labels
-        while len(self._labels_by_round) > self._cache_rounds:
+        while len(self._labels_by_round) > _CACHE_ROUNDS:
             self._labels_by_round.popitem(last=False)
         return labels
 
@@ -548,16 +551,6 @@ class GridRingTopology(_Topology):
     max_distance:
         Upper bound on the sampled distance; defaults to the grid
         diameter, like the agent environment.
-    attempts:
-        Distance draws per requesting host per round (the agent
-        environment retries 4 times per requested peer).
-    offset_tries:
-        Offset draws per sampled distance.  The distance stays *fixed*
-        across these inner tries so that a boundary host — whose L1 ring
-        is partly out of bounds — keeps the full 1/d² weight on its
-        sampled distance instead of down-weighting it by ring occupancy;
-        only when every try misses is the distance itself redrawn, which
-        mirrors the agent environment's attempt-level retry.
     """
 
     def __init__(
@@ -566,13 +559,9 @@ class GridRingTopology(_Topology):
         height: int,
         *,
         max_distance: Optional[int] = None,
-        attempts: int = 4,
-        offset_tries: int = 8,
     ):
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
-        if attempts < 1 or offset_tries < 1:
-            raise ValueError("attempts and offset_tries must be >= 1")
         self.width = int(width)
         self.height = int(height)
         self.n = self.width * self.height
@@ -580,8 +569,6 @@ class GridRingTopology(_Topology):
         self.max_distance = int(max_distance) if max_distance is not None else max(1, diameter)
         if self.max_distance < 1:
             raise ValueError("max_distance must be >= 1")
-        self.attempts = int(attempts)
-        self.offset_tries = int(offset_tries)
         hosts = np.arange(self.n, dtype=np.int64)
         self._col = hosts % self.width
         self._row = hosts // self.width
@@ -595,7 +582,7 @@ class GridRingTopology(_Topology):
     ) -> np.ndarray:
         targets = np.full(requesters.size, -1, dtype=np.int64)
         pending = np.arange(requesters.size)
-        for _ in range(self.attempts):
+        for _ in range(_GRID_ATTEMPTS):
             if pending.size == 0:
                 break
             d = (
@@ -605,9 +592,9 @@ class GridRingTopology(_Topology):
                 + 1
             )
             # Inner tries redraw the offset while keeping d fixed, so the
-            # 1/d² distance law survives boundary clipping (see class doc).
+            # 1/d² distance law survives boundary clipping (_GRID_OFFSET_TRIES).
             trying = np.arange(pending.size)
-            for _ in range(self.offset_tries):
+            for _ in range(_GRID_OFFSET_TRIES):
                 hosts = requesters[pending[trying]]
                 d_try = d[trying]
                 # The L1 circle of radius d has 4d offsets; quadrant q and

@@ -417,7 +417,7 @@ class TestEngineInstrumentation:
         run_scenario(spec)
         assert frozen(topology, skip=lrus) == before
         for graph in getattr(topology, "_csr_cache", {}).values():
-            assert set(vars(graph)) == {"indptr", "indices", "n", "_edge_owner"}
+            assert set(vars(graph)) == {"indptr", "indices", "n"}
 
     def test_vectorized_sketch_phases(self):
         trace = TraceRecorder()
