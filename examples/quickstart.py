@@ -22,25 +22,26 @@ This script walks through the library's core workflow both ways:
 6. restrict gossip to a *random-geometric* wireless topology — the spec
    still resolves to the vectorised backend under ``backend="auto"``
    (the kernels sample peers through a sparse CSR adjacency, DESIGN.md
-   §10), so graph-restricted sweeps run at kernel speed too;
+   §7 "Graph and view"), so graph-restricted sweeps run at kernel speed too;
 7. drop the lockstep-round assumption entirely: ``engine="events"``
    runs the same protocol on the continuous-time event engine
-   (``repro.events``, DESIGN.md §11), where every host gossips on its
+   (``repro.events``, DESIGN.md §10), where every host gossips on its
    own clock — here half the population runs 8× slower than the rest,
    over a latency network, in exchange mode (a combination the round
    engine rejects) — and the result gains a simulated-time axis;
 8. let the population itself move: churn (departures plus arrivals every
    round) grows and masks the kernel arrays in place, and a synthetic
    contact trace replays as a time-varying CSR with group-relative error
-   (DESIGN.md §12) — both still at kernel speed under ``backend="auto"``;
+   (DESIGN.md §7 "Trace replay as a time-varying CSR") — both still at
+   kernel speed under ``backend="auto"``;
 9. watch a run from the inside: attach a :class:`repro.TraceRecorder`
-   (``repro.obs``, DESIGN.md §13) to the churn scenario, prove the
+   (``repro.obs``, DESIGN.md §11) to the churn scenario, prove the
    instrumented run is bit-identical to the bare one, and render the
    recorded phase-time/per-round breakdown — the CLI equivalents are
    ``run --trace out.jsonl --metrics`` and
    ``repro-aggregate obs report out.jsonl``;
 10. scale the asynchronous scenario to n = 10⁴ on the *bucketed
-    vectorised calendar* (``repro.api.kernel_run``, DESIGN.md §14):
+    vectorised calendar* (``repro.api.kernel_run``, DESIGN.md §7 "What a bucket is"):
     ``backend="auto"`` resolves ``engine="events"`` to the vectorised
     backend for Push-Sum-Revert over uniform gossip, draining the event
     calendar per time bucket through whole-subset kernel calls — the
@@ -241,7 +242,8 @@ def main() -> None:
         f"lockstep rounds).  Example spec: examples/specs/heterogeneous_rates.json."
     )
 
-    # Path 8: dynamic membership at kernel speed (DESIGN.md §12).  Churn —
+    # Path 8: dynamic membership at kernel speed (DESIGN.md §7 "Mutable
+    # membership and churn").  Churn —
     # a failure draw plus fresh arrivals every round — now masks and grows
     # the kernel arrays directly, and a contact trace compiles into a
     # time-varying CSR whose union-window components define group-relative
@@ -280,7 +282,7 @@ def main() -> None:
     )
 
     # Path 9: observe a run without perturbing it (repro.obs, DESIGN.md
-    # §13).  Probes record phase spans (sampling, matching, scatter, CSR
+    # §11).  Probes record phase spans (sampling, matching, scatter, CSR
     # rebuilds), per-round delivery counters and membership events — but
     # never draw from the RNG streams, so the traced run is bit-identical
     # to the bare one.  The CLI spelling is
@@ -297,7 +299,7 @@ def main() -> None:
 
     # Path 10: the same asynchronous scenario, ten times the population,
     # on the bucketed vectorised calendar (repro.api.kernel_run,
-    # DESIGN.md §14).  "auto" resolves engine="events" to the vectorised
+    # DESIGN.md §7 "What a bucket is").  "auto" resolves engine="events" to the vectorised
     # backend here, so the calendar drains per time bucket through
     # whole-subset kernel calls instead of one Python callback per event.
     big_async = asynchronous.replace(

@@ -34,7 +34,7 @@ In-Network Aggregation* (Kennedy, Koch, Demers; ICDE 2009).  It provides:
   lifts that: ``bernoulli-loss`` and ``latency`` (fixed/uniform/lognormal
   delays through an in-flight delivery queue) models, with per-round
   mass-conservation assertions for the Push-Sum family (DESIGN.md §8);
-* an observability layer (``repro.obs``, DESIGN.md §13) — pass
+* an observability layer (``repro.obs``, DESIGN.md §11) — pass
   ``run_scenario(spec, probe=TraceRecorder("out.jsonl"))`` to record phase
   spans, per-round counters and store hits/misses from any engine or
   backend; render a recorded trace with ``render_report`` or

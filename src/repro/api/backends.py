@@ -198,7 +198,7 @@ class VectorizedBackend(ExecutionBackend):
             if isinstance(environment, SpatialGridEnvironment):
                 # The 1/d² long links are realised by the distance-ring
                 # sampler (the environment's walk=False idealisation; the
-                # hop-by-hop walk approximates it — DESIGN.md §10).
+                # hop-by-hop walk approximates it — DESIGN.md §7 "Two samplers").
                 topology = GridRingTopology(
                     environment.width,
                     environment.height,
@@ -207,7 +207,8 @@ class VectorizedBackend(ExecutionBackend):
             elif isinstance(environment, TraceEnvironment):
                 # Same trace, same per-round instants, same group window —
                 # the compiled CSR replays exactly what the agent
-                # environment would answer round by round (DESIGN.md §12).
+                # environment would answer round by round (DESIGN.md §7 "Trace replay as a
+                # time-varying CSR").
                 topology = TraceCSRTopology(
                     environment.trace,
                     round_seconds=environment.round_seconds,

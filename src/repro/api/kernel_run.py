@@ -15,7 +15,7 @@ deliveries maturing on the boundary, :meth:`~KernelRun.ticks`, then
 :meth:`~KernelRun.sample`.  All TICK events of a bucket are *one* call,
 ``kernel.step_subset(ticking, delays)``; what it could not land at once
 comes back as opaque batches, queued by maturity bucket and handed untouched
-to ``kernel.deliver`` (the calendar protocol, DESIGN.md §14) — what a message
+to ``kernel.deliver`` (DESIGN.md §7 "The calendar protocol") — what a message
 is, what it weighs and what a dead endpoint costs is the kernel's business.
 The mass ledger balances per bucket (or per sample), never per event,
 on the kernel's read-only ``mass_view()`` — the kernel's own books, joins
@@ -37,8 +37,9 @@ deferred and drained; its records carry no ``time`` and its metadata no
 ``engine``, like any rounds run.  Hence ``engine="events"`` at the
 synchronized anchor (unit rates, unit sample interval, instant network)
 consumes the kernel RNG identically and is bit-identical to
-``engine="rounds"`` (DESIGN.md §14); heterogeneous-rate runs agree with
-the agent event engine in distribution, not bit for bit.
+``engine="rounds"`` (DESIGN.md §7 "Lockstep is the degenerate calendar");
+heterogeneous-rate runs agree with the agent event engine in distribution,
+not bit for bit.
 """
 
 from __future__ import annotations

@@ -346,7 +346,7 @@ class ScenarioSpec:
 
     @property
     def on_calendar(self) -> bool:
-        """Whether this spec runs on the event calendar (DESIGN.md §14).
+        """Whether this spec runs on the event calendar (DESIGN.md §7 "Rounds × latency").
 
         It does under ``engine="events"``, and on rounds wherever the network
         model can delay a message (its ``has_latency``): lockstep rounds are

@@ -9,13 +9,13 @@ events — which is what unlocks latency×exchange scenarios (forbidden in
 the round engine) and rate-heterogeneous populations.
 
 Select it per scenario with ``ScenarioSpec(engine="events",
-engine_params={...})`` — see DESIGN.md §11; the parameters resolve to one
+engine_params={...})`` — see DESIGN.md §10; the parameters resolve to one
 validated :class:`EngineSettings` that both realisations read.  The
 classes exported here
 are the per-host (agent) realisation; :mod:`repro.events.vectorized`
 holds the array-form clock grid and delay sampler that the kernel driver
-(:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14) runs the same
-calendar on in per-bucket batches.
+(:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §7 "What a bucket is")
+runs the same calendar on in per-bucket batches.
 """
 
 from repro._lazy import lazy_exports

@@ -340,7 +340,7 @@ class EventSimulation(Simulation):
         if responder not in self._alive_set:
             # Request arrived at a departed host: the request is lost and the
             # reply will never be sent.  Every attempted exchange accounts
-            # exactly two messages (DESIGN.md §11), matching the round
+            # exactly two messages (DESIGN.md §10), matching the round
             # engine's lost-exchange accounting.
             self.messages_lost += 2
             return

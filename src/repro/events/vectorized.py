@@ -1,6 +1,6 @@
 """The array-form calendar parts of the bucketed event engine.
 
-The kernel driver (:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §14)
+The kernel driver (:class:`repro.api.kernel_run.KernelRun`, DESIGN.md §7 "What a bucket is")
 runs ``engine="events"`` in per-bucket NumPy batches.  This module holds
 the calendar machinery it switches on for that engine, and for a rounds spec
 over a latency network, and leaves out for lockstep rounds over an instant

@@ -127,8 +127,9 @@ def run_fig11(
     ``spec.seed + dataset``).  ``max_hours`` truncates each trace (``None``
     replays it in full).  ``spec.replace(backend="vectorized")`` replays
     the same traces on the NumPy kernels, every variant of a dataset over
-    one memoised compiled trace (DESIGN.md §12) — statistically equivalent
-    but not bit-identical to the agent default (DESIGN.md §7), and the
+    one memoised compiled trace (DESIGN.md §7 "Trace replay as a
+    time-varying CSR") — statistically equivalent but not bit-identical to
+    the agent default (DESIGN.md §7 "Kernel semantics deltas"), and the
     route for large synthetic device counts.
     """
     if spec.backend not in ("agent", "vectorized"):

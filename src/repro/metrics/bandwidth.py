@@ -10,7 +10,7 @@ The bytes and messages a run actually puts on the radio are not counted
 here: every engine keeps them as cumulative counters
 (``delivery_counters()``), and each
 :class:`~repro.simulator.result.RoundRecord` carries their change since
-the previous record (DESIGN.md §13).
+the previous record (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ The one sink is the trace; every summary is a view of it::
 or from the CLI: ``repro-aggregate run --config spec.json --trace
 run.jsonl --metrics`` prints that report to stderr, and
 ``repro-aggregate obs report run.jsonl`` prints the same report from the
-file.  See DESIGN.md §13.
+file.  See DESIGN.md §11.
 """
 
 from repro._lazy import lazy_exports

@@ -162,7 +162,7 @@ class Simulation:
         self.probe = probe if probe is not None else NULL_PROBE
         self.network = network
         #: Cumulative delivery accounting, the kernels' contract (DESIGN.md
-        #: §13): a record carries the change since the previous record.
+        #: §11): a record carries the change since the previous record.
         self.messages_delivered = 0
         self.messages_lost = 0
         self.bytes_sent = 0

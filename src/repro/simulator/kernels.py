@@ -12,7 +12,7 @@ the capability layer (:mod:`repro.api.plan`), the kernel factory
 one entry here.  A kernel states its gossip once — its begin/end hooks, its
 merge rule and what a push carries — and the shared base derives both the
 lockstep round and the event calendar's protocol from it
-(:class:`repro.simulator.vectorized._VectorizedKernel`, DESIGN.md §7 and §14),
+(:class:`repro.simulator.vectorized._VectorizedKernel`, DESIGN.md §7),
 so the event calendar (``calendar``) costs no kernel code.  Nor does the
 network, which no flag names: the base loses the messages a kernel counts, and
 a latency network runs on the calendar, so every kernel realises every one of
@@ -86,11 +86,12 @@ class KernelDeclaration:
         (Full-Transfer): it samples no topology and has no per-tick form,
         so it runs only under uniform gossip over an instant network.
     calendar:
-        Runs on the bucketed event calendar (DESIGN.md §14) through the
-        ``step_subset`` / ``deliver`` / ``mass_view`` its kernel derives from
-        its one merge rule.  Off for Full-Transfer (a whole-round fan-out) and
-        the kernels with a begin hook, which the calendar runs a bucket at a
-        time (DESIGN.md §14 "Begin hooks act a bucket at a time").
+        Runs on the bucketed event calendar (DESIGN.md §7 "The calendar
+        protocol") through the ``step_subset`` / ``deliver`` / ``mass_view``
+        its kernel derives from its one merge rule.  Off for Full-Transfer (a
+        whole-round fan-out) and the kernels with a begin hook, which the
+        calendar runs a bucket at a time (DESIGN.md §7 "Begin hooks act a
+        bucket at a time").
     """
 
     kernel: Union[str, type]

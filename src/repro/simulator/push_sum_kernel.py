@@ -148,7 +148,8 @@ class VectorizedPushSumRevert(_ValueKernel):
         :attr:`_last_estimate` is always current for every live host (the
         invariant :meth:`estimates` reads).  Several ``hosts`` arrays share one
         mass: the two ends of exchanged pairs.  Repeated hosts are fine.  Why a
-        refresh per ``merge_pairs`` pass is exact: DESIGN.md §14.
+        refresh per ``merge_pairs`` pass is exact: DESIGN.md §7 "Rounds and ticks on the
+        live block".
         """
         self._estimates = None
         weight, total = (self.weight[hosts[0]], self.total[hosts[0]]) if rows is None else rows

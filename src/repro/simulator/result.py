@@ -19,7 +19,7 @@ from repro.obs.probe import NULL_PROBE
 
 __all__ = ["RoundRecord", "SimulationResult"]
 
-#: The ``round_end`` fields of a mass view, in its order (DESIGN.md §13).
+#: The ``round_end`` fields of a mass view, in its order (DESIGN.md §11).
 MASS_FIELDS = ("mass_at_hosts", "mass_in_flight", "mass_injected", "mass_lost")
 
 
@@ -54,7 +54,7 @@ class RoundRecord:
         record (``repro.network``): non-self messages delivered, messages
         lost (link loss, sends to departed hosts) and
         the in-flight backlog at the record.  Every engine derives them
-        from its cumulative ``delivery_counters()`` (DESIGN.md §13), the
+        from its cumulative ``delivery_counters()`` (DESIGN.md §11), the
         perfect network included.
     estimates:
         Per-host estimates, retained only when the engine was created with

@@ -534,7 +534,7 @@ class GridRingTopology(_Topology):
     host on the ring at exactly that distance.  (The agent environment can
     also *walk* to the peer hop by hop; the walk's endpoint distribution
     is an approximation of this ring draw, which is the model's
-    idealisation — see DESIGN.md §10.)
+    idealisation — see DESIGN.md §7 "Two samplers".)
 
     Sampling is rejection-based: the L1 circle of radius ``d`` has exactly
     ``4·d`` lattice offsets, enumerated arithmetically, so an attempt

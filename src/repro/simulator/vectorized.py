@@ -66,7 +66,8 @@ class _VectorizedKernel:
 
     :meth:`step` (a lockstep round on the compact live block) and the calendar
     protocol — :meth:`step_subset`, :meth:`deliver`, :meth:`merge_pairs`,
-    :meth:`mass_view` (DESIGN.md §14) — are derived from those, here, once.
+    :meth:`mass_view` (DESIGN.md §7 "The calendar protocol") — are derived
+    from those, here, once.
     """
 
     n: int
@@ -79,7 +80,7 @@ class _VectorizedKernel:
     aggregate: str
 
     #: Cumulative network accounting, the contract every engine keeps
-    #: (``delivery_counters()``, DESIGN.md §13): a record carries the change
+    #: (``delivery_counters()``, DESIGN.md §11): a record carries the change
     #: since the previous record.  One pairwise exchange counts as two
     #: messages and self-messages cost no radio bytes, as on the agent engines.
     messages_delivered: int = 0

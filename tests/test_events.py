@@ -499,7 +499,7 @@ class TestDepartures:
 
 class TestExchangeAccounting:
     def test_dead_responder_request_loses_both_legs(self):
-        # The fixed branch (DESIGN.md §11): a request arriving at a
+        # The fixed branch (DESIGN.md §10): a request arriving at a
         # departed host kills the whole exchange, and every attempted
         # exchange accounts exactly two messages.  Before the fix this
         # counted a single lost message, so exchange totals diverged from
@@ -587,7 +587,7 @@ class TestExchangeAccounting:
 
 
 class TestDeliveryCounters:
-    """Records carry the change of the engine's cumulative counters (DESIGN.md §11)."""
+    """Records carry the change of the engine's cumulative counters (DESIGN.md §10)."""
 
     @pytest.mark.parametrize("mode, legs", [("push", 1), ("exchange", 2)])
     def test_records_add_up_to_the_tick_grid(self, mode, legs):

@@ -1,6 +1,6 @@
 """Tests for the bucketed vectorised event calendar (repro.api.kernel_run.KernelRun).
 
-Two guarantee tiers (DESIGN.md §14):
+Two guarantee tiers (DESIGN.md §7 "Lockstep is the degenerate calendar"):
 
 * at the synchronization anchor — unit-rate synchronized clocks over an
   instant network — the bucketed calendar degenerates to whole-population
@@ -244,7 +244,7 @@ SCENARIOS = {
         "engine_params": HETEROGENEOUS_CLOCKS,
     },
     # Partial ticks across a failure: where a kernel's begin hook would part
-    # from the agent engine's per-host order (DESIGN.md §14).
+    # from the agent engine's per-host order (DESIGN.md §7 "Begin hooks act a bucket at a time").
     "unsynchronized-departures": {
         "engine_params": HETEROGENEOUS_CLOCKS,
         "events": ({"event": "failure", "round": 6,

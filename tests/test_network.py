@@ -456,7 +456,8 @@ class TestOneSetOfBooks:
         assert len(rounds) == 6
         assert not any(key in record for record in rounds for key in MASS_FIELDS)
 
-    #: Count-Sketch-Reset's begin hook keeps it off the event kernels (DESIGN.md §14),
+    #: Count-Sketch-Reset's begin hook keeps it off the event kernels (DESIGN.md §7
+    #: "Begin hooks act a bucket at a time"),
     #: so Sketch-Count, massless too, stands in on that pair.
     MASSLESS = [("rounds", "agent", "count-sketch-reset"),
                 ("rounds", "vectorized", "count-sketch-reset"),

@@ -1,4 +1,4 @@
-"""Tests for the observability layer (repro.obs, DESIGN.md §13).
+"""Tests for the observability layer (repro.obs, DESIGN.md §11).
 
 The two load-bearing guarantees:
 

@@ -391,7 +391,7 @@ class TestKernelDeclarations:
     def test_no_kernel_with_a_begin_hook_is_on_the_calendar(self):
         # The calendar runs a bucket's begin hooks before any of its exchanges;
         # the agent event engine runs each host's right before its own
-        # (DESIGN.md §14 "Begin hooks act a bucket at a time").
+        # (DESIGN.md §7 "Begin hooks act a bucket at a time").
         hooked = {
             name for name, entry in KERNELS.items() if entry.kernel_class()._begin is not None
         }

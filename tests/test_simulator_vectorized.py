@@ -530,7 +530,8 @@ class TestSparseTopologyLayer:
 
 
 class TestKernelMembership:
-    """join / depart_gracefully on the array kernels (DESIGN.md §12)."""
+    """join / depart_gracefully on the array kernels (DESIGN.md §7 "Mutable membership and
+    churn")."""
 
     def test_join_grows_push_sum_population(self):
         values = uniform_values(10, seed=0)
